@@ -1,11 +1,11 @@
 """Benchmarks of the campaign engine: serial vs parallel throughput.
 
-The campaign engine shards per-chip fault-aware retraining across worker
-processes.  These benchmarks retrain a slice of the fast-preset chip
-population under a fixed budget once serially and once through a
-multiprocessing pool, record chips/second for both, and assert the paper's
-invariant that parallelism must not change results: serial and parallel runs
-are bit-identical.
+The campaign engine shards per-chip fault-aware retraining across socket
+worker processes.  These benchmarks retrain a slice of the fast-preset chip
+population under a fixed budget once in-process and once on forked local
+workers, record chips/second for both, and assert the paper's invariant that
+parallelism must not change results: serial and parallel runs are
+bit-identical.
 """
 
 import multiprocessing
@@ -23,7 +23,7 @@ PARALLEL_JOBS = max(2, min(4, multiprocessing.cpu_count()))
 
 @pytest.fixture(scope="module")
 def bench_population(fast_population):
-    """A slice of the shared population (enough work to amortize pool startup)."""
+    """A slice of the shared population (enough work to amortize worker startup)."""
     return ChipPopulation(fast_population.chips[:8])
 
 
@@ -71,7 +71,7 @@ def test_bench_campaign_batched_jobs1(benchmark, fast_context, fast_population):
 def test_bench_campaign_batched_jobsN(benchmark, fast_context, fast_population):
     """Fixed-budget campaign throughput at --jobs N x --fat-batch 6.
 
-    The planner hands whole stacked chunks to the worker pool, so the
+    The planner hands whole stacked chunks to the socket workers, so the
     stacked-GEMM batching and the process-level parallelism compose; results
     must remain bit-identical to the inline batched run.
     """
@@ -241,9 +241,9 @@ def test_bench_campaign_tracing_on(benchmark, fast_context, bench_population, tm
 
 
 def test_bench_campaign_supervised_kill_recovery(benchmark, fast_context, bench_population):
-    """Supervised dispatch with one injected worker SIGKILL mid-campaign.
+    """Socket-worker dispatch with one injected worker SIGKILL mid-campaign.
 
-    Pins the price of the recovery path — dead-worker detection, respawn,
+    Pins the price of the recovery path — dropped-link detection, respawn,
     and one chunk re-execution — against ``test_bench_campaign_parallel``'s
     undisturbed dispatch, and asserts the headline guarantee: recovery is
     invisible in the results.
@@ -256,7 +256,7 @@ def test_bench_campaign_supervised_kill_recovery(benchmark, fast_context, bench_
         jobs=PARALLEL_JOBS,
         fat_batch=FAT_BATCH,
         chaos="seed=3,kill=1",
-        supervisor_config=SupervisorConfig(backoff_base=0.05, poll_interval=0.02),
+        supervisor_config=SupervisorConfig(backoff_base=0.05),
     )
     campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)

@@ -1,16 +1,16 @@
-"""Deterministic chaos harness for the campaign supervisor.
+"""Deterministic chaos harness for campaign fault recovery.
 
 Fault-tolerance code that is only exercised by real 3 a.m. failures is
-unverified code.  This module turns the failure modes the supervisor must
+unverified code.  This module turns the failure modes chunk execution must
 survive into a *seeded, planned* fault schedule so every recovery path runs
 in tests and CI:
 
 * ``kill`` — the worker SIGKILLs itself at the start of a planned chunk
-  attempt (an OOM-killer stand-in; the supervisor must detect the dead
-  process and reassign the chunk).
+  attempt (an OOM-killer stand-in; the coordinator must see the dropped
+  link, reassign the chunk and fork a replacement local worker).
 * ``hang`` — the worker sleeps ``hang_s`` seconds before executing a planned
-  chunk (a wedged-BLAS stand-in; the supervisor's deadline must fire, or the
-  sleep ends and the chunk completes late — either way the campaign finishes).
+  chunk (a wedged-BLAS stand-in; the chunk deadline must fire, or the sleep
+  ends and the chunk completes late — either way the campaign finishes).
 * ``exc`` — a transient :class:`ChaosError` is raised on the first attempt of
   a planned chunk (the retry path without losing the worker).
 * ``poison`` — :class:`ChaosError` on *every* attempt of a planned chunk
@@ -168,13 +168,13 @@ class ChaosSpec:
 
 @dataclasses.dataclass
 class ChaosSchedule:
-    """A planned fault schedule for one campaign run (picklable).
+    """A planned fault schedule for one campaign run.
 
     ``actions`` maps plan-chunk index -> fault action; ``torn_points`` are
     parent-side append indices after which a torn fragment is written.  The
-    schedule is shipped to every worker (including respawned replacements)
-    through the initializer, so which process executes a chunk never changes
-    which faults fire.
+    schedule stays in the parent: the coordinator puts each attempt's
+    planned action into that attempt's chunk frame, so which worker (or
+    respawned replacement) executes a chunk never changes which faults fire.
     """
 
     spec: ChaosSpec
@@ -200,41 +200,16 @@ class ChaosSchedule:
     ) -> None:
         """Inject the planned fault for this chunk attempt, if any.
 
-        ``allow_process_faults=False`` (the inline, single-process executor)
+        ``allow_process_faults=False`` (the in-process ``--jobs 1`` executor)
         downgrades ``kill``/``hang`` to no-ops: killing or stalling the only
         process is not a recoverable fault, it is the driver's own death.
         """
         action = self.action_for(chunk_index, attempt)
         if action is None:
             return
-        if action == "kill":
-            if not allow_process_faults:
-                return
-            logger.warning(
-                "chaos: SIGKILL of pid %d on chunk %d attempt %d",
-                os.getpid(),
-                chunk_index,
-                attempt,
-            )
-            trace.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif action == "hang":
-            if not allow_process_faults:
-                return
-            logger.warning(
-                "chaos: hanging pid %d for %.1fs on chunk %d attempt %d",
-                os.getpid(),
-                self.spec.hang_s,
-                chunk_index,
-                attempt,
-            )
-            metrics.counter("chaos.hangs_injected").inc()
-            time.sleep(self.spec.hang_s)
-        elif action in ("exc", "poison"):
-            metrics.counter("chaos.exceptions_injected").inc()
-            raise ChaosError(
-                f"injected {action} failure on chunk {chunk_index} attempt {attempt}"
-            )
+        if action in ("kill", "hang") and not allow_process_faults:
+            return
+        inject_fault(action, chunk_index, attempt, self.spec.hang_s)
 
     def maybe_tear(self, store) -> None:
         """After a parent-side append, maybe write a torn trailing fragment.
@@ -251,6 +226,39 @@ class ChaosSchedule:
         metrics.counter("chaos.torn_writes_injected").inc()
         with store.results_path.open("a", encoding="utf-8") as handle:
             handle.write('{"chip_id": "chaos-torn-fragment", "accuracy_af')
+
+
+def inject_fault(action: str, chunk_index: int, attempt: int, hang_s: float) -> None:
+    """Fire one planned fault in the executing process.
+
+    Socket workers call this with the action the coordinator planned into
+    the chunk frame; the in-process executor reaches it through
+    :meth:`ChaosSchedule.maybe_inject`.
+    """
+    if action == "kill":
+        logger.warning(
+            "chaos: SIGKILL of pid %d on chunk %d attempt %d",
+            os.getpid(),
+            chunk_index,
+            attempt,
+        )
+        trace.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif action == "hang":
+        logger.warning(
+            "chaos: hanging pid %d for %.1fs on chunk %d attempt %d",
+            os.getpid(),
+            hang_s,
+            chunk_index,
+            attempt,
+        )
+        metrics.counter("chaos.hangs_injected").inc()
+        time.sleep(hang_s)
+    elif action in ("exc", "poison"):
+        metrics.counter("chaos.exceptions_injected").inc()
+        raise ChaosError(
+            f"injected {action} failure on chunk {chunk_index} attempt {attempt}"
+        )
 
 
 def resolve_chaos(spec) -> Optional[ChaosSpec]:

@@ -7,35 +7,37 @@ workload in two stages:
   is frozen into picklable :class:`~repro.campaign.jobs.ChipJob` units; the
   pending jobs are then partitioned into same-budget *chunks* of at most
   ``fat_batch`` jobs (:func:`~repro.campaign.jobs.plan_job_chunks`).
-* **Execute.** Whole chunks — not single chips — are dispatched to a set of
-  supervised worker processes (``jobs > 1``;
-  :class:`~repro.campaign.supervisor.SupervisingExecutor`), to a
-  socket-transport worker fleet (``listen=``/``workers=``;
-  :class:`~repro.campaign.scheduler.CampaignCoordinator`), or executed
-  inline (``jobs == 1``).  A multi-job chunk runs through one stacked
+* **Execute.**  Whole chunks — not single chips — are the unit of
+  dispatch.  ``jobs == 1`` executes them in this process.  ``jobs > 1``
+  forks that many local socket workers onto a private loopback
+  :class:`~repro.campaign.scheduler.CampaignCoordinator` that lives for one
+  ``run()``; ``listen=``/``workers=`` make the engine distributed, with an
+  engine-lifetime coordinator that remote workers join
+  (``repro-reduce worker --join HOST:PORT``) next to ``jobs`` local ones.
+  There is one multi-process executor and one recovery story.  A multi-job
+  chunk runs through one stacked
   :class:`~repro.accelerator.batched.BatchedFaultTrainer`, so process-level
   parallelism and stacked-GEMM batching compose: ``--jobs N`` workers each
   retrain ``--fat-batch`` chips per dispatch.
 
-In distributed mode the engine owns a coordinator from construction time:
-remote workers join over TCP (``repro-reduce worker --join HOST:PORT``)
-while ``jobs`` local socket workers are forked lazily at the first
-distributed execution.  Chunks are pulled via work-stealing claims, results
-commit through the same content-addressed store on the coordinator host,
-and the population-shared retraining seed makes every chunk bit-identical
-no matter which host executed it — a distributed campaign resumes and
-fingerprints exactly like a local one.
+Chunks are pulled via work-stealing claims, results commit through the same
+content-addressed store on the coordinator host, and the population-shared
+retraining seed makes every chunk bit-identical no matter which process or
+host executed it — a distributed campaign resumes and fingerprints exactly
+like a local one.
 
-Execution is fault-tolerant: the supervisor detects dead workers (OOM kills,
-crashes) and hung chunks (per-chunk deadlines), reassigns the chunk to a
-healthy worker with capped retries and exponential backoff, and quarantines
-chunks that keep failing — the campaign completes every other chip and
+Execution is fault-tolerant, and both executors share one state machine
+(:class:`~repro.campaign.supervisor.ChunkLedger`): a chunk that raises, whose
+worker dies (OOM kill, crash) or whose worker outlives the per-chunk deadline
+is retried with capped retries and exponential backoff, and a chunk that
+keeps failing is quarantined — the campaign completes every other chip and
 reports the casualties in ``CampaignResult.failed_chips`` (and the store's
-``quarantine.jsonl``) instead of crashing.  The inline executor applies the
-same retry/quarantine policy to in-process exceptions.  A deterministic
-chaos harness (:mod:`repro.campaign.chaos`, ``chaos=``/``--chaos``) injects
-worker SIGKILLs, hangs, transient exceptions and torn trailing writes at
-seeded points so every one of those recovery paths is exercised in tests.
+``quarantine.jsonl``) instead of crashing.  Lost local workers are replaced.
+Commits go through a :class:`~repro.campaign.supervisor.ChunkCommitSequencer`,
+so retries never reorder ``results.jsonl``.  A deterministic chaos harness
+(:mod:`repro.campaign.chaos`, ``chaos=``/``--chaos``) injects worker SIGKILLs,
+hangs, transient exceptions and torn trailing writes at seeded points so
+every one of those recovery paths is exercised in tests.
 
 With a store base directory the engine persists every finished chunk to a
 content-addressed JSONL store (one fsync per chunk — the group-result
@@ -56,8 +58,6 @@ per-chip values.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -69,19 +69,16 @@ from repro.campaign.jobs import (
     execute_job_chunk,
     plan_job_chunks,
 )
-from repro.campaign.scheduler import (
-    CampaignCoordinator,
-    SchedulerConfig,
-    _local_worker_main,
-)
+from repro.campaign.scheduler import CampaignCoordinator, SchedulerConfig
 from repro.campaign.store import CampaignStore, campaign_fingerprint
 from repro.campaign.supervisor import (
+    ChunkCommitSequencer,
     ChunkFailure,
-    SupervisingExecutor,
+    ChunkLedger,
     SupervisorConfig,
 )
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import CampaignResult, ChipRetrainingResult, ReduceFramework
+from repro.core.reduce import CampaignResult, ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.mitigation.strategy import StrategyLike, resolve_strategy
 from repro.observability import (
@@ -96,109 +93,6 @@ from repro.utils.timing import Timer, format_duration
 logger = get_logger("campaign.engine")
 
 PathLike = Union[str, Path]
-
-# Per-worker framework, built once by the pool initializer.  Under the
-# ``fork`` start method the worker inherits the parent's in-memory context
-# cache, so initialization is instant; under ``spawn`` the context is rebuilt
-# (hitting the on-disk pre-trained-state cache when one is configured).
-_WORKER_FRAMEWORK: Optional[ReduceFramework] = None
-_WORKER_FAT_BATCH: int = 1
-_WORKER_OBS_DIR: Optional[str] = None
-
-
-def _initialize_worker(
-    preset,
-    disk_cache_dir: Optional[str],
-    fat_batch: int,
-    trace_dir: Optional[str] = None,
-    metrics_enabled: bool = False,
-    prefetch: bool = True,
-    lowering_cache_mb: Optional[float] = None,
-) -> None:
-    global _WORKER_FRAMEWORK, _WORKER_FAT_BATCH, _WORKER_OBS_DIR
-    from repro.experiments.common import ExperimentContext
-
-    # Observability propagates through the dispatch path: each worker records
-    # spans into its own pid-keyed shard of the parent's trace directory.
-    # ``enable`` is explicit for spawn-started workers; fork-started workers
-    # would inherit an enabled tracer anyway, but re-enabling also drops any
-    # inherited file handle so the worker never writes to the parent's shard.
-    if trace_dir is not None:
-        trace.enable(trace_dir)
-    metrics.enabled = bool(metrics_enabled)
-    # Fork-started workers inherit the parent's counter values; a worker
-    # shard must only report work done *in* this process, or merging would
-    # double-count everything the parent recorded before the fork.
-    metrics.reset()
-    _WORKER_OBS_DIR = trace_dir
-    context = ExperimentContext.from_preset(preset, disk_cache_dir=disk_cache_dir)
-    # Configure before building the framework so every framework this worker
-    # creates shares the context's (possibly fork-inherited, already warm)
-    # lowering cache with the right knobs.
-    context.configure_eval_pipeline(
-        prefetch=prefetch, lowering_cache_mb=lowering_cache_mb
-    )
-    _WORKER_FRAMEWORK = context.framework()
-    _WORKER_FAT_BATCH = fat_batch
-
-
-def _execute_chunk_in_worker(
-    chunk: List[ChipJob], attempt: int = 0
-) -> List[ChipRetrainingResult]:
-    assert _WORKER_FRAMEWORK is not None, "worker initializer did not run"
-    results = execute_job_chunk(
-        _WORKER_FRAMEWORK, chunk, fat_batch=_WORKER_FAT_BATCH, attempt=attempt
-    )
-    if _WORKER_OBS_DIR is not None:
-        # Atomic per-pid replace: cheap, idempotent, and always current so a
-        # killed worker still leaves its latest snapshot behind.
-        metrics.write_shard(_WORKER_OBS_DIR)
-    return results
-
-
-def _supervised_worker_initializer(
-    preset,
-    disk_cache_dir: Optional[str],
-    fat_batch: int,
-    trace_dir: Optional[str],
-    metrics_enabled: bool,
-    chaos_schedule: Optional[ChaosSchedule],
-    prefetch: bool = True,
-    lowering_cache_mb: Optional[float] = None,
-):
-    """Build the per-process chunk executor for the supervising executor.
-
-    Runs once in each (possibly respawned) worker: initializes the framework
-    and observability exactly like the old pool initializer, then returns
-    the ``execute(chunk, chunk_index, attempt)`` callable the supervisor
-    drives.  The chaos schedule travels with the initializer args, so a
-    replacement worker fires the same planned faults as the one it replaced.
-    """
-    _initialize_worker(
-        preset, disk_cache_dir, fat_batch, trace_dir, metrics_enabled,
-        prefetch=prefetch, lowering_cache_mb=lowering_cache_mb,
-    )
-
-    def execute(
-        chunk: List[ChipJob], chunk_index: int, attempt: int
-    ) -> List[ChipRetrainingResult]:
-        if chaos_schedule is not None:
-            chaos_schedule.maybe_inject(chunk_index, attempt)
-        return _execute_chunk_in_worker(chunk, attempt=attempt)
-
-    return execute
-
-
-def _start_method() -> str:
-    # Fork is preferred where reliable (workers inherit the parent's context
-    # cache for free), but macOS system frameworks are not fork-safe — the
-    # reason CPython made spawn the macOS default — so fork is used on Linux
-    # only.  Spawned workers rebuild their context, hitting the on-disk
-    # pre-trained-state cache when one is configured.
-    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "spawn"
-
 
 @dataclasses.dataclass
 class CampaignReport:
@@ -247,8 +141,8 @@ class CampaignEngine:
         An :class:`~repro.experiments.common.ExperimentContext` providing the
         pre-trained model, dataset and array.
     jobs:
-        Number of worker processes; ``1`` (the default) executes inline with
-        no multiprocessing involved.
+        Number of worker processes; ``1`` (the default) executes in this
+        process, ``N > 1`` forks N local socket workers for each run.
     store_base:
         Base directory for persistent result stores.  ``None`` keeps results
         in memory only (the legacy behaviour).
@@ -256,11 +150,6 @@ class CampaignEngine:
         When a store is used, skip chips whose results are already recorded.
     progress:
         Log one line per completed chip.
-    chunk_size:
-        Retained for backward compatibility (the old pool ``chunksize``).
-        The supervising executor always dispatches one chunk per worker at a
-        time — that is both the resume granularity and the unit of
-        reassignment — so values other than 1 are accepted but ignored.
     disk_cache_dir:
         Forwarded to workers so spawned processes can load the pre-trained
         state from the on-disk context cache instead of re-pre-training.
@@ -324,8 +213,9 @@ class CampaignEngine:
         ``0`` (remote-only execution).
     scheduler_config:
         Transport knobs (:class:`~repro.campaign.scheduler.SchedulerConfig`)
-        of the distributed coordinator; chunk retry/deadline policy stays in
-        ``supervisor_config`` and is shared with the local executor.
+        of the coordinator (local ``--jobs N`` or distributed); chunk
+        retry/deadline policy stays in ``supervisor_config`` and is shared
+        with the in-process executor.
     """
 
     DEFAULT_FAT_BATCH = 8
@@ -339,7 +229,6 @@ class CampaignEngine:
         store_base: Optional[PathLike] = None,
         resume: bool = True,
         progress: bool = False,
-        chunk_size: Optional[int] = None,
         disk_cache_dir: Optional[PathLike] = None,
         fat_batch: Optional[int] = None,
         heartbeat_seconds: Optional[float] = DEFAULT_HEARTBEAT_SECONDS,
@@ -361,8 +250,6 @@ class CampaignEngine:
                 raise ValueError(f"jobs must be >= 0 in distributed mode, got {jobs}")
         elif jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if fat_batch is not None and fat_batch < 1:
             raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
         if heartbeat_seconds is not None and heartbeat_seconds < 0:
@@ -378,7 +265,6 @@ class CampaignEngine:
         self.store_base = Path(store_base) if store_base is not None else None
         self.resume = resume
         self.progress = progress
-        self.chunk_size = chunk_size
         self.disk_cache_dir = str(disk_cache_dir) if disk_cache_dir is not None else None
         self.fat_batch = int(fat_batch) if fat_batch is not None else self.DEFAULT_FAT_BATCH
         self.heartbeat_seconds = heartbeat_seconds
@@ -400,31 +286,14 @@ class CampaignEngine:
                 ),
                 chunk_timeout=chunk_timeout,
             )
+        self.scheduler_config = scheduler_config
         self.last_report: Optional[CampaignReport] = None
 
         self._coordinator: Optional[CampaignCoordinator] = None
-        self._local_socket_workers: List[multiprocessing.process.BaseProcess] = []
         self.listen_address: Optional[Tuple[str, int]] = None
         if self.distributed:
-            self._coordinator = CampaignCoordinator(
-                preset=context.preset,
-                listen=listen,
-                connect=list(workers or ()),
-                backend=self.backend,
-                fat_batch=self.fat_batch,
-                prefetch=self.prefetch,
-                lowering_cache_mb=self.lowering_cache_mb,
-                supervisor_config=self.supervisor_config,
-                config=scheduler_config,
-            )
+            self._coordinator = self._new_coordinator(listen, list(workers or ()))
             self.listen_address = self._coordinator.address
-            if self.chaos_spec is not None:
-                logger.warning(
-                    "campaign: chaos process faults are not propagated to "
-                    "socket workers (kill them externally to exercise the "
-                    "distributed recovery path); torn-write injection still "
-                    "applies coordinator-side"
-                )
 
     # -- public API ---------------------------------------------------------------
 
@@ -468,7 +337,7 @@ class CampaignEngine:
     ) -> CampaignResult:
         metrics.gauge("campaign.phase").set("plan")
         # Eval-pipeline knobs apply to the context (and so to every framework
-        # built from it, here and in this run's inline chunk executions); the
+        # built from it, here and in this run's in-process executions); the
         # shared lowering cache survives across runs of the same engine and
         # across sweep arms sharing the context.
         self.context.configure_eval_pipeline(
@@ -658,23 +527,24 @@ class CampaignEngine:
                     self.fat_batch,
                 )
             started = time.monotonic()
-            # Triaged zero-epoch jobs are pure result-row lookups: spinning
-            # up a pool (whose workers rebuild a framework each) to format
-            # them would cost far more than executing them here, so
-            # non-retraining strategy campaigns always run inline.
+            # Triaged zero-epoch jobs are pure result-row lookups: starting
+            # workers (which rebuild a framework each) to format them would
+            # cost far more than executing them here, so non-retraining
+            # strategy campaigns always run in-process.
             all_lookups = all(
                 job.epochs == 0 and job.accuracy_before is not None
                 for job in pending
+            )
+            on_workers = not all_lookups and (
+                self._coordinator is not None or (self.jobs > 1 and len(plan) > 1)
             )
             metrics.gauge("campaign.phase").set("execute")
             with trace.span(
                 "campaign.execute", chunks=len(plan), chips=len(pending)
             ):
-                if self._coordinator is not None and not all_lookups:
-                    failures = self._execute_distributed(plan, record_chunk, strategy)
-                elif self.jobs > 1 and len(plan) > 1 and not all_lookups:
-                    failures = self._execute_parallel(
-                        plan, record_chunk, chaos_schedule
+                if on_workers:
+                    failures = self._execute_on_workers(
+                        plan, record_chunk, strategy, chaos_schedule
                     )
                 else:
                     failures = self._execute_inline(
@@ -781,7 +651,7 @@ class CampaignEngine:
         """The fixed-budget baseline through the engine."""
         return self.run(population, FixedEpochPolicy(epochs), strategy=strategy)
 
-    # -- executor: inline dispatch ---------------------------------------------------
+    # -- executor: in-process ------------------------------------------------------
 
     def _execute_inline(
         self,
@@ -790,210 +660,125 @@ class CampaignEngine:
         record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
         chaos_schedule: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
-        """Execute the plan in-process, one chunk at a time (Step 3).
+        """Execute the plan in this process, one chunk attempt at a time.
 
         Results are recorded (and persisted) after every chunk, so a killed
-        campaign loses at most the chunk in flight rather than a whole
-        budget group.  The supervisor's retry/quarantine policy applies here
-        too: a chunk that raises is retried (with backoff) up to
-        ``max_chunk_retries`` times and then quarantined, so one poisoned
-        chip cannot take down an otherwise healthy inline campaign.  Chaos
-        process faults (kill/hang) are downgraded to no-ops inline — killing
-        the only process is not a recoverable fault.
+        campaign loses at most the chunks not yet committed.  The coordinator's
+        :class:`~repro.campaign.supervisor.ChunkLedger` owns recovery here
+        too: a chunk that raises is retried after its backoff (other chunks
+        run meanwhile) and quarantined past ``max_chunk_retries``, and the
+        :class:`~repro.campaign.supervisor.ChunkCommitSequencer` keeps a
+        retried chunk from reordering ``results.jsonl``.  Chaos process
+        faults (kill/hang) are no-ops here — killing the only process is not
+        a recoverable fault.
         """
-        config = self.supervisor_config
-        failures: List[ChunkFailure] = []
-        for index, chunk in enumerate(plan):
-            attempt = 0
-            while True:
-                try:
-                    if chaos_schedule is not None:
-                        chaos_schedule.maybe_inject(
-                            index, attempt, allow_process_faults=False
-                        )
-                    results = execute_job_chunk(
-                        framework, chunk, fat_batch=self.fat_batch, attempt=attempt
+        ledger = ChunkLedger(plan, self.supervisor_config)
+        sequencer = ChunkCommitSequencer(len(plan), record_chunk)
+        while ledger.outstanding():
+            now = time.monotonic()
+            state = ledger.ready_chunk(now)
+            if state is None:  # every remaining chunk is backing off
+                release = min(
+                    chunk.not_before
+                    for chunk in ledger.chunks
+                    if chunk.status == "pending"
+                )
+                time.sleep(max(0.0, release - now))
+                continue
+            attempt = ledger.start(state)
+            try:
+                if chaos_schedule is not None:
+                    chaos_schedule.maybe_inject(
+                        state.index, attempt, allow_process_faults=False
                     )
-                except Exception as error:  # noqa: BLE001 - quarantine boundary
-                    attempt += 1
-                    if attempt > config.max_chunk_retries:
-                        metrics.counter("campaign.chunks_quarantined").inc()
-                        trace.instant(
-                            "campaign.chunk_quarantined",
-                            chunk=index,
-                            attempts=attempt,
-                            error=repr(error),
-                        )
-                        logger.error(
-                            "campaign: quarantining chunk %d after %d attempt(s): %r",
-                            index,
-                            attempt,
-                            error,
-                        )
-                        failures.append(
-                            ChunkFailure(
-                                chunk=list(chunk), attempts=attempt, error=repr(error)
-                            )
-                        )
-                        break
-                    metrics.counter("campaign.chunk_retries").inc()
-                    trace.instant(
-                        "campaign.chunk_retry",
-                        chunk=index,
-                        attempt=attempt,
-                        cause="exception",
-                    )
-                    backoff = config.backoff_seconds(attempt)
-                    logger.warning(
-                        "campaign: chunk %d failed inline (attempt %d/%d), "
-                        "retrying in %.2fs: %r",
-                        index,
-                        attempt,
-                        config.max_chunk_retries + 1,
-                        backoff,
-                        error,
-                    )
-                    if backoff > 0:
-                        time.sleep(backoff)
-                else:
-                    record_chunk(results)
-                    break
-        return failures
+                results = execute_job_chunk(
+                    framework, state.chunk, fat_batch=self.fat_batch, attempt=attempt
+                )
+            except Exception as error:  # noqa: BLE001 - quarantine boundary
+                ledger.fail(state, repr(error), time.monotonic())
+                if state.status == "quarantined":
+                    sequencer.skip(state.index)
+            else:
+                ledger.complete(state, time.monotonic() - now)
+                sequencer.commit(state.index, results)
+        return ledger.failures
 
-    # -- executor: parallel dispatch -------------------------------------------------
+    # -- executor: socket workers --------------------------------------------------
 
-    def _execute_parallel(
+    def _new_coordinator(
         self,
-        plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
-        chaos_schedule: Optional[ChaosSchedule] = None,
-    ) -> List[ChunkFailure]:
-        """Dispatch whole plan chunks to supervised worker processes.
-
-        Each dispatch hands a worker one batched chunk (the unit of both
-        stacked-GEMM coalescing and resume granularity); the worker runs it
-        through its own framework — the population-shared FAT seed makes the
-        result independent of which process executes which chunk — and the
-        parent records the whole group as it arrives.  The supervisor owns
-        all recovery decisions: it respawns dead workers, reassigns their
-        in-flight chunks, kills hung workers past the chunk deadline, and
-        quarantines chunks that exhaust their retry budget (returned as
-        :class:`~repro.campaign.supervisor.ChunkFailure` records).
-        """
-        workers = min(self.jobs, len(plan))
-        mp_context = multiprocessing.get_context(_start_method())
-        total_chips = sum(len(chunk) for chunk in plan)
-        logger.info(
-            "campaign: dispatching %d chips in %d chunks across %d supervised "
-            "workers (start=%s, fat_batch=%d, max_chunk_retries=%d)",
-            total_chips,
-            len(plan),
-            workers,
-            mp_context.get_start_method(),
-            self.fat_batch,
-            self.supervisor_config.max_chunk_retries,
+        listen: Optional[Tuple[str, int]] = None,
+        connect: Sequence[Tuple[str, int]] = (),
+    ) -> CampaignCoordinator:
+        return CampaignCoordinator(
+            preset=self.context.preset,
+            listen=listen,
+            connect=connect,
+            backend=self.backend,
+            fat_batch=self.fat_batch,
+            prefetch=self.prefetch,
+            lowering_cache_mb=self.lowering_cache_mb,
+            supervisor_config=self.supervisor_config,
+            config=self.scheduler_config,
+            disk_cache_dir=self.disk_cache_dir,
         )
-        trace_dir = (
-            str(trace.directory) if trace.enabled and trace.directory else None
-        )
-        executor = SupervisingExecutor(
-            plan,
-            record_chunk,
-            workers=workers,
-            mp_context=mp_context,
-            initializer=_supervised_worker_initializer,
-            initargs=(
-                self.context.preset,
-                self.disk_cache_dir,
-                self.fat_batch,
-                trace_dir,
-                metrics.enabled,
-                chaos_schedule,
-                self.prefetch,
-                self.lowering_cache_mb,
-            ),
-            config=self.supervisor_config,
-        )
-        return executor.run()
-
-    # -- executor: distributed dispatch ----------------------------------------------
 
     def _plan_worker_hint(self) -> int:
-        """Worker count for plan sizing (local pool or socket fleet)."""
-        if self._coordinator is None:
-            return max(1, self.jobs)
-        return max(1, self.jobs + self._coordinator.worker_hint())
+        """Worker count for plan sizing: ``jobs``, or the joined fleet if larger.
 
-    def _ensure_local_socket_workers(self) -> None:
-        """Fork ``jobs`` local socket workers joined to our own coordinator.
-
-        Lazy (first distributed execution) so a remote-only campaign never
-        forks, and idempotent across sweep arms — dead workers are replaced.
-        Local workers speak the same socket protocol as remote ones: one
-        execution path, one recovery story.
+        Joined local workers are already part of the coordinator's count, so
+        the two are not added.
         """
-        assert self._coordinator is not None
-        self._local_socket_workers = [
-            process for process in self._local_socket_workers if process.is_alive()
-        ]
-        missing = self.jobs - len(self._local_socket_workers)
-        if missing <= 0:
-            return
-        mp_context = multiprocessing.get_context(_start_method())
-        join_address = ("127.0.0.1", self._coordinator.address[1])
-        for _ in range(missing):
-            process = mp_context.Process(
-                target=_local_worker_main,
-                args=(join_address, self.disk_cache_dir),
-                daemon=True,
-                name="campaign-socket-worker",
-            )
-            process.start()
-            self._local_socket_workers.append(process)
-        logger.info(
-            "campaign: started %d local socket worker(s) joining %s",
-            missing,
-            f"{join_address[0]}:{join_address[1]}",
-        )
+        hint = self.jobs
+        if self._coordinator is not None:
+            hint = max(hint, self._coordinator.worker_hint())
+        return max(1, hint)
 
-    def _execute_distributed(
+    def _execute_on_workers(
         self,
         plan: Sequence[List[ChipJob]],
         record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
         strategy,
+        chaos_schedule: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
-        """Serve plan chunks to the socket worker fleet via the coordinator.
+        """Serve plan chunks to socket workers through a coordinator.
 
-        Results commit through ``record_chunk`` on this thread exactly like
-        the local executors, so the store/fsync/resume protocol — and the
-        bit-identity guarantee — is unchanged; only the transport differs.
+        A distributed engine reuses its long-lived coordinator and tops up
+        its ``jobs`` local workers.  A local ``jobs > 1`` run gets a private
+        loopback coordinator with ``min(jobs, chunks)`` forked workers that
+        lives for this call only, so callers that never ``close()`` the
+        engine leak nothing.  Either way results commit through
+        ``record_chunk`` on this thread, in plan order.
         """
-        assert self._coordinator is not None
-        self._ensure_local_socket_workers()
-        total_chips = sum(len(chunk) for chunk in plan)
-        logger.info(
-            "campaign: serving %d chips in %d chunks to socket workers "
-            "(%d local, listening on %s)",
-            total_chips,
-            len(plan),
-            self.jobs,
-            f"{self.listen_address[0]}:{self.listen_address[1]}",
-        )
-        return self._coordinator.run_plan(
-            plan, record_chunk, strategy=strategy.name
-        )
+        coordinator = self._coordinator
+        local_workers = self.jobs
+        if coordinator is None:
+            coordinator = self._new_coordinator()
+            local_workers = min(self.jobs, len(plan))
+        try:
+            coordinator.ensure_local_workers(local_workers)
+            logger.info(
+                "campaign: serving %d chips in %d chunks to socket workers "
+                "(%d local, coordinator on %s, fat_batch=%d, max_chunk_retries=%d)",
+                sum(len(chunk) for chunk in plan),
+                len(plan),
+                local_workers,
+                f"{coordinator.address[0]}:{coordinator.address[1]}",
+                self.fat_batch,
+                self.supervisor_config.max_chunk_retries,
+            )
+            return coordinator.run_plan(
+                plan, record_chunk, strategy=strategy.name, chaos=chaos_schedule
+            )
+        finally:
+            if coordinator is not self._coordinator:
+                coordinator.close()
 
     def close(self) -> None:
         """Shut down the distributed fleet (idempotent; no-op when local)."""
         if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None
-        for process in self._local_socket_workers:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - shutdown stragglers
-                process.terminate()
-                process.join(timeout=5.0)
-        self._local_socket_workers = []
 
     def __enter__(self) -> "CampaignEngine":
         return self

@@ -83,7 +83,9 @@ class ChipJob:
         return dataclasses.replace(self, accuracy_before=float(accuracy))
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        # Shallow on purpose: ``dataclasses.asdict`` would deep-copy every
+        # fault-map coordinate list, and the result is only serialized.
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChipJob":
@@ -180,7 +182,7 @@ def plan_job_chunks(
     a group is chunked at ``min(fat_batch, ceil(len(group) / workers))`` so a
     single large budget group still splits across every worker instead of
     collapsing into one chunk (slightly smaller stacked batches in exchange
-    for keeping all requested processes busy).  ``workers=1`` (the inline
+    for keeping all requested processes busy).  ``workers=1`` (the in-process
     path) leaves ``fat_batch`` as the only cap.
 
     Chunks preserve the within-group job order, so planning the same pending

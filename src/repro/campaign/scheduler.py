@@ -1,11 +1,13 @@
-"""Distributed campaign scheduler: coordinator + socket worker client.
+"""Campaign scheduler: the coordinator that runs every multi-worker campaign.
 
-This module generalises the supervised process pool behind a transport: the
-:class:`CampaignCoordinator` serves plan chunks (the exact
-:func:`~repro.campaign.jobs.plan_job_chunks` output the local executor uses)
-to workers that joined over TCP sockets, and :func:`run_worker` is the whole
-worker side — dial (or accept), handshake, build the experiment context from
-the coordinator's serialized preset, then pull chunks until shutdown.
+The :class:`CampaignCoordinator` serves plan chunks (the
+:func:`~repro.campaign.jobs.plan_job_chunks` output) to workers that joined
+over TCP sockets, and :func:`run_worker` is the whole worker side — dial (or
+accept), handshake, build the experiment context from the coordinator's
+serialized preset, then pull chunks until shutdown.  It is the only
+multi-process executor: ``--jobs N`` forks N local socket workers onto a
+private loopback coordinator, and ``--listen``/``--workers`` campaigns add
+remote workers to the same protocol.
 
 Work-stealing claims
 --------------------
@@ -21,15 +23,18 @@ Fault tolerance
 ---------------
 All recovery decisions run through the shared
 :class:`~repro.campaign.supervisor.ChunkLedger` — the same retry/backoff/
-quarantine state machine the local pool uses.  A worker is *lost* when its
-socket drops, a frame is malformed, its heartbeats go stale, or its chunk
-outlives the (fixed or adaptive) deadline; the in-flight chunk is failed
-into the ledger, which retries it on the next claiming worker or
-quarantines it past the retry cap.  Because every chunk commits through the
-parent's content-addressed store and the retraining seed is
-population-shared, a re-executed chunk is bit-identical no matter which
-host runs it — a distributed campaign resumes and fingerprints exactly like
-a local one.
+quarantine state machine the in-process executor uses.  A worker is *lost*
+when its socket drops, a frame is malformed, its heartbeats go stale, or its
+chunk outlives the (fixed or adaptive) deadline; the in-flight chunk is
+failed into the ledger, which retries it on the next claiming worker or
+quarantines it past the retry cap.  A lost *local* worker (one this
+coordinator forked) is SIGKILLed if still alive and replaced by a fresh
+fork, so a campaign never runs out of local workers.  Chaos faults travel
+in the chunk frame: the coordinator plans them, the worker fires them.
+Because every chunk commits through the parent's content-addressed store
+and the retraining seed is population-shared, a re-executed chunk is
+bit-identical no matter which host runs it — a distributed campaign resumes
+and fingerprints exactly like a local one.
 
 Observability
 -------------
@@ -42,9 +47,12 @@ cross-host time with no shared filesystem.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import selectors
+import shutil
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -52,6 +60,7 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.chaos import ChaosSchedule, inject_fault
 from repro.campaign.jobs import ChipJob, execute_job_chunk
 from repro.campaign.supervisor import (
     ChunkCommitSequencer,
@@ -101,13 +110,47 @@ class WorkerRejected(HandshakeError):
     """The coordinator rejected this worker's hello."""
 
 
+def _start_method() -> str:
+    # Fork is preferred where reliable (workers inherit the parent's context
+    # cache for free), but macOS system frameworks are not fork-safe — the
+    # reason CPython made spawn the macOS default — so fork is used on Linux
+    # only.  Spawned workers rebuild their context, hitting the on-disk
+    # pre-trained-state cache when one is configured.
+    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
+def _tune_socket(sock: socket.socket) -> None:
+    """Send small frames at once: a ``claim`` right after a ``result`` would
+    otherwise wait out Nagle's algorithm against the peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _drop_socket(sock: socket.socket) -> None:
+    """Shut the connection down, then release the descriptor.
+
+    ``shutdown`` ends the connection itself, so the peer sees EOF even when
+    a forked child still holds an inherited copy of this descriptor; a bare
+    ``close`` would only drop this process's reference.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 @dataclasses.dataclass
 class SchedulerConfig:
     """Transport-level knobs of the coordinator (and its worker client).
 
     The chunk retry/deadline policy is *not* here — that lives in
     :class:`~repro.campaign.supervisor.SupervisorConfig` and is shared with
-    the local executor.  These knobs only govern the sockets: how often
+    the in-process executor.  These knobs only govern the sockets: how often
     workers beat, when silence counts as death, how long handshakes and
     shard collection may take, and how long the coordinator waits for a
     first worker before declaring the campaign stuck.
@@ -168,7 +211,13 @@ class CampaignCoordinator:
     the campaign is already executing — and ready workers are handed to the
     event loop through a queue.  :meth:`run_plan` runs the event loop on
     the *calling* thread, so the engine's ``record_chunk`` (store append +
-    fsync) executes exactly where the local executor runs it.
+    fsync) executes exactly where the in-process executor runs it.
+
+    :meth:`ensure_local_workers` forks socket workers on this host that join
+    over loopback; the coordinator owns their lifetime, replaces any it
+    loses mid-campaign, and reaps them on :meth:`close`.  A coordinator with
+    neither a ``listen`` address nor ``connect`` targets can only ever be
+    served by those local workers, so it fails fast once they are all gone.
     """
 
     def __init__(
@@ -182,6 +231,7 @@ class CampaignCoordinator:
         lowering_cache_mb: Optional[float] = None,
         supervisor_config: Optional[SupervisorConfig] = None,
         config: Optional[SchedulerConfig] = None,
+        disk_cache_dir: Optional[str] = None,
     ) -> None:
         self.preset_name = str(preset.name)
         self._preset_dict = config_to_dict(preset)
@@ -194,6 +244,10 @@ class CampaignCoordinator:
         )
         self.config = config if config is not None else SchedulerConfig()
         self._connect = [tuple(address) for address in connect]
+        self._remote = listen is not None or bool(self._connect)
+        self._disk_cache_dir = disk_cache_dir
+        self._local: Dict[int, multiprocessing.process.BaseProcess] = {}
+        self._chaos: Optional[ChaosSchedule] = None
         self._closed = False
         self._lock = threading.Lock()
         self._pending_handshakes = 0
@@ -230,6 +284,38 @@ class CampaignCoordinator:
             format_address(self.address),
             len(self._connect),
         )
+
+    # -- local workers -----------------------------------------------------------
+
+    def ensure_local_workers(self, count: int) -> None:
+        """Keep ``count`` forked local socket workers alive (idempotent).
+
+        Dead workers are pruned and topped up, so a long-lived coordinator
+        serving several sweep arms starts each arm at full strength.
+        """
+        for pid, process in list(self._local.items()):
+            if not process.is_alive():
+                process.join()
+                del self._local[pid]
+        missing = count - len(self._local)
+        for _ in range(missing):
+            self._fork_local_worker()
+        if missing > 0:
+            logger.info(
+                "started %d local socket worker(s) joining %s",
+                missing,
+                format_address(self.address),
+            )
+
+    def _fork_local_worker(self) -> None:
+        process = multiprocessing.get_context(_start_method()).Process(
+            target=_local_worker_main,
+            args=(("127.0.0.1", self.address[1]), self._disk_cache_dir),
+            daemon=True,
+            name="campaign-socket-worker",
+        )
+        process.start()
+        self._local[process.pid] = process
 
     # -- join path (background threads) ---------------------------------------
 
@@ -293,6 +379,7 @@ class CampaignCoordinator:
         """Hello/welcome/ready exchange; hands ready links to the event loop."""
         try:
             try:
+                _tune_socket(sock)
                 sock.settimeout(self.config.handshake_timeout)
                 hello = recv_frame(sock)
                 if hello is None:
@@ -301,7 +388,7 @@ class CampaignCoordinator:
                 if reason is not None:
                     logger.warning("rejecting worker %s: %s", peer, reason)
                     send_frame(sock, {"type": MSG_REJECT, "reason": reason})
-                    sock.close()
+                    _drop_socket(sock)
                     return
                 with self._lock:
                     worker_id = self._next_worker_id
@@ -337,6 +424,10 @@ class CampaignCoordinator:
                     raise HandshakeError(
                         f"expected ready, got {message.get('type')!r}"
                     )
+                if self._closed:
+                    # close() already drained the ready queue; hang up so
+                    # the worker exits instead of waiting to be reaped.
+                    raise HandshakeError("coordinator closed during handshake")
                 link = _WorkerLink(
                     worker_id,
                     sock,
@@ -351,10 +442,7 @@ class CampaignCoordinator:
                 self._ready_queue.put(link)
             except (TransportError, OSError, ValueError) as error:
                 logger.warning("handshake with %s failed: %s", peer, error)
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                _drop_socket(sock)
         finally:
             if not counted:
                 with self._lock:
@@ -367,16 +455,18 @@ class CampaignCoordinator:
         plan: Sequence[List[ChipJob]],
         record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
         strategy: Optional[str] = None,
+        chaos: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
         """Execute one campaign plan over the joined workers.
 
         Blocks until every chunk is done or quarantined; returns the
-        quarantine failures exactly like
-        :meth:`~repro.campaign.supervisor.SupervisingExecutor.run`.
+        quarantine failures.  ``chaos`` plans fault injection: each chunk
+        frame carries the action planned for that attempt.
         """
         if self._closed:
             raise SchedulerError("coordinator is closed")
         ledger = ChunkLedger(plan, self.supervisor_config)
+        self._chaos = chaos
         # One sequencer per campaign, owned by this (single-threaded) event
         # loop: chunks complete in claim order across workers, but the store
         # must commit them in plan order for serial byte-identity.
@@ -409,6 +499,13 @@ class CampaignCoordinator:
                 pending = self._pending_handshakes
             if self._links or pending or not self._ready_queue.empty():
                 last_progress = now
+            elif not self._remote and not any(
+                process.is_alive() for process in self._local.values()
+            ):
+                raise SchedulerError(
+                    f"every local worker exited before joining, with "
+                    f"{ledger.outstanding()} chunk(s) outstanding"
+                )
             elif now - last_progress > self.config.no_worker_timeout:
                 raise SchedulerError(
                     f"no workers available for {self.config.no_worker_timeout:.0f}s "
@@ -417,6 +514,7 @@ class CampaignCoordinator:
                 )
         self._collect_shards(ledger)
         self._sequencer = None
+        self._chaos = None
         return ledger.failures
 
     def _admit_ready(self, announcement: Dict[str, Any], ledger: ChunkLedger) -> bool:
@@ -458,18 +556,21 @@ class CampaignCoordinator:
             link.chunk_index = state.index
             link.attempt = attempt
             link.dispatched_at = now
-            self._send(
-                link,
-                {
-                    "type": MSG_CHUNK,
-                    "campaign_id": self._campaign_seq,
-                    "chunk_index": state.index,
-                    "attempt": attempt,
-                    "jobs": [job.to_dict() for job in state.chunk],
-                },
-                ledger,
-                now,
+            message = {
+                "type": MSG_CHUNK,
+                "campaign_id": self._campaign_seq,
+                "chunk_index": state.index,
+                "attempt": attempt,
+                "jobs": [job.to_dict() for job in state.chunk],
+            }
+            fault = (
+                self._chaos.action_for(state.index, attempt)
+                if self._chaos is not None
+                else None
             )
+            if fault is not None:
+                message["chaos"] = {"action": fault, "hang_s": self._chaos.spec.hang_s}
+            self._send(link, message, ledger, now)
 
     def _service(
         self,
@@ -581,17 +682,18 @@ class CampaignCoordinator:
         ledger: Optional[ChunkLedger],
         now: float,
     ) -> None:
-        """Drop a worker; reassign its in-flight chunk through the ledger."""
+        """Drop a worker; reassign its in-flight chunk through the ledger.
+
+        A local worker is SIGKILLed if still alive (a hung one would
+        otherwise linger) and, while chunks are outstanding, replaced.
+        """
         if self._links.pop(link.worker_id, None) is None:
             return  # already lost
         try:
             self._selector.unregister(link.sock)
         except (KeyError, ValueError):
             pass
-        try:
-            link.sock.close()
-        except OSError:
-            pass
+        _drop_socket(link.sock)
         metrics.counter("campaign.worker_deaths").inc()
         trace.instant(
             "campaign.worker_death",
@@ -613,6 +715,14 @@ class CampaignCoordinator:
                 if state.status == "quarantined" and self._sequencer is not None:
                     self._sequencer.skip(state.index)
         link.chunk_index = None
+        process = self._local.pop(link.pid, None) if link.host == host_tag() else None
+        if process is not None:
+            if process.is_alive():
+                process.kill()
+            process.join()
+            if ledger is not None and ledger.outstanding():
+                metrics.counter("campaign.workers_respawned").inc()
+                self._fork_local_worker()
 
     # -- shard collection ------------------------------------------------------
 
@@ -674,7 +784,8 @@ class CampaignCoordinator:
     # -- shutdown --------------------------------------------------------------
 
     def close(self) -> None:
-        """Broadcast shutdown and release every socket (idempotent)."""
+        """Broadcast shutdown, release every socket, reap local workers
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -699,15 +810,18 @@ class CampaignCoordinator:
                 self._selector.unregister(link.sock)
             except (KeyError, ValueError):
                 pass
-            try:
-                link.sock.close()
-            except OSError:
-                pass
+            _drop_socket(link.sock)
         self._links.clear()
         try:
             self._selector.close()
         except (OSError, RuntimeError):  # pragma: no cover
             pass
+        for process in self._local.values():
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - busy past shutdown
+                process.kill()
+                process.join()
+        self._local.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +836,9 @@ def _connect_with_retry(
     deadline = time.monotonic() + max(timeout, 0.0)
     while True:
         try:
-            return socket.create_connection(address, timeout=10.0)
+            sock = socket.create_connection(address, timeout=10.0)
+            _tune_socket(sock)
+            return sock
         except OSError as error:
             if time.monotonic() >= deadline:
                 raise HandshakeError(
@@ -750,6 +866,7 @@ def _accept_one(address: Tuple[str, int], timeout: Optional[float]) -> socket.so
             raise HandshakeError(
                 f"no coordinator dialed {format_address(address)} within {timeout:.0f}s"
             ) from None
+        _tune_socket(sock)
         return sock
     finally:
         listener.close()
@@ -805,6 +922,7 @@ def run_worker(
     send_lock = threading.Lock()
     stop = threading.Event()
     executed = 0
+    trace_dir: Optional[str] = None
     try:
         sock.settimeout(60.0)
         send_frame(
@@ -835,7 +953,8 @@ def run_worker(
         # this process, recorded in a private directory that ships home over
         # the socket at campaign end.
         if welcome.get("trace"):
-            trace.enable(tempfile.mkdtemp(prefix="repro-worker-trace-"))
+            trace_dir = tempfile.mkdtemp(prefix="repro-worker-trace-")
+            trace.enable(trace_dir)
         else:
             trace.disable()
         metrics.enabled = bool(welcome.get("metrics"))
@@ -893,12 +1012,18 @@ def run_worker(
             elif kind == MSG_CHUNK:
                 jobs = [ChipJob.from_dict(job) for job in message.get("jobs", [])]
                 fat_batch = int(campaign.get("fat_batch", 1)) if campaign else 1
+                attempt = int(message.get("attempt", 0))
+                fault = message.get("chaos")
                 try:
+                    if fault:
+                        inject_fault(
+                            str(fault["action"]),
+                            int(message.get("chunk_index", -1)),
+                            attempt,
+                            float(fault["hang_s"]),
+                        )
                     results = execute_job_chunk(
-                        framework,
-                        jobs,
-                        fat_batch=fat_batch,
-                        attempt=int(message.get("attempt", 0)),
+                        framework, jobs, fat_batch=fat_batch, attempt=attempt
                     )
                 except Exception as error:  # noqa: BLE001 - ships to the ledger
                     reply = {
@@ -937,16 +1062,16 @@ def run_worker(
         return executed
     finally:
         stop.set()
-        try:
-            sock.close()
-        except OSError:
-            pass
+        _drop_socket(sock)
+        if trace_dir is not None:
+            trace.disable()
+            shutil.rmtree(trace_dir, ignore_errors=True)
 
 
 def _local_worker_main(
     address: Tuple[str, int], cache_dir: Optional[str]
 ) -> None:  # pragma: no cover - runs in a child process
-    """Entry point of an engine-spawned local socket worker process."""
+    """Entry point of a coordinator-forked local socket worker process."""
     try:
         run_worker(join=tuple(address), cache_dir=cache_dir, connect_timeout=60.0)
     except TransportError as error:

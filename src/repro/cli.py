@@ -128,7 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for per-chip retraining (default: 1 = serial). "
+        help="worker processes for per-chip retraining (default: 1 = serial, "
+        "in-process; N > 1 forks N local socket workers). "
         "With --listen/--workers this counts *local* socket workers forked "
         "next to the coordinator; 0 runs the campaign on remote workers only",
     )

@@ -16,7 +16,7 @@ Instruments::
 
 Label kwargs are folded into the metric key (``name{k=v,...}``), so a sweep's
 per-strategy throughput counters coexist in one registry.  Snapshots are
-plain JSON (:meth:`MetricsRegistry.snapshot`); pool workers write per-process
+plain JSON (:meth:`MetricsRegistry.snapshot`); campaign workers ship per-process
 ``metrics-<host>-<pid>.json`` shards (host-qualified so cross-host shards
 never collide; old ``metrics-<pid>.json`` shards still merge) which
 :func:`merge_metric_shards` combines — counters sum, gauges keep the latest

@@ -19,11 +19,11 @@ API::
   ``(hostname, pid)`` because distributed campaigns collect shards from
   several machines into one directory, where a bare pid collides; old
   single-host ``trace-<pid>.jsonl`` shards still match the merge glob and
-  stay readable.  Worker processes of the campaign pool write their *own*
-  shards: the shard path is re-derived whenever ``os.getpid()`` changes, so
+  stay readable.  Campaign worker processes write their *own* shards: the
+  shard path is re-derived whenever ``os.getpid()`` changes, so
   ``fork``-started workers that inherit an enabled tracer never interleave
-  writes into the parent's shard, and ``spawn``-started workers are enabled
-  explicitly by the pool initializer.
+  writes into the parent's shard, and every socket worker re-enables the
+  tracer on a private directory whose shard it ships home at campaign end.
   Immediate per-span writes are what make traces kill-tolerant: a killed
   campaign's shard holds every span that finished before the kill.
 

@@ -20,10 +20,11 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignEngine
+from repro.campaign import CampaignEngine, plan_job_chunks
 from repro.campaign.scheduler import (
     CampaignCoordinator,
     SchedulerConfig,
+    SchedulerError,
     WorkerRejected,
     run_worker,
 )
@@ -268,6 +269,23 @@ class TestCoordinatorHandshake:
         assert reply["preset_name"] == smoke_context.preset.name
         assert reply["preset"]["name"] == smoke_context.preset.name
 
+    def test_local_only_coordinator_fails_fast_when_no_worker_can_join(
+        self, smoke_context
+    ):
+        """Without a listen address or dial targets only forked local workers
+        can ever serve the plan; with none alive the run errors at once
+        instead of waiting out ``no_worker_timeout``."""
+        coordinator = CampaignCoordinator(
+            smoke_context.preset, config=_fast_scheduler_config()
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(SchedulerError, match="local worker"):
+                coordinator.run_plan([["chip-0"]], lambda results: None)
+            assert time.monotonic() - started < 10.0
+        finally:
+            coordinator.close()
+
     def test_run_worker_expect_preset_mismatch_raises(self, coordinator):
         with pytest.raises(WorkerRejected, match="preset"):
             run_worker(
@@ -368,6 +386,35 @@ class TestDistributedCampaigns:
         assert resumed_engine.last_report.fingerprint == fingerprint
         assert len(resumed.results) == len(population)
 
+    def test_repeated_runs_plan_identical_chunks(
+        self, smoke_context, population, monkeypatch
+    ):
+        """Joined local workers count once when sizing the next run's plan."""
+        from repro.campaign import engine as engine_module
+
+        plans = []
+
+        def recording_plan(jobs, fat_batch, workers=1):
+            plan = plan_job_chunks(jobs, fat_batch, workers=workers)
+            plans.append([[job.chip_id for job in chunk] for chunk in plan])
+            return plan
+
+        monkeypatch.setattr(engine_module, "plan_job_chunks", recording_plan)
+        with CampaignEngine(
+            smoke_context,
+            jobs=2,
+            fat_batch=4,
+            progress=False,
+            listen=("127.0.0.1", 0),
+            scheduler_config=_fast_scheduler_config(),
+        ) as engine:
+            first = engine.run(population, FixedEpochPolicy(0.25))
+            second = engine.run(population, FixedEpochPolicy(0.25))
+
+        assert len(plans) == 2
+        assert plans[0] == plans[1]
+        assert first.results == second.results
+
     def test_worker_dropping_after_one_chunk_does_not_fail_campaign(
         self, smoke_context, population, tmp_path
     ):
@@ -455,6 +502,11 @@ class TestDistributedCampaigns:
                         stolen["chunk_index"] = message["chunk_index"]
                         return  # die abruptly, chunk in flight
             finally:
+                # A dying process's sockets close with it.  This thread's
+                # descriptor was inherited by the forked local worker, so a
+                # bare close() would leave the connection open; shutdown()
+                # ends it for every holder.
+                sock.shutdown(socket.SHUT_RDWR)
                 sock.close()
 
         thief = threading.Thread(target=treacherous_worker, daemon=True)

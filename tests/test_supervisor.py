@@ -1,17 +1,11 @@
-"""Tests for the supervising executor, the chaos harness, and recovery paths.
+"""Tests for the chunk-recovery config, the chaos harness, and recovery paths.
 
-The unit tests drive :class:`SupervisingExecutor` directly with stub workers
-(no ML stack) to exercise death/hang/retry/quarantine mechanics quickly; the
-integration tests run real smoke-scale campaigns under seeded chaos and
+The integration tests run real smoke-scale campaigns under seeded chaos —
+in-process at ``jobs=1`` and on forked socket workers at ``jobs=2`` — and
 assert the headline guarantee: recovery is invisible in the results.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-import signal
-import time
 
 import pytest
 
@@ -20,7 +14,6 @@ from repro.campaign import (
     CampaignStore,
     ChaosError,
     ChaosSpec,
-    SupervisingExecutor,
     SupervisorConfig,
     resolve_chaos,
 )
@@ -42,7 +35,7 @@ def population(smoke_context):
 
 
 def _fast_config(**overrides):
-    base = dict(backoff_base=0.05, backoff_max=0.2, poll_interval=0.02)
+    base = dict(backoff_base=0.05, backoff_max=0.2)
     base.update(overrides)
     return SupervisorConfig(**base)
 
@@ -117,114 +110,12 @@ class TestSupervisorConfig:
             {"chunk_timeout": 0.0},
             {"timeout_factor": 0.0},
             {"backoff_base": -1.0},
-            {"poll_interval": 0.0},
+            {"timeout_floor": -1.0},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SupervisorConfig(**kwargs)
-
-
-# -- stub workers (module-level so spawn contexts could pickle them too) --------
-
-
-def _stub_initializer():
-    def execute(chunk, chunk_index, attempt):
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-def _kill_second_chunk_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 1 and attempt == 0:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-def _hang_first_chunk_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 0 and attempt == 0:
-            time.sleep(30.0)
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-def _always_fail_chunk_zero_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 0:
-            raise RuntimeError("poisoned")
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-class _FakeJob:
-    """Minimal stand-in for ChipJob in ChunkFailure records."""
-
-    def __init__(self, chip_id):
-        self.chip_id = chip_id
-        self.epochs = 0.25
-        self.strategy = "fat"
-
-
-class TestSupervisingExecutorUnit:
-    PLAN = [["a", "b"], ["c"], ["d", "e"]]
-
-    def _run(self, initializer, config, plan=None):
-        recorded = []
-        executor = SupervisingExecutor(
-            plan if plan is not None else self.PLAN,
-            recorded.append,
-            workers=2,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=initializer,
-            initargs=(),
-            config=config,
-        )
-        failures = executor.run()
-        return recorded, failures
-
-    def test_healthy_plan_completes(self):
-        recorded, failures = self._run(_stub_initializer, _fast_config())
-        assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
-
-    def test_worker_death_reassigns_chunk(self):
-        before = metrics.counter("campaign.worker_deaths").value
-        recorded, failures = self._run(_kill_second_chunk_initializer, _fast_config())
-        assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
-        assert metrics.counter("campaign.worker_deaths").value > before
-
-    def test_hung_worker_is_killed_and_chunk_retried(self):
-        before = metrics.counter("campaign.worker_hangs").value
-        recorded, failures = self._run(
-            _hang_first_chunk_initializer, _fast_config(chunk_timeout=0.5)
-        )
-        assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
-        assert metrics.counter("campaign.worker_hangs").value > before
-
-    def test_poison_chunk_is_quarantined_others_complete(self):
-        plan = [[_FakeJob("a"), _FakeJob("b")], [_FakeJob("c")]]
-        recorded, failures = self._run(
-            _always_fail_chunk_zero_initializer,
-            _fast_config(max_chunk_retries=1),
-            plan=plan,
-        )
-        assert sorted(r[0] for r in recorded) == ["1:" + str(plan[1][0])] or len(recorded) == 1
-        assert len(failures) == 1
-        failure = failures[0]
-        assert failure.chip_ids == ["a", "b"]
-        assert failure.attempts == 2
-        assert "poisoned" in failure.error
-        records = failure.to_chip_records()
-        assert [r["chip_id"] for r in records] == ["a", "b"]
-        assert all(r["attempts"] == 2 and r["strategy"] == "fat" for r in records)
 
 
 class TestChaosCampaigns:
@@ -250,6 +141,7 @@ class TestChaosCampaigns:
     ):
         deaths_before = metrics.counter("campaign.worker_deaths").value
         retries_before = metrics.counter("campaign.chunk_retries").value
+        respawned_before = metrics.counter("campaign.workers_respawned").value
         _, baseline = self._run(
             smoke_context, population, tmp_path, "plain", jobs=2, fat_batch=2
         )
@@ -267,6 +159,7 @@ class TestChaosCampaigns:
         assert chaos_engine.last_report.failed == 0
         assert metrics.counter("campaign.worker_deaths").value > deaths_before
         assert metrics.counter("campaign.chunk_retries").value > retries_before
+        assert metrics.counter("campaign.workers_respawned").value > respawned_before
         # Recovery is invisible on disk too: same rows, verified clean.
         baseline_engine_dir = tmp_path / "plain"
         plain_lines = sorted(
@@ -276,6 +169,28 @@ class TestChaosCampaigns:
         )
         assert self._store_lines(chaos_engine) == plain_lines
         assert CampaignStore(chaos_engine.last_report.store_dir).verify().is_clean
+
+    def test_every_worker_killed_is_replaced(
+        self, smoke_context, population, tmp_path
+    ):
+        """Two kills at jobs=2 take out both first workers; replacements
+        forked by the coordinator finish the campaign."""
+        respawned_before = metrics.counter("campaign.workers_respawned").value
+        _, baseline = self._run(
+            smoke_context, population, tmp_path, "plain", jobs=1, fat_batch=2
+        )
+        _, chaotic = self._run(
+            smoke_context,
+            population,
+            tmp_path,
+            "chaos",
+            jobs=2,
+            fat_batch=2,
+            chaos="seed=3,kill=2",
+        )
+        assert chaotic.results == baseline.results
+        assert not chaotic.failed_chips
+        assert metrics.counter("campaign.workers_respawned").value >= respawned_before + 2
 
     def test_hang_is_detected_and_chunk_reassigned(
         self, smoke_context, population, tmp_path
@@ -302,10 +217,10 @@ class TestChaosCampaigns:
         self, smoke_context, population, tmp_path
     ):
         retries_before = metrics.counter("campaign.chunk_retries").value
-        _, baseline = self._run(
+        plain_engine, baseline = self._run(
             smoke_context, population, tmp_path, "plain", jobs=1, fat_batch=2
         )
-        _, chaotic = self._run(
+        chaos_engine, chaotic = self._run(
             smoke_context,
             population,
             tmp_path,
@@ -317,6 +232,11 @@ class TestChaosCampaigns:
         assert chaotic.results == baseline.results
         assert not chaotic.failed_chips
         assert metrics.counter("campaign.chunk_retries").value > retries_before
+        # Chunk 1 runs while chunk 0 backs off; the store still commits them
+        # in plan order.
+        assert (chaos_engine.last_report.store_dir / "results.jsonl").read_bytes() == (
+            plain_engine.last_report.store_dir / "results.jsonl"
+        ).read_bytes()
 
     def test_torn_write_is_repaired(self, smoke_context, population, tmp_path):
         _, baseline = self._run(
