@@ -8,7 +8,9 @@ in the paper:
 * Fig. 3b (``reduce-mean``): cheaper but meets the constraint less often
   (the mean statistic under-trains);
 * Fig. 3c-e (fixed budgets): the fraction of chips meeting the constraint
-  grows with the fixed budget.
+  grows with the fixed budget;
+* the headline claim: ``reduce-max`` meets the constraint at least as often
+  as the largest fixed budget while spending fewer total epochs.
 """
 
 import numpy as np
@@ -83,3 +85,19 @@ def test_fig3_fixed_policy_satisfaction_grows_with_budget(benchmark, framework, 
     print("fraction meeting constraint:", [round(fraction, 3) for fraction in fractions])
     assert fractions == sorted(fractions)
     assert fractions[-1] > fractions[0]
+
+
+def test_fig3_reduce_max_meets_constraint_with_fewer_epochs(
+    framework, fast_context, fast_population
+):
+    """The paper's headline claim, pinned on the default fast population."""
+    largest = max(fast_context.preset.fixed_policy_epochs)
+    reduce_max = framework.run(fast_population, statistic="max")
+    fixed = framework.run_fixed_policy(fast_population, largest)
+    print(
+        f"\nreduce-max: {reduce_max.percent_meeting_constraint:.1f}% at "
+        f"{reduce_max.total_epochs:.2f} epochs; fixed-{largest}ep: "
+        f"{fixed.percent_meeting_constraint:.1f}% at {fixed.total_epochs:.2f} epochs"
+    )
+    assert reduce_max.fraction_meeting_constraint >= fixed.fraction_meeting_constraint
+    assert reduce_max.total_epochs < fixed.total_epochs

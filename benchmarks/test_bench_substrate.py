@@ -117,7 +117,7 @@ def test_bench_population_evaluation_serial(benchmark, fast_context):
 
 
 def test_bench_population_evaluation_batched(benchmark, fast_context):
-    """Population-evaluation via the batched multi-chip evaluator.
+    """Population-evaluation via the stacked trainer's eval forward.
 
     Same 16 chips and test set as the serial benchmark; results are required
     to match the serial path exactly (see tests/test_batched_eval.py).
@@ -380,10 +380,10 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
     the initial accuracy is already known from triage, so the run evaluates
     only at the epoch checkpoints (``include_initial=False``).
 
-    ``pipelined=False`` is the eager eval path — no prefetch thread, no
-    deferred/widened multi-checkpoint pass, a zero-byte cache so every
-    checkpoint re-lowers every eval batch.  ``pipelined=True`` is the
-    default path.
+    ``pipelined=False`` is the eager eval path — no prefetch thread and a
+    zero-byte cache, so every eval pass re-lowers every eval batch.
+    ``pipelined=True`` is the default path.  Both defer the checkpoints into
+    one widened multi-checkpoint pass.
     """
     from repro.accelerator.batched import BatchedFaultTrainer, LoweringCache
 
@@ -398,7 +398,6 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
         config=TrainingConfig(learning_rate=0.04, batch_size=40, seed=0),
         lowering_cache=lowering_cache,
         prefetch=pipelined,
-        widened_eval=pipelined,
     )
     histories = trainer.train(
         0.25, eval_checkpoints=CHECKPOINT_EVAL_CHECKPOINTS, include_initial=False
@@ -407,11 +406,11 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 
 
 def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
-    """Eager multi-checkpoint eval: 8 chips x 5 per-checkpoint eval passes.
+    """Unpipelined multi-checkpoint eval: 8 chips x 5 checkpoints.
 
-    The pre-pipelining campaign eval loop — each checkpoint interrupts
-    training for its own stacked B-chip pass, re-lowering the eval batches
-    every time — and the comparator for the pipelined benchmark below.
+    No prefetch thread and no lowering cache: the deferred widened pass
+    re-lowers every eval batch on its own thread — the comparator for the
+    pipelined benchmark below.
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -428,9 +427,8 @@ def test_bench_checkpoint_eval_pipelined_8chips(benchmark, fast_context):
     Checkpoints snapshot the stacked weights; at 10 train batches per epoch
     the 5 checkpoints quantize to 2 unique optimizer steps, so the deferred
     pass evaluates 2 snapshots as one widened (2*8)-chip GEMM over lowerings
-    cached once (and prefetched in the background) instead of 5 eager
-    passes; results are bit-identical to the eager baseline (see
-    tests/test_pipelined_eval.py).
+    cached once (and prefetched in the background); results are
+    bit-identical to the baseline (see tests/test_pipelined_eval.py).
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -474,16 +472,16 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
 
 
 def _backend_eval_benchmark(benchmark, context, backend):
-    """Repeated batched evaluation through a warmed graph-cache replay."""
-    from repro.accelerator.batched import BatchedFaultEvaluator
+    """Repeated stacked evaluation through a warmed graph-cache replay."""
+    from repro.accelerator.batched import BatchedFaultTrainer
 
     context.restore_pretrained()
     mask_sets = _population_mask_sets(context, num_chips=8)
-    evaluator = BatchedFaultEvaluator(context.model, mask_sets, backend=backend)
-    batch = RNG.standard_normal((64,) + context.bundle.input_shape).astype(np.float32)
-    evaluator.evaluate_logits(batch)  # capture + compile outside the timed region
-    logits = benchmark(evaluator.evaluate_logits, batch)
-    assert logits.shape[0] == len(mask_sets)
+    test = context.bundle.test
+    trainer = BatchedFaultTrainer(context.model, mask_sets, test, test, backend=backend)
+    trainer.evaluate()  # capture + compile outside the timed region
+    accuracies = benchmark(trainer.evaluate)
+    assert len(accuracies) == len(mask_sets)
 
 
 def test_bench_backend_eval_reference(benchmark, fast_context):

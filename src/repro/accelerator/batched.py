@@ -1,47 +1,38 @@
 """Batched multi-chip evaluation and retraining for B fault-masked chips.
 
-Evaluating a population of faulty chips is the dominant non-training cost of
-the Reduce flow: Step-2 triage, resilience-trial baselines and campaign
-accuracy checkpoints all need "accuracy of the pre-trained DNN under chip
-b's fault masks" for many chips.  Under the weight-stationary mapping both
-FAP (Zhang et al., VTS 2018) and SalvageDNN-style permutations reduce to
-per-layer weight masks, so evaluating B chips is just B masked variants of
-the same GEMM — which batches trivially.
+Retraining and evaluating a population of faulty chips is the dominant cost
+of the Reduce flow: Step-1 trial baselines, Step-2.5 population triage and
+every Step-3 retraining run (with its accuracy checkpoints) need "the DNN
+under chip b's fault masks" for many chips.  Under the weight-stationary
+mapping both FAP (Zhang et al., VTS 2018) and SalvageDNN-style permutations
+reduce to per-layer weight masks, so B chips are just B masked variants of
+the same GEMMs — which batch trivially.
 
-:class:`BatchedFaultEvaluator` stacks the B per-chip masked weight matrices
-into ``(B, N_out, K)`` tensors once, then runs the *unmodified* model forward
-with every mappable layer temporarily routed through a batched GEMM.  Two
-regimes are exploited:
+:class:`BatchedFaultTrainer` is the one stacked substrate for all of it.  It
+stacks the B per-chip weights into ``(B, ...)`` parameters and runs the
+*unmodified* model with every parametric layer temporarily routed through a
+stacked kernel.  Two regimes are exploited:
 
-* **Shared prefix.** Until the first masked layer, activations are identical
-  for every chip, so the input batch is *not* replicated: the prefix runs
-  once, and the first masked layer lowers its input once (one im2col) and
-  multiplies it against all B weight sets in a single wide GEMM
-  ``(P, K) @ (K, B * N_out)`` — the per-chip GEMMs share their activation
-  operand, so this is a pure B-fold saving on the lowering and a large BLAS
-  efficiency win over B narrow GEMMs.
-* **Folded suffix.** Downstream of the first masked layer the activations
+* **Shared prefix.** Until the first stacked layer, activations are
+  identical for every chip, so the input batch is *not* replicated: the
+  first stacked layer lowers its input once (one im2col) and multiplies it
+  against all B weight sets in a single wide GEMM.
+* **Folded suffix.** Downstream of the first stacked layer the activations
   diverge per chip; they are carried with a folded ``(B * batch, ...)``
-  leading axis and each masked layer applies a stacked
-  ``(B, P, K) @ (B, K, N_out)`` matmul.  Non-mappable layers (ReLU,
-  eval-mode batch norm, pooling, flatten, dropout-in-eval) are strictly
-  per-sample and need no changes at all.
+  leading axis and each layer applies stacked per-chip GEMMs.
+  Parameter-free per-sample layers (activations, pooling, flatten) run
+  unmodified on folded tensors.
 
-Numerical equivalence: chip ``b``'s slice of every stacked GEMM multiplies
-the same operands in the same row order as the serial per-chip pass, and all
-surrounding ops are per-sample elementwise, so logits match the serial
-``evaluate_accuracy`` path bit-for-bit on a given BLAS build (the wide
-shared-prefix GEMM may in principle differ to float32 rounding on BLAS
-builds whose kernel selection changes the reduction order with the output
-width; the equivalence tests pin this down exactly on the build in use).
-
-:class:`BatchedFaultTrainer` extends the same idea through the *backward*
-pass: fault-aware retraining (FAT) of B chips that share their training
-data, hyper-parameters and seed — the Step-3 inner loop of the Reduce
-campaign — runs as one folded training loop with stacked per-chip weights,
-per-chip optimizer state and stacked float32 keep-multiplier mask
-enforcement, bit-identical to B serial ``Trainer`` runs (see the class
-docstring and tests/test_batched_fat.py).
+Fault-aware retraining (FAT) of B chips that share their training data,
+hyper-parameters and seed runs as one folded training loop with per-chip
+optimizer state and stacked float32 keep-multiplier mask enforcement; its
+eval forward (:meth:`BatchedFaultTrainer.evaluate`) serves the checkpoint
+evaluations and, through :func:`evaluate_chip_accuracies`, every
+forward-only population evaluation.  Chip ``b``'s slice of every stacked
+GEMM presents the same operands to BLAS as the serial per-chip pass, so
+weights, losses and accuracies are bit-identical to B serial ``Trainer``
+runs on a given BLAS build (tests/test_batched_fat.py and
+tests/test_batched_eval.py pin this).
 """
 
 from __future__ import annotations
@@ -51,13 +42,11 @@ import dataclasses
 import queue
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import nn
-from repro.accelerator.fault_map import FaultMap
-from repro.accelerator.mapping import model_fault_masks
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
@@ -69,7 +58,6 @@ from repro.nn.functional import (
     _bn_train_forward,
     bn_running_update,
     col2im_t,
-    im2col,
     im2col_t,
 )
 from repro.nn.tensor import Function, is_grad_enabled
@@ -90,13 +78,11 @@ MaskDict = Dict[str, np.ndarray]
 # throughput fallback, never a correctness change.
 DEFAULT_LOWERING_CACHE_MB = 128.0
 
-#: Cache keys: ``(kind, layer_name, batch_size, batch_index)``.  ``kind``
-#: namespaces the two lowering layouts that coexist in this module —
-#: ``"im2col"`` yields ``(P, K)`` columns (the forward-only evaluator) and
-#: ``"im2col_t"`` yields ``(K, P)`` (the trainer's eval pass) — and
-#: ``batch_size`` disambiguates loaders slicing the same data differently
-#: (batch ``i`` covers different rows at different batch sizes).
-LoweringKey = Tuple[str, str, int, int]
+#: Cache keys: ``(layer_name, batch_size, batch_index)`` of one ``(K, P)``
+#: ``im2col_t`` lowering.  ``batch_size`` disambiguates loaders slicing the
+#: same data differently (batch ``i`` covers different rows at different
+#: batch sizes).
+LoweringKey = Tuple[str, int, int]
 LoweringEntry = Tuple[np.ndarray, int, int]
 
 
@@ -111,8 +97,8 @@ class LoweringCache:
     successive chip chunks, and whole strategy-sweep arms over the same
     population stop re-lowering identical batches.
 
-    One instance may be shared across evaluators, trainers, campaign runs
-    and sweep arms (see :class:`EvalPipeline`), and between the evaluation
+    One instance may be shared across trainers, population evaluations,
+    campaign runs and sweep arms (see :class:`EvalPipeline`), and between the evaluation
     hot loop and its background prefetch thread: ``get_or_compute`` runs at
     most one computation per key at a time (concurrent callers wait on the
     in-flight one), and eviction is least-recently-used once ``max_bytes``
@@ -223,8 +209,7 @@ class _LoweringPrefetcher:
     While the hot loop runs the current batch's stacked GEMMs, a single
     worker thread computes the *next* batch's shared-prefix im2col lowering
     into the shared :class:`LoweringCache`, so the loop never blocks on
-    lowering.  The lowering recipe (which layer, which im2col variant) is
-    learned on the first batch: the eval forward registers it via
+    lowering.  The lowering recipe (which layer) is learned on the first batch: the eval forward registers it via
     :meth:`offer_recipe` exactly when the raw input batch is what reaches
     the first stacked layer — the only case in which the lowering is a pure
     function of the batch that a prefix-less thread can reproduce.  When no
@@ -236,20 +221,19 @@ class _LoweringPrefetcher:
 
     def __init__(self, cache: LoweringCache) -> None:
         self._cache = cache
-        self._recipe: Optional[Tuple[str, str, int, Callable[[np.ndarray], LoweringEntry]]] = None
+        self._recipe: Optional[Tuple[str, int, Callable[[np.ndarray], LoweringEntry]]] = None
         self._queue: "queue.Queue[Optional[Tuple[int, np.ndarray]]]" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
 
     def offer_recipe(
         self,
-        kind: str,
         layer_name: str,
         batch_size: int,
         lower: Callable[[np.ndarray], LoweringEntry],
     ) -> None:
         """Register the first-stacked-layer lowering recipe (first call wins)."""
         if self._recipe is None:
-            self._recipe = (kind, layer_name, batch_size, lower)
+            self._recipe = (layer_name, batch_size, lower)
 
     def submit(self, batch_index: int, data: np.ndarray) -> None:
         """Queue one upcoming batch for background lowering (main thread)."""
@@ -278,10 +262,10 @@ class _LoweringPrefetcher:
             if item is None:
                 return
             batch_index, data = item
-            kind, layer_name, batch_size, lower = self._recipe
+            layer_name, batch_size, lower = self._recipe
             try:
                 self._cache.get_or_compute(
-                    (kind, layer_name, batch_size, batch_index),
+                    (layer_name, batch_size, batch_index),
                     lambda: lower(data),
                     record=False,
                 )
@@ -324,18 +308,16 @@ class EvalPipeline:
     """Shared configuration + state of the pipelined evaluation path.
 
     One instance is attached to an experiment context and rides into every
-    framework, evaluator and trainer built from it, so the lowering cache is
-    shared across population triage, campaign chunks and whole strategy-sweep
-    arms (K arms over the same population lower each eval batch once, not K
-    times).  ``prefetch`` gates the background lowering thread
-    (``--no-prefetch``), ``widened_eval`` gates multi-checkpoint GEMM
-    widening, and ``lowering_cache_mb`` caps the shared cache
-    (``--lowering-cache-mb``).  Every knob is a pure throughput lever:
-    results are bit-identical in all configurations.
+    framework and trainer built from it, so the lowering cache is shared
+    across population triage, Step-3 checkpoint evaluations, campaign chunks
+    and whole strategy-sweep arms (K arms over the same population lower each
+    eval batch once, not K times).  ``prefetch`` gates the background
+    lowering thread (``--no-prefetch``) and ``lowering_cache_mb`` caps the
+    shared cache (``--lowering-cache-mb``).  Both knobs are pure throughput
+    levers: results are bit-identical in all configurations.
     """
 
     prefetch: bool = True
-    widened_eval: bool = True
     lowering_cache_mb: float = DEFAULT_LOWERING_CACHE_MB
 
     def __post_init__(self) -> None:
@@ -351,14 +333,11 @@ class EvalPipeline:
     def configure(
         self,
         prefetch: Optional[bool] = None,
-        widened_eval: Optional[bool] = None,
         lowering_cache_mb: Optional[float] = None,
     ) -> "EvalPipeline":
         """Apply CLI/engine overrides in place (shrinking the cap evicts)."""
         if prefetch is not None:
             self.prefetch = bool(prefetch)
-        if widened_eval is not None:
-            self.widened_eval = bool(widened_eval)
         if lowering_cache_mb is not None:
             if lowering_cache_mb < 0:
                 raise ValueError(
@@ -372,7 +351,7 @@ class EvalPipeline:
 def _conv_output_hw(shape: Tuple[int, ...], module: nn.Module) -> Tuple[int, int]:
     """Spatial output dims of ``module`` on an NCHW input of ``shape``.
 
-    Mirrors :func:`im2col`'s arithmetic so fold geometry can be derived
+    Mirrors :func:`im2col_t`'s arithmetic so fold geometry can be derived
     without waiting for the lowering (which may come from a cache).
     """
     kh, kw = _pair(module.kernel_size)
@@ -397,455 +376,17 @@ class UnsupportedModelError(RuntimeError):
 DEFAULT_CHIP_CHUNK = 16
 
 
-@dataclasses.dataclass
-class _BatchedLayer:
-    """One mappable layer with its B stacked, pre-masked GEMM weights."""
-
-    name: str
-    module: nn.Module
-    stack: np.ndarray  # (B, N_out, K) masked per-chip weights
-    wide: Optional[np.ndarray] = None  # (K, B * N_out), built on first shared use
-
-    @property
-    def stacked_t(self) -> np.ndarray:
-        """The (B, K, N_out) matmul operand (transposed view, zero-copy)."""
-        return self.stack.transpose(0, 2, 1)
-
-    def wide_weights(self) -> np.ndarray:
-        """The (K, B * N_out) operand of the shared-prefix wide GEMM."""
-        if self.wide is None:
-            chips, out_dim, k = self.stack.shape
-            self.wide = np.ascontiguousarray(
-                self.stack.transpose(2, 0, 1).reshape(k, chips * out_dim)
-            )
-        return self.wide
-
-
-def _as_eval_loader(data: Union[Dataset, DataLoader], batch_size: int) -> DataLoader:
-    if isinstance(data, DataLoader):
-        return data
-    return DataLoader(data, batch_size=batch_size, shuffle=False, seed=0)
-
-
-class BatchedFaultEvaluator:
-    """Evaluate one model under B per-chip fault-mask sets in batched passes.
-
-    Parameters
-    ----------
-    model:
-        The model whose *current* weights are the shared starting point (for
-        the Reduce flow: the pre-trained DNN).  Masked weight stacks are
-        captured at construction; biases, batch-norm statistics and every
-        non-mappable parameter are read live at evaluation time.
-    mask_sets:
-        One mask dict per chip (as produced by ``build_fap_masks``), all with
-        identical layer keys.  ``True`` marks a weight forced to zero.
-    lowering_cache:
-        Optional shared :class:`LoweringCache`.  When given,
-        :meth:`evaluate_accuracy` caches (and reuses) the shared-prefix
-        im2col lowering of each eval batch keyed by batch index, so several
-        evaluators walking the same unshuffled data — e.g. successive chip
-        chunks of a population triage, or later arms of a strategy sweep —
-        lower each batch exactly once.  Only valid across evaluators that
-        share the model weights and iterate the same data in order (batch
-        size rides in the cache key).
-    prefetch:
-        Pipeline the eval pass: while one batch's stacked GEMMs run, a
-        background thread lowers the *next* batch into ``lowering_cache``
-        (no-op without a cache, or when the model's first stacked layer
-        does not consume the raw input batch).  Results are bit-identical
-        with prefetch on or off.
-    """
-
-    def __init__(
-        self,
-        model: nn.Module,
-        mask_sets: Sequence[MaskDict],
-        lowering_cache: Optional[LoweringCache] = None,
-        backend: Optional[Union[str, Backend]] = None,
-        prefetch: bool = True,
-    ) -> None:
-        if not mask_sets:
-            raise ValueError("mask_sets must contain at least one chip")
-        self.model = model
-        self.num_chips = len(mask_sets)
-        self._lowering_cache = lowering_cache
-        self._prefetch = bool(prefetch)
-        self._prefetcher: Optional[_LoweringPrefetcher] = None
-        self._prefetch_probe: Optional[np.ndarray] = None
-        self._eval_batch_size: Optional[int] = None
-        # Captured-graph execution: None keeps the historical purely-eager
-        # path.  The chain cache must not outlive this evaluator — captured
-        # graphs freeze the model's buffer *objects* (weights are read live),
-        # and the evaluator contract already pins those for its lifetime.
-        self._backend = resolve_backend(backend)
-        self._chain_cache = (
-            ChainCache(self._backend, name="eval.forward")
-            if self._backend is not None
-            else None
-        )
-        # Index of the eval batch currently in flight (None outside
-        # evaluate_accuracy: inputs of unknown identity are never cached).
-        self._batch_index: Optional[int] = None
-        key_set = set(mask_sets[0])
-        for index, masks in enumerate(mask_sets[1:], start=1):
-            if set(masks) != key_set:
-                raise ValueError(
-                    f"mask set {index} has layer keys {sorted(masks)} != {sorted(key_set)}"
-                )
-        modules = dict(model.named_modules())
-        self._layers: List[_BatchedLayer] = []
-        # True while the forward pass is still on the shared (un-replicated)
-        # prefix; flipped by the first masked layer that executes.
-        self._shared_prefix = True
-        for name in mask_sets[0]:
-            module = modules.get(name)
-            if module is None:
-                raise KeyError(f"mask refers to unknown layer {name!r}")
-            weight = getattr(module, "weight", None)
-            if weight is None:
-                raise ValueError(f"layer {name!r} has no weight to mask")
-            if not isinstance(module, (nn.Linear, nn.Conv2d)):
-                raise TypeError(f"layer {name!r} is not mappable (Linear/Conv2d)")
-            out_dim = weight.data.shape[0]
-            stacked = np.empty((self.num_chips,) + weight.data.shape, dtype=weight.data.dtype)
-            for chip, masks in enumerate(mask_sets):
-                mask = masks[name]
-                if mask.shape != weight.data.shape:
-                    raise ValueError(
-                        f"mask shape {mask.shape} does not match weight shape "
-                        f"{weight.data.shape} for layer {name!r}"
-                    )
-                # np.where (not multiply) so masked entries are exact +0.0,
-                # bit-identical to the serial ``weight.data[mask] = 0.0`` path.
-                stacked[chip] = np.where(mask, weight.data.dtype.type(0), weight.data)
-            self._layers.append(
-                _BatchedLayer(
-                    name=name, module=module, stack=stacked.reshape(self.num_chips, out_dim, -1)
-                )
-            )
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_fault_maps(
-        cls,
-        model: nn.Module,
-        fault_maps: Iterable[FaultMap],
-        column_permutations: Optional[Dict[str, Sequence[int]]] = None,
-    ) -> "BatchedFaultEvaluator":
-        """Build the evaluator straight from per-chip fault maps."""
-        mask_sets = [
-            model_fault_masks(model, fault_map, column_permutations)
-            for fault_map in fault_maps
-        ]
-        return cls(model, mask_sets)
-
-    # -- batched forward plumbing --------------------------------------------
-
-    def _expand_shared(self, gemm_input: np.ndarray, layer: _BatchedLayer) -> np.ndarray:
-        """Shared-prefix GEMM: one ``(P, K)`` operand against all B chips.
-
-        Returns the folded ``(B, P, N_out)`` result.  The per-chip weight
-        columns are concatenated into one ``(K, B * N_out)`` operand so a
-        single wide GEMM replaces B narrow ones.
-        """
-        rows = gemm_input.shape[0]
-        out = gemm_input @ layer.wide_weights()  # (P, B * N_out)
-        return out.reshape(rows, self.num_chips, -1).transpose(1, 0, 2)
-
-    # Each hot step below executes through :func:`recorded` so an active
-    # graph capture sees the evaluator as a chain of named IR nodes
-    # (``eval.im2col -> eval.gemm -> eval.bias -> eval.fold_*``).  Outside a
-    # capture, ``recorded`` is a direct call — the eager path is unchanged.
-
-    def _gemm_kernel(self, layer: _BatchedLayer, shared: bool):
-        if shared:
-            return lambda data: self._expand_shared(data, layer)
-
-        def folded_gemm(data: np.ndarray) -> np.ndarray:
-            per_chip = data.shape[0] // self.num_chips
-            return np.matmul(
-                data.reshape(self.num_chips, per_chip, data.shape[1]), layer.stacked_t
-            )
-
-        return folded_gemm
-
-    @staticmethod
-    def _bias_kernel(module: nn.Module):
-        def add_bias(out: np.ndarray) -> np.ndarray:
-            out += module.bias.data
-            return out
-
-        return add_bias
-
-    def _linear_forward(self, layer: _BatchedLayer):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            data = x.data
-            if data.ndim != 2:
-                data = recorded(
-                    "eval.flatten", (data,), lambda d: d.reshape(d.shape[0], -1)
-                )
-            shared = self._shared_prefix
-            self._shared_prefix = False
-            out = recorded(
-                "eval.gemm",
-                (data,),
-                self._gemm_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            if layer.module.bias is not None:
-                out = recorded(
-                    "eval.bias",
-                    (out,),
-                    self._bias_kernel(layer.module),
-                    attrs={"module": layer.module},
-                )
-            out = recorded(
-                "eval.fold2d", (out,), lambda o: o.reshape(o.shape[0] * o.shape[1], -1)
-            )
-            return nn.Tensor(out)
-
-        return forward
-
-    def _im2col_kernel(self, layer: _BatchedLayer, shared: bool):
-        module = layer.module
-
-        def lower_cols(data: np.ndarray) -> np.ndarray:
-            lower = lambda: im2col(data, module.kernel_size, module.stride, module.padding)
-            # ``_batch_index`` is read at call time (not capture time) so a
-            # replayed graph consults the lowering cache for the batch that
-            # is actually in flight.
-            if shared and self._lowering_cache is not None and self._batch_index is not None:
-                prefetcher = self._prefetcher
-                if prefetcher is not None and data is self._prefetch_probe:
-                    # The raw input batch reaches this layer unchanged, so
-                    # upcoming batches can be lowered off-thread faithfully.
-                    prefetcher.offer_recipe(
-                        "im2col",
-                        layer.name,
-                        self._eval_batch_size,
-                        lambda d: im2col(
-                            d, module.kernel_size, module.stride, module.padding
-                        ),
-                    )
-                cols, _, _ = self._lowering_cache.get_or_compute(
-                    ("im2col", layer.name, self._eval_batch_size, self._batch_index),
-                    lower,
-                )
-            else:
-                cols, _, _ = lower()
-            return cols
-
-        return lower_cols
-
-    @staticmethod
-    def _fold_nchw_kernel(out_h: int, out_w: int):
-        def fold(out: np.ndarray) -> np.ndarray:
-            folded = out.shape[0] * out.shape[1] // (out_h * out_w)
-            return np.ascontiguousarray(
-                out.reshape(folded, out_h, out_w, -1).transpose(0, 3, 1, 2)
-            )
-
-        return fold
-
-    def _conv_forward(self, layer: _BatchedLayer):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            module = layer.module
-            data = x.data
-            shared = self._shared_prefix
-            self._shared_prefix = False
-            out_h, out_w = _conv_output_hw(data.shape, module)
-            cols = recorded(
-                "eval.im2col",
-                (data,),
-                self._im2col_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            out = recorded(
-                "eval.gemm",
-                (cols,),
-                self._gemm_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            if module.bias is not None:
-                out = recorded(
-                    "eval.bias",
-                    (out,),
-                    self._bias_kernel(module),
-                    attrs={"module": module},
-                )
-            out = recorded(
-                "eval.fold_nchw",
-                (out,),
-                self._fold_nchw_kernel(out_h, out_w),
-                attrs={"out_h": out_h, "out_w": out_w},
-            )
-            return nn.Tensor(out)
-
-        return forward
-
-    @contextlib.contextmanager
-    def _patched(self):
-        """Temporarily route every mappable layer through its batched GEMM."""
-        patched: List[nn.Module] = []
-        try:
-            for layer in self._layers:
-                if "forward" in layer.module.__dict__:
-                    raise RuntimeError(
-                        f"layer {layer.name!r} already has a patched forward "
-                        "(nested batched evaluation is not supported)"
-                    )
-                make = (
-                    self._linear_forward
-                    if isinstance(layer.module, nn.Linear)
-                    else self._conv_forward
-                )
-                object.__setattr__(layer.module, "forward", make(layer))
-                patched.append(layer.module)
-            yield
-        finally:
-            for module in reversed(patched):
-                object.__delattr__(module, "forward")
-
-    def _forward_all_chips(self, inputs: np.ndarray) -> np.ndarray:
-        """Logits for one (shared) input batch under every chip: (B, n, C)."""
-        self._shared_prefix = True
-        logits = self.model(nn.Tensor(inputs)).data
-        chips = self.num_chips
-        if self._shared_prefix:
-            # No masked layer executed (empty mask sets): every chip sees the
-            # same logits.
-            return recorded(
-                "eval.broadcast_logits",
-                (logits,),
-                lambda l: np.broadcast_to(l[None], (chips,) + l.shape),
-            )
-        n = inputs.shape[0]
-        return recorded(
-            "eval.unfold_logits", (logits,), lambda l: l.reshape(chips, n, -1)
-        )
-
-    def _run_forward(self, inputs: np.ndarray) -> np.ndarray:
-        """One batch through the selected backend (or purely eagerly)."""
-        if self._chain_cache is None:
-            return self._forward_all_chips(inputs)
-        return self._chain_cache.run((inputs,), self._forward_all_chips)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate_logits(self, inputs: Union[nn.Tensor, np.ndarray]) -> np.ndarray:
-        """Logits of one input batch under every chip: ``(B, n, classes)``."""
-        data = inputs.data if isinstance(inputs, nn.Tensor) else np.asarray(inputs)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with nn.no_grad(), self._patched():
-                return self._run_forward(data).copy()
-        finally:
-            if was_training:
-                self.model.train()
-
-    def evaluate_accuracy(
-        self,
-        data: Union[Dataset, DataLoader],
-        batch_size: int = 128,
-    ) -> List[float]:
-        """Per-chip top-1 accuracy on ``data`` (one pass over the loader)."""
-        loader = _as_eval_loader(data, batch_size=batch_size)
-        correct = np.zeros(self.num_chips, dtype=np.int64)
-        total = 0
-        was_training = self.model.training
-        self.model.eval()
-        prefetcher = (
-            _LoweringPrefetcher(self._lowering_cache)
-            if self._prefetch and self._lowering_cache is not None
-            else None
-        )
-        self._prefetcher = prefetcher
-        self._eval_batch_size = batch_size
-        try:
-            with nn.no_grad(), self._patched():
-                for batch_index, (inputs, targets) in _prefetched_batches(
-                    loader, prefetcher
-                ):
-                    self._batch_index = batch_index
-                    data_array = inputs.data
-                    self._prefetch_probe = data_array
-                    n = data_array.shape[0]
-                    logits = self._run_forward(data_array)
-                    predictions = logits.argmax(axis=-1)
-                    correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
-                    total += n
-        finally:
-            self._batch_index = None
-            self._prefetch_probe = None
-            self._prefetcher = None
-            self._eval_batch_size = None
-            if prefetcher is not None:
-                prefetcher.close()
-            if was_training:
-                self.model.train()
-        if total == 0:
-            return [0.0] * self.num_chips
-        return [int(c) / total for c in correct]
-
-
-def evaluate_chip_accuracies(
-    model: nn.Module,
-    data: Union[Dataset, DataLoader],
-    mask_sets: Sequence[MaskDict],
-    batch_size: int = 128,
-    chip_chunk: int = DEFAULT_CHIP_CHUNK,
-    lowering_cache: Optional[LoweringCache] = None,
-    backend: Optional[Union[str, Backend]] = None,
-    prefetch: bool = True,
-) -> List[float]:
-    """Accuracy of ``model`` under each chip's masks, batched in chip chunks.
-
-    The convenience wrapper over :class:`BatchedFaultEvaluator` used by the
-    population triage and campaign checkpoints: peak memory is bounded by
-    ``chip_chunk`` stacked weight copies plus the byte-capped
-    :class:`LoweringCache`, regardless of population size.
-
-    Every chunk walks the same unshuffled eval batches, so the shared-prefix
-    im2col lowering is cached across chunks (``lowering_cache``, created per
-    call when not supplied): each test batch is lowered once for the whole
-    population instead of once per chunk.  Callers evaluating the *same
-    model and data* repeatedly (e.g. triage over a population larger than
-    one mask-chunk, or successive sweep arms) may pass their own cache to
-    extend the reuse.  ``prefetch`` pipelines each pass: the next batch's
-    lowering is computed on a background thread while the current batch's
-    stacked GEMMs run (bit-identical results either way).
-    """
-    if chip_chunk < 1:
-        raise ValueError(f"chip_chunk must be >= 1, got {chip_chunk}")
-    cache = lowering_cache if lowering_cache is not None else LoweringCache()
-    accuracies: List[float] = []
-    for start in range(0, len(mask_sets), chip_chunk):
-        evaluator = BatchedFaultEvaluator(
-            model,
-            mask_sets[start:start + chip_chunk],
-            lowering_cache=cache,
-            backend=backend,
-            prefetch=prefetch,
-        )
-        accuracies.extend(evaluator.evaluate_accuracy(data, batch_size=batch_size))
-    return accuracies
-
-
 # ---------------------------------------------------------------------------
 # Batched multi-chip fault-aware retraining (backward pass)
 # ---------------------------------------------------------------------------
 #
-# Retraining B chips on *shared* mini-batches is the training-time analogue of
-# the evaluator above: every chip sees the same input batch, so the first
-# stacked layer consumes one shared GEMM operand (one lowering) and everything
-# downstream is carried with a folded ``(B * batch, ...)`` leading axis and
-# stacked per-chip GEMMs.  Unlike evaluation, *every* parametric layer must be
-# stacked — per-chip gradients diverge all weights after the first optimizer
-# step — and the backward pass mirrors the serial autograd Functions
-# slice-for-slice:
+# Retraining B chips on *shared* mini-batches: every chip sees the same input
+# batch, so the first stacked layer consumes one shared GEMM operand (one
+# lowering) and everything downstream is carried with a folded
+# ``(B * batch, ...)`` leading axis and stacked per-chip GEMMs.  *Every*
+# parametric layer is stacked — per-chip gradients diverge all weights after
+# the first optimizer step — and the backward pass mirrors the serial autograd
+# Functions slice-for-slice:
 #
 # * each stacked ``np.matmul`` presents chip ``b``'s 2-D slice to BLAS with
 #   the same memory characteristics (contiguity / transposition) as the
@@ -1418,6 +959,10 @@ class BatchedFaultTrainer:
     (activations, pooling, flatten) and ``Dropout`` (shared noise, drawn
     from the same trainer-seeded stream as the serial runs).  Only unknown
     user-defined parametric layers raise :class:`UnsupportedModelError`.
+
+    The trainer is also the forward-only population evaluator: constructing
+    it and calling :meth:`evaluate` without training is what
+    :func:`evaluate_chip_accuracies` does per chip chunk.
     """
 
     def __init__(
@@ -1430,7 +975,6 @@ class BatchedFaultTrainer:
         backend: Optional[Union[str, Backend]] = None,
         lowering_cache: Optional[LoweringCache] = None,
         prefetch: bool = True,
-        widened_eval: bool = True,
     ) -> None:
         from repro.training import (
             TrainingConfig,
@@ -1477,9 +1021,6 @@ class BatchedFaultTrainer:
         self._prefetch = prefetch
         self._prefetcher: Optional[_LoweringPrefetcher] = None
         self._prefetch_probe: Optional[np.ndarray] = None
-        # Multi-checkpoint GEMM widening: defer per-checkpoint evaluations
-        # and run them as one (C * B)-chip stacked pass (see :meth:`train`).
-        self._widened_eval = widened_eval
         # Captured-graph execution of the checkpoint-eval hot path (training
         # steps always run eagerly: they drive autograd).  Captured eval
         # graphs read the stacked weights, biases and running statistics
@@ -1615,7 +1156,6 @@ class BatchedFaultTrainer:
                 # lowering is a pure function of the batch: teach the
                 # prefetcher to compute upcoming batches in the background.
                 prefetcher.offer_recipe(
-                    "im2col_t",
                     layer.name,
                     self._eval_batch_size,
                     lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
@@ -1623,7 +1163,7 @@ class BatchedFaultTrainer:
             # ``_eval_batch_index`` is read at call time so a replayed graph
             # consults the lowering cache for the batch actually in flight.
             cols, _, _ = self._eval_lowering.get_or_compute(
-                ("im2col_t", layer.name, self._eval_batch_size, self._eval_batch_index),
+                (layer.name, self._eval_batch_size, self._eval_batch_index),
                 lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
             )
             return cols
@@ -1853,10 +1393,9 @@ class BatchedFaultTrainer:
         ``self.num_chips`` — the widened multi-checkpoint pass supplies its
         own (captured graphs bake the chip count into their kernels).
         """
-        from repro.training import _as_eval_loader as _training_eval_loader
+        from repro.training import _as_eval_loader
 
-        batch_size = self.config.batch_size * 4
-        loader = _training_eval_loader(self.eval_data, batch_size=batch_size)
+        loader = _as_eval_loader(self.eval_data, batch_size=self.config.batch_size * 4)
         was_training = self.model.training
         self.model.eval()
         correct = np.zeros(self.num_chips, dtype=np.int64)
@@ -1868,7 +1407,9 @@ class BatchedFaultTrainer:
             with trace.span(
                 "fat.eval_checkpoint", chips=self.num_chips
             ), nn.no_grad(), self._patched():
-                self._eval_batch_size = batch_size
+                # The loader's own batch size keys the lowering cache: a
+                # caller-supplied loader may slice the data differently.
+                self._eval_batch_size = loader.batch_size
                 self._prefetcher = prefetcher
                 for batch_index, (inputs, targets) in _prefetched_batches(
                     loader, prefetcher
@@ -2083,8 +1624,7 @@ class BatchedFaultTrainer:
         same cumulative epoch checkpoints, the same step accounting, and per-
         chip records whose accuracies and losses equal the serial runs'.
 
-        With ``widened_eval`` (the default) and more than one checkpoint,
-        per-checkpoint evaluations are deferred: each checkpoint snapshots
+        With more than one checkpoint, per-checkpoint evaluations are deferred: each checkpoint snapshots
         the stacked weights and statistics, training continues uninterrupted,
         and all C snapshots then evaluate in one widened ``(C * B)``-chip
         pass (see :meth:`_evaluate_snapshots`).  Checkpoints that quantize
@@ -2105,7 +1645,7 @@ class BatchedFaultTrainer:
         if epochs > 0 and (not checkpoints or abs(checkpoints[-1] - epochs) > 1e-12):
             checkpoints.append(float(epochs))
         passes = (1 if include_initial else 0) + len(checkpoints)
-        defer = self._widened_eval and passes > 1
+        defer = passes > 1
         snapshots: List[_EvalSnapshot] = []
 
         def record_checkpoint(epochs_at: float, train_losses: np.ndarray) -> None:
@@ -2183,3 +1723,50 @@ class BatchedFaultTrainer:
             state[f"{prefix}running_mean"] = norm.running_mean[chip].copy()
             state[f"{prefix}running_var"] = norm.running_var[chip].copy()
         return state
+
+
+def evaluate_chip_accuracies(
+    model: nn.Module,
+    data: Union[Dataset, DataLoader],
+    mask_sets: Sequence[MaskDict],
+    config=None,
+    chip_chunk: int = DEFAULT_CHIP_CHUNK,
+    lowering_cache: Optional[LoweringCache] = None,
+    backend: Optional[Union[str, Backend]] = None,
+    prefetch: bool = True,
+) -> List[float]:
+    """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.
+
+    The forward-only population evaluation behind Step-1 trial baselines and
+    Step-2.5 triage: each chunk of up to ``chip_chunk`` mask sets is one
+    :meth:`BatchedFaultTrainer.evaluate` pass (the trainer only reads
+    ``data``, so it doubles as the never-iterated train set).  Peak memory is
+    bounded by ``chip_chunk`` stacked model copies plus the byte-capped
+    :class:`LoweringCache`, regardless of population size.
+
+    The eval batch is ``config.batch_size * 4``, exactly as in Step-3
+    checkpoint evaluation, so both share the lowering-cache keys: with a
+    shared ``lowering_cache`` (created per call when not supplied) each test
+    batch is lowered once per process, across chip chunks, triage, Step-3
+    checkpoints and sweep arms.  ``prefetch`` pipelines each pass
+    (bit-identical results either way).
+    """
+    if not mask_sets:
+        raise ValueError("mask_sets must contain at least one chip")
+    if chip_chunk < 1:
+        raise ValueError(f"chip_chunk must be >= 1, got {chip_chunk}")
+    cache = lowering_cache if lowering_cache is not None else LoweringCache()
+    accuracies: List[float] = []
+    for start in range(0, len(mask_sets), chip_chunk):
+        trainer = BatchedFaultTrainer(
+            model,
+            mask_sets[start:start + chip_chunk],
+            data,
+            data,
+            config=config,
+            backend=backend,
+            lowering_cache=cache,
+            prefetch=prefetch,
+        )
+        accuracies.extend(trainer.evaluate())
+    return accuracies

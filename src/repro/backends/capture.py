@@ -10,8 +10,9 @@ dispatch per op.
 
 Two capture entry points exist:
 
-* :func:`recorded` — wraps a raw-numpy block (the batched evaluator's
-  im2col/GEMM/bias/fold steps) as a single named node.
+* :func:`recorded` — wraps a raw-numpy block (the stacked trainer's eval
+  lowering, batch-norm and logit reshapes, mask enforcement) as a single
+  named node.
 * :func:`record_function` — called from ``Function.apply`` in
   ``nn/tensor.py`` so every autograd op that executes while a capture is
   active is recorded automatically, without changing any call site.

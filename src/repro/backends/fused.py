@@ -2,7 +2,7 @@
 
 Two lowering rules run over the captured graph before execution:
 
-1. **Eval epilogue fusion** — the evaluator's ``eval.gemm -> eval.bias ->
+1. **Eval epilogue fusion** — an ``eval.gemm -> eval.bias ->
    eval.fold_* (-> relu)`` chain collapses into one node whose kernel runs
    the GEMM and then applies bias, fold and activation in a single pass,
    eliding the intermediate materialisations the eager path performs.

@@ -9,8 +9,8 @@ Resolution semantics
 * ``get_backend(name)`` — strict registry lookup.  ``fused`` always
   constructs (it runs interpreted when numba is missing), which is what the
   per-op equivalence tests rely on.
-* ``resolve_backend(name)`` — production resolution used by the trainer,
-  evaluator, and campaign layers.  ``None`` means "eager" (no capture at
+* ``resolve_backend(name)`` — production resolution used by the stacked
+  trainer and campaign layers.  ``None`` means "eager" (no capture at
   all, the historical path); ``"fused"`` degrades gracefully to the
   ``numpy`` reference backend with a logged warning when numba is not
   importable.

@@ -21,7 +21,6 @@ from repro.campaign.engine import CampaignEngine, CampaignReport, run_campaign
 from repro.campaign.jobs import (
     ChipJob,
     build_jobs,
-    execute_job,
     execute_job_chunk,
     execute_jobs_batched,
     group_jobs_for_batching,
@@ -63,7 +62,6 @@ __all__ = [
     "run_campaign",
     "ChipJob",
     "build_jobs",
-    "execute_job",
     "execute_job_chunk",
     "execute_jobs_batched",
     "group_jobs_for_batching",

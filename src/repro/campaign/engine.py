@@ -14,8 +14,8 @@ workload in two stages:
   ``run()``; ``listen=``/``workers=`` make the engine distributed, with an
   engine-lifetime coordinator that remote workers join
   (``repro-reduce worker --join HOST:PORT``) next to ``jobs`` local ones.
-  There is one multi-process executor and one recovery story.  A multi-job
-  chunk runs through one stacked
+  There is one multi-process executor and one recovery story.  Every chunk
+  runs through one stacked
   :class:`~repro.accelerator.batched.BatchedFaultTrainer`, so process-level
   parallelism and stacked-GEMM batching compose: ``--jobs N`` workers each
   retrain ``--fat-batch`` chips per dispatch.
@@ -182,7 +182,7 @@ class CampaignEngine:
         ignored.
     backend:
         Compute backend every job is tagged with — the batched substrate
-        (triage sweeps, stacked evaluators and trainers) replays its
+        (triage sweeps and stacked trainers) replays its
         captured op graphs through it.  ``None`` keeps the eager path;
         ``"numpy"`` is the always-available reference replay (bit-identical
         to eager, so it shares fingerprints with it); ``"fused"`` merges hot

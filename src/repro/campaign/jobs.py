@@ -18,12 +18,13 @@ so the result does not depend on which process runs the job or in what order
 jobs complete.  Because the seed (and therefore the mini-batch and dropout
 streams) is shared, jobs with the same epoch budget can also be *coalesced*:
 :func:`execute_jobs_batched` retrains a whole group through one stacked
-multi-chip trainer and returns exactly what per-job execution would.
+multi-chip trainer and returns exactly what serial per-chip retraining
+(:meth:`~repro.core.reduce.ReduceFramework.retrain_chip`) would.
 
 The planner/executor split builds on exactly that purity:
 :func:`plan_job_chunks` partitions pending jobs into same-budget *chunks* of
-at most ``fat_batch`` jobs, and :func:`execute_job_chunk` runs one chunk —
-batched when it holds several jobs, per-job otherwise.  A chunk is both the
+at most ``fat_batch`` jobs, and :func:`execute_job_chunk` runs one chunk as
+one stacked run — a single-job chunk is a stack of one.  A chunk is both the
 unit of dispatch (the campaign engine hands whole chunks to worker
 processes, so ``--jobs N`` and ``--fat-batch B`` compose) and the unit of
 resume granularity (results are persisted chunk by chunk).  Any partition of
@@ -136,18 +137,6 @@ def build_jobs(
     ]
 
 
-def execute_job(framework: ReduceFramework, job: ChipJob) -> ChipRetrainingResult:
-    """Run one job against a framework holding the pre-trained weights."""
-    return framework.retrain_chip(
-        job.to_chip(),
-        job.epochs,
-        target_accuracy=job.target_accuracy,
-        accuracy_before=job.accuracy_before,
-        strategy=job.strategy,
-        backend=job.backend,
-    )
-
-
 def group_jobs_for_batching(
     jobs: Sequence[ChipJob],
 ) -> Dict[Tuple[float, str, Optional[str]], List[ChipJob]]:
@@ -171,12 +160,11 @@ def plan_job_chunks(
     """Partition pending jobs into executor chunks (the campaign *plan*).
 
     Jobs are grouped by ``(budget, strategy, backend)``
-    (:func:`group_jobs_for_batching`);
-    every positive-budget group with at least two jobs is cut into batched
-    chunks of at most ``fat_batch`` jobs, which the executor retrains through
-    one stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer` run
-    each.  Everything else — zero-epoch triage lookups, singleton budgets,
-    or ``fat_batch == 1`` — becomes single-job chunks on the per-job path.
+    (:func:`group_jobs_for_batching`) and every group — zero-budget triage
+    lookups and singleton budgets included — is cut into chunks of at most
+    ``fat_batch`` jobs, each of which the executor runs as one stacked
+    :class:`~repro.accelerator.batched.BatchedFaultTrainer` run
+    (``fat_batch == 1``: one chip per stacked run).
 
     ``workers`` is the dispatch parallelism the plan should be able to feed:
     a group is chunked at ``min(fat_batch, ceil(len(group) / workers))`` so a
@@ -195,13 +183,10 @@ def plan_job_chunks(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks: List[List[ChipJob]] = []
-    for (epochs, _strategy, _backend), group in group_jobs_for_batching(jobs).items():
+    for group in group_jobs_for_batching(jobs).values():
         chunk_cap = min(fat_batch, -(-len(group) // workers))
-        if chunk_cap > 1 and epochs > 0 and len(group) > 1:
-            for start in range(0, len(group), chunk_cap):
-                chunks.append(group[start:start + chunk_cap])
-        else:
-            chunks.extend([job] for job in group)
+        for start in range(0, len(group), chunk_cap):
+            chunks.append(group[start:start + chunk_cap])
     return chunks
 
 
@@ -211,11 +196,11 @@ def execute_job_chunk(
     fat_batch: int = 8,
     attempt: int = 0,
 ) -> List[ChipRetrainingResult]:
-    """Execute one plan chunk; returns results in chunk order.
+    """Execute one plan chunk as one stacked run; returns results in chunk order.
 
-    Multi-job chunks run through the stacked batched trainer; single-job
-    chunks (and ``fat_batch == 1``) take the per-job path.  Either way the
-    results equal ``[execute_job(framework, job) for job in chunk]``.
+    Every chunk, a single job included, runs through
+    :func:`execute_jobs_batched`, so the results equal serial per-chip
+    :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` calls.
     ``attempt`` tags the chunk span so a trace distinguishes first executions
     from supervisor retries after a worker death or hang.
     """
@@ -226,22 +211,16 @@ def execute_job_chunk(
     # whichever process ran the chunk (worker shards are keyed by pid), and a
     # killed-then-resumed campaign may legitimately record the same chunk
     # twice.  Committed chips are the parent-side "campaign.chip" instants.
-    pipeline = framework.eval_pipeline
     with trace.span(
         "campaign.chunk",
         chips=len(chunk_list),
         epochs=chunk_list[0].epochs,
         strategy=chunk_list[0].strategy,
         backend=chunk_list[0].backend or "eager",
-        batched=len(chunk_list) > 1 and fat_batch > 1,
         attempt=attempt,
-        prefetch=pipeline.prefetch,
-        widened_eval=pipeline.widened_eval,
+        prefetch=framework.eval_pipeline.prefetch,
     ):
-        if len(chunk_list) <= 1 or fat_batch <= 1:
-            results = [execute_job(framework, job) for job in chunk_list]
-        else:
-            results = execute_jobs_batched(framework, chunk_list, fat_batch=fat_batch)
+        results = execute_jobs_batched(framework, chunk_list, fat_batch=fat_batch)
     metrics.counter("campaign.chunks_executed").inc()
     return results
 
@@ -254,8 +233,9 @@ def execute_jobs_batched(
     """Execute a same-budget group of jobs through the stacked batched trainer.
 
     Returns results in job order, bit-identical (on this BLAS build) to
-    ``[execute_job(framework, job) for job in jobs]``.  All jobs must share
-    the same ``epochs``, ``target_accuracy``, ``strategy`` and ``backend``.
+    serial :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` calls.
+    All jobs must share the same ``epochs``, ``target_accuracy``,
+    ``strategy`` and ``backend``.
     """
     job_list = list(jobs)
     if not job_list:

@@ -212,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="max same-budget chips retrained together in one stacked batched-FAT "
         "run; composes with --jobs N (each worker retrains a whole batch per "
-        "dispatch). Default: 8; 1 disables coalescing; results are bit-identical "
-        "either way",
+        "dispatch). Default: 8; 1 retrains one chip per stacked run; results are "
+        "bit-identical either way",
     )
     parser.add_argument(
         "--no-prefetch",

@@ -346,26 +346,26 @@ class ReduceFramework:
         those masks are built (plain FAP masks by default; FAM strategies
         measure under their permuted masks — bypass strategies measure under
         the plain masks, their *pre-mitigation* faulty accuracy).  All chips
-        share the pre-trained weights and differ only in their masks, so a
-        :class:`~repro.accelerator.batched.BatchedFaultEvaluator` computes B
-        of them per forward sweep.  Results are numerically identical to the
-        serial per-chip evaluation.  ``backend`` selects the compute backend
-        the evaluator replays its captured forward graphs through (``None``
-        keeps the eager path; ``"numpy"`` is bit-identical to it).
+        share the pre-trained weights and differ only in their masks, so the
+        stacked eval forward of
+        :class:`~repro.accelerator.batched.BatchedFaultTrainer` computes B of
+        them per sweep, bit-identical to the serial per-chip evaluation.
+        ``backend`` selects the compute backend the trainer replays its
+        captured forward graphs through (``None`` keeps the eager path;
+        ``"numpy"`` is bit-identical to it).
         """
         chip_list = list(chips)
         if not chip_list:
             return {}
         strategy = resolve_strategy(strategy)
         self._restore_pretrained()
-        eval_batch = self.config.effective_retraining_config().batch_size * 4
         accuracies: List[float] = []
         # The pipeline's shared lowering cache serves the whole population —
-        # and any other consumer of this pipeline (later campaign chunks,
-        # other sweep arms): every chunk evaluates the same unshuffled test
-        # batches against the same pre-trained weights, so each batch is
-        # im2col-lowered exactly once regardless of how many chip chunks (or
-        # strategy arms) walk it.
+        # and every other consumer of this pipeline (Step-3 checkpoint evals,
+        # later campaign chunks, other sweep arms): all of them walk the same
+        # unshuffled test batches at the same eval batch size, and the first
+        # stacked layer sees the raw batch, so each batch is im2col-lowered
+        # exactly once per process.
         pipeline = self.eval_pipeline
         # Masks are built (and released) chunk by chunk so peak memory is
         # bounded by ``chip_chunk`` mask sets, not the population size.
@@ -379,7 +379,7 @@ class ReduceFramework:
                     self.model,
                     self.bundle.test,
                     mask_sets,
-                    batch_size=eval_batch,
+                    self._fat_training_config(),
                     chip_chunk=chip_chunk,
                     lowering_cache=pipeline.cache,
                     backend=backend,
@@ -434,12 +434,11 @@ class ReduceFramework:
         clean accuracy for bypassable chips (the shrunk array has no faults)
         and fall back to FAP(+FAT, if the strategy retrains) otherwise.
 
-        ``backend`` is accepted so per-job execution mirrors the batched
-        path's signature, but the serial per-chip trainer always executes
+        This serial path is the reference :meth:`retrain_chips_batched` (and
+        so every campaign chunk) is pinned against.  ``backend`` is accepted
+        to mirror that signature, but the serial trainer always executes
         eagerly — backends route the *stacked* substrate, whose ``"numpy"``
-        replay is bit-identical to eager execution, so a campaign that mixes
-        batched chunks (replayed) with singleton chunks (eager) records the
-        same values either way.
+        replay is bit-identical to eager execution.
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -513,19 +512,22 @@ class ReduceFramework:
     ) -> List[ChipRetrainingResult]:
         """Mitigate several chips under one strategy/budget in stacked batches.
 
-        Equivalent to ``[self.retrain_chip(chip, epochs, ...) for chip in
-        chips]`` — bit-identical results on this BLAS build — but each batch
-        of up to ``fat_batch`` chips shares every GEMM of the retraining loop
-        through a :class:`~repro.accelerator.batched.BatchedFaultTrainer`.
-        Every parametric layer family stacks (including training-mode batch
-        norm, whose per-chip-fold statistics replicate the serial runs), so
-        there is no serial fallback: a genuinely unstackable custom layer
-        raises :class:`~repro.accelerator.batched.UnsupportedModelError` at
-        trainer construction.
+        The one Step-3 execution path: every campaign chunk runs through it,
+        a single chip being a stack of one.  Equivalent to
+        ``[self.retrain_chip(chip, epochs, ...) for chip in chips]`` —
+        bit-identical results on this BLAS build — but each batch of up to
+        ``fat_batch`` chips shares every GEMM of the retraining loop through a
+        :class:`~repro.accelerator.batched.BatchedFaultTrainer`.  Every
+        parametric layer family stacks (including training-mode batch norm,
+        whose per-chip-fold statistics replicate the serial runs), so there
+        is no serial fallback: a genuinely unstackable custom layer raises
+        :class:`~repro.accelerator.batched.UnsupportedModelError` at trainer
+        construction.
 
         ``accuracies_before`` injects pre-computed initial accuracies (from
         :meth:`triage_population`) per chip id; missing chips are evaluated
-        in one batched pass before training.
+        in one stacked pass before training.  A zero-budget batch whose
+        initial accuracies are all known builds no trainer at all.
 
         ``strategy`` prepares each chip exactly like the serial path: a
         strategy's masks are just another per-chip mask set stacked into the
@@ -534,9 +536,9 @@ class ReduceFramework:
         strategy never enter training (their accuracy is preserved by the
         shrunk array); the rest of the batch trains normally.
 
-        ``backend`` selects the compute backend the stacked trainer and
-        evaluators replay their captured op graphs through (``None`` keeps
-        the eager path; ``"numpy"`` is bit-identical to it).
+        ``backend`` selects the compute backend the stacked trainer replays
+        its captured op graphs through (``None`` keeps the eager path;
+        ``"numpy"`` is bit-identical to it).
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -548,39 +550,30 @@ class ReduceFramework:
             return []
         target = target_accuracy if target_accuracy is not None else self.target_accuracy
         before_map = accuracies_before or {}
-        eval_batch = self.config.effective_retraining_config().batch_size * 4
+        training_config = self._fat_training_config()
         pipeline = self.eval_pipeline
         results: List[Optional[ChipRetrainingResult]] = [None] * len(chip_list)
 
         # Bypassable chips are satisfied by the shrunk array alone: their
         # result is fully determined once the pre-mitigation accuracy is
         # known, so they are peeled off before any stacked training.
-        if strategy.bypass:
-            bypassed = [
-                index for index, chip in enumerate(chip_list)
-                if strategy.bypass_plan(chip.fault_map) is not None
-            ]
-            bypassed_set = set(bypassed)
-            trainable = [
-                index for index in range(len(chip_list)) if index not in bypassed_set
-            ]
-        else:
-            bypassed = []
-            trainable = list(range(len(chip_list)))
+        bypassed = [
+            index for index, chip in enumerate(chip_list)
+            if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None
+        ]
         if bypassed:
             before = [before_map.get(chip_list[index].chip_id) for index in bypassed]
             missing = [pos for pos, value in enumerate(before) if value is None]
             if missing:
                 self._restore_pretrained()
-                mask_sets = [
-                    strategy.chip_masks(self.model, chip_list[bypassed[pos]].fault_map)
-                    for pos in missing
-                ]
                 evaluated = evaluate_chip_accuracies(
                     self.model,
                     self.bundle.test,
-                    mask_sets,
-                    batch_size=eval_batch,
+                    [
+                        strategy.chip_masks(self.model, chip_list[bypassed[pos]].fault_map)
+                        for pos in missing
+                    ],
+                    training_config,
                     chip_chunk=fat_batch,
                     lowering_cache=pipeline.cache,
                     backend=backend,
@@ -594,6 +587,8 @@ class ReduceFramework:
                     chip_list[index], {}, 0.0, 0.0, before[pos], clean, target,
                     strategy=strategy.name,
                 )
+        bypassed_set = set(bypassed)
+        trainable = [index for index in range(len(chip_list)) if index not in bypassed_set]
 
         # Non-retraining strategies spend no budget; bypass-infeasible chips
         # of a retraining bypass strategy fall back to the full FAT budget.
@@ -603,57 +598,35 @@ class ReduceFramework:
             chunk = [chip_list[index] for index in indices]
             self._restore_pretrained()
             mask_sets = [strategy.chip_masks(self.model, chip.fault_map) for chip in chunk]
-            if epochs == 0:
-                # No training requested: any missing initial accuracy comes
-                # from the forward-only batched evaluator (identical to the
-                # triage values), and no stacked training machinery is built
-                # (mirrors the serial ``retrain_chip`` zero-epoch shortcut).
-                before = [before_map.get(chip.chip_id) for chip in chunk]
-                missing = [i for i, value in enumerate(before) if value is None]
-                if missing:
-                    evaluated = evaluate_chip_accuracies(
-                        self.model,
-                        self.bundle.test,
-                        [mask_sets[i] for i in missing],
-                        batch_size=eval_batch,
-                        chip_chunk=fat_batch,
-                        lowering_cache=pipeline.cache,
-                        backend=backend,
-                        prefetch=pipeline.prefetch,
-                    )
-                    for position, index in enumerate(missing):
-                        before[index] = evaluated[position]
-                for position, index in enumerate(indices):
-                    results[index] = _build_chip_result(
-                        chunk[position], mask_sets[position], 0.0, 0.0,
-                        before[position], before[position], target,
-                        strategy=strategy.name,
-                    )
-                continue
-            trainer = BatchedFaultTrainer(
-                self.model,
-                mask_sets,
-                self.bundle.train,
-                self.bundle.test,
-                config=self._fat_training_config(),
-                backend=backend,
-                lowering_cache=pipeline.cache,
-                prefetch=pipeline.prefetch,
-                widened_eval=pipeline.widened_eval,
-            )
             before = [before_map.get(chip.chip_id) for chip in chunk]
-            if any(value is None for value in before):
-                evaluated = trainer.evaluate()
-                before = [
-                    value if value is not None else evaluated[index]
-                    for index, value in enumerate(before)
-                ]
-            histories = trainer.train(epochs, include_initial=False)
+            after = before
+            trained = [0.0] * len(chunk)
+            if epochs > 0 or None in before:
+                trainer = BatchedFaultTrainer(
+                    self.model,
+                    mask_sets,
+                    self.bundle.train,
+                    self.bundle.test,
+                    config=training_config,
+                    backend=backend,
+                    lowering_cache=pipeline.cache,
+                    prefetch=pipeline.prefetch,
+                )
+                if None in before:
+                    evaluated = trainer.evaluate()
+                    before = [
+                        value if value is not None else evaluated[position]
+                        for position, value in enumerate(before)
+                    ]
+                    after = before
+                if epochs > 0:
+                    histories = trainer.train(epochs, include_initial=False)
+                    after = [history.final_accuracy for history in histories]
+                    trained = [history.total_epochs for history in histories]
             for position, index in enumerate(indices):
                 results[index] = _build_chip_result(
-                    chunk[position], mask_sets[position], epochs,
-                    histories[position].total_epochs, before[position],
-                    histories[position].final_accuracy, target,
+                    chunk[position], mask_sets[position], epochs, trained[position],
+                    before[position], after[position], target,
                     strategy=strategy.name,
                 )
         return list(results)
@@ -663,7 +636,6 @@ class ReduceFramework:
         population: ChipPopulation,
         policy: RetrainingPolicy,
         progress: bool = False,
-        batched: bool = True,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
         backend: Optional[str] = None,
@@ -671,55 +643,39 @@ class ReduceFramework:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
         The initial accuracy checkpoints of all chips are evaluated first in
-        batched multi-chip passes (:meth:`triage_population`); with
-        ``batched=True`` (the default) chips whose Step-2 budgets agree are
-        then retrained together through the stacked batched-FAT path, which
-        is bit-identical to the serial per-chip loop on this BLAS build.
-        ``strategy`` selects the mitigation recipe applied before/instead of
-        retraining (default: classic FAT); ``backend`` selects the compute
-        backend the batched substrate replays its captured graphs through.
+        stacked multi-chip passes (:meth:`triage_population`); chips whose
+        Step-2 budgets agree are then mitigated together through
+        :meth:`retrain_chips_batched` in stacks of at most ``fat_batch``,
+        which is bit-identical to the serial per-chip :meth:`retrain_chip`
+        loop on this BLAS build.  ``strategy`` selects the mitigation recipe
+        applied before/instead of retraining (default: classic FAT);
+        ``backend`` selects the compute backend the stacked substrate replays
+        its captured graphs through.
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)
-        effective = {
-            chip.chip_id: strategy.effective_epochs(
-                float(amounts[chip.chip_id]), chip.fault_map
-            )
-            for chip in population
-        }
+        groups: Dict[float, List[Chip]] = {}
+        for chip in population:
+            epochs = strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
+            groups.setdefault(epochs, []).append(chip)
         triage = self.triage_population(population, strategy=strategy, backend=backend)
         by_id: Dict[str, ChipRetrainingResult] = {}
-        if batched:
-            groups: Dict[float, List[Chip]] = {}
-            for chip in population:
-                groups.setdefault(effective[chip.chip_id], []).append(chip)
-            for epochs, chips in groups.items():
-                if epochs > 0 and len(chips) > 1:
-                    for result in self.retrain_chips_batched(
-                        chips,
-                        epochs,
-                        accuracies_before=triage,
-                        fat_batch=fat_batch,
-                        strategy=strategy,
-                        backend=backend,
-                    ):
-                        by_id[result.chip_id] = result
-        results: List[ChipRetrainingResult] = []
-        for chip in population:
-            result = by_id.get(chip.chip_id)
-            if result is None:
-                result = self.retrain_chip(
-                    chip,
-                    effective[chip.chip_id],
-                    accuracy_before=triage.get(chip.chip_id),
-                    strategy=strategy,
-                    backend=backend,
-                )
-            results.append(result)
-            if progress:
+        for epochs, chips in groups.items():
+            for result in self.retrain_chips_batched(
+                chips,
+                epochs,
+                accuracies_before=triage,
+                fat_batch=fat_batch,
+                strategy=strategy,
+                backend=backend,
+            ):
+                by_id[result.chip_id] = result
+        results = [by_id[chip.chip_id] for chip in population]
+        if progress:
+            for result in results:
                 logger.info(
                     "chip %s: rate=%.3f epochs=%.3f acc=%.3f meets=%s",
-                    chip.chip_id,
+                    result.chip_id,
                     result.fault_rate,
                     result.epochs_trained,
                     result.accuracy_after,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.accelerator.batched import BatchedFaultEvaluator
+from repro.accelerator.batched import evaluate_chip_accuracies
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.fault_models import FaultModel, RandomFaultModel
 from repro.accelerator.systolic_array import SystolicArray
@@ -104,21 +104,23 @@ class ResilienceAnalyzer:
 
         All trials start from the same pre-trained weights and differ only in
         their fault masks, so their 0.0-epoch checkpoints are B masked
-        variants of one evaluation — exactly the workload
-        :class:`~repro.accelerator.batched.BatchedFaultEvaluator` batches.
-        Masks are built (and released) chunk by chunk to bound peak memory.
+        variants of one evaluation — exactly the stacked eval forward of
+        :func:`~repro.accelerator.batched.evaluate_chip_accuracies`, at the
+        serial trainers' eval batch size.  Masks are built (and released)
+        chunk by chunk to bound peak memory.
         """
         accuracies: List[float] = []
         self._restore_pretrained()
-        eval_batch = self.config.training.batch_size * 4
         for start in range(0, len(fault_maps), chip_chunk):
             mask_sets = [
                 build_fap_masks(self.model, fault_map)
                 for fault_map in fault_maps[start:start + chip_chunk]
             ]
-            evaluator = BatchedFaultEvaluator(self.model, mask_sets)
             accuracies.extend(
-                evaluator.evaluate_accuracy(self.bundle.test, batch_size=eval_batch)
+                evaluate_chip_accuracies(
+                    self.model, self.bundle.test, mask_sets, self.config.training,
+                    chip_chunk=chip_chunk,
+                )
             )
         return accuracies
 

@@ -178,12 +178,11 @@ class ExperimentContext:
     array: SystolicArray
     clean_accuracy: float
     _profile: Optional[ResilienceProfile] = None
-    # Lazily-created pipelined-eval configuration (prefetch, widened
-    # multi-checkpoint GEMMs, shared lowering cache).  It lives on the
-    # context — not on a framework — because :meth:`framework` returns a
-    # fresh framework per call: sharing the pipeline is what lets triage,
-    # campaign chunks and successive sweep arms reuse each other's eval-batch
-    # lowerings.
+    # Lazily-created pipelined-eval configuration (prefetch, shared
+    # lowering cache).  It lives on the context — not on a framework —
+    # because :meth:`framework` returns a fresh framework per call: sharing
+    # the pipeline is what lets triage, campaign chunks and successive sweep
+    # arms reuse each other's eval-batch lowerings.
     _eval_pipeline: Optional[EvalPipeline] = None
 
     # -- construction -----------------------------------------------------------
@@ -269,14 +268,11 @@ class ExperimentContext:
     def configure_eval_pipeline(
         self,
         prefetch: Optional[bool] = None,
-        widened_eval: Optional[bool] = None,
         lowering_cache_mb: Optional[float] = None,
     ) -> EvalPipeline:
         """Apply CLI/engine eval-pipeline overrides for this context."""
         return self.eval_pipeline.configure(
-            prefetch=prefetch,
-            widened_eval=widened_eval,
-            lowering_cache_mb=lowering_cache_mb,
+            prefetch=prefetch, lowering_cache_mb=lowering_cache_mb
         )
 
     def framework(self) -> ReduceFramework:

@@ -6,8 +6,8 @@ Three layers of guarantees are pinned down here:
   ReLU, max-pool, BatchNorm, keep-multiplier mask, SGD update) captured once
   and replayed on fresh inputs is *bit-identical* under the ``numpy``
   reference backend and ``allclose`` + deterministic under ``fused``.
-* **Substrate** — the batched evaluator and trainer produce the same
-  accuracies/losses/weights through a backend as eagerly (bit-identical for
+* **Substrate** — the stacked trainer's eval forward and training loop
+  produce the same logits/accuracies/losses/weights through a backend as eagerly (bit-identical for
   ``numpy``, allclose for ``fused``).
 * **End-to-end** — a fast-preset campaign through the ``numpy`` backend
   writes a ``results.jsonl`` byte-identical to the eager campaign and shares
@@ -23,11 +23,7 @@ import pytest
 
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
-from repro.accelerator.batched import (
-    BatchedFaultEvaluator,
-    BatchedFaultTrainer,
-    _keep_multiplier_kernel,
-)
+from repro.accelerator.batched import BatchedFaultTrainer, _keep_multiplier_kernel
 from repro.backends import (
     BACKEND_ENV_VAR,
     BackendError,
@@ -301,53 +297,62 @@ def _mask_sets(model_factory, num_chips=3):
     return [model_fault_masks(model_factory(), fault_map) for fault_map in maps]
 
 
+def _recorded_evaluate(trainer):
+    """``trainer.evaluate()`` plus the per-batch ``(B, n, classes)`` logits."""
+    logits = []
+
+    def keep(batch_logits):
+        logits.append(np.array(batch_logits, copy=True))
+        return batch_logits
+
+    cache = trainer._eval_chain_cache
+    if cache is None:
+        forward = trainer._eval_forward_all_chips
+        trainer._eval_forward_all_chips = lambda data: keep(forward(data))
+    else:
+        run = cache.run
+        cache.run = lambda inputs, eager_fn: keep(run(inputs, eager_fn))
+    return trainer.evaluate(), logits
+
+
 class TestEvaluatorEquivalence:
-    def test_numpy_backend_bit_identical(self, backend_bundle):
-        model = _make_cnn(backend_bundle)
-        mask_sets = _mask_sets(lambda: _make_cnn(backend_bundle))
-        batch = (
-            np.random.default_rng(9)
-            .standard_normal((8,) + backend_bundle.input_shape)
-            .astype(np.float32)
+    # Eval batches are ``batch_size * 4`` = 16 rows: two same-shape batches
+    # over the 32-image test set, so a single pass already replays once.
+    CONFIG = TrainingConfig(batch_size=4)
+
+    def _trainer(self, bundle, backend=None):
+        return BatchedFaultTrainer(
+            _make_cnn(bundle),
+            _mask_sets(lambda: _make_cnn(bundle)),
+            bundle.test,
+            bundle.test,
+            config=self.CONFIG,
+            backend=backend,
         )
 
-        eager = BatchedFaultEvaluator(model, mask_sets)
-        replayed = BatchedFaultEvaluator(model, mask_sets, backend="numpy")
-
-        expected_logits = eager.evaluate_logits(batch)
-        replayed.evaluate_logits(batch)  # first call captures eagerly
+    def test_numpy_backend_bit_identical(self, backend_bundle):
+        expected_acc, expected_logits = _recorded_evaluate(self._trainer(backend_bundle))
+        replayed = self._trainer(backend_bundle, backend="numpy")
+        _recorded_evaluate(replayed)  # captures batch 0 eagerly
         hits = metrics.counter("backend.graph_cache.hits", backend="numpy")
         hits_before = hits.value
-        replay_logits = replayed.evaluate_logits(batch)  # second call replays
-        assert hits.value == hits_before + 1
-        assert replay_logits.tobytes() == expected_logits.tobytes()
-
-        expected_acc = eager.evaluate_accuracy(backend_bundle.test, batch_size=16)
-        replay_acc = replayed.evaluate_accuracy(backend_bundle.test, batch_size=16)
+        replay_acc, replay_logits = _recorded_evaluate(replayed)  # every batch replays
+        assert hits.value == hits_before + len(expected_logits)
         assert replay_acc == expected_acc
+        assert len(replay_logits) == len(expected_logits) == 2
+        for replay, expected in zip(replay_logits, expected_logits):
+            assert replay.tobytes() == expected.tobytes()
 
     def test_fused_backend_allclose_and_deterministic(self, backend_bundle):
-        model = _make_cnn(backend_bundle)
-        mask_sets = _mask_sets(lambda: _make_cnn(backend_bundle))
-        batch = (
-            np.random.default_rng(9)
-            .standard_normal((8,) + backend_bundle.input_shape)
-            .astype(np.float32)
-        )
-
-        eager = BatchedFaultEvaluator(model, mask_sets)
-        fused = BatchedFaultEvaluator(model, mask_sets, backend=get_backend("fused"))
-
-        expected = eager.evaluate_logits(batch)
-        fused.evaluate_logits(batch)  # capture
-        first = fused.evaluate_logits(batch)  # replay
-        second = fused.evaluate_logits(batch)
-        np.testing.assert_allclose(first, expected, rtol=1e-5, atol=1e-6)
-        assert first.tobytes() == second.tobytes()
-
-        assert fused.evaluate_accuracy(
-            backend_bundle.test, batch_size=16
-        ) == eager.evaluate_accuracy(backend_bundle.test, batch_size=16)
+        expected_acc, expected = _recorded_evaluate(self._trainer(backend_bundle))
+        fused = self._trainer(backend_bundle, backend=get_backend("fused"))
+        _recorded_evaluate(fused)  # capture
+        first_acc, first = _recorded_evaluate(fused)  # replay
+        _, second = _recorded_evaluate(fused)
+        for batch_first, batch_second, batch_expected in zip(first, second, expected):
+            np.testing.assert_allclose(batch_first, batch_expected, rtol=1e-5, atol=1e-6)
+            assert batch_first.tobytes() == batch_second.tobytes()
+        assert first_acc == expected_acc
 
 
 def _nan_aware_equal(a, b):

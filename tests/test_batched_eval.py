@@ -1,12 +1,13 @@
-"""Exact-equivalence tests for the batched multi-chip evaluator.
+"""Exact-equivalence tests for the stacked population evaluation.
 
-The contract of :class:`~repro.accelerator.batched.BatchedFaultEvaluator` is
-that evaluating B chips in one batched sweep returns exactly what B serial
-``apply masks -> evaluate_accuracy`` passes return.  Logits are compared to
-float32 ``atol=1e-6`` (the shared-prefix wide GEMM may differ from the serial
-2-D GEMM within float32 rounding on BLAS builds with width-dependent kernel
-selection; on the build used in development they are bit-identical) and the
-derived accuracies must match exactly.
+The contract of :func:`~repro.accelerator.batched.evaluate_chip_accuracies`
+— the :class:`~repro.accelerator.batched.BatchedFaultTrainer` eval forward
+over chip chunks — is that evaluating B chips in one stacked sweep returns
+exactly what B serial ``apply masks -> evaluate_accuracy`` passes return.
+Logits are compared to float32 ``atol=1e-6`` (the shared-prefix wide GEMM may
+differ from the serial 2-D GEMM within float32 rounding on BLAS builds with
+width-dependent kernel selection; on the build used in development they are
+bit-identical) and the derived accuracies must match exactly.
 """
 
 from __future__ import annotations
@@ -16,14 +17,19 @@ import pytest
 
 from repro import nn
 from repro.accelerator import (
-    BatchedFaultEvaluator,
+    BatchedFaultTrainer,
     FaultMap,
     evaluate_chip_accuracies,
     model_fault_masks,
 )
+from repro.accelerator.batched import LoweringCache
 from repro.data.dataloader import DataLoader
 from repro.models import MLP
-from repro.training import apply_weight_masks, evaluate_accuracy
+from repro.training import TrainingConfig, apply_weight_masks, evaluate_accuracy
+
+# Eval batches are ``batch_size * 4`` rows: 16 here, so the 32-image test set
+# walks two batches.
+SMALL_BATCHES = TrainingConfig(batch_size=4)
 
 
 def _serial_accuracies(model, pretrained, mask_sets, dataset):
@@ -44,6 +50,17 @@ def _serial_logits(model, pretrained, masks, inputs):
         logits = model(inputs).data.copy()
     model.load_state_dict(pretrained)
     return logits
+
+
+def _stacked_logits(model, mask_sets, dataset, inputs):
+    """``(B, n, classes)`` logits of the trainer's stacked eval forward."""
+    trainer = BatchedFaultTrainer(model, mask_sets, dataset, dataset)
+    model.eval()
+    try:
+        with nn.no_grad(), trainer._patched():
+            return trainer._eval_forward_all_chips(inputs.data).copy()
+    finally:
+        model.train()
 
 
 def _small_cnn(image_bundle):
@@ -73,31 +90,23 @@ class TestBatchedEquivalence:
     def test_accuracies_match_serial_exactly(self, conv_setup, image_bundle):
         model, pretrained, _, mask_sets = conv_setup
         serial = _serial_accuracies(model, pretrained, mask_sets, image_bundle.test)
-        evaluator = BatchedFaultEvaluator(model, mask_sets)
-        batched = evaluator.evaluate_accuracy(image_bundle.test)
+        batched = evaluate_chip_accuracies(model, image_bundle.test, mask_sets)
         assert batched == serial
 
     def test_logits_match_serial(self, conv_setup, image_bundle):
         model, pretrained, _, mask_sets = conv_setup
         inputs, _ = next(iter(DataLoader(image_bundle.test, batch_size=16)))
-        evaluator = BatchedFaultEvaluator(model, mask_sets)
-        batched = evaluator.evaluate_logits(inputs)
+        batched = _stacked_logits(model, mask_sets, image_bundle.test, inputs)
         assert batched.shape[0] == len(mask_sets)
         for index, masks in enumerate(mask_sets):
             serial = _serial_logits(model, pretrained, masks, inputs)
             np.testing.assert_allclose(batched[index], serial, rtol=0.0, atol=1e-6)
 
-    def test_from_fault_maps_matches_mask_sets(self, conv_setup, image_bundle):
-        model, _, maps, mask_sets = conv_setup
-        by_masks = BatchedFaultEvaluator(model, mask_sets).evaluate_accuracy(image_bundle.test)
-        by_maps = BatchedFaultEvaluator.from_fault_maps(model, maps).evaluate_accuracy(
-            image_bundle.test
-        )
-        assert by_maps == by_masks
-
     def test_chip_chunking_is_transparent(self, conv_setup, image_bundle):
         model, _, _, mask_sets = conv_setup
-        full = BatchedFaultEvaluator(model, mask_sets).evaluate_accuracy(image_bundle.test)
+        full = evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, chip_chunk=len(mask_sets)
+        )
         for chunk in (1, 2, 4, len(mask_sets) + 3):
             chunked = evaluate_chip_accuracies(
                 model, image_bundle.test, mask_sets, chip_chunk=chunk
@@ -110,13 +119,13 @@ class TestBatchedEquivalence:
         maps = [FaultMap.random(8, 8, 0.1 + 0.1 * i, seed=10 + i) for i in range(4)]
         mask_sets = [model_fault_masks(model, fault_map) for fault_map in maps]
         serial = _serial_accuracies(model, pretrained, mask_sets, blob_bundle.test)
-        batched = BatchedFaultEvaluator(model, mask_sets).evaluate_accuracy(blob_bundle.test)
+        batched = evaluate_chip_accuracies(model, blob_bundle.test, mask_sets)
         assert batched == serial
 
     def test_model_state_is_untouched(self, conv_setup, image_bundle):
         model, pretrained, _, mask_sets = conv_setup
         was_training = model.training
-        BatchedFaultEvaluator(model, mask_sets).evaluate_accuracy(image_bundle.test)
+        evaluate_chip_accuracies(model, image_bundle.test, mask_sets, chip_chunk=4)
         assert model.training == was_training
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, pretrained[name])
@@ -129,51 +138,46 @@ class TestLoweringCache:
     def test_shared_cache_lowers_each_batch_once_across_chunks(
         self, conv_setup, image_bundle, monkeypatch
     ):
-        """evaluate_chip_accuracies shares the shared-prefix im2col across
+        """evaluate_chip_accuracies shares the shared-prefix im2col_t across
         chip chunks: the test set is lowered once for the whole population."""
         import repro.accelerator.batched as batched_module
 
         model, pretrained, _, mask_sets = conv_setup
         calls = []
-        real = batched_module.im2col
+        real = batched_module.im2col_t
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(batched_module, "im2col", counting)
-        batch_size = 16
-        num_batches = -(-len(image_bundle.test) // batch_size)
+        # Only the first (shared-prefix) conv lowers through ``im2col_t`` in
+        # an eval pass; the folded second conv lowers per chip stack.
+        monkeypatch.setattr(batched_module, "im2col_t", counting)
+        num_batches = -(-len(image_bundle.test) // (SMALL_BATCHES.batch_size * 4))
         cached = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=batch_size, chip_chunk=2
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
         # 3 chunks x num_batches forwards, but the first-layer lowering runs
-        # only num_batches times (later chunks hit the cache); the folded
-        # second conv still lowers per chunk (its activations are per-chip).
-        first_layer_lowerings = [
-            shape for shape in calls if shape[0] == min(batch_size, len(image_bundle.test))
-        ]
-        assert len(first_layer_lowerings) == num_batches
-        # Values are identical to the uncached path.
+        # only num_batches times: later chunks hit the cache.
+        assert len(calls) == num_batches
+        # Values are identical to a single-chunk pass.
         uncached = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=batch_size, chip_chunk=6
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=6
         )
         assert cached == uncached
 
     def test_cache_respects_byte_budget(self, conv_setup, image_bundle):
         """Inserts stop at the budget; results are unchanged (just uncached)."""
-        from repro.accelerator.batched import LoweringCache
-
         model, _, _, mask_sets = conv_setup
         unbounded = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=16, chip_chunk=2
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
         cache = LoweringCache(max_bytes=0)
         bounded = evaluate_chip_accuracies(
             model,
             image_bundle.test,
             mask_sets,
-            batch_size=16,
+            SMALL_BATCHES,
             chip_chunk=2,
             lowering_cache=cache,
         )
@@ -183,12 +187,10 @@ class TestLoweringCache:
 
     def test_cache_evicts_lru_past_the_cap(self, conv_setup, image_bundle):
         """A cap below the working set keeps the cache bounded, not broken."""
-        from repro.accelerator.batched import LoweringCache
-
         model, _, _, mask_sets = conv_setup
         unbounded_cache = LoweringCache()
         unbounded = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=16, chip_chunk=2,
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
             lowering_cache=unbounded_cache,
         )
         assert len(unbounded_cache) > 1
@@ -198,7 +200,7 @@ class TestLoweringCache:
         )
         cache = LoweringCache(max_bytes=one_entry)
         bounded = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=16, chip_chunk=2,
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
             lowering_cache=cache,
         )
         assert bounded == unbounded
@@ -206,12 +208,10 @@ class TestLoweringCache:
         assert cache.nbytes <= one_entry
 
     def test_set_max_bytes_shrinks_in_place(self, conv_setup, image_bundle):
-        from repro.accelerator.batched import LoweringCache
-
         model, _, _, mask_sets = conv_setup
         cache = LoweringCache()
         evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, batch_size=16, chip_chunk=2,
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
             lowering_cache=cache,
         )
         assert cache.nbytes > 0
@@ -219,42 +219,64 @@ class TestLoweringCache:
         assert len(cache) == 0
         assert cache.nbytes == 0
 
-    def test_cache_ignored_for_inputs_of_unknown_identity(self, conv_setup, image_bundle):
-        from repro.accelerator.batched import LoweringCache
-
+    def test_loader_batch_size_keys_the_cache(self, conv_setup, image_bundle):
+        """A caller-supplied loader slicing the data differently from the
+        config's eval batch never reads another batch size's lowerings."""
         model, pretrained, _, mask_sets = conv_setup
         cache = LoweringCache()
-        evaluator = BatchedFaultEvaluator(model, mask_sets[:2], lowering_cache=cache)
-        inputs, _ = next(iter(DataLoader(image_bundle.test, batch_size=4)))
-        evaluator.evaluate_logits(inputs)
-        assert len(cache) == 0  # evaluate_logits never caches
+        by_dataset = evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, lowering_cache=cache
+        )
+        loader = DataLoader(image_bundle.test, batch_size=8, shuffle=False)
+        by_loader = evaluate_chip_accuracies(
+            model, loader, mask_sets, SMALL_BATCHES, lowering_cache=cache
+        )
+        assert by_loader == by_dataset
+        assert by_dataset == _serial_accuracies(
+            model, pretrained, mask_sets, image_bundle.test
+        )
+
+    def test_cache_ignored_for_inputs_of_unknown_identity(self, conv_setup, image_bundle):
+        """Training steps see shuffled batches, so they never touch the cache."""
+        model, _, _, mask_sets = conv_setup
+        cache = LoweringCache()
+        trainer = BatchedFaultTrainer(
+            model, mask_sets[:2], image_bundle.train, image_bundle.test,
+            config=SMALL_BATCHES, lowering_cache=cache,
+        )
+        trainer._train_steps(2)
+        assert len(cache) == 0
 
 
 class TestBatchedValidation:
-    def test_empty_mask_sets_rejected(self, conv_setup):
+    def test_empty_mask_sets_rejected(self, conv_setup, image_bundle):
         model = conv_setup[0]
         with pytest.raises(ValueError):
-            BatchedFaultEvaluator(model, [])
+            evaluate_chip_accuracies(model, image_bundle.test, [])
 
-    def test_mismatched_keys_rejected(self, conv_setup):
+    def test_mismatched_keys_rejected(self, conv_setup, image_bundle):
         model, _, _, mask_sets = conv_setup
         broken = dict(mask_sets[1])
         broken.pop(next(iter(broken)))
         with pytest.raises(ValueError):
-            BatchedFaultEvaluator(model, [mask_sets[0], broken])
+            evaluate_chip_accuracies(model, image_bundle.test, [mask_sets[0], broken])
 
-    def test_unknown_layer_rejected(self, conv_setup):
+    def test_unknown_layer_rejected(self, conv_setup, image_bundle):
         model = conv_setup[0]
         with pytest.raises(KeyError):
-            BatchedFaultEvaluator(model, [{"no.such.layer": np.zeros((1, 1), dtype=bool)}])
+            evaluate_chip_accuracies(
+                model,
+                image_bundle.test,
+                [{"no.such.layer": np.zeros((1, 1), dtype=bool)}],
+            )
 
-    def test_wrong_mask_shape_rejected(self, conv_setup):
+    def test_wrong_mask_shape_rejected(self, conv_setup, image_bundle):
         model, _, _, mask_sets = conv_setup
         name = next(iter(mask_sets[0]))
         broken = dict(mask_sets[0])
         broken[name] = np.zeros((1, 2), dtype=bool)
         with pytest.raises(ValueError):
-            BatchedFaultEvaluator(model, [broken])
+            evaluate_chip_accuracies(model, image_bundle.test, [broken])
 
 
 class TestFrameworkTriage:

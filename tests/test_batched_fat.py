@@ -6,7 +6,8 @@ serial :class:`~repro.training.Trainer` runs with the same config: same
 per-chip weights, same per-step losses, same checkpoint accuracies.  These
 tests pin that on the BLAS build in use, across optimizers, model families
 (MLP / CNN), dropout and label smoothing, and then up through the framework
-(``retrain_chips_batched``) and the campaign engine's coalescing phase.
+(``retrain_chips_batched``) and the campaign engine's coalescing phase, where
+the serial per-chip ``ReduceFramework.retrain_chip`` is the reference.
 """
 
 from __future__ import annotations
@@ -395,12 +396,13 @@ class TestFrameworkBatchedFat:
         chunked = framework.retrain_chips_batched(chips, 0.25, fat_batch=2)
         assert chunked == full
 
-    def test_retrain_population_batched_toggle(self, smoke_context, fat_population):
+    def test_retrain_population_matches_retrain_chip(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         policy = FixedEpochPolicy(0.25)
-        batched = framework.retrain_population(fat_population, policy, batched=True)
-        serial = framework.retrain_population(fat_population, policy, batched=False)
-        assert batched.results == serial.results
+        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        for fat_batch in (8, 1):
+            result = framework.retrain_population(fat_population, policy, fat_batch=fat_batch)
+            assert result.results == serial
 
     def test_zero_epoch_chips_skip_training(self, smoke_context, fat_population):
         framework = smoke_context.framework()
@@ -494,7 +496,11 @@ class TestStrategyBatchedFat:
         per_job = CampaignEngine(smoke_context, jobs=1, fat_batch=1).run(
             fat_population, policy, strategy="fam+fat"
         )
-        assert coalesced.results == per_job.results
+        framework = smoke_context.framework()
+        serial = [
+            framework.retrain_chip(chip, 0.25, strategy="fam+fat") for chip in fat_population
+        ]
+        assert coalesced.results == per_job.results == serial
         assert all(result.strategy == "fam+fat" for result in coalesced.results)
 
 
@@ -507,7 +513,9 @@ class TestEngineCoalescing:
         per_job = CampaignEngine(smoke_context, jobs=1, fat_batch=1).run(
             fat_population, policy
         )
-        assert coalesced.results == per_job.results
+        framework = smoke_context.framework()
+        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        assert coalesced.results == per_job.results == serial
 
     def test_jobs_batched_execution_helper(self, smoke_context, fat_population):
         framework = smoke_context.framework()
@@ -533,15 +541,14 @@ class TestEngineCoalescing:
         self, smoke_context, fat_population
     ):
         """--jobs N x --fat-batch B composes: workers execute whole stacked
-        chunks and the results stay bit-identical to serial per-job runs."""
+        chunks and the results stay bit-identical to serial per-chip runs."""
         policy = FixedEpochPolicy(0.25)
         parallel_batched = CampaignEngine(smoke_context, jobs=2, fat_batch=3).run(
             fat_population, policy
         )
-        serial_per_job = CampaignEngine(smoke_context, jobs=1, fat_batch=1).run(
-            fat_population, policy
-        )
-        assert parallel_batched.results == serial_per_job.results
+        framework = smoke_context.framework()
+        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        assert parallel_batched.results == serial
 
     def test_eval_lowering_cache_reused_across_checkpoints(
         self, smoke_context, monkeypatch

@@ -16,7 +16,7 @@ from repro.campaign import (
     ChipJob,
     build_jobs,
     campaign_fingerprint,
-    execute_job,
+    execute_job_chunk,
     plan_job_chunks,
 )
 from repro.campaign.store import decode_result_line
@@ -54,10 +54,13 @@ class TestChipJob:
 
     def test_execution_is_deterministic(self, framework, population):
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
-        first = execute_job(framework, job)
-        second = execute_job(framework, job)
+        [first] = execute_job_chunk(framework, [job])
+        [second] = execute_job_chunk(framework, [job])
         assert first == second
         assert first.epochs_allocated == 0.25
+        # A single-job chunk is a stacked run of one chip: it equals the
+        # serial per-chip reference.
+        assert first == framework.retrain_chip(job.to_chip(), job.epochs)
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +68,7 @@ class TestChipJob:
 
     def test_result_round_trips_through_dict(self, framework, population):
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
-        result = execute_job(framework, job)
+        [result] = execute_job_chunk(framework, [job])
         restored = type(result).from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored == result
 
@@ -90,13 +93,13 @@ class TestPlanner:
             job.chip_id for job in jobs
         ]
 
-    def test_zero_epoch_and_singleton_budgets_stay_per_job(self):
+    def test_zero_epoch_and_singleton_budgets_are_chunked_like_any_group(self):
         jobs = self._jobs([0.0, 0.0, 0.25, 0.5, 0.5])
         plan = plan_job_chunks(jobs, fat_batch=8)
         sizes = {tuple(job.chip_id for job in chunk): len(chunk) for chunk in plan}
-        # zero-epoch lookups and the lone 0.25 budget are single-job chunks;
-        # the 0.5 pair is one batched chunk.
-        assert sorted(sizes.values()) == [1, 1, 1, 2]
+        # Every budget group is one stacked chunk: the zero-epoch pair, the
+        # lone 0.25 budget (a stack of one) and the 0.5 pair.
+        assert sorted(sizes.values()) == [1, 2, 2]
         # no chip lost or duplicated
         planned = [job.chip_id for chunk in plan for job in chunk]
         assert sorted(planned) == sorted(job.chip_id for job in jobs)
@@ -248,7 +251,7 @@ class TestStoreAndResume:
 
     def test_append_many_is_one_durable_group(self, framework, population, tmp_path):
         jobs = build_jobs(framework, population, FixedEpochPolicy(0.0))
-        results = [execute_job(framework, job) for job in jobs]
+        results = execute_job_chunk(framework, jobs)
         store = CampaignStore.open(tmp_path, "d" * 64, manifest={"policy": "p"})
         store.append_many(results[:3])
         store.append_many([])  # no-op
@@ -316,7 +319,7 @@ class TestStoreIntegrity:
 
     def _store_with_results(self, framework, population, tmp_path):
         jobs = build_jobs(framework, population, FixedEpochPolicy(0.0))
-        results = [execute_job(framework, job) for job in jobs]
+        results = execute_job_chunk(framework, jobs)
         store = CampaignStore.open(tmp_path, "e" * 64, manifest={"policy": "p"})
         store.append_many(results)
         return store, results

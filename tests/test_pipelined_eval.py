@@ -4,9 +4,10 @@ The pipelined eval path — background batch prefetch, widened multi-checkpoint
 GEMMs, and the sweep-wide shared lowering cache — is a pure performance
 feature: every knob combination must produce bit-identical results, stores and
 fingerprints.  These tests pin that contract at every level: the prefetcher
-unit, the batched evaluator/trainer, whole campaigns (serial, ``--jobs 2 x
+unit, the stacked population evaluation and trainer, whole campaigns (serial, ``--jobs 2 x
 --fat-batch 4``, chaos kill and kill/resume) and multi-arm strategy sweeps,
-where arms 2..K must *hit* the lowerings arm 1 computed.
+where arms 2..K must *hit* the lowerings arm 1 computed (and Step-3
+checkpoint evals must hit the lowerings triage computed).
 
 The smoke preset is an MLP, which never exercises the im2col lowering cache,
 so campaign-level tests run a conv variant of it (LeNet-5 on 12x12 images).
@@ -24,11 +25,11 @@ import pytest
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator.batched import (
-    BatchedFaultEvaluator,
     BatchedFaultTrainer,
     EvalPipeline,
     LoweringCache,
     _LoweringPrefetcher,
+    evaluate_chip_accuracies,
 )
 from repro.campaign import CampaignEngine
 from repro.campaign.sweep import run_strategy_sweep
@@ -38,7 +39,7 @@ from repro.core.selection import FixedEpochPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.experiments.presets import ModelSpec
 from repro.observability import metrics
-from repro.training import TrainingConfig
+from repro.training import Trainer, TrainingConfig
 
 
 def _conv_preset():
@@ -146,7 +147,7 @@ class TestPrefetcherUnit:
             return batch * 2.0, 2, 2
 
         try:
-            prefetcher.offer_recipe("im2col", "conv1", 3, lower)
+            prefetcher.offer_recipe("conv1", 3, lower)
             prefetcher.submit(1, data)
             deadline = time.monotonic() + 5.0
             while len(cache) == 0 and time.monotonic() < deadline:
@@ -155,7 +156,7 @@ class TestPrefetcherUnit:
             prefetcher.close()
         assert len(cache) == 1
         entry = cache.get_or_compute(
-            ("im2col", "conv1", 3, 1), lambda: pytest.fail("expected a cache hit")
+            ("conv1", 3, 1), lambda: pytest.fail("expected a cache hit")
         )
         np.testing.assert_array_equal(entry[0], data * 2.0)
         assert entry[1:] == (2, 2)
@@ -170,26 +171,31 @@ class TestPrefetcherUnit:
     def test_first_recipe_wins(self):
         prefetcher = _LoweringPrefetcher(LoweringCache())
         first = lambda batch: (batch, 1, 1)  # noqa: E731
-        prefetcher.offer_recipe("im2col", "conv1", 8, first)
-        prefetcher.offer_recipe("im2col_t", "conv2", 16, lambda batch: (batch, 9, 9))
-        assert prefetcher._recipe == ("im2col", "conv1", 8, first)
+        prefetcher.offer_recipe("conv1", 8, first)
+        prefetcher.offer_recipe("conv2", 16, lambda batch: (batch, 9, 9))
+        assert prefetcher._recipe == ("conv1", 8, first)
 
 
 class TestEvaluatorPrefetch:
+    # Eval batches are ``batch_size * 4`` = 16 rows.
+    CONFIG = TrainingConfig(batch_size=4)
+
     def test_prefetch_on_off_accuracies_identical(self, image_bundle, enabled_metrics):
         model = _small_cnn(image_bundle)
         mask_sets = _cnn_mask_sets(image_bundle)
         num_batches = -(-len(image_bundle.test) // 16)
         assert num_batches > 1  # otherwise prefetch has nothing to overlap
 
-        on = BatchedFaultEvaluator(
-            model, mask_sets, lowering_cache=LoweringCache(), prefetch=True
-        ).evaluate_accuracy(image_bundle.test, batch_size=16)
+        on = evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, self.CONFIG,
+            lowering_cache=LoweringCache(), prefetch=True,
+        )
         on_counters = _lowering_counters()
         metrics.reset()
-        off = BatchedFaultEvaluator(
-            model, mask_sets, lowering_cache=LoweringCache(), prefetch=False
-        ).evaluate_accuracy(image_bundle.test, batch_size=16)
+        off = evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, self.CONFIG,
+            lowering_cache=LoweringCache(), prefetch=False,
+        )
         off_counters = _lowering_counters()
 
         assert on == off
@@ -201,24 +207,41 @@ class TestEvaluatorPrefetch:
         assert off_counters.get("misses", 0) == num_batches
         assert "prefetched" not in off_counters
 
-    def test_prefetch_disabled_spawns_no_thread(self, image_bundle):
+    def test_prefetch_disabled_spawns_no_thread(self, image_bundle, monkeypatch):
+        import repro.accelerator.batched as batched_module
+
+        started = []
+
+        class RecordingPrefetcher(_LoweringPrefetcher):
+            def __init__(self, cache):
+                started.append(cache)
+                super().__init__(cache)
+
+        monkeypatch.setattr(batched_module, "_LoweringPrefetcher", RecordingPrefetcher)
         model = _small_cnn(image_bundle)
-        evaluator = BatchedFaultEvaluator(model, _cnn_mask_sets(image_bundle), prefetch=False)
-        evaluator.evaluate_accuracy(image_bundle.test, batch_size=16)
-        assert evaluator._prefetcher is None
+        mask_sets = _cnn_mask_sets(image_bundle)
+        evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, self.CONFIG, prefetch=False
+        )
+        assert started == []
+        evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, self.CONFIG, prefetch=True
+        )
+        assert len(started) == 1
 
 
 class TestWidenedEval:
-    def _train(self, bundle, widened, backend=None):
+    CONFIG = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
+
+    def _train(self, bundle, backend=None):
         model = _small_cnn(bundle)
         trainer = BatchedFaultTrainer(
             model,
             _cnn_mask_sets(bundle),
             bundle.train,
             bundle.test,
-            config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
+            config=self.CONFIG,
             backend=backend,
-            widened_eval=widened,
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5, 1.0])
         states = [trainer.chip_state_dict(i) for i in range(3)]
@@ -229,6 +252,8 @@ class TestWidenedEval:
         self, image_bundle, backend, monkeypatch
     ):
         """Stacking C checkpoints into one widened GEMM changes nothing."""
+        import repro.accelerator.batched as batched_module
+
         widened_calls = []
         original = BatchedFaultTrainer._evaluate_snapshots_widened
 
@@ -237,12 +262,13 @@ class TestWidenedEval:
             return original(self, snapshots)
 
         monkeypatch.setattr(BatchedFaultTrainer, "_evaluate_snapshots_widened", counting)
-        wide_histories, wide_states = self._train(image_bundle, widened=True, backend=backend)
+        wide_histories, wide_states = self._train(image_bundle, backend=backend)
         # 3 deferred passes (initial + two checkpoints) ran as one widened GEMM.
         assert widened_calls == [3]
-        plain_histories, plain_states = self._train(
-            image_bundle, widened=False, backend=backend
-        )
+        # Over the float cap every checkpoint evaluates in its own pass.
+        monkeypatch.setattr(batched_module, "WIDENED_EVAL_MAX_FLOATS", 0)
+        plain_histories, plain_states = self._train(image_bundle, backend=backend)
+        assert widened_calls == [3]
         _assert_histories_equal(wide_histories, plain_histories)
         for wide, plain in zip(wide_states, plain_states):
             assert set(wide) == set(plain)
@@ -250,13 +276,22 @@ class TestWidenedEval:
                 np.testing.assert_array_equal(wide[name], plain[name])
 
     def test_falls_back_per_snapshot_over_the_float_cap(self, image_bundle, monkeypatch):
-        """Snapshots too large to concatenate still evaluate identically."""
+        """Snapshots too large to concatenate evaluate like serial runs."""
         import repro.accelerator.batched as batched_module
 
-        plain_histories, _ = self._train(image_bundle, widened=False)
+        serial_histories = [
+            Trainer(
+                _small_cnn(image_bundle),
+                image_bundle.train,
+                image_bundle.test,
+                config=self.CONFIG,
+                masks=masks,
+            ).train(1.0, eval_checkpoints=[0.5, 1.0])
+            for masks in _cnn_mask_sets(image_bundle)
+        ]
         monkeypatch.setattr(batched_module, "WIDENED_EVAL_MAX_FLOATS", 0)
-        capped_histories, _ = self._train(image_bundle, widened=True)
-        _assert_histories_equal(capped_histories, plain_histories)
+        capped_histories, _ = self._train(image_bundle)
+        _assert_histories_equal(capped_histories, serial_histories)
 
     def test_single_checkpoint_run_is_not_deferred(self, image_bundle, monkeypatch):
         """The campaign path (one final checkpoint, no initial) stays inline."""
@@ -272,8 +307,7 @@ class TestWidenedEval:
             _cnn_mask_sets(image_bundle),
             image_bundle.train,
             image_bundle.test,
-            config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            widened_eval=True,
+            config=self.CONFIG,
         )
         trainer.train(0.25, include_initial=False)
         # The final drain ran, but with zero deferred snapshots: the single
@@ -417,6 +451,28 @@ class TestSweepLoweringReuse:
         assert two_arms["misses"] == one_arm["misses"]
         assert two_arms["hits"] > one_arm["hits"]
 
+    def test_step3_checkpoint_eval_hits_triage_lowerings(
+        self, conv_context, conv_population, enabled_metrics
+    ):
+        """Triage and Step-3 checkpoint evals share one lowering layout and
+        one cache key per test batch: retraining after triage adds no cache
+        entry and misses nothing.  Prefetch is off so the hit/miss split is
+        deterministic."""
+        framework = conv_context.framework()
+        framework.eval_pipeline = EvalPipeline(prefetch=False)
+        cache = framework.eval_pipeline.cache
+        triage = framework.triage_population(conv_population)
+        lowered = len(cache)
+        assert lowered > 0
+        metrics.reset()
+        framework.retrain_chips_batched(
+            list(conv_population), 0.25, accuracies_before=triage
+        )
+        counters = _lowering_counters()
+        assert len(cache) == lowered
+        assert counters.get("misses", 0) == 0
+        assert counters["hits"] > 0
+
     def test_cache_bytes_gauge_tracks_shared_cache(
         self, conv_population, enabled_metrics
     ):
@@ -438,7 +494,6 @@ class TestEvalPipelineConfig:
     def test_defaults(self):
         pipeline = EvalPipeline()
         assert pipeline.prefetch is True
-        assert pipeline.widened_eval is True
         assert pipeline.cache.max_bytes == int(128.0 * 1024 * 1024)
 
     def test_configure_updates_in_place(self):
