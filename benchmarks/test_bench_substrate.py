@@ -382,8 +382,8 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 
     ``pipelined=False`` is the eager eval path — no prefetch thread and a
     zero-byte cache, so every eval pass re-lowers every eval batch.
-    ``pipelined=True`` is the default path.  Both defer the checkpoints into
-    one widened multi-checkpoint pass.
+    ``pipelined=True`` is the default path.  Both defer the checkpoints and
+    evaluate one pass per distinct optimizer step.
     """
     from repro.accelerator.batched import BatchedFaultTrainer, LoweringCache
 
@@ -408,9 +408,9 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
     """Unpipelined multi-checkpoint eval: 8 chips x 5 checkpoints.
 
-    No prefetch thread and no lowering cache: the deferred widened pass
-    re-lowers every eval batch on its own thread — the comparator for the
-    pipelined benchmark below.
+    No prefetch thread and no lowering cache: every deferred per-snapshot
+    pass re-lowers every eval batch on its own thread — the comparator for
+    the pipelined benchmark below.
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -426,9 +426,9 @@ def test_bench_checkpoint_eval_pipelined_8chips(benchmark, fast_context):
 
     Checkpoints snapshot the stacked weights; at 10 train batches per epoch
     the 5 checkpoints quantize to 2 unique optimizer steps, so the deferred
-    pass evaluates 2 snapshots as one widened (2*8)-chip GEMM over lowerings
-    cached once (and prefetched in the background); results are
-    bit-identical to the baseline (see tests/test_pipelined_eval.py).
+    drain runs 2 eight-chip passes over lowerings cached once by the first
+    (and prefetched in the background); results are bit-identical to the
+    baseline (see tests/test_pipelined_eval.py).
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)

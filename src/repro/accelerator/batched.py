@@ -1,7 +1,7 @@
 """Batched multi-chip evaluation and retraining for B fault-masked chips.
 
 Retraining and evaluating a population of faulty chips is the dominant cost
-of the Reduce flow: Step-1 trial baselines, Step-2.5 population triage and
+of the Reduce flow: Step-1 resilience trials, Step-2.5 population triage and
 every Step-3 retraining run (with its accuracy checkpoints) need "the DNN
 under chip b's fault masks" for many chips.  Under the weight-stationary
 mapping both FAP (Zhang et al., VTS 2018) and SalvageDNN-style permutations
@@ -16,23 +16,27 @@ stacked kernel.  Two regimes are exploited:
 * **Shared prefix.** Until the first stacked layer, activations are
   identical for every chip, so the input batch is *not* replicated: the
   first stacked layer lowers its input once (one im2col) and multiplies it
-  against all B weight sets in a single wide GEMM.
+  against all B weight sets in a single wide GEMM.  Every eval pass, and
+  every training step of chips that share one seed, runs this way.
 * **Folded suffix.** Downstream of the first stacked layer the activations
   diverge per chip; they are carried with a folded ``(B * batch, ...)``
   leading axis and each layer applies stacked per-chip GEMMs.
   Parameter-free per-sample layers (activations, pooling, flatten) run
-  unmodified on folded tensors.
+  unmodified on folded tensors.  Chips with distinct seeds each draw their
+  own mini-batches, so their training steps are folded from the input on.
 
-Fault-aware retraining (FAT) of B chips that share their training data,
-hyper-parameters and seed runs as one folded training loop with per-chip
-optimizer state and stacked float32 keep-multiplier mask enforcement; its
-eval forward (:meth:`BatchedFaultTrainer.evaluate`) serves the checkpoint
-evaluations and, through :func:`evaluate_chip_accuracies`, every
-forward-only population evaluation.  Chip ``b``'s slice of every stacked
-GEMM presents the same operands to BLAS as the serial per-chip pass, so
-weights, losses and accuracies are bit-identical to B serial ``Trainer``
-runs on a given BLAS build (tests/test_batched_fat.py and
-tests/test_batched_eval.py pin this).
+Fault-aware retraining (FAT) of B chips that share their training data and
+hyper-parameters runs as one folded training loop with per-chip optimizer
+state and stacked float32 keep-multiplier mask enforcement.  Each chip's
+data stream (mini-batch order and dropout noise) follows its own seed: one
+shared stream when all seeds agree (Step 3), one stream per chip otherwise
+(Step-1 trials).  The eval forward (:meth:`BatchedFaultTrainer.evaluate`)
+serves the checkpoint evaluations and, through
+:func:`evaluate_chip_accuracies`, every forward-only population evaluation.
+Chip ``b``'s slice of every stacked GEMM presents the same operands to BLAS
+as the serial per-chip pass, so weights, losses and accuracies are
+bit-identical to B serial ``Trainer`` runs on a given BLAS build
+(tests/test_batched_fat.py and tests/test_batched_eval.py pin this).
 """
 
 from __future__ import annotations
@@ -693,11 +697,16 @@ class _StackedNllLossFunction(Function):
             )
         per_chip = total_rows // num_chips
         targets = np.asarray(targets).astype(np.int64).reshape(-1)
-        if targets.shape[0] != per_chip:
+        # Shared targets (one batch for every chip) or folded per-chip ones.
+        if targets.shape[0] == per_chip:
+            tiled = np.tile(targets, num_chips)
+        elif targets.shape[0] == total_rows:
+            tiled = targets
+        else:
             raise ValueError(
-                f"targets length {targets.shape[0]} does not match per-chip batch {per_chip}"
+                f"targets length {targets.shape[0]} matches neither the per-chip "
+                f"batch {per_chip} nor the folded batch {total_rows}"
             )
-        tiled = np.tile(targets, num_chips)
         picked = log_probs[np.arange(total_rows), tiled].reshape(num_chips, per_chip)
         # Serial: -picked.mean() per chip; mean over each contiguous row uses
         # the same pairwise reduction as the standalone serial vector.
@@ -750,7 +759,11 @@ def stacked_cross_entropy(
     num_chips: int,
     label_smoothing: float = 0.0,
 ) -> nn.Tensor:
-    """Per-chip cross-entropy of folded ``(B * n, C)`` logits: a ``(B,)`` tensor."""
+    """Per-chip cross-entropy of folded ``(B * n, C)`` logits: a ``(B,)`` tensor.
+
+    ``targets`` holds either the ``n`` labels every chip shares or the
+    folded ``B * n`` labels of per-chip batches.
+    """
     log_probs = logits.log_softmax(axis=-1)
     return _StackedNllLossFunction.apply(
         log_probs, np.asarray(targets), num_chips, float(label_smoothing)
@@ -902,14 +915,6 @@ class _StackedLayer:
             )
 
 
-# Upper bound on the summed stacked-parameter floats a widened multi-
-# checkpoint eval may concatenate (64 M float32 = 256 MB of weight stacks;
-# folded activations scale with the same C * B factor, so this doubles as a
-# proxy cap on them).  Over the cap, deferred checkpoints evaluate one at a
-# time — a memory fallback, never a correctness change.
-WIDENED_EVAL_MAX_FLOATS = 64 * 1024 * 1024
-
-
 @dataclasses.dataclass
 class _EvalSnapshot:
     """Stacked weights + metadata of one deferred checkpoint evaluation."""
@@ -924,30 +929,31 @@ class _EvalSnapshot:
     norm_means: List[np.ndarray]
     norm_vars: List[np.ndarray]
 
-    @property
-    def num_floats(self) -> int:
-        arrays: List[Optional[np.ndarray]] = [
-            *self.layer_weights, *self.layer_biases, *self.norm_weights,
-            *self.norm_biases, *self.norm_means, *self.norm_vars,
-        ]
-        return sum(a.size for a in arrays if a is not None)
-
 
 class BatchedFaultTrainer:
     """Fault-aware retraining of B chips in one batched training loop.
 
     Mirrors :class:`repro.training.Trainer` for B chips that share the same
     starting weights (the model's current state), training data, hyper-
-    parameters, seed and epoch budget but differ in their fault masks: every
-    optimizer step runs one folded forward/backward in which each GEMM is
-    stacked over chips, followed by per-chip optimizer updates on the stacked
-    parameters (the optimizer's elementwise update math over a ``(B, ...)``
-    stack *is* B independent per-chip updates; gradient clipping is the only
-    cross-element op and uses :func:`repro.nn.optim.clip_grad_norm_per_chip`).
+    parameters and epoch budget but differ in their fault masks and,
+    optionally, their seeds: every optimizer step runs one folded
+    forward/backward in which each GEMM is stacked over chips, followed by
+    per-chip optimizer updates on the stacked parameters (the optimizer's
+    elementwise update math over a ``(B, ...)`` stack *is* B independent
+    per-chip updates; gradient clipping is the only cross-element op and uses
+    :func:`repro.nn.optim.clip_grad_norm_per_chip`).
 
-    Exact serial equivalence: given the same :class:`TrainingConfig`, chip
-    ``b``'s weights, losses and accuracies are bit-identical to a serial
-    ``Trainer(model, ..., masks=mask_sets[b])`` run on this BLAS build
+    ``seeds`` gives one training seed per chip (default: ``config.seed`` for
+    every chip).  Chips with one common seed share one data stream, so each
+    step feeds the un-replicated batch through the shared prefix.  Distinct
+    seeds give every chip its own train loader and dropout generators, seeded
+    exactly as a serial ``Trainer`` with that seed seeds them, and each step
+    feeds the chips' folded ``(B * n, ...)`` batches; evaluation input is
+    still shared, so eval passes keep the shared prefix and lowering cache.
+
+    Exact serial equivalence: chip ``b``'s weights, losses and accuracies are
+    bit-identical to a serial ``Trainer(model, ..., masks=mask_sets[b])`` run
+    whose config carries chip ``b``'s seed, on this BLAS build
     (tests/test_batched_fat.py pins this).  The model itself is never
     modified: stacked copies are trained, and per-chip results are read back
     with :meth:`chip_state_dict`.
@@ -956,9 +962,10 @@ class BatchedFaultTrainer:
     GEMMs), ``BatchNorm1d/2d`` (stacked per-chip gamma/beta and running
     statistics with per-chip-fold batch statistics — see
     :class:`_StackedBatchNormFunction`), parameter-free per-sample layers
-    (activations, pooling, flatten) and ``Dropout`` (shared noise, drawn
-    from the same trainer-seeded stream as the serial runs).  Only unknown
-    user-defined parametric layers raise :class:`UnsupportedModelError`.
+    (activations, pooling, flatten) and ``Dropout`` (noise drawn from each
+    data stream's trainer-seeded generators, as in the serial runs).  Only
+    unknown user-defined parametric layers raise
+    :class:`UnsupportedModelError`.
 
     The trainer is also the forward-only population evaluator: constructing
     it and calling :meth:`evaluate` without training is what
@@ -975,6 +982,7 @@ class BatchedFaultTrainer:
         backend: Optional[Union[str, Backend]] = None,
         lowering_cache: Optional[LoweringCache] = None,
         prefetch: bool = True,
+        seeds: Optional[Sequence[int]] = None,
     ) -> None:
         from repro.training import (
             TrainingConfig,
@@ -995,15 +1003,31 @@ class BatchedFaultTrainer:
         self.model = model
         self.config = config if config is not None else TrainingConfig()
         self.num_chips = len(mask_sets)
-        self.train_loader = _as_loader(
-            train_data,
-            batch_size=self.config.batch_size,
-            shuffle=self.config.shuffle,
-            seed=derive_seed(self.config.seed, "train-loader"),
-        )
-        require_nonempty_train_loader(self.train_loader)
+        seeds = [self.config.seed] * self.num_chips if seeds is None else list(seeds)
+        if len(seeds) != self.num_chips:
+            raise ValueError(f"got {len(seeds)} seeds for {self.num_chips} chips")
+        # One data stream (train loader + dropout generators) per distinct
+        # seed: a single shared stream when every chip has the same seed,
+        # otherwise one stream per chip.
+        self._per_chip_streams = len(set(seeds)) > 1
+        stream_seeds = seeds if self._per_chip_streams else seeds[:1]
+        if self._per_chip_streams and isinstance(train_data, DataLoader):
+            raise ValueError(
+                "per-chip seeds need a Dataset to build one train loader per chip, "
+                "not a DataLoader"
+            )
+        self._train_loaders = [
+            _as_loader(
+                train_data,
+                batch_size=self.config.batch_size,
+                shuffle=self.config.shuffle,
+                seed=derive_seed(seed, "train-loader"),
+            )
+            for seed in stream_seeds
+        ]
+        require_nonempty_train_loader(self._train_loaders[0])
         self.eval_data = eval_data
-        self.batches_per_epoch = len(self.train_loader)
+        self.batches_per_epoch = len(self._train_loaders[0])
         self.steps_taken = 0
         # True while the current forward pass is still on the shared
         # (un-replicated) input; flipped by the first stacked layer.
@@ -1123,8 +1147,12 @@ class BatchedFaultTrainer:
         self._masked_layers = [layer for layer in self._layers if layer.keep is not None]
         self.optimizer = self.config.build_optimizer(parameters)
         # Dropout draws from trainer-seeded per-layer generators, exactly as
-        # each serial Trainer with this config would reseed them.
-        seed_stochastic_layers(self.model, self.config.seed)
+        # each serial Trainer with the stream's seed would reseed them:
+        # ``_dropout_rngs[stream][i]`` feeds ``_dropouts[i]``.
+        self._dropout_rngs: List[List[np.random.Generator]] = []
+        for seed in stream_seeds:
+            seed_stochastic_layers(self.model, seed)
+            self._dropout_rngs.append([module._rng for module in self._dropouts])
         # Base state for chip_state_dict (stacked slices override trainables).
         self._base_state = model.state_dict()
 
@@ -1265,20 +1293,29 @@ class BatchedFaultTrainer:
 
         return stacked_bn_eval
 
-    def _dropout_forward(self, module: nn.Module):
+    def _dropout_forward(self, index: int, module: nn.Module):
         def forward(x: nn.Tensor) -> nn.Tensor:
             if not module.training or module.p == 0.0:
                 return x
+            rngs = [stream[index] for stream in self._dropout_rngs]
             if self._shared_prefix:
-                # Shared input: one draw, exactly the serial call.
-                return F.dropout(x, module.p, training=True, rng=module._rng)
-            # Folded activations: draw the per-sample mask once (the same
-            # stream position as each serial run) and tile it over chips.
+                # Shared input (hence one shared stream): one draw, exactly
+                # the serial call.
+                return F.dropout(x, module.p, training=True, rng=rngs[0])
+            # Folded activations: each stream draws its per-sample mask at the
+            # same position as its serial run; one shared stream is tiled
+            # over chips.
             per_chip = x.shape[0] // self.num_chips
             shape = (per_chip,) + x.shape[1:]
-            mask = (module._rng.random(shape) >= module.p).astype(x.dtype) / (1.0 - module.p)
-            tiled = np.tile(mask, (self.num_chips,) + (1,) * (x.ndim - 1))
-            return x * tiled
+            masks = [
+                (rng.random(shape) >= module.p).astype(x.dtype) / (1.0 - module.p)
+                for rng in rngs
+            ]
+            if len(masks) == 1:
+                folded = np.tile(masks[0], (self.num_chips,) + (1,) * (x.ndim - 1))
+            else:
+                folded = np.concatenate(masks)
+            return x * folded
 
         return forward
 
@@ -1308,10 +1345,10 @@ class BatchedFaultTrainer:
                     )
                 object.__setattr__(norm.module, "forward", self._norm_forward(norm))
                 patched.append(norm.module)
-            for module in self._dropouts:
+            for index, module in enumerate(self._dropouts):
                 if "forward" in module.__dict__:
                     raise RuntimeError("dropout layer already has a patched forward")
-                object.__setattr__(module, "forward", self._dropout_forward(module))
+                object.__setattr__(module, "forward", self._dropout_forward(index, module))
                 patched.append(module)
             yield
         finally:
@@ -1331,8 +1368,15 @@ class BatchedFaultTrainer:
             "fat.train_steps", steps=num_steps, chips=self.num_chips
         ), self._patched():
             while remaining > 0:
-                for inputs, targets in self.train_loader:
-                    self._shared_prefix = True
+                for batches in zip(*self._train_loaders):
+                    if self._per_chip_streams:
+                        # Each chip's own batch, folded: no shared prefix.
+                        inputs = nn.Tensor(np.concatenate([x.data for x, _ in batches]))
+                        targets = np.concatenate([y for _, y in batches])
+                        self._shared_prefix = False
+                    else:
+                        inputs, targets = batches[0]
+                        self._shared_prefix = True
                     logits = self.model(inputs)
                     step_losses = stacked_cross_entropy(
                         logits, targets, self.num_chips,
@@ -1383,15 +1427,9 @@ class BatchedFaultTrainer:
         )
 
     def evaluate(self) -> List[float]:
-        """Per-chip top-1 accuracy on the eval data (mirrors ``Trainer.evaluate``)."""
-        return self._evaluate_batched(chain_cache=self._eval_chain_cache)
+        """Per-chip top-1 accuracy on the eval data (mirrors ``Trainer.evaluate``).
 
-    def _evaluate_batched(self, chain_cache: Optional[ChainCache]) -> List[float]:
-        """One batched eval pass over the (current) stacked weights.
-
-        ``chain_cache`` is the captured-graph cache matching the *current*
-        ``self.num_chips`` — the widened multi-checkpoint pass supplies its
-        own (captured graphs bake the chip count into their kernels).
+        One batched eval pass over the current stacked weights.
         """
         from repro.training import _as_eval_loader
 
@@ -1418,10 +1456,12 @@ class BatchedFaultTrainer:
                     data = inputs.data
                     self._prefetch_probe = data
                     n = data.shape[0]
-                    if chain_cache is None:
+                    if self._eval_chain_cache is None:
                         logits = self._eval_forward_all_chips(data)
                     else:
-                        logits = chain_cache.run((data,), self._eval_forward_all_chips)
+                        logits = self._eval_chain_cache.run(
+                            (data,), self._eval_forward_all_chips
+                        )
                     predictions = logits.argmax(axis=-1)
                     correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
                     total += n
@@ -1438,7 +1478,7 @@ class BatchedFaultTrainer:
             return [0.0] * self.num_chips
         return [int(c) / total for c in correct]
 
-    # -- widened multi-checkpoint evaluation ---------------------------------
+    # -- deferred checkpoint evaluation --------------------------------------
 
     def _snapshot_stacks(
         self, epochs: float, steps: int, train_losses: np.ndarray
@@ -1460,157 +1500,63 @@ class BatchedFaultTrainer:
         )
 
     @contextlib.contextmanager
-    def _stacks_swapped(
-        self,
-        num_chips: int,
-        layer_weights: List[np.ndarray],
-        layer_biases: List[Optional[np.ndarray]],
-        norm_weights: List[np.ndarray],
-        norm_biases: List[np.ndarray],
-        norm_means: List[np.ndarray],
-        norm_vars: List[np.ndarray],
-    ):
-        """Temporarily present other stacked arrays (and chip count) as live.
+    def _stacks_swapped(self, snapshot: _EvalSnapshot):
+        """Temporarily present a snapshot's stacked arrays as live.
 
         The batched forwards — and captured eval graphs, whose parameter
         references read ``.data`` at replay time — all consult the layer
         objects live, so swapping the arrays re-points every kernel without
         re-patching anything.  Restores the training stacks on exit.
         """
-        saved_chips = self.num_chips
         saved_layer = [(layer.weight.data, None if layer.bias is None else layer.bias.data)
                        for layer in self._layers]
         saved_norm = [(norm.weight.data, norm.bias.data, norm.running_mean, norm.running_var)
                       for norm in self._norm_layers]
-        try:
-            self.num_chips = num_chips
-            for layer, weight, bias in zip(self._layers, layer_weights, layer_biases):
+
+        def present(layer_arrays, norm_arrays) -> None:
+            for layer, (weight, bias) in zip(self._layers, layer_arrays):
                 layer.weight.data = weight
                 if layer.bias is not None:
                     layer.bias.data = bias
-            for norm, weight, bias, mean, var in zip(
-                self._norm_layers, norm_weights, norm_biases, norm_means, norm_vars
-            ):
+            for norm, (weight, bias, mean, var) in zip(self._norm_layers, norm_arrays):
                 norm.weight.data = weight
                 norm.bias.data = bias
                 norm.running_mean = mean
                 norm.running_var = var
+
+        try:
+            present(
+                zip(snapshot.layer_weights, snapshot.layer_biases),
+                zip(snapshot.norm_weights, snapshot.norm_biases,
+                    snapshot.norm_means, snapshot.norm_vars),
+            )
             yield
         finally:
-            self.num_chips = saved_chips
-            for layer, (weight, bias) in zip(self._layers, saved_layer):
-                layer.weight.data = weight
-                if layer.bias is not None:
-                    layer.bias.data = bias
-            for norm, (weight, bias, mean, var) in zip(self._norm_layers, saved_norm):
-                norm.weight.data = weight
-                norm.bias.data = bias
-                norm.running_mean = mean
-                norm.running_var = var
+            present(saved_layer, saved_norm)
 
     def _evaluate_snapshots(
         self, snapshots: List[_EvalSnapshot]
     ) -> List[Tuple[_EvalSnapshot, List[float]]]:
-        """Evaluate deferred checkpoint snapshots, widened where feasible.
+        """Evaluate deferred checkpoint snapshots, one pass per optimizer step.
 
-        C snapshots of the same B-chip population stack into one
-        ``(C * B)``-chip evaluation pass — every stacked GEMM widens from B
-        to C·B slices, each im2col lowering is shared by all C checkpoints,
-        and the whole thing is one loader walk instead of C.  Per-checkpoint
-        results are exact unstacked row blocks: chip slices of the widened
-        GEMMs are bit-identical to the B-chip pass (the same per-slice
-        identity the batched substrate already rests on).
+        Checkpoints that quantized to the same optimizer step (fine epoch
+        grids at small batches-per-epoch counts do this constantly) carry
+        identical stacked weights — no training step ran between them — so
+        one evaluation pass serves every alias.  This is what makes eval cost
+        sublinear in the checkpoint count.  Each unique snapshot is then
+        evaluated by swapping its stacks in for one :meth:`evaluate` pass;
+        all passes walk the same eval batches, so from the second on every
+        shared-prefix lowering is a cache hit.
         """
-        if not snapshots:
-            return []
-        # Checkpoints that quantized to the same optimizer step (fine epoch
-        # grids at small batches-per-epoch counts do this constantly) carry
-        # identical stacked weights — no training step ran between them — so
-        # one evaluation pass serves every alias.  This is what makes eval
-        # cost sublinear in the checkpoint count.
-        unique: List[_EvalSnapshot] = []
-        seen_steps: Dict[int, int] = {}
+        accuracies_by_step: Dict[int, List[float]] = {}
         for snapshot in snapshots:
-            if snapshot.steps not in seen_steps:
-                seen_steps[snapshot.steps] = len(unique)
-                unique.append(snapshot)
-        if metrics.enabled and len(unique) < len(snapshots):
-            metrics.counter("fat.eval.checkpoints_deduped").inc(
-                len(snapshots) - len(unique)
-            )
-        if len(unique) < len(snapshots):
-            evaluated = self._evaluate_snapshots(unique)
-            by_steps = {snap.steps: accuracies for snap, accuracies in evaluated}
-            return [(snapshot, by_steps[snapshot.steps]) for snapshot in snapshots]
-        total_floats = sum(snapshot.num_floats for snapshot in snapshots)
-        if len(snapshots) > 1 and total_floats <= WIDENED_EVAL_MAX_FLOATS:
-            return self._evaluate_snapshots_widened(snapshots)
-        results: List[Tuple[_EvalSnapshot, List[float]]] = []
-        for snapshot in snapshots:
-            with self._stacks_swapped(
-                self.num_chips,
-                snapshot.layer_weights,
-                snapshot.layer_biases,
-                snapshot.norm_weights,
-                snapshot.norm_biases,
-                snapshot.norm_means,
-                snapshot.norm_vars,
-            ):
-                results.append(
-                    (snapshot, self._evaluate_batched(chain_cache=self._eval_chain_cache))
-                )
-        return results
-
-    def _evaluate_snapshots_widened(
-        self, snapshots: List[_EvalSnapshot]
-    ) -> List[Tuple[_EvalSnapshot, List[float]]]:
-        count = len(snapshots)
-        base = self.num_chips
-        layer_weights = [
-            np.concatenate([s.layer_weights[i] for s in snapshots], axis=0)
-            for i in range(len(self._layers))
-        ]
-        layer_biases: List[Optional[np.ndarray]] = [
-            None
-            if self._layers[i].bias is None
-            else np.concatenate([s.layer_biases[i] for s in snapshots], axis=0)
-            for i in range(len(self._layers))
-        ]
-        norm_weights = [
-            np.concatenate([s.norm_weights[i] for s in snapshots], axis=0)
-            for i in range(len(self._norm_layers))
-        ]
-        norm_biases = [
-            np.concatenate([s.norm_biases[i] for s in snapshots], axis=0)
-            for i in range(len(self._norm_layers))
-        ]
-        norm_means = [
-            np.concatenate([s.norm_means[i] for s in snapshots], axis=0)
-            for i in range(len(self._norm_layers))
-        ]
-        norm_vars = [
-            np.concatenate([s.norm_vars[i] for s in snapshots], axis=0)
-            for i in range(len(self._norm_layers))
-        ]
-        # Captured graphs bake the chip count into their kernels, so the
-        # widened pass must not replay ``_eval_chain_cache`` (captured at B
-        # chips): it captures its own C*B-chip graph.
-        chain_cache = (
-            ChainCache(self._backend, name="fat.eval_widened")
-            if self._backend is not None
-            else None
-        )
-        with trace.span(
-            "fat.eval_widened", checkpoints=count, chips=base
-        ), self._stacks_swapped(
-            count * base, layer_weights, layer_biases,
-            norm_weights, norm_biases, norm_means, norm_vars,
-        ):
-            flat = self._evaluate_batched(chain_cache=chain_cache)
-        return [
-            (snapshot, flat[c * base:(c + 1) * base])
-            for c, snapshot in enumerate(snapshots)
-        ]
+            if snapshot.steps in accuracies_by_step:
+                if metrics.enabled:
+                    metrics.counter("fat.eval.checkpoints_deduped").inc()
+                continue
+            with self._stacks_swapped(snapshot):
+                accuracies_by_step[snapshot.steps] = self.evaluate()
+        return [(snapshot, accuracies_by_step[snapshot.steps]) for snapshot in snapshots]
 
     def train(
         self,
@@ -1624,17 +1570,15 @@ class BatchedFaultTrainer:
         same cumulative epoch checkpoints, the same step accounting, and per-
         chip records whose accuracies and losses equal the serial runs'.
 
-        With more than one checkpoint, per-checkpoint evaluations are deferred: each checkpoint snapshots
-        the stacked weights and statistics, training continues uninterrupted,
-        and all C snapshots then evaluate in one widened ``(C * B)``-chip
-        pass (see :meth:`_evaluate_snapshots`).  Checkpoints that quantize
-        to the same optimizer step share one evaluation — their weights are
-        identical — so the deferred pass is sublinear in the checkpoint
-        count for fine epoch grids.  Histories are identical
-        either way — evaluation never mutates training state (it runs under
-        ``no_grad`` on fixed weights over the unshuffled eval loader), so the
-        training step sequence, RNG streams and recorded accuracies all
-        match the interleaved schedule bit for bit.
+        With more than one checkpoint, per-checkpoint evaluations are
+        deferred: each checkpoint snapshots the stacked weights and
+        statistics, training continues uninterrupted, and the snapshots are
+        evaluated after the last step, one pass per distinct optimizer step
+        (see :meth:`_evaluate_snapshots`).  Histories are identical to the
+        interleaved schedule — evaluation never mutates training state (it
+        runs under ``no_grad`` on fixed weights over the unshuffled eval
+        loader), so the training step sequence, RNG streams and recorded
+        accuracies all match bit for bit.
         """
         from repro.training import CheckpointRecord, TrainingHistory, epochs_to_steps
 
@@ -1737,10 +1681,11 @@ def evaluate_chip_accuracies(
 ) -> List[float]:
     """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.
 
-    The forward-only population evaluation behind Step-1 trial baselines and
-    Step-2.5 triage: each chunk of up to ``chip_chunk`` mask sets is one
-    :meth:`BatchedFaultTrainer.evaluate` pass (the trainer only reads
-    ``data``, so it doubles as the never-iterated train set).  Peak memory is
+    The forward-only population evaluation behind Step-2.5 triage (and any
+    Step-3 initial accuracy triage did not supply): each chunk of up to
+    ``chip_chunk`` mask sets is one :meth:`BatchedFaultTrainer.evaluate` pass
+    (the trainer only reads ``data``, so it doubles as the never-iterated
+    train set).  Peak memory is
     bounded by ``chip_chunk`` stacked model copies plus the byte-capped
     :class:`LoweringCache`, regardless of population size.
 

@@ -295,6 +295,7 @@ class ReduceFramework:
                 self.bundle,
                 self.array,
                 self.config.resilience,
+                eval_pipeline=self.eval_pipeline,
             )
             self._profile = analyzer.run()
             self._clean_accuracy = self._profile.clean_accuracy
@@ -395,9 +396,10 @@ class ReduceFramework:
 
         The seed is shared across the whole population (not derived per chip):
         chips differ in their fault masks, not in their data — and a shared
-        mini-batch/dropout stream is what lets same-budget chips coalesce into
-        one :class:`BatchedFaultTrainer` run that is bit-identical to the
-        serial per-chip path.
+        mini-batch/dropout stream lets a same-budget chunk run as one
+        :class:`BatchedFaultTrainer` that lowers each training batch once for
+        all its chips (the shared prefix), bit-identical to the serial
+        per-chip path.
         """
         return dataclasses.replace(
             self.config.effective_retraining_config(),

@@ -7,6 +7,13 @@ random fault maps (trials), applies fault-aware pruning, and retrains the
 model *progressively*, recording accuracy at a set of epoch checkpoints
 (including very small fractional amounts, e.g. 0.05 epochs as in Fig. 2a of
 the paper).  The result is a :class:`~repro.core.profiles.ResilienceProfile`.
+
+Every trial is the pre-trained DNN under one fault map's masks, so the grid
+runs on the stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer`
+in stacks of :data:`TRIAL_STACK` cells.  Each trial keeps its own seed (its
+own mini-batch order and dropout noise) through the trainer's per-chip data
+streams, so the profile is bit-identical to retraining the cells one at a
+time through the serial :class:`~repro.training.Trainer`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.accelerator.batched import evaluate_chip_accuracies
+from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.fault_models import FaultModel, RandomFaultModel
 from repro.accelerator.systolic_array import SystolicArray
@@ -25,11 +32,21 @@ from repro.core.profiles import ResilienceProfile
 from repro.data.synthetic import DatasetBundle
 from repro.mitigation.fap import build_fap_masks
 from repro.nn.serialization import clone_state_dict
-from repro.training import Trainer, TrainingConfig, evaluate_accuracy
+from repro.training import TrainingConfig, evaluate_accuracy
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
 logger = get_logger("core.resilience")
+
+# Grid cells retrained together in one stacked trainer.  Per-chip data
+# streams fold every cell's own batch from the input on, so the shared
+# first-layer lowering is lost and memory grows by about 5 MB per stacked
+# cell on the fast preset.  Measured there (seed 1, one BLAS thread), the
+# tracemalloc peak of Step 1 is 22.1 MB at 4 cells per stack, 32.6 MB at 6
+# and 43.1 MB at 8, against 27.4 MB for serial per-cell retraining (not
+# counting the 8.2 MB of test-set lowerings Step 1 leaves in the shared
+# lowering cache, which triage and Step 3 would otherwise compute).
+TRIAL_STACK = 4
 
 
 @dataclasses.dataclass
@@ -72,7 +89,12 @@ class ResilienceConfig:
 
 
 class ResilienceAnalyzer:
-    """Runs the fault-injection + progressive-retraining grid of Step 1."""
+    """Runs the fault-injection + progressive-retraining grid of Step 1.
+
+    ``eval_pipeline`` supplies the shared lowering cache and prefetch
+    setting of the checkpoint evaluations, so a framework's Step 1, triage
+    and Step 3 lower each test batch once between them.
+    """
 
     def __init__(
         self,
@@ -81,12 +103,14 @@ class ResilienceAnalyzer:
         bundle: DatasetBundle,
         array: SystolicArray,
         config: Optional[ResilienceConfig] = None,
+        eval_pipeline: Optional[EvalPipeline] = None,
     ) -> None:
         self.model = model
         self.pretrained_state = clone_state_dict(pretrained_state)
         self.bundle = bundle
         self.array = array
         self.config = config if config is not None else ResilienceConfig()
+        self.eval_pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
 
     def _restore_pretrained(self) -> None:
         self.model.load_state_dict(self.pretrained_state)
@@ -99,67 +123,36 @@ class ResilienceAnalyzer:
         fault_map = config.fault_model.sample(self.array.rows, self.array.cols, fault_rate, rng)
         return trial_seed, fault_map
 
-    def _initial_accuracies(self, fault_maps: Sequence[FaultMap], chip_chunk: int = 16) -> List[float]:
-        """Zero-epoch accuracy of every trial's masked model, batched.
+    def _train_cells(self, cells: Sequence[Tuple[float, int]]) -> List[List[float]]:
+        """Accuracies at [0.0] + epoch_checkpoints of each (rate, trial) cell.
 
-        All trials start from the same pre-trained weights and differ only in
-        their fault masks, so their 0.0-epoch checkpoints are B masked
-        variants of one evaluation — exactly the stacked eval forward of
-        :func:`~repro.accelerator.batched.evaluate_chip_accuracies`, at the
-        serial trainers' eval batch size.  Masks are built (and released)
-        chunk by chunk to bound peak memory.
+        The cells retrain as one stacked run, each under its own trial seed
+        and fault map, starting from the pre-trained weights.
         """
-        accuracies: List[float] = []
-        self._restore_pretrained()
-        for start in range(0, len(fault_maps), chip_chunk):
-            mask_sets = [
-                build_fap_masks(self.model, fault_map)
-                for fault_map in fault_maps[start:start + chip_chunk]
-            ]
-            accuracies.extend(
-                evaluate_chip_accuracies(
-                    self.model, self.bundle.test, mask_sets, self.config.training,
-                    chip_chunk=chip_chunk,
-                )
-            )
-        return accuracies
-
-    def _run_trial(
-        self,
-        fault_rate: float,
-        trial_index: int,
-        fault_map: Optional[FaultMap] = None,
-        initial_accuracy: Optional[float] = None,
-    ) -> List[float]:
-        """Accuracies at [0.0] + epoch_checkpoints for one random fault map."""
         config = self.config
-        trial_seed = derive_seed(config.seed, "trial", f"{fault_rate:.6f}", trial_index)
-        if fault_map is None:
-            _, fault_map = self._trial_fault_map(fault_rate, trial_index)
-
+        seeds: List[int] = []
+        mask_sets = []
         self._restore_pretrained()
-        masks = build_fap_masks(self.model, fault_map)
-        training_config = dataclasses.replace(config.training, seed=trial_seed)
-        trainer = Trainer(
+        for fault_rate, trial_index in cells:
+            trial_seed, fault_map = self._trial_fault_map(fault_rate, trial_index)
+            seeds.append(trial_seed)
+            mask_sets.append(build_fap_masks(self.model, fault_map))
+        trainer = BatchedFaultTrainer(
             self.model,
+            mask_sets,
             self.bundle.train,
             self.bundle.test,
-            config=training_config,
-            masks=masks,
+            config=config.training,
+            lowering_cache=self.eval_pipeline.cache,
+            prefetch=self.eval_pipeline.prefetch,
+            seeds=seeds,
         )
-        if initial_accuracy is None:
-            history = trainer.train(
-                epochs=config.max_epochs,
-                eval_checkpoints=list(config.epoch_checkpoints),
-                include_initial=True,
-            )
-            return history.accuracies
-        history = trainer.train(
-            epochs=config.max_epochs,
+        histories = trainer.train(
+            config.max_epochs,
             eval_checkpoints=list(config.epoch_checkpoints),
-            include_initial=False,
+            include_initial=True,
         )
-        return [initial_accuracy] + history.accuracies
+        return [history.accuracies for history in histories]
 
     def run(self, progress: bool = False) -> ResilienceProfile:
         """Execute the full grid and return the resilience profile."""
@@ -171,44 +164,26 @@ class ResilienceAnalyzer:
         accuracies = np.zeros(
             (len(config.fault_rates), config.trials_per_rate, len(checkpoints)), dtype=float
         )
-        # Derive every trial's fault map up front, then evaluate all their
-        # 0.0-epoch checkpoints in batched multi-chip sweeps; the progressive
-        # retraining below skips its (serial) initial evaluation.
-        trial_grid = [
-            (rate_index, fault_rate, trial_index)
-            for rate_index, fault_rate in enumerate(config.fault_rates)
-            if fault_rate != 0.0
-            for trial_index in range(config.trials_per_rate)
-        ]
-        trial_maps = [
-            self._trial_fault_map(fault_rate, trial_index)[1]
-            for _, fault_rate, trial_index in trial_grid
-        ]
-        initial = self._initial_accuracies(trial_maps)
+        # A fault rate of exactly zero is deterministic: no faults, no
+        # retraining effect; trials would waste work, so evaluate once.
+        grid = []
         for rate_index, fault_rate in enumerate(config.fault_rates):
-            # A fault rate of exactly zero is deterministic: no faults, no
-            # retraining effect; trials would waste work, so evaluate once.
             if fault_rate == 0.0:
                 accuracies[rate_index, :, :] = clean_accuracy
-        for (rate_index, fault_rate, trial_index), fault_map, initial_accuracy in zip(
-            trial_grid, trial_maps, initial
-        ):
-            trial_accuracies = self._run_trial(
-                fault_rate, trial_index, fault_map=fault_map, initial_accuracy=initial_accuracy
-            )
-            if len(trial_accuracies) != len(checkpoints):
-                raise RuntimeError(
-                    "trial returned an unexpected number of checkpoints: "
-                    f"{len(trial_accuracies)} vs {len(checkpoints)}"
-                )
-            accuracies[rate_index, trial_index, :] = trial_accuracies
-            if progress:
-                logger.info(
-                    "resilience: rate=%.3f trial=%d final_acc=%.3f",
-                    fault_rate,
-                    trial_index,
-                    trial_accuracies[-1],
-                )
+            else:
+                grid.extend((rate_index, fault_rate, t) for t in range(config.trials_per_rate))
+        for start in range(0, len(grid), TRIAL_STACK):
+            stack = grid[start:start + TRIAL_STACK]
+            results = self._train_cells([(rate, trial) for _, rate, trial in stack])
+            for (rate_index, fault_rate, trial_index), trial_accuracies in zip(stack, results):
+                accuracies[rate_index, trial_index, :] = trial_accuracies
+                if progress:
+                    logger.info(
+                        "resilience: rate=%.3f trial=%d final_acc=%.3f",
+                        fault_rate,
+                        trial_index,
+                        trial_accuracies[-1],
+                    )
         # Leave the model in its pre-trained state for downstream users.
         self._restore_pretrained()
         return ResilienceProfile(

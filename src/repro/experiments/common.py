@@ -303,6 +303,7 @@ class ExperimentContext:
                 self.bundle,
                 self.array,
                 config=self.reduce_config(),
+                eval_pipeline=self.eval_pipeline,
             )
             self._profile = framework.analyze_resilience()
         return self._profile

@@ -103,7 +103,8 @@ def run_fig2a(
         seed=preset.seed,
     )
     analyzer = ResilienceAnalyzer(
-        context.model, context.pretrained_state, context.bundle, context.array, config
+        context.model, context.pretrained_state, context.bundle, context.array, config,
+        eval_pipeline=context.eval_pipeline,
     )
     profile = analyzer.run()
 

@@ -161,16 +161,14 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     chip_events = [e for e in events if e.get("name") == "campaign.chip"]
     # FAT eval-vs-train attribution: checkpoint-eval passes vs training-step
     # spans inside the batched trainer, the split the pipelined eval path
-    # (prefetch, widened multi-checkpoint GEMMs) is meant to move.
+    # (prefetch, shared lowerings, deferred checkpoints) is meant to move.
     train_spans = _duration_events(events, "fat.train_steps")
     eval_spans = _duration_events(events, "fat.eval_checkpoint")
-    widened_spans = _duration_events(events, "fat.eval_widened")
     fat = {
         "train_seconds": sum(float(e["duration"]) for e in train_spans),
         "train_spans": len(train_spans),
         "eval_seconds": sum(float(e["duration"]) for e in eval_spans),
         "eval_spans": len(eval_spans),
-        "widened_evals": len(widened_spans),
     }
     # Fault-recovery instants from the supervising executor: how often the
     # campaign had to recover, visible straight from the trace.
@@ -253,8 +251,6 @@ def render_trace_summary(summary: Dict[str, Any], width: int = 40) -> str:
     fat_total = fat.get("train_seconds", 0.0) + fat.get("eval_seconds", 0.0)
     if fat_total:
         eval_share = 100.0 * fat.get("eval_seconds", 0.0) / fat_total
-        widened = fat.get("widened_evals", 0)
-        widened_note = f", {widened} widened multi-checkpoint pass(es)" if widened else ""
         lines.append("")
         lines.append(
             "FAT eval vs train: "
@@ -262,7 +258,6 @@ def render_trace_summary(summary: Dict[str, Any], width: int = 40) -> str:
             f"({eval_share:.1f}%) in {fat['eval_spans']} checkpoint pass(es), "
             f"train {format_duration(fat['train_seconds']) if fat['train_seconds'] else '0s'} "
             f"({100.0 - eval_share:.1f}%) in {fat['train_spans']} step span(s)"
-            f"{widened_note}"
         )
     faults = summary.get("faults", {})
     if any(faults.values()):

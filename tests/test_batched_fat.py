@@ -12,6 +12,8 @@ the serial per-chip ``ReduceFramework.retrain_chip`` is the reference.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from repro.accelerator.batched import BatchedFaultTrainer, UnsupportedModelError
 from repro.campaign import CampaignEngine, build_jobs, execute_jobs_batched
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
-from repro.data import make_blob_classification
-from repro.models import MLP
+from repro.data import make_blob_classification, make_class_template_images
+from repro.models import MLP, LeNet5
 from repro.training import Trainer, TrainingConfig
 
 
@@ -53,28 +55,31 @@ def _mask_sets(make_model, num_chips=4, rows=16, cols=16):
     return [model_fault_masks(make_model(), fault_map) for fault_map in maps]
 
 
-def _serial_runs(make_model, pretrained, mask_sets, bundle, config, epochs, checkpoints):
+def _serial_runs(
+    make_model, pretrained, mask_sets, bundle, config, epochs, checkpoints, seeds=None
+):
     runs = []
-    for masks in mask_sets:
+    for chip, masks in enumerate(mask_sets):
         model = make_model()
         model.load_state_dict(pretrained)
-        trainer = Trainer(model, bundle.train, bundle.test, config=config, masks=masks)
+        chip_config = config if seeds is None else dataclasses.replace(config, seed=seeds[chip])
+        trainer = Trainer(model, bundle.train, bundle.test, config=chip_config, masks=masks)
         history = trainer.train(epochs, eval_checkpoints=checkpoints)
         runs.append((history, model.state_dict()))
     return runs
 
 
 def _assert_batched_equals_serial(
-    make_model, bundle, mask_sets, config, epochs, checkpoints=None
+    make_model, bundle, mask_sets, config, epochs, checkpoints=None, seeds=None
 ):
     model = make_model()
     pretrained = model.state_dict()
     serial = _serial_runs(
-        make_model, pretrained, mask_sets, bundle, config, epochs, checkpoints
+        make_model, pretrained, mask_sets, bundle, config, epochs, checkpoints, seeds
     )
     model.load_state_dict(pretrained)
     batched = BatchedFaultTrainer(
-        model, mask_sets, bundle.train, bundle.test, config=config
+        model, mask_sets, bundle.train, bundle.test, config=config, seeds=seeds
     )
     histories = batched.train(epochs, eval_checkpoints=checkpoints)
     assert len(histories) == len(mask_sets)
@@ -269,6 +274,150 @@ class TestTrainerEquivalence:
             epochs=0.5,
             checkpoints=[0.25],
         )
+
+
+def _bn_cnn_factory(bundle):
+    channels = bundle.input_shape[0]
+
+    def make():
+        return nn.Sequential(
+            nn.Conv2d(channels, 4, 3, padding=1, bias=False, rng=0),
+            nn.BatchNorm2d(4),
+            nn.ReLU(),
+            nn.MaxPool2d(2),
+            nn.Flatten(),
+            nn.Linear(4 * 4 * 4, 8, rng=1),
+            nn.BatchNorm1d(8),
+            nn.ReLU(),
+            nn.Linear(8, bundle.num_classes, rng=2),
+        )
+
+    return make
+
+
+@pytest.fixture(scope="module")
+def lenet_bundle():
+    """12x12 images: the smallest input LeNet-5 accepts."""
+    return make_class_template_images(
+        num_classes=4, train_per_class=12, test_per_class=6, image_size=12,
+        channels=1, noise_std=0.3, shift_pixels=0, seed=2,
+    )
+
+
+class TestPerChipSeeds:
+    """``seeds=``: one data stream per chip, bit-identical to serial runs
+    whose configs carry those seeds (mini-batch order and dropout noise)."""
+
+    SEEDS = [11, 12, 13]
+
+    def test_lenet_matches_serial_runs_with_those_seeds(self, lenet_bundle):
+        make = lambda: LeNet5(lenet_bundle.input_shape, lenet_bundle.num_classes, seed=0)  # noqa: E731
+        _assert_batched_equals_serial(
+            make,
+            lenet_bundle,
+            _mask_sets(make, num_chips=3),
+            TrainingConfig(learning_rate=0.02, batch_size=16, seed=5),
+            epochs=1.0,
+            checkpoints=[0.25, 0.5],
+            seeds=self.SEEDS,
+        )
+
+    def test_batchnorm_cnn_matches_serial_runs_with_those_seeds(self, image_bundle):
+        make = _bn_cnn_factory(image_bundle)
+        _assert_batched_equals_serial(
+            make,
+            image_bundle,
+            _mask_sets(make, num_chips=3),
+            TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
+            epochs=1.0,
+            checkpoints=[0.5],
+            seeds=self.SEEDS,
+        )
+
+    def test_dropout_mlp_matches_serial_runs_with_those_seeds(self, blob_bundle):
+        def make():
+            return MLP(8, blob_bundle.num_classes, hidden_sizes=(32, 16), dropout=0.3, seed=4)
+
+        _assert_batched_equals_serial(
+            make,
+            blob_bundle,
+            _mask_sets(make, num_chips=3),
+            TrainingConfig(learning_rate=0.05, batch_size=16, seed=7),
+            epochs=1.5,
+            checkpoints=[0.5, 1.0],
+            seeds=self.SEEDS,
+        )
+
+    def test_equal_seeds_lower_the_shared_first_layer_once_per_step(
+        self, image_bundle, monkeypatch
+    ):
+        """All-equal seeds keep the shared prefix: one first-layer ``im2col_t``
+        per training step; distinct seeds fold every chip's own batch, so
+        the first layer lowers through the stacked (folded) path instead."""
+        import repro.accelerator.batched as batched_module
+
+        calls = []
+        original = batched_module.im2col_t
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batched_module, "im2col_t", spy)
+        make = _cnn_factory(image_bundle)
+        mask_sets = _mask_sets(make, num_chips=3)
+        config = TrainingConfig(learning_rate=0.02, batch_size=16, seed=5)
+        shared = BatchedFaultTrainer(
+            make(), mask_sets, image_bundle.train, image_bundle.test,
+            config=config, seeds=[9, 9, 9],
+        )
+        shared._train_steps(5)
+        assert len(calls) == 5
+        assert all(shape[0] <= config.batch_size for shape in calls)
+        calls.clear()
+        per_chip = BatchedFaultTrainer(
+            make(), mask_sets, image_bundle.train, image_bundle.test,
+            config=config, seeds=[9, 10, 11],
+        )
+        per_chip._train_steps(5)
+        assert calls == []
+
+    def test_equal_seeds_override_the_config_seed(self, blob_bundle):
+        """A stack whose chips share one seed trains on that seed's stream,
+        whatever ``config.seed`` says (Step 1's one-cell stacks rely on it)."""
+        make = _mlp_factory(blob_bundle)
+        mask_sets = _mask_sets(make, num_chips=2)
+        config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
+        runs = []
+        for seed, seeds in ((3, None), (0, [3, 3])):
+            trainer = BatchedFaultTrainer(
+                make(), mask_sets, blob_bundle.train, blob_bundle.test,
+                config=dataclasses.replace(config, seed=seed), seeds=seeds,
+            )
+            trainer.train(1.0, include_initial=False)
+            runs.append([trainer.chip_state_dict(chip) for chip in range(2)])
+        for default_state, explicit_state in zip(*runs):
+            for name in default_state:
+                np.testing.assert_array_equal(default_state[name], explicit_state[name])
+
+    def test_seed_count_must_match_chips(self, blob_bundle):
+        make = _mlp_factory(blob_bundle)
+        with pytest.raises(ValueError, match="seeds"):
+            BatchedFaultTrainer(
+                make(), _mask_sets(make, num_chips=2), blob_bundle.train,
+                blob_bundle.test, seeds=[1, 2, 3],
+            )
+
+    def test_distinct_seeds_need_a_dataset(self, blob_bundle):
+        from repro.data import DataLoader
+
+        make = _mlp_factory(blob_bundle)
+        loader = DataLoader(blob_bundle.train, batch_size=16, shuffle=True, seed=0)
+        with pytest.raises(ValueError, match="Dataset"):
+            BatchedFaultTrainer(
+                make(), _mask_sets(make, num_chips=2), loader,
+                blob_bundle.test, seeds=[1, 2],
+            )
 
 
 class TestTrainerValidation:

@@ -1,7 +1,7 @@
 """Determinism tests for the pipelined evaluation path.
 
-The pipelined eval path — background batch prefetch, widened multi-checkpoint
-GEMMs, and the sweep-wide shared lowering cache — is a pure performance
+The pipelined eval path — background batch prefetch, deferred checkpoint
+snapshots, and the sweep-wide shared lowering cache — is a pure performance
 feature: every knob combination must produce bit-identical results, stores and
 fingerprints.  These tests pin that contract at every level: the prefetcher
 unit, the stacked population evaluation and trainer, whole campaigns (serial, ``--jobs 2 x
@@ -230,68 +230,47 @@ class TestEvaluatorPrefetch:
         assert len(started) == 1
 
 
-class TestWidenedEval:
+class TestDeferredEval:
     CONFIG = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
 
-    def _train(self, bundle, backend=None):
-        model = _small_cnn(bundle)
+    @pytest.mark.parametrize("backend", [None, "numpy", "fused"])
+    def test_deferred_matches_serial_histories(self, image_bundle, backend, monkeypatch):
+        """Deferred per-snapshot checkpoint evals reproduce serial histories."""
+        deferred = []
+        original = BatchedFaultTrainer._evaluate_snapshots
+
+        def counting(self, snapshots):
+            deferred.append(len(snapshots))
+            return original(self, snapshots)
+
+        monkeypatch.setattr(BatchedFaultTrainer, "_evaluate_snapshots", counting)
+        serial_histories, serial_states = [], []
+        for masks in _cnn_mask_sets(image_bundle):
+            model = _small_cnn(image_bundle)
+            serial_histories.append(
+                Trainer(
+                    model, image_bundle.train, image_bundle.test,
+                    config=self.CONFIG, masks=masks,
+                ).train(1.0, eval_checkpoints=[0.5, 1.0])
+            )
+            serial_states.append(model.state_dict())
         trainer = BatchedFaultTrainer(
-            model,
-            _cnn_mask_sets(bundle),
-            bundle.train,
-            bundle.test,
+            _small_cnn(image_bundle),
+            _cnn_mask_sets(image_bundle),
+            image_bundle.train,
+            image_bundle.test,
             config=self.CONFIG,
             backend=backend,
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5, 1.0])
-        states = [trainer.chip_state_dict(i) for i in range(3)]
-        return histories, states
-
-    @pytest.mark.parametrize("backend", [None, "numpy", "fused"])
-    def test_widened_matches_per_checkpoint_eval(
-        self, image_bundle, backend, monkeypatch
-    ):
-        """Stacking C checkpoints into one widened GEMM changes nothing."""
-        import repro.accelerator.batched as batched_module
-
-        widened_calls = []
-        original = BatchedFaultTrainer._evaluate_snapshots_widened
-
-        def counting(self, snapshots):
-            widened_calls.append(len(snapshots))
-            return original(self, snapshots)
-
-        monkeypatch.setattr(BatchedFaultTrainer, "_evaluate_snapshots_widened", counting)
-        wide_histories, wide_states = self._train(image_bundle, backend=backend)
-        # 3 deferred passes (initial + two checkpoints) ran as one widened GEMM.
-        assert widened_calls == [3]
-        # Over the float cap every checkpoint evaluates in its own pass.
-        monkeypatch.setattr(batched_module, "WIDENED_EVAL_MAX_FLOATS", 0)
-        plain_histories, plain_states = self._train(image_bundle, backend=backend)
-        assert widened_calls == [3]
-        _assert_histories_equal(wide_histories, plain_histories)
-        for wide, plain in zip(wide_states, plain_states):
-            assert set(wide) == set(plain)
-            for name in plain:
-                np.testing.assert_array_equal(wide[name], plain[name])
-
-    def test_falls_back_per_snapshot_over_the_float_cap(self, image_bundle, monkeypatch):
-        """Snapshots too large to concatenate evaluate like serial runs."""
-        import repro.accelerator.batched as batched_module
-
-        serial_histories = [
-            Trainer(
-                _small_cnn(image_bundle),
-                image_bundle.train,
-                image_bundle.test,
-                config=self.CONFIG,
-                masks=masks,
-            ).train(1.0, eval_checkpoints=[0.5, 1.0])
-            for masks in _cnn_mask_sets(image_bundle)
-        ]
-        monkeypatch.setattr(batched_module, "WIDENED_EVAL_MAX_FLOATS", 0)
-        capped_histories, _ = self._train(image_bundle)
-        _assert_histories_equal(capped_histories, serial_histories)
+        # Initial + two checkpoints were deferred into one drain.
+        assert deferred == [3]
+        _assert_histories_equal(histories, serial_histories)
+        for chip, serial_state in enumerate(serial_states):
+            state = trainer.chip_state_dict(chip)
+            assert set(state) == set(serial_state)
+            for name in serial_state:
+                np.testing.assert_array_equal(state[name], serial_state[name])
 
     def test_single_checkpoint_run_is_not_deferred(self, image_bundle, monkeypatch):
         """The campaign path (one final checkpoint, no initial) stays inline."""
@@ -468,6 +447,24 @@ class TestSweepLoweringReuse:
         framework.retrain_chips_batched(
             list(conv_population), 0.25, accuracies_before=triage
         )
+        counters = _lowering_counters()
+        assert len(cache) == lowered
+        assert counters.get("misses", 0) == 0
+        assert counters["hits"] > 0
+
+    def test_triage_hits_step1_lowerings(self, conv_population, enabled_metrics):
+        """Step 1 evaluates through the context's eval pipeline, so triage
+        afterwards adds no cache entry and misses nothing.  Prefetch is off
+        so the hit/miss split is deterministic."""
+        context = _fresh_conv_context()
+        context.configure_eval_pipeline(prefetch=False)
+        cache = context.eval_pipeline.cache
+        assert len(cache) == 0
+        context.resilience_profile()
+        lowered = len(cache)
+        assert lowered > 0
+        metrics.reset()
+        context.framework().triage_population(conv_population)
         counters = _lowering_counters()
         assert len(cache) == lowered
         assert counters.get("misses", 0) == 0

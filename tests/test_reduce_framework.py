@@ -1,9 +1,13 @@
 """Integration tests for the Reduce framework (Steps 1-3) and resilience analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.accelerator.batched import BatchedFaultTrainer
+from repro.core import resilience as resilience_module
 from repro.accelerator import FaultMap, RandomFaultModel, SystolicArray
 from repro.core import (
     AccuracyConstraint,
@@ -19,6 +23,7 @@ from repro.core.reduce import ChipRetrainingResult
 from repro.models import MLP
 from repro.nn import clone_state_dict
 from repro.training import Trainer, TrainingConfig, evaluate_accuracy
+from tests.helpers import serial_resilience_accuracies
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +39,28 @@ def pretrained_setup():
     model = MLP(features, bundle.num_classes, hidden_sizes=(32,), seed=3)
     config = TrainingConfig(learning_rate=0.1, batch_size=16, seed=0)
     Trainer(model, bundle.train, bundle.test, config).train(4.0)
+    return model, clone_state_dict(model.state_dict()), bundle, config
+
+
+@pytest.fixture(scope="module")
+def unsaturated_setup():
+    """A briefly pre-trained dropout MLP on noisy images, with a 6-cell grid.
+
+    Accuracies stay well below 1.0 on 80 test images, so they move with
+    every trial's mini-batch order and dropout noise.  Two non-zero rates x
+    three trials make stacks of four and two cells.
+    """
+    from repro.data import make_class_template_images
+
+    bundle = make_class_template_images(
+        num_classes=4, train_per_class=16, test_per_class=20,
+        image_size=8, channels=2, noise_std=1.0, shift_pixels=1, seed=1,
+    )
+    features = int(np.prod(bundle.input_shape))
+    model = MLP(features, bundle.num_classes, hidden_sizes=(32,), dropout=0.2, seed=3)
+    training = TrainingConfig(learning_rate=0.05, batch_size=16, seed=0)
+    Trainer(model, bundle.train, bundle.test, training).train(1.0)
+    config = dataclasses.replace(resilience_config(training), trials_per_rate=3)
     return model, clone_state_dict(model.state_dict()), bundle, config
 
 
@@ -79,6 +106,27 @@ class TestResilienceAnalyzer:
         surface = profile.accuracy_surface("mean")
         assert surface[1, -1] >= surface[1, 0] - 0.05
         assert profile.metadata["fault_model"] == "random"
+
+    def test_matches_serial_per_trial_reference(self, unsaturated_setup):
+        """The stacked grid equals one serial retraining per cell, bit for bit."""
+        model, state, bundle, config = unsaturated_setup
+        analyzer = ResilienceAnalyzer(model, state, bundle, SystolicArray(16, 16), config)
+        assert 6 % resilience_module.TRIAL_STACK != 0
+        profile = analyzer.run()
+        assert np.array_equal(profile.accuracies, serial_resilience_accuracies(analyzer))
+
+    def test_one_shared_trial_seed_breaks_the_reference(self, unsaturated_setup, monkeypatch):
+        """The reference check is sensitive to the per-trial seeds: training
+        every cell of a stack under one shared seed changes the grid."""
+        model, state, bundle, config = unsaturated_setup
+        analyzer = ResilienceAnalyzer(model, state, bundle, SystolicArray(16, 16), config)
+
+        def shared_seed_trainer(*args, seeds, **kwargs):
+            return BatchedFaultTrainer(*args, seeds=[seeds[0]] * len(seeds), **kwargs)
+
+        monkeypatch.setattr(resilience_module, "BatchedFaultTrainer", shared_seed_trainer)
+        profile = analyzer.run()
+        assert not np.array_equal(profile.accuracies, serial_resilience_accuracies(analyzer))
 
     def test_model_restored_after_analysis(self, pretrained_setup):
         model, state, bundle, training = pretrained_setup
