@@ -12,7 +12,7 @@ import multiprocessing
 
 import pytest
 
-from bench_utils import run_once
+from bench_utils import run_gated
 from repro.campaign import CampaignEngine, SupervisorConfig, run_strategy_sweep
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
@@ -38,7 +38,7 @@ def _record_throughput(benchmark, engine):
 
 def test_bench_campaign_serial(benchmark, fast_context, bench_population):
     engine = CampaignEngine(fast_context, jobs=1)
-    campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert campaign.num_chips == len(bench_population)
     assert campaign.average_epochs == pytest.approx(BUDGET, rel=0.05)
@@ -47,7 +47,7 @@ def test_bench_campaign_serial(benchmark, fast_context, bench_population):
 def test_bench_campaign_parallel_matches_serial(benchmark, fast_context, bench_population):
     serial = CampaignEngine(fast_context, jobs=1).run(bench_population, FixedEpochPolicy(BUDGET))
     engine = CampaignEngine(fast_context, jobs=PARALLEL_JOBS)
-    campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     # Sharding must be invisible in the results: bit-identical to serial.
     assert campaign.results == serial.results
@@ -63,7 +63,7 @@ def test_bench_campaign_batched_jobs1(benchmark, fast_context, fast_population):
     population (24 chips -> 4 stacked chunks) executes inline in one process.
     """
     engine = CampaignEngine(fast_context, jobs=1, fat_batch=FAT_BATCH)
-    campaign = run_once(benchmark, engine.run, fast_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, fast_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert campaign.num_chips == len(fast_population)
 
@@ -79,7 +79,7 @@ def test_bench_campaign_batched_jobsN(benchmark, fast_context, fast_population):
         fast_population, FixedEpochPolicy(BUDGET)
     )
     engine = CampaignEngine(fast_context, jobs=PARALLEL_JOBS, fat_batch=FAT_BATCH)
-    campaign = run_once(benchmark, engine.run, fast_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, fast_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert campaign.results == baseline.results
 
@@ -104,7 +104,7 @@ def test_bench_mitigation_sweep_jobs1(benchmark, fast_context, bench_population)
     triage shared across the same-mask strategies.  Per-strategy chips/s
     lands in BENCH_campaign.json via extra_info.
     """
-    sweep = run_once(
+    sweep = run_gated(
         benchmark,
         run_strategy_sweep,
         fast_context,
@@ -133,7 +133,7 @@ def test_bench_mitigation_sweep_jobsN(benchmark, fast_context, bench_population)
         jobs=1,
         fat_batch=FAT_BATCH,
     )
-    sweep = run_once(
+    sweep = run_gated(
         benchmark,
         run_strategy_sweep,
         fast_context,
@@ -160,7 +160,7 @@ def test_bench_campaign_distributed_1worker(benchmark, fast_context, bench_popul
         fast_context, jobs=1, fat_batch=FAT_BATCH, listen=("127.0.0.1", 0)
     )
     try:
-        campaign = run_once(
+        campaign = run_gated(
             benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET)
         )
     finally:
@@ -184,7 +184,7 @@ def test_bench_campaign_distributed_2workers(benchmark, fast_context, bench_popu
         fast_context, jobs=2, fat_batch=FAT_BATCH, listen=("127.0.0.1", 0)
     )
     try:
-        campaign = run_once(
+        campaign = run_gated(
             benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET)
         )
     finally:
@@ -206,7 +206,7 @@ def test_bench_campaign_tracing_off(benchmark, fast_context, bench_population):
     trace.disable()
     metrics.enabled = False
     engine = CampaignEngine(fast_context, jobs=1, fat_batch=FAT_BATCH)
-    campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert campaign.num_chips == len(bench_population)
 
@@ -228,7 +228,7 @@ def test_bench_campaign_tracing_on(benchmark, fast_context, bench_population, tm
     metrics.enabled = True
     try:
         engine = CampaignEngine(fast_context, jobs=1, fat_batch=FAT_BATCH)
-        campaign = run_once(
+        campaign = run_gated(
             benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET)
         )
     finally:
@@ -258,7 +258,7 @@ def test_bench_campaign_supervised_kill_recovery(benchmark, fast_context, bench_
         chaos="seed=3,kill=1",
         supervisor_config=SupervisorConfig(backoff_base=0.05),
     )
-    campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert campaign.results == baseline.results
     assert not campaign.failed_chips
@@ -271,7 +271,7 @@ def test_bench_campaign_resume_is_free(benchmark, fast_context, bench_population
         bench_population, FixedEpochPolicy(BUDGET)
     )
     engine = CampaignEngine(fast_context, jobs=1, store_base=store_base)
-    campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
+    campaign = run_gated(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)
     assert engine.last_report.executed == 0
     assert engine.last_report.skipped == len(bench_population)

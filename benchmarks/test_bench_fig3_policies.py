@@ -18,6 +18,7 @@ import pytest
 
 from bench_utils import run_once
 from repro.core.reporting import campaign_scatter_csv
+from repro.experiments import run_fig3
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +102,12 @@ def test_fig3_reduce_max_meets_constraint_with_fewer_epochs(
     )
     assert reduce_max.fraction_meeting_constraint >= fixed.fraction_meeting_constraint
     assert reduce_max.total_epochs < fixed.total_epochs
+    # The same claim on run_fig3's campaigns, which read every policy's
+    # budgets off one shared Step-3 pass per chip: same rows, same claim.
+    fig3 = run_fig3(fast_context, population=fast_population)
+    shared_max = fig3.reduce_max
+    shared_fixed = fig3.campaign(fixed.policy_name)
+    assert shared_max.results == reduce_max.results
+    assert shared_fixed.results == fixed.results
+    assert shared_max.fraction_meeting_constraint >= shared_fixed.fraction_meeting_constraint
+    assert shared_max.total_epochs < shared_fixed.total_epochs

@@ -1357,51 +1357,71 @@ class BatchedFaultTrainer:
 
     # -- training ------------------------------------------------------------
 
-    def _train_steps(self, num_steps: int) -> np.ndarray:
-        """Run ``num_steps`` batched steps; returns per-chip mean train loss."""
+    def _train_steps(
+        self,
+        num_steps: int,
+        readout_steps: Sequence[int] = (),
+        at_readout: Optional[Callable[[int, np.ndarray], None]] = None,
+    ) -> np.ndarray:
+        """Run ``num_steps`` batched steps; returns per-chip mean train loss.
+
+        The steps draw from one live iterator over the train data: a new pass
+        starts only when the previous one is exhausted.  ``readout_steps``
+        are ascending step counts below ``num_steps`` (relative to this
+        call).  At the ``index``-th one the loop pauses — outside the batched
+        forwards, so the callback may evaluate — and ``at_readout(index,
+        losses)`` sees the stacks at that step, with ``losses`` each chip's
+        mean train loss so far: exactly what a separate call stopping there
+        would return.  The iterator survives the pause, so a readout never
+        moves the training trajectory.
+        """
         if num_steps <= 0:
             return np.full(self.num_chips, np.nan)
-        self.model.train()
         losses: List[np.ndarray] = []
-        remaining = num_steps
-        with trace.span(
-            "fat.train_steps", steps=num_steps, chips=self.num_chips
-        ), self._patched():
-            while remaining > 0:
-                for batches in zip(*self._train_loaders):
-                    if self._per_chip_streams:
-                        # Each chip's own batch, folded: no shared prefix.
-                        inputs = nn.Tensor(np.concatenate([x.data for x, _ in batches]))
-                        targets = np.concatenate([y for _, y in batches])
-                        self._shared_prefix = False
-                    else:
-                        inputs, targets = batches[0]
-                        self._shared_prefix = True
-                    logits = self.model(inputs)
-                    step_losses = stacked_cross_entropy(
-                        logits, targets, self.num_chips,
-                        label_smoothing=self.config.label_smoothing,
-                    )
-                    self.optimizer.zero_grad()
-                    step_losses.sum().backward()
-                    for layer in self._masked_layers:
-                        layer.enforce_grad()
-                    if self.config.grad_clip is not None:
-                        nn.clip_grad_norm_per_chip(
-                            self.optimizer.parameters,
-                            self.config.grad_clip,
-                            self.num_chips,
+        batches = iter(())
+        with trace.span("fat.train_steps", steps=num_steps, chips=self.num_chips):
+            for index, stop in enumerate([*readout_steps, num_steps]):
+                self.model.train()
+                with self._patched():
+                    while len(losses) < stop:
+                        batch = next(batches, None)
+                        if batch is None:
+                            batches = zip(*self._train_loaders)
+                            continue
+                        if self._per_chip_streams:
+                            # Each chip's own batch, folded: no shared prefix.
+                            inputs = nn.Tensor(np.concatenate([x.data for x, _ in batch]))
+                            targets = np.concatenate([y for _, y in batch])
+                            self._shared_prefix = False
+                        else:
+                            inputs, targets = batch[0]
+                            self._shared_prefix = True
+                        logits = self.model(inputs)
+                        step_losses = stacked_cross_entropy(
+                            logits, targets, self.num_chips,
+                            label_smoothing=self.config.label_smoothing,
                         )
-                    self.optimizer.step()
-                    for layer in self._masked_layers:
-                        layer.enforce_weight()
-                    losses.append(step_losses.data.astype(np.float64))
-                    self.steps_taken += 1
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-        if not losses:
-            return np.full(self.num_chips, np.nan)
+                        self.optimizer.zero_grad()
+                        step_losses.sum().backward()
+                        for layer in self._masked_layers:
+                            layer.enforce_grad()
+                        if self.config.grad_clip is not None:
+                            nn.clip_grad_norm_per_chip(
+                                self.optimizer.parameters,
+                                self.config.grad_clip,
+                                self.num_chips,
+                            )
+                        self.optimizer.step()
+                        for layer in self._masked_layers:
+                            layer.enforce_weight()
+                        losses.append(step_losses.data.astype(np.float64))
+                        self.steps_taken += 1
+                if stop < num_steps:
+                    at_readout(index, self._mean_losses(losses))
+        return self._mean_losses(losses)
+
+    def _mean_losses(self, losses: List[np.ndarray]) -> np.ndarray:
+        """Each chip's mean over per-step ``(B,)`` loss vectors."""
         stacked = np.asarray(losses)  # (steps, B)
         # Serial records python floats and takes np.mean over the step list;
         # reduce each chip's contiguous step vector the same way.
@@ -1563,6 +1583,7 @@ class BatchedFaultTrainer:
         epochs: float,
         eval_checkpoints: Optional[Sequence[float]] = None,
         include_initial: bool = True,
+        in_stream: bool = False,
     ):
         """Train all chips for ``epochs``; returns one history per chip.
 
@@ -1570,9 +1591,21 @@ class BatchedFaultTrainer:
         same cumulative epoch checkpoints, the same step accounting, and per-
         chip records whose accuracies and losses equal the serial runs'.
 
-        With more than one checkpoint, per-checkpoint evaluations are
-        deferred: each checkpoint snapshots the stacked weights and
-        statistics, training continues uninterrupted, and the snapshots are
+        ``in_stream=True`` makes every checkpoint a *readout* of one
+        uninterrupted pass instead of the end of a segment: the loader is
+        never restarted at a checkpoint, and each record's train loss is the
+        mean since the start of the call.  The record at checkpoint ``b`` then
+        equals the single record of a separate ``train(b,
+        include_initial=False)`` on a fresh trainer — epochs, steps, loss and
+        accuracy — so one pass to the largest budget answers every smaller
+        budget (Step 3 reads all of a chip's policy budgets this way).
+        Readouts are evaluated live, at a pause of the pass, so they hold no
+        copies of the stacks; checkpoints that quantize to the same step share
+        one evaluation.
+
+        Without ``in_stream``, more than one checkpoint defers the
+        per-checkpoint evaluations: each checkpoint snapshots the stacked
+        weights and statistics, training continues, and the snapshots are
         evaluated after the last step, one pass per distinct optimizer step
         (see :meth:`_evaluate_snapshots`).  Histories are identical to the
         interleaved schedule — evaluation never mutates training state (it
@@ -1589,8 +1622,9 @@ class BatchedFaultTrainer:
         if epochs > 0 and (not checkpoints or abs(checkpoints[-1] - epochs) > 1e-12):
             checkpoints.append(float(epochs))
         passes = (1 if include_initial else 0) + len(checkpoints)
-        defer = passes > 1
+        defer = passes > 1 and not in_stream
         snapshots: List[_EvalSnapshot] = []
+        live_accuracies: Dict[int, List[float]] = {}
 
         def record_checkpoint(epochs_at: float, train_losses: np.ndarray) -> None:
             if defer:
@@ -1612,8 +1646,10 @@ class BatchedFaultTrainer:
                         self._snapshot_stacks(epochs_at, self.steps_taken, train_losses)
                     )
                 return
-            accuracies = self.evaluate()
             steps = self.steps_taken
+            if steps not in live_accuracies:
+                live_accuracies[steps] = self.evaluate()
+            accuracies = live_accuracies[steps]
             for chip, history in enumerate(histories):
                 history.add(
                     CheckpointRecord(
@@ -1626,16 +1662,34 @@ class BatchedFaultTrainer:
 
         if include_initial:
             record_checkpoint(0.0, np.full(self.num_chips, np.nan))
-        previous_steps = 0
-        for checkpoint in checkpoints:
-            target_steps = epochs_to_steps(checkpoint, self.batches_per_epoch)
-            step_delta = target_steps - previous_steps
-            if step_delta > 0:
-                train_losses = self._train_steps(step_delta)
-            else:
-                train_losses = np.full(self.num_chips, np.nan)
-            previous_steps = target_steps
-            record_checkpoint(checkpoint, train_losses)
+        targets = [epochs_to_steps(c, self.batches_per_epoch) for c in checkpoints]
+        if in_stream and checkpoints:
+            readout_steps = sorted(set(targets))
+
+            def at_readout(index: int, train_losses: np.ndarray) -> None:
+                for checkpoint, target in zip(checkpoints, targets):
+                    if target == readout_steps[index]:
+                        record_checkpoint(checkpoint, train_losses)
+
+            final_losses = self._train_steps(
+                readout_steps[-1], readout_steps[:-1], at_readout
+            )
+            at_readout(len(readout_steps) - 1, final_losses)
+        else:
+            previous_steps = 0
+            for checkpoint, target_steps in zip(checkpoints, targets):
+                step_delta = target_steps - previous_steps
+                if step_delta > 0:
+                    # Each segment restarts the loader, so a checkpoint here
+                    # is not the state a separate ``train(checkpoint)`` ends
+                    # in.  Step 1 still relies on this; ROADMAP's
+                    # trajectory-neutral-checkpoint item moves it onto
+                    # ``in_stream`` readouts and deletes the restart.
+                    train_losses = self._train_steps(step_delta)
+                else:
+                    train_losses = np.full(self.num_chips, np.nan)
+                previous_steps = target_steps
+                record_checkpoint(checkpoint, train_losses)
         for snapshot, accuracies in self._evaluate_snapshots(snapshots):
             for chip, history in enumerate(histories):
                 history.add(

@@ -4,9 +4,12 @@ The engine turns ``ReduceFramework.retrain_population`` into a dispatchable
 workload in two stages:
 
 * **Plan.** Step 2 (policy resolution) runs once in the parent process and
-  is frozen into picklable :class:`~repro.campaign.jobs.ChipJob` units; the
-  pending jobs are then partitioned into same-budget *chunks* of at most
-  ``fat_batch`` jobs (:func:`~repro.campaign.jobs.plan_job_chunks`).
+  is frozen into picklable :class:`~repro.campaign.jobs.ChipJob` units, one
+  per chip and policy; the pending jobs of every policy in the run are then
+  merged per chip and partitioned into *chunks* of at most ``fat_batch``
+  chips that share their largest budget
+  (:func:`~repro.campaign.jobs.plan_job_chunks`).  A chunk trains once, to
+  that budget, and reads each job's smaller budget off the same pass.
 * **Execute.**  Whole chunks — not single chips — are the unit of
   dispatch.  ``jobs == 1`` executes them in this process.  ``jobs > 1``
   forks that many local socket workers onto a private loopback
@@ -94,6 +97,19 @@ logger = get_logger("campaign.engine")
 
 PathLike = Union[str, Path]
 
+
+@dataclasses.dataclass
+class _PolicyRun:
+    """One policy's share of an engine run: its jobs, store and rows."""
+
+    policy: RetrainingPolicy
+    jobs: List[ChipJob]
+    store: Optional[CampaignStore] = None
+    fingerprint: Optional[str] = None
+    known: Dict[str, ChipRetrainingResult] = dataclasses.field(default_factory=dict)
+    pending: List[ChipJob] = dataclasses.field(default_factory=list)
+
+
 @dataclasses.dataclass
 class CampaignReport:
     """Bookkeeping of one engine run (what executed, what was resumed)."""
@@ -154,10 +170,10 @@ class CampaignEngine:
         Forwarded to workers so spawned processes can load the pre-trained
         state from the on-disk context cache instead of re-pre-training.
     fat_batch:
-        Maximum number of same-budget chips retrained together in one
-        stacked batched-FAT run — the plan chunk size.  Applies to the
-        inline path and to every worker at ``jobs > 1``; ``1`` disables
-        coalescing.  Results are bit-identical either way; the stacked runs
+        Maximum number of chips, grouped by their largest budget, retrained
+        together in one stacked batched-FAT run — the plan chunk size.
+        Applies to the inline path and to every worker at ``jobs > 1``;
+        ``1`` disables coalescing.  Results are bit-identical either way; the stacked runs
         just share every GEMM across the batch.
     heartbeat_seconds:
         Interval of the progress heartbeat (one INFO line with completed/
@@ -287,6 +303,9 @@ class CampaignEngine:
                 chunk_timeout=chunk_timeout,
             )
         self.scheduler_config = scheduler_config
+        # Reports of the last run, one per policy; ``last_report`` is the
+        # last policy's (the only one for a single-policy run).
+        self.last_reports: List[CampaignReport] = []
         self.last_report: Optional[CampaignReport] = None
 
         self._coordinator: Optional[CampaignCoordinator] = None
@@ -300,11 +319,22 @@ class CampaignEngine:
     def run(
         self,
         population: ChipPopulation,
-        policy: RetrainingPolicy,
+        policy: Union[RetrainingPolicy, Sequence[RetrainingPolicy]],
         strategy: StrategyLike = None,
         triage: Optional[Dict[str, float]] = None,
-    ) -> CampaignResult:
+    ) -> Union[CampaignResult, List[CampaignResult]]:
         """Execute Step 3 for every chip under ``policy`` (Steps 1+2 given).
+
+        ``policy`` may also be a list of policies over the same chips (the
+        Fig. 3 comparison).  They then share one Step-3 pass: each chip is
+        retrained once, to the largest budget any of the policies gives it,
+        and every smaller budget is read off that pass.  One
+        :class:`CampaignResult` per policy is returned, in order.  Each policy
+        keeps its own jobs, fingerprint, store, resume scan and
+        :class:`CampaignReport` (``last_reports``): its store holds the
+        manifest and rows a run of that policy alone would write (rows may
+        commit in another order), so either run resumes the other's store.
+        A single policy is the one-policy case of the same run.
 
         ``strategy`` selects the mitigation recipe every job is tagged with
         (default: classic FAT) — the fingerprint, the store and the planner
@@ -316,51 +346,46 @@ class CampaignEngine:
         accuracy under the same masks.
         """
         strategy = resolve_strategy(strategy)
+        several = isinstance(policy, (list, tuple))
+        policies = list(policy) if several else [policy]
+        names = [entry.name for entry in policies]
+        if not policies or len(set(names)) != len(names):
+            raise ValueError(f"policies need distinct names, got {names}")
         with trace.span(
             "campaign.run",
-            policy=policy.name,
+            policy=",".join(names),
             strategy=strategy.name,
             jobs=self.jobs,
             backend=self.backend or "eager",
         ) as run_span:
-            result = self._run(population, policy, strategy, triage, run_span)
+            results = self._run(population, policies, strategy, triage, run_span)
         self._write_observability_artifacts()
-        return result
+        return results if several else results[0]
 
-    def _run(
-        self,
-        population: ChipPopulation,
-        policy: RetrainingPolicy,
-        strategy,
-        triage: Optional[Dict[str, float]],
-        run_span,
-    ) -> CampaignResult:
-        metrics.gauge("campaign.phase").set("plan")
-        # Eval-pipeline knobs apply to the context (and so to every framework
-        # built from it, here and in this run's in-process executions); the
-        # shared lowering cache survives across runs of the same engine and
-        # across sweep arms sharing the context.
-        self.context.configure_eval_pipeline(
-            prefetch=self.prefetch, lowering_cache_mb=self.lowering_cache_mb
-        )
+    def _open_policy(
+        self, framework, population, policy, strategy, chip_dicts
+    ) -> _PolicyRun:
+        """Resolve one policy's jobs, open its store and scan it for resume."""
         with trace.span("campaign.plan", stage="build_jobs"):
-            framework = self.context.framework()
             job_list = build_jobs(
-                framework, population, policy, strategy=strategy, backend=self.backend
+                framework,
+                population,
+                policy,
+                strategy=strategy,
+                backend=self.backend,
+                chip_dicts=chip_dicts,
             )
             target_accuracy = framework.target_accuracy
             clean_accuracy = framework.clean_accuracy
-            run_span.set(chips=len(job_list))
 
-            store: Optional[CampaignStore] = None
-            fingerprint: Optional[str] = None
+            run = _PolicyRun(policy=policy, jobs=job_list)
             if self.store_base is not None:
-                fingerprint = campaign_fingerprint(
+                run.fingerprint = campaign_fingerprint(
                     self.context.preset, policy.name, target_accuracy, job_list
                 )
-                store = CampaignStore.open(
+                run.store = CampaignStore.open(
                     self.store_base,
-                    fingerprint,
+                    run.fingerprint,
                     manifest={
                         "policy": policy.name,
                         "strategy": strategy.name,
@@ -373,33 +398,63 @@ class CampaignEngine:
                     },
                 )
 
-        known: Dict[str, ChipRetrainingResult] = {}
-        if store is not None:
+        if run.store is not None:
             if self.resume:
                 metrics.gauge("campaign.phase").set("resume_scan")
                 with trace.span("campaign.resume_scan"):
-                    store.compact()
+                    run.store.compact()
                     wanted = {job.chip_id for job in job_list}
-                    known = {
+                    run.known = {
                         chip_id: result
-                        for chip_id, result in store.completed().items()
+                        for chip_id, result in run.store.completed().items()
                         if chip_id in wanted
                     }
             else:
-                store.clear_results()
-
-        pending = [job for job in job_list if job.chip_id not in known]
-        if known:
+                run.store.clear_results()
+        run.pending = [job for job in job_list if job.chip_id not in run.known]
+        if run.known:
             logger.info(
                 "campaign %s: resuming, %d/%d chips already recorded in %s",
                 policy.name,
-                len(known),
+                len(run.known),
                 len(job_list),
-                store.directory if store is not None else "?",
+                run.store.directory,
             )
+        return run
+
+    def _run(
+        self,
+        population: ChipPopulation,
+        policies: Sequence[RetrainingPolicy],
+        strategy,
+        triage: Optional[Dict[str, float]],
+        run_span,
+    ) -> List[CampaignResult]:
+        metrics.gauge("campaign.phase").set("plan")
+        # Eval-pipeline knobs apply to the context (and so to every framework
+        # built from it, here and in this run's in-process executions); the
+        # shared lowering cache survives across runs of the same engine and
+        # across sweep arms sharing the context.
+        self.context.configure_eval_pipeline(
+            prefetch=self.prefetch, lowering_cache_mb=self.lowering_cache_mb
+        )
+        framework = self.context.framework()
+        # One serialized chip per chip, shared by every policy's jobs.
+        chip_dicts = {chip.chip_id: chip.to_dict() for chip in population}
+        runs = [
+            self._open_policy(framework, population, policy, strategy, chip_dicts)
+            for policy in policies
+        ]
+        by_name = {run.policy.name: run for run in runs}
+        label = ",".join(by_name)
+        total = sum(len(run.jobs) for run in runs)
+        run_span.set(chips=total)
+        # Every policy's pending jobs, merged: the planner stacks each chip
+        # once, however many policies ask for it.
+        pending = [job for run in runs for job in run.pending]
 
         timer = Timer().start()
-        done = len(known)
+        done = total - len(pending)
 
         if pending:
             # Batched triage: the initial accuracy checkpoint of every pending
@@ -412,11 +467,15 @@ class CampaignEngine:
             metrics.gauge("campaign.phase").set("triage")
             with trace.span("campaign.triage", chips=len(pending)):
                 triage = triage if triage is not None else {}
-                missing = [job.to_chip() for job in pending if job.chip_id not in triage]
+                missing = {
+                    job.chip_id: job for job in pending if job.chip_id not in triage
+                }
                 if missing:
                     triage.update(
                         framework.triage_population(
-                            missing, strategy=strategy, backend=self.backend
+                            [job.to_chip() for job in missing.values()],
+                            strategy=strategy,
+                            backend=self.backend,
                         )
                     )
                 pending = [
@@ -436,43 +495,58 @@ class CampaignEngine:
         # closure below reads the rebound value at call time.
         chaos_schedule: Optional[ChaosSchedule] = None
 
-        def record_chunk(results: Sequence[ChipRetrainingResult]) -> None:
-            """Group-result protocol: persist + account one chunk at a time."""
+        def record_chunk(
+            pairs: Sequence[Tuple[ChipJob, ChipRetrainingResult]]
+        ) -> None:
+            """Group-result protocol: persist + account one chunk at a time.
+
+            Each result goes to the store of its job's policy.
+            """
             nonlocal done, executed, last_heartbeat, heartbeat_count
-            if store is not None:
-                store.append_many(results)
-                if chaos_schedule is not None:
-                    chaos_schedule.maybe_tear(store)
-            metrics.counter("campaign.chunks_recorded").inc()
-            chips_counter.inc(len(results))
-            for result in results:
-                known[result.chip_id] = result
-                done += 1
-                executed += 1
-                # Committed-chip instants are emitted parent-side *after* the
-                # store append succeeded, so a merged trace never contains
-                # duplicate chip events across a kill/resume cycle (resumed
-                # chips are loaded from the store and emit none).
-                trace.instant(
-                    "campaign.chip", chip_id=result.chip_id, strategy=strategy.name
-                )
-                if self.progress:
-                    logger.info(
-                        "campaign %s: %d/%d chip %s rate=%.3f epochs=%.3f acc=%.3f meets=%s",
-                        policy.name,
-                        done,
-                        len(job_list),
-                        result.chip_id,
-                        result.fault_rate,
-                        result.epochs_trained,
-                        result.accuracy_after,
-                        result.meets_constraint,
+            rows: Dict[str, List[ChipRetrainingResult]] = {}
+            for job, result in pairs:
+                rows.setdefault(job.policy_name, []).append(result)
+            for name, results in rows.items():
+                run = by_name[name]
+                if run.store is not None:
+                    run.store.append_many(results)
+                    if chaos_schedule is not None:
+                        chaos_schedule.maybe_tear(run.store)
+                for result in results:
+                    run.known[result.chip_id] = result
+                    done += 1
+                    executed += 1
+                    # Committed-chip instants are emitted parent-side *after*
+                    # the store append succeeded, so a merged trace never
+                    # contains duplicate chip events across a kill/resume
+                    # cycle (resumed chips are loaded from the store and emit
+                    # none).
+                    trace.instant(
+                        "campaign.chip",
+                        chip_id=result.chip_id,
+                        strategy=strategy.name,
+                        policy=name,
                     )
+                    if self.progress:
+                        logger.info(
+                            "campaign %s: %d/%d chip %s rate=%.3f epochs=%.3f "
+                            "acc=%.3f meets=%s",
+                            name,
+                            done,
+                            total,
+                            result.chip_id,
+                            result.fault_rate,
+                            result.epochs_trained,
+                            result.accuracy_after,
+                            result.meets_constraint,
+                        )
+            metrics.counter("campaign.chunks_recorded").inc()
+            chips_counter.inc(len(pairs))
             now = time.monotonic()
             if (
                 self.heartbeat_seconds is not None
                 and now - last_heartbeat >= self.heartbeat_seconds
-                and done < len(job_list)
+                and done < total
             ):
                 # Recent rate from the chips-completed counter delta over the
                 # heartbeat window (falling back to the cumulative rate on the
@@ -483,15 +557,15 @@ class CampaignEngine:
                 heartbeat_count = chips_counter.value
                 elapsed_so_far = max(now - started, 1e-9)
                 rate = recent_rate if recent_rate > 0 else executed / elapsed_so_far
-                remaining = len(job_list) - done
+                remaining = total - done
                 phase = metrics.gauge("campaign.phase").value or "execute"
                 eta = format_duration(remaining / rate) if rate > 0 else "?"
                 logger.info(
                     "campaign %s: heartbeat %d/%d chips done "
                     "(%.1f chips/s, eta %s, phase %s)",
-                    policy.name,
+                    label,
                     done,
-                    len(job_list),
+                    total,
                     rate,
                     eta,
                     phase,
@@ -499,8 +573,8 @@ class CampaignEngine:
 
         failures: List[ChunkFailure] = []
         if pending:
-            # Worker-aware planning: one big same-budget group still splits
-            # across all requested workers instead of starving them.
+            # Worker-aware planning: one big group still splits across all
+            # requested workers instead of starving them.
             metrics.gauge("campaign.phase").set("plan")
             with trace.span("campaign.plan", stage="chunk", chips=len(pending)):
                 plan = plan_job_chunks(
@@ -511,16 +585,16 @@ class CampaignEngine:
                 chaos_schedule = self.chaos_spec.schedule(len(plan))
                 logger.warning(
                     "campaign %s: chaos injection enabled (%s) over %d chunks",
-                    policy.name,
+                    label,
                     self.chaos_spec.describe(),
                     len(plan),
                 )
             batched_chips = sum(len(chunk) for chunk in plan if len(chunk) > 1)
             if batched_chips:
                 logger.info(
-                    "campaign %s: planned %d chips into %d chunks, "
-                    "%d chips in stacked batched-FAT chunks (fat_batch=%d)",
-                    policy.name,
+                    "campaign %s: planned %d jobs into %d chunks, "
+                    "%d jobs in stacked batched-FAT chunks (fat_batch=%d)",
+                    label,
                     len(pending),
                     len(plan),
                     batched_chips,
@@ -554,52 +628,75 @@ class CampaignEngine:
         metrics.gauge("campaign.phase").set("finalize")
 
         # Graceful degradation: quarantined chunks become per-chip failure
-        # records instead of an engine crash.  The store's quarantine file is
-        # rewritten every run — cleared when a previously-poisoned campaign
-        # completes cleanly — and a chaos-torn trailing fragment (or any other
-        # torn tail) is repaired before the store is handed back to callers.
-        failed_chips: List[Dict[str, object]] = [
-            record for failure in failures for record in failure.to_chip_records()
-        ]
-        if failed_chips:
-            metrics.counter("campaign.chips_failed").inc(len(failed_chips))
+        # records instead of an engine crash.  Each store's quarantine file
+        # is rewritten every run — cleared when a previously-poisoned
+        # campaign completes cleanly — and a chaos-torn trailing fragment (or
+        # any other torn tail) is repaired before the store is handed back to
+        # callers.
+        failed_chips: Dict[str, List[Dict[str, object]]] = {name: [] for name in by_name}
+        quarantined: Dict[str, List[Dict[str, object]]] = {name: [] for name in by_name}
+        for failure in failures:
+            shares: Dict[str, List[ChipJob]] = {}
+            for job in failure.chunk:
+                shares.setdefault(job.policy_name, []).append(job)
+            for name, jobs in shares.items():
+                share = dataclasses.replace(failure, chunk=jobs)
+                failed_chips[name].extend(share.to_chip_records())
+                quarantined[name].append(share.to_dict())
+        num_failed = sum(len(records) for records in failed_chips.values())
+        if num_failed:
+            metrics.counter("campaign.chips_failed").inc(num_failed)
             logger.error(
                 "campaign %s: %d chip(s) in %d quarantined chunk(s) failed "
                 "permanently: %s",
-                policy.name,
-                len(failed_chips),
+                label,
+                num_failed,
                 len(failures),
-                ", ".join(str(record["chip_id"]) for record in failed_chips),
+                ", ".join(
+                    str(record["chip_id"])
+                    for records in failed_chips.values()
+                    for record in records
+                ),
             )
-        if store is not None:
-            store.write_quarantine([failure.to_dict() for failure in failures])
-            store.repair()
 
-        self.last_report = CampaignReport(
-            policy_name=policy.name,
-            total_chips=len(job_list),
-            executed=len(pending) - len(failed_chips),
-            skipped=len(job_list) - len(pending),
-            jobs=self.jobs,
-            elapsed_seconds=elapsed,
-            fingerprint=fingerprint,
-            store_dir=store.directory if store is not None else None,
-            failed=len(failed_chips),
-        )
-        logger.info("campaign finished: %s", self.last_report.describe())
-        if self.last_report.executed:
+        self.last_reports = []
+        results: List[CampaignResult] = []
+        for run in runs:
+            name = run.policy.name
+            if run.store is not None:
+                run.store.write_quarantine(quarantined[name])
+                run.store.repair()
+            report = CampaignReport(
+                policy_name=name,
+                total_chips=len(run.jobs),
+                executed=len(run.pending) - len(failed_chips[name]),
+                skipped=len(run.jobs) - len(run.pending),
+                jobs=self.jobs,
+                elapsed_seconds=elapsed,
+                fingerprint=run.fingerprint,
+                store_dir=run.store.directory if run.store is not None else None,
+                failed=len(failed_chips[name]),
+            )
+            self.last_reports.append(report)
+            logger.info("campaign finished: %s", report.describe())
+            results.append(
+                CampaignResult(
+                    policy_name=name,
+                    target_accuracy=framework.target_accuracy,
+                    clean_accuracy=framework.clean_accuracy,
+                    results=[
+                        run.known[job.chip_id] for job in run.jobs if job.chip_id in run.known
+                    ],
+                    failed_chips=failed_chips[name],
+                )
+            )
+        self.last_report = self.last_reports[-1]
+        executed_total = sum(report.executed for report in self.last_reports)
+        if executed_total:
             metrics.gauge(
                 "campaign.chips_per_second", strategy=strategy.name
-            ).set(self.last_report.chips_per_second)
-
-        results = [known[job.chip_id] for job in job_list if job.chip_id in known]
-        return CampaignResult(
-            policy_name=policy.name,
-            target_accuracy=target_accuracy,
-            clean_accuracy=clean_accuracy,
-            results=results,
-            failed_chips=failed_chips,
-        )
+            ).set(executed_total / elapsed if elapsed > 0 else float("inf"))
+        return results
 
     def _write_observability_artifacts(self) -> None:
         """Refresh merged trace/metrics artifacts after a run (idempotent).
@@ -657,7 +754,7 @@ class CampaignEngine:
         self,
         framework,
         plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
+        record_chunk: Callable[[Sequence[Tuple[ChipJob, ChipRetrainingResult]]], None],
         chaos_schedule: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
         """Execute the plan in this process, one chunk attempt at a time.
@@ -700,7 +797,7 @@ class CampaignEngine:
                     sequencer.skip(state.index)
             else:
                 ledger.complete(state, time.monotonic() - now)
-                sequencer.commit(state.index, results)
+                sequencer.commit(state.index, list(zip(state.chunk, results)))
         return ledger.failures
 
     # -- executor: socket workers --------------------------------------------------
@@ -737,7 +834,7 @@ class CampaignEngine:
     def _execute_on_workers(
         self,
         plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
+        record_chunk: Callable[[Sequence[Tuple[ChipJob, ChipRetrainingResult]]], None],
         strategy,
         chaos_schedule: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:

@@ -16,15 +16,17 @@ retraining seed is a deterministic function of the campaign configuration
 (shared by every chip — see :meth:`ReduceFramework._fat_training_config`),
 so the result does not depend on which process runs the job or in what order
 jobs complete.  Because the seed (and therefore the mini-batch and dropout
-streams) is shared, jobs with the same epoch budget can also be *coalesced*:
-:func:`execute_jobs_batched` retrains a whole group through one stacked
-multi-chip trainer and returns exactly what serial per-chip retraining
+streams) is shared, jobs can also be *coalesced*: :func:`execute_jobs_batched`
+retrains a whole group through one stacked multi-chip trainer, once to the
+largest budget, reads every smaller budget off that pass, and returns exactly
+what serial per-chip retraining
 (:meth:`~repro.core.reduce.ReduceFramework.retrain_chip`) would.
 
 The planner/executor split builds on exactly that purity:
-:func:`plan_job_chunks` partitions pending jobs into same-budget *chunks* of
-at most ``fat_batch`` jobs, and :func:`execute_job_chunk` runs one chunk as
-one stacked run — a single-job chunk is a stack of one.  A chunk is both the
+:func:`plan_job_chunks` merges pending jobs per chip (one job per policy),
+groups the chips by their largest budget and cuts each group into *chunks*
+of at most ``fat_batch`` chips, and :func:`execute_job_chunk` runs one chunk
+as one stacked run — a single-chip chunk is a stack of one.  A chunk is both the
 unit of dispatch (the campaign engine hands whole chunks to worker
 processes, so ``--jobs N`` and ``--fat-batch B`` compose) and the unit of
 resume granularity (results are persisted chunk by chunk).  Any partition of
@@ -108,6 +110,7 @@ def build_jobs(
     policy: RetrainingPolicy,
     strategy: StrategyLike = None,
     backend: Optional[str] = None,
+    chip_dicts: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> List[ChipJob]:
     """Resolve a policy over a population into per-chip jobs (Step 2 output).
 
@@ -119,14 +122,16 @@ def build_jobs(
     so the planner groups jobs by the work they really represent.
     ``backend`` tags every job with the compute backend the executor should
     route the batched substrate through; the job carries it, so workers need
-    no extra configuration to honour it.
+    no extra configuration to honour it.  ``chip_dicts`` maps chip ids to
+    already serialized chips, so the jobs of several policies over one
+    population share one (fault-map sized) dict per chip.
     """
     resolved = resolve_strategy(strategy)
     amounts = policy.epochs_for_population(population)
     target = framework.target_accuracy
     return [
         ChipJob(
-            chip=chip.to_dict(),
+            chip=chip_dicts[chip.chip_id] if chip_dicts is not None else chip.to_dict(),
             epochs=resolved.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map),
             target_accuracy=target,
             policy_name=policy.name,
@@ -139,18 +144,24 @@ def build_jobs(
 
 def group_jobs_for_batching(
     jobs: Sequence[ChipJob],
-) -> Dict[Tuple[float, str, Optional[str]], List[ChipJob]]:
-    """Group jobs by ``(budget, strategy, backend)`` (insertion-ordered).
+) -> Dict[Tuple[float, str, Optional[str]], List[List[ChipJob]]]:
+    """Group jobs per chip, and chips by ``(largest budget, strategy, backend)``.
 
-    A stacked batched-FAT run shares one mini-batch stream, one set of
-    stacked keep-multipliers and one compute backend, so only jobs that agree
-    on the budget, the mitigation strategy *and* the backend may coalesce —
-    a multi-strategy (or mixed-backend) sweep's jobs partition cleanly along
-    this key.
+    Every job of one chip under one strategy and backend shares a stack slot:
+    the slot trains once, to the chip's largest budget, and reads every
+    smaller budget off that pass.  Chips whose largest budgets agree train
+    equally long, so they coalesce; a stacked run shares one set of stacked
+    keep-multipliers and one compute backend, so a multi-strategy (or
+    mixed-backend) sweep's chips partition cleanly along this key.  Returns
+    each group's per-chip job lists, both in first-appearance order.
     """
-    groups: Dict[Tuple[float, str, Optional[str]], List[ChipJob]] = {}
+    per_chip: Dict[Tuple[str, str, Optional[str]], List[ChipJob]] = {}
     for job in jobs:
-        groups.setdefault((float(job.epochs), job.strategy, job.backend), []).append(job)
+        per_chip.setdefault((job.chip_id, job.strategy, job.backend), []).append(job)
+    groups: Dict[Tuple[float, str, Optional[str]], List[List[ChipJob]]] = {}
+    for (_, strategy, backend), chip_jobs in per_chip.items():
+        largest = max(float(job.epochs) for job in chip_jobs)
+        groups.setdefault((largest, strategy, backend), []).append(chip_jobs)
     return groups
 
 
@@ -159,23 +170,26 @@ def plan_job_chunks(
 ) -> List[List[ChipJob]]:
     """Partition pending jobs into executor chunks (the campaign *plan*).
 
-    Jobs are grouped by ``(budget, strategy, backend)``
-    (:func:`group_jobs_for_batching`) and every group — zero-budget triage
-    lookups and singleton budgets included — is cut into chunks of at most
-    ``fat_batch`` jobs, each of which the executor runs as one stacked
-    :class:`~repro.accelerator.batched.BatchedFaultTrainer` run
-    (``fat_batch == 1``: one chip per stacked run).
+    Jobs are merged per chip and the chips grouped by ``(largest budget,
+    strategy, backend)`` (:func:`group_jobs_for_batching`); every group —
+    zero-budget triage lookups and singleton budgets included — is cut into
+    chunks of at most ``fat_batch`` chips, each carrying all of its chips'
+    jobs.  The executor runs a chunk as one stacked
+    :class:`~repro.accelerator.batched.BatchedFaultTrainer` run to the
+    group's largest budget (``fat_batch == 1``: one chip per stacked run).
+    With one job per chip (a single-policy campaign) the largest budget is
+    the budget, so chunks are same-budget groups.
 
     ``workers`` is the dispatch parallelism the plan should be able to feed:
-    a group is chunked at ``min(fat_batch, ceil(len(group) / workers))`` so a
-    single large budget group still splits across every worker instead of
+    a group is chunked at ``min(fat_batch, ceil(chips / workers))`` so a
+    single large group still splits across every worker instead of
     collapsing into one chunk (slightly smaller stacked batches in exchange
     for keeping all requested processes busy).  ``workers=1`` (the in-process
     path) leaves ``fat_batch`` as the only cap.
 
     Chunks preserve the within-group job order, so planning the same pending
     jobs always yields the same chunks, and executing any plan over the same
-    jobs yields bit-identical per-chip results (the batched trainer's
+    jobs yields bit-identical per-job results (the batched trainer's
     serial-equivalence guarantee); only the completion order may differ.
     """
     if fat_batch < 1:
@@ -186,7 +200,8 @@ def plan_job_chunks(
     for group in group_jobs_for_batching(jobs).values():
         chunk_cap = min(fat_batch, -(-len(group) // workers))
         for start in range(0, len(group), chunk_cap):
-            chunks.append(group[start:start + chunk_cap])
+            chip_jobs = group[start:start + chunk_cap]
+            chunks.append([job for jobs_of_chip in chip_jobs for job in jobs_of_chip])
     return chunks
 
 
@@ -199,8 +214,8 @@ def execute_job_chunk(
     """Execute one plan chunk as one stacked run; returns results in chunk order.
 
     Every chunk, a single job included, runs through
-    :func:`execute_jobs_batched`, so the results equal serial per-chip
-    :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` calls.
+    :func:`execute_jobs_batched`, so each result equals a serial per-chip
+    :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` call.
     ``attempt`` tags the chunk span so a trace distinguishes first executions
     from supervisor retries after a worker death or hang.
     """
@@ -213,8 +228,8 @@ def execute_job_chunk(
     # twice.  Committed chips are the parent-side "campaign.chip" instants.
     with trace.span(
         "campaign.chunk",
-        chips=len(chunk_list),
-        epochs=chunk_list[0].epochs,
+        chips=len({job.chip_id for job in chunk_list}),
+        epochs=max(job.epochs for job in chunk_list),
         strategy=chunk_list[0].strategy,
         backend=chunk_list[0].backend or "eager",
         attempt=attempt,
@@ -230,32 +245,30 @@ def execute_jobs_batched(
     jobs: Sequence[ChipJob],
     fat_batch: int = 8,
 ) -> List[ChipRetrainingResult]:
-    """Execute a same-budget group of jobs through the stacked batched trainer.
+    """Execute jobs through the stacked batched trainer; one result per job.
 
-    Returns results in job order, bit-identical (on this BLAS build) to
-    serial :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` calls.
-    All jobs must share the same ``epochs``, ``target_accuracy``,
-    ``strategy`` and ``backend``.
+    Returns results in job order, each bit-identical (on this BLAS build) to
+    a serial :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` call.
+    Jobs may ask one chip for several budgets (one job per policy); the
+    chip then trains once and every budget is read off that pass.  All jobs
+    must share the same ``target_accuracy``, ``strategy`` and ``backend``.
     """
     job_list = list(jobs)
     if not job_list:
         return []
-    epochs = job_list[0].epochs
     target = job_list[0].target_accuracy
     strategy = job_list[0].strategy
     backend = job_list[0].backend
     for job in job_list[1:]:
         if (
-            job.epochs != epochs
-            or job.target_accuracy != target
+            job.target_accuracy != target
             or job.strategy != strategy
             or job.backend != backend
         ):
             raise ValueError(
-                "batched execution requires jobs with identical epochs, target, "
-                f"strategy and backend (got epochs {job.epochs} vs {epochs}, "
-                f"target {job.target_accuracy} vs {target}, strategy "
-                f"{job.strategy!r} vs {strategy!r}, backend "
+                "batched execution requires jobs with identical target, "
+                f"strategy and backend (got target {job.target_accuracy} vs "
+                f"{target}, strategy {job.strategy!r} vs {strategy!r}, backend "
                 f"{job.backend!r} vs {backend!r})"
             )
     accuracies_before = {
@@ -263,9 +276,13 @@ def execute_jobs_batched(
         for job in job_list
         if job.accuracy_before is not None
     }
+    chips: Dict[str, Chip] = {}
+    for job in job_list:
+        if job.chip_id not in chips:
+            chips[job.chip_id] = job.to_chip()
     return framework.retrain_chips_batched(
-        [job.to_chip() for job in job_list],
-        epochs,
+        [chips[job.chip_id] for job in job_list],
+        [job.epochs for job in job_list],
         target_accuracy=target,
         accuracies_before=accuracies_before,
         fat_batch=fat_batch,

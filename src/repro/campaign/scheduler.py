@@ -453,15 +453,17 @@ class CampaignCoordinator:
     def run_plan(
         self,
         plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
+        record_chunk: Callable[[Sequence[Tuple[ChipJob, ChipRetrainingResult]]], None],
         strategy: Optional[str] = None,
         chaos: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
         """Execute one campaign plan over the joined workers.
 
         Blocks until every chunk is done or quarantined; returns the
-        quarantine failures.  ``chaos`` plans fault injection: each chunk
-        frame carries the action planned for that attempt.
+        quarantine failures.  ``record_chunk`` receives each completed
+        chunk's ``(job, result)`` pairs, in plan order.  ``chaos`` plans
+        fault injection: each chunk frame carries the action planned for
+        that attempt.
         """
         if self._closed:
             raise SchedulerError("coordinator is closed")
@@ -647,7 +649,7 @@ class CampaignCoordinator:
                     for row in message.get("results", [])
                 ]
                 if self._sequencer is not None:
-                    self._sequencer.commit(chunk_index, results)
+                    self._sequencer.commit(chunk_index, list(zip(state.chunk, results)))
             elif state.status == "running":
                 ledger.fail(state, str(message.get("error", "worker error")), now)
                 if state.status == "quarantined" and self._sequencer is not None:

@@ -210,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fat-batch",
         type=int,
         default=None,
-        help="max same-budget chips retrained together in one stacked batched-FAT "
-        "run; composes with --jobs N (each worker retrains a whole batch per "
+        help="max chips, grouped by their largest budget, retrained together in one "
+        "stacked batched-FAT run; composes with --jobs N (each worker retrains a whole batch per "
         "dispatch). Default: 8; 1 retrains one chip per stacked run; results are "
         "bit-identical either way",
     )

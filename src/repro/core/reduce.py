@@ -40,6 +40,7 @@ from repro.mitigation.strategy import (
 )
 from repro.nn.serialization import clone_state_dict
 from repro.training import (
+    CheckpointRecord,
     Trainer,
     TrainingConfig,
     enforce_weight_masks,
@@ -396,10 +397,12 @@ class ReduceFramework:
 
         The seed is shared across the whole population (not derived per chip):
         chips differ in their fault masks, not in their data — and a shared
-        mini-batch/dropout stream lets a same-budget chunk run as one
+        mini-batch/dropout stream lets a chunk run as one
         :class:`BatchedFaultTrainer` that lowers each training batch once for
         all its chips (the shared prefix), bit-identical to the serial
-        per-chip path.
+        per-chip path.  Because every budget walks the same stream, a pass to
+        the largest budget also passes through every smaller budget's end
+        state, so one pass serves all of them.
         """
         return dataclasses.replace(
             self.config.effective_retraining_config(),
@@ -505,31 +508,40 @@ class ReduceFramework:
     def retrain_chips_batched(
         self,
         chips: Sequence[Chip],
-        epochs: float,
+        epochs: Union[float, Sequence[float]],
         target_accuracy: Optional[float] = None,
         accuracies_before: Optional[Dict[str, float]] = None,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
         backend: Optional[str] = None,
     ) -> List[ChipRetrainingResult]:
-        """Mitigate several chips under one strategy/budget in stacked batches.
+        """Mitigate several chips under one strategy in stacked batches.
 
         The one Step-3 execution path: every campaign chunk runs through it,
-        a single chip being a stack of one.  Equivalent to
-        ``[self.retrain_chip(chip, epochs, ...) for chip in chips]`` —
-        bit-identical results on this BLAS build — but each batch of up to
-        ``fat_batch`` chips shares every GEMM of the retraining loop through a
-        :class:`~repro.accelerator.batched.BatchedFaultTrainer`.  Every
-        parametric layer family stacks (including training-mode batch norm,
-        whose per-chip-fold statistics replicate the serial runs), so there
-        is no serial fallback: a genuinely unstackable custom layer raises
+        a single chip being a stack of one.  ``epochs`` is one budget for
+        every entry of ``chips``, or one budget per entry; a chip may appear
+        several times, once per budget asked of it (the Fig. 3 policies ask
+        each chip for up to five).  Returns one result per entry, in entry
+        order, and each equals ``self.retrain_chip(chip, budget, ...)`` —
+        bit-identical on this BLAS build.
+
+        Each distinct chip takes one slot of a
+        :class:`~repro.accelerator.batched.BatchedFaultTrainer` stack of at
+        most ``fat_batch`` chips, and the stack trains once, to the largest
+        budget of any of its entries.  Every smaller budget is an in-stream
+        readout of that pass (``train(..., in_stream=True)``): all chips share
+        one seeded data stream, so the readout is exactly the end state of a
+        separate run to that budget.  Every parametric layer family stacks
+        (including training-mode batch norm), so there is no serial fallback:
+        a genuinely unstackable custom layer raises
         :class:`~repro.accelerator.batched.UnsupportedModelError` at trainer
         construction.
 
         ``accuracies_before`` injects pre-computed initial accuracies (from
         :meth:`triage_population`) per chip id; missing chips are evaluated
-        in one stacked pass before training.  A zero-budget batch whose
-        initial accuracies are all known builds no trainer at all.
+        in one stacked pass before training.  A zero budget reads the initial
+        accuracy, and a stack whose budgets are all zero and whose initial
+        accuracies are all known builds no trainer at all.
 
         ``strategy`` prepares each chip exactly like the serial path: a
         strategy's masks are just another per-chip mask set stacked into the
@@ -542,29 +554,47 @@ class ReduceFramework:
         its captured op graphs through (``None`` keeps the eager path;
         ``"numpy"`` is bit-identical to it).
         """
-        if epochs < 0:
+        entries = list(chips)
+        if np.ndim(epochs) == 0:
+            budgets = [float(epochs)] * len(entries)
+        else:
+            budgets = [float(budget) for budget in epochs]
+            if len(budgets) != len(entries):
+                raise ValueError(
+                    f"got {len(budgets)} budgets for {len(entries)} chip entries"
+                )
+        if any(budget < 0 for budget in budgets):
             raise ValueError("epochs must be non-negative")
         if fat_batch < 1:
             raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
         strategy = resolve_strategy(strategy)
-        chip_list = list(chips)
-        if not chip_list:
+        if not entries:
             return []
+        # Non-retraining strategies spend no budget; bypass-infeasible chips
+        # of a retraining bypass strategy fall back to the full FAT budget.
+        if not strategy.retrain:
+            budgets = [0.0] * len(entries)
         target = target_accuracy if target_accuracy is not None else self.target_accuracy
         before_map = accuracies_before or {}
         training_config = self._fat_training_config()
         pipeline = self.eval_pipeline
-        results: List[Optional[ChipRetrainingResult]] = [None] * len(chip_list)
+        results: List[Optional[ChipRetrainingResult]] = [None] * len(entries)
+
+        # One stack slot per distinct chip, listing the entries it answers.
+        slots: Dict[str, List[int]] = {}
+        for index, chip in enumerate(entries):
+            slots.setdefault(chip.chip_id, []).append(index)
+        unique = [entries[indices[0]] for indices in slots.values()]
 
         # Bypassable chips are satisfied by the shrunk array alone: their
         # result is fully determined once the pre-mitigation accuracy is
         # known, so they are peeled off before any stacked training.
         bypassed = [
-            index for index, chip in enumerate(chip_list)
+            chip for chip in unique
             if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None
         ]
         if bypassed:
-            before = [before_map.get(chip_list[index].chip_id) for index in bypassed]
+            before = [before_map.get(chip.chip_id) for chip in bypassed]
             missing = [pos for pos, value in enumerate(before) if value is None]
             if missing:
                 self._restore_pretrained()
@@ -572,7 +602,7 @@ class ReduceFramework:
                     self.model,
                     self.bundle.test,
                     [
-                        strategy.chip_masks(self.model, chip_list[bypassed[pos]].fault_map)
+                        strategy.chip_masks(self.model, bypassed[pos].fault_map)
                         for pos in missing
                     ],
                     training_config,
@@ -584,26 +614,25 @@ class ReduceFramework:
                 for position, pos in enumerate(missing):
                     before[pos] = evaluated[position]
             clean = self.clean_accuracy
-            for pos, index in enumerate(bypassed):
-                results[index] = _build_chip_result(
-                    chip_list[index], {}, 0.0, 0.0, before[pos], clean, target,
-                    strategy=strategy.name,
-                )
-        bypassed_set = set(bypassed)
-        trainable = [index for index in range(len(chip_list)) if index not in bypassed_set]
+            for chip, accuracy in zip(bypassed, before):
+                for index in slots[chip.chip_id]:
+                    results[index] = _build_chip_result(
+                        chip, {}, 0.0, 0.0, accuracy, clean, target,
+                        strategy=strategy.name,
+                    )
+        bypassed_ids = {chip.chip_id for chip in bypassed}
+        trainable = [chip for chip in unique if chip.chip_id not in bypassed_ids]
 
-        # Non-retraining strategies spend no budget; bypass-infeasible chips
-        # of a retraining bypass strategy fall back to the full FAT budget.
-        epochs = float(epochs) if strategy.retrain else 0.0
         for start in range(0, len(trainable), fat_batch):
-            indices = trainable[start:start + fat_batch]
-            chunk = [chip_list[index] for index in indices]
+            chunk = trainable[start:start + fat_batch]
             self._restore_pretrained()
             mask_sets = [strategy.chip_masks(self.model, chip.fault_map) for chip in chunk]
             before = [before_map.get(chip.chip_id) for chip in chunk]
-            after = before
-            trained = [0.0] * len(chunk)
-            if epochs > 0 or None in before:
+            readouts = sorted(
+                {budgets[i] for chip in chunk for i in slots[chip.chip_id]} - {0.0}
+            )
+            records: List[Dict[float, CheckpointRecord]] = [{} for _ in chunk]
+            if readouts or None in before:
                 trainer = BatchedFaultTrainer(
                     self.model,
                     mask_sets,
@@ -620,17 +649,30 @@ class ReduceFramework:
                         value if value is not None else evaluated[position]
                         for position, value in enumerate(before)
                     ]
-                    after = before
-                if epochs > 0:
-                    histories = trainer.train(epochs, include_initial=False)
-                    after = [history.final_accuracy for history in histories]
-                    trained = [history.total_epochs for history in histories]
-            for position, index in enumerate(indices):
-                results[index] = _build_chip_result(
-                    chunk[position], mask_sets[position], epochs, trained[position],
-                    before[position], after[position], target,
-                    strategy=strategy.name,
-                )
+                if readouts:
+                    histories = trainer.train(
+                        readouts[-1],
+                        eval_checkpoints=readouts,
+                        include_initial=False,
+                        in_stream=True,
+                    )
+                    records = [
+                        {record.epochs: record for record in history.records}
+                        for history in histories
+                    ]
+            for position, chip in enumerate(chunk):
+                for index in slots[chip.chip_id]:
+                    budget = budgets[index]
+                    record = records[position].get(budget)
+                    trained, after = (
+                        (record.epochs, record.eval_accuracy)
+                        if record is not None
+                        else (0.0, before[position])
+                    )
+                    results[index] = _build_chip_result(
+                        chip, mask_sets[position], budget, trained,
+                        before[position], after, target, strategy=strategy.name,
+                    )
         return list(results)
 
     def retrain_population(

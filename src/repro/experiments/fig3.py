@@ -149,14 +149,17 @@ def run_fig3(
 ) -> Fig3Result:
     """Run the full Fig. 3 comparison on the given context.
 
-    Each policy's campaign is dispatched through the campaign engine:
-    ``jobs`` shards the retraining across worker processes (``1`` executes
-    inline), ``campaign_dir`` persists per-chip results to resumable JSONL
-    stores (one per policy, resumed unless ``resume=False``),
-    ``disk_cache_dir`` lets spawned workers load the pre-trained state
-    instead of re-pre-training, and ``fat_batch`` caps how many same-budget
-    chips are retrained together in one stacked batched-FAT run — inline and
-    inside every worker alike (``1`` disables coalescing).
+    Every policy retrains the same chips under the same FAT masks, so all
+    policies run as one campaign-engine call that shares one Step-3 pass:
+    each chip is retrained once, to the largest budget any policy gives it,
+    and every smaller budget is read off that pass.  ``jobs`` shards the
+    retraining across worker processes (``1`` executes inline),
+    ``campaign_dir`` persists per-chip results to resumable JSONL stores
+    (one per policy, resumed unless ``resume=False``), ``disk_cache_dir``
+    lets spawned workers load the pre-trained state instead of
+    re-pre-training, and ``fat_batch`` caps how many chips, grouped by their
+    largest budget, are retrained together in one stacked batched-FAT run —
+    inline and inside every worker alike (``1`` disables coalescing).
     """
     preset = context.preset
     chips = population if population is not None else build_population(context, num_chips)
@@ -168,6 +171,13 @@ def run_fig3(
     profile = framework.analyze_resilience()
     context._profile = profile
 
+    policies = [framework.build_policy("max")]
+    if include_reduce_mean:
+        policies.append(framework.build_policy("mean"))
+    policies.extend(FixedEpochPolicy(budget) for budget in budgets)
+    # A repeated fixed budget is the same policy (and the same store).
+    policies = list({policy.name: policy for policy in policies}.values())
+
     engine = CampaignEngine(
         context,
         jobs=jobs,
@@ -177,22 +187,15 @@ def run_fig3(
         disk_cache_dir=disk_cache_dir,
         fat_batch=fat_batch,
     )
-    campaigns: Dict[str, CampaignResult] = {}
-    # Every policy retrains the same chips under the same FAT masks, so one
-    # triage dict serves them all: the first run measures each chip's
-    # initial accuracy and the later runs look it up.
-    triage: Dict[str, float] = {}
-    logger.info("fig3: retraining %d chips with reduce-max", len(chips))
-    campaigns["reduce-max"] = engine.run(chips, framework.build_policy("max"), triage=triage)
-    if include_reduce_mean:
-        logger.info("fig3: retraining %d chips with reduce-mean", len(chips))
-        campaigns["reduce-mean"] = engine.run(
-            chips, framework.build_policy("mean"), triage=triage
-        )
-    for budget in budgets:
-        logger.info("fig3: retraining %d chips with fixed budget %.3g epochs", len(chips), budget)
-        campaign = engine.run(chips, FixedEpochPolicy(budget), triage=triage)
-        campaigns[campaign.policy_name] = campaign
+    logger.info(
+        "fig3: retraining %d chips once for %d policies (%s)",
+        len(chips),
+        len(policies),
+        ", ".join(policy.name for policy in policies),
+    )
+    campaigns: Dict[str, CampaignResult] = {
+        campaign.policy_name: campaign for campaign in engine.run(chips, policies)
+    }
 
     return Fig3Result(
         campaigns=campaigns,

@@ -25,7 +25,7 @@ from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.data import make_blob_classification, make_class_template_images
 from repro.models import MLP, LeNet5
-from repro.training import Trainer, TrainingConfig
+from repro.training import Trainer, TrainingConfig, epochs_to_steps
 
 
 def _mlp_factory(bundle):
@@ -274,6 +274,58 @@ class TestTrainerEquivalence:
             epochs=0.5,
             checkpoints=[0.25],
         )
+
+
+class TestInStreamReadouts:
+    """In-stream readouts are trajectory-neutral.
+
+    Reading a smaller budget off a longer pass must not move the pass: every
+    readout equals a separate run to that budget, and the end state equals
+    the uninterrupted run's.  A loader restart at any readout breaks this.
+    """
+
+    # 6 batches per epoch: 0.05 and 0.1 both quantize to step 1, and 2.0
+    # reads past an epoch boundary.
+    BUDGETS = (0.05, 0.1, 0.25, 1.0, 2.0)
+
+    def test_readouts_equal_separate_runs(self, blob_bundle):
+        make = _mlp_factory(blob_bundle)
+        mask_sets = _mask_sets(make, num_chips=3)
+        config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
+        model = make()
+        pretrained = model.state_dict()
+
+        def fresh():
+            return BatchedFaultTrainer(
+                model, mask_sets, blob_bundle.train, blob_bundle.test, config=config
+            )
+
+        trainer = fresh()
+        steps = [epochs_to_steps(b, trainer.batches_per_epoch) for b in self.BUDGETS]
+        assert steps[0] == steps[1]
+        assert steps[-1] > trainer.batches_per_epoch
+        histories = trainer.train(
+            max(self.BUDGETS),
+            eval_checkpoints=self.BUDGETS,
+            include_initial=False,
+            in_stream=True,
+        )
+        for index, budget in enumerate(self.BUDGETS):
+            separate = fresh()
+            expected = separate.train(budget, include_initial=False)
+            for chip, history in enumerate(histories):
+                assert history.records[index] == expected[chip].records[0]
+        # ``separate`` ran the largest budget last: same end state.
+        serial = _serial_runs(
+            make, pretrained, mask_sets, blob_bundle, config, max(self.BUDGETS), None
+        )
+        for chip, (serial_history, serial_state) in enumerate(serial):
+            assert histories[chip].records[-1] == serial_history.records[-1]
+            state = trainer.chip_state_dict(chip)
+            separate_state = separate.chip_state_dict(chip)
+            for name in serial_state:
+                np.testing.assert_array_equal(state[name], separate_state[name])
+                np.testing.assert_array_equal(state[name], serial_state[name])
 
 
 def _bn_cnn_factory(bundle):
@@ -553,6 +605,28 @@ class TestFrameworkBatchedFat:
             result = framework.retrain_population(fat_population, policy, fat_batch=fat_batch)
             assert result.results == serial
 
+    def test_several_budgets_per_chip_equal_one_call_per_budget(
+        self, smoke_context, fat_population
+    ):
+        framework = smoke_context.framework()
+        chips = list(fat_population)
+        budgets = (0.5, 0.0, 0.25, 0.5)
+        entries = [chip for chip in chips for _ in budgets]
+        merged = framework.retrain_chips_batched(
+            entries, [budget for _ in chips for budget in budgets], fat_batch=2
+        )
+        per_budget = {
+            budget: framework.retrain_chips_batched(chips, budget)
+            for budget in set(budgets)
+        }
+        assert merged == [
+            per_budget[budget][index]
+            for index in range(len(chips))
+            for budget in budgets
+        ]
+        with pytest.raises(ValueError, match="budgets"):
+            framework.retrain_chips_batched(chips, [0.25])
+
     def test_zero_epoch_chips_skip_training(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         chips = list(fat_population)
@@ -673,14 +747,23 @@ class TestEngineCoalescing:
         serial = [framework.retrain_chip(job.to_chip(), job.epochs) for job in jobs]
         assert batched == serial
 
-    def test_mixed_budget_jobs_rejected(self, smoke_context, fat_population):
+    def test_mixed_budget_jobs_share_one_pass(self, smoke_context, fat_population):
+        """Jobs may ask one stack for several budgets (one job per policy):
+        it trains once, to the largest, and each job reads its own budget."""
         framework = smoke_context.framework()
         jobs = build_jobs(framework, fat_population, FixedEpochPolicy(0.25))
-        import dataclasses
-
-        mixed = [jobs[0], dataclasses.replace(jobs[1], epochs=0.5)]
-        with pytest.raises(ValueError):
-            execute_jobs_batched(framework, mixed)
+        mixed = [
+            jobs[0],
+            dataclasses.replace(jobs[1], epochs=0.5),
+            dataclasses.replace(jobs[0], epochs=0.5, policy_name="other"),
+            dataclasses.replace(jobs[1], epochs=0.0, policy_name="other"),
+        ]
+        expected = [framework.retrain_chip(job.to_chip(), job.epochs) for job in mixed]
+        assert execute_jobs_batched(framework, mixed) == expected
+        with pytest.raises(ValueError, match="target"):
+            execute_jobs_batched(
+                framework, [jobs[0], dataclasses.replace(jobs[1], target_accuracy=0.5)]
+            )
 
     def test_invalid_fat_batch_rejected(self, smoke_context):
         with pytest.raises(ValueError):

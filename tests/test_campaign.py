@@ -19,10 +19,11 @@ from repro.campaign import (
     execute_job_chunk,
     plan_job_chunks,
 )
-from repro.campaign.store import decode_result_line
+from repro.campaign import engine as engine_module
+from repro.campaign.store import decode_result_line, discover_stores
 from repro.cli import main
 from repro.core.chips import ChipPopulation
-from repro.core.selection import FixedEpochPolicy
+from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.nn.serialization import state_dicts_equal
 
@@ -312,6 +313,130 @@ class TestStoreAndResume:
         assert colliding != old_fingerprint
         with pytest.raises(CampaignStoreError):
             CampaignStore.open(tmp_path, colliding, manifest={"policy": policy.name})
+
+
+class _CyclingPolicy(RetrainingPolicy):
+    """Budgets cycled over the chips in population order, so budget groups
+    interleave (smoke reduce policies give every chip the same budget)."""
+
+    name = "cycling"
+
+    def __init__(self, budgets):
+        self.budgets = budgets
+
+    def epochs_for_population(self, population):
+        return {
+            chip.chip_id: self.budgets[index % len(self.budgets)]
+            for index, chip in enumerate(population)
+        }
+
+
+def _fig3_policies(framework, preset):
+    return [framework.build_policy("max"), framework.build_policy("mean")] + [
+        FixedEpochPolicy(budget) for budget in preset.fixed_policy_epochs
+    ] + [_CyclingPolicy((0.5, 0.25, 0.5, 0.0))]
+
+
+def _store_rows(store_base):
+    return {
+        store.read_manifest()["policy"]: store.results_path.read_bytes()
+        for store in discover_stores(store_base)
+    }
+
+
+class TestSharedPolicyPass:
+    """Several policies in one engine run: one Step-3 pass, one store each."""
+
+    @pytest.fixture(scope="class")
+    def fig3_population(self, smoke_context):
+        preset = smoke_context.preset
+        return ChipPopulation.generate(
+            count=6,
+            rows=preset.array_rows,
+            cols=preset.array_cols,
+            fault_rates=(0.05, 0.3),
+            seed=77,
+        )
+
+    @pytest.fixture
+    def policies(self, smoke_context):
+        smoke_context.resilience_profile()
+        return _fig3_policies(smoke_context.framework(), smoke_context.preset)
+
+    def test_completed_policy_store_is_not_retrained(
+        self, smoke_context, fig3_population, policies, tmp_path, monkeypatch
+    ):
+        alone = CampaignEngine(smoke_context, store_base=tmp_path).run(
+            fig3_population, policies[0]
+        )
+        planned = []
+        plan = engine_module.plan_job_chunks
+
+        def recording_plan(jobs, *args, **kwargs):
+            planned.extend(jobs)
+            return plan(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "plan_job_chunks", recording_plan)
+        engine = CampaignEngine(smoke_context, store_base=tmp_path)
+        campaigns = engine.run(fig3_population, policies)
+        monkeypatch.undo()
+
+        assert {job.policy_name for job in planned} == {p.name for p in policies[1:]}
+        reports = {report.policy_name: report for report in engine.last_reports}
+        assert list(reports) == [policy.name for policy in policies]
+        assert (reports["reduce-max"].executed, reports["reduce-max"].skipped) == (
+            0, len(fig3_population),
+        )
+        for policy in policies[1:]:
+            assert reports[policy.name].executed == len(fig3_population)
+        assert engine.last_report is engine.last_reports[-1]
+        fresh = CampaignEngine(smoke_context).run(fig3_population, policies)
+        assert campaigns[0].results == alone.results
+        for campaign, expected in zip(campaigns, fresh):
+            assert campaign.policy_name == expected.policy_name
+            assert campaign.results == expected.results
+        stores = discover_stores(tmp_path)
+        assert len(stores) == len(policies)
+        assert all(store.verify().is_clean for store in stores)
+
+        rerun = CampaignEngine(smoke_context, store_base=tmp_path)
+        rerun.run(fig3_population, policies)
+        assert all(report.executed == 0 for report in rerun.last_reports)
+
+    def test_jobs2_commits_the_same_per_policy_rows(
+        self, smoke_context, fig3_population, policies, tmp_path
+    ):
+        for jobs in (1, 2):
+            CampaignEngine(
+                smoke_context, jobs=jobs, fat_batch=2, store_base=tmp_path / f"jobs{jobs}"
+            ).run(fig3_population, policies)
+        serial = _store_rows(tmp_path / "jobs1")
+        assert set(serial) == {policy.name for policy in policies}
+        assert _store_rows(tmp_path / "jobs2") == serial
+
+    def test_single_policy_store_keeps_same_budget_plan_order(
+        self, smoke_context, fig3_population, policies, tmp_path
+    ):
+        policy = policies[-1]
+        CampaignEngine(smoke_context, fat_batch=2, store_base=tmp_path).run(
+            fig3_population, policy
+        )
+        [store] = discover_stores(tmp_path)
+        recorded = [
+            json.loads(line)["chip_id"]
+            for line in store.results_path.read_text().splitlines()
+        ]
+        groups: dict = {}
+        for job in build_jobs(smoke_context.framework(), fig3_population, policy):
+            groups.setdefault(job.epochs, []).append(job.chip_id)
+        assert len(groups) > 1
+        assert recorded == [chip_id for group in groups.values() for chip_id in group]
+
+    def test_duplicate_policy_names_rejected(self, smoke_context, fig3_population):
+        with pytest.raises(ValueError, match="distinct"):
+            CampaignEngine(smoke_context).run(
+                fig3_population, [FixedEpochPolicy(0.25), FixedEpochPolicy(0.25)]
+            )
 
 
 class TestStoreIntegrity:

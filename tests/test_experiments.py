@@ -1,5 +1,7 @@
 """Tests for experiment presets, contexts and the figure runners (smoke scale)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,56 @@ class TestFig3Runner:
         assert payload["target_accuracy"] == pytest.approx(result.target_accuracy)
         with pytest.raises(KeyError):
             result.campaign("nonexistent")
+
+    def test_fig3_shares_one_step3_pass_across_policies(self, smoke_context, monkeypatch):
+        """Every (policy, chip) row equals the per-policy reference runs, yet
+        each stack trains once: one ``train`` per (largest-budget group x
+        ``fat_batch`` chunk), not one per policy."""
+        from repro.accelerator.batched import BatchedFaultTrainer
+        from repro.campaign import CampaignEngine
+
+        population = build_population(smoke_context, num_chips=10)
+        smoke_context.resilience_profile()
+        framework = smoke_context.framework()
+        reference = {
+            "reduce-max": framework.run(population, statistic="max"),
+            "reduce-mean": framework.run(population, statistic="mean"),
+        }
+        for budget in smoke_context.preset.fixed_policy_epochs:
+            campaign = framework.run_fixed_policy(population, budget)
+            reference[campaign.policy_name] = campaign
+
+        stacks = []
+        train = BatchedFaultTrainer.train
+
+        def spy(trainer, *args, **kwargs):
+            stacks.append(trainer.num_chips)
+            return train(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedFaultTrainer, "train", spy)
+        result = run_fig3(smoke_context, population=population)
+        monkeypatch.undo()
+
+        assert list(result.campaigns) == list(reference)
+        for name, campaign in result.campaigns.items():
+            assert campaign.results == reference[name].results
+        fat_batch = CampaignEngine.DEFAULT_FAT_BATCH
+
+        def stacks_for(budgets):
+            """One stacked run per ``fat_batch`` chunk of each trained budget."""
+            sizes = Counter(budget for budget in budgets if budget > 0)
+            return sum(-(-size // fat_batch) for size in sizes.values())
+
+        largest: dict = {}
+        for campaign in reference.values():
+            for row in campaign.results:
+                largest[row.chip_id] = max(largest.get(row.chip_id, 0.0), row.epochs_allocated)
+        assert len(stacks) == stacks_for(largest.values())
+        assert sum(stacks) == sum(1 for budget in largest.values() if budget > 0)
+        assert len(stacks) < sum(
+            stacks_for(row.epochs_allocated for row in campaign.results)
+            for campaign in reference.values()
+        )
 
     def test_fig3_without_reduce_mean(self, smoke_context):
         result = run_fig3(smoke_context, num_chips=2, include_reduce_mean=False, fixed_epochs=(0.25,))
