@@ -382,8 +382,8 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 
     ``pipelined=False`` is the eager eval path — no prefetch thread and a
     zero-byte cache, so every eval pass re-lowers every eval batch.
-    ``pipelined=True`` is the default path.  Both defer the checkpoints and
-    evaluate one pass per distinct optimizer step.
+    ``pipelined=True`` is the default path.  Both evaluate each checkpoint
+    live, one pass per distinct optimizer step.
     """
     from repro.accelerator.batched import BatchedFaultTrainer, LoweringCache
 
@@ -408,9 +408,9 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
     """Unpipelined multi-checkpoint eval: 8 chips x 5 checkpoints.
 
-    No prefetch thread and no lowering cache: every deferred per-snapshot
-    pass re-lowers every eval batch on its own thread — the comparator for
-    the pipelined benchmark below.
+    No prefetch thread and no lowering cache: every checkpoint-eval pass
+    re-lowers every eval batch on its own thread — the comparator for the
+    pipelined benchmark below.
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -424,11 +424,11 @@ def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
 def test_bench_checkpoint_eval_pipelined_8chips(benchmark, fast_context):
     """Pipelined multi-checkpoint eval: same 8 chips, same 5 checkpoints.
 
-    Checkpoints snapshot the stacked weights; at 10 train batches per epoch
-    the 5 checkpoints quantize to 2 unique optimizer steps, so the deferred
-    drain runs 2 eight-chip passes over lowerings cached once by the first
-    (and prefetched in the background); results are bit-identical to the
-    baseline (see tests/test_pipelined_eval.py).
+    Checkpoints are evaluated live as training reaches them; at 10 train
+    batches per epoch the 5 checkpoints quantize to 2 unique optimizer
+    steps, so training runs 2 eight-chip eval passes over lowerings cached
+    once by the first (and prefetched in the background); results are
+    bit-identical to the baseline (see tests/test_pipelined_eval.py).
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)

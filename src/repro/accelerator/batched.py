@@ -915,21 +915,6 @@ class _StackedLayer:
             )
 
 
-@dataclasses.dataclass
-class _EvalSnapshot:
-    """Stacked weights + metadata of one deferred checkpoint evaluation."""
-
-    epochs: float
-    steps: int
-    train_losses: np.ndarray  # (B,) float64, NaN where no steps ran
-    layer_weights: List[np.ndarray]
-    layer_biases: List[Optional[np.ndarray]]
-    norm_weights: List[np.ndarray]
-    norm_biases: List[np.ndarray]
-    norm_means: List[np.ndarray]
-    norm_vars: List[np.ndarray]
-
-
 class BatchedFaultTrainer:
     """Fault-aware retraining of B chips in one batched training loop.
 
@@ -1498,86 +1483,6 @@ class BatchedFaultTrainer:
             return [0.0] * self.num_chips
         return [int(c) / total for c in correct]
 
-    # -- deferred checkpoint evaluation --------------------------------------
-
-    def _snapshot_stacks(
-        self, epochs: float, steps: int, train_losses: np.ndarray
-    ) -> _EvalSnapshot:
-        """Copy the current stacked weights/statistics for a deferred eval."""
-        return _EvalSnapshot(
-            epochs=epochs,
-            steps=steps,
-            train_losses=np.asarray(train_losses, dtype=np.float64).copy(),
-            layer_weights=[layer.weight.data.copy() for layer in self._layers],
-            layer_biases=[
-                None if layer.bias is None else layer.bias.data.copy()
-                for layer in self._layers
-            ],
-            norm_weights=[norm.weight.data.copy() for norm in self._norm_layers],
-            norm_biases=[norm.bias.data.copy() for norm in self._norm_layers],
-            norm_means=[norm.running_mean.copy() for norm in self._norm_layers],
-            norm_vars=[norm.running_var.copy() for norm in self._norm_layers],
-        )
-
-    @contextlib.contextmanager
-    def _stacks_swapped(self, snapshot: _EvalSnapshot):
-        """Temporarily present a snapshot's stacked arrays as live.
-
-        The batched forwards — and captured eval graphs, whose parameter
-        references read ``.data`` at replay time — all consult the layer
-        objects live, so swapping the arrays re-points every kernel without
-        re-patching anything.  Restores the training stacks on exit.
-        """
-        saved_layer = [(layer.weight.data, None if layer.bias is None else layer.bias.data)
-                       for layer in self._layers]
-        saved_norm = [(norm.weight.data, norm.bias.data, norm.running_mean, norm.running_var)
-                      for norm in self._norm_layers]
-
-        def present(layer_arrays, norm_arrays) -> None:
-            for layer, (weight, bias) in zip(self._layers, layer_arrays):
-                layer.weight.data = weight
-                if layer.bias is not None:
-                    layer.bias.data = bias
-            for norm, (weight, bias, mean, var) in zip(self._norm_layers, norm_arrays):
-                norm.weight.data = weight
-                norm.bias.data = bias
-                norm.running_mean = mean
-                norm.running_var = var
-
-        try:
-            present(
-                zip(snapshot.layer_weights, snapshot.layer_biases),
-                zip(snapshot.norm_weights, snapshot.norm_biases,
-                    snapshot.norm_means, snapshot.norm_vars),
-            )
-            yield
-        finally:
-            present(saved_layer, saved_norm)
-
-    def _evaluate_snapshots(
-        self, snapshots: List[_EvalSnapshot]
-    ) -> List[Tuple[_EvalSnapshot, List[float]]]:
-        """Evaluate deferred checkpoint snapshots, one pass per optimizer step.
-
-        Checkpoints that quantized to the same optimizer step (fine epoch
-        grids at small batches-per-epoch counts do this constantly) carry
-        identical stacked weights — no training step ran between them — so
-        one evaluation pass serves every alias.  This is what makes eval cost
-        sublinear in the checkpoint count.  Each unique snapshot is then
-        evaluated by swapping its stacks in for one :meth:`evaluate` pass;
-        all passes walk the same eval batches, so from the second on every
-        shared-prefix lowering is a cache hit.
-        """
-        accuracies_by_step: Dict[int, List[float]] = {}
-        for snapshot in snapshots:
-            if snapshot.steps in accuracies_by_step:
-                if metrics.enabled:
-                    metrics.counter("fat.eval.checkpoints_deduped").inc()
-                continue
-            with self._stacks_swapped(snapshot):
-                accuracies_by_step[snapshot.steps] = self.evaluate()
-        return [(snapshot, accuracies_by_step[snapshot.steps]) for snapshot in snapshots]
-
     def train(
         self,
         epochs: float,
@@ -1599,19 +1504,17 @@ class BatchedFaultTrainer:
         include_initial=False)`` on a fresh trainer — epochs, steps, loss and
         accuracy — so one pass to the largest budget answers every smaller
         budget (Step 3 reads all of a chip's policy budgets this way).
-        Readouts are evaluated live, at a pause of the pass, so they hold no
-        copies of the stacks; checkpoints that quantize to the same step share
-        one evaluation.
 
-        Without ``in_stream``, more than one checkpoint defers the
-        per-checkpoint evaluations: each checkpoint snapshots the stacked
-        weights and statistics, training continues, and the snapshots are
-        evaluated after the last step, one pass per distinct optimizer step
-        (see :meth:`_evaluate_snapshots`).  Histories are identical to the
-        interleaved schedule — evaluation never mutates training state (it
-        runs under ``no_grad`` on fixed weights over the unshuffled eval
-        loader), so the training step sequence, RNG streams and recorded
-        accuracies all match bit for bit.
+        Every checkpoint is evaluated live, when training reaches it: in
+        segment mode after its segment, with ``in_stream`` at a pause of the
+        pass (outside the batched forwards).  Evaluation never mutates
+        training state — it runs under ``no_grad`` on the current stacks over
+        the unshuffled eval loader — so the training step sequence and RNG
+        streams are those of an unevaluated run.  Checkpoints that quantize
+        to the same optimizer step carry identical stacks, so they share one
+        :meth:`evaluate` pass (fine epoch grids at small batches-per-epoch
+        counts do this constantly); each shared pass counts one
+        ``fat.eval.checkpoints_deduped``.
         """
         from repro.training import CheckpointRecord, TrainingHistory, epochs_to_steps
 
@@ -1621,35 +1524,15 @@ class BatchedFaultTrainer:
         checkpoints = sorted(set(float(c) for c in (eval_checkpoints or []) if 0.0 < c <= epochs))
         if epochs > 0 and (not checkpoints or abs(checkpoints[-1] - epochs) > 1e-12):
             checkpoints.append(float(epochs))
-        passes = (1 if include_initial else 0) + len(checkpoints)
-        defer = passes > 1 and not in_stream
-        snapshots: List[_EvalSnapshot] = []
-        live_accuracies: Dict[int, List[float]] = {}
+        accuracies_by_step: Dict[int, List[float]] = {}
 
         def record_checkpoint(epochs_at: float, train_losses: np.ndarray) -> None:
-            if defer:
-                if snapshots and snapshots[-1].steps == self.steps_taken:
-                    # Same optimizer step as the previous checkpoint — the
-                    # stacks have not moved, so alias its arrays rather than
-                    # copying them again.
-                    snapshots.append(
-                        dataclasses.replace(
-                            snapshots[-1],
-                            epochs=epochs_at,
-                            train_losses=np.asarray(
-                                train_losses, dtype=np.float64
-                            ).copy(),
-                        )
-                    )
-                else:
-                    snapshots.append(
-                        self._snapshot_stacks(epochs_at, self.steps_taken, train_losses)
-                    )
-                return
             steps = self.steps_taken
-            if steps not in live_accuracies:
-                live_accuracies[steps] = self.evaluate()
-            accuracies = live_accuracies[steps]
+            if steps not in accuracies_by_step:
+                accuracies_by_step[steps] = self.evaluate()
+            elif metrics.enabled:
+                metrics.counter("fat.eval.checkpoints_deduped").inc()
+            accuracies = accuracies_by_step[steps]
             for chip, history in enumerate(histories):
                 history.add(
                     CheckpointRecord(
@@ -1690,16 +1573,6 @@ class BatchedFaultTrainer:
                     train_losses = np.full(self.num_chips, np.nan)
                 previous_steps = target_steps
                 record_checkpoint(checkpoint, train_losses)
-        for snapshot, accuracies in self._evaluate_snapshots(snapshots):
-            for chip, history in enumerate(histories):
-                history.add(
-                    CheckpointRecord(
-                        epochs=snapshot.epochs,
-                        steps=snapshot.steps,
-                        train_loss=float(snapshot.train_losses[chip]),
-                        eval_accuracy=accuracies[chip],
-                    )
-                )
         return histories
 
     # -- results -------------------------------------------------------------

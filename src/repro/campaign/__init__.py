@@ -17,7 +17,7 @@ campaign scales past one host with the same recovery as on one.
 """
 
 from repro.campaign.chaos import CHAOS_ENV_VAR, ChaosError, ChaosSpec, resolve_chaos
-from repro.campaign.engine import CampaignEngine, CampaignReport, run_campaign
+from repro.campaign.engine import CampaignEngine, CampaignReport
 from repro.campaign.jobs import (
     ChipJob,
     build_jobs,
@@ -59,7 +59,6 @@ __all__ = [
     "resolve_chaos",
     "CampaignEngine",
     "CampaignReport",
-    "run_campaign",
     "ChipJob",
     "build_jobs",
     "execute_job_chunk",

@@ -1,7 +1,7 @@
 """Sharded, resumable campaign engine (the campaign planner/executor).
 
-The engine turns ``ReduceFramework.retrain_population`` into a dispatchable
-workload in two stages:
+The engine runs Step 3 over a chip population as a dispatchable, resumable
+workload, in two stages:
 
 * **Plan.** Step 2 (policy resolution) runs once in the parent process and
   is frozen into picklable :class:`~repro.campaign.jobs.ChipJob` units, one
@@ -883,31 +883,3 @@ class CampaignEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def run_campaign(
-    context,
-    population: ChipPopulation,
-    policy: RetrainingPolicy,
-    jobs: int = 1,
-    store_base: Optional[PathLike] = None,
-    resume: bool = True,
-    progress: bool = False,
-    fat_batch: Optional[int] = None,
-    strategy: StrategyLike = None,
-    backend: Optional[str] = None,
-    prefetch: bool = True,
-    lowering_cache_mb: Optional[float] = None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignEngine`."""
-    engine = CampaignEngine(
-        context,
-        jobs=jobs,
-        store_base=store_base,
-        resume=resume,
-        progress=progress,
-        fat_batch=fat_batch,
-        backend=backend,
-        prefetch=prefetch,
-        lowering_cache_mb=lowering_cache_mb,
-    )
-    return engine.run(population, policy, strategy=strategy)

@@ -51,8 +51,8 @@ from repro.utils.rng import derive_seed
 
 logger = get_logger("core.reduce")
 
-# Chips whose Step-2 budgets agree are retrained together in stacked batches
-# of at most this many chips (bounds the stacked-weight memory footprint).
+# Step-3 chips are retrained together in stacked batches of at most this
+# many chips (bounds the stacked-weight memory footprint).
 DEFAULT_FAT_BATCH = 8
 
 
@@ -130,11 +130,17 @@ class CampaignResult:
         return np.array([result.fault_rate for result in self.results])
 
     # -- aggregates ------------------------------------------------------------
+    # A campaign whose every chip was quarantined has no completed chips: its
+    # per-chip aggregates are NaN (and its total cost 0.0), not an error.
+
+    @staticmethod
+    def _over_chips(values: np.ndarray, reduce) -> float:
+        return float(reduce(values)) if values.size else float("nan")
 
     @property
     def average_epochs(self) -> float:
         """Average retraining epochs per chip (x-axis of Fig. 3f)."""
-        return float(self.epochs().mean())
+        return self._over_chips(self.epochs(), np.mean)
 
     @property
     def total_epochs(self) -> float:
@@ -144,7 +150,9 @@ class CampaignResult:
     @property
     def fraction_meeting_constraint(self) -> float:
         """Fraction of chips meeting the accuracy constraint (y-axis of Fig. 3f)."""
-        return float(np.mean([result.meets_constraint for result in self.results]))
+        return self._over_chips(
+            np.array([result.meets_constraint for result in self.results]), np.mean
+        )
 
     @property
     def percent_meeting_constraint(self) -> float:
@@ -152,11 +160,11 @@ class CampaignResult:
 
     @property
     def mean_accuracy(self) -> float:
-        return float(self.accuracies().mean())
+        return self._over_chips(self.accuracies(), np.mean)
 
     @property
     def worst_accuracy(self) -> float:
-        return float(self.accuracies().min())
+        return self._over_chips(self.accuracies(), np.min)
 
     def summary(self) -> Dict[str, float]:
         """The row this policy contributes to Fig. 3f."""
@@ -527,7 +535,8 @@ class ReduceFramework:
 
         Each distinct chip takes one slot of a
         :class:`~repro.accelerator.batched.BatchedFaultTrainer` stack of at
-        most ``fat_batch`` chips, and the stack trains once, to the largest
+        most ``fat_batch`` chips, cut from the chips in (stable) order of
+        their largest budget, and the stack trains once, to the largest
         budget of any of its entries.  Every smaller budget is an in-stream
         readout of that pass (``train(..., in_stream=True)``): all chips share
         one seeded data stream, so the readout is exactly the end state of a
@@ -621,7 +630,17 @@ class ReduceFramework:
                         strategy=strategy.name,
                     )
         bypassed_ids = {chip.chip_id for chip in bypassed}
-        trainable = [chip for chip in unique if chip.chip_id not in bypassed_ids]
+        # Stacks are cut from chips ordered by their largest budget, so chips
+        # with similar budgets share a pass; the sort is stable, and engine
+        # chunks (one largest budget each) keep their order.
+        largest = {
+            chip_id: max(budgets[index] for index in indices)
+            for chip_id, indices in slots.items()
+        }
+        trainable = sorted(
+            (chip for chip in unique if chip.chip_id not in bypassed_ids),
+            key=lambda chip: largest[chip.chip_id],
+        )
 
         for start in range(0, len(trainable), fat_batch):
             chunk = trainable[start:start + fat_batch]
@@ -686,11 +705,10 @@ class ReduceFramework:
     ) -> CampaignResult:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
-        The initial accuracy checkpoints of all chips are evaluated first in
-        stacked multi-chip passes (:meth:`triage_population`); chips whose
-        Step-2 budgets agree are then mitigated together through
-        :meth:`retrain_chips_batched` in stacks of at most ``fat_batch``,
-        which is bit-identical to the serial per-chip :meth:`retrain_chip`
+        One :meth:`retrain_chips_batched` call over every chip's effective
+        budget: it stacks chips in order of budget, at most ``fat_batch`` to
+        a stack, and each stack measures its own chips' initial accuracy.
+        Rows are bit-identical to the serial per-chip :meth:`retrain_chip`
         loop on this BLAS build.  ``strategy`` selects the mitigation recipe
         applied before/instead of retraining (default: classic FAT);
         ``backend`` selects the compute backend the stacked substrate replays
@@ -698,23 +716,17 @@ class ReduceFramework:
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)
-        groups: Dict[float, List[Chip]] = {}
-        for chip in population:
-            epochs = strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
-            groups.setdefault(epochs, []).append(chip)
-        triage = self.triage_population(population, strategy=strategy, backend=backend)
-        by_id: Dict[str, ChipRetrainingResult] = {}
-        for epochs, chips in groups.items():
-            for result in self.retrain_chips_batched(
-                chips,
-                epochs,
-                accuracies_before=triage,
-                fat_batch=fat_batch,
-                strategy=strategy,
-                backend=backend,
-            ):
-                by_id[result.chip_id] = result
-        results = [by_id[chip.chip_id] for chip in population]
+        chips = list(population)
+        results = self.retrain_chips_batched(
+            chips,
+            [
+                strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
+                for chip in chips
+            ],
+            fat_batch=fat_batch,
+            strategy=strategy,
+            backend=backend,
+        )
         if progress:
             for result in results:
                 logger.info(

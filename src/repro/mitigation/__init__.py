@@ -27,7 +27,7 @@ from repro.mitigation.fam import (
     compute_column_permutations,
     apply_fam,
 )
-from repro.mitigation.fat import FatResult, FaultAwareTrainer, fault_aware_retrain
+from repro.mitigation.fat import FatResult, fault_aware_retrain
 from repro.mitigation.calibration import recalibrate_batchnorm, reset_batchnorm_stats
 from repro.mitigation.strategy import (
     DEFAULT_STRATEGY_NAME,
@@ -63,6 +63,5 @@ __all__ = [
     "compute_column_permutations",
     "apply_fam",
     "FatResult",
-    "FaultAwareTrainer",
     "fault_aware_retrain",
 ]

@@ -17,8 +17,6 @@ import numpy as np
 from repro import nn
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.systolic_array import SystolicArray
-from repro.data.dataloader import DataLoader
-from repro.data.dataset import Dataset
 from repro.data.synthetic import DatasetBundle
 from repro.mitigation.fap import apply_fap, build_fap_masks
 from repro.training import Trainer, TrainingConfig, TrainingHistory
@@ -45,27 +43,6 @@ class FatResult:
         return self.history.records[0].eval_accuracy
 
 
-class FaultAwareTrainer(Trainer):
-    """A :class:`~repro.training.Trainer` that enforces fault masks.
-
-    This subclass exists mainly for discoverability (the paper's Step 3 uses
-    "fault-aware retraining"); all mask enforcement already lives in the base
-    trainer, here the masks are simply mandatory.
-    """
-
-    def __init__(
-        self,
-        model: nn.Module,
-        masks: MaskDict,
-        train_data: Union[Dataset, DataLoader],
-        eval_data: Union[Dataset, DataLoader],
-        config: Optional[TrainingConfig] = None,
-    ) -> None:
-        if masks is None:
-            raise ValueError("FaultAwareTrainer requires fault masks; use Trainer for clean training")
-        super().__init__(model, train_data, eval_data, config=config, masks=masks)
-
-
 def fault_aware_retrain(
     model: nn.Module,
     fault_map_or_masks: Union[FaultMap, SystolicArray, MaskDict],
@@ -85,7 +62,7 @@ def fault_aware_retrain(
         masks = fault_map_or_masks
     else:
         masks = build_fap_masks(model, fault_map_or_masks, column_permutations)
-    trainer = FaultAwareTrainer(model, masks, bundle.train, bundle.test, config=config)
+    trainer = Trainer(model, bundle.train, bundle.test, config=config, masks=masks)
     history = trainer.train(epochs, eval_checkpoints=eval_checkpoints)
     masked = sum(int(mask.sum()) for mask in masks.values())
     total = sum(mask.size for mask in masks.values())

@@ -11,7 +11,6 @@ from repro.mitigation import (
     build_fap_masks,
     compute_column_permutations,
     fault_aware_retrain,
-    FaultAwareTrainer,
     get_saliency_metric,
     layer_column_permutation,
     magnitude_saliency,
@@ -172,9 +171,3 @@ class TestFAT:
             config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=0),
         )
         assert result.masks is masks
-
-    def test_trainer_requires_masks(self, image_bundle):
-        features = int(np.prod(image_bundle.input_shape))
-        model = MLP(features, image_bundle.num_classes, hidden_sizes=(16,), seed=0)
-        with pytest.raises(ValueError):
-            FaultAwareTrainer(model, None, image_bundle.train, image_bundle.test)

@@ -1,9 +1,9 @@
 """Determinism tests for the pipelined evaluation path.
 
-The pipelined eval path — background batch prefetch, deferred checkpoint
-snapshots, and the sweep-wide shared lowering cache — is a pure performance
-feature: every knob combination must produce bit-identical results, stores and
-fingerprints.  These tests pin that contract at every level: the prefetcher
+The pipelined eval path — background batch prefetch, step-deduplicated
+checkpoint evaluation, and the sweep-wide shared lowering cache — is a pure
+performance feature: every knob combination must produce bit-identical
+results, stores and fingerprints.  These tests pin that contract at every level: the prefetcher
 unit, the stacked population evaluation and trainer, whole campaigns (serial, ``--jobs 2 x
 --fat-batch 4``, chaos kill and kill/resume) and multi-arm strategy sweeps,
 where arms 2..K must *hit* the lowerings arm 1 computed (and Step-3
@@ -39,7 +39,7 @@ from repro.core.selection import FixedEpochPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.experiments.presets import ModelSpec
 from repro.observability import metrics
-from repro.training import Trainer, TrainingConfig
+from repro.training import Trainer, TrainingConfig, epochs_to_steps
 
 
 def _conv_preset():
@@ -230,20 +230,12 @@ class TestEvaluatorPrefetch:
         assert len(started) == 1
 
 
-class TestDeferredEval:
+class TestCheckpointEval:
     CONFIG = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
 
     @pytest.mark.parametrize("backend", [None, "numpy", "fused"])
-    def test_deferred_matches_serial_histories(self, image_bundle, backend, monkeypatch):
-        """Deferred per-snapshot checkpoint evals reproduce serial histories."""
-        deferred = []
-        original = BatchedFaultTrainer._evaluate_snapshots
-
-        def counting(self, snapshots):
-            deferred.append(len(snapshots))
-            return original(self, snapshots)
-
-        monkeypatch.setattr(BatchedFaultTrainer, "_evaluate_snapshots", counting)
+    def test_checkpoints_match_serial_histories(self, image_bundle, backend):
+        """Live per-checkpoint evals reproduce serial histories and weights."""
         serial_histories, serial_states = [], []
         for masks in _cnn_mask_sets(image_bundle):
             model = _small_cnn(image_bundle)
@@ -263,8 +255,6 @@ class TestDeferredEval:
             backend=backend,
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5, 1.0])
-        # Initial + two checkpoints were deferred into one drain.
-        assert deferred == [3]
         _assert_histories_equal(histories, serial_histories)
         for chip, serial_state in enumerate(serial_states):
             state = trainer.chip_state_dict(chip)
@@ -272,26 +262,63 @@ class TestDeferredEval:
             for name in serial_state:
                 np.testing.assert_array_equal(state[name], serial_state[name])
 
-    def test_single_checkpoint_run_is_not_deferred(self, image_bundle, monkeypatch):
-        """The campaign path (one final checkpoint, no initial) stays inline."""
-        called = []
-        monkeypatch.setattr(
-            BatchedFaultTrainer,
-            "_evaluate_snapshots",
-            lambda self, snapshots: called.append(len(snapshots)) or [],
-        )
-        model = _small_cnn(image_bundle)
+    # 4 batches per epoch: both checkpoints quantize to optimizer step 1.
+    SAME_STEP = (0.05, 0.1)
+
+    def _serial_records(self, bundle, budget, checkpoints):
+        return [
+            Trainer(
+                _small_cnn(bundle), bundle.train, bundle.test,
+                config=self.CONFIG, masks=masks,
+            ).train(budget, eval_checkpoints=checkpoints, include_initial=False)
+            for masks in _cnn_mask_sets(bundle)
+        ]
+
+    @pytest.mark.parametrize("in_stream", [False, True])
+    def test_same_step_checkpoints_share_one_eval(
+        self, image_bundle, in_stream, monkeypatch, enabled_metrics
+    ):
+        calls = []
+        original = BatchedFaultTrainer.evaluate
+
+        def counting(self):
+            calls.append(self.steps_taken)
+            return original(self)
+
+        monkeypatch.setattr(BatchedFaultTrainer, "evaluate", counting)
         trainer = BatchedFaultTrainer(
-            model,
+            _small_cnn(image_bundle),
             _cnn_mask_sets(image_bundle),
             image_bundle.train,
             image_bundle.test,
             config=self.CONFIG,
         )
-        trainer.train(0.25, include_initial=False)
-        # The final drain ran, but with zero deferred snapshots: the single
-        # checkpoint was evaluated inline, exactly as on the campaign path.
-        assert called == [0]
+        steps = {epochs_to_steps(c, trainer.batches_per_epoch) for c in self.SAME_STEP}
+        assert steps == {1}
+        budget = max(self.SAME_STEP)
+        histories = trainer.train(
+            budget,
+            eval_checkpoints=self.SAME_STEP,
+            include_initial=False,
+            in_stream=in_stream,
+        )
+        assert calls == [1]
+        assert metrics.counter("fat.eval.checkpoints_deduped").value == 1
+        if in_stream:
+            # Each readout equals a separate serial run to that budget.
+            expected = [
+                self._serial_records(image_bundle, checkpoint, None)
+                for checkpoint in self.SAME_STEP
+            ]
+            for chip, history in enumerate(histories):
+                assert history.records == [
+                    runs[chip].records[0] for runs in expected
+                ]
+        else:
+            _assert_histories_equal(
+                histories,
+                self._serial_records(image_bundle, budget, self.SAME_STEP),
+            )
 
 
 class TestCampaignPrefetchDeterminism:

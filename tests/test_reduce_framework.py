@@ -1,6 +1,7 @@
 """Integration tests for the Reduce framework (Steps 1-3) and resilience analysis."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.core import (
     ResilienceConfig,
 )
 from repro.core.reduce import ChipRetrainingResult
+from repro.core.reporting import campaign_summary_table
 from repro.models import MLP
 from repro.nn import clone_state_dict
 from repro.training import Trainer, TrainingConfig, evaluate_accuracy
@@ -218,6 +220,26 @@ class TestReduceFramework:
     def test_campaign_requires_results(self):
         with pytest.raises(ValueError):
             CampaignResult(policy_name="x", target_accuracy=0.9, clean_accuracy=0.95, results=[])
+
+    def test_campaign_without_completed_chips_aggregates_nan(self):
+        campaign = CampaignResult(
+            policy_name="x", target_accuracy=0.9, clean_accuracy=0.95, results=[],
+            failed_chips=[{"chip_id": "chip-0", "reason": "boom", "attempts": 1}],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = campaign.summary()
+            payload = campaign.to_dict()
+            campaign_summary_table([campaign])
+        assert summary["num_chips"] == 0
+        assert summary["total_epochs"] == 0.0
+        for key in (
+            "average_epochs", "percent_meeting_constraint",
+            "mean_accuracy", "worst_accuracy",
+        ):
+            assert np.isnan(summary[key])
+        assert payload["chips"] == []
+        assert payload["failed_chips"] == campaign.failed_chips
 
     def test_injected_profile_is_used(self, framework, pretrained_setup):
         profile = framework.analyze_resilience()

@@ -7,8 +7,11 @@ assert the headline guarantee: recovery is invisible in the results.
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+import repro.campaign.engine as engine_module
 from repro.campaign import (
     CampaignEngine,
     CampaignStore,
@@ -18,6 +21,7 @@ from repro.campaign import (
     resolve_chaos,
 )
 from repro.core.chips import ChipPopulation
+from repro.core.reporting import campaign_summary_table
 from repro.core.selection import FixedEpochPolicy
 from repro.observability import metrics
 
@@ -301,3 +305,24 @@ class TestChaosCampaigns:
             smoke_context, population, tmp_path, "plain", jobs=1, fat_batch=2
         )
         assert resumed.results == baseline.results
+
+
+class TestEveryChunkQuarantined:
+    def test_campaign_with_no_completed_chips_reports(
+        self, smoke_context, population, monkeypatch
+    ):
+        def failing_execute(*args, **kwargs):
+            raise RuntimeError("simulated chunk failure")
+
+        monkeypatch.setattr(engine_module, "execute_job_chunk", failing_execute)
+        engine = CampaignEngine(smoke_context, jobs=1, max_chunk_retries=0)
+        campaign = engine.run(population, FixedEpochPolicy(0.25))
+        assert campaign.results == []
+        assert len(campaign.failed_chips) == len(population)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = campaign.to_dict()
+            table = campaign_summary_table([campaign])
+        assert payload["summary"]["num_chips"] == 0
+        assert len(payload["failed_chips"]) == len(population)
+        assert "nan" in table
