@@ -60,6 +60,7 @@ from repro.nn.functional import (
     _bn_eval_forward,
     _bn_train_backward,
     _bn_train_forward,
+    _stacked_col2im_t,
     bn_running_update,
     col2im_t,
     im2col_t,
@@ -523,39 +524,6 @@ def _stacked_im2col_t(
     return stack, out_h, out_w
 
 
-def _stacked_col2im_t(
-    cols_stack: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    num_chips: int,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Scatter-add the inverse of :func:`_stacked_im2col_t` back to folded NCHW.
-
-    One phase sweep over the whole stack; chip ``b``'s slice receives exactly
-    the adds ``col2im_t(cols_stack[b], ...)`` performs, in the same order.
-    """
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    total, c, h, w = x_shape
-    per_chip = total // num_chips
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((total, c, padded_h, padded_w), dtype=cols_stack.dtype)
-    dx_stack = dx.reshape(num_chips, per_chip, c, padded_h, padded_w)
-    colsK = cols_stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            view = dx_stack[:, :, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
-            view += colsK[:, :, i, j].transpose(0, 2, 1, 3, 4)
-    if ph or pw:
-        dx = dx[:, :, ph:ph + h, pw:pw + w]
-    return dx
-
-
 class _StackedConv2dFunction(Function):
     """B per-chip 2-D convolutions sharing one im2col lowering per step.
 
@@ -658,10 +626,11 @@ class _StackedConv2dFunction(Function):
                         grad_colsT[chip], x_shape, kernel, stride, padding, out_h, out_w
                     )
             else:
-                grad_x = _stacked_col2im_t(
-                    grad_colsT, x_shape, num_chips, kernel, stride, padding,
-                    out_h, out_w,
-                )
+                with _fat_timer("col2im_seconds"):
+                    grad_x = _stacked_col2im_t(
+                        grad_colsT, x_shape, num_chips, kernel, stride, padding,
+                        out_h, out_w,
+                    )
         if has_bias:
             grad_bias = g_t.sum(axis=2)
             return grad_x, grad_w, grad_bias

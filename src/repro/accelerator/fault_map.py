@@ -17,6 +17,38 @@ import numpy as np
 from repro.utils.rng import SeedLike, new_rng
 
 
+def _coordinate_pairs(rows: int, cols: int, indices: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """``(K, 2)`` int64 array of in-range ``(row, col)`` coordinates.
+
+    Well-formed input converts and range-checks in one vectorized pass.
+    Anything else (coordinates come from stores and socket frames) is checked
+    pair by pair, so the first bad pair raises what a per-pair ``r, c = pair``
+    unpack and range check would: ``TypeError`` for an entry that is not
+    iterable or a coordinate that is not a number, ``ValueError`` for an entry
+    that is not a pair, and ``IndexError`` for a non-integer or out-of-range
+    coordinate.
+    """
+    pairs = indices if isinstance(indices, np.ndarray) else list(indices)
+    if len(pairs) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        coords = np.asarray(pairs)
+    except ValueError:  # ragged: some entry is not a pair
+        coords = None
+    if coords is not None and coords.shape[1:] == (2,) and coords.dtype.kind in "iu":
+        if ((coords >= 0) & (coords < (rows, cols))).all():
+            return coords.astype(np.int64, copy=False)
+    for r, c in pairs:
+        for value in (r, c):
+            if isinstance(value, (float, np.floating)):
+                raise IndexError(f"PE coordinate ({r}, {c}) is not an integer pair")
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"PE coordinate ({r}, {c}) is not an integer pair")
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise IndexError(f"PE coordinate ({r}, {c}) outside a {rows}x{cols} array")
+    return np.asarray(pairs, dtype=np.int64)
+
+
 class FaultMap:
     """Boolean map of permanently faulty PEs in an ``R x C`` systolic array."""
 
@@ -44,10 +76,8 @@ class FaultMap:
     def from_indices(cls, rows: int, cols: int, indices: Iterable[Tuple[int, int]]) -> "FaultMap":
         """Build a map from explicit ``(row, col)`` faulty-PE coordinates."""
         faulty = np.zeros((rows, cols), dtype=bool)
-        for r, c in indices:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"PE coordinate ({r}, {c}) outside a {rows}x{cols} array")
-            faulty[r, c] = True
+        coords = _coordinate_pairs(rows, cols, indices)
+        faulty[coords[:, 0], coords[:, 1]] = True
         return cls(faulty)
 
     @classmethod
@@ -211,14 +241,12 @@ class FaultMap:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "faulty_indices": [[int(r), int(c)] for r, c in self.faulty_indices()],
+            "faulty_indices": self.faulty_indices().tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultMap":
-        return cls.from_indices(
-            int(data["rows"]), int(data["cols"]), [tuple(pair) for pair in data["faulty_indices"]]
-        )
+        return cls.from_indices(int(data["rows"]), int(data["cols"]), data["faulty_indices"])
 
     # -- dunder ------------------------------------------------------------------
 

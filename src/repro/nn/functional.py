@@ -128,20 +128,8 @@ def col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Scatter-add the inverse of :func:`im2col` (used by the conv backward)."""
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    n, c, h, w = x_shape
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((n, c, padded_h, padded_w), dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += cols[:, :, :, :, i, j]
-    if ph or pw:
-        dx = dx[:, :, ph:ph + h, pw:pw + w]
-    return dx
+    """Scatter-add the inverse of :func:`im2col` (``cols`` is ``colsT.T``)."""
+    return col2im_t(cols.T, x_shape, kernel_size, stride, padding, out_h, out_w)
 
 
 def col2im_t(
@@ -156,24 +144,49 @@ def col2im_t(
     """Scatter-add the inverse of :func:`im2col_t` (K-major column gradients).
 
     Accepts the ``(C * kh * kw, N * out_h * out_w)`` layout produced directly
-    by the backward GEMM ``weight_matrix.T @ grad_t``, so no reshape-copy of
-    the column gradient is needed before the scatter; each phase slice adds
-    the same elements in the same order as :func:`col2im`.
+    by the backward GEMM ``weight_matrix.T @ grad_t``.  This is the one-chip
+    case of :func:`_stacked_col2im_t`, the only scatter implementation.
+    """
+    return _stacked_col2im_t(colsT, x_shape, 1, kernel_size, stride, padding, out_h, out_w)
+
+
+def _stacked_col2im_t(
+    cols_stack: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    num_chips: int,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """Scatter-add a ``(B, C * kh * kw, n * out_h * out_w)`` column-gradient
+    stack (the inverse of the stacked multi-chip lowering) back to folded
+    ``(B * n, C, H, W)`` NCHW; ``B = 1`` is :func:`col2im_t`.
+
+    One transposing copy moves the columns to ``(kh, kw, oh, ow, B, C, n)``,
+    so every ``(i, j)`` phase add into the spatial-major ``(H + 2p, W + 2p,
+    B, C, n)`` buffer runs over contiguous ``B * C * n`` inner runs instead of
+    ``ow``-long strided ones.  Each input element still starts at ``+0.0``
+    and receives its window contributions in the same ``(i, j)`` order as a
+    phase sweep over NCHW, so the result is bit-identical to one.
     """
     kh, kw = kernel_size
     sh, sw = stride
     ph, pw = padding
-    n, c, h, w = x_shape
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((n, c, padded_h, padded_w), dtype=colsT.dtype)
-    colsK = colsT.reshape(c, kh, kw, n, out_h, out_w)
+    total, c, h, w = x_shape
+    per_chip = total // num_chips
+    phases = np.ascontiguousarray(
+        cols_stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
+        .transpose(2, 3, 5, 6, 0, 1, 4)
+    )
+    dx = np.zeros((h + 2 * ph, w + 2 * pw, num_chips, c, per_chip), dtype=cols_stack.dtype)
     for i in range(kh):
         for j in range(kw):
-            view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
-            view += colsK[:, i, j].transpose(1, 0, 2, 3)
-    if ph or pw:
-        dx = dx[:, :, ph:ph + h, pw:pw + w]
-    return dx
+            dx[i:i + sh * out_h:sh, j:j + sw * out_w:sw] += phases[i, j]
+    # Crop the padding; (H, W, B, C, n) -> (B, n, C, H, W) is the one copy back.
+    cropped = dx[ph:ph + h, pw:pw + w].transpose(2, 4, 3, 0, 1)
+    return np.ascontiguousarray(cropped).reshape(total, c, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +303,13 @@ class MaxPool2dFunction(Function):
                     else:
                         np.maximum(out, phase, out=out)
             return out
-        # Training path: the same phase-view sweep also tracks the winning
+        # Training path: the same phase sweep also tracks the winning
         # within-window flat index.  Only a strictly greater value replaces
         # the running maximum, so ties resolve to the first (row-major)
         # window position — identical to ``argmax`` over the window axis.
+        # Each phase is compared as a contiguous copy, and the argmax update
+        # is an arithmetic select rather than a boolean-mask scatter, so
+        # every sweep runs over long contiguous runs.
         out = None
         argmax = None
         for i in range(kh):
@@ -303,9 +319,11 @@ class MaxPool2dFunction(Function):
                     out = phase.copy()
                     argmax = np.zeros(out.shape, dtype=np.int16)
                 else:
+                    phase = np.ascontiguousarray(phase)
                     better = phase > out
                     np.maximum(out, phase, out=out)
-                    argmax[better] = i * kw + j
+                    argmax -= argmax * better
+                    argmax += better * np.int16(i * kw + j)
         self.save_for_backward(x.shape, kernel_size, stride, argmax, out_h, out_w)
         return out
 

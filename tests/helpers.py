@@ -61,3 +61,67 @@ def serial_resilience_accuracies(analyzer):
             grid[rate_index, trial] = history.accuracies
     model.load_state_dict(analyzer.pretrained_state)
     return grid
+
+
+def reference_col2im_t(colsT, x_shape, kernel_size, stride, padding, out_h, out_w):
+    """The NCHW phase sweep that ``F.col2im_t`` must equal bit for bit.
+
+    Every input element starts at ``+0.0`` and receives its window
+    contributions one ``(i, j)`` phase at a time, in row-major order.
+    """
+    kh, kw = kernel_size
+    sh, sw = stride
+    ph, pw = padding
+    n, c, h, w = x_shape
+    dx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=colsT.dtype)
+    colsK = colsT.reshape(c, kh, kw, n, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            view += colsK[:, i, j].transpose(1, 0, 2, 3)
+    return dx[:, :, ph:ph + h, pw:pw + w]
+
+
+def reference_stacked_col2im_t(
+    cols_stack, x_shape, num_chips, kernel_size, stride, padding, out_h, out_w
+):
+    """The folded multi-chip NCHW phase sweep (same add order per chip)."""
+    kh, kw = kernel_size
+    sh, sw = stride
+    ph, pw = padding
+    total, c, h, w = x_shape
+    per_chip = total // num_chips
+    dx = np.zeros((total, c, h + 2 * ph, w + 2 * pw), dtype=cols_stack.dtype)
+    dx_stack = dx.reshape(num_chips, per_chip, c, h + 2 * ph, w + 2 * pw)
+    colsK = cols_stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            view = dx_stack[:, :, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            view += colsK[:, :, i, j].transpose(0, 2, 1, 3, 4)
+    return dx[:, :, ph:ph + h, pw:pw + w]
+
+
+def reference_max_pool2d(x, kernel_size, stride):
+    """``(out, argmax)`` of the boolean-scatter max-pool training forward.
+
+    A strictly greater value replaces the running maximum, so ties go to the
+    first row-major window position.
+    """
+    kh, kw = kernel_size
+    sh, sw = stride
+    n, c, h, w = x.shape
+    out_h = (h - kh) // sh + 1
+    out_w = (w - kw) // sw + 1
+    out = None
+    argmax = None
+    for i in range(kh):
+        for j in range(kw):
+            phase = x[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            if out is None:
+                out = phase.copy()
+                argmax = np.zeros(out.shape, dtype=np.int16)
+            else:
+                better = phase > out
+                np.maximum(out, phase, out=out)
+                argmax[better] = i * kw + j
+    return out, argmax

@@ -1,5 +1,7 @@
 """Tests for FaultMap construction, statistics and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,58 @@ class TestSerialization:
         fm = FaultMap.random(16, 8, 0.25, seed=3)
         restored = FaultMap.from_dict(fm.to_dict())
         assert restored == fm
+
+    def test_json_matches_per_pe_encoding(self):
+        """Store fingerprints hash this JSON, so it must not change shape."""
+        fm = FaultMap.random(16, 8, 0.25, seed=3)
+        per_pe = [[int(r), int(c)] for r, c in np.argwhere(fm.array)]
+        expected = json.dumps({"rows": 16, "cols": 8, "faulty_indices": per_pe})
+        assert json.dumps(fm.to_dict()) == expected
+        assert FaultMap.none(4, 4).to_dict()["faulty_indices"] == []
+
+    def test_empty_and_array_indices(self):
+        assert FaultMap.from_dict({"rows": 3, "cols": 2, "faulty_indices": []}) == FaultMap.none(3, 2)
+        fm = FaultMap.random(9, 7, 0.3, seed=1)
+        assert FaultMap.from_indices(9, 7, fm.faulty_indices()) == fm
+        assert FaultMap.from_indices(9, 7, (tuple(p) for p in fm.faulty_indices().tolist())) == fm
+
+    def test_out_of_range_reports_first_bad_pair(self):
+        data = {"rows": 4, "cols": 3, "faulty_indices": [[0, 0], [1, 3], [-1, 0], [9, 9]]}
+        with pytest.raises(IndexError, match=r"^PE coordinate \(1, 3\) outside a 4x3 array$"):
+            FaultMap.from_dict(data)
+        with pytest.raises(IndexError, match=r"^PE coordinate \(-1, 0\) outside a 4x3 array$"):
+            FaultMap.from_indices(4, 3, [(-1, 0), (0, 5)])
+
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([[0, 1.5]], IndexError),
+            ([[1.0, 0]], IndexError),
+            ([[0, "1"]], TypeError),
+            ([[None, 0]], TypeError),
+            ([[0, 0], [5, 0], [0.5, 0]], IndexError),
+        ],
+    )
+    def test_non_integer_coordinates_rejected(self, pairs, error):
+        with pytest.raises(error):
+            FaultMap.from_dict({"rows": 4, "cols": 4, "faulty_indices": pairs})
+
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([[0, 1, 2]], ValueError),
+            ([[0]], ValueError),
+            ([[0, 1], [2]], ValueError),
+            ([[]], ValueError),
+            ([1, 2], TypeError),
+            ([[0, 1], 3], TypeError),
+            ([[[0, 1], [1, 0]]], TypeError),
+            (5, TypeError),
+        ],
+    )
+    def test_entries_that_are_not_pairs_rejected(self, pairs, error):
+        with pytest.raises(error):
+            FaultMap.from_dict({"rows": 4, "cols": 4, "faulty_indices": pairs})
 
 
 @settings(max_examples=30, deadline=None)
