@@ -61,6 +61,7 @@ from repro.nn.functional import (
     _bn_train_backward,
     _bn_train_forward,
     _stacked_col2im_t,
+    _stacked_im2col_t,
     bn_running_update,
     col2im_t,
     im2col_t,
@@ -480,48 +481,6 @@ class _StackedLinearFunction(Function):
             grad_b = g.sum(axis=1)
             return grad_x, grad_w, grad_b
         return grad_x, grad_w
-
-
-def _stacked_im2col_t(
-    x: np.ndarray,
-    num_chips: int,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, int, int]:
-    """Lower folded ``(B * n, C, H, W)`` activations into a ``(B, K, P)`` stack.
-
-    Chip ``b``'s slice is exactly ``im2col_t(x[b * n:(b + 1) * n], ...)`` —
-    same gather, same element order — produced in one copy straight into the
-    stacked layout (no intermediate folded ``colsT`` + re-blocking pass).
-    """
-    from repro.nn.functional import _pad_nchw
-
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    total, c, h, w = x.shape
-    per_chip = total // num_chips
-    if ph or pw:
-        x = _pad_nchw(x, ph, pw)
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    if padded_h < kh or padded_w < kw:
-        raise ValueError(
-            f"kernel {kernel_size} larger than padded input ({padded_h}, {padded_w})"
-        )
-    out_h = (padded_h - kh) // sh + 1
-    out_w = (padded_w - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if sh != 1 or sw != 1:
-        windows = windows[:, :, ::sh, ::sw, :, :]
-    # (B*n, c, oh, ow, kh, kw) -> split the chip axis (still a view).
-    split = windows.reshape((num_chips, per_chip) + windows.shape[1:])
-    stack = np.empty(
-        (num_chips, c * kh * kw, per_chip * out_h * out_w), dtype=x.dtype
-    )
-    dest = stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
-    np.copyto(dest, split.transpose(0, 2, 5, 6, 1, 3, 4))
-    return stack, out_h, out_w
 
 
 class _StackedConv2dFunction(Function):

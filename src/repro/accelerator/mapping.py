@@ -89,15 +89,16 @@ def weight_matrix_view(module: nn.Module) -> np.ndarray:
 # ``gemm_fault_mask`` is called once per mappable layer for every retraining
 # run and every evaluation of a chip, but its output depends only on the fault
 # map, the GEMM shape and the (optional) column permutation — all of which are
-# identical across the many calls a campaign makes for one chip.  A small LRU
+# identical across the many calls a campaign makes for one chip.  An LRU
 # keyed by (fault-map fingerprint, GemmShape, permutation fingerprint) makes
 # every call after the first a dictionary lookup.  Cached masks are read-only;
 # callers treating masks as immutable (all in-tree callers do) share them
 # zero-copy.
-
-_MASK_CACHE_CAPACITY = 512
-# Byte budget alongside the entry cap: mask size scales with the model's
-# weight count, so a pure entry cap could pin gigabytes for large FC layers.
+#
+# The LRU is bounded by bytes only: mask size scales with the model's weight
+# count, and a fleet pass builds every chip's masks once for triage and once
+# for retraining (192 chips x 5 LeNet layers = 960 masks, ~3 MB), so an entry
+# cap below one pass evicts each mask before its second use.
 _MASK_CACHE_MAX_BYTES = 256 * 1024 * 1024
 _MASK_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 _MASK_CACHE_STATS = {"hits": 0, "misses": 0, "bytes": 0}
@@ -152,10 +153,7 @@ def gemm_fault_mask(
     mask.setflags(write=False)
     _MASK_CACHE[key] = mask
     _MASK_CACHE_STATS["bytes"] += mask.nbytes
-    while _MASK_CACHE and (
-        len(_MASK_CACHE) > _MASK_CACHE_CAPACITY
-        or _MASK_CACHE_STATS["bytes"] > _MASK_CACHE_MAX_BYTES
-    ):
+    while _MASK_CACHE and _MASK_CACHE_STATS["bytes"] > _MASK_CACHE_MAX_BYTES:
         _, evicted = _MASK_CACHE.popitem(last=False)
         _MASK_CACHE_STATS["bytes"] -= evicted.nbytes
     return mask

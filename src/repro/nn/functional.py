@@ -41,64 +41,50 @@ def _pad_nchw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def im2col(
-    x: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, int, int]:
-    """Lower an NCHW activation tensor into a GEMM operand.
-
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kh * kw)``.
-    """
-    kh, kw = kernel_size
-    sh, sw = stride
-    ph, pw = padding
-    n, c, h, w = x.shape
-    if ph or pw:
-        x = _pad_nchw(x, ph, pw)
-    padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    if padded_h < kh or padded_w < kw:
-        raise ValueError(
-            f"kernel {kernel_size} larger than padded input ({padded_h}, {padded_w})"
-        )
-    out_h = (padded_h - kh) // sh + 1
-    out_w = (padded_w - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if sh != 1 or sw != 1:
-        windows = windows[:, :, ::sh, ::sw, :, :]
-    # (n, c, out_h, out_w, kh, kw) -> (n, out_h, out_w, c, kh, kw); the reshape
-    # of the transposed view is the single copy of this lowering.  For
-    # degenerate spatial outputs (e.g. a kernel covering the whole padded
-    # input, out 1x1) the reshape would be a zero-copy *view* with transposed
-    # strides — BLAS then reduces in a different order than for the C layout —
-    # so the operand is materialised unconditionally: the GEMM layout (and the
-    # bit-exact equivalence with the stacked multi-chip path, which gathers
-    # straight into C-contiguous stacks) is shape-independent.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
 def im2col_t(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> Tuple[np.ndarray, int, int]:
-    """Transposed im2col: returns ``(colsT, out_h, out_w)`` with ``colsT`` of
-    shape ``(C * kh * kw, N * out_h * out_w)``.
+    """Lower an NCHW activation tensor into a K-major GEMM operand.
 
-    ``colsT`` is ``im2col(...)[0].T`` exactly, but materialised in the
-    K-major layout, whose gather copies run over the (partially contiguous)
-    spatial window axes instead of the tiny kernel axes — measurably faster
-    than the row-major ``im2col`` copy for stride-1 convolutions.  The
-    ``(P, K)`` operand of the GEMM is then the zero-copy view ``colsT.T``.
+    Returns ``(colsT, out_h, out_w)`` with ``colsT`` of shape
+    ``(C * kh * kw, N * out_h * out_w)``, C-contiguous; the ``(P, K)``
+    operand of the GEMM is the zero-copy view ``colsT.T``.  This is the
+    one-chip case of :func:`_stacked_im2col_t`, the only lowering.
+    """
+    stack, out_h, out_w = _stacked_im2col_t(x, 1, kernel_size, stride, padding)
+    return stack[0], out_h, out_w
+
+
+def _stacked_im2col_t(
+    x: np.ndarray,
+    num_chips: int,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, int, int]:
+    """Lower folded ``(B * n, C, H, W)`` activations into a ``(B, K, P)`` stack.
+
+    Chip ``b``'s slice is the K-major lowering of ``x[b * n:(b + 1) * n]``
+    (``B = 1`` is :func:`im2col_t`), copied straight into a freshly allocated
+    C-contiguous stack; the GEMM operand therefore has the same layout for
+    every geometry, 1x1 outputs included.
+
+    The lowering is a copy over (kernel offset, output pixel) pairs.  Outputs
+    with at least as many pixels as kernel offsets take one strided copy
+    whose inner runs are output rows.  Smaller outputs (e.g. LeNet's
+    6x6 -> 2x2 conv2) take one copy per output pixel whose inner runs are the
+    ``n`` samples instead of ``out_w``-long rows, so the Python loop never
+    has more iterations than a kernel has offsets.  Both only move elements,
+    so they write the same bits.
     """
     kh, kw = kernel_size
     sh, sw = stride
     ph, pw = padding
-    n, c, h, w = x.shape
+    total, c, h, w = x.shape
+    per_chip = total // num_chips
     if ph or pw:
         x = _pad_nchw(x, ph, pw)
     padded_h, padded_w = h + 2 * ph, w + 2 * pw
@@ -108,28 +94,23 @@ def im2col_t(
         )
     out_h = (padded_h - kh) // sh + 1
     out_w = (padded_w - kw) // sw + 1
+    stack = np.empty((num_chips, c * kh * kw, per_chip * out_h * out_w), dtype=x.dtype)
+    dest = stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
+    if out_h * out_w < kh * kw:
+        # (B * n, C, H, W) -> (B, C, H, W, n), a view.
+        src = x.reshape(num_chips, per_chip, c, padded_h, padded_w).transpose(0, 2, 3, 4, 1)
+        for oy in range(out_h):
+            for ox in range(out_w):
+                window = src[:, :, oy * sh:oy * sh + kh, ox * sw:ox * sw + kw]
+                np.copyto(dest[..., oy, ox], window)
+        return stack, out_h, out_w
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     if sh != 1 or sw != 1:
         windows = windows[:, :, ::sh, ::sw, :, :]
-    # Materialised unconditionally for the same reason as :func:`im2col`: a
-    # degenerate 1x1 spatial output would otherwise yield a zero-copy view
-    # with F-order strides, changing the BLAS reduction order relative to the
-    # C-contiguous stacked multi-chip lowering.
-    colsT = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
-    return np.ascontiguousarray(colsT), out_h, out_w
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Scatter-add the inverse of :func:`im2col` (``cols`` is ``colsT.T``)."""
-    return col2im_t(cols.T, x_shape, kernel_size, stride, padding, out_h, out_w)
+    # (B * n, C, oh, ow, kh, kw) -> split the chip axis (still a view).
+    split = windows.reshape((num_chips, per_chip) + windows.shape[1:])
+    np.copyto(dest, split.transpose(0, 2, 5, 6, 1, 3, 4))
+    return stack, out_h, out_w
 
 
 def col2im_t(

@@ -287,8 +287,11 @@ def clip_grad_norm_per_chip(
     ``num_chips``; chip ``b``'s norm is accumulated over every parameter's
     ``[b]`` slice and only that slice is rescaled — exactly what
     :func:`clip_grad_norm` computes for chip ``b``'s standalone parameter
-    list, value for value (same float64 accumulation over the same
-    per-parameter order, same in-place float32 rescale).
+    list, value for value: each parameter's squares are reduced per chip
+    (one row-wise float64 sum, the same pairwise sum as the slice's own) and
+    added to the running norms in parameter order; the scale is cast to the
+    gradient dtype before the in-place multiply, as a Python-float scale is,
+    and unclipped chips are multiplied by exactly 1.0.
 
     Returns the per-chip norms before clipping, shape ``(num_chips,)``.
     """
@@ -305,14 +308,14 @@ def clip_grad_norm_per_chip(
                 f"stacked gradient has leading dimension {p.grad.shape[0]}, "
                 f"expected {num_chips} chips"
             )
-    norms = np.empty(num_chips, dtype=np.float64)
-    for chip in range(num_chips):
-        total = math.sqrt(
-            sum(float((p.grad[chip].astype(np.float64) ** 2).sum()) for p in params)
-        )
-        norms[chip] = total
-        if total > max_norm:
-            scale = max_norm / (total + 1e-12)
-            for p in params:
-                np.multiply(p.grad[chip], scale, out=p.grad[chip])
+    squares = np.zeros(num_chips, dtype=np.float64)
+    for p in params:
+        squares += (p.grad.astype(np.float64) ** 2).reshape(num_chips, -1).sum(axis=1)
+    norms = np.sqrt(squares)
+    clipped = norms > max_norm
+    if clipped.any():
+        scale = np.where(clipped, max_norm / (norms + 1e-12), 1.0)
+        for p in params:
+            chip_scale = scale.astype(p.grad.dtype).reshape((num_chips,) + (1,) * (p.grad.ndim - 1))
+            np.multiply(p.grad, chip_scale, out=p.grad)
     return norms

@@ -63,6 +63,63 @@ def serial_resilience_accuracies(analyzer):
     return grid
 
 
+def reference_clip_grad_norm_per_chip(params, max_norm, num_chips):
+    """The per-chip loop ``nn.clip_grad_norm_per_chip`` must equal bit for bit.
+
+    Chip by chip: a float64 norm over every parameter's ``[chip]`` slice in
+    parameter order, then an in-place rescale of the slices by a Python-float
+    scale when the norm exceeds ``max_norm``.
+    """
+    import math
+
+    norms = np.empty(num_chips, dtype=np.float64)
+    for chip in range(num_chips):
+        total = math.sqrt(
+            sum(float((p.grad[chip].astype(np.float64) ** 2).sum()) for p in params)
+        )
+        norms[chip] = total
+        if total > max_norm:
+            scale = max_norm / (total + 1e-12)
+            for p in params:
+                np.multiply(p.grad[chip], scale, out=p.grad[chip])
+    return norms
+
+
+def _padded_windows(x, kernel_size, stride, padding):
+    """Zero-padded ``(N, C, out_h, out_w, kh, kw)`` window view of NCHW ``x``."""
+    kh, kw = kernel_size
+    sh, sw = stride
+    ph, pw = padding
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return windows[:, :, ::sh, ::sw, :, :]
+
+
+def reference_im2col_t(x, kernel_size, stride, padding):
+    """The single strided K-major copy ``F.im2col_t`` must equal bit for bit.
+
+    ``colsT[(c, i, j), (n, y, x)]`` is the padded input at
+    ``(n, c, y * sh + i, x * sw + j)``.
+    """
+    windows = _padded_windows(x, kernel_size, stride, padding)
+    n, c, out_h, out_w, kh, kw = windows.shape
+    colsT = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
+    return np.ascontiguousarray(colsT), out_h, out_w
+
+
+def reference_stacked_im2col_t(x, num_chips, kernel_size, stride, padding):
+    """The one-copy ``(B, K, P)`` stacked lowering (chip ``b`` is its own
+    :func:`reference_im2col_t`)."""
+    windows = _padded_windows(x, kernel_size, stride, padding)
+    total, c, out_h, out_w, kh, kw = windows.shape
+    per_chip = total // num_chips
+    split = windows.reshape((num_chips, per_chip) + windows.shape[1:])
+    stack = np.empty((num_chips, c * kh * kw, per_chip * out_h * out_w), dtype=x.dtype)
+    dest = stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
+    np.copyto(dest, split.transpose(0, 2, 5, 6, 1, 3, 4))
+    return stack, out_h, out_w
+
+
 def reference_col2im_t(colsT, x_shape, kernel_size, stride, padding, out_h, out_w):
     """The NCHW phase sweep that ``F.col2im_t`` must equal bit for bit.
 

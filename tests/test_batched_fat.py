@@ -559,6 +559,67 @@ class TestPerChipGradClip:
             for stacked, serial in zip(stacks, serial_params):
                 np.testing.assert_array_equal(stacked.grad[chip], serial.grad)
 
+    @staticmethod
+    def _stacked_grads(rng, chips, zero_chip=None):
+        """LeNet-like stacked grads; the first parameter has 150 elements per
+        chip, so its per-chip sum crosses the 128-element pairwise block."""
+        shapes = [(chips, 6, 1, 5, 5), (chips, 6), (chips, 10, 96), (chips, 10)]
+        grads = []
+        for shape in shapes:
+            grad = rng.standard_normal(shape).astype(np.float32)
+            grad[rng.random(shape) < 0.1] = -0.0
+            if zero_chip is not None:
+                grad[zero_chip] = 0.0
+            grads.append(grad)
+        return grads
+
+    @pytest.mark.parametrize(
+        "max_norm, zero_chip",
+        [
+            (1.0, None),  # every chip clipped
+            (1e9, None),  # no chip clipped
+            (None, None),  # mixed: the median chip norm
+            (None, 2),  # mixed, with one all-zero chip
+            (1.0, 0),  # clipped chips next to an all-zero one
+        ],
+    )
+    def test_bitwise_matches_per_chip_loop(self, rng, max_norm, zero_chip):
+        from tests.helpers import reference_clip_grad_norm_per_chip
+
+        chips = 5
+        grads = self._stacked_grads(rng, chips, zero_chip)
+        # Scale chips apart so a median threshold clips some and not others.
+        for grad in grads:
+            grad *= np.arange(1, chips + 1, dtype=np.float32).reshape((chips,) + (1,) * (grad.ndim - 1))
+        if max_norm is None:
+            squares = sum((g.astype(np.float64) ** 2).reshape(chips, -1).sum(axis=1) for g in grads)
+            max_norm = float(np.median(np.sqrt(squares)))
+
+        def params_of(values):
+            params = []
+            for value in values:
+                param = nn.Parameter(np.zeros_like(value))
+                param.grad = value.copy()
+                params.append(param)
+            return params
+
+        got_params, ref_params = params_of(grads), params_of(grads)
+        norms = nn.clip_grad_norm_per_chip(got_params, max_norm=max_norm, num_chips=chips)
+        ref_norms = reference_clip_grad_norm_per_chip(ref_params, max_norm, chips)
+        np.testing.assert_array_equal(norms, ref_norms)
+        assert norms.dtype == np.float64 and norms.shape == (chips,)
+        if zero_chip is not None:
+            assert norms[zero_chip] == 0.0
+        for got, ref in zip(got_params, ref_params):
+            assert got.grad.dtype == np.float32
+            np.testing.assert_array_equal(got.grad.view(np.uint32), ref.grad.view(np.uint32))
+        clipped = ref_norms > max_norm
+        changed = [
+            any(not np.array_equal(p.grad[chip], g[chip]) for p, g in zip(got_params, grads))
+            for chip in range(chips)
+        ]
+        assert changed == list(clipped)
+
     def test_validation(self):
         param = nn.Parameter(np.zeros((2, 3), dtype=np.float32))
         param.grad = np.ones((2, 3), dtype=np.float32)

@@ -35,26 +35,26 @@ def naive_conv2d(x, weight, bias, stride, padding):
 class TestIm2col:
     def test_shapes(self):
         x = RNG.standard_normal((2, 3, 8, 8))
-        cols, oh, ow = F.im2col(x, (3, 3), (1, 1), (1, 1))
+        colsT, oh, ow = F.im2col_t(x, (3, 3), (1, 1), (1, 1))
         assert (oh, ow) == (8, 8)
-        assert cols.shape == (2 * 8 * 8, 3 * 3 * 3)
+        assert colsT.shape == (3 * 3 * 3, 2 * 8 * 8)
 
     def test_stride_and_no_padding(self):
         x = RNG.standard_normal((1, 1, 6, 6))
-        cols, oh, ow = F.im2col(x, (2, 2), (2, 2), (0, 0))
+        colsT, oh, ow = F.im2col_t(x, (2, 2), (2, 2), (0, 0))
         assert (oh, ow) == (3, 3)
-        assert cols.shape == (9, 4)
+        assert colsT.shape == (4, 9)
 
     def test_kernel_larger_than_input_raises(self):
         x = RNG.standard_normal((1, 1, 3, 3))
         with pytest.raises(ValueError):
-            F.im2col(x, (5, 5), (1, 1), (0, 0))
+            F.im2col_t(x, (5, 5), (1, 1), (0, 0))
 
     def test_col2im_inverts_counts(self):
-        """col2im(ones) counts how many windows cover each input pixel."""
+        """col2im_t(ones) counts how many windows cover each input pixel."""
         x_shape = (1, 1, 4, 4)
-        cols, oh, ow = F.im2col(np.zeros(x_shape), (2, 2), (1, 1), (0, 0))
-        counts = F.col2im(np.ones_like(cols), x_shape, (2, 2), (1, 1), (0, 0), oh, ow)
+        colsT, oh, ow = F.im2col_t(np.zeros(x_shape), (2, 2), (1, 1), (0, 0))
+        counts = F.col2im_t(np.ones_like(colsT), x_shape, (2, 2), (1, 1), (0, 0), oh, ow)
         # Corner pixels are covered once, edges twice, centre four times.
         assert counts[0, 0, 0, 0] == 1
         assert counts[0, 0, 0, 1] == 2

@@ -1,20 +1,24 @@
-"""Bitwise parity of the training-path kernels with their phase-sweep references.
+"""Bitwise parity of the training-path kernels with their references.
 
-The conv input-gradient scatter and the max-pool training forward are
-rewritten for speed; every output element must still see exactly the float32
-operations it saw in the NCHW phase sweeps kept in ``tests/helpers.py``.
+The conv lowering, the conv input-gradient scatter and the max-pool training
+forward are rewritten for speed; every output element must still see exactly
+the float32 operations (or, for the lowering, hold exactly the element) it
+did in the single-copy and NCHW phase-sweep references kept in
+``tests/helpers.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.functional import _stacked_col2im_t
+from repro.nn.functional import _stacked_col2im_t, _stacked_im2col_t
 
 from tests.helpers import (
     reference_col2im_t,
+    reference_im2col_t,
     reference_max_pool2d,
     reference_stacked_col2im_t,
+    reference_stacked_im2col_t,
 )
 
 
@@ -73,8 +77,81 @@ def test_serial_scatter_matches_phase_sweep(c, h, w, k, s, p):
     args = ((n, c, h, w), (k, k), (s, s), (p, p), out_h, out_w)
     got = F.col2im_t(colsT, *args)
     np.testing.assert_array_equal(_bits(got), _bits(reference_col2im_t(colsT, *args)))
-    # The row-major col2im is the same scatter of the transposed columns.
-    np.testing.assert_array_equal(_bits(F.col2im(colsT.T.copy(), *args)), _bits(got))
+    # A non-contiguous (transposed-back) column operand scatters the same.
+    np.testing.assert_array_equal(_bits(F.col2im_t(colsT.T.copy().T, *args)), _bits(got))
+
+
+# (C, H, W, kernel, stride, padding) of the lowering, and whether it has fewer
+# output pixels than kernel offsets (the per-pixel copy) or not (one strided
+# copy): LeNet's conv1 and conv2, stride 2 with padding 1 on either side of
+# the rule, 3x3 over 2x2 with padding 1, a 1x1 output and non-square
+# kernels / strides (so swapped window offsets cannot go unnoticed).
+LOWERINGS = [
+    pytest.param(1, 12, 12, (5, 5), (1, 1), (2, 2), id="lenet-conv1-strided"),
+    pytest.param(6, 6, 6, (5, 5), (1, 1), (0, 0), id="lenet-conv2-per-pixel"),
+    pytest.param(3, 7, 6, (3, 3), (2, 2), (1, 1), id="s2p1-strided"),
+    pytest.param(2, 4, 5, (3, 3), (2, 2), (1, 1), id="s2p1-per-pixel"),
+    pytest.param(4, 2, 2, (3, 3), (1, 1), (1, 1), id="3x3-over-2x2-per-pixel"),
+    pytest.param(5, 1, 1, (3, 3), (1, 1), (1, 1), id="1x1-out-per-pixel"),
+    pytest.param(3, 5, 4, (2, 3), (1, 2), (0, 1), id="non-square-strided"),
+    pytest.param(3, 3, 6, (3, 2), (1, 2), (0, 0), id="non-square-per-pixel"),
+]
+
+
+def _activations(rng, shape, dtype=np.float32):
+    """Inputs with signed zeros and NaNs mixed in (a copy must keep both)."""
+    x = rng.standard_normal(shape).astype(dtype)
+    x[rng.random(shape) < 0.15] = -0.0
+    x[rng.random(shape) < 0.05] = np.nan
+    return x
+
+
+def _same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    unsigned = np.uint32 if got.dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(got.view(unsigned), expected.view(unsigned))
+
+
+@pytest.mark.parametrize("num_chips", [1, 3, 8])
+@pytest.mark.parametrize("c, h, w, kernel, stride, padding", LOWERINGS)
+def test_stacked_lowering_matches_single_copy(num_chips, c, h, w, kernel, stride, padding):
+    rng = np.random.default_rng(num_chips * 100 + h * 10 + c)
+    per_chip = 5
+    x = _activations(rng, (num_chips * per_chip, c, h, w))
+    before = x.copy()
+    got, out_h, out_w = _stacked_im2col_t(x, num_chips, kernel, stride, padding)
+    expected, ref_h, ref_w = reference_stacked_im2col_t(x, num_chips, kernel, stride, padding)
+    assert (out_h, out_w) == (ref_h, ref_w)
+    assert got.flags.c_contiguous
+    _same_bits(got, expected)
+    _same_bits(x, before)
+    # Chip b's slice is the serial lowering of its own samples.
+    for chip in range(num_chips):
+        serial, _, _ = F.im2col_t(x[chip * per_chip:(chip + 1) * per_chip], kernel, stride, padding)
+        _same_bits(serial, got[chip])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c, h, w, kernel, stride, padding", LOWERINGS)
+def test_serial_lowering_matches_single_copy(dtype, c, h, w, kernel, stride, padding):
+    rng = np.random.default_rng(h * 10 + c)
+    x = _activations(rng, (4, c, h, w), dtype)
+    got, out_h, out_w = F.im2col_t(x, kernel, stride, padding)
+    expected, ref_h, ref_w = reference_im2col_t(x, kernel, stride, padding)
+    assert (out_h, out_w) == (ref_h, ref_w)
+    assert got.flags.c_contiguous
+    _same_bits(got, expected)
+
+
+def test_lowering_of_non_contiguous_input_matches():
+    """A strided NCHW view lowers like its contiguous copy."""
+    rng = np.random.default_rng(5)
+    base = _activations(rng, (8, 6, 6, 12))
+    x = base[:, :, :, ::2]
+    for args in [((5, 5), (1, 1), (0, 0)), ((3, 3), (1, 1), (1, 1))]:
+        got, _, _ = _stacked_im2col_t(x, 2, *args)
+        expected, _, _ = _stacked_im2col_t(np.ascontiguousarray(x), 2, *args)
+        _same_bits(got, expected)
 
 
 def test_scatter_keeps_negative_zero_sums_positive():

@@ -219,3 +219,43 @@ class TestMaskCache:
         clear_mask_cache()
         again = gemm_fault_mask(gemm, fault_map)
         np.testing.assert_array_equal(fresh, again)
+
+    def test_second_pass_over_a_fleet_hits_every_mask(self):
+        """Over 512 masks (the size of a pass's triage + retraining reuse)
+        stay cached: the second pass over 110 chips x 5 layers all hits."""
+        from repro.accelerator import clear_mask_cache, mask_cache_stats
+
+        clear_mask_cache()
+        gemms = [GemmShape(reduce_dim=k, output_dim=n) for k, n in
+                 [(25, 6), (150, 16), (400, 120), (120, 84), (84, 10)]]
+        maps = [FaultMap.random(8, 8, 0.1, seed=chip) for chip in range(110)]
+        for _ in range(2):
+            for fault_map in maps:
+                for gemm in gemms:
+                    gemm_fault_mask(gemm, fault_map)
+        stats = mask_cache_stats()
+        assert stats["misses"] == len(maps) * len(gemms) > 512
+        assert stats["hits"] == stats["misses"]
+        assert stats["size"] == stats["misses"]
+        clear_mask_cache()
+
+    def test_byte_cap_evicts_least_recently_used(self, monkeypatch):
+        from repro.accelerator import clear_mask_cache, mask_cache_stats
+        from repro.accelerator import mapping
+
+        clear_mask_cache()
+        gemm = GemmShape(reduce_dim=10, output_dim=10)  # 100-byte masks
+        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 300)
+        maps = [FaultMap.random(4, 4, 0.3, seed=seed) for seed in range(4)]
+        first = [gemm_fault_mask(gemm, fault_map) for fault_map in maps[:3]]
+        assert mask_cache_stats()["bytes"] == 300
+        gemm_fault_mask(gemm, maps[0])  # refresh map 0: map 1 is now the LRU
+        gemm_fault_mask(gemm, maps[3])  # over the cap: evicts map 1 only
+        stats = mask_cache_stats()
+        assert stats["size"] == 3 and stats["bytes"] == 300
+        assert gemm_fault_mask(gemm, maps[0]) is first[0]
+        assert gemm_fault_mask(gemm, maps[2]) is first[2]
+        hits = mask_cache_stats()["hits"]
+        assert gemm_fault_mask(gemm, maps[1]) is not first[1]  # rebuilt: a miss
+        assert mask_cache_stats()["hits"] == hits
+        clear_mask_cache()
