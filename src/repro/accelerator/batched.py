@@ -817,6 +817,77 @@ def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass
+class _EvalPass:
+    """The eval pass in flight, as read by the kernels an eval graph records.
+
+    A trainer owns one and sets its fields inside
+    :meth:`BatchedFaultTrainer.evaluate`.  The recorded kernels read this
+    object, never the trainer: the trainer holds its chain cache, which holds
+    the compiled graphs and their kernels, so a kernel that reached back to
+    the trainer would make a reference cycle and keep every finished trainer
+    (and its stacks) alive until the cycle collector ran.
+    """
+
+    lowering: "LoweringCache"
+    batch_size: Optional[int] = None
+    # Set only while a batch is in flight: conv layers consult the lowering
+    # cache exactly when it is not ``None``.
+    batch_index: Optional[int] = None
+    prefetcher: Optional[_LoweringPrefetcher] = None
+    probe: Optional[np.ndarray] = None
+
+
+def _eval_lowering_kernel(layer: "_StackedLayer", eval_pass: _EvalPass):
+    """Shared-prefix lowering of the first stacked conv, through the cache."""
+    module = layer.module
+
+    def lower_cols(data: np.ndarray) -> np.ndarray:
+        prefetcher = eval_pass.prefetcher
+        if prefetcher is not None and data is eval_pass.probe:
+            # The raw input batch reaches the first stacked layer, so the
+            # lowering is a pure function of the batch: teach the
+            # prefetcher to compute upcoming batches in the background.
+            prefetcher.offer_recipe(
+                layer.name,
+                eval_pass.batch_size,
+                lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
+            )
+        # ``batch_index`` is read at call time so a replayed graph consults
+        # the lowering cache for the batch actually in flight.
+        cols, _, _ = eval_pass.lowering.get_or_compute(
+            (layer.name, eval_pass.batch_size, eval_pass.batch_index),
+            lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
+        )
+        return cols
+
+    return lower_cols
+
+
+def _stacked_bn_eval_kernel(layer: "_StackedNormLayer", num_chips: int, shared: bool):
+    """Eval-mode stacked batch norm reading the per-chip stacks live."""
+    module = layer.module
+
+    def stacked_bn_eval(data: np.ndarray) -> np.ndarray:
+        _, param_shape = _bn_axes(data.ndim)
+        per_chip = data.shape[0] if shared else data.shape[0] // num_chips
+        out = np.empty((num_chips * per_chip,) + data.shape[1:], dtype=data.dtype)
+        for chip in range(num_chips):
+            fold = slice(chip * per_chip, (chip + 1) * per_chip)
+            x_b = data if shared else data[fold]
+            out[fold] = _bn_eval_forward(
+                x_b,
+                layer.weight.data[chip].reshape(param_shape),
+                layer.bias.data[chip].reshape(param_shape),
+                layer.running_mean[chip].reshape(param_shape),
+                layer.running_var[chip].reshape(param_shape),
+                module.eps,
+            )
+        return out
+
+    return stacked_bn_eval
+
+
+@dataclasses.dataclass
 class _StackedLayer:
     """One parametric layer with its B stacked per-chip weights (and masks)."""
 
@@ -949,15 +1020,13 @@ class BatchedFaultTrainer:
         # batches, reused across every per-checkpoint evaluation of this
         # trainer — and, when the caller passes a shared cache, across
         # trainers, chip chunks and sweep arms.  Only consulted while
-        # ``_eval_batch_index`` is set inside :meth:`evaluate`.
-        self._eval_lowering = lowering_cache if lowering_cache is not None else LoweringCache()
-        self._eval_batch_index: Optional[int] = None
-        self._eval_batch_size: Optional[int] = None
+        # ``_eval.batch_index`` is set inside :meth:`evaluate`.
+        self._eval = _EvalPass(
+            lowering_cache if lowering_cache is not None else LoweringCache()
+        )
         # Background double-buffering of eval-batch lowerings (bit-identical
         # either way; see _LoweringPrefetcher).
         self._prefetch = prefetch
-        self._prefetcher: Optional[_LoweringPrefetcher] = None
-        self._prefetch_probe: Optional[np.ndarray] = None
         # Captured-graph execution of the checkpoint-eval hot path (training
         # steps always run eagerly: they drive autograd).  Captured eval
         # graphs read the stacked weights, biases and running statistics
@@ -1087,37 +1156,13 @@ class BatchedFaultTrainer:
 
         return forward
 
-    def _eval_lowering_kernel(self, layer: _StackedLayer):
-        module = layer.module
-
-        def lower_cols(data: np.ndarray) -> np.ndarray:
-            prefetcher = self._prefetcher
-            if prefetcher is not None and data is self._prefetch_probe:
-                # The raw input batch reaches the first stacked layer, so the
-                # lowering is a pure function of the batch: teach the
-                # prefetcher to compute upcoming batches in the background.
-                prefetcher.offer_recipe(
-                    layer.name,
-                    self._eval_batch_size,
-                    lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
-                )
-            # ``_eval_batch_index`` is read at call time so a replayed graph
-            # consults the lowering cache for the batch actually in flight.
-            cols, _, _ = self._eval_lowering.get_or_compute(
-                (layer.name, self._eval_batch_size, self._eval_batch_index),
-                lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
-            )
-            return cols
-
-        return lower_cols
-
     def _conv_forward(self, layer: _StackedLayer):
         def forward(x: nn.Tensor) -> nn.Tensor:
             module = layer.module
             shared = self._shared_prefix
             self._shared_prefix = False
             lowering = None
-            if shared and self._eval_batch_index is not None:
+            if shared and self._eval.batch_index is not None:
                 # Evaluation pass over the unshuffled eval loader: the input
                 # to the first stacked layer is a pure function of the batch
                 # (the prefix holds no parametric or stochastic layers), so
@@ -1126,7 +1171,7 @@ class BatchedFaultTrainer:
                 cols = recorded(
                     "fat.eval_lowering",
                     (x.data,),
-                    self._eval_lowering_kernel(layer),
+                    _eval_lowering_kernel(layer, self._eval),
                     attrs={"layer": layer},
                 )
                 lowering = (cols, out_h, out_w)
@@ -1175,36 +1220,12 @@ class BatchedFaultTrainer:
             out = recorded(
                 "eval.stacked_bn",
                 (x.data,),
-                self._stacked_bn_eval_kernel(layer, shared),
+                _stacked_bn_eval_kernel(layer, self.num_chips, shared),
                 attrs={"layer": layer, "shared": shared},
             )
             return nn.Tensor(out)
 
         return forward
-
-    def _stacked_bn_eval_kernel(self, layer: _StackedNormLayer, shared: bool):
-        module = layer.module
-
-        def stacked_bn_eval(data: np.ndarray) -> np.ndarray:
-            _, param_shape = _bn_axes(data.ndim)
-            per_chip = data.shape[0] if shared else data.shape[0] // self.num_chips
-            out = np.empty(
-                (self.num_chips * per_chip,) + data.shape[1:], dtype=data.dtype
-            )
-            for chip in range(self.num_chips):
-                fold = slice(chip * per_chip, (chip + 1) * per_chip)
-                x_b = data if shared else data[fold]
-                out[fold] = _bn_eval_forward(
-                    x_b,
-                    layer.weight.data[chip].reshape(param_shape),
-                    layer.bias.data[chip].reshape(param_shape),
-                    layer.running_mean[chip].reshape(param_shape),
-                    layer.running_var[chip].reshape(param_shape),
-                    module.eps,
-                )
-            return out
-
-        return stacked_bn_eval
 
     def _dropout_forward(self, index: int, module: nn.Module):
         def forward(x: nn.Tensor) -> nn.Tensor:
@@ -1371,8 +1392,9 @@ class BatchedFaultTrainer:
         self.model.eval()
         correct = np.zeros(self.num_chips, dtype=np.int64)
         total = 0
+        eval_pass = self._eval
         prefetcher = (
-            _LoweringPrefetcher(self._eval_lowering) if self._prefetch else None
+            _LoweringPrefetcher(eval_pass.lowering) if self._prefetch else None
         )
         try:
             with trace.span(
@@ -1380,14 +1402,14 @@ class BatchedFaultTrainer:
             ), nn.no_grad(), self._patched():
                 # The loader's own batch size keys the lowering cache: a
                 # caller-supplied loader may slice the data differently.
-                self._eval_batch_size = loader.batch_size
-                self._prefetcher = prefetcher
+                eval_pass.batch_size = loader.batch_size
+                eval_pass.prefetcher = prefetcher
                 for batch_index, (inputs, targets) in _prefetched_batches(
                     loader, prefetcher
                 ):
-                    self._eval_batch_index = batch_index
+                    eval_pass.batch_index = batch_index
                     data = inputs.data
-                    self._prefetch_probe = data
+                    eval_pass.probe = data
                     n = data.shape[0]
                     if self._eval_chain_cache is None:
                         logits = self._eval_forward_all_chips(data)
@@ -1399,10 +1421,10 @@ class BatchedFaultTrainer:
                     correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
                     total += n
         finally:
-            self._eval_batch_index = None
-            self._eval_batch_size = None
-            self._prefetcher = None
-            self._prefetch_probe = None
+            eval_pass.batch_index = None
+            eval_pass.batch_size = None
+            eval_pass.prefetcher = None
+            eval_pass.probe = None
             if prefetcher is not None:
                 prefetcher.close()
             if was_training:
@@ -1540,8 +1562,9 @@ def evaluate_chip_accuracies(
     Step-3 initial accuracy triage did not supply): each chunk of up to
     ``chip_chunk`` mask sets is one :meth:`BatchedFaultTrainer.evaluate` pass
     (the trainer only reads ``data``, so it doubles as the never-iterated
-    train set).  Peak memory is
-    bounded by ``chip_chunk`` stacked model copies plus the byte-capped
+    train set).  Peak memory is bounded by one chunk's stacks
+    (``chip_chunk`` stacked model copies: each chunk's trainer is freed by
+    reference counting before the next one is built) plus the byte-capped
     :class:`LoweringCache`, regardless of population size.
 
     The eval batch is ``config.batch_size * 4``, exactly as in Step-3
@@ -1558,15 +1581,16 @@ def evaluate_chip_accuracies(
     cache = lowering_cache if lowering_cache is not None else LoweringCache()
     accuracies: List[float] = []
     for start in range(0, len(mask_sets), chip_chunk):
-        trainer = BatchedFaultTrainer(
-            model,
-            mask_sets[start:start + chip_chunk],
-            data,
-            data,
-            config=config,
-            backend=backend,
-            lowering_cache=cache,
-            prefetch=prefetch,
+        accuracies.extend(
+            BatchedFaultTrainer(
+                model,
+                mask_sets[start:start + chip_chunk],
+                data,
+                data,
+                config=config,
+                backend=backend,
+                lowering_cache=cache,
+                prefetch=prefetch,
+            ).evaluate()
         )
-        accuracies.extend(trainer.evaluate())
     return accuracies

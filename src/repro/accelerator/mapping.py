@@ -98,15 +98,24 @@ def weight_matrix_view(module: nn.Module) -> np.ndarray:
 # The LRU is bounded by bytes only: mask size scales with the model's weight
 # count, and a fleet pass builds every chip's masks once for triage and once
 # for retraining (192 chips x 5 LeNet layers = 960 masks, ~3 MB), so an entry
-# cap below one pass evicts each mask before its second use.
+# cap below one pass evicts each mask before its second use.  Every entry's
+# key carries its own copy of the fault-map payload, so the byte count covers
+# keys as well as masks; the payload is bit-packed (8x smaller than the bool
+# map's ``tobytes()``, and exact because the key also holds the map's shape).
 _MASK_CACHE_MAX_BYTES = 256 * 1024 * 1024
 _MASK_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 _MASK_CACHE_STATS = {"hits": 0, "misses": 0, "bytes": 0}
 
 
 def _fault_map_fingerprint(fault_map: FaultMap) -> Tuple:
-    """Cheap content key of a fault map (shape + raw bool payload)."""
-    return (fault_map.shape, fault_map.array.tobytes())
+    """Exact content key of a fault map (shape + bit-packed payload)."""
+    return (fault_map.shape, np.packbits(fault_map.array).tobytes())
+
+
+def _entry_nbytes(key: Tuple, mask: np.ndarray) -> int:
+    """Bytes one cache entry counts against the cap: mask plus key payloads."""
+    (_, payload), _, perm_key = key
+    return mask.nbytes + len(payload) + 8 * len(perm_key or ())
 
 
 def clear_mask_cache() -> None:
@@ -152,10 +161,10 @@ def gemm_fault_mask(
     mask = np.ascontiguousarray(mask_kn.T)
     mask.setflags(write=False)
     _MASK_CACHE[key] = mask
-    _MASK_CACHE_STATS["bytes"] += mask.nbytes
+    _MASK_CACHE_STATS["bytes"] += _entry_nbytes(key, mask)
     while _MASK_CACHE and _MASK_CACHE_STATS["bytes"] > _MASK_CACHE_MAX_BYTES:
-        _, evicted = _MASK_CACHE.popitem(last=False)
-        _MASK_CACHE_STATS["bytes"] -= evicted.nbytes
+        evicted_key, evicted = _MASK_CACHE.popitem(last=False)
+        _MASK_CACHE_STATS["bytes"] -= _entry_nbytes(evicted_key, evicted)
     return mask
 
 

@@ -27,6 +27,7 @@ become *live* tensor references whose ``.data`` is read at execution time
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,13 +59,26 @@ class GraphCapture:
     def __init__(self, inputs: Sequence[np.ndarray]) -> None:
         self.signature = signature_of(inputs)
         self.nodes: list = []
-        self._refs: Dict[int, Any] = {
-            id(array): Placeholder(index) for index, array in enumerate(inputs)
-        }
-        # Keep every referenced array alive for the duration of the capture:
-        # ``id()`` values are only unique among live objects, so letting an
-        # intermediate be collected could alias a later array onto a stale ref.
-        self._keepalive: list = list(inputs)
+        # Registered arrays by ``id()``, each with a weak reference: ``id()``
+        # values are only unique among live objects, so a lookup confirms the
+        # array is still the one registered.  Intermediates are therefore not
+        # pinned and die when the eager chain drops them, exactly as without
+        # capture.  The inputs stay pinned (replay reads them as
+        # placeholders); constants are pinned by their ``ConstRef``.
+        self._refs: Dict[int, Tuple[weakref.ref, Any]] = {}
+        self._inputs = tuple(inputs)
+        for index, array in enumerate(self._inputs):
+            self._register(array, Placeholder(index))
+
+    def _register(self, array: np.ndarray, ref: Any) -> None:
+        self._refs[id(array)] = (weakref.ref(array), ref)
+
+    def _lookup(self, array: Any) -> Any:
+        """The reference registered for ``array`` itself, else ``None``."""
+        entry = self._refs.get(id(array))
+        if entry is None or entry[0]() is not array:
+            return None
+        return entry[1]
 
     def _encode(self, value: Any) -> Any:
         from repro.nn.tensor import Tensor  # deferred: nn imports this module
@@ -73,14 +87,11 @@ class GraphCapture:
             # An intermediate activation's backing array was registered when
             # its producing op was recorded — reuse that dynamic reference.
             # Unregistered tensors (parameters, buffers) become live refs.
-            ref = self._refs.get(id(value.data))
+            ref = self._lookup(value.data)
             return ref if ref is not None else TensorRef(value)
         if isinstance(value, np.ndarray):
-            ref = self._refs.get(id(value))
-            if ref is not None:
-                return ref
-            self._keepalive.append(value)
-            return ConstRef(value)
+            ref = self._lookup(value)
+            return ref if ref is not None else ConstRef(value)
         if isinstance(value, tuple):
             return TupleRef(tuple(self._encode(element) for element in value))
         return value
@@ -105,15 +116,14 @@ class GraphCapture:
             attrs=dict(attrs or {}),
         )
         self.nodes.append(node)
-        self._refs[id(output)] = NodeOutput(node.id)
-        self._keepalive.append(output)
+        self._register(output, NodeOutput(node.id))
         return node
 
     def finish(self, output: Any) -> Optional[Graph]:
         """Close the session; ``None`` when the output was not captured."""
         if not isinstance(output, np.ndarray):
             return None
-        ref = self._refs.get(id(output))
+        ref = self._lookup(output)
         if ref is None or not self.nodes:
             return None
         return Graph(signature=self.signature, nodes=self.nodes, output=ref)
@@ -143,8 +153,10 @@ def recorded(
 
     ``fn`` doubles as the node's replay kernel, so it must be a closure whose
     free variables are either immutable for a fixed input signature or
-    intentionally live (e.g. reading ``self._batch_index`` to consult a
-    lowering cache at replay time).
+    intentionally live (e.g. an eval-pass state whose ``batch_index`` picks
+    the lowering-cache entry at replay time).  The compiled graph keeps the
+    kernel, so it must not close over the object that owns the graph's
+    :class:`ChainCache`: that would be a reference cycle.
     """
 
     output = fn(*inputs)

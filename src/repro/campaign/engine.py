@@ -81,7 +81,7 @@ from repro.campaign.supervisor import (
     SupervisorConfig,
 )
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import CampaignResult, ChipRetrainingResult
+from repro.core.reduce import DEFAULT_FAT_BATCH, CampaignResult, ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.mitigation.strategy import StrategyLike, resolve_strategy
 from repro.observability import (
@@ -234,7 +234,6 @@ class CampaignEngine:
         with the in-process executor.
     """
 
-    DEFAULT_FAT_BATCH = 8
     DEFAULT_HEARTBEAT_SECONDS = 30.0
     DEFAULT_MAX_CHUNK_RETRIES = 2
 
@@ -282,7 +281,7 @@ class CampaignEngine:
         self.resume = resume
         self.progress = progress
         self.disk_cache_dir = str(disk_cache_dir) if disk_cache_dir is not None else None
-        self.fat_batch = int(fat_batch) if fat_batch is not None else self.DEFAULT_FAT_BATCH
+        self.fat_batch = int(fat_batch) if fat_batch is not None else DEFAULT_FAT_BATCH
         self.heartbeat_seconds = heartbeat_seconds
         self.chaos_spec = resolve_chaos(chaos)
         self.backend = backend

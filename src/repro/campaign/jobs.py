@@ -40,7 +40,7 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chips import Chip, ChipPopulation
-from repro.core.reduce import ChipRetrainingResult, ReduceFramework
+from repro.core.reduce import DEFAULT_FAT_BATCH, ChipRetrainingResult, ReduceFramework
 from repro.core.selection import RetrainingPolicy
 from repro.mitigation.strategy import (
     DEFAULT_STRATEGY_NAME,
@@ -208,7 +208,7 @@ def plan_job_chunks(
 def execute_job_chunk(
     framework: ReduceFramework,
     chunk: Sequence[ChipJob],
-    fat_batch: int = 8,
+    fat_batch: int = DEFAULT_FAT_BATCH,
     attempt: int = 0,
 ) -> List[ChipRetrainingResult]:
     """Execute one plan chunk as one stacked run; returns results in chunk order.
@@ -243,7 +243,7 @@ def execute_job_chunk(
 def execute_jobs_batched(
     framework: ReduceFramework,
     jobs: Sequence[ChipJob],
-    fat_batch: int = 8,
+    fat_batch: int = DEFAULT_FAT_BATCH,
 ) -> List[ChipRetrainingResult]:
     """Execute jobs through the stacked batched trainer; one result per job.
 

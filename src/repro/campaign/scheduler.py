@@ -92,7 +92,7 @@ from repro.campaign.transport import (
     validate_hello,
     worker_hello,
 )
-from repro.core.reduce import ChipRetrainingResult
+from repro.core.reduce import DEFAULT_FAT_BATCH, ChipRetrainingResult
 from repro.observability import metrics, trace
 from repro.observability.tracer import read_shard
 from repro.utils.config import config_from_dict, config_to_dict
@@ -226,7 +226,7 @@ class CampaignCoordinator:
         listen: Optional[Tuple[str, int]] = None,
         connect: Sequence[Tuple[str, int]] = (),
         backend: Optional[str] = None,
-        fat_batch: int = 8,
+        fat_batch: int = DEFAULT_FAT_BATCH,
         prefetch: bool = True,
         lowering_cache_mb: Optional[float] = None,
         supervisor_config: Optional[SupervisorConfig] = None,

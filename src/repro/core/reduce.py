@@ -22,6 +22,7 @@ import numpy as np
 
 from repro import nn
 from repro.accelerator.batched import (
+    DEFAULT_CHIP_CHUNK,
     BatchedFaultTrainer,
     EvalPipeline,
     evaluate_chip_accuracies,
@@ -344,7 +345,7 @@ class ReduceFramework:
     def triage_population(
         self,
         chips: Iterable[Chip],
-        chip_chunk: int = 16,
+        chip_chunk: int = DEFAULT_CHIP_CHUNK,
         strategy: StrategyLike = None,
         backend: Optional[str] = None,
     ) -> Dict[str, float]:
@@ -679,6 +680,8 @@ class ReduceFramework:
                         {record.epochs: record for record in history.records}
                         for history in histories
                     ]
+                # Free this chunk's stacks before the next chunk builds its own.
+                del trainer
             for position, chip in enumerate(chunk):
                 for index in slots[chip.chip_id]:
                     budget = budgets[index]

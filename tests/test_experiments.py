@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.reduce import DEFAULT_FAT_BATCH
 from repro.experiments import (
     ExperimentContext,
     available_presets,
@@ -176,7 +177,7 @@ class TestFig3Runner:
         assert list(result.campaigns) == list(reference)
         for name, campaign in result.campaigns.items():
             assert campaign.results == reference[name].results
-        fat_batch = CampaignEngine.DEFAULT_FAT_BATCH
+        fat_batch = DEFAULT_FAT_BATCH
 
         def stacks_for(budgets):
             """One stacked run per ``fat_batch`` chunk of each trained budget."""

@@ -244,18 +244,43 @@ class TestMaskCache:
         from repro.accelerator import mapping
 
         clear_mask_cache()
-        gemm = GemmShape(reduce_dim=10, output_dim=10)  # 100-byte masks
-        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 300)
+        # 100-byte masks keyed by a 4x4 map bit-packed into 2 bytes.
+        gemm = GemmShape(reduce_dim=10, output_dim=10)
+        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 306)
         maps = [FaultMap.random(4, 4, 0.3, seed=seed) for seed in range(4)]
         first = [gemm_fault_mask(gemm, fault_map) for fault_map in maps[:3]]
-        assert mask_cache_stats()["bytes"] == 300
+        assert mask_cache_stats()["bytes"] == 306
         gemm_fault_mask(gemm, maps[0])  # refresh map 0: map 1 is now the LRU
         gemm_fault_mask(gemm, maps[3])  # over the cap: evicts map 1 only
         stats = mask_cache_stats()
-        assert stats["size"] == 3 and stats["bytes"] == 300
+        assert stats["size"] == 3 and stats["bytes"] == 306
         assert gemm_fault_mask(gemm, maps[0]) is first[0]
         assert gemm_fault_mask(gemm, maps[2]) is first[2]
         hits = mask_cache_stats()["hits"]
         assert gemm_fault_mask(gemm, maps[1]) is not first[1]  # rebuilt: a miss
         assert mask_cache_stats()["hits"] == hits
+        clear_mask_cache()
+
+    def test_byte_cap_counts_key_bytes(self, monkeypatch):
+        """Each entry's key holds its own fault-map payload: three 100-byte
+        masks fit a 300-byte cap only if their keys cost nothing."""
+        from repro.accelerator import clear_mask_cache, mask_cache_stats
+        from repro.accelerator import mapping
+
+        clear_mask_cache()
+        gemm = GemmShape(reduce_dim=10, output_dim=10)
+        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 300)
+        maps = [FaultMap.random(64, 64, 0.1, seed=seed) for seed in range(3)]
+        for fault_map in maps:
+            gemm_fault_mask(gemm, fault_map)
+            assert mask_cache_stats()["bytes"] <= 300
+        # A 64x64 map packs into 512 bytes: every entry costs 612 bytes, so
+        # each insert evicts the one before it.
+        stats = mask_cache_stats()
+        assert stats["size"] == 0 and stats["bytes"] == 0
+        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 2 * 612)
+        for fault_map in maps:
+            gemm_fault_mask(gemm, fault_map)
+        stats = mask_cache_stats()
+        assert stats["size"] == 2 and stats["bytes"] == 2 * 612
         clear_mask_cache()

@@ -1,0 +1,179 @@
+"""Memory release: finished stacked trainers and capture intermediates die.
+
+The cycle collector is disabled in every test here, so an object survives
+``del`` exactly when something still refers to it, through a reference cycle
+included.  A stacked trainer that ran a captured eval must be freed by
+reference counting alone (its chain cache's graphs must not lead back to it),
+and a capture session must not pin the intermediates the eager chain drops.
+
+Each test runs with the ``numpy`` and the ``fused`` backend: the cycle
+exists for every backend that has a chain cache.
+"""
+
+import gc
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.accelerator import FaultMap, model_fault_masks
+from repro.accelerator import batched
+from repro.accelerator.batched import BatchedFaultTrainer, evaluate_chip_accuracies
+from repro.backends import capture_graph, get_backend, recorded
+from repro.backends.numpy_backend import CompiledGraph
+from repro.training import TrainingConfig
+
+BACKENDS = ("numpy", "fused")
+# Eval batches are ``batch_size * 4`` = 16 rows over the 32-image test set:
+# two same-shape batches, so every eval pass captures once and replays once.
+CONFIG = TrainingConfig(batch_size=4)
+
+
+@pytest.fixture(autouse=True)
+def no_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _make_cnn(bundle):
+    channels = bundle.input_shape[0]
+    return nn.Sequential(
+        nn.Conv2d(channels, 8, 3, padding=1, bias=False, rng=0),
+        nn.BatchNorm2d(8),
+        nn.ReLU(),
+        nn.MaxPool2d(2),
+        nn.Flatten(),
+        nn.Linear(8 * 4 * 4, 128, rng=1),
+        nn.ReLU(),
+        nn.Linear(128, bundle.num_classes, rng=2),
+    )
+
+
+def _mask_sets(model, num_chips):
+    maps = [FaultMap.random(16, 16, 0.05 + 0.01 * i, seed=i) for i in range(num_chips)]
+    return [model_fault_masks(model, fault_map) for fault_map in maps]
+
+
+def _count_replays(monkeypatch):
+    calls = []
+    replay = CompiledGraph.__call__
+
+    def counting(self, inputs):
+        calls.append(self.backend_name)
+        return replay(self, inputs)
+
+    monkeypatch.setattr(CompiledGraph, "__call__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_trainer_freed_after_evaluate(image_bundle, backend, monkeypatch):
+    replays = _count_replays(monkeypatch)
+    model = _make_cnn(image_bundle)
+    trainer = BatchedFaultTrainer(
+        model, _mask_sets(model, 3), image_bundle.train, image_bundle.test,
+        config=CONFIG, backend=backend,
+    )
+    trainer.evaluate()
+    assert replays, "the eval pass never replayed a captured graph"
+    alive = weakref.ref(trainer)
+    del trainer
+    assert alive() is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_trainer_freed_after_in_stream_train(image_bundle, backend, monkeypatch):
+    replays = _count_replays(monkeypatch)
+    model = _make_cnn(image_bundle)
+    trainer = BatchedFaultTrainer(
+        model, _mask_sets(model, 3), image_bundle.train, image_bundle.test,
+        config=CONFIG, backend=backend,
+    )
+    trainer.train(1.0, eval_checkpoints=[0.5, 1.0], in_stream=True)
+    # Three evaluations (initial, 0.5, 1.0) of two batches each: one capture,
+    # then every later batch replays the compiled graph.
+    assert len(replays) == 5
+    alive = weakref.ref(trainer)
+    del trainer
+    assert alive() is None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
+    model = _make_cnn(image_bundle)
+    chip_chunk = 4
+    mask_sets = _mask_sets(model, 3 * chip_chunk + 1)  # four chunks
+    trainers = []
+
+    class TrackedTrainer(BatchedFaultTrainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trainers.append(weakref.ref(self))
+
+    monkeypatch.setattr(batched, "BatchedFaultTrainer", TrackedTrainer)
+
+    def run():
+        return evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, config=CONFIG,
+            chip_chunk=chip_chunk, backend=backend,
+        )
+
+    expected = run()  # warm up lazily created process state
+    tracemalloc.start()
+    try:
+        # One chunk's working set: its trainer's stacks, alive while it runs.
+        before = tracemalloc.get_traced_memory()[0]
+        chunk = TrackedTrainer(
+            model, mask_sets[:chip_chunk], image_bundle.test, image_bundle.test,
+            config=CONFIG, backend=backend,
+        )
+        chunk.evaluate()
+        one_chunk = tracemalloc.get_traced_memory()[0] - before
+        del chunk
+        trainers.clear()
+
+        before = tracemalloc.get_traced_memory()[0]
+        accuracies = run()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert accuracies == expected
+    assert len(trainers) == 4
+    assert [ref for ref in trainers if ref() is not None] == []
+    assert after - before <= one_chunk
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_capture_frees_dropped_intermediates(backend):
+    dropped = []
+
+    def chain(x):
+        doubled = recorded("double", (x,), lambda v: v * np.float32(2.0))
+        dropped.append(weakref.ref(doubled))
+        shifted = recorded("shift", (doubled,), lambda v: v + np.float32(1.0))
+        del doubled
+        return nn.functional.relu(nn.Tensor(shifted)).data
+
+    rng = np.random.default_rng(0)
+    captured_on = rng.standard_normal((4, 8)).astype(np.float32)
+    with capture_graph((captured_on,)) as session:
+        output = chain(captured_on)
+        assert dropped[0]() is None, "capture pinned an intermediate"
+    graph = session.finish(output)
+    assert graph is not None
+    assert graph.ops() == ("double", "shift", "relu")
+
+    compiled = get_backend(backend).compile(graph)
+    fresh = rng.standard_normal((4, 8)).astype(np.float32)
+    replayed = compiled((fresh,))
+    eager = chain(fresh.copy())
+    assert replayed.dtype == eager.dtype
+    np.testing.assert_array_equal(replayed.view(np.uint32), eager.view(np.uint32))
