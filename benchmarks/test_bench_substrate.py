@@ -61,15 +61,17 @@ def test_bench_fault_mask_generation_vgg11(benchmark):
 
 def test_bench_fault_aware_training_step(benchmark, fast_context):
     """Masked-retrain-step: one masked optimizer step of the fast preset's model."""
+    from repro.accelerator.batched import BatchedFaultTrainer
+
     context = fast_context
     context.restore_pretrained()
     masks = model_fault_masks(context.model, FaultMap.random(*context.array.shape, 0.2, seed=0))
-    trainer = Trainer(
+    trainer = BatchedFaultTrainer(
         context.model,
+        [masks],
         context.bundle.train,
         context.bundle.test,
         config=TrainingConfig(learning_rate=0.01, batch_size=40, seed=0),
-        masks=masks,
     )
     benchmark(trainer._train_steps, 1)
     context.restore_pretrained()

@@ -34,9 +34,11 @@ shared stream when all seeds agree (Step 3), one stream per chip otherwise
 serves the checkpoint evaluations and, through
 :func:`evaluate_chip_accuracies`, every forward-only population evaluation.
 Chip ``b``'s slice of every stacked GEMM presents the same operands to BLAS
-as the serial per-chip pass, so weights, losses and accuracies are
-bit-identical to B serial ``Trainer`` runs on a given BLAS build
-(tests/test_batched_fat.py and tests/test_batched_eval.py pin this).
+as a serial per-chip pass, so weights, losses and accuracies are
+bit-identical to B runs of the serial reference loop
+(``tests/helpers.py``: ``ReferenceTrainer``) on a given BLAS build
+(tests/test_batched_fat.py and tests/test_batched_eval.py pin this).  It is
+the one training loop: :class:`repro.training.Trainer` is a stack of one.
 """
 
 from __future__ import annotations
@@ -917,26 +919,26 @@ class _StackedLayer:
 class BatchedFaultTrainer:
     """Fault-aware retraining of B chips in one batched training loop.
 
-    Mirrors :class:`repro.training.Trainer` for B chips that share the same
-    starting weights (the model's current state), training data, hyper-
-    parameters and epoch budget but differ in their fault masks and,
-    optionally, their seeds: every optimizer step runs one folded
-    forward/backward in which each GEMM is stacked over chips, followed by
-    per-chip optimizer updates on the stacked parameters (the optimizer's
-    elementwise update math over a ``(B, ...)`` stack *is* B independent
-    per-chip updates; gradient clipping is the only cross-element op and uses
-    :func:`repro.nn.optim.clip_grad_norm_per_chip`).
+    Trains B chips that share the same starting weights (the model's current
+    state), training data, hyper-parameters and epoch budget but differ in
+    their fault masks and, optionally, their seeds: every optimizer step runs
+    one folded forward/backward in which each GEMM is stacked over chips,
+    followed by per-chip optimizer updates on the stacked parameters (the
+    optimizer's elementwise update math over a ``(B, ...)`` stack *is* B
+    independent per-chip updates; gradient clipping is the only cross-element
+    op and uses :func:`repro.nn.optim.clip_grad_norm_per_chip`).
 
     ``seeds`` gives one training seed per chip (default: ``config.seed`` for
     every chip).  Chips with one common seed share one data stream, so each
     step feeds the un-replicated batch through the shared prefix.  Distinct
-    seeds give every chip its own train loader and dropout generators, seeded
-    exactly as a serial ``Trainer`` with that seed seeds them, and each step
+    seeds give every chip its own train loader and dropout generators, each
+    seeded as a one-seed stack with that seed seeds its stream, and each step
     feeds the chips' folded ``(B * n, ...)`` batches; evaluation input is
     still shared, so eval passes keep the shared prefix and lowering cache.
 
     Exact serial equivalence: chip ``b``'s weights, losses and accuracies are
-    bit-identical to a serial ``Trainer(model, ..., masks=mask_sets[b])`` run
+    bit-identical to a serial reference run
+    (``tests/helpers.py``: ``ReferenceTrainer(model, ..., masks=mask_sets[b])``)
     whose config carries chip ``b``'s seed, on this BLAS build
     (tests/test_batched_fat.py pins this).  The model itself is never
     modified: stacked copies are trained, and per-chip results are read back
@@ -1128,8 +1130,8 @@ class BatchedFaultTrainer:
                 raise KeyError(f"mask refers to unknown layer {name!r}")
         self._masked_layers = [layer for layer in self._layers if layer.keep is not None]
         self.optimizer = self.config.build_optimizer(parameters)
-        # Dropout draws from trainer-seeded per-layer generators, exactly as
-        # each serial Trainer with the stream's seed would reseed them:
+        # Dropout draws from trainer-seeded per-layer generators, reseeded
+        # from each stream's seed as a one-stream trainer would reseed them:
         # ``_dropout_rngs[stream][i]`` feeds ``_dropouts[i]``.
         self._dropout_rngs: List[List[np.random.Generator]] = []
         for seed in stream_seeds:
@@ -1381,7 +1383,7 @@ class BatchedFaultTrainer:
         )
 
     def evaluate(self) -> List[float]:
-        """Per-chip top-1 accuracy on the eval data (mirrors ``Trainer.evaluate``).
+        """Per-chip top-1 accuracy on the eval data (equals ``evaluate_accuracy``).
 
         One batched eval pass over the current stacked weights.
         """
@@ -1442,9 +1444,11 @@ class BatchedFaultTrainer:
     ):
         """Train all chips for ``epochs``; returns one history per chip.
 
-        Checkpoint semantics match :meth:`repro.training.Trainer.train`: the
-        same cumulative epoch checkpoints, the same step accounting, and per-
-        chip records whose accuracies and losses equal the serial runs'.
+        ``eval_checkpoints`` are *cumulative* epoch amounts (relative to the
+        start of this call) at which to record accuracy; the final epoch
+        amount is always recorded, and ``include_initial=True`` records the
+        accuracy before any step too.  Each chip's records equal those of its
+        serial reference run (``tests/helpers.py``: ``ReferenceTrainer``).
 
         ``in_stream=True`` makes every checkpoint a *readout* of one
         uninterrupted pass instead of the end of a segment: the loader is

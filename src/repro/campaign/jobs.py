@@ -19,8 +19,8 @@ jobs complete.  Because the seed (and therefore the mini-batch and dropout
 streams) is shared, jobs can also be *coalesced*: :func:`execute_jobs_batched`
 retrains a whole group through one stacked multi-chip trainer, once to the
 largest budget, reads every smaller budget off that pass, and returns exactly
-what serial per-chip retraining
-(:meth:`~repro.core.reduce.ReduceFramework.retrain_chip`) would.
+what retraining each chip alone would (the tests pin this against the serial
+reference ``reference_retrain_chip`` in ``tests/helpers.py``).
 
 The planner/executor split builds on exactly that purity:
 :func:`plan_job_chunks` merges pending jobs per chip (one job per policy),
@@ -214,8 +214,8 @@ def execute_job_chunk(
     """Execute one plan chunk as one stacked run; returns results in chunk order.
 
     Every chunk, a single job included, runs through
-    :func:`execute_jobs_batched`, so each result equals a serial per-chip
-    :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` call.
+    :func:`execute_jobs_batched`, so each result equals the chip retrained
+    alone by the serial reference (``tests/helpers.py``).
     ``attempt`` tags the chunk span so a trace distinguishes first executions
     from supervisor retries after a worker death or hang.
     """
@@ -248,7 +248,8 @@ def execute_jobs_batched(
     """Execute jobs through the stacked batched trainer; one result per job.
 
     Returns results in job order, each bit-identical (on this BLAS build) to
-    a serial :meth:`~repro.core.reduce.ReduceFramework.retrain_chip` call.
+    the chip retrained alone by the serial reference
+    (``tests/helpers.py``: ``reference_retrain_chip``).
     Jobs may ask one chip for several budgets (one job per policy); the
     chip then trains once and every budget is read off that pass.  All jobs
     must share the same ``target_accuracy``, ``strategy`` and ``backend``.

@@ -40,13 +40,7 @@ from repro.mitigation.strategy import (
     resolve_strategy,
 )
 from repro.nn.serialization import clone_state_dict
-from repro.training import (
-    CheckpointRecord,
-    Trainer,
-    TrainingConfig,
-    enforce_weight_masks,
-    evaluate_accuracy,
-)
+from repro.training import CheckpointRecord, TrainingConfig, evaluate_accuracy
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
@@ -216,7 +210,7 @@ def _build_chip_result(
     target: float,
     strategy: str = DEFAULT_STRATEGY_NAME,
 ) -> ChipRetrainingResult:
-    """Assemble one chip's result row (shared by the serial and batched paths)."""
+    """Assemble one chip's result row."""
     masked = sum(int(mask.sum()) for mask in masks.values())
     total = sum(mask.size for mask in masks.values())
     return ChipRetrainingResult(
@@ -408,8 +402,8 @@ class ReduceFramework:
         chips differ in their fault masks, not in their data — and a shared
         mini-batch/dropout stream lets a chunk run as one
         :class:`BatchedFaultTrainer` that lowers each training batch once for
-        all its chips (the shared prefix), bit-identical to the serial
-        per-chip path.  Because every budget walks the same stream, a pass to
+        all its chips (the shared prefix), bit-identical to retraining each
+        chip alone.  Because every budget walks the same stream, a pass to
         the largest budget also passes through every smaller budget's end
         state, so one pass serves all of them.
         """
@@ -417,102 +411,6 @@ class ReduceFramework:
             self.config.effective_retraining_config(),
             seed=derive_seed(self.config.resilience.seed, "fat"),
         )
-
-    def retrain_chip(
-        self,
-        chip: Chip,
-        epochs: float,
-        return_state: bool = False,
-        target_accuracy: Optional[float] = None,
-        accuracy_before: Optional[float] = None,
-        strategy: StrategyLike = None,
-        backend: Optional[str] = None,
-    ) -> Union[ChipRetrainingResult, tuple]:
-        """Mitigate (and possibly retrain) the pre-trained model for one chip.
-
-        The framework model is restored to its pre-trained weights first, so
-        repeated calls are independent.  With ``return_state=True`` the
-        fault-aware weights (the DNN shipped to that chip) are returned too.
-        ``target_accuracy`` overrides the framework's resolved constraint —
-        campaign workers pass the value resolved once in the parent process so
-        executing a job never needs the clean-accuracy evaluation.
-        ``accuracy_before`` injects a pre-computed initial accuracy (from the
-        batched :meth:`triage_population` pass, which is numerically identical
-        to the serial evaluation) so the per-chip run skips the initial
-        test-set sweep; zero-epoch chips then need no training machinery at
-        all.
-
-        ``strategy`` selects the mitigation recipe (default: classic FAT).
-        Non-retraining strategies clamp the budget to zero; FAM strategies
-        retrain under saliency-permuted masks; bypass strategies return the
-        clean accuracy for bypassable chips (the shrunk array has no faults)
-        and fall back to FAP(+FAT, if the strategy retrains) otherwise.
-
-        This serial path is the reference :meth:`retrain_chips_batched` (and
-        so every campaign chunk) is pinned against.  ``backend`` is accepted
-        to mirror that signature, but the serial trainer always executes
-        eagerly — backends route the *stacked* substrate, whose ``"numpy"``
-        replay is bit-identical to eager execution.
-        """
-        if epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        strategy = resolve_strategy(strategy)
-        target = target_accuracy if target_accuracy is not None else self.target_accuracy
-        self._restore_pretrained()
-        if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None:
-            # Bypassable chip: the surviving PEs form a fault-free array, so
-            # the shipped DNN is the unmodified pre-trained model (no weights
-            # pruned, nothing retrained).  ``accuracy_before`` remains the
-            # chip's pre-mitigation faulty accuracy (under the plain masks,
-            # which are only built when triage has not measured it already).
-            if accuracy_before is None:
-                masks = strategy.chip_masks(self.model, chip.fault_map)
-                enforce_weight_masks(self.model, masks)
-                accuracy_before = evaluate_accuracy(
-                    self.model,
-                    self.bundle.test,
-                    batch_size=self.config.effective_retraining_config().batch_size * 4,
-                )
-                self._restore_pretrained()
-            result = _build_chip_result(
-                chip, {}, 0.0, 0.0, accuracy_before, self.clean_accuracy, target,
-                strategy=strategy.name,
-            )
-            if return_state:
-                return result, clone_state_dict(self.model.state_dict())
-            return result
-        masks = strategy.chip_masks(self.model, chip.fault_map)
-        epochs = strategy.effective_epochs(epochs, chip.fault_map)
-        if epochs > 0 or return_state or accuracy_before is None:
-            training_config = self._fat_training_config()
-            trainer = Trainer(
-                self.model,
-                self.bundle.train,
-                self.bundle.test,
-                config=training_config,
-                masks=masks,
-            )
-            if accuracy_before is None:
-                accuracy_before = trainer.evaluate()
-            if epochs > 0:
-                history = trainer.train(epochs, include_initial=False)
-                accuracy_after = history.final_accuracy
-                epochs_trained = history.total_epochs
-            else:
-                accuracy_after = accuracy_before
-                epochs_trained = 0.0
-        else:
-            # Triage already measured this chip and no retraining or state
-            # was requested: the result is fully determined.
-            accuracy_after = accuracy_before
-            epochs_trained = 0.0
-        result = _build_chip_result(
-            chip, masks, epochs, epochs_trained, accuracy_before, accuracy_after,
-            target, strategy=strategy.name,
-        )
-        if return_state:
-            return result, clone_state_dict(self.model.state_dict())
-        return result
 
     def retrain_chips_batched(
         self,
@@ -531,7 +429,8 @@ class ReduceFramework:
         every entry of ``chips``, or one budget per entry; a chip may appear
         several times, once per budget asked of it (the Fig. 3 policies ask
         each chip for up to five).  Returns one result per entry, in entry
-        order, and each equals ``self.retrain_chip(chip, budget, ...)`` —
+        order, and each equals the chip retrained alone through the serial
+        reference loop (``tests/helpers.py``: ``reference_retrain_chip``) —
         bit-identical on this BLAS build.
 
         Each distinct chip takes one slot of a
@@ -553,10 +452,10 @@ class ReduceFramework:
         accuracy, and a stack whose budgets are all zero and whose initial
         accuracies are all known builds no trainer at all.
 
-        ``strategy`` prepares each chip exactly like the serial path: a
-        strategy's masks are just another per-chip mask set stacked into the
-        batched trainer's keep-multipliers, so FAP/FAM prune masks ride the
-        same machinery as plain fault masks.  Bypassable chips under a bypass
+        ``strategy`` selects the mitigation recipe: non-retraining strategies
+        clamp the budget to zero, and a strategy's masks are just another
+        per-chip mask set stacked into the batched trainer's keep-multipliers,
+        so FAP/FAM prune masks ride the same machinery as plain fault masks.  Bypassable chips under a bypass
         strategy never enter training (their accuracy is preserved by the
         shrunk array); the rest of the batch trains normally.
 
@@ -711,11 +610,11 @@ class ReduceFramework:
         One :meth:`retrain_chips_batched` call over every chip's effective
         budget: it stacks chips in order of budget, at most ``fat_batch`` to
         a stack, and each stack measures its own chips' initial accuracy.
-        Rows are bit-identical to the serial per-chip :meth:`retrain_chip`
-        loop on this BLAS build.  ``strategy`` selects the mitigation recipe
-        applied before/instead of retraining (default: classic FAT);
-        ``backend`` selects the compute backend the stacked substrate replays
-        its captured graphs through.
+        Rows are bit-identical to retraining each chip alone through the
+        serial reference loop on this BLAS build.  ``strategy`` selects the
+        mitigation recipe applied before/instead of retraining (default:
+        classic FAT); ``backend`` selects the compute backend the stacked
+        substrate replays its captured graphs through.
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)

@@ -55,7 +55,9 @@ _DISK_CACHE_DIR: Optional[Path] = None
 # cache from an older build can never seed new-version campaigns).
 # Version 2: fused batch-norm backward + C-contiguous materialisation of
 # degenerate 1x1 im2col lowerings (changes vgg-style pre-training).
-TRAINING_NUMERICS_VERSION = 2
+# Version 3: pre-training runs on the stacked trainer, whose conv bias
+# gradient sums a contiguous copy (changes 1x1-output convs with a bias).
+TRAINING_NUMERICS_VERSION = 3
 
 
 def preset_fingerprint(preset: ExperimentPreset) -> str:

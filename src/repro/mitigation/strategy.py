@@ -15,10 +15,9 @@ declarative recipe the campaign machinery can sweep:
 Strategies are named by ``+``-separated component specs — ``"fat"``,
 ``"fap"``, ``"fam+fat"``, ``"bypass+fat"``, ``"none"`` — and resolve to
 frozen, hashable objects.  Everything downstream of mask construction is
-unchanged: a strategy's masks flow into the same
-:class:`~repro.training.MaskedParameter` keep-multipliers (serial) and
-stacked keep-multiplier tensors (:class:`~repro.accelerator.batched.BatchedFaultTrainer`)
-that plain FAT uses, so ``--jobs N x --fat-batch B`` campaigns execute any
+unchanged: a strategy's masks flow into the same stacked keep-multiplier
+tensors (:class:`~repro.accelerator.batched.BatchedFaultTrainer`) that plain
+FAT uses, so ``--jobs N x --fat-batch B`` campaigns execute any
 strategy without new training machinery.
 
 Semantics of the components

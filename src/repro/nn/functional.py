@@ -217,8 +217,12 @@ class Conv2dFunction(Function):
         n = x_shape[0]
         # (n, O, oh, ow) -> (O, n * oh * ow): this channel-major copy moves
         # contiguous spatial blocks (several times faster than gathering the
-        # (P, O) layout) and feeds every GEMM below directly.
-        grad_t = grad_output.transpose(1, 0, 2, 3).reshape(out_channels, n * out_h * out_w)
+        # (P, O) layout) and feeds every GEMM below directly.  At 1x1 outputs
+        # the reshape alone is a strided view, whose bias sum would round
+        # differently from the stacked conv's contiguous one.
+        grad_t = np.ascontiguousarray(
+            grad_output.transpose(1, 0, 2, 3).reshape(out_channels, n * out_h * out_w)
+        )
         grad_weight = (grad_t @ colsT.T).reshape(weight.shape)
         grad_x = None
         if not self.needs_input_grad or self.needs_input_grad[0]:

@@ -1,6 +1,7 @@
-"""Supervised training loop with optional weight masking and fractional epochs.
+"""Training configuration, histories, evaluation and fault-mask helpers.
 
-This module is the training substrate shared by
+The training loop itself is :class:`~repro.accelerator.batched.BatchedFaultTrainer`;
+:class:`Trainer` runs it on one model in place.  Together they serve
 
 * pre-training the clean reference model (the "pre-trained DNN" input of the
   Reduce framework),
@@ -17,15 +18,15 @@ amount ``e`` corresponds to ``round(e * batches_per_epoch)`` optimizer steps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import nn
+from repro.accelerator.batched import BatchedFaultTrainer
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
-from repro.observability import trace
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -258,11 +259,6 @@ class MaskedParameter:
     def enforce_weight(self) -> None:
         np.multiply(self.weight.data, self.keep, out=self.weight.data)
 
-    def enforce_grad(self) -> None:
-        grad = self.weight.grad
-        if grad is not None:
-            np.multiply(grad, self.keep, out=grad)
-
 
 def _resolve_masked_weight(model_modules: Dict[str, nn.Module], name: str, mask: np.ndarray):
     """Look up and validate the weight tensor a mask applies to."""
@@ -322,20 +318,6 @@ def enforce_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> List[Ma
     return resolved
 
 
-def mask_gradients(model: nn.Module, masks: Optional[MaskDict]) -> None:
-    """Zero the gradients of masked weights so optimizer state stays clean."""
-    if not masks:
-        return
-    modules = dict(model.named_modules())
-    for name, mask in masks.items():
-        module = modules.get(name)
-        if module is None:
-            continue
-        weight = getattr(module, "weight", None)
-        if weight is not None and weight.grad is not None:
-            weight.grad[mask] = 0.0
-
-
 def seed_stochastic_layers(model: nn.Module, seed: SeedLike) -> int:
     """Reseed every stochastic layer (dropout) from a derived per-layer seed.
 
@@ -366,7 +348,15 @@ def epochs_to_steps(epochs: float, batches_per_epoch: int) -> int:
 
 
 class Trainer:
-    """Progressive trainer with optional fault masks and epoch checkpoints."""
+    """Trainer of one model in place: a :class:`BatchedFaultTrainer` stack of one.
+
+    The stacked trainer is the one training loop; this wrapper trains a
+    single chip (``masks``, or none for pre-training) and keeps ``model``
+    holding that chip's weights: the masked starting weights after
+    construction and the trained weights after every :meth:`train`.  The
+    stack, not the model, carries the training state (weights, optimizer and
+    batch-norm statistics) from one :meth:`train` call to the next.
+    """
 
     def __init__(
         self,
@@ -377,71 +367,25 @@ class Trainer:
         masks: Optional[MaskDict] = None,
     ) -> None:
         self.model = model
-        self.config = config if config is not None else TrainingConfig()
-        self.masks = masks
-        self.train_loader = _as_loader(
-            train_data,
-            batch_size=self.config.batch_size,
-            shuffle=self.config.shuffle,
-            seed=derive_seed(self.config.seed, "train-loader"),
-        )
-        self.eval_data = eval_data
-        require_nonempty_train_loader(self.train_loader)
-        self.optimizer = self.config.build_optimizer(model.parameters())
-        self.steps_taken = 0
-        self.batches_per_epoch = len(self.train_loader)
-        # Resolve mask → parameter bindings once; the per-step hot loop then
-        # enforces masks via in-place float multiplies instead of re-walking
-        # ``named_modules()`` and boolean fancy-indexing on every step.
-        self._masked_params = resolve_masked_parameters(self.model, self.masks)
-        # Stochastic layers (dropout) draw from generators derived from the
-        # trainer seed so two trainers with the same config are bit-identical.
-        seed_stochastic_layers(self.model, self.config.seed)
-        # Enforce the masks on the starting weights (FAP before FAT).
-        for masked in self._masked_params:
-            masked.weight.data[masked.mask] = 0.0
+        self._stack = BatchedFaultTrainer(model, [masks or {}], train_data, eval_data, config)
+        self.config = self._stack.config
+        self.train_loader = self._stack._train_loaders[0]
+        self.batches_per_epoch = self._stack.batches_per_epoch
+        self._write_back()
+
+    @property
+    def steps_taken(self) -> int:
+        return self._stack.steps_taken
 
     @property
     def epochs_taken(self) -> float:
-        return self.steps_taken / self.batches_per_epoch
+        return self._stack.epochs_taken
 
-    def _train_steps(self, num_steps: int) -> float:
-        """Run ``num_steps`` optimizer steps; returns the mean training loss."""
-        if num_steps <= 0:
-            return float("nan")
-        self.model.train()
-        losses: List[float] = []
-        remaining = num_steps
-        with trace.span("train.steps", steps=num_steps):
-            while remaining > 0:
-                for inputs, targets in self.train_loader:
-                    logits = self.model(inputs)
-                    loss = F.cross_entropy(
-                        logits, targets, label_smoothing=self.config.label_smoothing
-                    )
-                    self.optimizer.zero_grad()
-                    loss.backward()
-                    for masked in self._masked_params:
-                        masked.enforce_grad()
-                    if self.config.grad_clip is not None:
-                        # The optimizer already holds the resolved parameter list;
-                        # avoid re-walking the module tree every step.
-                        nn.clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
-                    self.optimizer.step()
-                    for masked in self._masked_params:
-                        masked.enforce_weight()
-                    losses.append(loss.item())
-                    self.steps_taken += 1
-                    remaining -= 1
-                    if remaining == 0:
-                        break
-        return float(np.mean(losses)) if losses else float("nan")
+    def _write_back(self) -> None:
+        self.model.load_state_dict(self._stack.chip_state_dict(0))
 
     def evaluate(self) -> float:
-        with trace.span("train.eval"):
-            return evaluate_accuracy(
-                self.model, self.eval_data, batch_size=self.config.batch_size * 4
-            )
+        return self._stack.evaluate()[0]
 
     def train(
         self,
@@ -449,54 +393,7 @@ class Trainer:
         eval_checkpoints: Optional[Sequence[float]] = None,
         include_initial: bool = True,
     ) -> TrainingHistory:
-        """Train for ``epochs`` (fractional allowed) with periodic evaluation.
-
-        ``eval_checkpoints`` is a list of *cumulative* epoch amounts (relative
-        to the start of this call) at which to record accuracy; the final
-        epoch amount is always evaluated.  With ``include_initial=True`` the
-        accuracy before any step (0.0 epochs) is recorded too.
-        """
-        if epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        history = TrainingHistory()
-        if include_initial:
-            history.add(
-                CheckpointRecord(
-                    epochs=0.0,
-                    steps=self.steps_taken,
-                    train_loss=float("nan"),
-                    eval_accuracy=self.evaluate(),
-                )
-            )
-        checkpoints = sorted(set(float(c) for c in (eval_checkpoints or []) if 0.0 < c <= epochs))
-        if epochs > 0 and (not checkpoints or abs(checkpoints[-1] - epochs) > 1e-12):
-            checkpoints.append(float(epochs))
-        previous_steps = 0
-        for checkpoint in checkpoints:
-            target_steps = epochs_to_steps(checkpoint, self.batches_per_epoch)
-            step_delta = target_steps - previous_steps
-            train_loss = self._train_steps(step_delta) if step_delta > 0 else float("nan")
-            previous_steps = target_steps
-            history.add(
-                CheckpointRecord(
-                    epochs=checkpoint,
-                    steps=self.steps_taken,
-                    train_loss=train_loss,
-                    eval_accuracy=self.evaluate(),
-                )
-            )
+        """Train for ``epochs``; the history of :meth:`BatchedFaultTrainer.train`."""
+        history = self._stack.train(epochs, eval_checkpoints, include_initial)[0]
+        self._write_back()
         return history
-
-
-def train_classifier(
-    model: nn.Module,
-    train_data: Union[Dataset, DataLoader],
-    eval_data: Union[Dataset, DataLoader],
-    epochs: float,
-    config: Optional[TrainingConfig] = None,
-    masks: Optional[MaskDict] = None,
-    eval_checkpoints: Optional[Sequence[float]] = None,
-) -> TrainingHistory:
-    """One-call training helper (builds a :class:`Trainer` and runs it)."""
-    trainer = Trainer(model, train_data, eval_data, config=config, masks=masks)
-    return trainer.train(epochs, eval_checkpoints=eval_checkpoints)

@@ -2,7 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
+
+from repro import nn
+from repro.core.reduce import _build_chip_result
+from repro.mitigation.fap import build_fap_masks
+from repro.mitigation.strategy import resolve_strategy
+from repro.nn import functional as F
+from repro.nn.serialization import clone_state_dict
+from repro.training import (
+    CheckpointRecord,
+    TrainingConfig,
+    TrainingHistory,
+    _as_loader,
+    enforce_weight_masks,
+    epochs_to_steps,
+    evaluate_accuracy,
+    require_nonempty_train_loader,
+    resolve_masked_parameters,
+    seed_stochastic_layers,
+)
+from repro.utils.rng import derive_seed
 
 
 def numeric_gradient(func, x, eps=1e-4):
@@ -18,8 +41,178 @@ def numeric_gradient(func, x, eps=1e-4):
     return grad
 
 
+class ReferenceTrainer:
+    """The serial training loop the stacked trainer must equal bit for bit.
+
+    One model trained in place, one optimizer step per mini-batch: forward,
+    cross-entropy, backward, keep-multiplier gradient masking, global
+    gradient-norm clipping, the optimizer step and keep-multiplier weight
+    masking.  ``BatchedFaultTrainer`` (and so ``repro.training.Trainer``,
+    its stack of one) reproduces chip ``b``'s run of this loop with
+    ``masks=mask_sets[b]`` and chip ``b``'s seed.
+    """
+
+    def __init__(self, model, train_data, eval_data, config=None, masks=None):
+        self.model = model
+        self.config = config if config is not None else TrainingConfig()
+        self.masks = masks
+        self.train_loader = _as_loader(
+            train_data,
+            batch_size=self.config.batch_size,
+            shuffle=self.config.shuffle,
+            seed=derive_seed(self.config.seed, "train-loader"),
+        )
+        self.eval_data = eval_data
+        require_nonempty_train_loader(self.train_loader)
+        self.optimizer = self.config.build_optimizer(model.parameters())
+        self.steps_taken = 0
+        self.batches_per_epoch = len(self.train_loader)
+        self._masked_params = resolve_masked_parameters(self.model, self.masks)
+        seed_stochastic_layers(self.model, self.config.seed)
+        # Enforce the masks on the starting weights (FAP before FAT).
+        for masked in self._masked_params:
+            masked.weight.data[masked.mask] = 0.0
+
+    @property
+    def epochs_taken(self):
+        return self.steps_taken / self.batches_per_epoch
+
+    def _train_steps(self, num_steps):
+        """Run ``num_steps`` optimizer steps; returns the mean training loss."""
+        if num_steps <= 0:
+            return float("nan")
+        self.model.train()
+        losses = []
+        remaining = num_steps
+        while remaining > 0:
+            for inputs, targets in self.train_loader:
+                logits = self.model(inputs)
+                loss = F.cross_entropy(
+                    logits, targets, label_smoothing=self.config.label_smoothing
+                )
+                self.optimizer.zero_grad()
+                loss.backward()
+                for masked in self._masked_params:
+                    grad = masked.weight.grad
+                    if grad is not None:
+                        np.multiply(grad, masked.keep, out=grad)
+                if self.config.grad_clip is not None:
+                    nn.clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
+                self.optimizer.step()
+                for masked in self._masked_params:
+                    masked.enforce_weight()
+                losses.append(loss.item())
+                self.steps_taken += 1
+                remaining -= 1
+                if remaining == 0:
+                    break
+        return float(np.mean(losses)) if losses else float("nan")
+
+    def evaluate(self):
+        return evaluate_accuracy(
+            self.model, self.eval_data, batch_size=self.config.batch_size * 4
+        )
+
+    def train(self, epochs, eval_checkpoints=None, include_initial=True):
+        """Segment-mode training: each checkpoint ends one ``_train_steps`` call."""
+        if epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        history = TrainingHistory()
+        if include_initial:
+            history.add(
+                CheckpointRecord(
+                    epochs=0.0,
+                    steps=self.steps_taken,
+                    train_loss=float("nan"),
+                    eval_accuracy=self.evaluate(),
+                )
+            )
+        checkpoints = sorted(set(float(c) for c in (eval_checkpoints or []) if 0.0 < c <= epochs))
+        if epochs > 0 and (not checkpoints or abs(checkpoints[-1] - epochs) > 1e-12):
+            checkpoints.append(float(epochs))
+        previous_steps = 0
+        for checkpoint in checkpoints:
+            target_steps = epochs_to_steps(checkpoint, self.batches_per_epoch)
+            step_delta = target_steps - previous_steps
+            train_loss = self._train_steps(step_delta) if step_delta > 0 else float("nan")
+            previous_steps = target_steps
+            history.add(
+                CheckpointRecord(
+                    epochs=checkpoint,
+                    steps=self.steps_taken,
+                    train_loss=train_loss,
+                    eval_accuracy=self.evaluate(),
+                )
+            )
+        return history
+
+
+def reference_retrain_chip(
+    framework,
+    chip,
+    epochs,
+    return_state=False,
+    target_accuracy=None,
+    accuracy_before=None,
+    strategy=None,
+):
+    """One chip's Step-3 result, retrained alone through :class:`ReferenceTrainer`.
+
+    The serial reference ``ReduceFramework.retrain_chips_batched`` (and so
+    every campaign chunk) must equal entry for entry.  The framework model is
+    restored to its pre-trained weights first, so calls are independent; with
+    ``return_state=True`` the chip's fault-aware weights are returned too.
+    ``target_accuracy`` overrides the framework's resolved constraint, and
+    ``accuracy_before`` injects a triage accuracy, which lets a zero-epoch
+    chip skip the trainer.  ``strategy`` selects the mitigation recipe:
+    non-retraining strategies clamp the budget to zero, and a bypassable chip
+    under a bypass strategy ships the unmodified pre-trained model.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
+    strategy = resolve_strategy(strategy)
+    target = target_accuracy if target_accuracy is not None else framework.target_accuracy
+    framework._restore_pretrained()
+    model = framework.model
+    if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None:
+        if accuracy_before is None:
+            enforce_weight_masks(model, strategy.chip_masks(model, chip.fault_map))
+            accuracy_before = evaluate_accuracy(
+                model,
+                framework.bundle.test,
+                batch_size=framework.config.effective_retraining_config().batch_size * 4,
+            )
+            framework._restore_pretrained()
+        result = _build_chip_result(
+            chip, {}, 0.0, 0.0, accuracy_before, framework.clean_accuracy, target,
+            strategy=strategy.name,
+        )
+        return (result, clone_state_dict(model.state_dict())) if return_state else result
+    masks = strategy.chip_masks(model, chip.fault_map)
+    epochs = strategy.effective_epochs(epochs, chip.fault_map)
+    accuracy_after, epochs_trained = accuracy_before, 0.0
+    if epochs > 0 or return_state or accuracy_before is None:
+        trainer = ReferenceTrainer(
+            model,
+            framework.bundle.train,
+            framework.bundle.test,
+            config=framework._fat_training_config(),
+            masks=masks,
+        )
+        if accuracy_before is None:
+            accuracy_before = accuracy_after = trainer.evaluate()
+        if epochs > 0:
+            history = trainer.train(epochs, include_initial=False)
+            accuracy_after, epochs_trained = history.final_accuracy, history.total_epochs
+    result = _build_chip_result(
+        chip, masks, epochs, epochs_trained, accuracy_before, accuracy_after,
+        target, strategy=strategy.name,
+    )
+    return (result, clone_state_dict(model.state_dict())) if return_state else result
+
+
 def serial_resilience_accuracies(analyzer):
-    """Step-1 accuracies grid of ``analyzer``, one serial ``Trainer`` per cell.
+    """Step-1 accuracies grid of ``analyzer``, one :class:`ReferenceTrainer` per cell.
 
     The reference the stacked :meth:`ResilienceAnalyzer.run` must equal bit
     for bit: every (rate, trial) cell restores the pre-trained weights,
@@ -27,11 +220,6 @@ def serial_resilience_accuracies(analyzer):
     under its own trial seed, recording [0.0] + the epoch checkpoints.  A
     fault rate of zero is the clean accuracy throughout.
     """
-    import dataclasses
-
-    from repro.mitigation.fap import build_fap_masks
-    from repro.training import Trainer, evaluate_accuracy
-
     config = analyzer.config
     model = analyzer.model
     model.load_state_dict(analyzer.pretrained_state)
@@ -46,7 +234,7 @@ def serial_resilience_accuracies(analyzer):
                 continue
             trial_seed, fault_map = analyzer._trial_fault_map(fault_rate, trial)
             model.load_state_dict(analyzer.pretrained_state)
-            trainer = Trainer(
+            trainer = ReferenceTrainer(
                 model,
                 analyzer.bundle.train,
                 analyzer.bundle.test,
@@ -70,8 +258,6 @@ def reference_clip_grad_norm_per_chip(params, max_norm, num_chips):
     parameter order, then an in-place rescale of the slices by a Python-float
     scale when the norm exceeds ``max_norm``.
     """
-    import math
-
     norms = np.empty(num_chips, dtype=np.float64)
     for chip in range(num_chips):
         total = math.sqrt(

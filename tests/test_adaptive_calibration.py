@@ -53,6 +53,26 @@ class TestAdaptiveRetraining:
         assert result.total_evaluations >= 3  # at least the initial evaluation per chip
         assert result.average_evaluations >= 1.0
 
+    def test_same_result_under_the_reference_trainer(
+        self, framework, smoke_context, monkeypatch
+    ):
+        """The stacked ``Trainer`` and the serial reference give the same
+        chip result and evaluation count over the same increments."""
+        from repro.core import adaptive
+
+        from tests.helpers import ReferenceTrainer
+
+        chip = ChipPopulation.generate(
+            1, *smoke_context.array.shape, fault_rates=0.9, seed=6
+        )[0]
+        increments = [0.05, 0.1, 0.25, 0.5, 1.0]
+        stacked = adaptive_retrain_chip(framework, chip, increments)
+        monkeypatch.setattr(adaptive, "Trainer", ReferenceTrainer)
+        reference = adaptive_retrain_chip(framework, chip, increments)
+        assert stacked == reference
+        # The chip misses the target: every increment trained and evaluated.
+        assert stacked[1] == 1 + len(increments)
+
     def test_invalid_increments(self, framework, smoke_context):
         population = ChipPopulation.generate(1, *smoke_context.array.shape, seed=0)
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from repro.accelerator.batched import LoweringCache
 from repro.data.dataloader import DataLoader
 from repro.models import MLP
 from repro.training import TrainingConfig, apply_weight_masks, evaluate_accuracy
+from tests.helpers import reference_retrain_chip
 
 # Eval batches are ``batch_size * 4`` rows: 16 here, so the 32-image test set
 # walks two batches.
@@ -295,11 +296,11 @@ class TestFrameworkTriage:
         triage = framework.triage_population(population)
         assert set(triage) == {chip.chip_id for chip in population}
         for chip in population:
-            serial = framework.retrain_chip(chip, epochs=0.0)
+            serial = reference_retrain_chip(framework, chip, epochs=0.0)
             assert triage[chip.chip_id] == serial.accuracy_before
             # A zero-epoch chip fed the triage value needs no training pass
             # and must reproduce the serial result exactly.
-            shortcut = framework.retrain_chip(
-                chip, epochs=0.0, accuracy_before=triage[chip.chip_id]
+            shortcut = reference_retrain_chip(
+                framework, chip, epochs=0.0, accuracy_before=triage[chip.chip_id]
             )
             assert shortcut == serial

@@ -2,12 +2,13 @@
 
 The contract of :class:`~repro.accelerator.batched.BatchedFaultTrainer` is
 that retraining B chips in one stacked batched loop is *bit-identical* to B
-serial :class:`~repro.training.Trainer` runs with the same config: same
+serial reference runs (``tests/helpers.py``: ``ReferenceTrainer``) with the
+same config: same
 per-chip weights, same per-step losses, same checkpoint accuracies.  These
 tests pin that on the BLAS build in use, across optimizers, model families
 (MLP / CNN), dropout and label smoothing, and then up through the framework
 (``retrain_chips_batched``) and the campaign engine's coalescing phase, where
-the serial per-chip ``ReduceFramework.retrain_chip`` is the reference.
+the serial per-chip ``reference_retrain_chip`` is the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.data import make_blob_classification, make_class_template_images
 from repro.models import MLP, LeNet5
-from repro.training import Trainer, TrainingConfig, epochs_to_steps
+from repro.training import TrainingConfig, epochs_to_steps
+from tests.helpers import ReferenceTrainer, reference_retrain_chip
 
 
 def _mlp_factory(bundle):
@@ -63,7 +65,9 @@ def _serial_runs(
         model = make_model()
         model.load_state_dict(pretrained)
         chip_config = config if seeds is None else dataclasses.replace(config, seed=seeds[chip])
-        trainer = Trainer(model, bundle.train, bundle.test, config=chip_config, masks=masks)
+        trainer = ReferenceTrainer(
+            model, bundle.train, bundle.test, config=chip_config, masks=masks
+        )
         history = trainer.train(epochs, eval_checkpoints=checkpoints)
         runs.append((history, model.state_dict()))
     return runs
@@ -273,6 +277,53 @@ class TestTrainerEquivalence:
             TrainingConfig(learning_rate=0.02, batch_size=16, seed=5),
             epochs=0.5,
             checkpoints=[0.25],
+        )
+
+
+    def test_masks_free_stack_of_one_equals_reference(self, lenet_bundle):
+        """``Trainer``'s pre-training stack: ``[{}]`` on a LeNet-5 config."""
+        make = lambda: LeNet5(lenet_bundle.input_shape, lenet_bundle.num_classes, seed=0)  # noqa: E731
+        _assert_batched_equals_serial(
+            make,
+            lenet_bundle,
+            [{}],
+            TrainingConfig(learning_rate=0.08, batch_size=16, weight_decay=1e-4, seed=0),
+            epochs=3.0,
+            checkpoints=[1.0, 2.0],
+        )
+
+    def test_vgg_style_one_by_one_output_conv_with_bias(self, image_bundle):
+        """A biased conv on a 1x1 feature map, as in VGG11's last convs.
+
+        At 1x1 outputs the serial backward's channel-major gradient is a
+        strided view; its bias sum must round like the stacked conv's sum of
+        a contiguous copy.
+        """
+        channels = image_bundle.input_shape[0]
+
+        def make():
+            return nn.Sequential(
+                nn.Conv2d(channels, 4, 3, padding=1, rng=0),
+                nn.ReLU(),
+                nn.MaxPool2d(2),
+                nn.Conv2d(4, 8, 3, padding=1, rng=1),
+                nn.ReLU(),
+                nn.MaxPool2d(4),
+                nn.Conv2d(8, 16, 3, padding=1, rng=2),
+                nn.ReLU(),
+                nn.Conv2d(16, 16, 3, padding=1, rng=3),
+                nn.ReLU(),
+                nn.Flatten(),
+                nn.Linear(16, image_bundle.num_classes, rng=4),
+            )
+
+        _assert_batched_equals_serial(
+            make,
+            image_bundle,
+            _mask_sets(make, num_chips=3),
+            TrainingConfig(learning_rate=0.05, batch_size=16, seed=5),
+            epochs=1.0,
+            checkpoints=[0.5],
         )
 
 
@@ -647,7 +698,7 @@ class TestFrameworkBatchedFat:
     def test_retrain_chips_batched_matches_serial(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         chips = list(fat_population)
-        serial = [framework.retrain_chip(chip, 0.5) for chip in chips]
+        serial = [reference_retrain_chip(framework, chip, 0.5) for chip in chips]
         batched = framework.retrain_chips_batched(chips, 0.5)
         assert batched == serial
 
@@ -661,7 +712,7 @@ class TestFrameworkBatchedFat:
     def test_retrain_population_matches_retrain_chip(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         policy = FixedEpochPolicy(0.25)
-        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        serial = [reference_retrain_chip(framework, chip, 0.25) for chip in fat_population]
         for fat_batch in (8, 1):
             result = framework.retrain_population(fat_population, policy, fat_batch=fat_batch)
             assert result.results == serial
@@ -692,7 +743,7 @@ class TestFrameworkBatchedFat:
         framework = smoke_context.framework()
         chips = list(fat_population)
         results = framework.retrain_chips_batched(chips, 0.0)
-        serial = [framework.retrain_chip(chip, 0.0) for chip in chips]
+        serial = [reference_retrain_chip(framework, chip, 0.0) for chip in chips]
         assert results == serial
         assert all(result.epochs_trained == 0.0 for result in results)
         # With every accuracy_before supplied (the triage path), zero-epoch
@@ -719,7 +770,7 @@ class TestStrategyBatchedFat:
         framework = smoke_context.framework()
         chips = list(fat_population)
         serial = [
-            framework.retrain_chip(chip, 0.5, strategy=strategy) for chip in chips
+            reference_retrain_chip(framework, chip, 0.5, strategy=strategy) for chip in chips
         ]
         batched = framework.retrain_chips_batched(chips, 0.5, strategy=strategy)
         assert batched == serial
@@ -761,7 +812,7 @@ class TestStrategyBatchedFat:
         ]
         framework = smoke_context.framework()
         serial = [
-            framework.retrain_chip(chip, 0.25, strategy="bypass+fat") for chip in chips
+            reference_retrain_chip(framework, chip, 0.25, strategy="bypass+fat") for chip in chips
         ]
         batched = framework.retrain_chips_batched(chips, 0.25, strategy="bypass+fat")
         assert batched == serial
@@ -782,7 +833,8 @@ class TestStrategyBatchedFat:
         )
         framework = smoke_context.framework()
         serial = [
-            framework.retrain_chip(chip, 0.25, strategy="fam+fat") for chip in fat_population
+            reference_retrain_chip(framework, chip, 0.25, strategy="fam+fat")
+            for chip in fat_population
         ]
         assert coalesced.results == per_job.results == serial
         assert all(result.strategy == "fam+fat" for result in coalesced.results)
@@ -798,14 +850,14 @@ class TestEngineCoalescing:
             fat_population, policy
         )
         framework = smoke_context.framework()
-        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        serial = [reference_retrain_chip(framework, chip, 0.25) for chip in fat_population]
         assert coalesced.results == per_job.results == serial
 
     def test_jobs_batched_execution_helper(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         jobs = build_jobs(framework, fat_population, FixedEpochPolicy(0.25))
         batched = execute_jobs_batched(framework, jobs, fat_batch=3)
-        serial = [framework.retrain_chip(job.to_chip(), job.epochs) for job in jobs]
+        serial = [reference_retrain_chip(framework, job.to_chip(), job.epochs) for job in jobs]
         assert batched == serial
 
     def test_mixed_budget_jobs_share_one_pass(self, smoke_context, fat_population):
@@ -819,7 +871,7 @@ class TestEngineCoalescing:
             dataclasses.replace(jobs[0], epochs=0.5, policy_name="other"),
             dataclasses.replace(jobs[1], epochs=0.0, policy_name="other"),
         ]
-        expected = [framework.retrain_chip(job.to_chip(), job.epochs) for job in mixed]
+        expected = [reference_retrain_chip(framework, job.to_chip(), job.epochs) for job in mixed]
         assert execute_jobs_batched(framework, mixed) == expected
         with pytest.raises(ValueError, match="target"):
             execute_jobs_batched(
@@ -840,7 +892,7 @@ class TestEngineCoalescing:
             fat_population, policy
         )
         framework = smoke_context.framework()
-        serial = [framework.retrain_chip(chip, 0.25) for chip in fat_population]
+        serial = [reference_retrain_chip(framework, chip, 0.25) for chip in fat_population]
         assert parallel_batched.results == serial
 
     def test_eval_lowering_cache_reused_across_checkpoints(

@@ -26,6 +26,7 @@ from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.nn.serialization import state_dicts_equal
+from tests.helpers import reference_retrain_chip
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestChipJob:
         assert first.epochs_allocated == 0.25
         # A single-job chunk is a stacked run of one chip: it equals the
         # serial per-chip reference.
-        assert first == framework.retrain_chip(job.to_chip(), job.epochs)
+        assert first == reference_retrain_chip(framework, job.to_chip(), job.epochs)
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Invariants of fault-mask enforcement over long optimisation runs.
 
-These guard the in-place keep-multiplier path in :class:`repro.training.Trainer`:
-after any number of steps, under any optimizer,
+These guard the in-place keep-multiplier path of the serial reference loop
+(``tests/helpers.py``: ``ReferenceTrainer``, which the stacked trainer must
+equal bit for bit): after any number of steps, under any optimizer,
 
 * every masked weight must be *exactly* zero (not merely small), and
 * the optimizer state (momentum / Adam moments) of masked entries must not
@@ -18,7 +19,8 @@ from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.mitigation.fap import verify_masks_enforced
 from repro.models import MLP
-from repro.training import Trainer, TrainingConfig, resolve_masked_parameters
+from repro.training import TrainingConfig, resolve_masked_parameters
+from tests.helpers import ReferenceTrainer
 
 
 def _small_cnn(image_bundle):
@@ -65,7 +67,9 @@ def _masked_state_entries(optimizer, model, masks):
 def test_masks_and_optimizer_state_stay_clean(image_bundle, config):
     model = _small_cnn(image_bundle)
     masks = model_fault_masks(model, FaultMap.random(12, 12, 0.25, seed=7))
-    trainer = Trainer(model, image_bundle.train, image_bundle.test, config=config, masks=masks)
+    trainer = ReferenceTrainer(
+        model, image_bundle.train, image_bundle.test, config=config, masks=masks
+    )
 
     assert verify_masks_enforced(model, masks, atol=0.0)
     for _ in range(5):
@@ -91,7 +95,9 @@ def test_masked_weights_exact_zero_under_grad_clipping(image_bundle):
         hidden_sizes=(24, 16), seed=5,
     )
     masks = model_fault_masks(model, FaultMap.random(8, 8, 0.3, seed=11))
-    trainer = Trainer(model, image_bundle.train, image_bundle.test, config=config, masks=masks)
+    trainer = ReferenceTrainer(
+        model, image_bundle.train, image_bundle.test, config=config, masks=masks
+    )
     trainer._train_steps(40)
     assert verify_masks_enforced(model, masks, atol=0.0)
 

@@ -39,7 +39,8 @@ from repro.core.selection import FixedEpochPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.experiments.presets import ModelSpec
 from repro.observability import metrics
-from repro.training import Trainer, TrainingConfig, epochs_to_steps
+from repro.training import TrainingConfig, epochs_to_steps
+from tests.helpers import ReferenceTrainer
 
 
 def _conv_preset():
@@ -240,7 +241,7 @@ class TestCheckpointEval:
         for masks in _cnn_mask_sets(image_bundle):
             model = _small_cnn(image_bundle)
             serial_histories.append(
-                Trainer(
+                ReferenceTrainer(
                     model, image_bundle.train, image_bundle.test,
                     config=self.CONFIG, masks=masks,
                 ).train(1.0, eval_checkpoints=[0.5, 1.0])
@@ -267,7 +268,7 @@ class TestCheckpointEval:
 
     def _serial_records(self, bundle, budget, checkpoints):
         return [
-            Trainer(
+            ReferenceTrainer(
                 _small_cnn(bundle), bundle.train, bundle.test,
                 config=self.CONFIG, masks=masks,
             ).train(budget, eval_checkpoints=checkpoints, include_initial=False)

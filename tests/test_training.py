@@ -13,9 +13,8 @@ from repro.training import (
     epochs_to_steps,
     evaluate_accuracy,
     evaluate_loss,
-    mask_gradients,
-    train_classifier,
 )
+from tests.helpers import ReferenceTrainer
 
 
 class TestTrainingConfig:
@@ -98,15 +97,6 @@ class TestMaskHelpers:
         with pytest.raises(ValueError):
             apply_weight_masks(model, {"body.0": np.zeros((2, 2), dtype=bool)})
 
-    def test_mask_gradients(self):
-        model = MLP(6, 3, hidden_sizes=(4,), seed=0)
-        x = nn.Tensor(np.ones((2, 6), dtype=np.float32))
-        model(x).sum().backward()
-        mask = np.zeros((4, 6), dtype=bool)
-        mask[1, :] = True
-        mask_gradients(model, {"body.0": mask})
-        np.testing.assert_allclose(model.body[0].weight.grad[1], np.zeros(6))
-
 
 class TestTrainer:
     def _make(self, bundle, masks=None, lr=0.1):
@@ -167,6 +157,34 @@ class TestTrainer:
         _, trainer = self._make(blob_bundle)
         with pytest.raises(ValueError):
             trainer.train(-1.0)
+
+    def test_repeated_increments_equal_the_reference(self, blob_bundle):
+        """``train(delta)`` calls continue the same stack: each one restarts
+        the loader, keeps the optimizer state, and leaves the model holding
+        exactly the weights the serial reference leaves in it."""
+        mask = np.zeros((24, blob_bundle.input_shape[0]), dtype=bool)
+        mask[::3, ::2] = True
+        runs = []
+        for trainer_class in (Trainer, ReferenceTrainer):
+            model = MLP(
+                blob_bundle.input_shape[0], blob_bundle.num_classes,
+                hidden_sizes=(24,), dropout=0.2, seed=0,
+            )
+            trainer = trainer_class(
+                model, blob_bundle.train, blob_bundle.test,
+                config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=4),
+                masks={"body.0": mask},
+            )
+            records = [trainer.evaluate()]
+            for delta in (0.05, 0.2, 0.5, 1.0):
+                records.extend(trainer.train(delta, include_initial=False).records)
+            runs.append((records, trainer.steps_taken, trainer.epochs_taken, model.state_dict()))
+        (records, steps, epochs, state), (ref_records, ref_steps, ref_epochs, ref_state) = runs
+        assert records == ref_records
+        assert (steps, epochs) == (ref_steps, ref_epochs)
+        assert set(state) == set(ref_state)
+        for name in ref_state:
+            np.testing.assert_array_equal(state[name], ref_state[name])
 
 
 class TestEmptyLoaderGuard:
@@ -236,11 +254,10 @@ class TestEvaluationRngIsolation:
 class TestTrainingHistory:
     def test_history_queries(self, blob_bundle):
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(24,), seed=0)
-        history = train_classifier(
-            model, blob_bundle.train, blob_bundle.test, epochs=2.0,
+        history = Trainer(
+            model, blob_bundle.train, blob_bundle.test,
             config=TrainingConfig(learning_rate=0.1, batch_size=16, seed=0),
-            eval_checkpoints=[0.5, 1.0],
-        )
+        ).train(2.0, eval_checkpoints=[0.5, 1.0])
         assert history.accuracy_at(1.0) == history.records[2].eval_accuracy
         target = history.final_accuracy
         assert history.epochs_to_reach(target) is not None
