@@ -127,6 +127,10 @@ class LoweringCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: LoweringKey) -> bool:
+        with self._lock:
+            return key in self._entries
+
     @property
     def nbytes(self) -> int:
         """Total bytes of cached lowering arrays."""
@@ -249,6 +253,11 @@ class _LoweringPrefetcher:
             # No recipe yet (first batch still in flight, or the model's
             # first stacked layer never sees the raw batch): nothing a
             # background thread could compute faithfully.
+            return
+        if (self._recipe[0], self._recipe[1], batch_index) in self._cache:
+            # Already lowered (every pass after the first over a test set):
+            # the hot loop hits the cache, and a thread would only add
+            # handoffs.
             return
         if self._thread is None:
             self._thread = threading.Thread(
@@ -1385,11 +1394,13 @@ class BatchedFaultTrainer:
     def evaluate(self) -> List[float]:
         """Per-chip top-1 accuracy on the eval data (equals ``evaluate_accuracy``).
 
-        One batched eval pass over the current stacked weights.
+        One batched eval pass over the current stacked weights, in
+        training-size batches (``config.batch_size``), so no eval tensor is
+        larger than a training step's.
         """
         from repro.training import _as_eval_loader
 
-        loader = _as_eval_loader(self.eval_data, batch_size=self.config.batch_size * 4)
+        loader = _as_eval_loader(self.eval_data, batch_size=self.config.batch_size)
         was_training = self.model.training
         self.model.eval()
         correct = np.zeros(self.num_chips, dtype=np.int64)
@@ -1571,7 +1582,7 @@ def evaluate_chip_accuracies(
     reference counting before the next one is built) plus the byte-capped
     :class:`LoweringCache`, regardless of population size.
 
-    The eval batch is ``config.batch_size * 4``, exactly as in Step-3
+    The eval batch is ``config.batch_size``, exactly as in Step-3
     checkpoint evaluation, so both share the lowering-cache keys: with a
     shared ``lowering_cache`` (created per call when not supplied) each test
     batch is lowered once per process, across chip chunks, triage, Step-3

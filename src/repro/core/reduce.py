@@ -368,9 +368,9 @@ class ReduceFramework:
         # The pipeline's shared lowering cache serves the whole population —
         # and every other consumer of this pipeline (Step-3 checkpoint evals,
         # later campaign chunks, other sweep arms): all of them walk the same
-        # unshuffled test batches at the same eval batch size, and the first
-        # stacked layer sees the raw batch, so each batch is im2col-lowered
-        # exactly once per process.
+        # unshuffled test batches at the same eval batch size (the retraining
+        # ``batch_size``), and the first stacked layer sees the raw batch, so
+        # each batch is im2col-lowered exactly once per process.
         pipeline = self.eval_pipeline
         # Masks are built (and released) chunk by chunk so peak memory is
         # bounded by ``chip_chunk`` mask sets, not the population size.

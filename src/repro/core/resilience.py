@@ -43,8 +43,8 @@ logger = get_logger("core.resilience")
 # streams fold every cell's own batch from the input on, so the shared
 # first-layer lowering is lost and memory grows by about 5 MB per stacked
 # cell on the fast preset.  Measured there (seed 1, one BLAS thread), the
-# tracemalloc peak of Step 1 is 22.1 MB at 4 cells per stack, 32.6 MB at 6
-# and 43.1 MB at 8, against 27.4 MB for serial per-cell retraining (not
+# tracemalloc peak of Step 1 is 20.7 MB at 4 cells per stack, 30.6 MB at 6
+# and 40.5 MB at 8, against 5.6 MB for serial per-cell retraining (not
 # counting the 8.2 MB of test-set lowerings Step 1 leaves in the shared
 # lowering cache, which triage and Step 3 would otherwise compute).
 TRIAL_STACK = 4

@@ -33,7 +33,7 @@ from repro.data.synthetic import DatasetBundle, make_class_template_images
 from repro.experiments.presets import ExperimentPreset
 from repro.models.registry import build_model
 from repro.nn.serialization import clone_state_dict
-from repro.training import Trainer, evaluate_accuracy
+from repro.training import Trainer
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
@@ -227,8 +227,12 @@ class ExperimentContext:
         else:
             logger.info("pre-training %s on %s for %.1f epochs", preset.model.name, bundle.name, preset.pretrain_epochs)
             trainer = Trainer(model, bundle.train, bundle.test, config=preset.pretrain)
-            trainer.train(preset.pretrain_epochs, include_initial=False)
-            clean_accuracy = evaluate_accuracy(model, bundle.test)
+            # The final record is the test-set accuracy of the trained model;
+            # a zero-epoch pre-training records only the initial one.
+            history = trainer.train(
+                preset.pretrain_epochs, include_initial=preset.pretrain_epochs <= 0
+            )
+            clean_accuracy = history.final_accuracy
             if cache_dir is not None:
                 _save_pretrained_to_disk(
                     cache_dir, fingerprint, preset, model.state_dict(), clean_accuracy

@@ -41,6 +41,33 @@ def numeric_gradient(func, x, eps=1e-4):
     return grad
 
 
+def recorded_evaluate(trainer):
+    """``trainer.evaluate()`` plus its per-batch ``(B, n, classes)`` logits.
+
+    The logits are copied where the eval chain hands them back: the eager
+    forward, or the chain cache's capture or replay when a backend is set.
+    """
+    logits = []
+
+    def keep(batch_logits):
+        logits.append(np.array(batch_logits, copy=True))
+        return batch_logits
+
+    cache = trainer._eval_chain_cache
+    if cache is None:
+        forward = trainer._eval_forward_all_chips
+        trainer._eval_forward_all_chips = lambda data: keep(forward(data))
+    else:
+        run = cache.run
+        cache.run = lambda inputs, eager_fn: keep(run(inputs, eager_fn))
+    try:
+        return trainer.evaluate(), logits
+    finally:
+        trainer.__dict__.pop("_eval_forward_all_chips", None)
+        if cache is not None:
+            del cache.run
+
+
 class ReferenceTrainer:
     """The serial training loop the stacked trainer must equal bit for bit.
 
@@ -110,7 +137,7 @@ class ReferenceTrainer:
 
     def evaluate(self):
         return evaluate_accuracy(
-            self.model, self.eval_data, batch_size=self.config.batch_size * 4
+            self.model, self.eval_data, batch_size=self.config.batch_size
         )
 
     def train(self, epochs, eval_checkpoints=None, include_initial=True):
@@ -180,7 +207,7 @@ def reference_retrain_chip(
             accuracy_before = evaluate_accuracy(
                 model,
                 framework.bundle.test,
-                batch_size=framework.config.effective_retraining_config().batch_size * 4,
+                batch_size=framework.config.effective_retraining_config().batch_size,
             )
             framework._restore_pretrained()
         result = _build_chip_result(

@@ -42,6 +42,7 @@ from repro.nn.optim import SGD
 from repro.nn.tensor import Function
 from repro.observability import metrics
 from repro.training import TrainingConfig
+from tests.helpers import recorded_evaluate
 
 BACKENDS = ("numpy", "fused")
 
@@ -297,27 +298,9 @@ def _mask_sets(model_factory, num_chips=3):
     return [model_fault_masks(model_factory(), fault_map) for fault_map in maps]
 
 
-def _recorded_evaluate(trainer):
-    """``trainer.evaluate()`` plus the per-batch ``(B, n, classes)`` logits."""
-    logits = []
-
-    def keep(batch_logits):
-        logits.append(np.array(batch_logits, copy=True))
-        return batch_logits
-
-    cache = trainer._eval_chain_cache
-    if cache is None:
-        forward = trainer._eval_forward_all_chips
-        trainer._eval_forward_all_chips = lambda data: keep(forward(data))
-    else:
-        run = cache.run
-        cache.run = lambda inputs, eager_fn: keep(run(inputs, eager_fn))
-    return trainer.evaluate(), logits
-
-
 class TestEvaluatorEquivalence:
-    # Eval batches are ``batch_size * 4`` = 16 rows: two same-shape batches
-    # over the 32-image test set, so a single pass already replays once.
+    # Eval batches are ``batch_size`` = 4 rows: eight same-shape batches over
+    # the 32-image test set, so a single pass already replays seven times.
     CONFIG = TrainingConfig(batch_size=4)
 
     def _trainer(self, bundle, backend=None):
@@ -331,24 +314,24 @@ class TestEvaluatorEquivalence:
         )
 
     def test_numpy_backend_bit_identical(self, backend_bundle):
-        expected_acc, expected_logits = _recorded_evaluate(self._trainer(backend_bundle))
+        expected_acc, expected_logits = recorded_evaluate(self._trainer(backend_bundle))
         replayed = self._trainer(backend_bundle, backend="numpy")
-        _recorded_evaluate(replayed)  # captures batch 0 eagerly
+        recorded_evaluate(replayed)  # captures batch 0 eagerly
         hits = metrics.counter("backend.graph_cache.hits", backend="numpy")
         hits_before = hits.value
-        replay_acc, replay_logits = _recorded_evaluate(replayed)  # every batch replays
+        replay_acc, replay_logits = recorded_evaluate(replayed)  # every batch replays
         assert hits.value == hits_before + len(expected_logits)
         assert replay_acc == expected_acc
-        assert len(replay_logits) == len(expected_logits) == 2
+        assert len(replay_logits) == len(expected_logits) == 8
         for replay, expected in zip(replay_logits, expected_logits):
             assert replay.tobytes() == expected.tobytes()
 
     def test_fused_backend_allclose_and_deterministic(self, backend_bundle):
-        expected_acc, expected = _recorded_evaluate(self._trainer(backend_bundle))
+        expected_acc, expected = recorded_evaluate(self._trainer(backend_bundle))
         fused = self._trainer(backend_bundle, backend=get_backend("fused"))
-        _recorded_evaluate(fused)  # capture
-        first_acc, first = _recorded_evaluate(fused)  # replay
-        _, second = _recorded_evaluate(fused)
+        recorded_evaluate(fused)  # capture
+        first_acc, first = recorded_evaluate(fused)  # replay
+        _, second = recorded_evaluate(fused)
         for batch_first, batch_second, batch_expected in zip(first, second, expected):
             np.testing.assert_allclose(batch_first, batch_expected, rtol=1e-5, atol=1e-6)
             assert batch_first.tobytes() == batch_second.tobytes()

@@ -23,13 +23,15 @@ from repro.accelerator import (
     model_fault_masks,
 )
 from repro.accelerator.batched import LoweringCache
+from repro.backends.numpy_backend import CompiledGraph
 from repro.data.dataloader import DataLoader
-from repro.models import MLP
+from repro.experiments import build_dataset, fast_preset
+from repro.models import MLP, build_model
 from repro.training import TrainingConfig, apply_weight_masks, evaluate_accuracy
-from tests.helpers import reference_retrain_chip
+from tests.helpers import recorded_evaluate, reference_retrain_chip
 
-# Eval batches are ``batch_size * 4`` rows: 16 here, so the 32-image test set
-# walks two batches.
+# Eval batches are ``batch_size`` rows: 4 here, so the 32-image test set walks
+# eight batches.
 SMALL_BATCHES = TrainingConfig(batch_size=4)
 
 
@@ -154,7 +156,7 @@ class TestLoweringCache:
         # Only the first (shared-prefix) conv lowers through ``im2col_t`` in
         # an eval pass; the folded second conv lowers per chip stack.
         monkeypatch.setattr(batched_module, "im2col_t", counting)
-        num_batches = -(-len(image_bundle.test) // (SMALL_BATCHES.batch_size * 4))
+        num_batches = -(-len(image_bundle.test) // SMALL_BATCHES.batch_size)
         cached = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
@@ -247,6 +249,99 @@ class TestLoweringCache:
         )
         trainer._train_steps(2)
         assert len(cache) == 0
+
+
+@pytest.fixture(scope="module")
+def fast_setup():
+    """The ``fast`` preset's LeNet, test set and retraining config, 8 chips."""
+    preset = fast_preset()
+    bundle = build_dataset(preset)
+    model = build_model(
+        preset.model.name,
+        input_shape=bundle.input_shape,
+        num_classes=bundle.num_classes,
+        seed=preset.model.seed,
+    )
+    maps = [
+        FaultMap.random(preset.array_rows, preset.array_cols, 0.02 + 0.03 * i, seed=i)
+        for i in range(8)
+    ]
+    mask_sets = [model_fault_masks(model, fault_map) for fault_map in maps]
+    return preset, bundle, model, mask_sets
+
+
+class TestEvalBatchInvariance:
+    """At ``fast`` shapes the eval batch is a throughput knob, not a result.
+
+    Every eval loader gives the same per-chip accuracies, and a replayed eval
+    chain gives the eager chain's exact logits.  Across eval batch sizes the
+    logits agree only to float32 rounding: BLAS picks its GEMM kernel by
+    matrix shape, so even the plain model's last ``Linear`` differs in the
+    last bits between batches of 40 and 200 on the build used in development.
+    """
+
+    EVAL_BATCHES = (1, 7, 40, 160, 200)
+
+    def _trained(self, fast_setup, seeds, backend):
+        preset, bundle, model, mask_sets = fast_setup
+        trainer = BatchedFaultTrainer(
+            model, mask_sets, bundle.train, bundle.test,
+            config=preset.retraining, backend=backend, seeds=seeds,
+        )
+        # Two steps make every chip's stacks its own (and, with per-chip
+        # seeds, train each chip on its own batches).
+        trainer._train_steps(2)
+        return trainer
+
+    @staticmethod
+    def _evaluate(trainer, dataset, eval_batch):
+        """Accuracies and ``(B, n, classes)`` logits of one eval pass."""
+        trainer.eval_data = DataLoader(dataset, batch_size=eval_batch, shuffle=False)
+        accuracies, logits = recorded_evaluate(trainer)
+        return accuracies, np.concatenate(logits, axis=1)
+
+    @pytest.mark.parametrize("seeds", [None, list(range(100, 108))], ids=["shared", "per-chip"])
+    def test_accuracies_invariant_and_replay_bit_identical(
+        self, fast_setup, seeds, monkeypatch
+    ):
+        replays = []
+        replay = CompiledGraph.__call__
+
+        def counting(graph, inputs):
+            replays.append(inputs[0].shape[0])
+            return replay(graph, inputs)
+
+        monkeypatch.setattr(CompiledGraph, "__call__", counting)
+        test = fast_setup[1].test
+        eager = self._trained(fast_setup, seeds, backend=None)
+        replayed = self._trained(fast_setup, seeds, backend="numpy")
+        reference_accuracies, reference_logits = self._evaluate(eager, test, 40)
+        assert reference_logits.shape == (8, 200, 10)
+        for eval_batch in self.EVAL_BATCHES:
+            accuracies, logits = self._evaluate(eager, test, eval_batch)
+            assert accuracies == reference_accuracies
+            np.testing.assert_allclose(logits, reference_logits, rtol=0.0, atol=1e-5)
+            replay_accuracies, replay_logits = self._evaluate(replayed, test, eval_batch)
+            assert replay_accuracies == accuracies
+            np.testing.assert_array_equal(
+                replay_logits.view(np.uint32), logits.view(np.uint32)
+            )
+        # The five same-shape batches of a 40-image pass replay after the
+        # first capture: replay is on the default eval's path.
+        assert replays.count(40) >= 4
+
+    def test_default_eval_keys_the_lowering_cache_by_batch_size(self, fast_setup):
+        preset, bundle, model, mask_sets = fast_setup
+        cache = LoweringCache()
+        BatchedFaultTrainer(
+            model, mask_sets, bundle.train, bundle.test,
+            config=preset.retraining, lowering_cache=cache,
+        ).evaluate()
+        batch_size = preset.retraining.batch_size
+        num_batches = -(-len(bundle.test) // batch_size)
+        assert sorted(cache._entries) == [
+            ("features.0", batch_size, index) for index in range(num_batches)
+        ]
 
 
 class TestBatchedValidation:

@@ -1,5 +1,6 @@
 """Tests for experiment presets, contexts and the figure runners (smoke scale)."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.experiments import (
     smoke_preset,
 )
 from repro.experiments.common import clear_context_cache
+from repro.training import evaluate_accuracy
 
 
 class TestPresets:
@@ -71,6 +73,24 @@ class TestContext:
         )
         framework = smoke_context.framework()
         assert framework.clean_accuracy == pytest.approx(smoke_context.clean_accuracy, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            smoke_preset,
+            fast_preset,
+            lambda: dataclasses.replace(smoke_preset(), pretrain_epochs=0.0),
+        ],
+        ids=["smoke", "fast", "untrained"],
+    )
+    def test_clean_accuracy_is_the_pretrained_test_accuracy(self, factory):
+        """``clean_accuracy`` is read off pre-training's final record; it must
+        equal a separate test-set pass over the pre-trained model."""
+        context = ExperimentContext.from_preset(factory())
+        context.restore_pretrained()
+        assert context.clean_accuracy == evaluate_accuracy(
+            context.model, context.bundle.test
+        )
 
     def test_restore_pretrained(self, smoke_context):
         state_before = {k: v.copy() for k, v in smoke_context.pretrained_state.items()}

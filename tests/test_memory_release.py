@@ -26,8 +26,8 @@ from repro.backends.numpy_backend import CompiledGraph
 from repro.training import TrainingConfig
 
 BACKENDS = ("numpy", "fused")
-# Eval batches are ``batch_size * 4`` = 16 rows over the 32-image test set:
-# two same-shape batches, so every eval pass captures once and replays once.
+# Eval batches are ``batch_size`` = 4 rows over the 32-image test set: eight
+# same-shape batches, so an eval pass captures once and replays seven times.
 CONFIG = TrainingConfig(batch_size=4)
 
 
@@ -98,9 +98,9 @@ def test_trainer_freed_after_in_stream_train(image_bundle, backend, monkeypatch)
         config=CONFIG, backend=backend,
     )
     trainer.train(1.0, eval_checkpoints=[0.5, 1.0], in_stream=True)
-    # Three evaluations (initial, 0.5, 1.0) of two batches each: one capture,
-    # then every later batch replays the compiled graph.
-    assert len(replays) == 5
+    # Three evaluations (initial, 0.5, 1.0) of eight batches each: one
+    # capture, then every later batch replays the compiled graph.
+    assert len(replays) == 23
     alive = weakref.ref(trainer)
     del trainer
     assert alive() is None

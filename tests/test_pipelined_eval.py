@@ -162,6 +162,26 @@ class TestPrefetcherUnit:
         np.testing.assert_array_equal(entry[0], data * 2.0)
         assert entry[1:] == (2, 2)
 
+    def test_cached_batches_start_no_thread(self):
+        """A warm cache leaves nothing to prefetch: no thread, no handoff."""
+        cache = LoweringCache()
+        cache.get_or_compute(("conv1", 3, 1), lambda: (np.zeros(1, np.float32), 1, 1))
+        lowered = []
+
+        def lower(batch):
+            lowered.append(batch)
+            return batch, 1, 1
+
+        prefetcher = _LoweringPrefetcher(cache)
+        prefetcher.offer_recipe("conv1", 3, lower)
+        prefetcher.submit(1, np.zeros((3, 4), dtype=np.float32))
+        assert prefetcher._thread is None
+        prefetcher.submit(2, np.zeros((3, 4), dtype=np.float32))  # not cached yet
+        assert prefetcher._thread is not None
+        prefetcher.close()
+        assert len(lowered) == 1
+        assert ("conv1", 3, 2) in cache
+
     def test_submissions_without_recipe_are_dropped(self):
         cache = LoweringCache()
         prefetcher = _LoweringPrefetcher(cache)
@@ -178,13 +198,13 @@ class TestPrefetcherUnit:
 
 
 class TestEvaluatorPrefetch:
-    # Eval batches are ``batch_size * 4`` = 16 rows.
+    # Eval batches are ``batch_size`` = 4 rows.
     CONFIG = TrainingConfig(batch_size=4)
 
     def test_prefetch_on_off_accuracies_identical(self, image_bundle, enabled_metrics):
         model = _small_cnn(image_bundle)
         mask_sets = _cnn_mask_sets(image_bundle)
-        num_batches = -(-len(image_bundle.test) // 16)
+        num_batches = -(-len(image_bundle.test) // self.CONFIG.batch_size)
         assert num_batches > 1  # otherwise prefetch has nothing to overlap
 
         on = evaluate_chip_accuracies(
@@ -433,10 +453,14 @@ class TestSweepLoweringReuse:
     ):
         """Arms 2..K re-use arm 1's eval-batch lowerings: extra hits, zero
         extra misses.  Prefetch is off so the hit/miss split is deterministic
-        (background lowerings shift counts between ``misses``/``prefetched``)."""
+        (background lowerings shift counts between ``misses``/``prefetched``).
+        Counting starts after each context is built: pre-training's own eval
+        prefetches, so its split is not deterministic."""
         policy = FixedEpochPolicy(0.25)
+        context = _fresh_conv_context()
+        metrics.reset()
         run_strategy_sweep(
-            _fresh_conv_context(),
+            context,
             conv_population,
             policy,
             "fat",
@@ -444,9 +468,10 @@ class TestSweepLoweringReuse:
             prefetch=False,
         )
         one_arm = _lowering_counters()
+        context = _fresh_conv_context()
         metrics.reset()
         run_strategy_sweep(
-            _fresh_conv_context(),
+            context,
             conv_population,
             policy,
             "fat,fam+fat",

@@ -289,7 +289,7 @@ class TestFrameworkStrategies:
         masks = strategy.chip_masks(framework.model, chip.fault_map)
         for masked in resolve_masked_parameters(framework.model, masks):
             masked.enforce_weight()
-        batch = framework.config.effective_retraining_config().batch_size * 4
+        batch = framework.config.effective_retraining_config().batch_size
         expected = evaluate_accuracy(framework.model, framework.bundle.test, batch_size=batch)
         assert triage[chip.chip_id] == expected
 
