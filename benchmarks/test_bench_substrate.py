@@ -469,7 +469,7 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
 
 
 # ---------------------------------------------------------------------------
-# Compute-backend replay: reference vs fused
+# Compute-backend replay
 # ---------------------------------------------------------------------------
 
 
@@ -490,20 +490,3 @@ def test_bench_backend_eval_reference(benchmark, fast_context):
     """Replay baseline: the ``numpy`` reference backend (bit-identical)."""
     _backend_eval_benchmark(benchmark, fast_context, "numpy")
 
-
-def test_bench_backend_eval_fused(benchmark, fast_context):
-    """Fused-backend comparator for the reference replay above.
-
-    Only meaningful against the JIT-compiled kernels: without numba the
-    fused backend runs interpreted, so the pair would compare two numpy
-    paths.  Skipping (rather than failing) keeps the benchmark suite —
-    and its >30% regression gate — usable in minimal environments.
-    """
-    from repro.backends import get_backend, numba_available
-
-    if not numba_available():
-        pytest.skip(
-            "numba unavailable: fused backend runs interpreted, skipping the "
-            "JIT benchmark (install numba to measure the fused speedup)"
-        )
-    _backend_eval_benchmark(benchmark, fast_context, get_backend("fused"))

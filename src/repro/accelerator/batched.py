@@ -69,8 +69,7 @@ from repro.nn.functional import (
     im2col_t,
 )
 from repro.nn.tensor import Function, is_grad_enabled
-from repro.backends import ChainCache, recorded, resolve_backend
-from repro.backends.registry import Backend
+from repro.backends import ChainCache, NumpyBackend, recorded, resolve_backend
 from repro.observability import metrics, trace
 from repro.utils.logging import get_logger
 
@@ -974,7 +973,7 @@ class BatchedFaultTrainer:
         train_data: Union[Dataset, DataLoader],
         eval_data: Union[Dataset, DataLoader],
         config=None,
-        backend: Optional[Union[str, Backend]] = None,
+        backend: Optional[Union[str, NumpyBackend]] = None,
         lowering_cache: Optional[LoweringCache] = None,
         prefetch: bool = True,
         seeds: Optional[Sequence[int]] = None,
@@ -1183,7 +1182,6 @@ class BatchedFaultTrainer:
                     "fat.eval_lowering",
                     (x.data,),
                     _eval_lowering_kernel(layer, self._eval),
-                    attrs={"layer": layer},
                 )
                 lowering = (cols, out_h, out_w)
             return _StackedConv2dFunction.apply(
@@ -1232,7 +1230,6 @@ class BatchedFaultTrainer:
                 "eval.stacked_bn",
                 (x.data,),
                 _stacked_bn_eval_kernel(layer, self.num_chips, shared),
-                attrs={"layer": layer, "shared": shared},
             )
             return nn.Tensor(out)
 
@@ -1568,7 +1565,7 @@ def evaluate_chip_accuracies(
     config=None,
     chip_chunk: int = DEFAULT_CHIP_CHUNK,
     lowering_cache: Optional[LoweringCache] = None,
-    backend: Optional[Union[str, Backend]] = None,
+    backend: Optional[Union[str, NumpyBackend]] = None,
     prefetch: bool = True,
 ) -> List[float]:
     """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.

@@ -1,16 +1,12 @@
-"""Pluggable compute backends behind the Function layer.
+"""Captured-graph replay behind the Function layer.
 
-The substrate's hot chains (stacked/folded GEMM evaluation, the autograd
-ops they compose with) can be captured into a small op-graph IR and
-replayed through a selectable lowering:
+The stacked trainer's checkpoint-eval chain (stacked/folded GEMM evaluation,
+the autograd ops it composes with) can be captured into a small op-graph IR
+and replayed by the ``numpy`` backend, which runs the exact eager kernels in
+recorded order and is bit-identical to eager execution.  Library entry
+points take ``backend=``: ``None`` runs eagerly, ``"numpy"`` replays.
 
-* ``numpy`` — reference executor, replays the exact eager kernels,
-  bit-identical to eager execution, always available;
-* ``fused`` — merges im2col -> GEMM -> bias -> ReLU chains into single
-  kernels (numba-JIT'd when available, interpreted otherwise).
-
-See README "Compute backends" for the capture -> lower -> execute
-architecture and how to add a backend.
+See README "Compute backends" for the capture -> replay architecture.
 """
 
 from repro.backends.capture import (
@@ -22,41 +18,22 @@ from repro.backends.capture import (
     recorded,
 )
 from repro.backends.errors import BackendError, describe_operands
-from repro.backends.graph import Graph, Node, count_consumers, signature_of
-from repro.backends.registry import (
-    BACKEND_ENV_VAR,
-    Backend,
-    available_backends,
-    env_backend_name,
-    get_backend,
-    numba_available,
-    register_backend,
-    resolve_backend,
-)
-
-# Importing the executor modules registers the built-in backends.
-from repro.backends import numpy_backend as _numpy_backend  # noqa: F401,E402
-from repro.backends import fused as _fused  # noqa: F401,E402
+from repro.backends.graph import Graph, Node, signature_of
+from repro.backends.numpy_backend import NumpyBackend, get_backend, resolve_backend
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "Backend",
     "BackendError",
     "ChainCache",
     "Graph",
     "GraphCapture",
     "Node",
-    "available_backends",
+    "NumpyBackend",
     "capture_graph",
-    "count_consumers",
     "describe_operands",
-    "env_backend_name",
     "get_backend",
     "is_capturing",
-    "numba_available",
     "record_function",
     "recorded",
-    "register_backend",
     "resolve_backend",
     "signature_of",
 ]

@@ -5,7 +5,7 @@ for a given input signature runs **eagerly, unchanged** — every op executes
 exactly as before — while a module-global capture session records each op as
 a :class:`~repro.backends.graph.Node` whose kernel closes over the eager
 implementation.  Subsequent executions with the same signature replay the
-compiled graph through the selected backend instead of re-entering Python
+compiled graph through the numpy backend instead of re-entering Python
 dispatch per op.
 
 Two capture entry points exist:
@@ -103,7 +103,6 @@ class GraphCapture:
         kwargs: Dict[str, Any],
         output: np.ndarray,
         kernel: Callable[..., np.ndarray],
-        attrs: Optional[Dict[str, Any]] = None,
     ) -> Node:
         node = Node(
             id=len(self.nodes),
@@ -113,7 +112,6 @@ class GraphCapture:
             kernel=kernel,
             out_shape=tuple(output.shape),
             out_dtype=output.dtype,
-            attrs=dict(attrs or {}),
         )
         self.nodes.append(node)
         self._register(output, NodeOutput(node.id))
@@ -147,7 +145,6 @@ def recorded(
     op: str,
     inputs: Tuple[Any, ...],
     fn: Callable[..., np.ndarray],
-    attrs: Optional[Dict[str, Any]] = None,
 ) -> np.ndarray:
     """Execute ``fn(*inputs)`` eagerly, recording it as one node if capturing.
 
@@ -167,7 +164,7 @@ def recorded(
                 f"captured op returned {type(output).__name__}, expected ndarray",
                 op=op,
             )
-        session.record(op, inputs, {}, output, fn, attrs)
+        session.record(op, inputs, {}, output, fn)
     return output
 
 
@@ -220,7 +217,6 @@ def record_function(
         kwargs,
         output_data,
         _function_kernel(cls, tensor_positions),
-        attrs={"function": cls},
     )
 
 

@@ -3,9 +3,8 @@
 The IR follows the deeplink-style capture-then-lower split: eager execution
 records each op as a :class:`Node` whose *kernel* is a closure over the exact
 numpy code the eager path ran, and whose inputs are encoded as value
-references.  A finished :class:`Graph` can then be lowered by a backend
-(reference replay, kernel fusion, ...) and re-executed for any batch with the
-same input signature.
+references.  A finished :class:`Graph` is then compiled by the numpy backend
+and replayed for any batch with the same input signature.
 
 Value references
 ----------------
@@ -36,7 +35,7 @@ different graph.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -100,10 +99,7 @@ class Node:
 
     ``kernel`` is a callable closing over the eager implementation; calling
     it with the resolved inputs reproduces the eager op exactly (this is what
-    makes the numpy backend a bit-exactness oracle by construction).
-    ``attrs`` carries backend-facing metadata (layer/module handles, fold
-    geometry) that fusion rules may consult without re-deriving it from the
-    kernel closure.
+    makes numpy replay bit-identical to eager by construction).
     """
 
     id: int
@@ -113,7 +109,6 @@ class Node:
     kernel: Callable[..., np.ndarray]
     out_shape: Tuple[int, ...]
     out_dtype: np.dtype
-    attrs: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -127,10 +122,6 @@ class Graph:
     def ops(self) -> Tuple[str, ...]:
         """The op vocabulary of this graph, in execution order."""
         return tuple(node.op for node in self.nodes)
-
-    def describe(self) -> str:
-        """One-line human-readable lowering summary (for logs/debugging)."""
-        return " -> ".join(self.ops()) or "<empty>"
 
 
 def signature_of(inputs: Sequence[np.ndarray]) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
@@ -157,28 +148,3 @@ def resolve(ref: Any, inputs: Sequence[np.ndarray], values: Dict[int, np.ndarray
         return tuple(resolve(element, inputs, values) for element in ref.elements)
     return ref
 
-
-def count_consumers(graph: Graph) -> Dict[int, int]:
-    """How many times each node's output is consumed (incl. as graph output).
-
-    Fusion rules use this to decide whether an intermediate may be elided:
-    a node whose output is consumed exactly once and is not the graph output
-    can be folded into its consumer.
-    """
-
-    counts: Dict[int, int] = {node.id: 0 for node in graph.nodes}
-
-    def visit(ref: Any) -> None:
-        if isinstance(ref, NodeOutput):
-            counts[ref.node_id] += 1
-        elif isinstance(ref, TupleRef):
-            for element in ref.elements:
-                visit(element)
-
-    for node in graph.nodes:
-        for ref in node.inputs:
-            visit(ref)
-        for ref in node.kwargs.values():
-            visit(ref)
-    visit(graph.output)
-    return counts

@@ -65,6 +65,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.backends import resolve_backend
 from repro.campaign.chaos import ChaosSchedule, ChaosSpec, resolve_chaos
 from repro.campaign.jobs import (
     ChipJob,
@@ -198,13 +199,12 @@ class CampaignEngine:
         ignored.
     backend:
         Compute backend every job is tagged with — the batched substrate
-        (triage sweeps and stacked trainers) replays its
-        captured op graphs through it.  ``None`` keeps the eager path;
-        ``"numpy"`` is the always-available reference replay (bit-identical
-        to eager, so it shares fingerprints with it); ``"fused"`` merges hot
-        chains and JIT-compiles them when numba is available, falling back
-        to ``"numpy"`` (with a logged warning) otherwise.  The job carries
-        the tag, so worker processes honour it without extra configuration.
+        (triage sweeps and stacked trainers) replays its captured eval
+        graphs through it.  ``None`` keeps the eager path; ``"numpy"``
+        replays (bit-identical to eager, so it shares fingerprints with it).
+        Anything else raises :class:`~repro.backends.BackendError` here,
+        before any store is touched.  The job carries the tag, so worker
+        processes honour it without extra configuration.
     prefetch:
         Background double-buffering of eval-batch lowerings (``False`` ←
         ``--no-prefetch``): while one batch's stacked GEMMs run, a helper
@@ -275,6 +275,7 @@ class CampaignEngine:
             raise ValueError(
                 f"lowering_cache_mb must be non-negative, got {lowering_cache_mb}"
             )
+        resolve_backend(backend)
         self.context = context
         self.jobs = int(jobs)
         self.store_base = Path(store_base) if store_base is not None else None

@@ -66,9 +66,8 @@ class ChipJob:
     # of the work definition, so part of the campaign fingerprint).
     strategy: str = DEFAULT_STRATEGY_NAME
     # Compute backend the batched substrate replays its captured op graphs
-    # through (``None`` = eager).  Part of the fingerprint only when it can
-    # change recorded values: ``None`` and the bit-identical ``"numpy"``
-    # reference replay fingerprint alike, so existing stores stay resumable.
+    # through (``None`` = eager, ``"numpy"`` = replay).  Not part of the
+    # fingerprint: both record bit-identical values.
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:

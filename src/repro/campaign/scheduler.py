@@ -913,7 +913,6 @@ def run_worker(
     """
     if (join is None) == (listen is None):
         raise ValueError("exactly one of join= and listen= is required")
-    from repro.backends import available_backends
     from repro.experiments.common import ExperimentContext
     from repro.experiments.presets import ExperimentPreset
 
@@ -930,7 +929,7 @@ def run_worker(
         send_frame(
             sock,
             worker_hello(
-                backends=list(available_backends()),
+                backends=["numpy"],
                 host=host_tag(),
                 pid=os.getpid(),
                 expect_preset=expect_preset,

@@ -81,10 +81,9 @@ def campaign_fingerprint(
     Two campaigns share a fingerprint exactly when re-running one can safely
     reuse the other's per-chip results: the experiment inputs, the resolved
     accuracy target and every chip's fault map, retraining amount and
-    mitigation strategy agree.  A job's compute backend joins the payload
-    only when it can change recorded values: the eager path (``None``) and
-    the bit-identical ``"numpy"`` reference replay fingerprint alike, so
-    pre-backend stores remain resumable under either.
+    mitigation strategy agree.  A job's compute backend stays out of the
+    payload: the eager path (``None``) and the bit-identical ``"numpy"``
+    replay record the same values, so stores resume under either.
     """
     payload = {
         "version": STORE_FORMAT_VERSION,
@@ -98,11 +97,7 @@ def campaign_fingerprint(
 
 
 def _job_fingerprint_payload(job: Any) -> Dict[str, Any]:
-    payload = {"chip": job.chip, "epochs": job.epochs, "strategy": job.strategy}
-    backend = getattr(job, "backend", None)
-    if backend not in (None, "numpy"):
-        payload["backend"] = str(backend)
-    return payload
+    return {"chip": job.chip, "epochs": job.epochs, "strategy": job.strategy}
 
 
 def _line_checksum(canonical_payload: str) -> str:

@@ -58,12 +58,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.backends import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    get_backend,
-    numba_available,
-)
 from repro.campaign import (
     CHAOS_ENV_VAR,
     CampaignEngine,
@@ -87,6 +81,10 @@ from repro.experiments import (
 )
 from repro.mitigation.strategy import available_strategies, parse_strategy, parse_strategy_list
 from repro.utils.logging import set_verbosity
+
+#: Compute backend of ``campaign``/``compare``: the stacked trainers replay
+#: their captured eval graphs through ``numpy`` (bit-identical to eager).
+BACKEND = "numpy"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,16 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "caching. Pure throughput knob — results are bit-identical",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for the batched campaign substrate: 'numpy' "
-        "(reference graph replay, bit-identical to eager execution; the "
-        "default) or 'fused' (merged im2col/GEMM/bias/ReLU chains, numba-JIT "
-        "compiled when numba is installed). Also honoured via the "
-        f"{BACKEND_ENV_VAR} environment variable",
-    )
-    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -336,7 +324,7 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
     """The 'campaign' command: one policy through the parallel engine."""
     population = build_population(context, num_chips=args.chips)
     store_base = args.campaign_dir if args.campaign_dir is not None else Path("campaigns")
-    print(f"[repro-reduce] compute backend: {get_backend(args.backend).describe()}")
+    print(f"[repro-reduce] compute backend: {BACKEND}")
     engine = CampaignEngine(
         context,
         jobs=args.jobs,
@@ -348,7 +336,7 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
-        backend=args.backend,
+        backend=BACKEND,
         prefetch=not args.no_prefetch,
         lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
@@ -381,7 +369,7 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
               f"(see quarantine.jsonl in the store)")
     payload: Dict[str, Any] = {"figure": "campaign", **result.to_dict()}
     payload["strategy"] = parse_strategy(args.strategy).name
-    payload["backend"] = args.backend
+    payload["backend"] = BACKEND
     payload["report"] = {
         "policy": report.policy_name,
         "total_chips": report.total_chips,
@@ -399,7 +387,7 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
 def _run_compare(context: ExperimentContext, args: argparse.Namespace) -> Dict[str, Any]:
     """The 'compare' command: one population through K mitigation strategies."""
     store_base = args.campaign_dir if args.campaign_dir is not None else Path("campaigns")
-    print(f"[repro-reduce] compute backend: {get_backend(args.backend).describe()}")
+    print(f"[repro-reduce] compute backend: {BACKEND}")
     result = run_compare(
         context,
         args.strategies,
@@ -415,7 +403,7 @@ def _run_compare(context: ExperimentContext, args: argparse.Namespace) -> Dict[s
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
-        backend=args.backend,
+        backend=BACKEND,
         prefetch=not args.no_prefetch,
         lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
@@ -504,20 +492,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--chunk-timeout must be positive")
     if args.lowering_cache_mb is not None and args.lowering_cache_mb < 0:
         parser.error("--lowering-cache-mb must be non-negative")
-    if args.backend is None:
-        args.backend = os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    if args.backend not in available_backends():
-        parser.error(
-            f"unknown --backend {args.backend!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
-    if args.backend == "fused" and not numba_available():
-        parser.error(
-            "--backend fused requires numba, which is not installed in this "
-            "environment; use --backend numpy (the always-available reference "
-            "backend, bit-identical to eager execution) or install numba to "
-            "enable the JIT-fused kernels"
-        )
     if args.chaos is None:
         args.chaos = os.environ.get(CHAOS_ENV_VAR) or None
     if args.chaos is not None:

@@ -614,7 +614,8 @@ class ReduceFramework:
         serial reference loop on this BLAS build.  ``strategy`` selects the
         mitigation recipe applied before/instead of retraining (default:
         classic FAT); ``backend`` selects the compute backend the stacked
-        substrate replays its captured graphs through.
+        substrate replays its captured graphs through (``None`` keeps the
+        eager path; ``"numpy"`` is bit-identical to it).
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)

@@ -193,7 +193,8 @@ def run_compare(
     shared campaign engine, so ``jobs``, ``fat_batch``, resumable stores
     under ``campaign_dir`` and the fault-tolerance knobs
     (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) apply per strategy,
-    as does the compute ``backend`` the batched substrate replays through.
+    as does the compute ``backend`` (``None`` = eager, ``"numpy"`` = replay;
+    the engine rejects anything else before it writes a store).
     """
     chips = population if population is not None else build_population(context, num_chips)
     if policy is None:

@@ -3,19 +3,14 @@
 Three layers of guarantees are pinned down here:
 
 * **Per-op** — every op in the IR vocabulary (im2col, stacked GEMM, bias,
-  ReLU, max-pool, BatchNorm, keep-multiplier mask, SGD update) captured once
-  and replayed on fresh inputs is *bit-identical* under the ``numpy``
-  reference backend and ``allclose`` + deterministic under ``fused``.
+  ReLU, max-pool, BatchNorm, keep-multiplier mask) captured once and
+  replayed on fresh inputs is *bit-identical* under the ``numpy`` backend.
 * **Substrate** — the stacked trainer's eval forward and training loop
-  produce the same logits/accuracies/losses/weights through a backend as eagerly (bit-identical for
-  ``numpy``, allclose for ``fused``).
+  produce the same logits/accuracies/losses/weights through the backend as
+  eagerly, bit for bit.
 * **End-to-end** — a fast-preset campaign through the ``numpy`` backend
   writes a ``results.jsonl`` byte-identical to the eager campaign and shares
   its content-addressed store fingerprint.
-
-``fused`` runs interpreted in environments without numba (the registry
-degrades it gracefully), so every test here is meaningful with or without
-the optional dependency.
 """
 
 import numpy as np
@@ -25,36 +20,28 @@ from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator.batched import BatchedFaultTrainer, _keep_multiplier_kernel
 from repro.backends import (
-    BACKEND_ENV_VAR,
     BackendError,
-    available_backends,
+    NumpyBackend,
     capture_graph,
-    env_backend_name,
     get_backend,
-    numba_available,
     recorded,
     resolve_backend,
 )
-from repro.backends.fused import FusedBackend
 from repro.data import make_class_template_images
 from repro.nn import functional as F
-from repro.nn.optim import SGD
 from repro.nn.tensor import Function
 from repro.observability import metrics
 from repro.training import TrainingConfig
 from tests.helpers import recorded_evaluate
 
-BACKENDS = ("numpy", "fused")
+BACKENDS = ("numpy",)
 
 
-def _assert_backend_matches(backend_name, replayed, expected):
-    """numpy must be bit-identical; fused is allclose (signed zeros differ)."""
+def _assert_backend_matches(replayed, expected):
+    """Replay must be bit-identical to eager execution."""
     assert replayed.shape == expected.shape
     assert replayed.dtype == expected.dtype
-    if backend_name == "numpy":
-        assert replayed.tobytes() == expected.tobytes()
-    else:
-        np.testing.assert_allclose(replayed, expected, rtol=1e-6, atol=1e-6)
+    assert replayed.tobytes() == expected.tobytes()
 
 
 def _capture(inputs, fn):
@@ -72,9 +59,9 @@ def _roundtrip(backend_name, make_inputs, fn):
     compiled = get_backend(backend_name).compile(_capture(a, fn))
     expected = fn(*[x.copy() for x in b])
     replayed = compiled([x.copy() for x in b])
-    _assert_backend_matches(backend_name, replayed, expected)
+    _assert_backend_matches(replayed, expected)
     # Fixed inputs -> fixed outputs: replaying the same graph twice must be
-    # byte-stable (this is the fused backend's determinism contract).
+    # byte-stable.
     again = compiled([x.copy() for x in b])
     assert again.tobytes() == replayed.tobytes()
 
@@ -181,82 +168,9 @@ class TestPerOpEquivalence:
         expected = _keep_multiplier_kernel(b_values.copy(), b_keep)
         replay_values = b_values.copy()
         replayed = compiled((replay_values, b_keep))
-        _assert_backend_matches(backend_name, replayed, expected)
+        _assert_backend_matches(replayed, expected)
         # The in-place contract: the operand itself carries the result.
         assert replay_values.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_sgd_update(self, backend_name):
-        # Replaying the captured update across optimizer steps must track the
-        # live momentum state exactly as two eager steps would.
-        rng = np.random.default_rng(7)
-        initial = rng.standard_normal((6, 4)).astype(np.float32)
-        g1 = rng.standard_normal((6, 4)).astype(np.float32)
-        g2 = rng.standard_normal((6, 4)).astype(np.float32)
-
-        def make_opt(data):
-            param = nn.Parameter(data.copy())
-            opt = SGD([param], lr=0.05, momentum=0.9, weight_decay=1e-4)
-            return param, opt
-
-        captured_param, captured_opt = make_opt(initial)
-        captured_param.grad = g1.copy()
-        graph = _capture(
-            (captured_param.data, captured_param.grad), lambda *_: _step(captured_opt)
-        )
-        compiled = get_backend(backend_name).compile(graph)
-        # Step 2 through the backend: same parameter array, fresh gradient.
-        compiled((captured_param.data, g2.copy()))
-
-        eager_param, eager_opt = make_opt(initial)
-        for grad in (g1, g2):
-            eager_param.grad = grad.copy()
-            eager_opt.step()
-
-        assert captured_param.data.tobytes() == eager_param.data.tobytes()
-
-
-def _step(opt):
-    opt.step()
-    return opt.parameters[0].data
-
-
-# ---------------------------------------------------------------------------
-# Fusion lowering
-# ---------------------------------------------------------------------------
-
-
-class TestFusedLowering:
-    def test_relu_chain_fuses_into_fewer_nodes(self):
-        bias = np.random.default_rng(1).standard_normal((4, 5)).astype(np.float32)
-
-        def chain(w, c):
-            g = recorded("eval.gemm", (w, c), np.matmul)
-            h = recorded("eval.bias", (g, bias), lambda G, B: G + B[:, :, None])
-            return F.relu(nn.Tensor(h)).data
-
-        rng = np.random.default_rng(2)
-        a = (
-            rng.standard_normal((4, 5, 18)).astype(np.float32),
-            rng.standard_normal((18, 50)).astype(np.float32),
-        )
-        graph = _capture(a, chain)
-        reference = get_backend("numpy").compile(graph)
-        fused = get_backend("fused").compile(graph)
-        assert len(fused.graph.nodes) < len(reference.graph.nodes)
-
-        b = (
-            rng.standard_normal((4, 5, 18)).astype(np.float32),
-            rng.standard_normal((18, 50)).astype(np.float32),
-        )
-        np.testing.assert_allclose(
-            fused(b), reference([x.copy() for x in b]), rtol=1e-6, atol=1e-6
-        )
-
-    def test_describe_names_execution_mode(self):
-        assert FusedBackend(use_jit=False).describe() == "fused (interpreted)"
-        expected = "fused (numba-jit)" if numba_available() else "fused (interpreted)"
-        assert get_backend("fused").describe() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +240,6 @@ class TestEvaluatorEquivalence:
         for replay, expected in zip(replay_logits, expected_logits):
             assert replay.tobytes() == expected.tobytes()
 
-    def test_fused_backend_allclose_and_deterministic(self, backend_bundle):
-        expected_acc, expected = recorded_evaluate(self._trainer(backend_bundle))
-        fused = self._trainer(backend_bundle, backend=get_backend("fused"))
-        recorded_evaluate(fused)  # capture
-        first_acc, first = recorded_evaluate(fused)  # replay
-        _, second = recorded_evaluate(fused)
-        for batch_first, batch_second, batch_expected in zip(first, second, expected):
-            np.testing.assert_allclose(batch_first, batch_expected, rtol=1e-5, atol=1e-6)
-            assert batch_first.tobytes() == batch_second.tobytes()
-        assert first_acc == expected_acc
-
 
 def _nan_aware_equal(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -372,54 +275,29 @@ class TestTrainerEquivalence:
             for key in sa:
                 assert sa[key].tobytes() == sb[key].tobytes()
 
-    def test_fused_backend_allclose_and_deterministic(self, backend_bundle):
-        _, eager_states = self._run(backend_bundle, None)
-        fused_hist, fused_states = self._run(backend_bundle, get_backend("fused"))
-        for sa, sb in zip(eager_states, fused_states):
-            for key in sa:
-                np.testing.assert_allclose(
-                    sa[key].astype(np.float64),
-                    sb[key].astype(np.float64),
-                    rtol=1e-4,
-                    atol=1e-5,
-                )
-        fused_hist2, fused_states2 = self._run(backend_bundle, get_backend("fused"))
-        for a, b in zip(fused_hist, fused_hist2):
-            assert a.accuracies == b.accuracies
-        for sa, sb in zip(fused_states, fused_states2):
-            for key in sa:
-                assert sa[key].tobytes() == sb[key].tobytes()
-
 
 # ---------------------------------------------------------------------------
-# Registry, resolution and typed errors
+# Resolution and typed errors
 # ---------------------------------------------------------------------------
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"numpy", "fused"} <= set(available_backends())
+    """Backend lookup by name: ``numpy`` or eager, nothing else."""
 
     def test_unknown_backend_raises_typed_error(self):
         with pytest.raises(BackendError, match="unknown backend"):
             get_backend("bogus")
+        with pytest.raises(BackendError, match="unknown backend"):
+            resolve_backend("fused")
 
     def test_resolve_none_is_eager(self):
         assert resolve_backend(None) is None
 
     def test_resolve_numpy(self):
         assert resolve_backend("numpy").name == "numpy"
-
-    def test_fused_falls_back_to_numpy_without_numba(self):
-        if numba_available():
-            pytest.skip("numba installed: fused resolves to the JIT backend")
-        assert resolve_backend("fused").name == "numpy"
-
-    def test_env_backend_name(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert env_backend_name() is None
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert env_backend_name() == "numpy"
+        assert resolve_backend("numpy") is get_backend("numpy")
+        backend = NumpyBackend()
+        assert resolve_backend(backend) is backend
 
 
 class _PickyFunction(Function):

@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from repro.backends import BackendError
 from repro.campaign import (
     CampaignEngine,
     CampaignStore,
@@ -25,6 +26,7 @@ from repro.cli import main
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.experiments import ExperimentContext, smoke_preset
+from repro.experiments.compare import run_compare
 from repro.nn.serialization import state_dicts_equal
 from tests.helpers import reference_retrain_chip
 
@@ -172,6 +174,22 @@ class TestStoreAndResume:
         assert second.last_report.executed == 0
         assert second.last_report.skipped == len(population)
         assert resumed.results == result.results
+
+    def test_unknown_backend_rejected_before_any_store(
+        self, smoke_context, population, tmp_path
+    ):
+        # The engine resolves its backend at construction, so a bad name
+        # fails before a run can write a manifest; run_compare goes through
+        # the same constructor.
+        with pytest.raises(BackendError, match="unknown backend 'bogus'"):
+            CampaignEngine(smoke_context, store_base=tmp_path, backend="bogus")
+        with pytest.raises(BackendError, match="unknown backend 'bogus'"):
+            run_compare(
+                smoke_context, "fat", population=population,
+                policy=FixedEpochPolicy(0.25), campaign_dir=tmp_path,
+                backend="bogus",
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_killed_then_resumed_campaign_completes_without_duplicates(
         self, smoke_context, population, tmp_path

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.backends import BACKEND_ENV_VAR
 from repro.cli import main
 
 
@@ -40,27 +39,11 @@ class TestCli:
 
 
 class TestBackendCli:
-    def test_unknown_backend_rejected(self, capsys):
+    def test_backend_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke", "--backend", "bogus"])
+            main(["campaign", "--preset", "smoke", "--backend", "numpy"])
         assert excinfo.value.code == 2
-        assert "unknown --backend 'bogus'" in capsys.readouterr().err
-
-    def test_fused_without_numba_rejected_with_guidance(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.cli.numba_available", lambda: False)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke", "--backend", "fused"])
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "requires numba" in message
-        assert "--backend numpy" in message
-
-    def test_env_var_backend_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke"])
-        assert excinfo.value.code == 2
-        assert "unknown --backend 'bogus'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_campaign_reports_resolved_backend(self, capsys, tmp_path):
         assert (
@@ -77,8 +60,6 @@ class TestBackendCli:
                     "0.25",
                     "--campaign-dir",
                     str(tmp_path / "campaigns"),
-                    "--backend",
-                    "numpy",
                 ]
             )
             == 0

@@ -214,8 +214,8 @@ class TestValidateHello:
         assert reason is not None and "store format" in reason
 
     def test_rejects_missing_backend(self):
-        reason = validate_hello(self._hello(), "fused", "smoke")
-        assert reason is not None and "fused" in reason
+        reason = validate_hello(self._hello(), "bogus", "smoke")
+        assert reason is not None and "bogus" in reason
 
     def test_rejects_preset_mismatch(self):
         reason = validate_hello(self._hello(preset="fast"), None, "smoke")

@@ -6,8 +6,8 @@ included.  A stacked trainer that ran a captured eval must be freed by
 reference counting alone (its chain cache's graphs must not lead back to it),
 and a capture session must not pin the intermediates the eager chain drops.
 
-Each test runs with the ``numpy`` and the ``fused`` backend: the cycle
-exists for every backend that has a chain cache.
+Each test runs with the ``numpy`` backend: the cycle exists for every
+trainer that has a chain cache.
 """
 
 import gc
@@ -25,7 +25,7 @@ from repro.backends import capture_graph, get_backend, recorded
 from repro.backends.numpy_backend import CompiledGraph
 from repro.training import TrainingConfig
 
-BACKENDS = ("numpy", "fused")
+BACKENDS = ("numpy",)
 # Eval batches are ``batch_size`` = 4 rows over the 32-image test set: eight
 # same-shape batches, so an eval pass captures once and replays seven times.
 CONFIG = TrainingConfig(batch_size=4)
@@ -67,7 +67,7 @@ def _count_replays(monkeypatch):
     replay = CompiledGraph.__call__
 
     def counting(self, inputs):
-        calls.append(self.backend_name)
+        calls.append(self.graph.signature)
         return replay(self, inputs)
 
     monkeypatch.setattr(CompiledGraph, "__call__", counting)

@@ -254,7 +254,7 @@ class TestEvaluatorPrefetch:
 class TestCheckpointEval:
     CONFIG = TrainingConfig(learning_rate=0.05, batch_size=16, seed=3)
 
-    @pytest.mark.parametrize("backend", [None, "numpy", "fused"])
+    @pytest.mark.parametrize("backend", [None, "numpy"])
     def test_checkpoints_match_serial_histories(self, image_bundle, backend):
         """Live per-checkpoint evals reproduce serial histories and weights."""
         serial_histories, serial_states = [], []
