@@ -362,9 +362,7 @@ class CampaignEngine:
         self._write_observability_artifacts()
         return results if several else results[0]
 
-    def _open_policy(
-        self, framework, population, policy, strategy, chip_dicts
-    ) -> _PolicyRun:
+    def _open_policy(self, framework, population, policy, strategy) -> _PolicyRun:
         """Resolve one policy's jobs, open its store and scan it for resume."""
         with trace.span("campaign.plan", stage="build_jobs"):
             job_list = build_jobs(
@@ -373,7 +371,6 @@ class CampaignEngine:
                 policy,
                 strategy=strategy,
                 backend=self.backend,
-                chip_dicts=chip_dicts,
             )
             target_accuracy = framework.target_accuracy
             clean_accuracy = framework.clean_accuracy
@@ -439,10 +436,8 @@ class CampaignEngine:
             prefetch=self.prefetch, lowering_cache_mb=self.lowering_cache_mb
         )
         framework = self.context.framework()
-        # One serialized chip per chip, shared by every policy's jobs.
-        chip_dicts = {chip.chip_id: chip.to_dict() for chip in population}
         runs = [
-            self._open_policy(framework, population, policy, strategy, chip_dicts)
+            self._open_policy(framework, population, policy, strategy)
             for policy in policies
         ]
         by_name = {run.policy.name: run for run in runs}
@@ -473,7 +468,7 @@ class CampaignEngine:
                 if missing:
                     triage.update(
                         framework.triage_population(
-                            [job.to_chip() for job in missing.values()],
+                            [job.chip for job in missing.values()],
                             strategy=strategy,
                             backend=self.backend,
                         )
@@ -641,7 +636,7 @@ class CampaignEngine:
                 shares.setdefault(job.policy_name, []).append(job)
             for name, jobs in shares.items():
                 share = dataclasses.replace(failure, chunk=jobs)
-                failed_chips[name].extend(share.to_chip_records())
+                failed_chips[name].extend(share.chip_failure_records())
                 quarantined[name].append(share.to_dict())
         num_failed = sum(len(records) for records in failed_chips.values())
         if num_failed:

@@ -4,14 +4,19 @@ The Step 2+3 slice of the Reduce flow for one chip — look up the retraining
 amount, restore the pre-trained weights, retrain under the chip's fault masks
 and evaluate against the constraint — is embarrassingly parallel across a
 chip population.  A :class:`ChipJob` captures everything that slice needs
-beyond the (shared, pre-trained) framework as plain JSON-compatible data:
+beyond the (shared, pre-trained) framework:
 
-* the serialized chip (``Chip.to_dict()``: id + fault-map coordinates),
+* the population's own :class:`~repro.core.chips.Chip` (id + fault map),
 * the retraining amount chosen by the policy in the parent process, and
 * the accuracy target resolved once against the clean accuracy.
 
-Jobs are therefore picklable, hashable enough to fingerprint, and executing
-one is a pure function of ``(framework pre-trained state, job)``: the
+A job holds the chip object itself, so the jobs of several policies over one
+population share each chip's fault map.  The chip is serialized only at the
+worker socket: :meth:`ChipJob.to_dict` writes ``Chip.to_dict()`` (id +
+fault-map coordinates) into the chunk frame and :meth:`ChipJob.from_dict`
+parses it back in the worker.  The store fingerprint serializes one job at a
+time.  Jobs are picklable, and executing one is a pure function of
+``(framework pre-trained state, job)``: the
 retraining seed is a deterministic function of the campaign configuration
 (shared by every chip — see :meth:`ReduceFramework._fat_training_config`),
 so the result does not depend on which process runs the job or in what order
@@ -52,9 +57,14 @@ from repro.observability import metrics, trace
 
 @dataclasses.dataclass(frozen=True)
 class ChipJob:
-    """One chip's select+mitigate+evaluate step, as a self-contained unit."""
+    """One chip's select+mitigate+evaluate step, as a self-contained unit.
 
-    chip: Dict[str, Any]
+    ``chip`` is the population's :class:`Chip`, not a copy: it is serialized
+    only when a job crosses the worker socket (:meth:`to_dict` /
+    :meth:`from_dict`).
+    """
+
+    chip: Chip
     epochs: float
     target_accuracy: float
     policy_name: str
@@ -76,24 +86,23 @@ class ChipJob:
 
     @property
     def chip_id(self) -> str:
-        return str(self.chip["chip_id"])
-
-    def to_chip(self) -> Chip:
-        return Chip.from_dict(self.chip)
+        return self.chip.chip_id
 
     def with_accuracy_before(self, accuracy: float) -> "ChipJob":
         return dataclasses.replace(self, accuracy_before=float(accuracy))
 
     def to_dict(self) -> Dict[str, Any]:
-        # Shallow on purpose: ``dataclasses.asdict`` would deep-copy every
-        # fault-map coordinate list, and the result is only serialized.
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        # The wire form of a job: the chip becomes its id and fault-map
+        # coordinates here, at the socket, and nowhere else.
+        data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        data["chip"] = self.chip.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChipJob":
         accuracy_before = data.get("accuracy_before")
         return cls(
-            chip=dict(data["chip"]),
+            chip=Chip.from_dict(data["chip"]),
             epochs=float(data["epochs"]),
             target_accuracy=float(data["target_accuracy"]),
             policy_name=str(data["policy_name"]),
@@ -109,7 +118,6 @@ def build_jobs(
     policy: RetrainingPolicy,
     strategy: StrategyLike = None,
     backend: Optional[str] = None,
-    chip_dicts: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> List[ChipJob]:
     """Resolve a policy over a population into per-chip jobs (Step 2 output).
 
@@ -121,16 +129,16 @@ def build_jobs(
     so the planner groups jobs by the work they really represent.
     ``backend`` tags every job with the compute backend the executor should
     route the batched substrate through; the job carries it, so workers need
-    no extra configuration to honour it.  ``chip_dicts`` maps chip ids to
-    already serialized chips, so the jobs of several policies over one
-    population share one (fault-map sized) dict per chip.
+    no extra configuration to honour it.  Each job holds the population's
+    own :class:`Chip`, so the jobs of several policies over one population
+    share every fault map and building them copies no coordinates.
     """
     resolved = resolve_strategy(strategy)
     amounts = policy.epochs_for_population(population)
     target = framework.target_accuracy
     return [
         ChipJob(
-            chip=chip_dicts[chip.chip_id] if chip_dicts is not None else chip.to_dict(),
+            chip=chip,
             epochs=resolved.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map),
             target_accuracy=target,
             policy_name=policy.name,
@@ -276,12 +284,8 @@ def execute_jobs_batched(
         for job in job_list
         if job.accuracy_before is not None
     }
-    chips: Dict[str, Chip] = {}
-    for job in job_list:
-        if job.chip_id not in chips:
-            chips[job.chip_id] = job.to_chip()
     return framework.retrain_chips_batched(
-        [chips[job.chip_id] for job in job_list],
+        [job.chip for job in job_list],
         [job.epochs for job in job_list],
         target_accuracy=target,
         accuracies_before=accuracies_before,

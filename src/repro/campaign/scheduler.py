@@ -1011,11 +1011,14 @@ def run_worker(
                     lock=send_lock,
                 )
             elif kind == MSG_CHUNK:
-                jobs = [ChipJob.from_dict(job) for job in message.get("jobs", [])]
-                fat_batch = int(campaign.get("fat_batch", 1)) if campaign else 1
-                attempt = int(message.get("attempt", 0))
                 fault = message.get("chaos")
                 try:
+                    # A chunk that does not parse (a missing key, negative
+                    # epochs, an out-of-range fault coordinate) fails like
+                    # any execution error: the chunk, not the worker.
+                    fat_batch = int(campaign.get("fat_batch", 1)) if campaign else 1
+                    attempt = int(message.get("attempt", 0))
+                    jobs = [ChipJob.from_dict(job) for job in message.get("jobs", [])]
                     if fault:
                         inject_fault(
                             str(fault["action"]),

@@ -84,20 +84,33 @@ def campaign_fingerprint(
     mitigation strategy agree.  A job's compute backend stays out of the
     payload: the eager path (``None``) and the bit-identical ``"numpy"``
     replay record the same values, so stores resume under either.
+
+    The digest is that of ``json.dumps(payload, sort_keys=True)`` over
+    ``{"jobs": [...], "policy", "preset", "target_accuracy", "version"}``,
+    but the text is fed to the hash one job at a time, so only one chip's
+    serialized fault map is alive at once.  ``"jobs"`` sorts first, so the
+    stream is the jobs array followed by the rest of the object.
     """
-    payload = {
-        "version": STORE_FORMAT_VERSION,
-        "preset": config_to_dict(preset),
-        "policy": str(policy_name),
-        "target_accuracy": float(target_accuracy),
-        "jobs": [_job_fingerprint_payload(job) for job in jobs],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
+    digest = hashlib.sha256(b'{"jobs": [')
+    for index, job in enumerate(jobs):
+        if index:
+            digest.update(b", ")
+        digest.update(json.dumps(_job_fingerprint_payload(job), sort_keys=True).encode("utf-8"))
+    rest = json.dumps(
+        {
+            "version": STORE_FORMAT_VERSION,
+            "preset": config_to_dict(preset),
+            "policy": str(policy_name),
+            "target_accuracy": float(target_accuracy),
+        },
+        sort_keys=True,
+    )
+    digest.update(("], " + rest[1:]).encode("utf-8"))
     return digest.hexdigest()
 
 
 def _job_fingerprint_payload(job: Any) -> Dict[str, Any]:
-    return {"chip": job.chip, "epochs": job.epochs, "strategy": job.strategy}
+    return {"chip": job.chip.to_dict(), "epochs": job.epochs, "strategy": job.strategy}
 
 
 def _line_checksum(canonical_payload: str) -> str:

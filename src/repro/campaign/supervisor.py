@@ -104,7 +104,7 @@ class ChunkFailure:
             "strategy": self.chunk[0].strategy if self.chunk else None,
         }
 
-    def to_chip_records(self) -> List[Dict[str, Any]]:
+    def chip_failure_records(self) -> List[Dict[str, Any]]:
         """Per-chip failure records for ``CampaignResult.failed_chips``."""
         return [
             {

@@ -857,7 +857,7 @@ class TestEngineCoalescing:
         framework = smoke_context.framework()
         jobs = build_jobs(framework, fat_population, FixedEpochPolicy(0.25))
         batched = execute_jobs_batched(framework, jobs, fat_batch=3)
-        serial = [reference_retrain_chip(framework, job.to_chip(), job.epochs) for job in jobs]
+        serial = [reference_retrain_chip(framework, job.chip, job.epochs) for job in jobs]
         assert batched == serial
 
     def test_mixed_budget_jobs_share_one_pass(self, smoke_context, fat_population):
@@ -871,7 +871,7 @@ class TestEngineCoalescing:
             dataclasses.replace(jobs[0], epochs=0.5, policy_name="other"),
             dataclasses.replace(jobs[1], epochs=0.0, policy_name="other"),
         ]
-        expected = [reference_retrain_chip(framework, job.to_chip(), job.epochs) for job in mixed]
+        expected = [reference_retrain_chip(framework, job.chip, job.epochs) for job in mixed]
         assert execute_jobs_batched(framework, mixed) == expected
         with pytest.raises(ValueError, match="target"):
             execute_jobs_batched(

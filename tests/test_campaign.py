@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from repro.accelerator import FaultMap
 from repro.backends import BackendError
 from repro.campaign import (
     CampaignEngine,
@@ -23,9 +24,9 @@ from repro.campaign import (
 from repro.campaign import engine as engine_module
 from repro.campaign.store import decode_result_line, discover_stores
 from repro.cli import main
-from repro.core.chips import ChipPopulation
+from repro.core.chips import Chip, ChipPopulation
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
-from repro.experiments import ExperimentContext, smoke_preset
+from repro.experiments import ExperimentContext, fast_preset, smoke_preset
 from repro.experiments.compare import run_compare
 from repro.nn.serialization import state_dicts_equal
 from tests.helpers import reference_retrain_chip
@@ -56,6 +57,23 @@ class TestChipJob:
             assert pickle.loads(pickle.dumps(job)) == job
             assert ChipJob.from_dict(json.loads(json.dumps(job.to_dict()))) == job
 
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
+    def test_wire_round_trip_rebuilds_the_chip(self, fault_rate):
+        chip = ChipPopulation.generate(1, 16, 16, fault_rates=fault_rate, seed=9)[0]
+        job = ChipJob(
+            chip=chip,
+            epochs=0.5,
+            target_accuracy=0.9,
+            policy_name="p",
+            accuracy_before=0.75,
+            strategy="fap+fat",
+        )
+        decoded = ChipJob.from_dict(json.loads(json.dumps(job.to_dict())))
+        assert decoded == job
+        assert decoded.chip is not chip
+        assert decoded.chip.fault_map.num_faulty == round(fault_rate * 256)
+        assert not decoded.chip.fault_map.array.flags.writeable
+
     def test_execution_is_deterministic(self, framework, population):
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
         [first] = execute_job_chunk(framework, [job])
@@ -64,11 +82,16 @@ class TestChipJob:
         assert first.epochs_allocated == 0.25
         # A single-job chunk is a stacked run of one chip: it equals the
         # serial per-chip reference.
-        assert first == reference_retrain_chip(framework, job.to_chip(), job.epochs)
+        assert first == reference_retrain_chip(framework, job.chip, job.epochs)
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
-            ChipJob(chip={"chip_id": "c"}, epochs=-1.0, target_accuracy=0.9, policy_name="p")
+            ChipJob(
+                chip=Chip("c", FaultMap.none(2, 2)),
+                epochs=-1.0,
+                target_accuracy=0.9,
+                policy_name="p",
+            )
 
     def test_result_round_trips_through_dict(self, framework, population):
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
@@ -81,7 +104,7 @@ class TestPlanner:
     def _jobs(self, budgets):
         return [
             ChipJob(
-                chip={"chip_id": f"chip-{i}"},
+                chip=Chip(f"chip-{i}", FaultMap.none(2, 2)),
                 epochs=budget,
                 target_accuracy=0.9,
                 policy_name="p",
@@ -667,6 +690,41 @@ class TestFingerprint:
         smaller = ChipPopulation(population.chips[:2])
         fewer_jobs = build_jobs(framework, smaller, FixedEpochPolicy(0.25))
         assert base != campaign_fingerprint(preset, "fixed-0.25ep", 0.9, fewer_jobs)
+
+
+class TestGoldenFingerprint:
+    """Digests of the one-shot ``json.dumps(payload, sort_keys=True)`` hash
+    that predates the streaming one: stores written by it must resume."""
+
+    GOLDEN = {
+        "fat": "afcddad03eee381cc325b00d0f67680d4ba673816a4904268885b30a28cbad79",
+        "fap+fat": "82f9cd67f281777b39ae290481d1300e91328238d0deb42af1b6c188d13eb411",
+    }
+    EMPTY = "6e7de6702ac0bdf75c635018e2587f8e5ecee2fcc7516b6fcfc65186afed6a4e"
+
+    @staticmethod
+    def _chips():
+        return [Chip("clean", FaultMap.none(64, 64))] + list(
+            ChipPopulation.generate(2, 64, 64, fault_rates=[0.05, 0.3], seed=2023)
+        )
+
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN))
+    def test_digest_matches_the_one_shot_payload(self, strategy):
+        jobs = [
+            ChipJob(
+                chip=chip,
+                epochs=epochs,
+                target_accuracy=0.8734,
+                policy_name="reduce-max",
+                strategy=strategy,
+            )
+            for chip, epochs in zip(self._chips(), [0.0, 0.25, 1.5])
+        ]
+        digest = campaign_fingerprint(fast_preset(), "reduce-max", 0.8734, jobs)
+        assert digest == self.GOLDEN[strategy]
+
+    def test_digest_of_no_jobs(self):
+        assert campaign_fingerprint(fast_preset(), "reduce-max", 0.8734, []) == self.EMPTY
 
 
 class TestDiskCache:

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignEngine, plan_job_chunks
+from repro.campaign import CampaignEngine, build_jobs, execute_job_chunk, plan_job_chunks
 from repro.campaign.scheduler import (
     CampaignCoordinator,
     SchedulerConfig,
@@ -33,8 +33,13 @@ from repro.campaign.transport import (
     MSG_CAMPAIGN,
     MSG_CHUNK,
     MSG_CLAIM,
+    MSG_ERROR,
+    MSG_HEARTBEAT,
+    MSG_HELLO,
     MSG_READY,
     MSG_REJECT,
+    MSG_RESULT,
+    MSG_SHUTDOWN,
     MSG_WELCOME,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -49,7 +54,9 @@ from repro.campaign.transport import (
     worker_hello,
 )
 from repro.core.chips import ChipPopulation
+from repro.core.reduce import ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy
+from repro.utils.config import config_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +534,79 @@ class TestDistributedCampaigns:
         assert report.failed == 0
         assert report.executed == len(population)
         assert len(result.results) == len(population)
+
+    def test_chunk_that_fails_to_parse_is_answered_with_an_error(
+        self, smoke_context, population
+    ):
+        """A hand-built coordinator sends a real worker a chunk whose fault
+        map has an out-of-range coordinate: the worker replies MSG_ERROR for
+        that chunk, claims again and executes the next, valid chunk."""
+        framework = smoke_context.framework()
+        job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
+        bad = job.to_dict()
+        fault_map = dict(bad["chip"]["fault_map"])
+        fault_map["faulty_indices"] = [[fault_map["rows"], 0]]
+        bad["chip"] = {**bad["chip"], "fault_map": fault_map}
+
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(60.0)
+        worker = _mp_context().Process(
+            target=_joining_worker_process,
+            args=(server.getsockname()[:2],),
+            daemon=True,
+        )
+        worker.start()
+        sock = None
+        try:
+            sock, _ = server.accept()
+            sock.settimeout(60.0)
+
+            def receive():
+                while True:
+                    message = recv_frame(sock)
+                    if message is None or message.get("type") != MSG_HEARTBEAT:
+                        return message
+
+            assert receive()["type"] == MSG_HELLO
+            send_frame(
+                sock,
+                {
+                    "type": MSG_WELCOME,
+                    "protocol": PROTOCOL_VERSION,
+                    "worker_id": 1,
+                    "preset": config_to_dict(smoke_context.preset),
+                    "preset_name": smoke_context.preset.name,
+                    "heartbeat_interval": 60.0,
+                },
+            )
+            assert receive()["type"] == MSG_READY
+            send_frame(sock, {"type": MSG_CAMPAIGN, "campaign_id": 1, "fat_batch": 1})
+            assert receive()["type"] == MSG_CLAIM
+            chunk = {"type": MSG_CHUNK, "campaign_id": 1, "attempt": 0}
+            send_frame(sock, {**chunk, "chunk_index": 0, "jobs": [bad]})
+            reply = receive()
+            assert reply["type"] == MSG_ERROR
+            assert reply["chunk_index"] == 0
+            assert "IndexError" in reply["error"]
+            assert receive()["type"] == MSG_CLAIM
+            send_frame(sock, {**chunk, "chunk_index": 1, "jobs": [job.to_dict()]})
+            reply = receive()
+            assert reply["type"] == MSG_RESULT
+            assert reply["chunk_index"] == 1
+            [result] = reply["results"]
+            [expected] = execute_job_chunk(framework, [job])
+            assert ChipRetrainingResult.from_dict(result) == expected
+            assert receive()["type"] == MSG_CLAIM
+            send_frame(sock, {"type": MSG_SHUTDOWN})
+            worker.join(timeout=30)
+            assert worker.exitcode == 0
+        finally:
+            if sock is not None:
+                sock.close()
+            server.close()
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=10)
 
     def test_coordinator_dials_listening_worker(
         self, smoke_context, population, tmp_path

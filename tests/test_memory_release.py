@@ -6,8 +6,11 @@ included.  A stacked trainer that ran a captured eval must be freed by
 reference counting alone (its chain cache's graphs must not lead back to it),
 and a capture session must not pin the intermediates the eager chain drops.
 
-Each test runs with the ``numpy`` backend: the cycle exists for every
-trainer that has a chain cache.
+Each trainer test runs with the ``numpy`` backend: the cycle exists for
+every trainer that has a chain cache.
+
+Campaign jobs hold the population's own chips, and the store fingerprint
+serializes one job's fault map at a time.
 """
 
 import gc
@@ -23,6 +26,10 @@ from repro.accelerator import batched
 from repro.accelerator.batched import BatchedFaultTrainer, evaluate_chip_accuracies
 from repro.backends import capture_graph, get_backend, recorded
 from repro.backends.numpy_backend import CompiledGraph
+from repro.campaign import ChipJob, build_jobs, campaign_fingerprint
+from repro.core.chips import ChipPopulation
+from repro.core.selection import FixedEpochPolicy
+from repro.experiments import fast_preset
 from repro.training import TrainingConfig
 
 BACKENDS = ("numpy",)
@@ -177,3 +184,44 @@ def test_capture_frees_dropped_intermediates(backend):
     eager = chain(fresh.copy())
     assert replayed.dtype == eager.dtype
     np.testing.assert_array_equal(replayed.view(np.uint32), eager.view(np.uint32))
+
+
+def test_jobs_hold_the_population_chips(smoke_context):
+    preset = smoke_context.preset
+    population = ChipPopulation.generate(
+        4, preset.array_rows, preset.array_cols, fault_rates=(0.05, 0.25), seed=4
+    )
+    framework = smoke_context.framework()
+    for epochs in (0.25, 0.5):  # every policy's jobs share the same chips
+        jobs = build_jobs(framework, population, FixedEpochPolicy(epochs))
+        assert len(jobs) == len(population)
+        for job, chip in zip(jobs, population):
+            assert job.chip is chip
+
+
+def _traced_peak(fn):
+    """tracemalloc high-water mark of ``fn()`` above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_fingerprint_serializes_one_chip_at_a_time():
+    """Over 128 64x64 chips at fault rate 0.3, one serialized chip (its
+    ``to_dict()``) peaks at about 115 KB.  Hashing one ``json.dumps`` of the
+    whole payload peaked at 3.99 MB (about 34 chips); the streaming hash
+    peaks at about 0.30 MB (under 3 chips)."""
+    population = ChipPopulation.generate(128, 64, 64, fault_rates=0.3, seed=5)
+    jobs = [
+        ChipJob(chip=chip, epochs=1.0, target_accuracy=0.9, policy_name="p")
+        for chip in population
+    ]
+    preset = fast_preset()
+    one_chip = _traced_peak(population[0].to_dict)
+    peak = _traced_peak(lambda: campaign_fingerprint(preset, "p", 0.9, jobs))
+    assert peak < 4 * one_chip, (peak, one_chip)

@@ -312,7 +312,7 @@ class TestFrameworkStrategies:
 class TestStrategyPlanner:
     def _job(self, chip_id, epochs, strategy):
         return ChipJob(
-            chip={"chip_id": chip_id},
+            chip=Chip(chip_id, FaultMap.none(2, 2)),
             epochs=epochs,
             target_accuracy=0.9,
             policy_name="p",
