@@ -375,22 +375,22 @@ def test_bench_dataloader_iteration(benchmark, fast_context):
 CHECKPOINT_EVAL_CHECKPOINTS = (0.05, 0.10, 0.15, 0.20, 0.25)
 
 
-def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
+def _checkpoint_eval_run(context, mask_sets, *, pipelined, eval_pipeline=None):
     """One eval-dominated retraining run: 0.25 epochs, 5 checkpoint evals.
 
     Mirrors the production sweep shape (``resilience.py`` / ``reduce.py``):
     the initial accuracy is already known from triage, so the run evaluates
     only at the epoch checkpoints (``include_initial=False``).
 
-    ``pipelined=False`` is the eager eval path — no prefetch thread and a
-    zero-byte cache, so every eval pass re-lowers every eval batch.
-    ``pipelined=True`` is the default path.  Both evaluate each checkpoint
-    live, one pass per distinct optimizer step.
+    ``pipelined=False`` evaluates through a zero-byte lowering cache, so
+    every eval pass re-lowers every eval batch.  ``pipelined=True`` is the
+    default path.  Both evaluate each checkpoint live, one pass per distinct
+    optimizer step.
     """
-    from repro.accelerator.batched import BatchedFaultTrainer, LoweringCache
+    from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
 
-    if lowering_cache is None:
-        lowering_cache = LoweringCache() if pipelined else LoweringCache(max_bytes=0)
+    if eval_pipeline is None:
+        eval_pipeline = EvalPipeline() if pipelined else EvalPipeline(lowering_cache_mb=0.0)
     context.restore_pretrained()
     trainer = BatchedFaultTrainer(
         context.model,
@@ -398,8 +398,7 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
         context.bundle.train,
         context.bundle.test,
         config=TrainingConfig(learning_rate=0.04, batch_size=40, seed=0),
-        lowering_cache=lowering_cache,
-        prefetch=pipelined,
+        eval_pipeline=eval_pipeline,
     )
     histories = trainer.train(
         0.25, eval_checkpoints=CHECKPOINT_EVAL_CHECKPOINTS, include_initial=False
@@ -410,9 +409,8 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, lowering_cache=None):
 def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
     """Unpipelined multi-checkpoint eval: 8 chips x 5 checkpoints.
 
-    No prefetch thread and no lowering cache: every checkpoint-eval pass
-    re-lowers every eval batch on its own thread — the comparator for the
-    pipelined benchmark below.
+    A zero-byte lowering cache: every checkpoint-eval pass re-lowers every
+    eval batch — the comparator for the pipelined benchmark below.
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -429,8 +427,8 @@ def test_bench_checkpoint_eval_pipelined_8chips(benchmark, fast_context):
     Checkpoints are evaluated live as training reaches them; at 10 train
     batches per epoch the 5 checkpoints quantize to 2 unique optimizer
     steps, so training runs 2 eight-chip eval passes over lowerings cached
-    once by the first (and prefetched in the background); results are
-    bit-identical to the baseline (see tests/test_pipelined_eval.py).
+    once by the first; results are bit-identical to the baseline (see
+    tests/test_pipelined_eval.py).
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
@@ -449,16 +447,16 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
     cache: arm 2 hits every lowering arm 1 computed, so eval-lowering cost
     stays O(batches), not O(arms x batches).
     """
-    from repro.accelerator.batched import LoweringCache
+    from repro.accelerator.batched import EvalPipeline
 
     context = fast_context
     mask_sets = _fat_mask_sets(context)
 
     def run():
-        cache = LoweringCache()
+        pipeline = EvalPipeline()
         return [
             _checkpoint_eval_run(
-                context, mask_sets, pipelined=True, lowering_cache=cache
+                context, mask_sets, pipelined=True, eval_pipeline=pipeline
             )
             for _arm in range(2)
         ]
@@ -475,12 +473,14 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
 
 def _backend_eval_benchmark(benchmark, context, backend):
     """Repeated stacked evaluation through a warmed graph-cache replay."""
-    from repro.accelerator.batched import BatchedFaultTrainer
+    from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
 
     context.restore_pretrained()
     mask_sets = _population_mask_sets(context, num_chips=8)
     test = context.bundle.test
-    trainer = BatchedFaultTrainer(context.model, mask_sets, test, test, backend=backend)
+    trainer = BatchedFaultTrainer(
+        context.model, mask_sets, test, test, eval_pipeline=EvalPipeline(backend=backend)
+    )
     trainer.evaluate()  # capture + compile outside the timed region
     accuracies = benchmark(trainer.evaluate)
     assert len(accuracies) == len(mask_sets)

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import queue
-import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,11 +67,8 @@ from repro.nn.functional import (
     im2col_t,
 )
 from repro.nn.tensor import Function, is_grad_enabled
-from repro.backends import ChainCache, NumpyBackend, recorded, resolve_backend
+from repro.backends import ChainCache, recorded, resolve_backend
 from repro.observability import metrics, trace
-from repro.utils.logging import get_logger
-
-logger = get_logger("accelerator.batched")
 
 MaskDict = Dict[str, np.ndarray]
 
@@ -85,16 +80,17 @@ MaskDict = Dict[str, np.ndarray]
 # throughput fallback, never a correctness change.
 DEFAULT_LOWERING_CACHE_MB = 128.0
 
-#: Cache keys: ``(layer_name, batch_size, batch_index)`` of one ``(K, P)``
-#: ``im2col_t`` lowering.  ``batch_size`` disambiguates loaders slicing the
-#: same data differently (batch ``i`` covers different rows at different
-#: batch sizes).
-LoweringKey = Tuple[str, int, int]
+#: Cache keys: ``(eval_dataset, layer_name, batch_size, batch_index)`` of one
+#: ``(K, P)`` ``im2col_t`` lowering.  The dataset is keyed by identity (the
+#: key holds the object, so its id cannot be reused while the entry lives):
+#: two datasets' batch ``i`` are different rows.  ``batch_size`` disambiguates
+#: loaders slicing the same data differently.
+LoweringKey = Tuple[Dataset, str, int, int]
 LoweringEntry = Tuple[np.ndarray, int, int]
 
 
 class LoweringCache:
-    """Byte-capped, thread-safe LRU cache of shared-prefix eval lowerings.
+    """Byte-capped LRU cache of shared-prefix eval lowerings.
 
     Maps :data:`LoweringKey` to the cached ``(cols, out_h, out_w)`` lowering
     of one eval batch at one layer.  Valid whenever the input to the first
@@ -105,11 +101,10 @@ class LoweringCache:
     population stop re-lowering identical batches.
 
     One instance may be shared across trainers, population evaluations,
-    campaign runs and sweep arms (see :class:`EvalPipeline`), and between the evaluation
-    hot loop and its background prefetch thread: ``get_or_compute`` runs at
-    most one computation per key at a time (concurrent callers wait on the
-    in-flight one), and eviction is least-recently-used once ``max_bytes``
-    is exceeded.  An entry larger than the whole cap is returned uncached.
+    campaign runs and sweep arms (see :class:`EvalPipeline`); only the
+    evaluating thread uses it.  Eviction is least-recently-used once
+    ``max_bytes`` is exceeded, and an entry larger than the whole cap is
+    returned uncached.
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
@@ -120,15 +115,9 @@ class LoweringCache:
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[LoweringKey, LoweringEntry]" = OrderedDict()
         self._nbytes = 0
-        self._lock = threading.Lock()
-        self._inflight: Dict[LoweringKey, threading.Event] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: LoweringKey) -> bool:
-        with self._lock:
-            return key in self._entries
 
     @property
     def nbytes(self) -> int:
@@ -139,35 +128,20 @@ class LoweringCache:
         """Change the byte cap, evicting LRU entries down to the new cap."""
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        with self._lock:
-            self.max_bytes = int(max_bytes)
-            self._evict_locked(0)
+        self.max_bytes = int(max_bytes)
+        self._evict(0)
+        self._update_gauge()
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-            self._update_gauge_locked()
-
-    def _update_gauge_locked(self) -> None:
+    def _update_gauge(self) -> None:
         if metrics.enabled:
             metrics.gauge("lowering_cache.bytes").set(self._nbytes)
 
-    def _evict_locked(self, incoming: int) -> None:
+    def _evict(self, incoming: int) -> None:
         while self._entries and self._nbytes + incoming > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
             self._nbytes -= evicted[0].nbytes
             if metrics.enabled:
                 metrics.counter("lowering_cache.evictions").inc()
-
-    def _put_locked(self, key: LoweringKey, value: LoweringEntry) -> None:
-        incoming = value[0].nbytes
-        if incoming > self.max_bytes:
-            return  # larger than the whole cap: serve uncached
-        self._evict_locked(incoming)
-        self._entries[key] = value
-        self._nbytes += incoming
-        self._update_gauge_locked()
 
     def get_or_compute(
         self,
@@ -175,168 +149,52 @@ class LoweringCache:
         compute: Callable[[], LoweringEntry],
         record: bool = True,
     ) -> LoweringEntry:
-        """Return the cached entry for ``key``, computing (once) on a miss.
+        """Return the cached entry for ``key``, computing it on a miss.
 
-        When another thread — the batch prefetcher — is already computing
-        this key, the call waits for that computation instead of duplicating
-        it.  ``record=False`` (the prefetch thread) leaves the hit/miss
-        counters to the consuming thread and counts its own computations
-        under ``lowering_cache.prefetched`` instead.
+        ``record=False`` leaves the ``lowering_cache.hits``/``misses``
+        counters untouched.
         """
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    if record and metrics.enabled:
-                        metrics.counter("lowering_cache.hits").inc()
-                    return entry
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    break
-            # Another thread owns the computation: wait and re-check.  The
-            # owner may legitimately fail to cache (oversized entry, eviction
-            # pressure), in which case the loop claims ownership next round.
-            event.wait()
-        try:
-            entry = compute()
-            with self._lock:
-                self._put_locked(key, entry)
-                if metrics.enabled:
-                    name = "lowering_cache.misses" if record else "lowering_cache.prefetched"
-                    metrics.counter(name).inc()
+        count = record and metrics.enabled
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            if count:
+                metrics.counter("lowering_cache.hits").inc()
             return entry
-        finally:
-            with self._lock:
-                del self._inflight[key]
-            event.set()
-
-
-class _LoweringPrefetcher:
-    """Background double-buffering of the next eval batch's lowering.
-
-    While the hot loop runs the current batch's stacked GEMMs, a single
-    worker thread computes the *next* batch's shared-prefix im2col lowering
-    into the shared :class:`LoweringCache`, so the loop never blocks on
-    lowering.  The lowering recipe (which layer) is learned on the first batch: the eval forward registers it via
-    :meth:`offer_recipe` exactly when the raw input batch is what reaches
-    the first stacked layer — the only case in which the lowering is a pure
-    function of the batch that a prefix-less thread can reproduce.  When no
-    recipe registers (MLP models, non-trivial prefixes), submissions are
-    dropped and the pass runs exactly as before — prefetch is bit-identical
-    by construction because the cache stores the same deterministic arrays
-    the hot loop would compute itself.
-    """
-
-    def __init__(self, cache: LoweringCache) -> None:
-        self._cache = cache
-        self._recipe: Optional[Tuple[str, int, Callable[[np.ndarray], LoweringEntry]]] = None
-        self._queue: "queue.Queue[Optional[Tuple[int, np.ndarray]]]" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
-
-    def offer_recipe(
-        self,
-        layer_name: str,
-        batch_size: int,
-        lower: Callable[[np.ndarray], LoweringEntry],
-    ) -> None:
-        """Register the first-stacked-layer lowering recipe (first call wins)."""
-        if self._recipe is None:
-            self._recipe = (layer_name, batch_size, lower)
-
-    def submit(self, batch_index: int, data: np.ndarray) -> None:
-        """Queue one upcoming batch for background lowering (main thread)."""
-        if self._recipe is None:
-            # No recipe yet (first batch still in flight, or the model's
-            # first stacked layer never sees the raw batch): nothing a
-            # background thread could compute faithfully.
-            return
-        if (self._recipe[0], self._recipe[1], batch_index) in self._cache:
-            # Already lowered (every pass after the first over a test set):
-            # the hot loop hits the cache, and a thread would only add
-            # handoffs.
-            return
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._worker, name="lowering-prefetch", daemon=True
-            )
-            self._thread.start()
-        self._queue.put((batch_index, data))
-
-    def close(self) -> None:
-        """Drain and join the worker (no-op when it never started)."""
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join()
-            self._thread = None
-
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            batch_index, data = item
-            layer_name, batch_size, lower = self._recipe
-            try:
-                self._cache.get_or_compute(
-                    (layer_name, batch_size, batch_index),
-                    lambda: lower(data),
-                    record=False,
-                )
-            except Exception:  # pragma: no cover - deterministic math
-                # Never take down the eval pass from the helper thread; the
-                # hot loop recomputes the lowering itself on the cache miss.
-                logger.exception("lowering prefetch failed for batch %d", batch_index)
-
-
-def _prefetched_batches(loader, prefetcher: Optional[_LoweringPrefetcher]):
-    """Iterate ``loader`` with one-batch lookahead feeding the prefetcher.
-
-    Yields ``(batch_index, batch)`` exactly like ``enumerate(loader)``; when
-    a prefetcher is given, batch ``i + 1`` is pulled (materialized) and
-    submitted for background lowering *before* batch ``i`` is yielded, so
-    its lowering overlaps batch ``i``'s GEMMs.
-    """
-    iterator = iter(loader)
-    try:
-        pending = next(iterator)
-    except StopIteration:
-        return
-    index = 0
-    while True:
-        try:
-            upcoming = next(iterator)
-        except StopIteration:
-            upcoming = None
-        if upcoming is not None and prefetcher is not None:
-            prefetcher.submit(index + 1, upcoming[0].data)
-        yield index, pending
-        if upcoming is None:
-            return
-        pending = upcoming
-        index += 1
+        entry = compute()
+        if count:
+            metrics.counter("lowering_cache.misses").inc()
+        incoming = entry[0].nbytes
+        if incoming <= self.max_bytes:
+            self._evict(incoming)
+            self._entries[key] = entry
+            self._nbytes += incoming
+            self._update_gauge()
+        return entry
 
 
 @dataclasses.dataclass
 class EvalPipeline:
-    """Shared configuration + state of the pipelined evaluation path.
+    """Shared configuration + state of the evaluation path.
 
     One instance is attached to an experiment context and rides into every
     framework and trainer built from it, so the lowering cache is shared
     across population triage, Step-3 checkpoint evaluations, campaign chunks
     and whole strategy-sweep arms (K arms over the same population lower each
-    eval batch once, not K times).  ``prefetch`` gates the background
-    lowering thread (``--no-prefetch``) and ``lowering_cache_mb`` caps the
-    shared cache (``--lowering-cache-mb``).  Both knobs are pure throughput
-    levers: results are bit-identical in all configurations.
+    eval batch once, not K times).  ``backend`` is the compute backend the
+    stacked trainers replay their captured eval graphs through (``None`` =
+    eager, ``"numpy"`` = replay); a campaign engine sets it at the start of
+    every run and a socket worker from its welcome frame.
+    ``lowering_cache_mb`` caps the shared cache (``--lowering-cache-mb``).
+    Both are pure throughput levers: results are bit-identical in all
+    configurations.
     """
 
-    prefetch: bool = True
+    backend: Optional[str] = None
     lowering_cache_mb: float = DEFAULT_LOWERING_CACHE_MB
 
     def __post_init__(self) -> None:
+        resolve_backend(self.backend)
         if self.lowering_cache_mb < 0:
             raise ValueError(
                 f"lowering_cache_mb must be non-negative, got {self.lowering_cache_mb}"
@@ -346,14 +204,8 @@ class EvalPipeline:
     def _max_bytes(self) -> int:
         return int(self.lowering_cache_mb * 1024 * 1024)
 
-    def configure(
-        self,
-        prefetch: Optional[bool] = None,
-        lowering_cache_mb: Optional[float] = None,
-    ) -> "EvalPipeline":
-        """Apply CLI/engine overrides in place (shrinking the cap evicts)."""
-        if prefetch is not None:
-            self.prefetch = bool(prefetch)
+    def configure(self, lowering_cache_mb: Optional[float] = None) -> "EvalPipeline":
+        """Apply a CLI/engine cache cap in place (shrinking the cap evicts)."""
         if lowering_cache_mb is not None:
             if lowering_cache_mb < 0:
                 raise ValueError(
@@ -839,12 +691,11 @@ class _EvalPass:
     """
 
     lowering: "LoweringCache"
+    dataset: Optional[Dataset] = None
     batch_size: Optional[int] = None
     # Set only while a batch is in flight: conv layers consult the lowering
     # cache exactly when it is not ``None``.
     batch_index: Optional[int] = None
-    prefetcher: Optional[_LoweringPrefetcher] = None
-    probe: Optional[np.ndarray] = None
 
 
 def _eval_lowering_kernel(layer: "_StackedLayer", eval_pass: _EvalPass):
@@ -852,20 +703,10 @@ def _eval_lowering_kernel(layer: "_StackedLayer", eval_pass: _EvalPass):
     module = layer.module
 
     def lower_cols(data: np.ndarray) -> np.ndarray:
-        prefetcher = eval_pass.prefetcher
-        if prefetcher is not None and data is eval_pass.probe:
-            # The raw input batch reaches the first stacked layer, so the
-            # lowering is a pure function of the batch: teach the
-            # prefetcher to compute upcoming batches in the background.
-            prefetcher.offer_recipe(
-                layer.name,
-                eval_pass.batch_size,
-                lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
-            )
-        # ``batch_index`` is read at call time so a replayed graph consults
+        # The pass fields are read at call time so a replayed graph consults
         # the lowering cache for the batch actually in flight.
         cols, _, _ = eval_pass.lowering.get_or_compute(
-            (layer.name, eval_pass.batch_size, eval_pass.batch_index),
+            (eval_pass.dataset, layer.name, eval_pass.batch_size, eval_pass.batch_index),
             lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
         )
         return cols
@@ -973,9 +814,7 @@ class BatchedFaultTrainer:
         train_data: Union[Dataset, DataLoader],
         eval_data: Union[Dataset, DataLoader],
         config=None,
-        backend: Optional[Union[str, NumpyBackend]] = None,
-        lowering_cache: Optional[LoweringCache] = None,
-        prefetch: bool = True,
+        eval_pipeline: Optional[EvalPipeline] = None,
         seeds: Optional[Sequence[int]] = None,
     ) -> None:
         from repro.training import (
@@ -1026,23 +865,19 @@ class BatchedFaultTrainer:
         # True while the current forward pass is still on the shared
         # (un-replicated) input; flipped by the first stacked layer.
         self._shared_prefix = True
+        pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
         # Shared-prefix lowerings of the (unshuffled, deterministic) eval
         # batches, reused across every per-checkpoint evaluation of this
-        # trainer — and, when the caller passes a shared cache, across
-        # trainers, chip chunks and sweep arms.  Only consulted while
-        # ``_eval.batch_index`` is set inside :meth:`evaluate`.
-        self._eval = _EvalPass(
-            lowering_cache if lowering_cache is not None else LoweringCache()
-        )
-        # Background double-buffering of eval-batch lowerings (bit-identical
-        # either way; see _LoweringPrefetcher).
-        self._prefetch = prefetch
+        # trainer — and, through a shared pipeline, across trainers, chip
+        # chunks and sweep arms.  Only consulted while ``_eval.batch_index``
+        # is set inside :meth:`evaluate`.
+        self._eval = _EvalPass(pipeline.cache)
         # Captured-graph execution of the checkpoint-eval hot path (training
         # steps always run eagerly: they drive autograd).  Captured eval
         # graphs read the stacked weights, biases and running statistics
         # *live*, so replay tracks every optimizer step and mask enforcement
         # between checkpoints.
-        self._backend = resolve_backend(backend)
+        self._backend = resolve_backend(pipeline.backend)
         self._eval_chain_cache = (
             ChainCache(self._backend, name="fat.eval")
             if self._backend is not None
@@ -1403,23 +1238,18 @@ class BatchedFaultTrainer:
         correct = np.zeros(self.num_chips, dtype=np.int64)
         total = 0
         eval_pass = self._eval
-        prefetcher = (
-            _LoweringPrefetcher(eval_pass.lowering) if self._prefetch else None
-        )
         try:
             with trace.span(
                 "fat.eval_checkpoint", chips=self.num_chips
             ), nn.no_grad(), self._patched():
-                # The loader's own batch size keys the lowering cache: a
-                # caller-supplied loader may slice the data differently.
+                # The loader's dataset and own batch size key the lowering
+                # cache: a caller-supplied loader may slice the data
+                # differently, and another dataset's batch ``i`` is other rows.
+                eval_pass.dataset = loader.dataset
                 eval_pass.batch_size = loader.batch_size
-                eval_pass.prefetcher = prefetcher
-                for batch_index, (inputs, targets) in _prefetched_batches(
-                    loader, prefetcher
-                ):
+                for batch_index, (inputs, targets) in enumerate(loader):
                     eval_pass.batch_index = batch_index
                     data = inputs.data
-                    eval_pass.probe = data
                     n = data.shape[0]
                     if self._eval_chain_cache is None:
                         logits = self._eval_forward_all_chips(data)
@@ -1433,10 +1263,7 @@ class BatchedFaultTrainer:
         finally:
             eval_pass.batch_index = None
             eval_pass.batch_size = None
-            eval_pass.prefetcher = None
-            eval_pass.probe = None
-            if prefetcher is not None:
-                prefetcher.close()
+            eval_pass.dataset = None
             if was_training:
                 self.model.train()
         if total == 0:
@@ -1564,9 +1391,7 @@ def evaluate_chip_accuracies(
     mask_sets: Sequence[MaskDict],
     config=None,
     chip_chunk: int = DEFAULT_CHIP_CHUNK,
-    lowering_cache: Optional[LoweringCache] = None,
-    backend: Optional[Union[str, NumpyBackend]] = None,
-    prefetch: bool = True,
+    eval_pipeline: Optional[EvalPipeline] = None,
 ) -> List[float]:
     """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.
 
@@ -1581,16 +1406,16 @@ def evaluate_chip_accuracies(
 
     The eval batch is ``config.batch_size``, exactly as in Step-3
     checkpoint evaluation, so both share the lowering-cache keys: with a
-    shared ``lowering_cache`` (created per call when not supplied) each test
+    shared ``eval_pipeline`` (created per call when not supplied) each test
     batch is lowered once per process, across chip chunks, triage, Step-3
-    checkpoints and sweep arms.  ``prefetch`` pipelines each pass
-    (bit-identical results either way).
+    checkpoints and sweep arms, and every pass replays through the
+    pipeline's compute backend.
     """
     if not mask_sets:
         raise ValueError("mask_sets must contain at least one chip")
     if chip_chunk < 1:
         raise ValueError(f"chip_chunk must be >= 1, got {chip_chunk}")
-    cache = lowering_cache if lowering_cache is not None else LoweringCache()
+    pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
     accuracies: List[float] = []
     for start in range(0, len(mask_sets), chip_chunk):
         accuracies.extend(
@@ -1600,9 +1425,7 @@ def evaluate_chip_accuracies(
                 data,
                 data,
                 config=config,
-                backend=backend,
-                lowering_cache=cache,
-                prefetch=prefetch,
+                eval_pipeline=pipeline,
             ).evaluate()
         )
     return accuracies

@@ -21,7 +21,9 @@ workload, in two stages:
   runs through one stacked
   :class:`~repro.accelerator.batched.BatchedFaultTrainer`, so process-level
   parallelism and stacked-GEMM batching compose: ``--jobs N`` workers each
-  retrain ``--fat-batch`` chips per dispatch.
+  retrain ``--fat-batch`` chips per dispatch.  Every run sets the compute
+  backend on the context's :class:`~repro.accelerator.batched.EvalPipeline`,
+  and socket workers take it from the welcome frame, so jobs carry none.
 
 Chunks are pulled via work-stealing claims, results commit through the same
 content-addressed store on the coordinator host, and the population-shared
@@ -198,19 +200,19 @@ class CampaignEngine:
         used verbatim and ``max_chunk_retries``/``chunk_timeout`` are
         ignored.
     backend:
-        Compute backend every job is tagged with — the batched substrate
-        (triage sweeps and stacked trainers) replays its captured eval
-        graphs through it.  ``None`` keeps the eager path; ``"numpy"``
-        replays (bit-identical to eager, so it shares fingerprints with it).
-        Anything else raises :class:`~repro.backends.BackendError` here,
-        before any store is touched.  The job carries the tag, so worker
-        processes honour it without extra configuration.
+        Compute backend the batched substrate (triage sweeps and stacked
+        trainers) replays its captured eval graphs through.  ``None`` keeps
+        the eager path; ``"numpy"`` replays (bit-identical to eager, so it
+        shares fingerprints with it).  Anything else raises
+        :class:`~repro.backends.BackendError` here, before any store is
+        touched.  Every run sets it on the context's
+        :class:`~repro.accelerator.batched.EvalPipeline`, and socket workers
+        take it from the welcome frame.
     prefetch:
-        Background double-buffering of eval-batch lowerings (``False`` ←
-        ``--no-prefetch``): while one batch's stacked GEMMs run, a helper
-        thread lowers the next batch.  Pure throughput knob — results are
-        bit-identical either way — applied to the inline path and every
-        worker.
+        Accepts only ``True``: the background eval-lowering prefetch thread
+        has been removed (it showed no measured wall-clock win), and the
+        keyword stays only so callers that still pass ``prefetch=True`` keep
+        working.  ``False`` raises :class:`ValueError`.
     lowering_cache_mb:
         Byte cap (in MB) of the shared eval-lowering cache
         (``--lowering-cache-mb``); ``None`` keeps the default
@@ -271,6 +273,10 @@ class CampaignEngine:
             raise ValueError(
                 f"heartbeat_seconds must be non-negative, got {heartbeat_seconds}"
             )
+        if prefetch is not True:
+            raise ValueError(
+                "prefetch must be True: the eval-lowering prefetch thread was removed"
+            )
         if lowering_cache_mb is not None and lowering_cache_mb < 0:
             raise ValueError(
                 f"lowering_cache_mb must be non-negative, got {lowering_cache_mb}"
@@ -286,7 +292,6 @@ class CampaignEngine:
         self.heartbeat_seconds = heartbeat_seconds
         self.chaos_spec = resolve_chaos(chaos)
         self.backend = backend
-        self.prefetch = bool(prefetch)
         self.lowering_cache_mb = (
             float(lowering_cache_mb) if lowering_cache_mb is not None else None
         )
@@ -365,13 +370,7 @@ class CampaignEngine:
     def _open_policy(self, framework, population, policy, strategy) -> _PolicyRun:
         """Resolve one policy's jobs, open its store and scan it for resume."""
         with trace.span("campaign.plan", stage="build_jobs"):
-            job_list = build_jobs(
-                framework,
-                population,
-                policy,
-                strategy=strategy,
-                backend=self.backend,
-            )
+            job_list = build_jobs(framework, population, policy, strategy=strategy)
             target_accuracy = framework.target_accuracy
             clean_accuracy = framework.clean_accuracy
 
@@ -428,13 +427,13 @@ class CampaignEngine:
         run_span,
     ) -> List[CampaignResult]:
         metrics.gauge("campaign.phase").set("plan")
-        # Eval-pipeline knobs apply to the context (and so to every framework
-        # built from it, here and in this run's in-process executions); the
-        # shared lowering cache survives across runs of the same engine and
-        # across sweep arms sharing the context.
-        self.context.configure_eval_pipeline(
-            prefetch=self.prefetch, lowering_cache_mb=self.lowering_cache_mb
-        )
+        # Eval-pipeline settings apply to the context (and so to every
+        # framework built from it, here and in this run's in-process
+        # executions); the shared lowering cache survives across runs of the
+        # same engine and across sweep arms sharing the context.
+        pipeline = self.context.eval_pipeline
+        pipeline.backend = self.backend
+        pipeline.configure(lowering_cache_mb=self.lowering_cache_mb)
         framework = self.context.framework()
         runs = [
             self._open_policy(framework, population, policy, strategy)
@@ -470,7 +469,6 @@ class CampaignEngine:
                         framework.triage_population(
                             [job.chip for job in missing.values()],
                             strategy=strategy,
-                            backend=self.backend,
                         )
                     )
                 pending = [
@@ -808,7 +806,6 @@ class CampaignEngine:
             connect=connect,
             backend=self.backend,
             fat_batch=self.fat_batch,
-            prefetch=self.prefetch,
             lowering_cache_mb=self.lowering_cache_mb,
             supervisor_config=self.supervisor_config,
             config=self.scheduler_config,

@@ -75,10 +75,6 @@ class ChipJob:
     # How the chip is mitigated before/instead of spending the budget (part
     # of the work definition, so part of the campaign fingerprint).
     strategy: str = DEFAULT_STRATEGY_NAME
-    # Compute backend the batched substrate replays its captured op graphs
-    # through (``None`` = eager, ``"numpy"`` = replay).  Not part of the
-    # fingerprint: both record bit-identical values.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -108,7 +104,6 @@ class ChipJob:
             policy_name=str(data["policy_name"]),
             accuracy_before=None if accuracy_before is None else float(accuracy_before),
             strategy=str(data.get("strategy", DEFAULT_STRATEGY_NAME)),
-            backend=data.get("backend"),
         )
 
 
@@ -117,7 +112,6 @@ def build_jobs(
     population: ChipPopulation,
     policy: RetrainingPolicy,
     strategy: StrategyLike = None,
-    backend: Optional[str] = None,
 ) -> List[ChipJob]:
     """Resolve a policy over a population into per-chip jobs (Step 2 output).
 
@@ -126,10 +120,8 @@ def build_jobs(
     parallel runs are directly comparable.  ``strategy`` tags every job and
     clamps the budget to what the strategy actually spends (zero for
     non-retraining strategies and for bypassable chips under ``bypass+fat``),
-    so the planner groups jobs by the work they really represent.
-    ``backend`` tags every job with the compute backend the executor should
-    route the batched substrate through; the job carries it, so workers need
-    no extra configuration to honour it.  Each job holds the population's
+    so the planner groups jobs by the work they really represent.  Each job
+    holds the population's
     own :class:`Chip`, so the jobs of several policies over one population
     share every fault map and building them copies no coordinates.
     """
@@ -143,7 +135,6 @@ def build_jobs(
             target_accuracy=target,
             policy_name=policy.name,
             strategy=resolved.name,
-            backend=backend,
         )
         for chip in population
     ]
@@ -151,24 +142,24 @@ def build_jobs(
 
 def group_jobs_for_batching(
     jobs: Sequence[ChipJob],
-) -> Dict[Tuple[float, str, Optional[str]], List[List[ChipJob]]]:
-    """Group jobs per chip, and chips by ``(largest budget, strategy, backend)``.
+) -> Dict[Tuple[float, str], List[List[ChipJob]]]:
+    """Group jobs per chip, and chips by ``(largest budget, strategy)``.
 
-    Every job of one chip under one strategy and backend shares a stack slot:
-    the slot trains once, to the chip's largest budget, and reads every
-    smaller budget off that pass.  Chips whose largest budgets agree train
-    equally long, so they coalesce; a stacked run shares one set of stacked
-    keep-multipliers and one compute backend, so a multi-strategy (or
-    mixed-backend) sweep's chips partition cleanly along this key.  Returns
-    each group's per-chip job lists, both in first-appearance order.
+    Every job of one chip under one strategy shares a stack slot: the slot
+    trains once, to the chip's largest budget, and reads every smaller
+    budget off that pass.  Chips whose largest budgets agree train equally
+    long, so they coalesce; a stacked run shares one set of stacked
+    keep-multipliers, so a multi-strategy sweep's chips partition cleanly
+    along this key.  Returns each group's per-chip job lists, both in
+    first-appearance order.
     """
-    per_chip: Dict[Tuple[str, str, Optional[str]], List[ChipJob]] = {}
+    per_chip: Dict[Tuple[str, str], List[ChipJob]] = {}
     for job in jobs:
-        per_chip.setdefault((job.chip_id, job.strategy, job.backend), []).append(job)
-    groups: Dict[Tuple[float, str, Optional[str]], List[List[ChipJob]]] = {}
-    for (_, strategy, backend), chip_jobs in per_chip.items():
+        per_chip.setdefault((job.chip_id, job.strategy), []).append(job)
+    groups: Dict[Tuple[float, str], List[List[ChipJob]]] = {}
+    for (_, strategy), chip_jobs in per_chip.items():
         largest = max(float(job.epochs) for job in chip_jobs)
-        groups.setdefault((largest, strategy, backend), []).append(chip_jobs)
+        groups.setdefault((largest, strategy), []).append(chip_jobs)
     return groups
 
 
@@ -178,7 +169,7 @@ def plan_job_chunks(
     """Partition pending jobs into executor chunks (the campaign *plan*).
 
     Jobs are merged per chip and the chips grouped by ``(largest budget,
-    strategy, backend)`` (:func:`group_jobs_for_batching`); every group —
+    strategy)`` (:func:`group_jobs_for_batching`); every group —
     zero-budget triage lookups and singleton budgets included — is cut into
     chunks of at most ``fat_batch`` chips, each carrying all of its chips'
     jobs.  The executor runs a chunk as one stacked
@@ -238,9 +229,7 @@ def execute_job_chunk(
         chips=len({job.chip_id for job in chunk_list}),
         epochs=max(job.epochs for job in chunk_list),
         strategy=chunk_list[0].strategy,
-        backend=chunk_list[0].backend or "eager",
         attempt=attempt,
-        prefetch=framework.eval_pipeline.prefetch,
     ):
         results = execute_jobs_batched(framework, chunk_list, fat_batch=fat_batch)
     metrics.counter("campaign.chunks_executed").inc()
@@ -259,25 +248,19 @@ def execute_jobs_batched(
     (``tests/helpers.py``: ``reference_retrain_chip``).
     Jobs may ask one chip for several budgets (one job per policy); the
     chip then trains once and every budget is read off that pass.  All jobs
-    must share the same ``target_accuracy``, ``strategy`` and ``backend``.
+    must share the same ``target_accuracy`` and ``strategy``.
     """
     job_list = list(jobs)
     if not job_list:
         return []
     target = job_list[0].target_accuracy
     strategy = job_list[0].strategy
-    backend = job_list[0].backend
     for job in job_list[1:]:
-        if (
-            job.target_accuracy != target
-            or job.strategy != strategy
-            or job.backend != backend
-        ):
+        if job.target_accuracy != target or job.strategy != strategy:
             raise ValueError(
-                "batched execution requires jobs with identical target, "
-                f"strategy and backend (got target {job.target_accuracy} vs "
-                f"{target}, strategy {job.strategy!r} vs {strategy!r}, backend "
-                f"{job.backend!r} vs {backend!r})"
+                "batched execution requires jobs with identical target and "
+                f"strategy (got target {job.target_accuracy} vs {target}, "
+                f"strategy {job.strategy!r} vs {strategy!r})"
             )
     accuracies_before = {
         job.chip_id: job.accuracy_before
@@ -291,5 +274,4 @@ def execute_jobs_batched(
         accuracies_before=accuracies_before,
         fat_batch=fat_batch,
         strategy=strategy,
-        backend=backend,
     )

@@ -60,6 +60,7 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.backends import BackendError, resolve_backend
 from repro.campaign.chaos import ChaosSchedule, inject_fault
 from repro.campaign.jobs import ChipJob, execute_job_chunk
 from repro.campaign.supervisor import (
@@ -227,7 +228,6 @@ class CampaignCoordinator:
         connect: Sequence[Tuple[str, int]] = (),
         backend: Optional[str] = None,
         fat_batch: int = DEFAULT_FAT_BATCH,
-        prefetch: bool = True,
         lowering_cache_mb: Optional[float] = None,
         supervisor_config: Optional[SupervisorConfig] = None,
         config: Optional[SchedulerConfig] = None,
@@ -237,7 +237,6 @@ class CampaignCoordinator:
         self._preset_dict = config_to_dict(preset)
         self.backend = backend
         self.fat_batch = int(fat_batch)
-        self.prefetch = bool(prefetch)
         self.lowering_cache_mb = lowering_cache_mb
         self.supervisor_config = (
             supervisor_config if supervisor_config is not None else SupervisorConfig()
@@ -384,7 +383,7 @@ class CampaignCoordinator:
                 hello = recv_frame(sock)
                 if hello is None:
                     raise HandshakeError("peer closed before hello")
-                reason = validate_hello(hello, self.backend, self.preset_name)
+                reason = validate_hello(hello, self.preset_name)
                 if reason is not None:
                     logger.warning("rejecting worker %s: %s", peer, reason)
                     send_frame(sock, {"type": MSG_REJECT, "reason": reason})
@@ -403,7 +402,6 @@ class CampaignCoordinator:
                         "preset_name": self.preset_name,
                         "backend": self.backend,
                         "fat_batch": self.fat_batch,
-                        "prefetch": self.prefetch,
                         "lowering_cache_mb": self.lowering_cache_mb,
                         "trace": bool(trace.enabled),
                         "metrics": bool(metrics.enabled),
@@ -928,12 +926,7 @@ def run_worker(
         sock.settimeout(60.0)
         send_frame(
             sock,
-            worker_hello(
-                backends=["numpy"],
-                host=host_tag(),
-                pid=os.getpid(),
-                expect_preset=expect_preset,
-            ),
+            worker_hello(host=host_tag(), pid=os.getpid(), expect_preset=expect_preset),
             lock=send_lock,
         )
         welcome = recv_frame(sock)
@@ -948,6 +941,15 @@ def run_worker(
                 f"coordinator speaks protocol {welcome.get('protocol')!r}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
+        # The welcome comes from outside this process: an unknown backend is
+        # a failed handshake, which every caller of run_worker handles.
+        backend = welcome.get("backend")
+        try:
+            resolve_backend(backend)
+        except BackendError as error:
+            raise HandshakeError(
+                f"coordinator pinned an unusable backend: {error}"
+            ) from None
 
         # Observability: a fork-started local worker inherits the parent's
         # enabled tracer/metrics — shards must only report work done *in*
@@ -970,10 +972,8 @@ def run_worker(
         # The campaign's store fingerprint hashes the preset config: because
         # config round-trips exactly, a remote context is the same experiment.
         context = ExperimentContext.from_preset(preset, disk_cache_dir=cache_dir)
-        context.configure_eval_pipeline(
-            prefetch=bool(welcome.get("prefetch", True)),
-            lowering_cache_mb=welcome.get("lowering_cache_mb"),
-        )
+        context.eval_pipeline.backend = backend
+        context.eval_pipeline.configure(lowering_cache_mb=welcome.get("lowering_cache_mb"))
         framework = context.framework()
         send_frame(sock, {"type": MSG_READY}, lock=send_lock)
         sock.settimeout(None)

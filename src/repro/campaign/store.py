@@ -81,7 +81,7 @@ def campaign_fingerprint(
     Two campaigns share a fingerprint exactly when re-running one can safely
     reuse the other's per-chip results: the experiment inputs, the resolved
     accuracy target and every chip's fault map, retraining amount and
-    mitigation strategy agree.  A job's compute backend stays out of the
+    mitigation strategy agree.  The compute backend stays out of the
     payload: the eager path (``None``) and the bit-identical ``"numpy"``
     replay record the same values, so stores resume under either.
 

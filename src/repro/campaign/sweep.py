@@ -82,7 +82,6 @@ def run_strategy_sweep(
     chunk_timeout: Optional[float] = None,
     chaos: Optional[str] = None,
     backend: Optional[str] = None,
-    prefetch: bool = True,
     lowering_cache_mb: Optional[float] = None,
     listen: Optional[Tuple[str, int]] = None,
     workers: Optional[Sequence[Tuple[str, int]]] = None,
@@ -95,11 +94,11 @@ def run_strategy_sweep(
     accuracy is measured under the same masks.  The fault-tolerance knobs
     (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) are forwarded to
     the shared engine and therefore apply to every strategy arm, as does the
-    compute ``backend`` every arm's jobs are tagged with.
+    compute ``backend`` every arm evaluates through.
 
-    The pipelined-eval knobs (``prefetch``, ``lowering_cache_mb``) also ride
-    the shared engine — and because the engine configures the *context's*
-    eval pipeline, the lowering cache is sweep-wide: K strategy arms over the
+    ``backend`` and ``lowering_cache_mb`` ride the shared engine — and
+    because the engine configures the *context's* eval pipeline, the
+    lowering cache is sweep-wide: K strategy arms over the
     same population walk the same unshuffled eval batches, so arms 2..K hit
     lowerings arm 1 already computed (``lowering_cache.hits``) instead of
     re-lowering each batch K times.
@@ -123,7 +122,6 @@ def run_strategy_sweep(
         chunk_timeout=chunk_timeout,
         chaos=chaos,
         backend=backend,
-        prefetch=prefetch,
         lowering_cache_mb=lowering_cache_mb,
         listen=listen,
         workers=workers,

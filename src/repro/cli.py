@@ -214,14 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bit-identical either way",
     )
     parser.add_argument(
-        "--no-prefetch",
-        action="store_true",
-        help="disable background prefetch of eval-batch lowerings "
-        "(campaign/compare). Prefetch overlaps the next batch's im2col with "
-        "the current batch's stacked GEMMs; results are bit-identical with "
-        "or without it",
-    )
-    parser.add_argument(
         "--lowering-cache-mb",
         type=float,
         default=None,
@@ -337,7 +329,6 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
         backend=BACKEND,
-        prefetch=not args.no_prefetch,
         lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
         workers=args.worker_addresses,
@@ -404,7 +395,6 @@ def _run_compare(context: ExperimentContext, args: argparse.Namespace) -> Dict[s
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
         backend=BACKEND,
-        prefetch=not args.no_prefetch,
         lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
         workers=args.worker_addresses,

@@ -341,7 +341,6 @@ class ReduceFramework:
         chips: Iterable[Chip],
         chip_chunk: int = DEFAULT_CHIP_CHUNK,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, float]:
         """Pre-retraining accuracy of every chip, in batched multi-chip passes.
 
@@ -355,9 +354,6 @@ class ReduceFramework:
         stacked eval forward of
         :class:`~repro.accelerator.batched.BatchedFaultTrainer` computes B of
         them per sweep, bit-identical to the serial per-chip evaluation.
-        ``backend`` selects the compute backend the trainer replays its
-        captured forward graphs through (``None`` keeps the eager path;
-        ``"numpy"`` is bit-identical to it).
         """
         chip_list = list(chips)
         if not chip_list:
@@ -386,9 +382,7 @@ class ReduceFramework:
                     mask_sets,
                     self._fat_training_config(),
                     chip_chunk=chip_chunk,
-                    lowering_cache=pipeline.cache,
-                    backend=backend,
-                    prefetch=pipeline.prefetch,
+                    eval_pipeline=pipeline,
                 )
             )
         return {chip.chip_id: acc for chip, acc in zip(chip_list, accuracies)}
@@ -420,7 +414,6 @@ class ReduceFramework:
         accuracies_before: Optional[Dict[str, float]] = None,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> List[ChipRetrainingResult]:
         """Mitigate several chips under one strategy in stacked batches.
 
@@ -459,9 +452,7 @@ class ReduceFramework:
         strategy never enter training (their accuracy is preserved by the
         shrunk array); the rest of the batch trains normally.
 
-        ``backend`` selects the compute backend the stacked trainer replays
-        its captured op graphs through (``None`` keeps the eager path;
-        ``"numpy"`` is bit-identical to it).
+        Every trainer evaluates through the framework's ``eval_pipeline``.
         """
         entries = list(chips)
         if np.ndim(epochs) == 0:
@@ -516,9 +507,7 @@ class ReduceFramework:
                     ],
                     training_config,
                     chip_chunk=fat_batch,
-                    lowering_cache=pipeline.cache,
-                    backend=backend,
-                    prefetch=pipeline.prefetch,
+                    eval_pipeline=pipeline,
                 )
                 for position, pos in enumerate(missing):
                     before[pos] = evaluated[position]
@@ -558,9 +547,7 @@ class ReduceFramework:
                     self.bundle.train,
                     self.bundle.test,
                     config=training_config,
-                    backend=backend,
-                    lowering_cache=pipeline.cache,
-                    prefetch=pipeline.prefetch,
+                    eval_pipeline=pipeline,
                 )
                 if None in before:
                     evaluated = trainer.evaluate()
@@ -603,7 +590,6 @@ class ReduceFramework:
         progress: bool = False,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> CampaignResult:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
@@ -613,9 +599,7 @@ class ReduceFramework:
         Rows are bit-identical to retraining each chip alone through the
         serial reference loop on this BLAS build.  ``strategy`` selects the
         mitigation recipe applied before/instead of retraining (default:
-        classic FAT); ``backend`` selects the compute backend the stacked
-        substrate replays its captured graphs through (``None`` keeps the
-        eager path; ``"numpy"`` is bit-identical to it).
+        classic FAT).
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)
@@ -628,7 +612,6 @@ class ReduceFramework:
             ],
             fat_batch=fat_batch,
             strategy=strategy,
-            backend=backend,
         )
         if progress:
             for result in results:

@@ -92,9 +92,9 @@ class ResilienceConfig:
 class ResilienceAnalyzer:
     """Runs the fault-injection + progressive-retraining grid of Step 1.
 
-    ``eval_pipeline`` supplies the shared lowering cache and prefetch
-    setting of the checkpoint evaluations, so a framework's Step 1, triage
-    and Step 3 lower each test batch once between them.
+    ``eval_pipeline`` supplies the shared lowering cache and compute backend
+    of the checkpoint evaluations, so a framework's Step 1, triage and
+    Step 3 lower each test batch once between them.
     """
 
     def __init__(
@@ -144,8 +144,7 @@ class ResilienceAnalyzer:
             self.bundle.train,
             self.bundle.test,
             config=config.training,
-            lowering_cache=self.eval_pipeline.cache,
-            prefetch=self.eval_pipeline.prefetch,
+            eval_pipeline=self.eval_pipeline,
             seeds=seeds,
         )
         histories = trainer.train(

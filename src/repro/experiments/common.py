@@ -180,8 +180,8 @@ class ExperimentContext:
     array: SystolicArray
     clean_accuracy: float
     _profile: Optional[ResilienceProfile] = None
-    # Lazily-created pipelined-eval configuration (prefetch, shared
-    # lowering cache).  It lives on the context — not on a framework —
+    # Lazily-created eval configuration (compute backend, shared lowering
+    # cache).  It lives on the context — not on a framework —
     # because :meth:`framework` returns a fresh framework per call: sharing
     # the pipeline is what lets triage, campaign chunks and successive sweep
     # arms reuse each other's eval-batch lowerings.
@@ -266,20 +266,10 @@ class ExperimentContext:
 
     @property
     def eval_pipeline(self) -> EvalPipeline:
-        """The context-wide pipelined-eval configuration (created on demand)."""
+        """The context-wide eval configuration (created on demand)."""
         if self._eval_pipeline is None:
             self._eval_pipeline = EvalPipeline()
         return self._eval_pipeline
-
-    def configure_eval_pipeline(
-        self,
-        prefetch: Optional[bool] = None,
-        lowering_cache_mb: Optional[float] = None,
-    ) -> EvalPipeline:
-        """Apply CLI/engine eval-pipeline overrides for this context."""
-        return self.eval_pipeline.configure(
-            prefetch=prefetch, lowering_cache_mb=lowering_cache_mb
-        )
 
     def framework(self) -> ReduceFramework:
         """A fresh :class:`ReduceFramework` over this context's inputs."""

@@ -195,7 +195,16 @@ def run_compare(
     (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) apply per strategy,
     as does the compute ``backend`` (``None`` = eager, ``"numpy"`` = replay;
     the engine rejects anything else before it writes a store).
+
+    ``prefetch`` accepts only ``True``: the background eval-lowering
+    prefetch thread has been removed (it showed no measured wall-clock win),
+    and the keyword stays only so callers that still pass ``prefetch=True``
+    keep working.  ``False`` raises :class:`ValueError`.
     """
+    if prefetch is not True:
+        raise ValueError(
+            "prefetch must be True: the eval-lowering prefetch thread was removed"
+        )
     chips = population if population is not None else build_population(context, num_chips)
     if policy is None:
         if policy_name == "fixed":
@@ -223,7 +232,6 @@ def run_compare(
         chunk_timeout=chunk_timeout,
         chaos=chaos,
         backend=backend,
-        prefetch=prefetch,
         lowering_cache_mb=lowering_cache_mb,
         listen=listen,
         workers=workers,

@@ -18,7 +18,11 @@ import pytest
 
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
-from repro.accelerator.batched import BatchedFaultTrainer, _keep_multiplier_kernel
+from repro.accelerator.batched import (
+    BatchedFaultTrainer,
+    EvalPipeline,
+    _keep_multiplier_kernel,
+)
 from repro.backends import (
     BackendError,
     NumpyBackend,
@@ -224,7 +228,7 @@ class TestEvaluatorEquivalence:
             bundle.test,
             bundle.test,
             config=self.CONFIG,
-            backend=backend,
+            eval_pipeline=EvalPipeline(backend=backend),
         )
 
     def test_numpy_backend_bit_identical(self, backend_bundle):
@@ -256,7 +260,7 @@ class TestTrainerEquivalence:
             bundle.train,
             bundle.test,
             config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            backend=backend,
+            eval_pipeline=EvalPipeline(backend=backend),
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5])
         states = [trainer.chip_state_dict(chip) for chip in range(3)]

@@ -22,7 +22,7 @@ from repro.accelerator import (
     evaluate_chip_accuracies,
     model_fault_masks,
 )
-from repro.accelerator.batched import LoweringCache
+from repro.accelerator.batched import EvalPipeline
 from repro.backends.numpy_backend import CompiledGraph
 from repro.data.dataloader import DataLoader
 from repro.experiments import build_dataset, fast_preset
@@ -175,14 +175,15 @@ class TestLoweringCache:
         unbounded = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
-        cache = LoweringCache(max_bytes=0)
+        pipeline = EvalPipeline(lowering_cache_mb=0.0)
+        cache = pipeline.cache
         bounded = evaluate_chip_accuracies(
             model,
             image_bundle.test,
             mask_sets,
             SMALL_BATCHES,
             chip_chunk=2,
-            lowering_cache=cache,
+            eval_pipeline=pipeline,
         )
         assert len(cache) == 0  # budget of zero: nothing cached
         assert cache.nbytes == 0
@@ -191,20 +192,23 @@ class TestLoweringCache:
     def test_cache_evicts_lru_past_the_cap(self, conv_setup, image_bundle):
         """A cap below the working set keeps the cache bounded, not broken."""
         model, _, _, mask_sets = conv_setup
-        unbounded_cache = LoweringCache()
+        unbounded_pipeline = EvalPipeline()
+        unbounded_cache = unbounded_pipeline.cache
         unbounded = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            lowering_cache=unbounded_cache,
+            eval_pipeline=unbounded_pipeline,
         )
         assert len(unbounded_cache) > 1
         # Cap to one largest entry: every later insert evicts the previous.
         one_entry = max(
             entry[0].nbytes for entry in unbounded_cache._entries.values()
         )
-        cache = LoweringCache(max_bytes=one_entry)
+        pipeline = EvalPipeline()
+        cache = pipeline.cache
+        cache.set_max_bytes(one_entry)
         bounded = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            lowering_cache=cache,
+            eval_pipeline=pipeline,
         )
         assert bounded == unbounded
         assert len(cache) >= 1
@@ -212,10 +216,11 @@ class TestLoweringCache:
 
     def test_set_max_bytes_shrinks_in_place(self, conv_setup, image_bundle):
         model, _, _, mask_sets = conv_setup
-        cache = LoweringCache()
+        pipeline = EvalPipeline()
+        cache = pipeline.cache
         evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            lowering_cache=cache,
+            eval_pipeline=pipeline,
         )
         assert cache.nbytes > 0
         cache.set_max_bytes(0)
@@ -226,13 +231,13 @@ class TestLoweringCache:
         """A caller-supplied loader slicing the data differently from the
         config's eval batch never reads another batch size's lowerings."""
         model, pretrained, _, mask_sets = conv_setup
-        cache = LoweringCache()
+        pipeline = EvalPipeline()
         by_dataset = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, lowering_cache=cache
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, eval_pipeline=pipeline
         )
         loader = DataLoader(image_bundle.test, batch_size=8, shuffle=False)
         by_loader = evaluate_chip_accuracies(
-            model, loader, mask_sets, SMALL_BATCHES, lowering_cache=cache
+            model, loader, mask_sets, SMALL_BATCHES, eval_pipeline=pipeline
         )
         assert by_loader == by_dataset
         assert by_dataset == _serial_accuracies(
@@ -242,13 +247,13 @@ class TestLoweringCache:
     def test_cache_ignored_for_inputs_of_unknown_identity(self, conv_setup, image_bundle):
         """Training steps see shuffled batches, so they never touch the cache."""
         model, _, _, mask_sets = conv_setup
-        cache = LoweringCache()
+        pipeline = EvalPipeline()
         trainer = BatchedFaultTrainer(
             model, mask_sets[:2], image_bundle.train, image_bundle.test,
-            config=SMALL_BATCHES, lowering_cache=cache,
+            config=SMALL_BATCHES, eval_pipeline=pipeline,
         )
         trainer._train_steps(2)
-        assert len(cache) == 0
+        assert len(pipeline.cache) == 0
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +291,8 @@ class TestEvalBatchInvariance:
         preset, bundle, model, mask_sets = fast_setup
         trainer = BatchedFaultTrainer(
             model, mask_sets, bundle.train, bundle.test,
-            config=preset.retraining, backend=backend, seeds=seeds,
+            config=preset.retraining, eval_pipeline=EvalPipeline(backend=backend),
+            seeds=seeds,
         )
         # Two steps make every chip's stacks its own (and, with per-chip
         # seeds, train each chip on its own batches).
@@ -332,15 +338,15 @@ class TestEvalBatchInvariance:
 
     def test_default_eval_keys_the_lowering_cache_by_batch_size(self, fast_setup):
         preset, bundle, model, mask_sets = fast_setup
-        cache = LoweringCache()
+        pipeline = EvalPipeline()
         BatchedFaultTrainer(
             model, mask_sets, bundle.train, bundle.test,
-            config=preset.retraining, lowering_cache=cache,
+            config=preset.retraining, eval_pipeline=pipeline,
         ).evaluate()
         batch_size = preset.retraining.batch_size
         num_batches = -(-len(bundle.test) // batch_size)
-        assert sorted(cache._entries) == [
-            ("features.0", batch_size, index) for index in range(num_batches)
+        assert list(pipeline.cache._entries) == [
+            (bundle.test, "features.0", batch_size, index) for index in range(num_batches)
         ]
 
 

@@ -44,6 +44,7 @@ from repro.campaign.transport import (
     PROTOCOL_VERSION,
     FrameDecoder,
     FrameError,
+    HandshakeError,
     encode_frame,
     find_free_port,
     format_address,
@@ -203,33 +204,39 @@ class TestAddresses:
 
 class TestValidateHello:
     def _hello(self, **overrides):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello.update(overrides)
         return hello
 
     def test_accepts_matching_hello(self):
-        assert validate_hello(self._hello(), None, "smoke") is None
+        assert validate_hello(self._hello(), "smoke") is None
 
     def test_rejects_wrong_protocol(self):
-        reason = validate_hello(self._hello(protocol=999), None, "smoke")
+        reason = validate_hello(self._hello(protocol=999), "smoke")
         assert reason is not None and "protocol" in reason
 
     def test_rejects_wrong_store_format(self):
         reason = validate_hello(
-            self._hello(store_format=STORE_FORMAT_VERSION + 1), None, "smoke"
+            self._hello(store_format=STORE_FORMAT_VERSION + 1), "smoke"
         )
         assert reason is not None and "store format" in reason
 
-    def test_rejects_missing_backend(self):
-        reason = validate_hello(self._hello(), "bogus", "smoke")
-        assert reason is not None and "bogus" in reason
+    def test_hello_carries_no_backend_list(self):
+        # The coordinator pins the backend in its welcome; workers do not
+        # advertise any.
+        assert "backends" not in self._hello()
+
+    def test_rejects_protocol_1_hello_with_backends(self):
+        """A worker from before the backend moved to the welcome frame."""
+        reason = validate_hello(self._hello(protocol=1, backends=["numpy"]), "smoke")
+        assert reason is not None and "protocol version mismatch" in reason
 
     def test_rejects_preset_mismatch(self):
-        reason = validate_hello(self._hello(preset="fast"), None, "smoke")
+        reason = validate_hello(self._hello(preset="fast"), "smoke")
         assert reason is not None and "preset" in reason
 
     def test_accepts_declared_matching_preset(self):
-        assert validate_hello(self._hello(preset="smoke"), None, "smoke") is None
+        assert validate_hello(self._hello(preset="smoke"), "smoke") is None
 
 
 class TestCoordinatorHandshake:
@@ -255,21 +262,28 @@ class TestCoordinatorHandshake:
             sock.close()
 
     def test_mismatched_protocol_is_rejected(self, coordinator):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello["protocol"] = PROTOCOL_VERSION + 10
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_REJECT
         assert "protocol" in reply["reason"]
 
+    def test_protocol_1_hello_with_backends_is_rejected(self, coordinator):
+        hello = worker_hello(host="w", pid=1)
+        hello.update(protocol=1, backends=["numpy"])
+        reply = self._handshake(coordinator, hello)
+        assert reply["type"] == MSG_REJECT
+        assert "protocol version mismatch" in reply["reason"]
+
     def test_mismatched_store_format_is_rejected(self, coordinator):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello["store_format"] = STORE_FORMAT_VERSION + 1
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_REJECT
         assert "store format" in reply["reason"]
 
     def test_welcome_ships_preset_and_knobs(self, coordinator, smoke_context):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_WELCOME
         assert reply["protocol"] == PROTOCOL_VERSION
@@ -300,6 +314,47 @@ class TestCoordinatorHandshake:
                 expect_preset="definitely-not-this-preset",
                 connect_timeout=10.0,
             )
+
+    @pytest.mark.parametrize("backend", ["cuda", 7])
+    def test_welcome_with_unusable_backend_fails_the_handshake(
+        self, smoke_context, backend
+    ):
+        """The welcome frame comes from another process.  A backend the
+        worker cannot use must end it with ``HandshakeError`` (a
+        ``TransportError``, which ``_local_worker_main`` catches), never a
+        ``BackendError``, and before the worker builds its context."""
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(30.0)
+        frames = []
+
+        def coordinator():
+            sock, _ = server.accept()
+            sock.settimeout(30.0)
+            try:
+                frames.append(recv_frame(sock))
+                send_frame(
+                    sock,
+                    {
+                        "type": MSG_WELCOME,
+                        "protocol": PROTOCOL_VERSION,
+                        "worker_id": 0,
+                        "preset": config_to_dict(smoke_context.preset),
+                        "preset_name": smoke_context.preset.name,
+                        "backend": backend,
+                    },
+                )
+            finally:
+                sock.close()
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(HandshakeError, match="backend"):
+                run_worker(join=server.getsockname()[:2], connect_timeout=10.0)
+        finally:
+            thread.join(timeout=30)
+            server.close()
+        assert frames[0]["type"] == MSG_HELLO
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +544,7 @@ class TestDistributedCampaigns:
             sock = socket.create_connection(engine.listen_address, timeout=30.0)
             sock.settimeout(30.0)
             try:
-                send_frame(sock, worker_hello(backends=["numpy"], host="fake", pid=0))
+                send_frame(sock, worker_hello(host="fake", pid=0))
                 welcome = recv_frame(sock)
                 assert welcome["type"] == MSG_WELCOME
                 send_frame(sock, {"type": MSG_READY})

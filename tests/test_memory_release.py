@@ -23,7 +23,11 @@ import pytest
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator import batched
-from repro.accelerator.batched import BatchedFaultTrainer, evaluate_chip_accuracies
+from repro.accelerator.batched import (
+    BatchedFaultTrainer,
+    EvalPipeline,
+    evaluate_chip_accuracies,
+)
 from repro.backends import capture_graph, get_backend, recorded
 from repro.backends.numpy_backend import CompiledGraph
 from repro.campaign import ChipJob, build_jobs, campaign_fingerprint
@@ -87,7 +91,7 @@ def test_trainer_freed_after_evaluate(image_bundle, backend, monkeypatch):
     model = _make_cnn(image_bundle)
     trainer = BatchedFaultTrainer(
         model, _mask_sets(model, 3), image_bundle.train, image_bundle.test,
-        config=CONFIG, backend=backend,
+        config=CONFIG, eval_pipeline=EvalPipeline(backend=backend),
     )
     trainer.evaluate()
     assert replays, "the eval pass never replayed a captured graph"
@@ -102,7 +106,7 @@ def test_trainer_freed_after_in_stream_train(image_bundle, backend, monkeypatch)
     model = _make_cnn(image_bundle)
     trainer = BatchedFaultTrainer(
         model, _mask_sets(model, 3), image_bundle.train, image_bundle.test,
-        config=CONFIG, backend=backend,
+        config=CONFIG, eval_pipeline=EvalPipeline(backend=backend),
     )
     trainer.train(1.0, eval_checkpoints=[0.5, 1.0], in_stream=True)
     # Three evaluations (initial, 0.5, 1.0) of eight batches each: one
@@ -130,7 +134,7 @@ def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
     def run():
         return evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, config=CONFIG,
-            chip_chunk=chip_chunk, backend=backend,
+            chip_chunk=chip_chunk, eval_pipeline=EvalPipeline(backend=backend),
         )
 
     expected = run()  # warm up lazily created process state
@@ -140,7 +144,7 @@ def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
         before = tracemalloc.get_traced_memory()[0]
         chunk = TrackedTrainer(
             model, mask_sets[:chip_chunk], image_bundle.test, image_bundle.test,
-            config=CONFIG, backend=backend,
+            config=CONFIG, eval_pipeline=EvalPipeline(backend=backend),
         )
         chunk.evaluate()
         one_chunk = tracemalloc.get_traced_memory()[0] - before

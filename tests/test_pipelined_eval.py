@@ -1,13 +1,13 @@
-"""Determinism tests for the pipelined evaluation path.
+"""Determinism tests for the shared evaluation path.
 
-The pipelined eval path — background batch prefetch, step-deduplicated
-checkpoint evaluation, and the sweep-wide shared lowering cache — is a pure
-performance feature: every knob combination must produce bit-identical
-results, stores and fingerprints.  These tests pin that contract at every level: the prefetcher
-unit, the stacked population evaluation and trainer, whole campaigns (serial, ``--jobs 2 x
---fat-batch 4``, chaos kill and kill/resume) and multi-arm strategy sweeps,
-where arms 2..K must *hit* the lowerings arm 1 computed (and Step-3
-checkpoint evals must hit the lowerings triage computed).
+The eval path's throughput features — step-deduplicated checkpoint
+evaluation, the sweep-wide shared lowering cache and the compute backend an
+:class:`EvalPipeline` carries — must never change a result, store or
+fingerprint.  These tests pin that contract at every level: the lowering
+cache's keys, the stacked trainer, whole campaigns (``--jobs 2 x --fat-batch
+4``, chaos kill and kill/resume) and multi-arm strategy sweeps, where arms
+2..K must *hit* the lowerings arm 1 computed (and Step-3 checkpoint evals
+must hit the lowerings triage computed) with exact hit/miss counts.
 
 The smoke preset is an MLP, which never exercises the im2col lowering cache,
 so campaign-level tests run a conv variant of it (LeNet-5 on 12x12 images).
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 
 import numpy as np
 import pytest
@@ -27,16 +26,15 @@ from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator.batched import (
     BatchedFaultTrainer,
     EvalPipeline,
-    LoweringCache,
-    _LoweringPrefetcher,
     evaluate_chip_accuracies,
 )
+from repro.backends import BackendError
 from repro.campaign import CampaignEngine
 from repro.campaign.sweep import run_strategy_sweep
 from repro.cli import main
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
-from repro.experiments import ExperimentContext, smoke_preset
+from repro.experiments import ExperimentContext, run_compare, smoke_preset
 from repro.experiments.presets import ModelSpec
 from repro.observability import metrics
 from repro.training import TrainingConfig, epochs_to_steps
@@ -46,9 +44,8 @@ from tests.helpers import ReferenceTrainer
 def _conv_preset():
     """The smoke preset with a conv model, so eval passes im2col-lower.
 
-    ``test_per_class=40`` gives the trainer's eval loader (batch size 128)
-    more than one batch, so the background prefetcher genuinely runs during
-    campaign evaluations instead of being a no-op on a single batch.
+    ``test_per_class=40`` gives the trainer's eval loader more than one
+    batch, so every eval pass walks several lowering-cache keys.
     """
     base = smoke_preset()
     return dataclasses.replace(
@@ -138,117 +135,29 @@ def _assert_histories_equal(actual, expected):
                 assert record.train_loss == ref.train_loss
 
 
-class TestPrefetcherUnit:
-    def test_prefetcher_populates_cache_in_background(self):
-        cache = LoweringCache()
-        prefetcher = _LoweringPrefetcher(cache)
-        data = np.arange(12.0, dtype=np.float32).reshape(3, 4)
-
-        def lower(batch):
-            return batch * 2.0, 2, 2
-
-        try:
-            prefetcher.offer_recipe("conv1", 3, lower)
-            prefetcher.submit(1, data)
-            deadline = time.monotonic() + 5.0
-            while len(cache) == 0 and time.monotonic() < deadline:
-                time.sleep(0.001)
-        finally:
-            prefetcher.close()
-        assert len(cache) == 1
-        entry = cache.get_or_compute(
-            ("conv1", 3, 1), lambda: pytest.fail("expected a cache hit")
-        )
-        np.testing.assert_array_equal(entry[0], data * 2.0)
-        assert entry[1:] == (2, 2)
-
-    def test_cached_batches_start_no_thread(self):
-        """A warm cache leaves nothing to prefetch: no thread, no handoff."""
-        cache = LoweringCache()
-        cache.get_or_compute(("conv1", 3, 1), lambda: (np.zeros(1, np.float32), 1, 1))
-        lowered = []
-
-        def lower(batch):
-            lowered.append(batch)
-            return batch, 1, 1
-
-        prefetcher = _LoweringPrefetcher(cache)
-        prefetcher.offer_recipe("conv1", 3, lower)
-        prefetcher.submit(1, np.zeros((3, 4), dtype=np.float32))
-        assert prefetcher._thread is None
-        prefetcher.submit(2, np.zeros((3, 4), dtype=np.float32))  # not cached yet
-        assert prefetcher._thread is not None
-        prefetcher.close()
-        assert len(lowered) == 1
-        assert ("conv1", 3, 2) in cache
-
-    def test_submissions_without_recipe_are_dropped(self):
-        cache = LoweringCache()
-        prefetcher = _LoweringPrefetcher(cache)
-        prefetcher.submit(0, np.zeros((2, 2), dtype=np.float32))
-        prefetcher.close()  # never started: close is a no-op
-        assert len(cache) == 0
-
-    def test_first_recipe_wins(self):
-        prefetcher = _LoweringPrefetcher(LoweringCache())
-        first = lambda batch: (batch, 1, 1)  # noqa: E731
-        prefetcher.offer_recipe("conv1", 8, first)
-        prefetcher.offer_recipe("conv2", 16, lambda batch: (batch, 9, 9))
-        assert prefetcher._recipe == ("conv1", 8, first)
-
-
-class TestEvaluatorPrefetch:
-    # Eval batches are ``batch_size`` = 4 rows.
+class TestLoweringCacheKeys:
     CONFIG = TrainingConfig(batch_size=4)
 
-    def test_prefetch_on_off_accuracies_identical(self, image_bundle, enabled_metrics):
+    def test_shared_pipeline_never_serves_another_datasets_lowerings(
+        self, image_bundle
+    ):
+        """Batch ``i`` of the train set is not batch ``i`` of the test set:
+        a pipeline that lowered the test set must re-lower the train set."""
         model = _small_cnn(image_bundle)
         mask_sets = _cnn_mask_sets(image_bundle)
-        num_batches = -(-len(image_bundle.test) // self.CONFIG.batch_size)
-        assert num_batches > 1  # otherwise prefetch has nothing to overlap
-
-        on = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, self.CONFIG,
-            lowering_cache=LoweringCache(), prefetch=True,
-        )
-        on_counters = _lowering_counters()
-        metrics.reset()
-        off = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, self.CONFIG,
-            lowering_cache=LoweringCache(), prefetch=False,
-        )
-        off_counters = _lowering_counters()
-
-        assert on == off
-        # The consuming thread observes every batch exactly once either way;
-        # with prefetch on, any background computation lands under
-        # ``prefetched`` (and turns the consumer's miss into a hit), never
-        # double-counting a miss.
-        assert on_counters.get("hits", 0) + on_counters.get("misses", 0) == num_batches
-        assert off_counters.get("misses", 0) == num_batches
-        assert "prefetched" not in off_counters
-
-    def test_prefetch_disabled_spawns_no_thread(self, image_bundle, monkeypatch):
-        import repro.accelerator.batched as batched_module
-
-        started = []
-
-        class RecordingPrefetcher(_LoweringPrefetcher):
-            def __init__(self, cache):
-                started.append(cache)
-                super().__init__(cache)
-
-        monkeypatch.setattr(batched_module, "_LoweringPrefetcher", RecordingPrefetcher)
-        model = _small_cnn(image_bundle)
-        mask_sets = _cnn_mask_sets(image_bundle)
+        shared = EvalPipeline()
         evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, self.CONFIG, prefetch=False
+            model, image_bundle.test, mask_sets, self.CONFIG, eval_pipeline=shared
         )
-        assert started == []
-        evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, self.CONFIG, prefetch=True
+        on_train = evaluate_chip_accuracies(
+            model, image_bundle.train, mask_sets, self.CONFIG, eval_pipeline=shared
         )
-        assert len(started) == 1
+        fresh = evaluate_chip_accuracies(
+            model, image_bundle.train, mask_sets, self.CONFIG
+        )
+        assert on_train == fresh
+        datasets = {id(key[0]) for key in shared.cache._entries}
+        assert datasets == {id(image_bundle.test), id(image_bundle.train)}
 
 
 class TestCheckpointEval:
@@ -273,7 +182,7 @@ class TestCheckpointEval:
             image_bundle.train,
             image_bundle.test,
             config=self.CONFIG,
-            backend=backend,
+            eval_pipeline=EvalPipeline(backend=backend),
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5, 1.0])
         _assert_histories_equal(histories, serial_histories)
@@ -343,6 +252,10 @@ class TestCheckpointEval:
 
 
 class TestCampaignPrefetchDeterminism:
+    """Campaign-level determinism of the conv eval path.  The test names
+    date from the removed background prefetch thread; each case now checks
+    the lowering cache under parallel, killed and chaotic execution."""
+
     def _run(self, context, population, store_base, **engine_kwargs):
         engine = CampaignEngine(context, store_base=store_base, **engine_kwargs)
         result = engine.run(population, FixedEpochPolicy(0.25))
@@ -350,46 +263,25 @@ class TestCampaignPrefetchDeterminism:
         store_bytes = (report.store_dir / "results.jsonl").read_bytes()
         return result, report, store_bytes
 
-    def test_prefetch_on_off_stores_bit_identical(
-        self, conv_context, conv_population, tmp_path
-    ):
-        on, on_report, on_bytes = self._run(
-            conv_context, conv_population, tmp_path / "on", jobs=1, prefetch=True
-        )
-        off, off_report, off_bytes = self._run(
-            conv_context, conv_population, tmp_path / "off", jobs=1, prefetch=False
-        )
-        assert on.results == off.results
-        assert on_bytes == off_bytes
-        # Prefetch is not part of the work definition: same fingerprint, so
-        # a store written with it off resumes a campaign run with it on.
-        assert on_report.fingerprint == off_report.fingerprint
-
     def test_prefetch_under_jobs_and_fat_batch(
         self, conv_context, conv_population, tmp_path
     ):
-        """--jobs 2 x --fat-batch 4 with prefetch on matches prefetch off."""
-        on, _, on_bytes = self._run(
+        """--jobs 2 x --fat-batch 4 matches the in-process run."""
+        parallel, parallel_report, parallel_bytes = self._run(
             conv_context,
             conv_population,
-            tmp_path / "on",
+            tmp_path / "parallel",
             jobs=2,
             fat_batch=4,
-            prefetch=True,
         )
-        off, _, off_bytes = self._run(
-            conv_context,
-            conv_population,
-            tmp_path / "off",
-            jobs=2,
-            fat_batch=4,
-            prefetch=False,
+        serial, serial_report, serial_bytes = self._run(
+            conv_context, conv_population, tmp_path / "serial", jobs=1
         )
-        assert on.results == off.results
+        assert parallel.results == serial.results
+        assert parallel_report.fingerprint == serial_report.fingerprint
         # A parallel store appends chunks in completion order, which varies
-        # run to run with or without prefetch; the recorded lines themselves
-        # must match byte for byte.
-        assert sorted(on_bytes.splitlines()) == sorted(off_bytes.splitlines())
+        # run to run; the recorded lines themselves must match byte for byte.
+        assert sorted(parallel_bytes.splitlines()) == sorted(serial_bytes.splitlines())
 
     def test_killed_then_resumed_with_prefetch(
         self, conv_context, conv_population, tmp_path
@@ -400,7 +292,6 @@ class TestCampaignPrefetchDeterminism:
             tmp_path,
             jobs=2,
             fat_batch=4,
-            prefetch=True,
         )
         results_path = report.store_dir / "results.jsonl"
         lines = results_path.read_text().splitlines()
@@ -412,7 +303,6 @@ class TestCampaignPrefetchDeterminism:
             tmp_path,
             jobs=2,
             fat_batch=4,
-            prefetch=True,
         )
         assert resumed_report.skipped == 2
         assert resumed_report.executed == len(conv_population) - 2
@@ -432,7 +322,6 @@ class TestCampaignPrefetchDeterminism:
             tmp_path / "plain",
             jobs=2,
             fat_batch=2,
-            prefetch=False,
         )
         chaotic, chaotic_report, _ = self._run(
             conv_context,
@@ -440,11 +329,16 @@ class TestCampaignPrefetchDeterminism:
             tmp_path / "chaos",
             jobs=2,
             fat_batch=2,
-            prefetch=True,
             chaos="seed=3,kill=1",
         )
         assert chaotic.results == baseline.results
         assert chaotic_report.failed == 0
+
+
+def _num_eval_batches(context):
+    """Test batches of one eval pass: the lowering-cache keys per layer."""
+    batch_size = context.framework()._fat_training_config().batch_size
+    return -(-len(context.bundle.test) // batch_size)
 
 
 class TestSweepLoweringReuse:
@@ -452,76 +346,62 @@ class TestSweepLoweringReuse:
         self, conv_population, enabled_metrics
     ):
         """Arms 2..K re-use arm 1's eval-batch lowerings: extra hits, zero
-        extra misses.  Prefetch is off so the hit/miss split is deterministic
-        (background lowerings shift counts between ``misses``/``prefetched``).
-        Counting starts after each context is built: pre-training's own eval
-        prefetches, so its split is not deterministic."""
+        extra misses.  Counting starts after each context is built, so
+        pre-training's evaluation (through its own private cache) is not
+        counted."""
         policy = FixedEpochPolicy(0.25)
         context = _fresh_conv_context()
+        batches = _num_eval_batches(context)
         metrics.reset()
-        run_strategy_sweep(
-            context,
-            conv_population,
-            policy,
-            "fat",
-            fat_batch=2,
-            prefetch=False,
-        )
+        run_strategy_sweep(context, conv_population, policy, "fat", fat_batch=2)
         one_arm = _lowering_counters()
         context = _fresh_conv_context()
         metrics.reset()
         run_strategy_sweep(
-            context,
-            conv_population,
-            policy,
-            "fat,fam+fat",
-            fat_batch=2,
-            prefetch=False,
+            context, conv_population, policy, "fat,fam+fat", fat_batch=2
         )
         two_arms = _lowering_counters()
-        assert one_arm.get("hits", 0) > 0
-        assert two_arms["misses"] == one_arm["misses"]
-        assert two_arms["hits"] > one_arm["hits"]
+        # One arm: triage lowers every batch once (one pass over all four
+        # chips), then Step 3's two 2-chip stacks each hit every batch once.
+        assert one_arm == {"misses": batches, "hits": 2 * batches}
+        # The second arm measures triage under its own (permuted) masks and
+        # retrains two more stacks: three more passes, all hits.
+        assert two_arms == {"misses": batches, "hits": 5 * batches}
 
     def test_step3_checkpoint_eval_hits_triage_lowerings(
         self, conv_context, conv_population, enabled_metrics
     ):
         """Triage and Step-3 checkpoint evals share one lowering layout and
         one cache key per test batch: retraining after triage adds no cache
-        entry and misses nothing.  Prefetch is off so the hit/miss split is
-        deterministic."""
+        entry and misses nothing."""
         framework = conv_context.framework()
-        framework.eval_pipeline = EvalPipeline(prefetch=False)
+        framework.eval_pipeline = EvalPipeline()
         cache = framework.eval_pipeline.cache
         triage = framework.triage_population(conv_population)
         lowered = len(cache)
-        assert lowered > 0
+        assert lowered == _num_eval_batches(conv_context)
         metrics.reset()
         framework.retrain_chips_batched(
             list(conv_population), 0.25, accuracies_before=triage
         )
-        counters = _lowering_counters()
+        # All four chips train in one stack: one checkpoint pass.
+        assert _lowering_counters() == {"hits": lowered}
         assert len(cache) == lowered
-        assert counters.get("misses", 0) == 0
-        assert counters["hits"] > 0
 
     def test_triage_hits_step1_lowerings(self, conv_population, enabled_metrics):
         """Step 1 evaluates through the context's eval pipeline, so triage
-        afterwards adds no cache entry and misses nothing.  Prefetch is off
-        so the hit/miss split is deterministic."""
+        afterwards adds no cache entry and misses nothing."""
         context = _fresh_conv_context()
-        context.configure_eval_pipeline(prefetch=False)
         cache = context.eval_pipeline.cache
         assert len(cache) == 0
         context.resilience_profile()
         lowered = len(cache)
-        assert lowered > 0
+        assert lowered == _num_eval_batches(context)
         metrics.reset()
         context.framework().triage_population(conv_population)
-        counters = _lowering_counters()
+        # One triage pass over the four chips: every batch hits once.
+        assert _lowering_counters() == {"hits": lowered}
         assert len(cache) == lowered
-        assert counters.get("misses", 0) == 0
-        assert counters["hits"] > 0
 
     def test_cache_bytes_gauge_tracks_shared_cache(
         self, conv_population, enabled_metrics
@@ -533,24 +413,26 @@ class TestSweepLoweringReuse:
             FixedEpochPolicy(0.25),
             "fat",
             fat_batch=2,
-            prefetch=False,
         )
         cache = context.eval_pipeline.cache
         assert cache.nbytes > 0
         assert metrics.snapshot()["lowering_cache.bytes"]["value"] == cache.nbytes
+        # Shrinking the cap evicts, and the gauge follows.
+        context.eval_pipeline.configure(lowering_cache_mb=0.0)
+        assert cache.nbytes == 0
+        assert metrics.snapshot()["lowering_cache.bytes"]["value"] == 0
 
 
 class TestEvalPipelineConfig:
     def test_defaults(self):
         pipeline = EvalPipeline()
-        assert pipeline.prefetch is True
+        assert pipeline.backend is None
         assert pipeline.cache.max_bytes == int(128.0 * 1024 * 1024)
 
     def test_configure_updates_in_place(self):
         pipeline = EvalPipeline()
         cache = pipeline.cache
-        assert pipeline.configure(prefetch=False, lowering_cache_mb=1.0) is pipeline
-        assert pipeline.prefetch is False
+        assert pipeline.configure(lowering_cache_mb=1.0) is pipeline
         assert pipeline.cache is cache  # same cache object, resized
         assert cache.max_bytes == 1024 * 1024
 
@@ -559,6 +441,26 @@ class TestEvalPipelineConfig:
             EvalPipeline(lowering_cache_mb=-1.0)
         with pytest.raises(ValueError):
             CampaignEngine(smoke_context, lowering_cache_mb=-1.0)
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(BackendError, match="unknown backend 'bogus'"):
+            EvalPipeline(backend="bogus")
+
+    def test_engine_run_sets_the_context_backend(self, conv_population):
+        """Every run sets the backend on the context's pipeline, so a later
+        eager engine on the same context does not inherit a replay."""
+        context = _fresh_conv_context()
+        for backend in ("numpy", None):
+            CampaignEngine(context, backend=backend).run(
+                conv_population, FixedEpochPolicy(0.0)
+            )
+            assert context.eval_pipeline.backend == backend
+
+    def test_prefetch_false_names_the_removal(self, smoke_context):
+        with pytest.raises(ValueError, match="prefetch thread was removed"):
+            CampaignEngine(smoke_context, prefetch=False)
+        with pytest.raises(ValueError, match="prefetch thread was removed"):
+            run_compare(smoke_context, "fat", num_chips=1, prefetch=False)
 
     def test_context_pipeline_is_shared_across_frameworks(self, smoke_context):
         pipeline = smoke_context.eval_pipeline
@@ -572,19 +474,3 @@ class TestCLIFlags:
             main(["campaign", "--preset", "smoke", "--lowering-cache-mb", "-1"])
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
-
-    def test_no_prefetch_campaign_runs(self, tmp_path, capsys):
-        args = [
-            "campaign",
-            "--preset",
-            "smoke",
-            "--chips",
-            "2",
-            "--no-prefetch",
-            "--lowering-cache-mb",
-            "16",
-            "--campaign-dir",
-            str(tmp_path / "campaigns"),
-        ]
-        assert main(args) == 0
-        assert capsys.readouterr().out

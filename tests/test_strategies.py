@@ -326,7 +326,7 @@ class TestStrategyPlanner:
             self._job("c", 0.5, "fat"),
         ]
         groups = group_jobs_for_batching(jobs)
-        assert set(groups) == {(0.5, "fat", None), (0.5, "fam+fat", None)}
+        assert set(groups) == {(0.5, "fat"), (0.5, "fam+fat")}
         plan = plan_job_chunks(jobs, fat_batch=8)
         # Same budget but different strategies never share a stacked chunk.
         for chunk in plan:
