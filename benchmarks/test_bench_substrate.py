@@ -368,29 +368,24 @@ def test_bench_dataloader_iteration(benchmark, fast_context):
 
 
 # ---------------------------------------------------------------------------
-# Pipelined eval path: multi-checkpoint retraining + sweep-wide reuse
+# Checkpoint eval: multi-checkpoint retraining + multi-arm sweeps
 # ---------------------------------------------------------------------------
 
 
 CHECKPOINT_EVAL_CHECKPOINTS = (0.05, 0.10, 0.15, 0.20, 0.25)
 
 
-def _checkpoint_eval_run(context, mask_sets, *, pipelined, eval_pipeline=None):
+def _checkpoint_eval_run(context, mask_sets, eval_pipeline=None):
     """One eval-dominated retraining run: 0.25 epochs, 5 checkpoint evals.
 
     Mirrors the production sweep shape (``resilience.py`` / ``reduce.py``):
     the initial accuracy is already known from triage, so the run evaluates
-    only at the epoch checkpoints (``include_initial=False``).
-
-    ``pipelined=False`` evaluates through a zero-byte lowering cache, so
-    every eval pass re-lowers every eval batch.  ``pipelined=True`` is the
-    default path.  Both evaluate each checkpoint live, one pass per distinct
-    optimizer step.
+    only at the epoch checkpoints (``include_initial=False``).  Each
+    checkpoint is evaluated live, one pass per distinct optimizer step, and
+    every pass lowers its own eval batches.
     """
-    from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
+    from repro.accelerator.batched import BatchedFaultTrainer
 
-    if eval_pipeline is None:
-        eval_pipeline = EvalPipeline() if pipelined else EvalPipeline(lowering_cache_mb=0.0)
     context.restore_pretrained()
     trainer = BatchedFaultTrainer(
         context.model,
@@ -407,45 +402,25 @@ def _checkpoint_eval_run(context, mask_sets, *, pipelined, eval_pipeline=None):
 
 
 def test_bench_checkpoint_eval_baseline_8chips(benchmark, fast_context):
-    """Unpipelined multi-checkpoint eval: 8 chips x 5 checkpoints.
+    """Multi-checkpoint eval: 8 chips x 5 checkpoints.
 
-    A zero-byte lowering cache: every checkpoint-eval pass re-lowers every
-    eval batch — the comparator for the pipelined benchmark below.
+    At 10 train batches per epoch the 5 checkpoints quantize to 2 unique
+    optimizer steps, so training runs 2 eight-chip eval passes, each
+    lowering every eval batch.
     """
     context = fast_context
     mask_sets = _fat_mask_sets(context)
-    accuracies = benchmark(
-        _checkpoint_eval_run, context, mask_sets, pipelined=False
-    )
-    context.restore_pretrained()
-    assert len(accuracies) == len(mask_sets)
-
-
-def test_bench_checkpoint_eval_pipelined_8chips(benchmark, fast_context):
-    """Pipelined multi-checkpoint eval: same 8 chips, same 5 checkpoints.
-
-    Checkpoints are evaluated live as training reaches them; at 10 train
-    batches per epoch the 5 checkpoints quantize to 2 unique optimizer
-    steps, so training runs 2 eight-chip eval passes over lowerings cached
-    once by the first; results are bit-identical to the baseline (see
-    tests/test_pipelined_eval.py).
-    """
-    context = fast_context
-    mask_sets = _fat_mask_sets(context)
-    accuracies = benchmark(
-        _checkpoint_eval_run, context, mask_sets, pipelined=True
-    )
+    accuracies = benchmark(_checkpoint_eval_run, context, mask_sets)
     context.restore_pretrained()
     assert len(accuracies) == len(mask_sets)
 
 
 def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
-    """Checkpoints x strategies scaling: 2 arms sharing one lowering cache.
+    """Checkpoints x strategies scaling: 2 arms sharing one eval pipeline.
 
     Models a strategy sweep's eval load — K arms retrain the same population
-    and walk the same unshuffled eval batches — with the sweep-wide shared
-    cache: arm 2 hits every lowering arm 1 computed, so eval-lowering cost
-    stays O(batches), not O(arms x batches).
+    and walk the same unshuffled eval batches through one shared
+    :class:`EvalPipeline`, each arm lowering its own batches.
     """
     from repro.accelerator.batched import EvalPipeline
 
@@ -455,9 +430,7 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
     def run():
         pipeline = EvalPipeline()
         return [
-            _checkpoint_eval_run(
-                context, mask_sets, pipelined=True, eval_pipeline=pipeline
-            )
+            _checkpoint_eval_run(context, mask_sets, eval_pipeline=pipeline)
             for _arm in range(2)
         ]
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,155 +71,58 @@ from repro.observability import metrics, trace
 
 MaskDict = Dict[str, np.ndarray]
 
-# An im2col lowering is a ``C * kh * kw``-fold expansion of its batch, so an
-# unbounded cache over a large eval set could dwarf the stacked weights it
-# sits next to.  The default byte cap comfortably holds the fast preset's
-# whole lowered test set with headroom for several layer geometries; larger
-# workloads evict least-recently-used batches and simply re-lower them — a
-# throughput fallback, never a correctness change.
-DEFAULT_LOWERING_CACHE_MB = 128.0
-
-#: Cache keys: ``(eval_dataset, layer_name, batch_size, batch_index)`` of one
-#: ``(K, P)`` ``im2col_t`` lowering.  The dataset is keyed by identity (the
-#: key holds the object, so its id cannot be reused while the entry lives):
-#: two datasets' batch ``i`` are different rows.  ``batch_size`` disambiguates
-#: loaders slicing the same data differently.
-LoweringKey = Tuple[Dataset, str, int, int]
-LoweringEntry = Tuple[np.ndarray, int, int]
-
-
 class LoweringCache:
-    """Byte-capped LRU cache of shared-prefix eval lowerings.
+    """Pass-through for the shared-prefix eval lowering: it stores nothing.
 
-    Maps :data:`LoweringKey` to the cached ``(cols, out_h, out_w)`` lowering
-    of one eval batch at one layer.  Valid whenever the input to the first
-    batched layer is a deterministic function of the batch — true for
-    unshuffled evaluation passes over fixed weights, where the prefix holds
-    no stochastic or per-chip layers — so per-checkpoint evaluations,
-    successive chip chunks, and whole strategy-sweep arms over the same
-    population stop re-lowering identical batches.
-
-    One instance may be shared across trainers, population evaluations,
-    campaign runs and sweep arms (see :class:`EvalPipeline`); only the
-    evaluating thread uses it.  Eviction is least-recently-used once
-    ``max_bytes`` is exceeded, and an entry larger than the whole cap is
-    returned uncached.
+    Each eval pass lowers its own test batches (one ``im2col_t`` per batch
+    at the first stacked conv) and frees them with the batch.  A byte-capped
+    LRU of these lowerings used to live here; on the fast preset it held
+    8.2 MB resident at every process's peak to save about 0.1 s of
+    re-lowering per run, so its storage was deleted.  The class stays because
+    the benchmark harness times the eval lowering by wrapping
+    :meth:`get_or_compute`; ``key`` names the lowering for that harness only
+    and ``record`` is ignored.
     """
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        if max_bytes is None:
-            max_bytes = int(DEFAULT_LOWERING_CACHE_MB * 1024 * 1024)
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[LoweringKey, LoweringEntry]" = OrderedDict()
-        self._nbytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of cached lowering arrays."""
-        return self._nbytes
-
-    def set_max_bytes(self, max_bytes: int) -> None:
-        """Change the byte cap, evicting LRU entries down to the new cap."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self._evict(0)
-        self._update_gauge()
-
-    def _update_gauge(self) -> None:
-        if metrics.enabled:
-            metrics.gauge("lowering_cache.bytes").set(self._nbytes)
-
-    def _evict(self, incoming: int) -> None:
-        while self._entries and self._nbytes + incoming > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._nbytes -= evicted[0].nbytes
-            if metrics.enabled:
-                metrics.counter("lowering_cache.evictions").inc()
+    #: Bytes held between calls: always none.
+    nbytes = 0
 
     def get_or_compute(
         self,
-        key: LoweringKey,
-        compute: Callable[[], LoweringEntry],
+        key: str,
+        compute: Callable[[], Tuple[np.ndarray, int, int]],
         record: bool = True,
-    ) -> LoweringEntry:
-        """Return the cached entry for ``key``, computing it on a miss.
+    ) -> Tuple[np.ndarray, int, int]:
+        """Return ``compute()``: the ``(cols, out_h, out_w)`` lowering."""
+        return compute()
 
-        ``record=False`` leaves the ``lowering_cache.hits``/``misses``
-        counters untouched.
-        """
-        count = record and metrics.enabled
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            if count:
-                metrics.counter("lowering_cache.hits").inc()
-            return entry
-        entry = compute()
-        if count:
-            metrics.counter("lowering_cache.misses").inc()
-        incoming = entry[0].nbytes
-        if incoming <= self.max_bytes:
-            self._evict(incoming)
-            self._entries[key] = entry
-            self._nbytes += incoming
-            self._update_gauge()
-        return entry
+
+_LOWERING = LoweringCache()
 
 
 @dataclasses.dataclass
 class EvalPipeline:
-    """Shared configuration + state of the evaluation path.
+    """Shared configuration of the evaluation path.
 
     One instance is attached to an experiment context and rides into every
-    framework and trainer built from it, so the lowering cache is shared
-    across population triage, Step-3 checkpoint evaluations, campaign chunks
-    and whole strategy-sweep arms (K arms over the same population lower each
-    eval batch once, not K times).  ``backend`` is the compute backend the
-    stacked trainers replay their captured eval graphs through (``None`` =
-    eager, ``"numpy"`` = replay); a campaign engine sets it at the start of
-    every run and a socket worker from its welcome frame.
-    ``lowering_cache_mb`` caps the shared cache (``--lowering-cache-mb``).
-    Both are pure throughput levers: results are bit-identical in all
-    configurations.
+    framework and trainer built from it.  ``backend`` is the compute backend
+    the stacked trainers replay their captured eval graphs through (``None``
+    = eager, ``"numpy"`` = replay); a campaign engine sets it at the start of
+    every run and a socket worker from its welcome frame.  It is a pure
+    throughput lever: results are bit-identical either way.
     """
 
     backend: Optional[str] = None
-    lowering_cache_mb: float = DEFAULT_LOWERING_CACHE_MB
 
     def __post_init__(self) -> None:
         resolve_backend(self.backend)
-        if self.lowering_cache_mb < 0:
-            raise ValueError(
-                f"lowering_cache_mb must be non-negative, got {self.lowering_cache_mb}"
-            )
-        self.cache = LoweringCache(max_bytes=self._max_bytes())
-
-    def _max_bytes(self) -> int:
-        return int(self.lowering_cache_mb * 1024 * 1024)
-
-    def configure(self, lowering_cache_mb: Optional[float] = None) -> "EvalPipeline":
-        """Apply a CLI/engine cache cap in place (shrinking the cap evicts)."""
-        if lowering_cache_mb is not None:
-            if lowering_cache_mb < 0:
-                raise ValueError(
-                    f"lowering_cache_mb must be non-negative, got {lowering_cache_mb}"
-                )
-            self.lowering_cache_mb = float(lowering_cache_mb)
-            self.cache.set_max_bytes(self._max_bytes())
-        return self
 
 
 def _conv_output_hw(shape: Tuple[int, ...], module: nn.Module) -> Tuple[int, int]:
     """Spatial output dims of ``module`` on an NCHW input of ``shape``.
 
     Mirrors :func:`im2col_t`'s arithmetic so fold geometry can be derived
-    without waiting for the lowering (which may come from a cache).
+    beside the recorded eval-lowering op, which returns only the columns.
     """
     kh, kw = _pair(module.kernel_size)
     sh, sw = _pair(module.stride)
@@ -378,9 +280,9 @@ class _StackedConv2dFunction(Function):
         if shared:
             per_chip = x.shape[0]
             if lowering is not None:
-                # Pre-lowered shared input (the trainer's eval-pass cache);
-                # only read here, never saved for backward (eval runs under
-                # no_grad), so the cached array is never aliased or mutated.
+                # Pre-lowered shared input (the eval pass's recorded
+                # lowering op); eval runs under no_grad, so it is only read
+                # here and never saved for backward.
                 cols_op, out_h, out_w = lowering
             else:
                 with _fat_timer("im2col_seconds"):
@@ -426,17 +328,19 @@ class _StackedConv2dFunction(Function):
             grad_output.reshape(num_chips, per_chip, out_channels, out_h, out_w)
             .transpose(0, 2, 1, 3, 4)
         ).reshape(num_chips, out_channels, -1)
-        # Backward only ever runs during training steps.
+        # Backward only ever runs during training steps.  The weight
+        # gradient is computed transposed, as ``cols @ g.T`` with the long
+        # pixel axis P as the contraction: faster than the serial
+        # ``g @ cols.T`` orientation at conv shapes (P in the thousands, K
+        # and O small), and bit-equal to it on the BLAS build the parity
+        # tests pin (tests/test_kernel_parity.py).
         with metrics.timer("fat.train.gemm_seconds"):
             if shared:
-                # Wide GEMM against the shared columns: one (B * O, P) @ (P, K)
-                # call whose per-chip row blocks equal the serial NT GEMM.
-                grad_w = (
-                    g_t.reshape(num_chips * out_channels, -1) @ cols_op.T
-                ).reshape(num_chips, out_channels, -1)
+                # One wide (K, P) @ (P, B * O) GEMM against the shared columns.
+                grad_w = (cols_op @ g_t.reshape(num_chips * out_channels, -1).T).T
             else:
-                grad_w = np.matmul(g_t, cols_op.transpose(0, 2, 1))
-        grad_w = grad_w.reshape(weight.shape)
+                grad_w = np.matmul(cols_op, g_t.transpose(0, 2, 1)).transpose(0, 2, 1)
+        grad_w = grad_w.reshape(weight.shape)  # the transpose-back copy
         grad_x = None
         if not self.needs_input_grad or self.needs_input_grad[0]:
             grad_colsT = np.matmul(w2.transpose(0, 2, 1), g_t)  # (B, K, P)
@@ -678,37 +582,19 @@ def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclasses.dataclass
-class _EvalPass:
-    """The eval pass in flight, as read by the kernels an eval graph records.
+def _eval_lowering_kernel(module: nn.Module, name: str):
+    """Shared-prefix lowering of the first stacked conv in an eval pass.
 
-    A trainer owns one and sets its fields inside
-    :meth:`BatchedFaultTrainer.evaluate`.  The recorded kernels read this
-    object, never the trainer: the trainer holds its chain cache, which holds
-    the compiled graphs and their kernels, so a kernel that reached back to
-    the trainer would make a reference cycle and keep every finished trainer
-    (and its stacks) alive until the cycle collector ran.
+    The kernel closes over the conv module only, never the trainer (whose
+    chain cache keeps the compiled graph, and so this kernel, alive).
     """
 
-    lowering: "LoweringCache"
-    dataset: Optional[Dataset] = None
-    batch_size: Optional[int] = None
-    # Set only while a batch is in flight: conv layers consult the lowering
-    # cache exactly when it is not ``None``.
-    batch_index: Optional[int] = None
-
-
-def _eval_lowering_kernel(layer: "_StackedLayer", eval_pass: _EvalPass):
-    """Shared-prefix lowering of the first stacked conv, through the cache."""
-    module = layer.module
-
     def lower_cols(data: np.ndarray) -> np.ndarray:
-        # The pass fields are read at call time so a replayed graph consults
-        # the lowering cache for the batch actually in flight.
-        cols, _, _ = eval_pass.lowering.get_or_compute(
-            (eval_pass.dataset, layer.name, eval_pass.batch_size, eval_pass.batch_index),
-            lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
-        )
+        with metrics.timer("fat.eval.im2col_seconds"):
+            cols, _, _ = _LOWERING.get_or_compute(
+                name,
+                lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
+            )
         return cols
 
     return lower_cols
@@ -783,7 +669,7 @@ class BatchedFaultTrainer:
     seeds give every chip its own train loader and dropout generators, each
     seeded as a one-seed stack with that seed seeds its stream, and each step
     feeds the chips' folded ``(B * n, ...)`` batches; evaluation input is
-    still shared, so eval passes keep the shared prefix and lowering cache.
+    still shared, so eval passes keep the shared prefix.
 
     Exact serial equivalence: chip ``b``'s weights, losses and accuracies are
     bit-identical to a serial reference run
@@ -866,12 +752,6 @@ class BatchedFaultTrainer:
         # (un-replicated) input; flipped by the first stacked layer.
         self._shared_prefix = True
         pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
-        # Shared-prefix lowerings of the (unshuffled, deterministic) eval
-        # batches, reused across every per-checkpoint evaluation of this
-        # trainer — and, through a shared pipeline, across trainers, chip
-        # chunks and sweep arms.  Only consulted while ``_eval.batch_index``
-        # is set inside :meth:`evaluate`.
-        self._eval = _EvalPass(pipeline.cache)
         # Captured-graph execution of the checkpoint-eval hot path (training
         # steps always run eagerly: they drive autograd).  Captured eval
         # graphs read the stacked weights, biases and running statistics
@@ -1007,16 +887,14 @@ class BatchedFaultTrainer:
             shared = self._shared_prefix
             self._shared_prefix = False
             lowering = None
-            if shared and self._eval.batch_index is not None:
-                # Evaluation pass over the unshuffled eval loader: the input
-                # to the first stacked layer is a pure function of the batch
-                # (the prefix holds no parametric or stochastic layers), so
-                # its lowering is identical at every checkpoint and cached.
+            if shared and not is_grad_enabled():
+                # Eval pass: the shared input is lowered by its own recorded
+                # op, and the columns die with the batch.
                 out_h, out_w = _conv_output_hw(x.shape, module)
                 cols = recorded(
                     "fat.eval_lowering",
                     (x.data,),
-                    _eval_lowering_kernel(layer, self._eval),
+                    _eval_lowering_kernel(module, layer.name),
                 )
                 lowering = (cols, out_h, out_w)
             return _StackedConv2dFunction.apply(
@@ -1237,18 +1115,11 @@ class BatchedFaultTrainer:
         self.model.eval()
         correct = np.zeros(self.num_chips, dtype=np.int64)
         total = 0
-        eval_pass = self._eval
         try:
             with trace.span(
                 "fat.eval_checkpoint", chips=self.num_chips
             ), nn.no_grad(), self._patched():
-                # The loader's dataset and own batch size key the lowering
-                # cache: a caller-supplied loader may slice the data
-                # differently, and another dataset's batch ``i`` is other rows.
-                eval_pass.dataset = loader.dataset
-                eval_pass.batch_size = loader.batch_size
-                for batch_index, (inputs, targets) in enumerate(loader):
-                    eval_pass.batch_index = batch_index
+                for inputs, targets in loader:
                     data = inputs.data
                     n = data.shape[0]
                     if self._eval_chain_cache is None:
@@ -1261,9 +1132,6 @@ class BatchedFaultTrainer:
                     correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
                     total += n
         finally:
-            eval_pass.batch_index = None
-            eval_pass.batch_size = None
-            eval_pass.dataset = None
             if was_training:
                 self.model.train()
         if total == 0:
@@ -1401,15 +1269,12 @@ def evaluate_chip_accuracies(
     (the trainer only reads ``data``, so it doubles as the never-iterated
     train set).  Peak memory is bounded by one chunk's stacks
     (``chip_chunk`` stacked model copies: each chunk's trainer is freed by
-    reference counting before the next one is built) plus the byte-capped
-    :class:`LoweringCache`, regardless of population size.
+    reference counting before the next one is built) plus one eval batch's
+    working set, regardless of population size; nothing outlives the call.
 
     The eval batch is ``config.batch_size``, exactly as in Step-3
-    checkpoint evaluation, so both share the lowering-cache keys: with a
-    shared ``eval_pipeline`` (created per call when not supplied) each test
-    batch is lowered once per process, across chip chunks, triage, Step-3
-    checkpoints and sweep arms, and every pass replays through the
-    pipeline's compute backend.
+    checkpoint evaluation, and every pass replays through ``eval_pipeline``'s
+    compute backend (a fresh eager :class:`EvalPipeline` when not supplied).
     """
     if not mask_sets:
         raise ValueError("mask_sets must contain at least one chip")

@@ -150,8 +150,8 @@ def recorded(
 
     ``fn`` doubles as the node's replay kernel, so it must be a closure whose
     free variables are either immutable for a fixed input signature or
-    intentionally live (e.g. an eval-pass state whose ``batch_index`` picks
-    the lowering-cache entry at replay time).  The compiled graph keeps the
+    intentionally live (e.g. the stacked weights a replayed eval reads).
+    The compiled graph keeps the
     kernel, so it must not close over the object that owns the graph's
     :class:`ChainCache`: that would be a reference cycle.
     """

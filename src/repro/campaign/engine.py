@@ -214,11 +214,10 @@ class CampaignEngine:
         keyword stays only so callers that still pass ``prefetch=True`` keep
         working.  ``False`` raises :class:`ValueError`.
     lowering_cache_mb:
-        Byte cap (in MB) of the shared eval-lowering cache
-        (``--lowering-cache-mb``); ``None`` keeps the default
-        (:data:`~repro.accelerator.batched.DEFAULT_LOWERING_CACHE_MB`).
-        LRU entries are evicted past the cap — a throughput fallback, never
-        a correctness change.
+        Accepts only ``None``: the shared eval-lowering cache has been
+        removed (each eval pass lowers its own batches), and the keyword
+        stays only so callers that still pass ``lowering_cache_mb=None``
+        keep working.  Any other value raises :class:`ValueError`.
     listen:
         ``(host, port)`` to accept socket workers on (``--listen``); turns
         the engine distributed.  Port ``0`` binds an ephemeral port — the
@@ -277,9 +276,9 @@ class CampaignEngine:
             raise ValueError(
                 "prefetch must be True: the eval-lowering prefetch thread was removed"
             )
-        if lowering_cache_mb is not None and lowering_cache_mb < 0:
+        if lowering_cache_mb is not None:
             raise ValueError(
-                f"lowering_cache_mb must be non-negative, got {lowering_cache_mb}"
+                "lowering_cache_mb must be None: the eval-lowering cache was removed"
             )
         resolve_backend(backend)
         self.context = context
@@ -292,9 +291,6 @@ class CampaignEngine:
         self.heartbeat_seconds = heartbeat_seconds
         self.chaos_spec = resolve_chaos(chaos)
         self.backend = backend
-        self.lowering_cache_mb = (
-            float(lowering_cache_mb) if lowering_cache_mb is not None else None
-        )
         if supervisor_config is not None:
             self.supervisor_config = supervisor_config
         else:
@@ -427,13 +423,10 @@ class CampaignEngine:
         run_span,
     ) -> List[CampaignResult]:
         metrics.gauge("campaign.phase").set("plan")
-        # Eval-pipeline settings apply to the context (and so to every
-        # framework built from it, here and in this run's in-process
-        # executions); the shared lowering cache survives across runs of the
-        # same engine and across sweep arms sharing the context.
-        pipeline = self.context.eval_pipeline
-        pipeline.backend = self.backend
-        pipeline.configure(lowering_cache_mb=self.lowering_cache_mb)
+        # The backend applies to the context's eval pipeline, and so to
+        # every framework built from it, here and in this run's in-process
+        # executions.
+        self.context.eval_pipeline.backend = self.backend
         framework = self.context.framework()
         runs = [
             self._open_policy(framework, population, policy, strategy)
@@ -806,7 +799,6 @@ class CampaignEngine:
             connect=connect,
             backend=self.backend,
             fat_batch=self.fat_batch,
-            lowering_cache_mb=self.lowering_cache_mb,
             supervisor_config=self.supervisor_config,
             config=self.scheduler_config,
             disk_cache_dir=self.disk_cache_dir,

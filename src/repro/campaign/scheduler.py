@@ -228,7 +228,6 @@ class CampaignCoordinator:
         connect: Sequence[Tuple[str, int]] = (),
         backend: Optional[str] = None,
         fat_batch: int = DEFAULT_FAT_BATCH,
-        lowering_cache_mb: Optional[float] = None,
         supervisor_config: Optional[SupervisorConfig] = None,
         config: Optional[SchedulerConfig] = None,
         disk_cache_dir: Optional[str] = None,
@@ -237,7 +236,6 @@ class CampaignCoordinator:
         self._preset_dict = config_to_dict(preset)
         self.backend = backend
         self.fat_batch = int(fat_batch)
-        self.lowering_cache_mb = lowering_cache_mb
         self.supervisor_config = (
             supervisor_config if supervisor_config is not None else SupervisorConfig()
         )
@@ -402,7 +400,6 @@ class CampaignCoordinator:
                         "preset_name": self.preset_name,
                         "backend": self.backend,
                         "fat_batch": self.fat_batch,
-                        "lowering_cache_mb": self.lowering_cache_mb,
                         "trace": bool(trace.enabled),
                         "metrics": bool(metrics.enabled),
                         "heartbeat_interval": self.config.heartbeat_interval,
@@ -973,7 +970,6 @@ def run_worker(
         # config round-trips exactly, a remote context is the same experiment.
         context = ExperimentContext.from_preset(preset, disk_cache_dir=cache_dir)
         context.eval_pipeline.backend = backend
-        context.eval_pipeline.configure(lowering_cache_mb=welcome.get("lowering_cache_mb"))
         framework = context.framework()
         send_frame(sock, {"type": MSG_READY}, lock=send_lock)
         sock.settimeout(None)

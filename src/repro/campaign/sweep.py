@@ -82,7 +82,6 @@ def run_strategy_sweep(
     chunk_timeout: Optional[float] = None,
     chaos: Optional[str] = None,
     backend: Optional[str] = None,
-    lowering_cache_mb: Optional[float] = None,
     listen: Optional[Tuple[str, int]] = None,
     workers: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> StrategySweepResult:
@@ -95,13 +94,6 @@ def run_strategy_sweep(
     (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) are forwarded to
     the shared engine and therefore apply to every strategy arm, as does the
     compute ``backend`` every arm evaluates through.
-
-    ``backend`` and ``lowering_cache_mb`` ride the shared engine — and
-    because the engine configures the *context's* eval pipeline, the
-    lowering cache is sweep-wide: K strategy arms over the
-    same population walk the same unshuffled eval batches, so arms 2..K hit
-    lowerings arm 1 already computed (``lowering_cache.hits``) instead of
-    re-lowering each batch K times.
 
     ``listen``/``workers`` turn the shared engine distributed: one socket
     worker fleet serves every strategy arm in sequence (workers stay joined
@@ -122,7 +114,6 @@ def run_strategy_sweep(
         chunk_timeout=chunk_timeout,
         chaos=chaos,
         backend=backend,
-        lowering_cache_mb=lowering_cache_mb,
         listen=listen,
         workers=workers,
     )

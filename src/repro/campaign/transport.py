@@ -42,7 +42,7 @@ import struct
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frames larger than this are refused on both ends.  Sized far above any
 #: legitimate chunk/result/shard payload; its job is to turn a corrupt or

@@ -214,16 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bit-identical either way",
     )
     parser.add_argument(
-        "--lowering-cache-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="byte cap (in MB) of the shared eval-lowering cache "
-        "(campaign/compare; default: 128, sized to hold the fast preset's "
-        "lowered test set). LRU batches are evicted past the cap; 0 disables "
-        "caching. Pure throughput knob — results are bit-identical",
-    )
-    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -329,7 +319,6 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
         backend=BACKEND,
-        lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
         workers=args.worker_addresses,
     )
@@ -395,7 +384,6 @@ def _run_compare(context: ExperimentContext, args: argparse.Namespace) -> Dict[s
         chunk_timeout=args.chunk_timeout,
         chaos=args.chaos,
         backend=BACKEND,
-        lowering_cache_mb=args.lowering_cache_mb,
         listen=args.listen_address,
         workers=args.worker_addresses,
     )
@@ -480,8 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--max-chunk-retries must be >= 0")
     if args.chunk_timeout is not None and args.chunk_timeout <= 0:
         parser.error("--chunk-timeout must be positive")
-    if args.lowering_cache_mb is not None and args.lowering_cache_mb < 0:
-        parser.error("--lowering-cache-mb must be non-negative")
     if args.chaos is None:
         args.chaos = os.environ.get(CHAOS_ENV_VAR) or None
     if args.chaos is not None:

@@ -261,11 +261,8 @@ class ReduceFramework:
         self.bundle = bundle
         self.array = array
         self.config = config if config is not None else ReduceConfig()
-        # Pipelined-eval configuration + the shared lowering cache.  Passing
-        # one pipeline into several frameworks (as the experiment context
-        # does) shares the cache across them: triage, campaign chunks and
-        # whole strategy-sweep arms over the same population lower each eval
-        # batch once instead of once per consumer.
+        # Eval configuration (the compute backend).  The experiment context
+        # passes its one pipeline into every framework it builds.
         self.eval_pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
         self._profile: Optional[ResilienceProfile] = None
         self._clean_accuracy: Optional[float] = None
@@ -361,12 +358,6 @@ class ReduceFramework:
         strategy = resolve_strategy(strategy)
         self._restore_pretrained()
         accuracies: List[float] = []
-        # The pipeline's shared lowering cache serves the whole population —
-        # and every other consumer of this pipeline (Step-3 checkpoint evals,
-        # later campaign chunks, other sweep arms): all of them walk the same
-        # unshuffled test batches at the same eval batch size (the retraining
-        # ``batch_size``), and the first stacked layer sees the raw batch, so
-        # each batch is im2col-lowered exactly once per process.
         pipeline = self.eval_pipeline
         # Masks are built (and released) chunk by chunk so peak memory is
         # bounded by ``chip_chunk`` mask sets, not the population size.

@@ -44,9 +44,9 @@ logger = get_logger("core.resilience")
 # first-layer lowering is lost and memory grows by about 5 MB per stacked
 # cell on the fast preset.  Measured there (seed 1, one BLAS thread), the
 # tracemalloc peak of Step 1 is 20.7 MB at 4 cells per stack, 30.6 MB at 6
-# and 40.5 MB at 8, against 5.6 MB for serial per-cell retraining (not
-# counting the 8.2 MB of test-set lowerings Step 1 leaves in the shared
-# lowering cache, which triage and Step 3 would otherwise compute).
+# and 40.5 MB at 8, against 5.6 MB for serial per-cell retraining.  No
+# test-set lowering outlives its eval batch, so Step 1 leaves nothing
+# resident for triage and Step 3.
 TRIAL_STACK = 4
 
 
@@ -92,9 +92,8 @@ class ResilienceConfig:
 class ResilienceAnalyzer:
     """Runs the fault-injection + progressive-retraining grid of Step 1.
 
-    ``eval_pipeline`` supplies the shared lowering cache and compute backend
-    of the checkpoint evaluations, so a framework's Step 1, triage and
-    Step 3 lower each test batch once between them.
+    ``eval_pipeline`` supplies the compute backend of the checkpoint
+    evaluations.
     """
 
     def __init__(

@@ -180,11 +180,10 @@ class ExperimentContext:
     array: SystolicArray
     clean_accuracy: float
     _profile: Optional[ResilienceProfile] = None
-    # Lazily-created eval configuration (compute backend, shared lowering
-    # cache).  It lives on the context — not on a framework —
-    # because :meth:`framework` returns a fresh framework per call: sharing
-    # the pipeline is what lets triage, campaign chunks and successive sweep
-    # arms reuse each other's eval-batch lowerings.
+    # Lazily-created eval configuration (the compute backend).  It lives on
+    # the context — not on a framework — because :meth:`framework` returns a
+    # fresh framework per call, and a campaign engine sets the backend once
+    # for all of them.
     _eval_pipeline: Optional[EvalPipeline] = None
 
     # -- construction -----------------------------------------------------------

@@ -196,14 +196,19 @@ def run_compare(
     as does the compute ``backend`` (``None`` = eager, ``"numpy"`` = replay;
     the engine rejects anything else before it writes a store).
 
-    ``prefetch`` accepts only ``True``: the background eval-lowering
-    prefetch thread has been removed (it showed no measured wall-clock win),
-    and the keyword stays only so callers that still pass ``prefetch=True``
-    keep working.  ``False`` raises :class:`ValueError`.
+    ``prefetch`` accepts only ``True`` and ``lowering_cache_mb`` only
+    ``None``: the background eval-lowering prefetch thread and the shared
+    eval-lowering cache have been removed (neither showed a measured win),
+    and the keywords stay only so callers that still pass them keep
+    working.  Any other value raises :class:`ValueError`.
     """
     if prefetch is not True:
         raise ValueError(
             "prefetch must be True: the eval-lowering prefetch thread was removed"
+        )
+    if lowering_cache_mb is not None:
+        raise ValueError(
+            "lowering_cache_mb must be None: the eval-lowering cache was removed"
         )
     chips = population if population is not None else build_population(context, num_chips)
     if policy is None:
@@ -232,7 +237,6 @@ def run_compare(
         chunk_timeout=chunk_timeout,
         chaos=chaos,
         backend=backend,
-        lowering_cache_mb=lowering_cache_mb,
         listen=listen,
         workers=workers,
     )

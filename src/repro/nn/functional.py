@@ -314,11 +314,27 @@ class MaxPool2dFunction(Function):
 
     def backward(self, grad_output: np.ndarray):
         x_shape, (kh, kw), (sh, sw), argmax, out_h, out_w = self.saved
-        dx = np.zeros(x_shape, dtype=grad_output.dtype)
         # Route each window's gradient to its argmax position, one window
         # phase at a time: within a phase every target element is distinct,
-        # so a masked strided accumulate replaces the (much slower) np.add.at
-        # scatter.  Overlapping windows accumulate across phase iterations.
+        # so a masked strided write replaces the (much slower) np.add.at
+        # scatter.
+        if (sh, sw) == (kh, kw) and x_shape[2:] == (kh * out_h, kw * out_w):
+            # Exact tiling: the phases partition ``dx``, so each element is
+            # written once, straight into uninitialised memory.  The final
+            # ``+ 0.0`` gives the bits of the accumulate below (``0.0 +
+            # g * sel``): -0.0 becomes +0.0, NaN and inf pass through.
+            dx = np.empty(x_shape, dtype=grad_output.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    np.multiply(
+                        grad_output, argmax == (i * kw + j),
+                        out=dx[:, :, i::sh, j::sw],
+                    )
+            dx += 0.0
+            return (dx,)
+        # Overlapping windows accumulate across phases, and ragged edges
+        # (rows or columns no window covers) keep their zero.
+        dx = np.zeros(x_shape, dtype=grad_output.dtype)
         for i in range(kh):
             for j in range(kw):
                 selected = argmax == (i * kw + j)

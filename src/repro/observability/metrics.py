@@ -3,8 +3,8 @@
 The registry (:data:`metrics`, a process-wide singleton) is always
 functional — engine bookkeeping such as the heartbeat's chips-completed
 counter costs one integer add per chip and needs no opt-in.  The ``enabled``
-flag gates only the *hot-path* observations (per-GEMM timers, lowering-cache
-hit counters) whose guard must stay a single attribute check when
+flag gates only the *hot-path* observations (per-GEMM timers, dedup
+counters) whose guard must stay a single attribute check when
 observability is off, plus the per-process JSON snapshot shards.
 
 Instruments::

@@ -160,8 +160,8 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     ]
     chip_events = [e for e in events if e.get("name") == "campaign.chip"]
     # FAT eval-vs-train attribution: checkpoint-eval passes vs training-step
-    # spans inside the batched trainer, the split the eval path (shared
-    # lowerings, step-deduplicated checkpoints) is meant to move.
+    # spans inside the batched trainer, the split the eval path
+    # (step-deduplicated checkpoints) is meant to move.
     train_spans = _duration_events(events, "fat.train_steps")
     eval_spans = _duration_events(events, "fat.eval_checkpoint")
     fat = {

@@ -395,3 +395,21 @@ def reference_max_pool2d(x, kernel_size, stride):
                 np.maximum(out, phase, out=out)
                 argmax[better] = i * kw + j
     return out, argmax
+
+
+def reference_max_pool2d_backward(grad_output, argmax, x_shape, kernel_size, stride):
+    """The zero-fill phase accumulate ``MaxPool2dFunction.backward`` must equal.
+
+    Every input element starts at ``+0.0`` and receives ``g * (argmax ==
+    k)`` from each window phase ``k`` that covers it, in row-major order.
+    """
+    kh, kw = kernel_size
+    sh, sw = stride
+    out_h, out_w = argmax.shape[2:]
+    dx = np.zeros(x_shape, dtype=grad_output.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            selected = argmax == (i * kw + j)
+            view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            view += grad_output * selected
+    return dx

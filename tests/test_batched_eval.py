@@ -22,7 +22,7 @@ from repro.accelerator import (
     evaluate_chip_accuracies,
     model_fault_masks,
 )
-from repro.accelerator.batched import EvalPipeline
+from repro.accelerator.batched import EvalPipeline, LoweringCache
 from repro.backends.numpy_backend import CompiledGraph
 from repro.data.dataloader import DataLoader
 from repro.experiments import build_dataset, fast_preset
@@ -137,99 +137,56 @@ class TestBatchedEquivalence:
             assert "forward" not in module.__dict__
 
 
+def _count_eval_lowerings(monkeypatch):
+    """Keys of every shared-prefix eval lowering, in call order."""
+    keys = []
+    real = LoweringCache.get_or_compute
+
+    def counting(self, key, compute, record=True):
+        keys.append(key)
+        return real(self, key, compute, record)
+
+    monkeypatch.setattr(LoweringCache, "get_or_compute", counting)
+    return keys
+
+
 class TestLoweringCache:
-    def test_shared_cache_lowers_each_batch_once_across_chunks(
+    def test_every_chunk_lowers_every_batch(
         self, conv_setup, image_bundle, monkeypatch
     ):
-        """evaluate_chip_accuracies shares the shared-prefix im2col_t across
-        chip chunks: the test set is lowered once for the whole population."""
-        import repro.accelerator.batched as batched_module
-
-        model, pretrained, _, mask_sets = conv_setup
-        calls = []
-        real = batched_module.im2col_t
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
-
-        # Only the first (shared-prefix) conv lowers through ``im2col_t`` in
-        # an eval pass; the folded second conv lowers per chip stack.
-        monkeypatch.setattr(batched_module, "im2col_t", counting)
+        """Each chip chunk's eval pass lowers the whole test set itself at the
+        shared-prefix conv, and the pass-through cache keeps none of it."""
+        model, _, _, mask_sets = conv_setup
+        keys = _count_eval_lowerings(monkeypatch)
         num_batches = -(-len(image_bundle.test) // SMALL_BATCHES.batch_size)
-        cached = evaluate_chip_accuracies(
+        chunked = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
-        # 3 chunks x num_batches forwards, but the first-layer lowering runs
-        # only num_batches times: later chunks hit the cache.
-        assert len(calls) == num_batches
-        # Values are identical to a single-chunk pass.
-        uncached = evaluate_chip_accuracies(
+        # 3 chunks x num_batches forwards, each lowering its own batch.
+        assert keys == ["0"] * (3 * num_batches)
+        assert LoweringCache.nbytes == 0
+        one_chunk = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=6
         )
-        assert cached == uncached
+        assert chunked == one_chunk
 
     def test_cache_respects_byte_budget(self, conv_setup, image_bundle):
-        """Inserts stop at the budget; results are unchanged (just uncached)."""
+        """The pass-through cache's budget is zero bytes: it stores nothing,
+        and results equal a fresh pipeline's."""
         model, _, _, mask_sets = conv_setup
-        unbounded = evaluate_chip_accuracies(
+        fresh = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
         )
-        pipeline = EvalPipeline(lowering_cache_mb=0.0)
-        cache = pipeline.cache
-        bounded = evaluate_chip_accuracies(
-            model,
-            image_bundle.test,
-            mask_sets,
-            SMALL_BATCHES,
-            chip_chunk=2,
-            eval_pipeline=pipeline,
-        )
-        assert len(cache) == 0  # budget of zero: nothing cached
-        assert cache.nbytes == 0
-        assert bounded == unbounded
-
-    def test_cache_evicts_lru_past_the_cap(self, conv_setup, image_bundle):
-        """A cap below the working set keeps the cache bounded, not broken."""
-        model, _, _, mask_sets = conv_setup
-        unbounded_pipeline = EvalPipeline()
-        unbounded_cache = unbounded_pipeline.cache
-        unbounded = evaluate_chip_accuracies(
+        shared = evaluate_chip_accuracies(
             model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            eval_pipeline=unbounded_pipeline,
+            eval_pipeline=EvalPipeline(),
         )
-        assert len(unbounded_cache) > 1
-        # Cap to one largest entry: every later insert evicts the previous.
-        one_entry = max(
-            entry[0].nbytes for entry in unbounded_cache._entries.values()
-        )
-        pipeline = EvalPipeline()
-        cache = pipeline.cache
-        cache.set_max_bytes(one_entry)
-        bounded = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            eval_pipeline=pipeline,
-        )
-        assert bounded == unbounded
-        assert len(cache) >= 1
-        assert cache.nbytes <= one_entry
-
-    def test_set_max_bytes_shrinks_in_place(self, conv_setup, image_bundle):
-        model, _, _, mask_sets = conv_setup
-        pipeline = EvalPipeline()
-        cache = pipeline.cache
-        evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            eval_pipeline=pipeline,
-        )
-        assert cache.nbytes > 0
-        cache.set_max_bytes(0)
-        assert len(cache) == 0
-        assert cache.nbytes == 0
+        assert shared == fresh
+        assert LoweringCache().nbytes == 0
 
     def test_loader_batch_size_keys_the_cache(self, conv_setup, image_bundle):
         """A caller-supplied loader slicing the data differently from the
-        config's eval batch never reads another batch size's lowerings."""
+        config's eval batch gives the same accuracies as the config's."""
         model, pretrained, _, mask_sets = conv_setup
         pipeline = EvalPipeline()
         by_dataset = evaluate_chip_accuracies(
@@ -244,16 +201,19 @@ class TestLoweringCache:
             model, pretrained, mask_sets, image_bundle.test
         )
 
-    def test_cache_ignored_for_inputs_of_unknown_identity(self, conv_setup, image_bundle):
-        """Training steps see shuffled batches, so they never touch the cache."""
+    def test_cache_ignored_for_inputs_of_unknown_identity(
+        self, conv_setup, image_bundle, monkeypatch
+    ):
+        """Training steps lower inside the conv itself (the columns are saved
+        for backward), never through the eval lowering."""
         model, _, _, mask_sets = conv_setup
-        pipeline = EvalPipeline()
+        keys = _count_eval_lowerings(monkeypatch)
         trainer = BatchedFaultTrainer(
             model, mask_sets[:2], image_bundle.train, image_bundle.test,
-            config=SMALL_BATCHES, eval_pipeline=pipeline,
+            config=SMALL_BATCHES,
         )
         trainer._train_steps(2)
-        assert len(pipeline.cache) == 0
+        assert keys == []
 
 
 @pytest.fixture(scope="module")
@@ -336,18 +296,29 @@ class TestEvalBatchInvariance:
         # first capture: replay is on the default eval's path.
         assert replays.count(40) >= 4
 
-    def test_default_eval_keys_the_lowering_cache_by_batch_size(self, fast_setup):
+    def test_default_eval_lowers_training_size_batches(self, fast_setup, monkeypatch):
+        """The default eval lowers the first conv once per training-size
+        batch: ``(K, batch_size * out_h * out_w)`` columns each."""
+        import repro.accelerator.batched as batched_module
+
         preset, bundle, model, mask_sets = fast_setup
-        pipeline = EvalPipeline()
+        widths = []
+        real = batched_module.im2col_t
+
+        def recording(*args, **kwargs):
+            cols, out_h, out_w = real(*args, **kwargs)
+            widths.append(cols.shape[1] // (out_h * out_w))
+            return cols, out_h, out_w
+
+        monkeypatch.setattr(batched_module, "im2col_t", recording)
+        keys = _count_eval_lowerings(monkeypatch)
         BatchedFaultTrainer(
-            model, mask_sets, bundle.train, bundle.test,
-            config=preset.retraining, eval_pipeline=pipeline,
+            model, mask_sets, bundle.train, bundle.test, config=preset.retraining,
         ).evaluate()
         batch_size = preset.retraining.batch_size
         num_batches = -(-len(bundle.test) // batch_size)
-        assert list(pipeline.cache._entries) == [
-            (bundle.test, "features.0", batch_size, index) for index in range(num_batches)
-        ]
+        assert keys == ["features.0"] * num_batches
+        assert widths == [batch_size] * num_batches
 
 
 class TestBatchedValidation:

@@ -1,15 +1,17 @@
 """Bitwise parity of the training-path kernels with their references.
 
-The conv lowering, the conv input-gradient scatter and the max-pool training
-forward are rewritten for speed; every output element must still see exactly
-the float32 operations (or, for the lowering, hold exactly the element) it
-did in the single-copy and NCHW phase-sweep references kept in
-``tests/helpers.py``.
+The conv lowering, the conv input-gradient scatter, the max-pool training
+forward and backward, and the stacked conv weight gradient are rewritten for
+speed; every output element must still see exactly the float32 operations
+(or, for the lowering, hold exactly the element) it did in the single-copy
+and NCHW phase-sweep references kept in ``tests/helpers.py``, or, for the
+weight gradient, in the serial ``Conv2dFunction`` backward.
 """
 
 import numpy as np
 import pytest
 
+from repro.accelerator.batched import _StackedConv2dFunction
 from repro.nn import functional as F
 from repro.nn.functional import _stacked_col2im_t, _stacked_im2col_t
 
@@ -17,6 +19,7 @@ from tests.helpers import (
     reference_col2im_t,
     reference_im2col_t,
     reference_max_pool2d,
+    reference_max_pool2d_backward,
     reference_stacked_col2im_t,
     reference_stacked_im2col_t,
 )
@@ -208,3 +211,86 @@ def test_max_pool_forward_leaves_its_input_alone():
     out = F.MaxPool2dFunction().forward(x, (2, 2), (1, 1))
     np.testing.assert_array_equal(x, before)
     np.testing.assert_array_equal(out, [[[[4.0, 5.0]]]])
+
+
+# (shape, kernel, stride): exact tilings (LeNet's pools at stack and eval
+# sizes), ragged edges no window covers, and overlapping windows.
+POOL_BACKWARDS = [
+    ((40, 6, 12, 12), 2, 2),
+    ((8, 16, 4, 4), 2, 2),
+    ((4, 3, 9, 9), 3, 3),
+    ((4, 3, 7, 8), 2, 2),
+    ((3, 2, 5, 5), 2, 3),
+    ((4, 3, 9, 9), 3, 2),
+    ((4, 3, 7, 8), 3, 1),
+]
+
+
+def _pool_grads(rng, shape):
+    """float32 output gradients with signed zeros, NaN and infinities."""
+    grad = rng.standard_normal(shape).astype(np.float32)
+    grad[rng.random(shape) < 0.15] = -0.0
+    grad[rng.random(shape) < 0.05] = 0.0
+    grad[rng.random(shape) < 0.03] = np.nan
+    grad[rng.random(shape) < 0.03] = np.inf
+    grad[rng.random(shape) < 0.03] = -np.inf
+    return grad
+
+
+@pytest.mark.parametrize("shape, kernel, stride", POOL_BACKWARDS)
+def test_max_pool_backward_matches_phase_accumulate(shape, kernel, stride):
+    rng = np.random.default_rng(sum(shape) + 10 * kernel + stride)
+    x = _relu_activations(rng, shape)  # all-zero windows: ties
+    x[0, 0] = 0.0
+    fn = F.MaxPool2dFunction()
+    out = fn.forward(x, (kernel, kernel), (stride, stride))
+    grad = _pool_grads(rng, out.shape)
+    argmax = fn.saved[3]
+    with np.errstate(invalid="ignore"):  # inf * 0 at unselected positions
+        (dx,) = fn.backward(grad)
+        expected = reference_max_pool2d_backward(
+            grad, argmax, x.shape, (kernel, kernel), (stride, stride)
+        )
+    assert dx.shape == x.shape and dx.dtype == expected.dtype
+    np.testing.assert_array_equal(_bits(dx), _bits(expected))
+
+
+def test_max_pool_backward_never_leaves_negative_zero():
+    """An all-(-0.0) gradient routes to +0.0 everywhere, as ``0.0 + -0.0`` does."""
+    x = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
+    fn = F.MaxPool2dFunction()
+    out = fn.forward(x, (2, 2), (2, 2))
+    (dx,) = fn.backward(np.full(out.shape, -0.0, dtype=np.float32))
+    assert (dx == 0.0).all() and not np.signbit(dx).any()
+
+
+# (B, O, C, kernel, N, H, W): LeNet's conv1 and conv2 at the fast preset's
+# training batch, and a VGG-mini 3x3 padded conv.
+WEIGHT_GRADS = [
+    (8, 6, 3, 5, 40, 16, 16, 0),
+    (8, 16, 6, 5, 40, 6, 6, 0),
+    (4, 32, 16, 3, 20, 8, 8, 1),
+]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "folded"])
+@pytest.mark.parametrize("chips, out_c, in_c, k, n, h, w, pad", WEIGHT_GRADS)
+def test_stacked_conv_weight_grad_matches_serial(chips, out_c, in_c, k, n, h, w, pad, shared):
+    """Chip ``b``'s stacked weight gradient has the serial backward's bits."""
+    rng = np.random.default_rng(chips * out_c + in_c + k)
+    weight = (rng.standard_normal((chips, out_c, in_c, k, k)) * 0.1).astype(np.float32)
+    bias = rng.standard_normal((chips, out_c)).astype(np.float32)
+    rows = n if shared else chips * n
+    x = rng.standard_normal((rows, in_c, h, w)).astype(np.float32)
+    stacked = _StackedConv2dFunction()
+    out = stacked.forward(x, weight, bias, (1, 1), (pad, pad), chips, shared)
+    grad = rng.standard_normal(out.shape).astype(np.float32)
+    _, grad_w, grad_b = stacked.backward(grad)
+    assert grad_w.shape == weight.shape
+    for chip in range(chips):
+        x_b = x if shared else x[chip * n:(chip + 1) * n]
+        serial = F.Conv2dFunction()
+        serial.forward(x_b, weight[chip], bias[chip], (1, 1), (pad, pad))
+        _, serial_w, serial_b = serial.backward(grad[chip * n:(chip + 1) * n])
+        np.testing.assert_array_equal(_bits(grad_w[chip]), _bits(serial_w))
+        np.testing.assert_array_equal(_bits(grad_b[chip]), _bits(serial_b))

@@ -9,6 +9,9 @@ and a capture session must not pin the intermediates the eager chain drops.
 Each trainer test runs with the ``numpy`` backend: the cycle exists for
 every trainer that has a chain cache.
 
+An eval pass lowers its own test batches and frees them: nothing it lowered
+is still allocated when it returns.
+
 Campaign jobs hold the population's own chips, and the store fingerprint
 serializes one job's fault map at a time.
 """
@@ -160,6 +163,48 @@ def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
     assert len(trainers) == 4
     assert [ref for ref in trainers if ref() is not None] == []
     assert after - before <= one_chunk
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_eval_keeps_no_lowering(image_bundle, backend):
+    """Traced memory after ``evaluate()`` and ``evaluate_chip_accuracies()``
+    is back near where it started.  One pass lowers ``K * P`` float32 columns
+    at the first conv (18 x 2048 here, 147 KB); a trainer keeps only its
+    captured graphs, and a population evaluation keeps nothing."""
+    model = _make_cnn(image_bundle)
+    mask_sets = _mask_sets(model, 3)
+    conv = model[0]
+    _, height, width = image_bundle.input_shape
+    lowered = (
+        conv.weight.data[0].size * len(image_bundle.test) * height * width * 4
+    )
+
+    def trainer(pipeline):
+        return BatchedFaultTrainer(
+            model, mask_sets, image_bundle.train, image_bundle.test,
+            config=CONFIG, eval_pipeline=pipeline,
+        )
+
+    trainer(EvalPipeline(backend=backend)).evaluate()  # warm up process state
+    tracemalloc.start()
+    try:
+        pipeline = EvalPipeline(backend=backend)
+        evaluating = trainer(pipeline)
+        before = tracemalloc.get_traced_memory()[0]
+        evaluating.evaluate()
+        after_evaluate = tracemalloc.get_traced_memory()[0] - before
+
+        pipeline = EvalPipeline(backend=backend)
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_chip_accuracies(
+            model, image_bundle.test, mask_sets, config=CONFIG,
+            eval_pipeline=pipeline,
+        )
+        after_population = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert after_evaluate < lowered / 4, (after_evaluate, lowered)
+    assert after_population < lowered / 4, (after_population, lowered)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

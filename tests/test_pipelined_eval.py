@@ -1,16 +1,15 @@
 """Determinism tests for the shared evaluation path.
 
 The eval path's throughput features — step-deduplicated checkpoint
-evaluation, the sweep-wide shared lowering cache and the compute backend an
-:class:`EvalPipeline` carries — must never change a result, store or
-fingerprint.  These tests pin that contract at every level: the lowering
-cache's keys, the stacked trainer, whole campaigns (``--jobs 2 x --fat-batch
-4``, chaos kill and kill/resume) and multi-arm strategy sweeps, where arms
-2..K must *hit* the lowerings arm 1 computed (and Step-3 checkpoint evals
-must hit the lowerings triage computed) with exact hit/miss counts.
+evaluation and the compute backend an :class:`EvalPipeline` carries — must
+never change a result, store or fingerprint.  These tests pin that contract
+at every level: the stacked trainer, whole campaigns (``--jobs 2 x
+--fat-batch 4``, chaos kill and kill/resume) and multi-arm strategy sweeps,
+where every eval pass lowers each of its test batches exactly once and keeps
+none of them.
 
-The smoke preset is an MLP, which never exercises the im2col lowering cache,
-so campaign-level tests run a conv variant of it (LeNet-5 on 12x12 images).
+The smoke preset is an MLP, which never exercises the im2col lowering, so
+campaign-level tests run a conv variant of it (LeNet-5 on 12x12 images).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def _conv_preset():
     """The smoke preset with a conv model, so eval passes im2col-lower.
 
     ``test_per_class=40`` gives the trainer's eval loader more than one
-    batch, so every eval pass walks several lowering-cache keys.
+    batch, so every eval pass lowers several batches.
     """
     base = smoke_preset()
     return dataclasses.replace(
@@ -88,13 +87,11 @@ def enabled_metrics():
         metrics.reset()
 
 
-def _lowering_counters():
+def _eval_lowerings():
+    """Eval-pass im2col lowerings so far (both LeNet convs), and no cache."""
     snap = metrics.snapshot()
-    return {
-        key.split(".", 1)[1]: value["value"]
-        for key, value in snap.items()
-        if key.startswith("lowering_cache.") and value["type"] == "counter"
-    }
+    assert not [key for key in snap if key.startswith("lowering_cache.")]
+    return snap.get("fat.eval.im2col_seconds", {}).get("count", 0)
 
 
 def _small_cnn(bundle, rng_base=0):
@@ -156,8 +153,6 @@ class TestLoweringCacheKeys:
             model, image_bundle.train, mask_sets, self.CONFIG
         )
         assert on_train == fresh
-        datasets = {id(key[0]) for key in shared.cache._entries}
-        assert datasets == {id(image_bundle.test), id(image_bundle.train)}
 
 
 class TestCheckpointEval:
@@ -254,7 +249,7 @@ class TestCheckpointEval:
 class TestCampaignPrefetchDeterminism:
     """Campaign-level determinism of the conv eval path.  The test names
     date from the removed background prefetch thread; each case now checks
-    the lowering cache under parallel, killed and chaotic execution."""
+    the eval path under parallel, killed and chaotic execution."""
 
     def _run(self, context, population, store_base, **engine_kwargs):
         engine = CampaignEngine(context, store_base=store_base, **engine_kwargs)
@@ -336,111 +331,53 @@ class TestCampaignPrefetchDeterminism:
 
 
 def _num_eval_batches(context):
-    """Test batches of one eval pass: the lowering-cache keys per layer."""
+    """Test batches of one eval pass."""
     batch_size = context.framework()._fat_training_config().batch_size
     return -(-len(context.bundle.test) // batch_size)
 
 
-class TestSweepLoweringReuse:
-    def test_later_arms_hit_lowerings_of_the_first(
+class TestSweepLowering:
+    def test_every_eval_pass_lowers_its_own_batches(
         self, conv_population, enabled_metrics
     ):
-        """Arms 2..K re-use arm 1's eval-batch lowerings: extra hits, zero
-        extra misses.  Counting starts after each context is built, so
-        pre-training's evaluation (through its own private cache) is not
-        counted."""
+        """Each eval pass lowers every test batch at both convs, and a second
+        sweep arm re-lowers rather than reading the first arm's lowerings.
+        Counting starts after the context is built, so pre-training's
+        evaluation is not counted."""
         policy = FixedEpochPolicy(0.25)
         context = _fresh_conv_context()
-        batches = _num_eval_batches(context)
+        per_pass = 2 * _num_eval_batches(context)
         metrics.reset()
         run_strategy_sweep(context, conv_population, policy, "fat", fat_batch=2)
-        one_arm = _lowering_counters()
+        one_arm = _eval_lowerings()
         context = _fresh_conv_context()
         metrics.reset()
         run_strategy_sweep(
             context, conv_population, policy, "fat,fam+fat", fat_batch=2
         )
-        two_arms = _lowering_counters()
-        # One arm: triage lowers every batch once (one pass over all four
-        # chips), then Step 3's two 2-chip stacks each hit every batch once.
-        assert one_arm == {"misses": batches, "hits": 2 * batches}
+        two_arms = _eval_lowerings()
+        # One arm: one triage pass over all four chips, then one checkpoint
+        # pass for each of Step 3's two 2-chip stacks.
+        assert one_arm == 3 * per_pass
         # The second arm measures triage under its own (permuted) masks and
-        # retrains two more stacks: three more passes, all hits.
-        assert two_arms == {"misses": batches, "hits": 5 * batches}
-
-    def test_step3_checkpoint_eval_hits_triage_lowerings(
-        self, conv_context, conv_population, enabled_metrics
-    ):
-        """Triage and Step-3 checkpoint evals share one lowering layout and
-        one cache key per test batch: retraining after triage adds no cache
-        entry and misses nothing."""
-        framework = conv_context.framework()
-        framework.eval_pipeline = EvalPipeline()
-        cache = framework.eval_pipeline.cache
-        triage = framework.triage_population(conv_population)
-        lowered = len(cache)
-        assert lowered == _num_eval_batches(conv_context)
-        metrics.reset()
-        framework.retrain_chips_batched(
-            list(conv_population), 0.25, accuracies_before=triage
-        )
-        # All four chips train in one stack: one checkpoint pass.
-        assert _lowering_counters() == {"hits": lowered}
-        assert len(cache) == lowered
-
-    def test_triage_hits_step1_lowerings(self, conv_population, enabled_metrics):
-        """Step 1 evaluates through the context's eval pipeline, so triage
-        afterwards adds no cache entry and misses nothing."""
-        context = _fresh_conv_context()
-        cache = context.eval_pipeline.cache
-        assert len(cache) == 0
-        context.resilience_profile()
-        lowered = len(cache)
-        assert lowered == _num_eval_batches(context)
-        metrics.reset()
-        context.framework().triage_population(conv_population)
-        # One triage pass over the four chips: every batch hits once.
-        assert _lowering_counters() == {"hits": lowered}
-        assert len(cache) == lowered
-
-    def test_cache_bytes_gauge_tracks_shared_cache(
-        self, conv_population, enabled_metrics
-    ):
-        context = _fresh_conv_context()
-        run_strategy_sweep(
-            context,
-            conv_population,
-            FixedEpochPolicy(0.25),
-            "fat",
-            fat_batch=2,
-        )
-        cache = context.eval_pipeline.cache
-        assert cache.nbytes > 0
-        assert metrics.snapshot()["lowering_cache.bytes"]["value"] == cache.nbytes
-        # Shrinking the cap evicts, and the gauge follows.
-        context.eval_pipeline.configure(lowering_cache_mb=0.0)
-        assert cache.nbytes == 0
-        assert metrics.snapshot()["lowering_cache.bytes"]["value"] == 0
+        # retrains two more stacks: three more passes.
+        assert two_arms == 6 * per_pass
 
 
 class TestEvalPipelineConfig:
     def test_defaults(self):
         pipeline = EvalPipeline()
         assert pipeline.backend is None
-        assert pipeline.cache.max_bytes == int(128.0 * 1024 * 1024)
-
-    def test_configure_updates_in_place(self):
-        pipeline = EvalPipeline()
-        cache = pipeline.cache
-        assert pipeline.configure(lowering_cache_mb=1.0) is pipeline
-        assert pipeline.cache is cache  # same cache object, resized
-        assert cache.max_bytes == 1024 * 1024
+        assert [field.name for field in dataclasses.fields(pipeline)] == ["backend"]
 
     def test_negative_cache_mb_rejected(self, smoke_context):
-        with pytest.raises(ValueError):
-            EvalPipeline(lowering_cache_mb=-1.0)
-        with pytest.raises(ValueError):
-            CampaignEngine(smoke_context, lowering_cache_mb=-1.0)
+        """Every cache cap names the removal, a negative one included."""
+        for cap in (-1.0, 0.0, 128.0):
+            with pytest.raises(ValueError, match="eval-lowering cache was removed"):
+                CampaignEngine(smoke_context, lowering_cache_mb=cap)
+            with pytest.raises(ValueError, match="eval-lowering cache was removed"):
+                run_compare(smoke_context, "fat", num_chips=1, lowering_cache_mb=cap)
+        assert CampaignEngine(smoke_context, lowering_cache_mb=None).backend is None
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(BackendError, match="unknown backend 'bogus'"):
@@ -470,7 +407,12 @@ class TestEvalPipelineConfig:
 
 class TestCLIFlags:
     def test_negative_lowering_cache_mb_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke", "--lowering-cache-mb", "-1"])
-        assert excinfo.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        """The flag is gone: any value, a negative one included, is a usage
+        error."""
+        for command in ("campaign", "compare"):
+            for value in ("-1", "128"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, "--preset", "smoke", "--lowering-cache-mb", value])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert "usage:" in err and "--lowering-cache-mb" in err
