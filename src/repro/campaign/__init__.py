@@ -16,14 +16,12 @@ chunks to local *and* remote socket workers via work-stealing claims, so a
 campaign scales past one host with the same recovery as on one.
 """
 
-from repro.campaign.chaos import CHAOS_ENV_VAR, ChaosError, ChaosSpec, resolve_chaos
+from repro.campaign.chaos import ChaosError, ChaosSpec, resolve_chaos
 from repro.campaign.engine import CampaignEngine, CampaignReport
 from repro.campaign.jobs import (
     ChipJob,
     build_jobs,
     execute_job_chunk,
-    execute_jobs_batched,
-    group_jobs_for_batching,
     plan_job_chunks,
 )
 from repro.campaign.store import (
@@ -53,7 +51,6 @@ from repro.campaign.transport import (
 )
 
 __all__ = [
-    "CHAOS_ENV_VAR",
     "ChaosError",
     "ChaosSpec",
     "resolve_chaos",
@@ -62,8 +59,6 @@ __all__ = [
     "ChipJob",
     "build_jobs",
     "execute_job_chunk",
-    "execute_jobs_batched",
-    "group_jobs_for_batching",
     "plan_job_chunks",
     "CampaignStore",
     "CampaignStoreError",

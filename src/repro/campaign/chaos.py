@@ -26,7 +26,7 @@ string carries an explicit seed, planned chunk indices are drawn with
 first attempt — so a chaos campaign always terminates and (except for
 ``poison`` chunks) commits bit-identical rows to an undisturbed run.
 
-Spec grammar (``--chaos SPEC`` / ``REPRO_CHAOS``)::
+Spec grammar (``--chaos SPEC``)::
 
     SPEC    := ENTRY ("," ENTRY)*
     ENTRY   := KEY "=" VALUE
@@ -50,9 +50,6 @@ from repro.observability import metrics, trace
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.chaos")
-
-#: Environment variable consulted by the CLI when ``--chaos`` is not given.
-CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 _COUNT_KEYS = ("kill", "hang", "exc", "poison", "torn")
 

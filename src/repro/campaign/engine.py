@@ -18,10 +18,11 @@ workload, in two stages:
   engine-lifetime coordinator that remote workers join
   (``repro-reduce worker --join HOST:PORT``) next to ``jobs`` local ones.
   There is one multi-process executor and one recovery story.  Every chunk
-  runs through one stacked
-  :class:`~repro.accelerator.batched.BatchedFaultTrainer`, so process-level
-  parallelism and stacked-GEMM batching compose: ``--jobs N`` workers each
-  retrain ``--fat-batch`` chips per dispatch.  Every run sets the compute
+  is one stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer`
+  run through :func:`~repro.campaign.jobs.execute_job_chunk`, so
+  process-level parallelism and stacked-GEMM batching compose: ``--jobs N``
+  workers each retrain one planned chunk of at most ``--fat-batch`` chips
+  per dispatch.  Every run sets the compute
   backend on the context's :class:`~repro.accelerator.batched.EvalPipeline`,
   and socket workers take it from the welcome frame, so jobs carry none.
 
@@ -174,10 +175,11 @@ class CampaignEngine:
         state from the on-disk context cache instead of re-pre-training.
     fat_batch:
         Maximum number of chips, grouped by their largest budget, retrained
-        together in one stacked batched-FAT run — the plan chunk size.
-        Applies to the inline path and to every worker at ``jobs > 1``;
-        ``1`` disables coalescing.  Results are bit-identical either way; the stacked runs
-        just share every GEMM across the batch.
+        together in one stacked batched-FAT run — the plan chunk size, and
+        the only place a stack is sized: the inline path and every worker
+        run each planned chunk as one stack.  ``1`` disables coalescing.
+        Results are bit-identical either way; the stacked runs just share
+        every GEMM across the batch.
     heartbeat_seconds:
         Interval of the progress heartbeat (one INFO line with completed/
         total chips and chips/s throughput).  ``None`` disables it.
@@ -465,10 +467,7 @@ class CampaignEngine:
                         )
                     )
                 pending = [
-                    job.with_accuracy_before(triage[job.chip_id])
-                    if job.chip_id in triage
-                    else job
-                    for job in pending
+                    job.with_accuracy_before(triage[job.chip_id]) for job in pending
                 ]
 
         executed = 0
@@ -591,10 +590,7 @@ class CampaignEngine:
             # workers (which rebuild a framework each) to format them would
             # cost far more than executing them here, so non-retraining
             # strategy campaigns always run in-process.
-            all_lookups = all(
-                job.epochs == 0 and job.accuracy_before is not None
-                for job in pending
-            )
+            all_lookups = all(job.epochs == 0 for job in pending)
             on_workers = not all_lookups and (
                 self._coordinator is not None or (self.jobs > 1 and len(plan) > 1)
             )
@@ -774,9 +770,7 @@ class CampaignEngine:
                     chaos_schedule.maybe_inject(
                         state.index, attempt, allow_process_faults=False
                     )
-                results = execute_job_chunk(
-                    framework, state.chunk, fat_batch=self.fat_batch, attempt=attempt
-                )
+                results = execute_job_chunk(framework, state.chunk, attempt=attempt)
             except Exception as error:  # noqa: BLE001 - quarantine boundary
                 ledger.fail(state, repr(error), time.monotonic())
                 if state.status == "quarantined":
@@ -798,7 +792,6 @@ class CampaignEngine:
             listen=listen,
             connect=connect,
             backend=self.backend,
-            fat_batch=self.fat_batch,
             supervisor_config=self.supervisor_config,
             config=self.scheduler_config,
             disk_cache_dir=self.disk_cache_dir,

@@ -20,19 +20,20 @@ time.  Jobs are picklable, and executing one is a pure function of
 retraining seed is a deterministic function of the campaign configuration
 (shared by every chip — see :meth:`ReduceFramework._fat_training_config`),
 so the result does not depend on which process runs the job or in what order
-jobs complete.  Because the seed (and therefore the mini-batch and dropout
-streams) is shared, jobs can also be *coalesced*: :func:`execute_jobs_batched`
-retrains a whole group through one stacked multi-chip trainer, once to the
-largest budget, reads every smaller budget off that pass, and returns exactly
-what retraining each chip alone would (the tests pin this against the serial
-reference ``reference_retrain_chip`` in ``tests/helpers.py``).
+jobs complete.
 
-The planner/executor split builds on exactly that purity:
-:func:`plan_job_chunks` merges pending jobs per chip (one job per policy),
-groups the chips by their largest budget and cuts each group into *chunks*
-of at most ``fat_batch`` chips, and :func:`execute_job_chunk` runs one chunk
-as one stacked run — a single-chip chunk is a stack of one.  A chunk is both the
-unit of dispatch (the campaign engine hands whole chunks to worker
+The planner/executor split builds on exactly that purity.  The planner,
+:func:`plan_job_chunks`, is the one place that sizes a stack: it merges
+pending jobs per chip (one job per policy), groups the chips by their
+largest budget and cuts each group into *chunks* of at most ``fat_batch``
+chips.  The executor, :func:`execute_job_chunk`, runs one chunk as one
+stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer` run — a
+single-chip chunk is a stack of one — once to the largest budget, reading
+every smaller budget off that pass, and returns exactly what retraining each
+chip alone would (the tests pin this against the serial reference
+``reference_retrain_chip`` in ``tests/helpers.py``).  Every job it runs
+carries the ``accuracy_before`` the engine's triage measured.  A chunk is
+both the unit of dispatch (the campaign engine hands whole chunks to worker
 processes, so ``--jobs N`` and ``--fat-batch B`` compose) and the unit of
 resume granularity (results are persisted chunk by chunk).  Any partition of
 the same jobs yields bit-identical results, so a resumed campaign may regroup
@@ -45,7 +46,7 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chips import Chip, ChipPopulation
-from repro.core.reduce import DEFAULT_FAT_BATCH, ChipRetrainingResult, ReduceFramework
+from repro.core.reduce import ChipRetrainingResult, ReduceFramework
 from repro.core.selection import RetrainingPolicy
 from repro.mitigation.strategy import (
     DEFAULT_STRATEGY_NAME,
@@ -69,8 +70,8 @@ class ChipJob:
     target_accuracy: float
     policy_name: str
     # Initial (pre-retraining) accuracy measured by the engine's batched
-    # triage pass; workers then skip the serial initial evaluation.  Not part
-    # of the campaign fingerprint: it is derived data, not work definition.
+    # triage pass; the executor requires it.  Not part of the campaign
+    # fingerprint: it is derived data, not work definition.
     accuracy_before: Optional[float] = None
     # How the chip is mitigated before/instead of spending the budget (part
     # of the work definition, so part of the campaign fingerprint).
@@ -140,43 +141,24 @@ def build_jobs(
     ]
 
 
-def group_jobs_for_batching(
-    jobs: Sequence[ChipJob],
-) -> Dict[Tuple[float, str], List[List[ChipJob]]]:
-    """Group jobs per chip, and chips by ``(largest budget, strategy)``.
-
-    Every job of one chip under one strategy shares a stack slot: the slot
-    trains once, to the chip's largest budget, and reads every smaller
-    budget off that pass.  Chips whose largest budgets agree train equally
-    long, so they coalesce; a stacked run shares one set of stacked
-    keep-multipliers, so a multi-strategy sweep's chips partition cleanly
-    along this key.  Returns each group's per-chip job lists, both in
-    first-appearance order.
-    """
-    per_chip: Dict[Tuple[str, str], List[ChipJob]] = {}
-    for job in jobs:
-        per_chip.setdefault((job.chip_id, job.strategy), []).append(job)
-    groups: Dict[Tuple[float, str], List[List[ChipJob]]] = {}
-    for (_, strategy), chip_jobs in per_chip.items():
-        largest = max(float(job.epochs) for job in chip_jobs)
-        groups.setdefault((largest, strategy), []).append(chip_jobs)
-    return groups
-
-
 def plan_job_chunks(
     jobs: Sequence[ChipJob], fat_batch: int, workers: int = 1
 ) -> List[List[ChipJob]]:
     """Partition pending jobs into executor chunks (the campaign *plan*).
 
-    Jobs are merged per chip and the chips grouped by ``(largest budget,
-    strategy)`` (:func:`group_jobs_for_batching`); every group —
-    zero-budget triage lookups and singleton budgets included — is cut into
-    chunks of at most ``fat_batch`` chips, each carrying all of its chips'
-    jobs.  The executor runs a chunk as one stacked
-    :class:`~repro.accelerator.batched.BatchedFaultTrainer` run to the
-    group's largest budget (``fat_batch == 1``: one chip per stacked run).
-    With one job per chip (a single-policy campaign) the largest budget is
-    the budget, so chunks are same-budget groups.
+    Jobs are merged per chip, and the chips grouped by ``(largest budget,
+    strategy)``: every job of one chip under one strategy shares a stack
+    slot, which trains once, to the chip's largest budget, and reads every
+    smaller budget off that pass.  Chips whose largest budgets agree train
+    equally long, so they coalesce; a stacked run shares one set of stacked
+    keep-multipliers, so a multi-strategy sweep's chips partition cleanly
+    along this key.  Every group — zero-budget triage lookups and singleton
+    budgets included — is cut into chunks of at most ``fat_batch`` chips,
+    each carrying all of its chips' jobs, and the executor runs a chunk as
+    one stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer` run
+    (``fat_batch == 1``: one chip per stacked run).  With one job per chip
+    (a single-policy campaign) the largest budget is the budget, so chunks
+    are same-budget groups.
 
     ``workers`` is the dispatch parallelism the plan should be able to feed:
     a group is chunked at ``min(fat_batch, ceil(chips / workers))`` so a
@@ -185,17 +167,25 @@ def plan_job_chunks(
     for keeping all requested processes busy).  ``workers=1`` (the in-process
     path) leaves ``fat_batch`` as the only cap.
 
-    Chunks preserve the within-group job order, so planning the same pending
-    jobs always yields the same chunks, and executing any plan over the same
-    jobs yields bit-identical per-job results (the batched trainer's
-    serial-equivalence guarantee); only the completion order may differ.
+    Groups and the chips within them keep first-appearance order, so
+    planning the same pending jobs always yields the same chunks, and
+    executing any plan over the same jobs yields bit-identical per-job
+    results (the batched trainer's serial-equivalence guarantee); only the
+    completion order may differ.
     """
     if fat_batch < 1:
         raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    per_chip: Dict[Tuple[str, str], List[ChipJob]] = {}
+    for job in jobs:
+        per_chip.setdefault((job.chip_id, job.strategy), []).append(job)
+    groups: Dict[Tuple[float, str], List[List[ChipJob]]] = {}
+    for (_, strategy), chip_jobs in per_chip.items():
+        largest = max(float(job.epochs) for job in chip_jobs)
+        groups.setdefault((largest, strategy), []).append(chip_jobs)
     chunks: List[List[ChipJob]] = []
-    for group in group_jobs_for_batching(jobs).values():
+    for group in groups.values():
         chunk_cap = min(fat_batch, -(-len(group) // workers))
         for start in range(0, len(group), chunk_cap):
             chip_jobs = group[start:start + chunk_cap]
@@ -206,20 +196,34 @@ def plan_job_chunks(
 def execute_job_chunk(
     framework: ReduceFramework,
     chunk: Sequence[ChipJob],
-    fat_batch: int = DEFAULT_FAT_BATCH,
     attempt: int = 0,
 ) -> List[ChipRetrainingResult]:
     """Execute one plan chunk as one stacked run; returns results in chunk order.
 
-    Every chunk, a single job included, runs through
-    :func:`execute_jobs_batched`, so each result equals the chip retrained
-    alone by the serial reference (``tests/helpers.py``).
-    ``attempt`` tags the chunk span so a trace distinguishes first executions
-    from supervisor retries after a worker death or hang.
+    Each result is bit-identical (on this BLAS build) to the chip retrained
+    alone by the serial reference (``tests/helpers.py``:
+    ``reference_retrain_chip``).  Jobs may ask one chip for several budgets
+    (one job per policy); the chip then trains once and every budget is read
+    off that pass.  All jobs must share the same ``target_accuracy`` and
+    ``strategy``, and each must carry the ``accuracy_before`` measured by
+    triage.  ``attempt`` tags the chunk span so a trace distinguishes first
+    executions from supervisor retries after a worker death or hang.
     """
     chunk_list = list(chunk)
     if not chunk_list:
         return []
+    target = chunk_list[0].target_accuracy
+    strategy = chunk_list[0].strategy
+    for job in chunk_list[1:]:
+        if job.target_accuracy != target or job.strategy != strategy:
+            raise ValueError(
+                "a chunk requires jobs with identical target and "
+                f"strategy (got target {job.target_accuracy} vs {target}, "
+                f"strategy {job.strategy!r} vs {strategy!r})"
+            )
+    untriaged = [job.chip_id for job in chunk_list if job.accuracy_before is None]
+    if untriaged:
+        raise ValueError(f"jobs of chips {untriaged} carry no accuracy_before")
     # The chunk span is an execution *attempt*: it lands in the shard of
     # whichever process ran the chunk (worker shards are keyed by pid), and a
     # killed-then-resumed campaign may legitimately record the same chunk
@@ -228,50 +232,15 @@ def execute_job_chunk(
         "campaign.chunk",
         chips=len({job.chip_id for job in chunk_list}),
         epochs=max(job.epochs for job in chunk_list),
-        strategy=chunk_list[0].strategy,
+        strategy=strategy,
         attempt=attempt,
     ):
-        results = execute_jobs_batched(framework, chunk_list, fat_batch=fat_batch)
+        results = framework.retrain_chips_batched(
+            [job.chip for job in chunk_list],
+            [job.epochs for job in chunk_list],
+            {job.chip_id: job.accuracy_before for job in chunk_list},
+            target_accuracy=target,
+            strategy=strategy,
+        )
     metrics.counter("campaign.chunks_executed").inc()
     return results
-
-
-def execute_jobs_batched(
-    framework: ReduceFramework,
-    jobs: Sequence[ChipJob],
-    fat_batch: int = DEFAULT_FAT_BATCH,
-) -> List[ChipRetrainingResult]:
-    """Execute jobs through the stacked batched trainer; one result per job.
-
-    Returns results in job order, each bit-identical (on this BLAS build) to
-    the chip retrained alone by the serial reference
-    (``tests/helpers.py``: ``reference_retrain_chip``).
-    Jobs may ask one chip for several budgets (one job per policy); the
-    chip then trains once and every budget is read off that pass.  All jobs
-    must share the same ``target_accuracy`` and ``strategy``.
-    """
-    job_list = list(jobs)
-    if not job_list:
-        return []
-    target = job_list[0].target_accuracy
-    strategy = job_list[0].strategy
-    for job in job_list[1:]:
-        if job.target_accuracy != target or job.strategy != strategy:
-            raise ValueError(
-                "batched execution requires jobs with identical target and "
-                f"strategy (got target {job.target_accuracy} vs {target}, "
-                f"strategy {job.strategy!r} vs {strategy!r})"
-            )
-    accuracies_before = {
-        job.chip_id: job.accuracy_before
-        for job in job_list
-        if job.accuracy_before is not None
-    }
-    return framework.retrain_chips_batched(
-        [job.chip for job in job_list],
-        [job.epochs for job in job_list],
-        target_accuracy=target,
-        accuracies_before=accuracies_before,
-        fat_batch=fat_batch,
-        strategy=strategy,
-    )

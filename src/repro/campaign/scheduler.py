@@ -7,7 +7,10 @@ accept), handshake, build the experiment context from the coordinator's
 serialized preset, then pull chunks until shutdown.  It is the only
 multi-process executor: ``--jobs N`` forks N local socket workers onto a
 private loopback coordinator, and ``--listen``/``--workers`` campaigns add
-remote workers to the same protocol.
+remote workers to the same protocol.  Each chunk is one stack, sized by the
+planner: a worker runs whatever chunk it claims through
+:func:`~repro.campaign.jobs.execute_job_chunk` and knows no stack size of
+its own.
 
 Work-stealing claims
 --------------------
@@ -93,7 +96,7 @@ from repro.campaign.transport import (
     validate_hello,
     worker_hello,
 )
-from repro.core.reduce import DEFAULT_FAT_BATCH, ChipRetrainingResult
+from repro.core.reduce import ChipRetrainingResult
 from repro.observability import metrics, trace
 from repro.observability.tracer import read_shard
 from repro.utils.config import config_from_dict, config_to_dict
@@ -227,7 +230,6 @@ class CampaignCoordinator:
         listen: Optional[Tuple[str, int]] = None,
         connect: Sequence[Tuple[str, int]] = (),
         backend: Optional[str] = None,
-        fat_batch: int = DEFAULT_FAT_BATCH,
         supervisor_config: Optional[SupervisorConfig] = None,
         config: Optional[SchedulerConfig] = None,
         disk_cache_dir: Optional[str] = None,
@@ -235,7 +237,6 @@ class CampaignCoordinator:
         self.preset_name = str(preset.name)
         self._preset_dict = config_to_dict(preset)
         self.backend = backend
-        self.fat_batch = int(fat_batch)
         self.supervisor_config = (
             supervisor_config if supervisor_config is not None else SupervisorConfig()
         )
@@ -399,7 +400,6 @@ class CampaignCoordinator:
                         "preset": self._preset_dict,
                         "preset_name": self.preset_name,
                         "backend": self.backend,
-                        "fat_batch": self.fat_batch,
                         "trace": bool(trace.enabled),
                         "metrics": bool(metrics.enabled),
                         "heartbeat_interval": self.config.heartbeat_interval,
@@ -473,7 +473,6 @@ class CampaignCoordinator:
             "type": MSG_CAMPAIGN,
             "campaign_id": self._campaign_seq,
             "strategy": strategy,
-            "fat_batch": self.fat_batch,
         }
         now = time.monotonic()
         for link in list(self._links.values()):
@@ -1010,9 +1009,9 @@ def run_worker(
                 fault = message.get("chaos")
                 try:
                     # A chunk that does not parse (a missing key, negative
-                    # epochs, an out-of-range fault coordinate) fails like
-                    # any execution error: the chunk, not the worker.
-                    fat_batch = int(campaign.get("fat_batch", 1)) if campaign else 1
+                    # epochs, an out-of-range fault coordinate) or whose jobs
+                    # carry no accuracy_before fails like any execution
+                    # error: the chunk, not the worker.
                     attempt = int(message.get("attempt", 0))
                     jobs = [ChipJob.from_dict(job) for job in message.get("jobs", [])]
                     if fault:
@@ -1022,9 +1021,7 @@ def run_worker(
                             attempt,
                             float(fault["hang_s"]),
                         )
-                    results = execute_job_chunk(
-                        framework, jobs, fat_batch=fat_batch, attempt=attempt
-                    )
+                    results = execute_job_chunk(framework, jobs, attempt=attempt)
                 except Exception as error:  # noqa: BLE001 - ships to the ledger
                     reply = {
                         "type": MSG_ERROR,

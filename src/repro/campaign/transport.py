@@ -21,13 +21,18 @@ always speaks first (regardless of which side dialed), declaring:
   one turns a mixed-cluster mis-join into a loud reject);
 * ``host``/``pid`` — identity for cross-host trace attribution.
 
-The coordinator answers with a ``welcome`` carrying the full serialized
-preset and execution knobs, the compute ``backend`` included (or a
-``reject`` with a reason); a worker that cannot use that backend ends the
-handshake with :class:`HandshakeError` before it builds anything.  The
-worker builds its context and reports ``ready``, and from then on both
-sides exchange the scheduler's campaign/claim/chunk/result messages plus
-periodic heartbeats (see :mod:`repro.campaign.scheduler`).
+The coordinator answers with a ``welcome`` (or a ``reject`` with a
+reason) carrying ``protocol``, ``worker_id``, the full serialized ``preset``
+and its ``preset_name``, the compute ``backend``, the ``trace``/``metrics``
+switches and the ``heartbeat_interval``; a worker that cannot use that
+backend ends the handshake with :class:`HandshakeError` before it builds
+anything.  The worker builds its context and reports ``ready``, and from
+then on both sides exchange the scheduler's messages plus periodic
+heartbeats (see :mod:`repro.campaign.scheduler`): a ``campaign``
+announcement (``campaign_id``, ``strategy``), ``claim`` frames, ``chunk``
+frames (``campaign_id``, ``chunk_index``, ``attempt``, the ``jobs`` and an
+optional ``chaos`` action) and ``result``/``error`` answers.  No frame
+carries a stack size: each chunk is one stack, sized by the planner.
 
 Blocking helpers (:func:`send_frame`/:func:`recv_frame`) serve the worker
 side; the coordinator multiplexes many workers without threads-per-connection
@@ -42,7 +47,7 @@ import struct
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Frames larger than this are refused on both ends.  Sized far above any
 #: legitimate chunk/result/shard payload; its job is to turn a corrupt or

@@ -25,11 +25,10 @@ strategy's campaign is its own resumable store under ``--campaign-dir``.
 
 Campaign execution is supervised (worker death/hang recovery, capped chunk
 retries, poison-chunk quarantine): ``--max-chunk-retries`` and
-``--chunk-timeout`` tune the fault-tolerance policy, ``--chaos SPEC`` (or the
-``REPRO_CHAOS`` environment variable) enables the deterministic fault
-injector, and ``repro-reduce verify-store [PATH]`` audits the integrity of
-every campaign store under a directory (torn tails, checksum mismatches,
-duplicate rows, corrupt manifests).
+``--chunk-timeout`` tune the fault-tolerance policy, ``--chaos SPEC`` enables
+the deterministic fault injector, and ``repro-reduce verify-store [PATH]``
+audits the integrity of every campaign store under a directory (torn tails,
+checksum mismatches, duplicate rows, corrupt manifests).
 
 Campaigns also scale across hosts.  ``--listen [HOST:]PORT`` makes
 ``campaign``/``compare`` serve chunks to socket workers started elsewhere with
@@ -59,7 +58,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign import (
-    CHAOS_ENV_VAR,
     CampaignEngine,
     ChaosSpec,
     TransportError,
@@ -249,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic fault injection for the campaign executor, e.g. "
-        "'seed=7,kill=2,hang=1,exc=1,torn=1,hang_s=5' (campaign/compare; "
-        "also honoured via the REPRO_CHAOS environment variable). Injected "
+        "'seed=7,kill=2,hang=1,exc=1,torn=1,hang_s=5' (campaign/compare). Injected "
         "faults exercise the recovery paths without changing recorded values",
     )
     parser.add_argument(
@@ -468,8 +465,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--max-chunk-retries must be >= 0")
     if args.chunk_timeout is not None and args.chunk_timeout <= 0:
         parser.error("--chunk-timeout must be positive")
-    if args.chaos is None:
-        args.chaos = os.environ.get(CHAOS_ENV_VAR) or None
     if args.chaos is not None:
         try:
             ChaosSpec.parse(args.chaos)

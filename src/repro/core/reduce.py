@@ -401,12 +401,11 @@ class ReduceFramework:
         self,
         chips: Sequence[Chip],
         epochs: Union[float, Sequence[float]],
+        accuracies_before: Dict[str, float],
         target_accuracy: Optional[float] = None,
-        accuracies_before: Optional[Dict[str, float]] = None,
-        fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
     ) -> List[ChipRetrainingResult]:
-        """Mitigate several chips under one strategy in stacked batches.
+        """Mitigate several chips under one strategy as one stack.
 
         The one Step-3 execution path: every campaign chunk runs through it,
         a single chip being a stack of one.  ``epochs`` is one budget for
@@ -415,35 +414,37 @@ class ReduceFramework:
         each chip for up to five).  Returns one result per entry, in entry
         order, and each equals the chip retrained alone through the serial
         reference loop (``tests/helpers.py``: ``reference_retrain_chip``) —
-        bit-identical on this BLAS build.
+        bit-identical on this BLAS build, so any partition of chips into
+        calls gives the same rows.
 
-        Each distinct chip takes one slot of a
-        :class:`~repro.accelerator.batched.BatchedFaultTrainer` stack of at
-        most ``fat_batch`` chips, cut from the chips in (stable) order of
-        their largest budget, and the stack trains once, to the largest
-        budget of any of its entries.  Every smaller budget is an in-stream
-        readout of that pass (``train(..., in_stream=True)``): all chips share
-        one seeded data stream, so the readout is exactly the end state of a
-        separate run to that budget.  Every parametric layer family stacks
-        (including training-mode batch norm), so there is no serial fallback:
-        a genuinely unstackable custom layer raises
+        Every distinct chip takes one slot of a single
+        :class:`~repro.accelerator.batched.BatchedFaultTrainer` stack, which
+        trains once, to the largest budget of any entry.  The caller sizes
+        the stack (the campaign planner, or :meth:`retrain_population`).
+        Every smaller budget is an in-stream readout of that pass
+        (``train(..., in_stream=True)``): all chips share one seeded data
+        stream, so the readout is exactly the end state of a separate run to
+        that budget.  Every parametric layer family stacks (including
+        training-mode batch norm), so there is no serial fallback: a
+        genuinely unstackable custom layer raises
         :class:`~repro.accelerator.batched.UnsupportedModelError` at trainer
         construction.
 
-        ``accuracies_before`` injects pre-computed initial accuracies (from
-        :meth:`triage_population`) per chip id; missing chips are evaluated
-        in one stacked pass before training.  A zero budget reads the initial
-        accuracy, and a stack whose budgets are all zero and whose initial
-        accuracies are all known builds no trainer at all.
+        ``accuracies_before`` maps every chip id to its initial accuracy, as
+        measured by :meth:`triage_population` under the same strategy; a
+        missing chip raises :class:`ValueError`.  A zero budget reads the
+        initial accuracy, and a call whose budgets are all zero builds no
+        trainer at all.
 
         ``strategy`` selects the mitigation recipe: non-retraining strategies
         clamp the budget to zero, and a strategy's masks are just another
         per-chip mask set stacked into the batched trainer's keep-multipliers,
-        so FAP/FAM prune masks ride the same machinery as plain fault masks.  Bypassable chips under a bypass
-        strategy never enter training (their accuracy is preserved by the
-        shrunk array); the rest of the batch trains normally.
+        so FAP/FAM prune masks ride the same machinery as plain fault masks.
+        Bypassable chips under a bypass strategy never enter training (their
+        accuracy is preserved by the shrunk array); the rest of the chips
+        train normally.
 
-        Every trainer evaluates through the framework's ``eval_pipeline``.
+        The trainer evaluates through the framework's ``eval_pipeline``.
         """
         entries = list(chips)
         if np.ndim(epochs) == 0:
@@ -456,8 +457,14 @@ class ReduceFramework:
                 )
         if any(budget < 0 for budget in budgets):
             raise ValueError("epochs must be non-negative")
-        if fat_batch < 1:
-            raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
+        missing = list(dict.fromkeys(
+            chip.chip_id for chip in entries if chip.chip_id not in accuracies_before
+        ))
+        if missing:
+            raise ValueError(
+                f"accuracies_before has no initial accuracy for chips {missing}; "
+                "measure them with triage_population"
+            )
         strategy = resolve_strategy(strategy)
         if not entries:
             return []
@@ -466,112 +473,69 @@ class ReduceFramework:
         if not strategy.retrain:
             budgets = [0.0] * len(entries)
         target = target_accuracy if target_accuracy is not None else self.target_accuracy
-        before_map = accuracies_before or {}
-        training_config = self._fat_training_config()
-        pipeline = self.eval_pipeline
         results: List[Optional[ChipRetrainingResult]] = [None] * len(entries)
 
         # One stack slot per distinct chip, listing the entries it answers.
         slots: Dict[str, List[int]] = {}
         for index, chip in enumerate(entries):
             slots.setdefault(chip.chip_id, []).append(index)
-        unique = [entries[indices[0]] for indices in slots.values()]
 
         # Bypassable chips are satisfied by the shrunk array alone: their
-        # result is fully determined once the pre-mitigation accuracy is
-        # known, so they are peeled off before any stacked training.
-        bypassed = [
-            chip for chip in unique
-            if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None
-        ]
-        if bypassed:
-            before = [before_map.get(chip.chip_id) for chip in bypassed]
-            missing = [pos for pos, value in enumerate(before) if value is None]
-            if missing:
-                self._restore_pretrained()
-                evaluated = evaluate_chip_accuracies(
-                    self.model,
-                    self.bundle.test,
-                    [
-                        strategy.chip_masks(self.model, bypassed[pos].fault_map)
-                        for pos in missing
-                    ],
-                    training_config,
-                    chip_chunk=fat_batch,
-                    eval_pipeline=pipeline,
+        # result is fully determined by the pre-mitigation accuracy, so they
+        # never take a stack slot.
+        stack: List[Chip] = []
+        for indices in slots.values():
+            chip = entries[indices[0]]
+            if strategy.bypass_plan(chip.fault_map) is None:
+                stack.append(chip)
+                continue
+            for index in indices:
+                results[index] = _build_chip_result(
+                    chip, {}, 0.0, 0.0, accuracies_before[chip.chip_id],
+                    self.clean_accuracy, target, strategy=strategy.name,
                 )
-                for position, pos in enumerate(missing):
-                    before[pos] = evaluated[position]
-            clean = self.clean_accuracy
-            for chip, accuracy in zip(bypassed, before):
-                for index in slots[chip.chip_id]:
-                    results[index] = _build_chip_result(
-                        chip, {}, 0.0, 0.0, accuracy, clean, target,
-                        strategy=strategy.name,
-                    )
-        bypassed_ids = {chip.chip_id for chip in bypassed}
-        # Stacks are cut from chips ordered by their largest budget, so chips
-        # with similar budgets share a pass; the sort is stable, and engine
-        # chunks (one largest budget each) keep their order.
-        largest = {
-            chip_id: max(budgets[index] for index in indices)
-            for chip_id, indices in slots.items()
-        }
-        trainable = sorted(
-            (chip for chip in unique if chip.chip_id not in bypassed_ids),
-            key=lambda chip: largest[chip.chip_id],
-        )
+        if not stack:
+            return list(results)
 
-        for start in range(0, len(trainable), fat_batch):
-            chunk = trainable[start:start + fat_batch]
-            self._restore_pretrained()
-            mask_sets = [strategy.chip_masks(self.model, chip.fault_map) for chip in chunk]
-            before = [before_map.get(chip.chip_id) for chip in chunk]
-            readouts = sorted(
-                {budgets[i] for chip in chunk for i in slots[chip.chip_id]} - {0.0}
+        self._restore_pretrained()
+        mask_sets = [strategy.chip_masks(self.model, chip.fault_map) for chip in stack]
+        readouts = sorted(
+            {budgets[i] for chip in stack for i in slots[chip.chip_id]} - {0.0}
+        )
+        records: List[Dict[float, CheckpointRecord]] = [{} for _ in stack]
+        if readouts:
+            trainer = BatchedFaultTrainer(
+                self.model,
+                mask_sets,
+                self.bundle.train,
+                self.bundle.test,
+                config=self._fat_training_config(),
+                eval_pipeline=self.eval_pipeline,
             )
-            records: List[Dict[float, CheckpointRecord]] = [{} for _ in chunk]
-            if readouts or None in before:
-                trainer = BatchedFaultTrainer(
-                    self.model,
-                    mask_sets,
-                    self.bundle.train,
-                    self.bundle.test,
-                    config=training_config,
-                    eval_pipeline=pipeline,
+            histories = trainer.train(
+                readouts[-1],
+                eval_checkpoints=readouts,
+                include_initial=False,
+                in_stream=True,
+            )
+            records = [
+                {record.epochs: record for record in history.records}
+                for history in histories
+            ]
+        for position, chip in enumerate(stack):
+            before = accuracies_before[chip.chip_id]
+            for index in slots[chip.chip_id]:
+                budget = budgets[index]
+                record = records[position].get(budget)
+                trained, after = (
+                    (record.epochs, record.eval_accuracy)
+                    if record is not None
+                    else (0.0, before)
                 )
-                if None in before:
-                    evaluated = trainer.evaluate()
-                    before = [
-                        value if value is not None else evaluated[position]
-                        for position, value in enumerate(before)
-                    ]
-                if readouts:
-                    histories = trainer.train(
-                        readouts[-1],
-                        eval_checkpoints=readouts,
-                        include_initial=False,
-                        in_stream=True,
-                    )
-                    records = [
-                        {record.epochs: record for record in history.records}
-                        for history in histories
-                    ]
-                # Free this chunk's stacks before the next chunk builds its own.
-                del trainer
-            for position, chip in enumerate(chunk):
-                for index in slots[chip.chip_id]:
-                    budget = budgets[index]
-                    record = records[position].get(budget)
-                    trained, after = (
-                        (record.epochs, record.eval_accuracy)
-                        if record is not None
-                        else (0.0, before[position])
-                    )
-                    results[index] = _build_chip_result(
-                        chip, mask_sets[position], budget, trained,
-                        before[position], after, target, strategy=strategy.name,
-                    )
+                results[index] = _build_chip_result(
+                    chip, mask_sets[position], budget, trained,
+                    before, after, target, strategy=strategy.name,
+                )
         return list(results)
 
     def retrain_population(
@@ -584,26 +548,50 @@ class ReduceFramework:
     ) -> CampaignResult:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
-        One :meth:`retrain_chips_batched` call over every chip's effective
-        budget: it stacks chips in order of budget, at most ``fat_batch`` to
-        a stack, and each stack measures its own chips' initial accuracy.
-        Rows are bit-identical to retraining each chip alone through the
-        serial reference loop on this BLAS build.  ``strategy`` selects the
+        The campaign engine's sequence, in this process: one
+        :meth:`triage_population` pass measures every chip's initial
+        accuracy, the chips that train are cut, in stable order of budget,
+        into stacks of at most ``fat_batch``, and each stack is one
+        :meth:`retrain_chips_batched` call (bypassed chips take one call of
+        their own and never train).  Rows come back in population order and
+        are bit-identical to retraining each chip alone through the serial
+        reference loop on this BLAS build.  ``strategy`` selects the
         mitigation recipe applied before/instead of retraining (default:
         classic FAT).
         """
+        if fat_batch < 1:
+            raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)
         chips = list(population)
-        results = self.retrain_chips_batched(
-            chips,
-            [
-                strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
-                for chip in chips
-            ],
-            fat_batch=fat_batch,
-            strategy=strategy,
+        budgets = [
+            strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
+            for chip in chips
+        ]
+        before = self.triage_population(chips, strategy=strategy)
+        bypassed = [
+            index for index, chip in enumerate(chips)
+            if strategy.bypass_plan(chip.fault_map) is not None
+        ]
+        skip = set(bypassed)
+        trained = sorted(
+            (index for index in range(len(chips)) if index not in skip),
+            key=lambda index: budgets[index],
         )
+        calls = [bypassed] + [
+            trained[start:start + fat_batch]
+            for start in range(0, len(trained), fat_batch)
+        ]
+        results: List[Optional[ChipRetrainingResult]] = [None] * len(chips)
+        for call in calls:
+            rows = self.retrain_chips_batched(
+                [chips[index] for index in call],
+                [budgets[index] for index in call],
+                before,
+                strategy=strategy,
+            )
+            for index, row in zip(call, rows):
+                results[index] = row
         if progress:
             for result in results:
                 logger.info(

@@ -158,18 +158,17 @@ def run_fig3(
     (one per policy, resumed unless ``resume=False``), ``disk_cache_dir``
     lets spawned workers load the pre-trained state instead of
     re-pre-training, and ``fat_batch`` caps how many chips, grouped by their
-    largest budget, are retrained together in one stacked batched-FAT run —
-    inline and inside every worker alike (``1`` disables coalescing).
+    largest budget, the planner puts in one stacked batched-FAT chunk —
+    inline and on workers alike (``1`` disables coalescing).
     """
     preset = context.preset
     chips = population if population is not None else build_population(context, num_chips)
     budgets = tuple(fixed_epochs if fixed_epochs is not None else preset.fixed_policy_epochs)
 
+    # Step 1 runs once, cached on the context, which hands the profile to
+    # every framework it builds: this one and the engine's.
+    context.resilience_profile()
     framework = context.framework()
-    # Ensure Step 1 runs once and is shared by every policy (and cached on the
-    # context so later calls in the same session reuse it).
-    profile = framework.analyze_resilience()
-    context._profile = profile
 
     policies = [framework.build_policy("max")]
     if include_reduce_mean:

@@ -185,8 +185,9 @@ def reference_retrain_chip(
 ):
     """One chip's Step-3 result, retrained alone through :class:`ReferenceTrainer`.
 
-    The serial reference ``ReduceFramework.retrain_chips_batched`` (and so
-    every campaign chunk) must equal entry for entry.  The framework model is
+    The serial reference that ``ReduceFramework.retrain_chips_batched``, fed
+    the initial accuracies of ``triage_population`` (and so every campaign
+    chunk), must equal entry for entry.  The framework model is
     restored to its pre-trained weights first, so calls are independent; with
     ``return_state=True`` the chip's fault-aware weights are returned too.
     ``target_accuracy`` overrides the framework's resolved constraint, and
@@ -236,6 +237,19 @@ def reference_retrain_chip(
         target, strategy=strategy.name,
     )
     return (result, clone_state_dict(model.state_dict())) if return_state else result
+
+
+def triaged_jobs(framework, population, policy, strategy=None):
+    """The campaign engine's jobs: ``build_jobs`` output carrying triage's
+    initial accuracy, as :func:`~repro.campaign.jobs.execute_job_chunk`
+    requires."""
+    from repro.campaign import build_jobs
+
+    jobs = build_jobs(framework, population, policy, strategy=strategy)
+    before = framework.triage_population(
+        [job.chip for job in jobs], strategy=strategy
+    )
+    return [job.with_accuracy_before(before[job.chip_id]) for job in jobs]
 
 
 def serial_resilience_accuracies(analyzer):

@@ -21,13 +21,13 @@ import pytest
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator.batched import BatchedFaultTrainer, UnsupportedModelError
-from repro.campaign import CampaignEngine, build_jobs, execute_jobs_batched
+from repro.campaign import CampaignEngine, execute_job_chunk, plan_job_chunks
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.data import make_blob_classification, make_class_template_images
 from repro.models import MLP, LeNet5
 from repro.training import TrainingConfig, epochs_to_steps
-from tests.helpers import ReferenceTrainer, reference_retrain_chip
+from tests.helpers import ReferenceTrainer, reference_retrain_chip, triaged_jobs
 
 
 def _mlp_factory(bundle):
@@ -694,20 +694,91 @@ def fat_population(smoke_context):
     )
 
 
+@pytest.fixture(scope="module")
+def twelve_chips(smoke_context):
+    preset = smoke_context.preset
+    return ChipPopulation.generate(
+        count=12,
+        rows=preset.array_rows,
+        cols=preset.array_cols,
+        fault_rates=(0.05, 0.3),
+        seed=654,
+    )
+
+
+def _count_trainers(monkeypatch):
+    """Count the ``BatchedFaultTrainer`` stacks the framework constructs."""
+    import repro.core.reduce as reduce_module
+
+    built = []
+
+    class CountingTrainer(BatchedFaultTrainer):
+        def __init__(self, model, mask_sets, *args, **kwargs):
+            built.append(len(mask_sets))
+            super().__init__(model, mask_sets, *args, **kwargs)
+
+    monkeypatch.setattr(reduce_module, "BatchedFaultTrainer", CountingTrainer)
+    return built
+
+
 class TestFrameworkBatchedFat:
     def test_retrain_chips_batched_matches_serial(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         chips = list(fat_population)
         serial = [reference_retrain_chip(framework, chip, 0.5) for chip in chips]
-        batched = framework.retrain_chips_batched(chips, 0.5)
+        before = framework.triage_population(chips)
+        batched = framework.retrain_chips_batched(chips, 0.5, before)
         assert batched == serial
 
     def test_chunking_is_transparent(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         chips = list(fat_population)
-        full = framework.retrain_chips_batched(chips, 0.25)
-        chunked = framework.retrain_chips_batched(chips, 0.25, fat_batch=2)
-        assert chunked == full
+        before = framework.triage_population(chips)
+        full = framework.retrain_chips_batched(chips, 0.25, before)
+        halves = framework.retrain_chips_batched(
+            chips[:2], 0.25, before
+        ) + framework.retrain_chips_batched(chips[2:], 0.25, before)
+        assert halves == full
+
+    def test_one_call_is_one_stack(self, smoke_context, twelve_chips, monkeypatch):
+        """The caller sizes the stack: twelve chips train as one stack of
+        twelve, equal to two calls of six and to the serial reference."""
+        framework = smoke_context.framework()
+        chips = list(twelve_chips)
+        serial = [reference_retrain_chip(framework, chip, 0.25) for chip in chips]
+        before = framework.triage_population(chips)
+        built = _count_trainers(monkeypatch)
+        whole = framework.retrain_chips_batched(chips, 0.25, before)
+        assert built == [12]
+        halves = framework.retrain_chips_batched(
+            chips[:6], 0.25, before
+        ) + framework.retrain_chips_batched(chips[6:], 0.25, before)
+        assert built == [12, 6, 6]
+        assert whole == halves == serial
+
+    def test_missing_initial_accuracy_is_rejected(
+        self, smoke_context, fat_population, monkeypatch
+    ):
+        from repro.mitigation import MitigationStrategy
+
+        framework = smoke_context.framework()
+        chips = list(fat_population)
+        before = framework.triage_population(chips[1:3])
+        masks_built = []
+        real = MitigationStrategy.chip_masks
+
+        def counting(self, model, fault_map):
+            masks_built.append(fault_map)
+            return real(self, model, fault_map)
+
+        monkeypatch.setattr(MitigationStrategy, "chip_masks", counting)
+        with pytest.raises(ValueError) as error:
+            framework.retrain_chips_batched(chips, 0.25, before)
+        for chip in (chips[0], *chips[3:]):
+            assert chip.chip_id in str(error.value)
+        for chip in chips[1:3]:
+            assert chip.chip_id not in str(error.value)
+        assert masks_built == []
 
     def test_retrain_population_matches_retrain_chip(self, smoke_context, fat_population):
         framework = smoke_context.framework()
@@ -717,18 +788,50 @@ class TestFrameworkBatchedFat:
             result = framework.retrain_population(fat_population, policy, fat_batch=fat_batch)
             assert result.results == serial
 
+    @pytest.mark.parametrize("strategy", ["fat", "fam+fat", "bypass+fat"])
+    def test_retrain_population_triages_once(
+        self, smoke_context, fat_population, monkeypatch, strategy
+    ):
+        """``retrain_population`` measures every initial accuracy in one
+        triage pass, then retrains stacks of at most ``fat_batch`` chips."""
+        framework = smoke_context.framework()
+        policy = FixedEpochPolicy(0.25)
+        serial = [
+            reference_retrain_chip(framework, chip, 0.25, strategy=strategy)
+            for chip in fat_population
+        ]
+        triaged = []
+        real = type(framework).triage_population
+
+        def counting(self, chips, *args, **kwargs):
+            triaged.append(len(list(chips)))
+            return real(self, chips, *args, **kwargs)
+
+        monkeypatch.setattr(type(framework), "triage_population", counting)
+        built = _count_trainers(monkeypatch)
+        for fat_batch in (1, 8):
+            triaged.clear()
+            built.clear()
+            result = framework.retrain_population(
+                fat_population, policy, fat_batch=fat_batch, strategy=strategy
+            )
+            assert triaged == [len(fat_population)]
+            assert built and max(built) <= fat_batch
+            assert result.results == serial
+
     def test_several_budgets_per_chip_equal_one_call_per_budget(
         self, smoke_context, fat_population
     ):
         framework = smoke_context.framework()
         chips = list(fat_population)
+        before = framework.triage_population(chips)
         budgets = (0.5, 0.0, 0.25, 0.5)
         entries = [chip for chip in chips for _ in budgets]
         merged = framework.retrain_chips_batched(
-            entries, [budget for _ in chips for budget in budgets], fat_batch=2
+            entries, [budget for _ in chips for budget in budgets], before
         )
         per_budget = {
-            budget: framework.retrain_chips_batched(chips, budget)
+            budget: framework.retrain_chips_batched(chips, budget, before)
             for budget in set(budgets)
         }
         assert merged == [
@@ -737,20 +840,23 @@ class TestFrameworkBatchedFat:
             for budget in budgets
         ]
         with pytest.raises(ValueError, match="budgets"):
-            framework.retrain_chips_batched(chips, [0.25])
+            framework.retrain_chips_batched(chips, [0.25], before)
 
-    def test_zero_epoch_chips_skip_training(self, smoke_context, fat_population):
+    def test_zero_epoch_chips_skip_training(
+        self, smoke_context, fat_population, monkeypatch
+    ):
         framework = smoke_context.framework()
         chips = list(fat_population)
-        results = framework.retrain_chips_batched(chips, 0.0)
         serial = [reference_retrain_chip(framework, chip, 0.0) for chip in chips]
+        # With every accuracy_before supplied by triage, zero-epoch chips are
+        # pure lookups: no trainer is built, and the rows equal the serial
+        # shortcut.
+        triage = framework.triage_population(chips)
+        built = _count_trainers(monkeypatch)
+        results = framework.retrain_chips_batched(chips, 0.0, triage)
+        assert built == []
         assert results == serial
         assert all(result.epochs_trained == 0.0 for result in results)
-        # With every accuracy_before supplied (the triage path), zero-epoch
-        # chips are pure lookups — still identical to the serial shortcut.
-        triage = framework.triage_population(chips)
-        shortcut = framework.retrain_chips_batched(chips, 0.0, accuracies_before=triage)
-        assert shortcut == serial
 
 
 class TestStrategyBatchedFat:
@@ -772,7 +878,8 @@ class TestStrategyBatchedFat:
         serial = [
             reference_retrain_chip(framework, chip, 0.5, strategy=strategy) for chip in chips
         ]
-        batched = framework.retrain_chips_batched(chips, 0.5, strategy=strategy)
+        before = framework.triage_population(chips, strategy=strategy)
+        batched = framework.retrain_chips_batched(chips, 0.5, before, strategy=strategy)
         assert batched == serial
         assert all(result.strategy == strategy for result in batched)
 
@@ -782,11 +889,12 @@ class TestStrategyBatchedFat:
     ):
         framework = smoke_context.framework()
         chips = list(fat_population)
-        full = framework.retrain_chips_batched(chips, 0.25, strategy=strategy)
-        chunked = framework.retrain_chips_batched(
-            chips, 0.25, strategy=strategy, fat_batch=2
-        )
-        assert chunked == full
+        before = framework.triage_population(chips, strategy=strategy)
+        full = framework.retrain_chips_batched(chips, 0.25, before, strategy=strategy)
+        halves = framework.retrain_chips_batched(
+            chips[:2], 0.25, before, strategy=strategy
+        ) + framework.retrain_chips_batched(chips[2:], 0.25, before, strategy=strategy)
+        assert halves == full
 
     def test_bypass_hybrid_batched_matches_serial(self, smoke_context):
         from repro.accelerator import FaultMap
@@ -814,7 +922,10 @@ class TestStrategyBatchedFat:
         serial = [
             reference_retrain_chip(framework, chip, 0.25, strategy="bypass+fat") for chip in chips
         ]
-        batched = framework.retrain_chips_batched(chips, 0.25, strategy="bypass+fat")
+        before = framework.triage_population(chips, strategy="bypass+fat")
+        batched = framework.retrain_chips_batched(
+            chips, 0.25, before, strategy="bypass+fat"
+        )
         assert batched == serial
         by_id = {result.chip_id: result for result in batched}
         assert by_id["sparse-0"].epochs_trained == 0.0
@@ -855,8 +966,12 @@ class TestEngineCoalescing:
 
     def test_jobs_batched_execution_helper(self, smoke_context, fat_population):
         framework = smoke_context.framework()
-        jobs = build_jobs(framework, fat_population, FixedEpochPolicy(0.25))
-        batched = execute_jobs_batched(framework, jobs, fat_batch=3)
+        jobs = triaged_jobs(framework, fat_population, FixedEpochPolicy(0.25))
+        plan = plan_job_chunks(jobs, fat_batch=3)
+        assert [len(chunk) for chunk in plan] == [3, 2]
+        batched = [
+            result for chunk in plan for result in execute_job_chunk(framework, chunk)
+        ]
         serial = [reference_retrain_chip(framework, job.chip, job.epochs) for job in jobs]
         assert batched == serial
 
@@ -864,7 +979,7 @@ class TestEngineCoalescing:
         """Jobs may ask one stack for several budgets (one job per policy):
         it trains once, to the largest, and each job reads its own budget."""
         framework = smoke_context.framework()
-        jobs = build_jobs(framework, fat_population, FixedEpochPolicy(0.25))
+        jobs = triaged_jobs(framework, fat_population, FixedEpochPolicy(0.25))
         mixed = [
             jobs[0],
             dataclasses.replace(jobs[1], epochs=0.5),
@@ -872,11 +987,15 @@ class TestEngineCoalescing:
             dataclasses.replace(jobs[1], epochs=0.0, policy_name="other"),
         ]
         expected = [reference_retrain_chip(framework, job.chip, job.epochs) for job in mixed]
-        assert execute_jobs_batched(framework, mixed) == expected
+        assert execute_job_chunk(framework, mixed) == expected
         with pytest.raises(ValueError, match="target"):
-            execute_jobs_batched(
+            execute_job_chunk(
                 framework, [jobs[0], dataclasses.replace(jobs[1], target_accuracy=0.5)]
             )
+        untriaged = dataclasses.replace(jobs[1], accuracy_before=None)
+        with pytest.raises(ValueError, match="accuracy_before") as error:
+            execute_job_chunk(framework, [jobs[0], untriaged])
+        assert untriaged.chip_id in str(error.value)
 
     def test_invalid_fat_batch_rejected(self, smoke_context):
         with pytest.raises(ValueError):

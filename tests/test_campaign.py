@@ -29,7 +29,7 @@ from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.experiments import ExperimentContext, fast_preset, smoke_preset
 from repro.experiments.compare import run_compare
 from repro.nn.serialization import state_dicts_equal
-from tests.helpers import reference_retrain_chip
+from tests.helpers import reference_retrain_chip, triaged_jobs
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestChipJob:
         assert not decoded.chip.fault_map.array.flags.writeable
 
     def test_execution_is_deterministic(self, framework, population):
-        job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
+        job = triaged_jobs(framework, population, FixedEpochPolicy(0.25))[0]
         [first] = execute_job_chunk(framework, [job])
         [second] = execute_job_chunk(framework, [job])
         assert first == second
@@ -94,7 +94,7 @@ class TestChipJob:
             )
 
     def test_result_round_trips_through_dict(self, framework, population):
-        job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
+        job = triaged_jobs(framework, population, FixedEpochPolicy(0.25))[0]
         [result] = execute_job_chunk(framework, [job])
         restored = type(result).from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored == result
@@ -293,7 +293,7 @@ class TestStoreAndResume:
         assert sorted(planned) == sorted(job.chip_id for job in pending)
 
     def test_append_many_is_one_durable_group(self, framework, population, tmp_path):
-        jobs = build_jobs(framework, population, FixedEpochPolicy(0.0))
+        jobs = triaged_jobs(framework, population, FixedEpochPolicy(0.0))
         results = execute_job_chunk(framework, jobs)
         store = CampaignStore.open(tmp_path, "d" * 64, manifest={"policy": "p"})
         store.append_many(results[:3])
@@ -485,7 +485,7 @@ class TestStoreIntegrity:
     """Checksummed lines, manifest corruption, ENOSPC and verify-store."""
 
     def _store_with_results(self, framework, population, tmp_path):
-        jobs = build_jobs(framework, population, FixedEpochPolicy(0.0))
+        jobs = triaged_jobs(framework, population, FixedEpochPolicy(0.0))
         results = execute_job_chunk(framework, jobs)
         store = CampaignStore.open(tmp_path, "e" * 64, manifest={"policy": "p"})
         store.append_many(results)

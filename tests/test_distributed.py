@@ -282,13 +282,58 @@ class TestCoordinatorHandshake:
         assert reply["type"] == MSG_REJECT
         assert "store format" in reply["reason"]
 
-    def test_welcome_ships_preset_and_knobs(self, coordinator, smoke_context):
+    def test_protocol_3_hello_is_rejected(self, coordinator):
+        """A worker from before chunks became stacks reads a missing
+        ``fat_batch`` as 1; it must not join."""
         hello = worker_hello(host="w", pid=1)
+        hello["protocol"] = 3
         reply = self._handshake(coordinator, hello)
-        assert reply["type"] == MSG_WELCOME
-        assert reply["protocol"] == PROTOCOL_VERSION
-        assert reply["preset_name"] == smoke_context.preset.name
-        assert reply["preset"]["name"] == smoke_context.preset.name
+        assert reply["type"] == MSG_REJECT
+        assert "protocol version mismatch" in reply["reason"]
+
+    def test_welcome_ships_preset_and_knobs(self, smoke_context, population):
+        """The welcome and campaign frames carry the preset and knobs, and
+        no stack size: each chunk is one stack, sized by the planner."""
+        coordinator = CampaignCoordinator(
+            smoke_context.preset,
+            listen=("127.0.0.1", 0),
+            config=_fast_scheduler_config(no_worker_timeout=0.5),
+        )
+        job = build_jobs(
+            smoke_context.framework(), population, FixedEpochPolicy(0.25)
+        )[0]
+        errors = []
+
+        def run_plan():
+            try:
+                coordinator.run_plan([[job]], lambda pairs: None, strategy="fat")
+            except SchedulerError as error:
+                errors.append(error)
+
+        runner = threading.Thread(target=run_plan, daemon=True)
+        sock = socket.create_connection(coordinator.address, timeout=10.0)
+        try:
+            sock.settimeout(10.0)
+            send_frame(sock, worker_hello(host="w", pid=1))
+            reply = recv_frame(sock)
+            assert reply["type"] == MSG_WELCOME
+            assert reply["protocol"] == PROTOCOL_VERSION
+            assert reply["preset_name"] == smoke_context.preset.name
+            assert reply["preset"]["name"] == smoke_context.preset.name
+            assert "fat_batch" not in reply
+            send_frame(sock, {"type": MSG_READY})
+            runner.start()
+            announcement = recv_frame(sock)
+            assert announcement["type"] == MSG_CAMPAIGN
+            assert announcement["strategy"] == "fat"
+            assert "fat_batch" not in announcement
+        finally:
+            sock.close()
+            if runner.ident is not None:
+                runner.join(timeout=30)
+            coordinator.close()
+        # The fake worker left without claiming: the plan runs out of workers.
+        assert errors and "no workers" in str(errors[0])
 
     def test_local_only_coordinator_fails_fast_when_no_worker_can_join(
         self, smoke_context
@@ -594,10 +639,15 @@ class TestDistributedCampaigns:
         self, smoke_context, population
     ):
         """A hand-built coordinator sends a real worker a chunk whose fault
-        map has an out-of-range coordinate: the worker replies MSG_ERROR for
-        that chunk, claims again and executes the next, valid chunk."""
+        map has an out-of-range coordinate, then one whose job carries no
+        ``accuracy_before``: the worker replies MSG_ERROR for each, claims
+        again and executes the next, valid chunk."""
         framework = smoke_context.framework()
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
+        untriaged = job.to_dict()
+        job = job.with_accuracy_before(
+            framework.triage_population([job.chip])[job.chip_id]
+        )
         bad = job.to_dict()
         fault_map = dict(bad["chip"]["fault_map"])
         fault_map["faulty_indices"] = [[fault_map["rows"], 0]]
@@ -635,7 +685,7 @@ class TestDistributedCampaigns:
                 },
             )
             assert receive()["type"] == MSG_READY
-            send_frame(sock, {"type": MSG_CAMPAIGN, "campaign_id": 1, "fat_batch": 1})
+            send_frame(sock, {"type": MSG_CAMPAIGN, "campaign_id": 1})
             assert receive()["type"] == MSG_CLAIM
             chunk = {"type": MSG_CHUNK, "campaign_id": 1, "attempt": 0}
             send_frame(sock, {**chunk, "chunk_index": 0, "jobs": [bad]})
@@ -644,10 +694,16 @@ class TestDistributedCampaigns:
             assert reply["chunk_index"] == 0
             assert "IndexError" in reply["error"]
             assert receive()["type"] == MSG_CLAIM
-            send_frame(sock, {**chunk, "chunk_index": 1, "jobs": [job.to_dict()]})
+            send_frame(sock, {**chunk, "chunk_index": 1, "jobs": [untriaged]})
+            reply = receive()
+            assert reply["type"] == MSG_ERROR
+            assert reply["chunk_index"] == 1
+            assert "accuracy_before" in reply["error"]
+            assert receive()["type"] == MSG_CLAIM
+            send_frame(sock, {**chunk, "chunk_index": 2, "jobs": [job.to_dict()]})
             reply = receive()
             assert reply["type"] == MSG_RESULT
-            assert reply["chunk_index"] == 1
+            assert reply["chunk_index"] == 2
             [result] = reply["results"]
             [expected] = execute_job_chunk(framework, [job])
             assert ChipRetrainingResult.from_dict(result) == expected

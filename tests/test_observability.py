@@ -345,11 +345,11 @@ class TestCampaignTracing:
         real_execute = engine_module.execute_job_chunk
         calls = {"count": 0}
 
-        def dying_execute(framework, chunk, fat_batch=8, attempt=0):
+        def dying_execute(framework, chunk, attempt=0):
             if calls["count"] >= 1:
                 raise RuntimeError("simulated kill")
             calls["count"] += 1
-            return real_execute(framework, chunk, fat_batch=fat_batch, attempt=attempt)
+            return real_execute(framework, chunk, attempt=attempt)
 
         monkeypatch.setattr(engine_module, "execute_job_chunk", dying_execute)
         # Inline exceptions no longer crash the campaign: with retries

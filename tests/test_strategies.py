@@ -18,8 +18,7 @@ from repro.campaign import (
     CampaignEngine,
     ChipJob,
     build_jobs,
-    execute_jobs_batched,
-    group_jobs_for_batching,
+    execute_job_chunk,
     plan_job_chunks,
     run_strategy_sweep,
 )
@@ -325,13 +324,9 @@ class TestStrategyPlanner:
             self._job("b", 0.5, "fam+fat"),
             self._job("c", 0.5, "fat"),
         ]
-        groups = group_jobs_for_batching(jobs)
-        assert set(groups) == {(0.5, "fat"), (0.5, "fam+fat")}
         plan = plan_job_chunks(jobs, fat_batch=8)
         # Same budget but different strategies never share a stacked chunk.
-        for chunk in plan:
-            assert len({job.strategy for job in chunk}) == 1
-        assert sorted(len(chunk) for chunk in plan) == [1, 2]
+        assert [[job.chip_id for job in chunk] for chunk in plan] == [["a", "c"], ["b"]]
 
     def test_mixed_strategy_batched_execution_rejected(
         self, smoke_context, strategy_population
@@ -342,7 +337,7 @@ class TestStrategyPlanner:
 
         mixed = [jobs[0], dataclasses.replace(jobs[1], strategy="fam+fat")]
         with pytest.raises(ValueError, match="strategy"):
-            execute_jobs_batched(framework, mixed)
+            execute_job_chunk(framework, mixed)
 
     def test_build_jobs_clamps_non_retraining_budgets(
         self, smoke_context, strategy_population
