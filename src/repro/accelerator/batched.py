@@ -1263,8 +1263,8 @@ def evaluate_chip_accuracies(
 ) -> List[float]:
     """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.
 
-    The forward-only population evaluation behind Step-2.5 triage (and any
-    Step-3 initial accuracy triage did not supply): each chunk of up to
+    The forward-only population evaluation behind Step-2.5 triage, the one
+    place Step 3's initial accuracies come from: each chunk of up to
     ``chip_chunk`` mask sets is one :meth:`BatchedFaultTrainer.evaluate` pass
     (the trainer only reads ``data``, so it doubles as the never-iterated
     train set).  Peak memory is bounded by one chunk's stacks

@@ -18,12 +18,15 @@ Weight-stationary mapping convention (TPU / Zhang et al., VTS 2018):
 Fault-aware mapping (FAM / SalvageDNN) permutes which logical output column
 lands on which physical column, represented here by an optional per-layer
 column permutation applied to the fault map before tiling.
+
+Masks are built on every call and owned by the caller: a chip's masks live
+as long as the chunk that uses them, so nothing here grows with the size of
+the population.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,53 +85,14 @@ def weight_matrix_view(module: nn.Module) -> np.ndarray:
     raise TypeError(f"module of type {type(module).__name__} is not mappable onto the array")
 
 
-# ---------------------------------------------------------------------------
-# Mask cache
-# ---------------------------------------------------------------------------
-#
-# ``gemm_fault_mask`` is called once per mappable layer for every retraining
-# run and every evaluation of a chip, but its output depends only on the fault
-# map, the GEMM shape and the (optional) column permutation — all of which are
-# identical across the many calls a campaign makes for one chip.  An LRU
-# keyed by (fault-map fingerprint, GemmShape, permutation fingerprint) makes
-# every call after the first a dictionary lookup.  Cached masks are read-only;
-# callers treating masks as immutable (all in-tree callers do) share them
-# zero-copy.
-#
-# The LRU is bounded by bytes only: mask size scales with the model's weight
-# count, and a fleet pass builds every chip's masks once for triage and once
-# for retraining (192 chips x 5 LeNet layers = 960 masks, ~3 MB), so an entry
-# cap below one pass evicts each mask before its second use.  Every entry's
-# key carries its own copy of the fault-map payload, so the byte count covers
-# keys as well as masks; the payload is bit-packed (8x smaller than the bool
-# map's ``tobytes()``, and exact because the key also holds the map's shape).
-_MASK_CACHE_MAX_BYTES = 256 * 1024 * 1024
-_MASK_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_MASK_CACHE_STATS = {"hits": 0, "misses": 0, "bytes": 0}
-
-
-def _fault_map_fingerprint(fault_map: FaultMap) -> Tuple:
-    """Exact content key of a fault map (shape + bit-packed payload)."""
-    return (fault_map.shape, np.packbits(fault_map.array).tobytes())
-
-
-def _entry_nbytes(key: Tuple, mask: np.ndarray) -> int:
-    """Bytes one cache entry counts against the cap: mask plus key payloads."""
-    (_, payload), _, perm_key = key
-    return mask.nbytes + len(payload) + 8 * len(perm_key or ())
-
-
-def clear_mask_cache() -> None:
-    """Drop every cached fault mask (mainly for tests and benchmarks)."""
-    _MASK_CACHE.clear()
-    _MASK_CACHE_STATS["hits"] = 0
-    _MASK_CACHE_STATS["misses"] = 0
-    _MASK_CACHE_STATS["bytes"] = 0
-
-
 def mask_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters plus current size of the mask LRU."""
-    return {**_MASK_CACHE_STATS, "size": len(_MASK_CACHE)}
+    """Always zero: masks are built per call and no mask cache exists.
+
+    Kept only because the benchmark harness (``perfbench/spans.py``) still
+    reads its ``"hits"`` and ``"misses"`` keys; remove it once that reader
+    is gone.
+    """
+    return {"hits": 0, "misses": 0}
 
 
 def gemm_fault_mask(
@@ -140,31 +104,18 @@ def gemm_fault_mask(
 
     The mask is produced by tiling the (optionally column-permuted) fault map
     periodically over the weight matrix according to the weight-stationary
-    mapping described in the module docstring.  Results are memoized in a
-    process-wide LRU (see above); the returned array is read-only.
+    mapping described in the module docstring.  Every call builds a fresh
+    read-only array; nothing is kept after the caller drops it.
     """
-    perm_key = None if column_permutation is None else tuple(int(c) for c in column_permutation)
-    key = (_fault_map_fingerprint(fault_map), gemm, perm_key)
-    cached = _MASK_CACHE.get(key)
-    if cached is not None:
-        _MASK_CACHE_STATS["hits"] += 1
-        _MASK_CACHE.move_to_end(key)
-        return cached
-    _MASK_CACHE_STATS["misses"] += 1
     effective_map = fault_map if column_permutation is None else fault_map.permuted_columns(column_permutation)
-    faulty = effective_map.array
-    rows, cols = faulty.shape
-    k_indices = np.arange(gemm.reduce_dim) % rows
-    n_indices = np.arange(gemm.output_dim) % cols
-    # mask[k, n] = faulty[k mod R, n mod C]; transpose to the (N_out, K) layout.
-    mask_kn = faulty[np.ix_(k_indices, n_indices)]
-    mask = np.ascontiguousarray(mask_kn.T)
+    rows, cols = effective_map.shape
+    # mask[n, k] = faulty[k mod R, n mod C]: whole copies of the transposed
+    # map, cut to (N_out, K).  One tile is several times cheaper than an
+    # ``np.ix_`` gather of the same elements.
+    reps = (-(-gemm.output_dim // cols), -(-gemm.reduce_dim // rows))
+    tiled = np.tile(effective_map.array.T, reps)
+    mask = np.ascontiguousarray(tiled[: gemm.output_dim, : gemm.reduce_dim])
     mask.setflags(write=False)
-    _MASK_CACHE[key] = mask
-    _MASK_CACHE_STATS["bytes"] += _entry_nbytes(key, mask)
-    while _MASK_CACHE and _MASK_CACHE_STATS["bytes"] > _MASK_CACHE_MAX_BYTES:
-        evicted_key, evicted = _MASK_CACHE.popitem(last=False)
-        _MASK_CACHE_STATS["bytes"] -= _entry_nbytes(evicted_key, evicted)
     return mask
 
 

@@ -165,7 +165,7 @@ class CampaignEngine:
         process, ``N > 1`` forks N local socket workers for each run.
     store_base:
         Base directory for persistent result stores.  ``None`` keeps results
-        in memory only (the legacy behaviour).
+        in memory only: nothing is written and nothing can be resumed.
     resume:
         When a store is used, skip chips whose results are already recorded.
     progress:
@@ -396,11 +396,10 @@ class CampaignEngine:
             if self.resume:
                 metrics.gauge("campaign.phase").set("resume_scan")
                 with trace.span("campaign.resume_scan"):
-                    run.store.compact()
                     wanted = {job.chip_id for job in job_list}
                     run.known = {
                         chip_id: result
-                        for chip_id, result in run.store.completed().items()
+                        for chip_id, result in run.store.compact().items()
                         if chip_id in wanted
                     }
             else:
@@ -689,13 +688,6 @@ class CampaignEngine:
         """
         if not (trace.enabled or metrics.enabled):
             return
-        # Snapshot process-wide cache stats into gauges so the merged metrics
-        # carry fault-mask LRU effectiveness without touching mapping.py's
-        # hot path (the counters there are plain dict increments already).
-        from repro.accelerator.mapping import mask_cache_stats
-
-        for key, value in mask_cache_stats().items():
-            metrics.gauge(f"mask_cache.{key}").set(value)
         directory = trace.directory
         if trace.enabled and directory is not None:
             trace.flush()

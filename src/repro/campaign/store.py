@@ -454,18 +454,19 @@ class CampaignStore:
         )
         return report
 
-    def compact(self) -> int:
+    def compact(self) -> "OrderedDict[str, ChipRetrainingResult]":
         """Rewrite the results file with only valid, deduplicated lines.
 
         Run before resuming: a torn trailing line left by a killed process
         has no newline, so appending straight after it would corrupt the next
-        result.  Returns the number of results kept.  The rewrite is made
+        result.  Returns the results kept (as :meth:`completed` would read
+        them), so a resume parses the file once.  The rewrite is made
         durable (file fsync + ``os.replace`` + directory fsync), so a
         compacted store survives a power cut immediately after resume.
         """
-        if not self.results_path.exists():
-            return 0
         results = self.completed()
+        if not self.results_path.exists():
+            return results
         tmp = self.results_path.with_name(self.results_path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
             for result in results.values():
@@ -476,10 +477,7 @@ class CampaignStore:
         fsync_directory(self.results_path.parent)
         metrics.counter("store.compactions").inc()
         metrics.gauge("store.resumed_results").set(len(results))
-        return len(results)
-
-    def num_recorded(self) -> int:
-        return len(self.completed())
+        return results
 
     def clear_results(self) -> None:
         """Drop recorded results (the manifest is kept)."""

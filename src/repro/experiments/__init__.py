@@ -16,7 +16,6 @@ from repro.experiments.common import (
     clear_context_cache,
     preset_fingerprint,
     resolve_disk_cache_dir,
-    set_disk_cache_dir,
 )
 from repro.experiments.fig2 import Fig2aResult, Fig2bResult, run_fig2a, run_fig2b
 from repro.experiments.fig3 import Fig3Result, build_population, run_fig3
@@ -36,7 +35,6 @@ __all__ = [
     "clear_context_cache",
     "preset_fingerprint",
     "resolve_disk_cache_dir",
-    "set_disk_cache_dir",
     "Fig2aResult",
     "Fig2bResult",
     "run_fig2a",

@@ -7,8 +7,8 @@ cached in memory (keyed by the preset) so that running several figure
 benchmarks in one session does not repeat the expensive pre-training step.
 
 An optional *on-disk* cache layers underneath the in-memory one: when a
-cache directory is configured (``disk_cache_dir=`` argument,
-:func:`set_disk_cache_dir` or the ``REPRO_CACHE_DIR`` environment variable),
+cache directory is configured (``disk_cache_dir=`` argument or the
+``REPRO_CACHE_DIR`` environment variable),
 the pre-trained state dict and clean accuracy are persisted per preset
 fingerprint, so repeated CLI runs — and campaign workers spawned in fresh
 processes — skip pre-training entirely.
@@ -43,9 +43,8 @@ logger = get_logger("experiments.common")
 _CONTEXT_CACHE: Dict[str, "ExperimentContext"] = {}
 
 # On-disk cache of pre-trained state dicts (same fingerprint key); resolved
-# from the explicit argument, this module default, or REPRO_CACHE_DIR.
+# from the explicit argument, else REPRO_CACHE_DIR.
 _DISK_CACHE_ENV = "REPRO_CACHE_DIR"
-_DISK_CACHE_DIR: Optional[Path] = None
 
 
 # Version of the training-substrate numerics baked into cached pre-trained
@@ -78,23 +77,10 @@ def preset_fingerprint(preset: ExperimentPreset) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-# Backwards-compatible alias (the fingerprint is public API now that the
-# campaign store and disk cache key on it).
-_preset_fingerprint = preset_fingerprint
-
-
-def set_disk_cache_dir(path: Optional[Union[str, Path]]) -> None:
-    """Set (or clear, with ``None``) the default on-disk context cache."""
-    global _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = Path(path) if path is not None else None
-
-
 def resolve_disk_cache_dir(explicit: Optional[Union[str, Path]] = None) -> Optional[Path]:
-    """The disk cache directory in effect: argument, module default, or env."""
+    """The disk cache directory in effect: the argument, else the env var."""
     if explicit is not None:
         return Path(explicit)
-    if _DISK_CACHE_DIR is not None:
-        return _DISK_CACHE_DIR
     env = os.environ.get(_DISK_CACHE_ENV)
     return Path(env) if env else None
 

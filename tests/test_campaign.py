@@ -539,7 +539,7 @@ class TestStoreIntegrity:
         assert report.is_clean
         assert report.legacy_unchecksummed == len(results)
         # compact() canonicalizes legacy lines to checksummed ones.
-        assert store.compact() == len(results)
+        assert len(store.compact()) == len(results)
         assert store.verify().legacy_unchecksummed == 0
         assert list(store.completed().values()) == results
 

@@ -175,24 +175,9 @@ def test_permutation_preserves_masked_count_property(rows, cols, rate, seed):
 
 
 class TestMaskCache:
-    def test_cache_returns_identical_masks(self):
-        from repro.accelerator import clear_mask_cache, mask_cache_stats
-
-        clear_mask_cache()
-        fault_map = FaultMap.random(8, 8, 0.3, seed=0)
-        gemm = GemmShape(reduce_dim=24, output_dim=16)
-        first = gemm_fault_mask(gemm, fault_map)
-        second = gemm_fault_mask(gemm, fault_map)
-        # Cache hit: the very same (read-only) array object is shared.
-        assert second is first
-        assert not first.flags.writeable
-        stats = mask_cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
+    """Masks are built on every call: equal values, no shared state."""
 
     def test_cache_distinguishes_maps_shapes_and_permutations(self):
-        from repro.accelerator import clear_mask_cache
-
-        clear_mask_cache()
         map_a = FaultMap.random(8, 8, 0.3, seed=1)
         map_b = FaultMap.random(8, 8, 0.3, seed=2)
         gemm = GemmShape(reduce_dim=16, output_dim=16)
@@ -210,77 +195,48 @@ class TestMaskCache:
         np.testing.assert_array_equal(mask_perm, reference)
 
     def test_cached_mask_values_match_uncached(self):
-        from repro.accelerator import clear_mask_cache
-
         fault_map = FaultMap.random(6, 10, 0.4, seed=3)
         gemm = GemmShape(reduce_dim=18, output_dim=20)
-        clear_mask_cache()
         fresh = gemm_fault_mask(gemm, fault_map).copy()
-        clear_mask_cache()
         again = gemm_fault_mask(gemm, fault_map)
         np.testing.assert_array_equal(fresh, again)
 
-    def test_second_pass_over_a_fleet_hits_every_mask(self):
-        """Over 512 masks (the size of a pass's triage + retraining reuse)
-        stay cached: the second pass over 110 chips x 5 layers all hits."""
-        from repro.accelerator import clear_mask_cache, mask_cache_stats
+    def test_returned_masks_are_read_only(self):
+        fault_map = FaultMap.random(8, 8, 0.3, seed=4)
+        masks = [
+            gemm_fault_mask(GemmShape(reduce_dim=24, output_dim=16), fault_map),
+            gemm_fault_mask(GemmShape(reduce_dim=8, output_dim=1), fault_map),
+            *model_fault_masks(small_cnn(), fault_map).values(),
+        ]
+        for mask in masks:
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[(0,) * mask.ndim] = True
 
-        clear_mask_cache()
-        gemms = [GemmShape(reduce_dim=k, output_dim=n) for k, n in
-                 [(25, 6), (150, 16), (400, 120), (120, 84), (84, 10)]]
-        maps = [FaultMap.random(8, 8, 0.1, seed=chip) for chip in range(110)]
-        for _ in range(2):
-            for fault_map in maps:
-                for gemm in gemms:
-                    gemm_fault_mask(gemm, fault_map)
-        stats = mask_cache_stats()
-        assert stats["misses"] == len(maps) * len(gemms) > 512
-        assert stats["hits"] == stats["misses"]
-        assert stats["size"] == stats["misses"]
-        clear_mask_cache()
+    def test_dropped_mask_is_not_retained(self):
+        """Nothing outlives the caller's reference to a mask."""
+        import weakref
 
-    def test_byte_cap_evicts_least_recently_used(self, monkeypatch):
-        from repro.accelerator import clear_mask_cache, mask_cache_stats
-        from repro.accelerator import mapping
+        fault_map = FaultMap.random(8, 8, 0.3, seed=5)
+        mask = gemm_fault_mask(GemmShape(reduce_dim=24, output_dim=16), fault_map)
+        ref = weakref.ref(mask)
+        del mask
+        assert ref() is None
 
-        clear_mask_cache()
-        # 100-byte masks keyed by a 4x4 map bit-packed into 2 bytes.
-        gemm = GemmShape(reduce_dim=10, output_dim=10)
-        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 306)
-        maps = [FaultMap.random(4, 4, 0.3, seed=seed) for seed in range(4)]
-        first = [gemm_fault_mask(gemm, fault_map) for fault_map in maps[:3]]
-        assert mask_cache_stats()["bytes"] == 306
-        gemm_fault_mask(gemm, maps[0])  # refresh map 0: map 1 is now the LRU
-        gemm_fault_mask(gemm, maps[3])  # over the cap: evicts map 1 only
-        stats = mask_cache_stats()
-        assert stats["size"] == 3 and stats["bytes"] == 306
-        assert gemm_fault_mask(gemm, maps[0]) is first[0]
-        assert gemm_fault_mask(gemm, maps[2]) is first[2]
-        hits = mask_cache_stats()["hits"]
-        assert gemm_fault_mask(gemm, maps[1]) is not first[1]  # rebuilt: a miss
-        assert mask_cache_stats()["hits"] == hits
-        clear_mask_cache()
 
-    def test_byte_cap_counts_key_bytes(self, monkeypatch):
-        """Each entry's key holds its own fault-map payload: three 100-byte
-        masks fit a 300-byte cap only if their keys cost nothing."""
-        from repro.accelerator import clear_mask_cache, mask_cache_stats
-        from repro.accelerator import mapping
-
-        clear_mask_cache()
-        gemm = GemmShape(reduce_dim=10, output_dim=10)
-        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 300)
-        maps = [FaultMap.random(64, 64, 0.1, seed=seed) for seed in range(3)]
-        for fault_map in maps:
-            gemm_fault_mask(gemm, fault_map)
-            assert mask_cache_stats()["bytes"] <= 300
-        # A 64x64 map packs into 512 bytes: every entry costs 612 bytes, so
-        # each insert evicts the one before it.
-        stats = mask_cache_stats()
-        assert stats["size"] == 0 and stats["bytes"] == 0
-        monkeypatch.setattr(mapping, "_MASK_CACHE_MAX_BYTES", 2 * 612)
-        for fault_map in maps:
-            gemm_fault_mask(gemm, fault_map)
-        stats = mask_cache_stats()
-        assert stats["size"] == 2 and stats["bytes"] == 2 * 612
-        clear_mask_cache()
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    cols=st.integers(min_value=1, max_value=12),
+    reduce_dim=st.integers(min_value=1, max_value=40),
+    output_dim=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_mask_is_the_weight_stationary_tiling(rows, cols, reduce_dim, output_dim, seed):
+    """Property: weight (n, k) is masked iff PE (k mod R, n mod C) is faulty,
+    for ragged as well as whole tilings."""
+    fault_map = FaultMap.random(rows, cols, 0.4, seed=seed)
+    mask = gemm_fault_mask(GemmShape(reduce_dim, output_dim), fault_map)
+    n, k = np.indices((output_dim, reduce_dim))
+    np.testing.assert_array_equal(mask, fault_map.array[k % rows, n % cols])
+    assert mask.flags.c_contiguous
