@@ -12,6 +12,7 @@ of per-chip evaluations.
 import pytest
 
 from bench_utils import run_once
+from repro.campaign import CampaignEngine
 from repro.core import run_adaptive_campaign
 from repro.core.reporting import campaign_summary_table
 
@@ -24,7 +25,7 @@ def framework(fast_context, fast_profile):
 
 
 def test_ablation_adaptive_vs_reduce(benchmark, framework, fast_context, fast_population):
-    reduce_campaign = framework.run(fast_population, statistic="max")
+    reduce_campaign = CampaignEngine(fast_context).run_reduce(fast_population, "max")
 
     adaptive = run_once(
         benchmark,

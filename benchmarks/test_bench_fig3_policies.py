@@ -17,15 +17,15 @@ import numpy as np
 import pytest
 
 from bench_utils import run_once
+from repro.campaign import CampaignEngine
 from repro.core.reporting import campaign_scatter_csv
 from repro.experiments import run_fig3
 
 
 @pytest.fixture(scope="module")
-def framework(fast_context, fast_profile):
-    framework = fast_context.framework()
-    framework.set_profile(fast_profile)
-    return framework
+def engine(fast_context, fast_profile):
+    """One in-process engine over the fast context (Step 1 already cached)."""
+    return CampaignEngine(fast_context)
 
 
 def _print_campaign(campaign):
@@ -35,8 +35,8 @@ def _print_campaign(campaign):
     print(campaign_scatter_csv(campaign))
 
 
-def test_fig3a_reduce_max_policy(benchmark, framework, fast_population):
-    campaign = run_once(benchmark, framework.run, fast_population, statistic="max")
+def test_fig3a_reduce_max_policy(benchmark, engine, fast_population):
+    campaign = run_once(benchmark, engine.run_reduce, fast_population, statistic="max")
     _print_campaign(campaign)
     # The max statistic is chosen for confidence: the large majority of chips
     # must meet the constraint.
@@ -48,9 +48,9 @@ def test_fig3a_reduce_max_policy(benchmark, framework, fast_population):
     assert most_expensive > cheapest
 
 
-def test_fig3b_reduce_mean_policy(benchmark, framework, fast_population):
-    reduce_max = framework.run(fast_population, statistic="max")
-    campaign = run_once(benchmark, framework.run, fast_population, statistic="mean")
+def test_fig3b_reduce_mean_policy(benchmark, engine, fast_population):
+    reduce_max = engine.run_reduce(fast_population, statistic="max")
+    campaign = run_once(benchmark, engine.run_reduce, fast_population, statistic="mean")
     _print_campaign(campaign)
     # The mean statistic spends no more than the max statistic on average...
     assert campaign.average_epochs <= reduce_max.average_epochs + 1e-9
@@ -62,21 +62,21 @@ def test_fig3b_reduce_mean_policy(benchmark, framework, fast_population):
 
 
 @pytest.mark.parametrize("budget_index", [0, 1, 2], ids=["fig3c-low", "fig3d-mid", "fig3e-high"])
-def test_fig3cde_fixed_policies(benchmark, framework, fast_context, fast_population, budget_index):
+def test_fig3cde_fixed_policies(benchmark, engine, fast_context, fast_population, budget_index):
     budget = fast_context.preset.fixed_policy_epochs[budget_index]
-    campaign = run_once(benchmark, framework.run_fixed_policy, fast_population, budget)
+    campaign = run_once(benchmark, engine.run_fixed, fast_population, budget)
     _print_campaign(campaign)
     assert campaign.average_epochs == pytest.approx(budget, rel=0.05)
     # Every chip gets exactly the same budget under the fixed policy.
     assert np.allclose(campaign.epochs(), budget, rtol=0.05)
 
 
-def test_fig3_fixed_policy_satisfaction_grows_with_budget(benchmark, framework, fast_context, fast_population):
+def test_fig3_fixed_policy_satisfaction_grows_with_budget(benchmark, engine, fast_context, fast_population):
     """Summary property of Fig. 3c-e: more fixed retraining -> more chips pass."""
 
     def run_all_fixed():
         return [
-            framework.run_fixed_policy(fast_population, budget)
+            engine.run_fixed(fast_population, budget)
             for budget in fast_context.preset.fixed_policy_epochs
         ]
 
@@ -89,12 +89,12 @@ def test_fig3_fixed_policy_satisfaction_grows_with_budget(benchmark, framework, 
 
 
 def test_fig3_reduce_max_meets_constraint_with_fewer_epochs(
-    framework, fast_context, fast_population
+    engine, fast_context, fast_population
 ):
     """The paper's headline claim, pinned on the default fast population."""
     largest = max(fast_context.preset.fixed_policy_epochs)
-    reduce_max = framework.run(fast_population, statistic="max")
-    fixed = framework.run_fixed_policy(fast_population, largest)
+    reduce_max = engine.run_reduce(fast_population, statistic="max")
+    fixed = engine.run_fixed(fast_population, largest)
     print(
         f"\nreduce-max: {reduce_max.percent_meeting_constraint:.1f}% at "
         f"{reduce_max.total_epochs:.2f} epochs; fixed-{largest}ep: "

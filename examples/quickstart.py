@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.campaign import CampaignEngine
 from repro.core import ChipPopulation, campaign_summary_table
 from repro.experiments import ExperimentContext, fast_preset, smoke_preset
 from repro.utils.rng import derive_seed
@@ -39,14 +40,13 @@ def main() -> None:
     # dataset and the systolic-array description.
     print("\n[setup] generating data and pre-training the model...")
     context = ExperimentContext.from_preset(preset)
-    framework = context.framework()
     print(f"[setup] clean accuracy: {context.clean_accuracy:.3f}")
-    print(f"[setup] accuracy constraint: {framework.target_accuracy:.3f} "
+    print(f"[setup] accuracy constraint: {context.target_accuracy():.3f} "
           f"({preset.constraint_drop:.0%} below clean)")
 
     # ---------------------------------------------------------------- step 1
     print("\n[step 1] resilience analysis (fault-injection + progressive retraining)...")
-    profile = framework.analyze_resilience()
+    profile = context.resilience_profile()
     print(f"[step 1] analysed fault rates: {profile.fault_rates.tolist()}")
     print(f"[step 1] retraining checkpoints: {profile.epoch_checkpoints.tolist()}")
     no_retraining = profile.accuracy_vs_fault_rate(0.0, "mean")
@@ -64,15 +64,18 @@ def main() -> None:
         fault_rates=preset.chip_fault_rate_range,
         seed=derive_seed(preset.seed, "quickstart-chips"),
     )
-    amounts = framework.select_retraining_amounts(chips)
+    amounts = context.framework().select_retraining_amounts(chips)
     for chip in chips:
         print(f"    {chip.chip_id}: fault rate {chip.fault_rate:.3f} -> "
               f"{amounts[chip.chip_id]:.2f} retraining epochs")
 
     # ---------------------------------------------------------------- step 3
     print("\n[step 3] fault-aware retraining per chip (Reduce vs fixed policy)...")
-    reduce_campaign = framework.run(chips, statistic="max")
-    fixed_campaign = framework.run_fixed_policy(chips, epochs=max(preset.fixed_policy_epochs))
+    # The campaign engine triages every chip once, stacks chips of equal
+    # budget, and retrains each stack as one batched run.
+    engine = CampaignEngine(context)
+    reduce_campaign = engine.run_reduce(chips, "max")
+    fixed_campaign = engine.run_fixed(chips, epochs=max(preset.fixed_policy_epochs))
 
     print()
     print(campaign_summary_table([reduce_campaign, fixed_campaign]))

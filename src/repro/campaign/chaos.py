@@ -111,10 +111,6 @@ class ChaosSpec:
                 )
         return cls(**values)  # type: ignore[arg-type]
 
-    @property
-    def total_faults(self) -> int:
-        return self.kill + self.hang + self.exc + self.poison
-
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
         parts += [f"{k}={getattr(self, k)}" for k in _COUNT_KEYS if getattr(self, k)]

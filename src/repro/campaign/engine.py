@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.backends import resolve_backend
 from repro.campaign.chaos import ChaosSchedule, ChaosSpec, resolve_chaos
 from repro.campaign.jobs import (
+    DEFAULT_FAT_BATCH,
     ChipJob,
     build_jobs,
     execute_job_chunk,
@@ -85,7 +86,7 @@ from repro.campaign.supervisor import (
     SupervisorConfig,
 )
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import DEFAULT_FAT_BATCH, CampaignResult, ChipRetrainingResult
+from repro.core.reduce import CampaignResult, ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.mitigation.strategy import StrategyLike, resolve_strategy
 from repro.observability import (

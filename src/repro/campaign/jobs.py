@@ -55,6 +55,10 @@ from repro.mitigation.strategy import (
 )
 from repro.observability import metrics, trace
 
+# The campaign's default ``fat_batch``: the planner cuts Step-3 chips into
+# stacks of at most this many chips (bounds the stacked-weight memory).
+DEFAULT_FAT_BATCH = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class ChipJob:

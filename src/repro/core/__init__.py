@@ -2,7 +2,8 @@
 
 Step 1 — :mod:`repro.core.resilience` (fault-injection resilience analysis),
 Step 2 — :mod:`repro.core.selection` (resilience-driven retraining-amount selection),
-Step 3 — :mod:`repro.core.reduce` (per-chip fault-aware retraining orchestration).
+Step 3 — :mod:`repro.core.reduce` (triage and the retraining of one stack of
+chips; :class:`repro.campaign.CampaignEngine` drives Step 3 over a population).
 """
 
 from repro.core.chips import Chip, ChipPopulation

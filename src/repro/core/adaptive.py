@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.reduce import CampaignResult, ChipRetrainingResult, ReduceFramework
 from repro.mitigation.fap import build_fap_masks
-from repro.training import Trainer
+from repro.training import Trainer, meets_target
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
@@ -81,7 +81,7 @@ def adaptive_retrain_chip(
     evaluations = 1
     previous = 0.0
     for checkpoint in increments:
-        if accuracy >= target - 1e-12:
+        if meets_target(accuracy, target):
             break
         delta = checkpoint - previous
         if delta > 0:
@@ -99,7 +99,7 @@ def adaptive_retrain_chip(
         epochs_trained=float(trainer.epochs_taken),
         accuracy_before=accuracy_before,
         accuracy_after=accuracy,
-        meets_constraint=accuracy >= target - 1e-12,
+        meets_constraint=meets_target(accuracy, target),
         masked_weight_fraction=masked / total if total else 0.0,
     )
     return result, evaluations

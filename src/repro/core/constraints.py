@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
+from repro.training import meets_target
+
 
 @dataclasses.dataclass(frozen=True)
 class AccuracyConstraint:
@@ -50,7 +52,7 @@ class AccuracyConstraint:
         return max(0.0, clean_accuracy - float(self.relative_drop))
 
     def is_met(self, accuracy: float, clean_accuracy: Optional[float] = None) -> bool:
-        return accuracy >= self.resolve(clean_accuracy) - 1e-12
+        return meets_target(accuracy, self.resolve(clean_accuracy))
 
     def describe(self, clean_accuracy: Optional[float] = None) -> str:
         if self.absolute is not None:

@@ -18,6 +18,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.training import meets_target
+
 STATISTICS = ("min", "mean", "max", "median")
 
 
@@ -84,7 +86,7 @@ class ResilienceProfile:
 
     def _trial_epochs_required(self, rate_index: int, trial_index: int, target: float) -> Optional[float]:
         accuracy_curve = self.accuracies[rate_index, trial_index]
-        meets = np.flatnonzero(accuracy_curve >= target - 1e-12)
+        meets = np.flatnonzero(meets_target(accuracy_curve, target))
         if meets.size == 0:
             return None
         return float(self.epoch_checkpoints[meets[0]])

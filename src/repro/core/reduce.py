@@ -1,16 +1,22 @@
-"""The Reduce framework: orchestration of Steps 1-3.
+"""The Reduce framework: Steps 1 and 2, triage, and the Step-3 stack.
 
-``ReduceFramework`` ties everything together exactly as in Fig. 1 of the
-paper: given a pre-trained DNN, a dataset, a user-defined accuracy constraint
-and the fault maps of the faulty chips, it
+``ReduceFramework`` holds the inputs of Fig. 1 of the paper (a pre-trained
+DNN, a dataset, a user-defined accuracy constraint and the systolic array)
+and implements, per call,
 
-1. computes the DNN's resilience to faults at different fault rates and
-   amounts of retraining (:class:`~repro.core.resilience.ResilienceAnalyzer`),
-2. selects the retraining amount for each chip from the resilience profile
-   (:class:`~repro.core.selection.ResilienceDrivenPolicy`), and
-3. performs fault-aware retraining per chip and returns the fault-aware DNNs
-   together with the bookkeeping needed to reproduce Fig. 3
-   (:class:`CampaignResult`).
+1. the DNN's resilience to faults at different fault rates and amounts of
+   retraining (:class:`~repro.core.resilience.ResilienceAnalyzer`),
+2. the retraining amount for each chip, read off the resilience profile
+   (:class:`~repro.core.selection.ResilienceDrivenPolicy`),
+3. triage (every chip's initial accuracy,
+   :meth:`ReduceFramework.triage_population`) and fault-aware retraining of
+   one stack of chips (:meth:`ReduceFramework.retrain_chips_batched`).
+
+Step 3 over a whole population (triage once, cut the chips into stacks,
+retrain each stack, collect a :class:`CampaignResult`) is driven by
+:class:`repro.campaign.CampaignEngine` (``run_reduce``, ``run_fixed`` and
+``run``), whose planner alone sizes stacks.  ``repro.campaign`` imports this
+module, never the reverse.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from repro.core.chips import Chip, ChipPopulation
 from repro.core.constraints import AccuracyConstraint
 from repro.core.profiles import ResilienceProfile
 from repro.core.resilience import ResilienceAnalyzer, ResilienceConfig
-from repro.core.selection import FixedEpochPolicy, ResilienceDrivenPolicy, RetrainingPolicy
+from repro.core.selection import ResilienceDrivenPolicy
 from repro.data.synthetic import DatasetBundle
 from repro.mitigation.strategy import (
     DEFAULT_STRATEGY_NAME,
@@ -40,15 +46,8 @@ from repro.mitigation.strategy import (
     resolve_strategy,
 )
 from repro.nn.serialization import clone_state_dict
-from repro.training import CheckpointRecord, TrainingConfig, evaluate_accuracy
-from repro.utils.logging import get_logger
+from repro.training import CheckpointRecord, TrainingConfig, evaluate_accuracy, meets_target
 from repro.utils.rng import derive_seed
-
-logger = get_logger("core.reduce")
-
-# Step-3 chips are retrained together in stacked batches of at most this
-# many chips (bounds the stacked-weight memory footprint).
-DEFAULT_FAT_BATCH = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _build_chip_result(
         epochs_trained=float(epochs_trained),
         accuracy_before=accuracy_before,
         accuracy_after=accuracy_after,
-        meets_constraint=accuracy_after >= target - 1e-12,
+        meets_constraint=meets_target(accuracy_after, target),
         masked_weight_fraction=masked / total if total else 0.0,
         strategy=strategy,
     )
@@ -334,10 +333,7 @@ class ReduceFramework:
     # -- Step 2.5: batched population triage --------------------------------------
 
     def triage_population(
-        self,
-        chips: Iterable[Chip],
-        chip_chunk: int = DEFAULT_CHIP_CHUNK,
-        strategy: StrategyLike = None,
+        self, chips: Iterable[Chip], strategy: StrategyLike = None
     ) -> Dict[str, float]:
         """Pre-retraining accuracy of every chip, in batched multi-chip passes.
 
@@ -360,11 +356,11 @@ class ReduceFramework:
         accuracies: List[float] = []
         pipeline = self.eval_pipeline
         # Masks are built (and released) chunk by chunk so peak memory is
-        # bounded by ``chip_chunk`` mask sets, not the population size.
-        for start in range(0, len(chip_list), chip_chunk):
+        # bounded by ``DEFAULT_CHIP_CHUNK`` mask sets, not the population size.
+        for start in range(0, len(chip_list), DEFAULT_CHIP_CHUNK):
             mask_sets = [
                 strategy.chip_masks(self.model, chip.fault_map)
-                for chip in chip_list[start:start + chip_chunk]
+                for chip in chip_list[start:start + DEFAULT_CHIP_CHUNK]
             ]
             accuracies.extend(
                 evaluate_chip_accuracies(
@@ -372,7 +368,6 @@ class ReduceFramework:
                     self.bundle.test,
                     mask_sets,
                     self._fat_training_config(),
-                    chip_chunk=chip_chunk,
                     eval_pipeline=pipeline,
                 )
             )
@@ -420,8 +415,9 @@ class ReduceFramework:
         Every distinct chip takes one slot of a single
         :class:`~repro.accelerator.batched.BatchedFaultTrainer` stack, which
         trains once, to the largest budget of any entry.  The caller sizes
-        the stack (the campaign planner, or :meth:`retrain_population`).
-        Every smaller budget is an in-stream readout of that pass
+        the stack: in a campaign that is the planner,
+        :func:`~repro.campaign.jobs.plan_job_chunks`.  Every smaller budget
+        is an in-stream readout of that pass
         (``train(..., in_stream=True)``): all chips share one seeded data
         stream, so the readout is exactly the end state of a separate run to
         that budget.  Every parametric layer family stacks (including
@@ -537,95 +533,3 @@ class ReduceFramework:
                     before, after, target, strategy=strategy.name,
                 )
         return list(results)
-
-    def retrain_population(
-        self,
-        population: ChipPopulation,
-        policy: RetrainingPolicy,
-        progress: bool = False,
-        fat_batch: int = DEFAULT_FAT_BATCH,
-        strategy: StrategyLike = None,
-    ) -> CampaignResult:
-        """Run Step 3 for every chip under an arbitrary retraining policy.
-
-        The campaign engine's sequence, in this process: one
-        :meth:`triage_population` pass measures every chip's initial
-        accuracy, the chips that train are cut, in stable order of budget,
-        into stacks of at most ``fat_batch``, and each stack is one
-        :meth:`retrain_chips_batched` call (bypassed chips take one call of
-        their own and never train).  Rows come back in population order and
-        are bit-identical to retraining each chip alone through the serial
-        reference loop on this BLAS build.  ``strategy`` selects the
-        mitigation recipe applied before/instead of retraining (default:
-        classic FAT).
-        """
-        if fat_batch < 1:
-            raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
-        strategy = resolve_strategy(strategy)
-        amounts = policy.epochs_for_population(population)
-        chips = list(population)
-        budgets = [
-            strategy.effective_epochs(float(amounts[chip.chip_id]), chip.fault_map)
-            for chip in chips
-        ]
-        before = self.triage_population(chips, strategy=strategy)
-        bypassed = [
-            index for index, chip in enumerate(chips)
-            if strategy.bypass_plan(chip.fault_map) is not None
-        ]
-        skip = set(bypassed)
-        trained = sorted(
-            (index for index in range(len(chips)) if index not in skip),
-            key=lambda index: budgets[index],
-        )
-        calls = [bypassed] + [
-            trained[start:start + fat_batch]
-            for start in range(0, len(trained), fat_batch)
-        ]
-        results: List[Optional[ChipRetrainingResult]] = [None] * len(chips)
-        for call in calls:
-            rows = self.retrain_chips_batched(
-                [chips[index] for index in call],
-                [budgets[index] for index in call],
-                before,
-                strategy=strategy,
-            )
-            for index, row in zip(call, rows):
-                results[index] = row
-        if progress:
-            for result in results:
-                logger.info(
-                    "chip %s: rate=%.3f epochs=%.3f acc=%.3f meets=%s",
-                    result.chip_id,
-                    result.fault_rate,
-                    result.epochs_trained,
-                    result.accuracy_after,
-                    result.meets_constraint,
-                )
-        return CampaignResult(
-            policy_name=policy.name,
-            target_accuracy=self.target_accuracy,
-            clean_accuracy=self.clean_accuracy,
-            results=results,
-        )
-
-    # -- end-to-end -----------------------------------------------------------------
-
-    def run(
-        self,
-        population: ChipPopulation,
-        statistic: Optional[str] = None,
-        progress: bool = False,
-    ) -> CampaignResult:
-        """Steps 1 + 2 + 3 for a chip population with the Reduce policy."""
-        policy = self.build_policy(statistic)
-        return self.retrain_population(population, policy, progress=progress)
-
-    def run_fixed_policy(
-        self,
-        population: ChipPopulation,
-        epochs: float,
-        progress: bool = False,
-    ) -> CampaignResult:
-        """The state-of-the-art baseline: fixed retraining amount per chip."""
-        return self.retrain_population(population, FixedEpochPolicy(epochs), progress=progress)

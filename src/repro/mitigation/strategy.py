@@ -123,11 +123,6 @@ class MitigationStrategy:
 
     # -- identity ----------------------------------------------------------------
 
-    @property
-    def gates_pruned_macs(self) -> bool:
-        """Whether the hardware clock-gates the clamped MACs (FAP energy saving)."""
-        return self.prune
-
     def gates_pruned_macs_for(self, fault_map: FaultMap) -> bool:
         """Whether *this chip's* executed mitigation clock-gates pruned MACs.
 

@@ -503,20 +503,6 @@ class Concatenate(Function):
         return tuple(np.split(grad_output, splits, axis=axis))
 
 
-class Pad2d(Function):
-    """Zero-padding of the last two (spatial) dimensions of an NCHW tensor."""
-
-    def forward(self, a: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
-        self.save_for_backward(padding, a.shape)
-        pad_h, pad_w = padding
-        return np.pad(a, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-
-    def backward(self, grad_output: np.ndarray):
-        (pad_h, pad_w), shape = self.saved
-        h, w = shape[-2], shape[-1]
-        return (grad_output[..., pad_h:pad_h + h, pad_w:pad_w + w],)
-
-
 # ---------------------------------------------------------------------------
 # Fused numerically-stable softmax family
 # ---------------------------------------------------------------------------
@@ -596,10 +582,6 @@ class Tensor:
     def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
         generator = rng if rng is not None else np.random.default_rng()
         return Tensor(generator.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.asarray(array), requires_grad=requires_grad)
 
     # -- basic properties ---------------------------------------------------
 

@@ -35,6 +35,16 @@ logger = get_logger("training")
 MaskDict = Dict[str, np.ndarray]
 
 
+def meets_target(accuracy, target_accuracy):
+    """Whether ``accuracy`` meets ``target_accuracy`` (elementwise on arrays).
+
+    The one "meets the target" rule of the package.  A relative target is a
+    float difference (``clean - drop``) that may round above an accuracy
+    equal to it on paper, so the comparison allows ``1e-12`` of slack.
+    """
+    return accuracy >= target_accuracy - 1e-12
+
+
 @dataclasses.dataclass
 class TrainingConfig:
     """Hyper-parameters of the (re)training loop."""
@@ -137,7 +147,7 @@ class TrainingHistory:
     def epochs_to_reach(self, target_accuracy: float) -> Optional[float]:
         """Smallest checkpoint epoch amount whose accuracy meets the target."""
         for record in self.records:
-            if record.eval_accuracy >= target_accuracy:
+            if meets_target(record.eval_accuracy, target_accuracy):
                 return record.epochs
         return None
 

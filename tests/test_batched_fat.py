@@ -23,7 +23,7 @@ from repro.accelerator import FaultMap, model_fault_masks
 from repro.accelerator.batched import BatchedFaultTrainer, UnsupportedModelError
 from repro.campaign import CampaignEngine, execute_job_chunk, plan_job_chunks
 from repro.core.chips import ChipPopulation
-from repro.core.selection import FixedEpochPolicy
+from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.data import make_blob_classification, make_class_template_images
 from repro.models import MLP, LeNet5
 from repro.training import TrainingConfig, epochs_to_steps
@@ -706,6 +706,18 @@ def twelve_chips(smoke_context):
     )
 
 
+class _TablePolicy(RetrainingPolicy):
+    """A retraining policy that reads each chip's budget off a table."""
+
+    name = "table"
+
+    def __init__(self, budgets):
+        self.budgets = budgets
+
+    def epochs_for_chip(self, chip):
+        return self.budgets[chip.chip_id]
+
+
 def _count_trainers(monkeypatch):
     """Count the ``BatchedFaultTrainer`` stacks the framework constructs."""
     import repro.core.reduce as reduce_module
@@ -780,20 +792,28 @@ class TestFrameworkBatchedFat:
             assert chip.chip_id not in str(error.value)
         assert masks_built == []
 
-    def test_retrain_population_matches_retrain_chip(self, smoke_context, fat_population):
+    def test_engine_matches_retrain_chip(self, smoke_context, fat_population):
+        """The engine's rows equal each chip retrained alone, whatever the
+        stack size, with chips asking for different budgets."""
         framework = smoke_context.framework()
-        policy = FixedEpochPolicy(0.25)
-        serial = [reference_retrain_chip(framework, chip, 0.25) for chip in fat_population]
+        budgets = dict(zip(
+            (chip.chip_id for chip in fat_population), (0.5, 0.25, 0.0, 0.5, 0.25)
+        ))
+        policy = _TablePolicy(budgets)
+        serial = [
+            reference_retrain_chip(framework, chip, budgets[chip.chip_id])
+            for chip in fat_population
+        ]
         for fat_batch in (8, 1):
-            result = framework.retrain_population(fat_population, policy, fat_batch=fat_batch)
-            assert result.results == serial
+            engine = CampaignEngine(smoke_context, fat_batch=fat_batch)
+            assert engine.run(fat_population, policy).results == serial
 
     @pytest.mark.parametrize("strategy", ["fat", "fam+fat", "bypass+fat"])
-    def test_retrain_population_triages_once(
+    def test_engine_triages_once(
         self, smoke_context, fat_population, monkeypatch, strategy
     ):
-        """``retrain_population`` measures every initial accuracy in one
-        triage pass, then retrains stacks of at most ``fat_batch`` chips."""
+        """A campaign run measures every initial accuracy in one triage
+        pass, then retrains stacks of at most ``fat_batch`` chips."""
         framework = smoke_context.framework()
         policy = FixedEpochPolicy(0.25)
         serial = [
@@ -812,8 +832,8 @@ class TestFrameworkBatchedFat:
         for fat_batch in (1, 8):
             triaged.clear()
             built.clear()
-            result = framework.retrain_population(
-                fat_population, policy, fat_batch=fat_batch, strategy=strategy
+            result = CampaignEngine(smoke_context, fat_batch=fat_batch).run(
+                fat_population, policy, strategy=strategy
             )
             assert triaged == [len(fat_population)]
             assert built and max(built) <= fat_batch

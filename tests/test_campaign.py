@@ -168,12 +168,17 @@ class TestEngineEquivalence:
         assert serial.target_accuracy == parallel.target_accuracy
         assert [r.chip_id for r in parallel.results] == [c.chip_id for c in population]
 
-    def test_engine_reduce_matches_framework_run(self, smoke_context, population):
+    def test_engine_reduce_matches_reference_rows(self, smoke_context, population):
         engine = CampaignEngine(smoke_context, jobs=2)
         via_engine = engine.run_reduce(population, statistic="max")
-        via_framework = smoke_context.framework().run(population, statistic="max")
-        assert via_engine.results == via_framework.results
-        assert via_engine.policy_name == via_framework.policy_name == "reduce-max"
+        framework = smoke_context.framework()
+        budgets = framework.select_retraining_amounts(population, "max")
+        reference = [
+            reference_retrain_chip(framework, chip, budgets[chip.chip_id])
+            for chip in population
+        ]
+        assert via_engine.results == reference
+        assert via_engine.policy_name == "reduce-max"
 
     def test_invalid_worker_counts_rejected(self, smoke_context):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.reduce import DEFAULT_FAT_BATCH
+from repro.campaign.jobs import DEFAULT_FAT_BATCH
 from repro.experiments import (
     ExperimentContext,
     available_presets,
@@ -166,21 +166,20 @@ class TestFig3Runner:
             result.campaign("nonexistent")
 
     def test_fig3_shares_one_step3_pass_across_policies(self, smoke_context, monkeypatch):
-        """Every (policy, chip) row equals the per-policy reference runs, yet
-        each stack trains once: one ``train`` per (largest-budget group x
-        ``fat_batch`` chunk), not one per policy."""
+        """Every (policy, chip) row equals a separate engine run of that
+        policy, yet each stack trains once: one ``train`` per (largest-budget
+        group x ``fat_batch`` chunk), not one per policy."""
         from repro.accelerator.batched import BatchedFaultTrainer
         from repro.campaign import CampaignEngine
 
         population = build_population(smoke_context, num_chips=10)
-        smoke_context.resilience_profile()
-        framework = smoke_context.framework()
+        engine = CampaignEngine(smoke_context)
         reference = {
-            "reduce-max": framework.run(population, statistic="max"),
-            "reduce-mean": framework.run(population, statistic="mean"),
+            "reduce-max": engine.run_reduce(population, "max"),
+            "reduce-mean": engine.run_reduce(population, "mean"),
         }
         for budget in smoke_context.preset.fixed_policy_epochs:
-            campaign = framework.run_fixed_policy(population, budget)
+            campaign = engine.run_fixed(population, budget)
             reference[campaign.policy_name] = campaign
 
         stacks = []

@@ -8,13 +8,13 @@ import pytest
 
 from repro import nn
 from repro.accelerator.batched import BatchedFaultTrainer
+from repro.campaign import CampaignEngine
 from repro.core import resilience as resilience_module
 from repro.accelerator import FaultMap, RandomFaultModel, SystolicArray
 from repro.core import (
     AccuracyConstraint,
     CampaignResult,
     ChipPopulation,
-    FixedEpochPolicy,
     ReduceConfig,
     ReduceFramework,
     ResilienceAnalyzer,
@@ -191,12 +191,13 @@ class TestReduceFramework:
         assert result.epochs_trained == 0.0
         assert result.accuracy_after == pytest.approx(result.accuracy_before)
 
-    def test_run_and_fixed_policy_campaigns(self, framework):
+    def test_run_and_fixed_policy_campaigns(self, smoke_context):
         population = ChipPopulation.generate(
             4, 16, 16, fault_rates=(0.0, 0.4), seed=3
         )
-        reduce_campaign = framework.run(population, statistic="max")
-        fixed_campaign = framework.run_fixed_policy(population, epochs=0.25)
+        engine = CampaignEngine(smoke_context)
+        reduce_campaign = engine.run_reduce(population, "max")
+        fixed_campaign = engine.run_fixed(population, epochs=0.25)
         assert reduce_campaign.num_chips == fixed_campaign.num_chips == 4
         assert reduce_campaign.policy_name == "reduce-max"
         assert fixed_campaign.policy_name == "fixed-0.25ep"
@@ -206,9 +207,9 @@ class TestReduceFramework:
         summary = reduce_campaign.summary()
         assert set(summary) >= {"policy", "average_epochs", "percent_meeting_constraint"}
 
-    def test_campaign_result_views(self, framework):
+    def test_campaign_result_views(self, smoke_context):
         population = ChipPopulation.generate(3, 16, 16, fault_rates=0.2, seed=4)
-        campaign = framework.run_fixed_policy(population, epochs=0.25)
+        campaign = CampaignEngine(smoke_context).run_fixed(population, epochs=0.25)
         assert campaign.epochs().shape == (3,)
         assert campaign.accuracies().shape == (3,)
         assert campaign.fault_rates().shape == (3,)

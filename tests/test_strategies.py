@@ -292,16 +292,14 @@ class TestFrameworkStrategies:
         expected = evaluate_accuracy(framework.model, framework.bundle.test, batch_size=batch)
         assert triage[chip.chip_id] == expected
 
-    def test_retrain_population_strategy_rows_tagged(
-        self, smoke_context, strategy_population
-    ):
-        framework = smoke_context.framework()
-        campaign = framework.retrain_population(
+    def test_engine_strategy_rows_tagged(self, smoke_context, strategy_population):
+        engine = CampaignEngine(smoke_context)
+        campaign = engine.run(
             strategy_population, FixedEpochPolicy(0.25), strategy="fap+fat"
         )
         assert all(result.strategy == "fap+fat" for result in campaign.results)
         # Identical numbers to plain FAT (FAT always enforces the FAP masks).
-        plain = framework.retrain_population(strategy_population, FixedEpochPolicy(0.25))
+        plain = engine.run(strategy_population, FixedEpochPolicy(0.25))
         for tagged, reference in zip(campaign.results, plain.results):
             assert tagged == type(tagged).from_dict(
                 {**reference.to_dict(), "strategy": "fap+fat"}

@@ -7,12 +7,15 @@ from repro import nn
 from repro.data import DataLoader
 from repro.models import MLP
 from repro.training import (
+    CheckpointRecord,
     Trainer,
     TrainingConfig,
+    TrainingHistory,
     apply_weight_masks,
     epochs_to_steps,
     evaluate_accuracy,
     evaluate_loss,
+    meets_target,
 )
 from tests.helpers import ReferenceTrainer
 
@@ -264,6 +267,24 @@ class TestTrainingHistory:
         assert history.epochs_to_reach(1.1) is None
         payload = history.as_dict()
         assert set(payload) == {"epochs", "accuracy", "train_loss"}
+
+    def test_epochs_to_reach_follows_the_constraint_rule(self):
+        """Clean 0.2 minus a 0.02 drop resolves to 0.18000000000000002: the
+        constraint counts 0.18 as met, and so must ``epochs_to_reach``."""
+        from repro.core import AccuracyConstraint
+
+        constraint = AccuracyConstraint.within_drop_of_clean(0.02)
+        target = constraint.resolve(0.2)
+        assert target > 0.18
+        assert constraint.is_met(0.18, 0.2)
+        history = TrainingHistory([
+            CheckpointRecord(epochs=0.5, steps=1, train_loss=0.0, eval_accuracy=0.1),
+            CheckpointRecord(epochs=1.0, steps=2, train_loss=0.0, eval_accuracy=0.18),
+        ])
+        assert history.epochs_to_reach(target) == 1.0
+        np.testing.assert_array_equal(
+            meets_target(np.array([0.17, 0.18, 0.19]), target), [False, True, True]
+        )
 
     def test_empty_history_raises(self):
         from repro.training import TrainingHistory
