@@ -7,9 +7,6 @@ FAT then recovers).  The benchmark quantifies the latency ratio on the fast
 preset's model at several fault rates.
 """
 
-import numpy as np
-import pytest
-
 from bench_utils import run_once
 from repro.accelerator import (
     FaultMap,
@@ -17,7 +14,6 @@ from repro.accelerator import (
     best_bypass_plan,
     bypass_slowdown,
     estimate_model_energy,
-    estimate_model_timing,
 )
 
 FAULT_RATES = (0.001, 0.005, 0.02)

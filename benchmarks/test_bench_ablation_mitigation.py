@@ -9,7 +9,6 @@ focuses on reducing FAT's retraining cost rather than avoiding FAT.
 import dataclasses
 
 import numpy as np
-import pytest
 
 from bench_utils import run_once
 from repro.accelerator import FaultMap

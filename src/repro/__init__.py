@@ -12,49 +12,29 @@ Sub-packages
 ``repro.analysis``     Pareto fronts, statistics, ASCII plotting
 ``repro.experiments``  runners regenerating every figure of the paper
 
-See ``README.md`` for a quickstart and ``DESIGN.md`` for the full inventory.
+See ``README.md`` for a quickstart and its "Repository layout" section for
+the full inventory.  Every name below is imported on first use.
 """
+
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-from repro import nn, data, models, accelerator, mitigation, analysis  # noqa: F401
-from repro import core, experiments  # noqa: F401
-from repro.accelerator import FaultMap, SystolicArray
-from repro.core import (
-    AccuracyConstraint,
-    Chip,
-    ChipPopulation,
-    ReduceConfig,
-    ReduceFramework,
-    ResilienceConfig,
-    ResilienceProfile,
-    FixedEpochPolicy,
-    ResilienceDrivenPolicy,
-)
-from repro.training import Trainer, TrainingConfig, evaluate_accuracy
-
-__all__ = [
-    "__version__",
-    "nn",
-    "data",
-    "models",
-    "accelerator",
-    "mitigation",
-    "analysis",
-    "core",
-    "experiments",
-    "FaultMap",
-    "SystolicArray",
-    "AccuracyConstraint",
-    "Chip",
-    "ChipPopulation",
-    "ReduceConfig",
-    "ReduceFramework",
-    "ResilienceConfig",
-    "ResilienceProfile",
-    "FixedEpochPolicy",
-    "ResilienceDrivenPolicy",
-    "Trainer",
-    "TrainingConfig",
-    "evaluate_accuracy",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".": ("nn", "data", "models", "accelerator", "mitigation", "analysis", "core",
+          "experiments"),
+    ".accelerator": ("FaultMap", "SystolicArray"),
+    ".core": (
+        "AccuracyConstraint",
+        "Chip",
+        "ChipPopulation",
+        "ReduceConfig",
+        "ReduceFramework",
+        "ResilienceConfig",
+        "ResilienceProfile",
+        "FixedEpochPolicy",
+        "ResilienceDrivenPolicy",
+    ),
+    ".training": ("Trainer", "TrainingConfig", "evaluate_accuracy"),
+})
+__all__.insert(0, "__version__")

@@ -1,106 +1,60 @@
 """Systolic-array accelerator substrate: fault maps, mapping, timing, energy."""
 
-from repro.accelerator.fault_map import FaultMap
-from repro.accelerator.fault_models import (
-    FaultModel,
-    RandomFaultModel,
-    ClusteredFaultModel,
-    RowFaultModel,
-    ColumnFaultModel,
-    get_fault_model,
-    available_fault_models,
-)
-from repro.accelerator.systolic_array import ArrayTechnology, SystolicArray
-from repro.accelerator.mapping import (
-    GemmShape,
-    LayerMapping,
-    is_mappable,
-    mappable_layers,
-    layer_gemm_shape,
-    weight_matrix_view,
-    gemm_fault_mask,
-    layer_fault_mask,
-    model_fault_masks,
-    masked_weight_fraction,
-    expected_masked_fraction,
-    model_mapping,
-)
-from repro.accelerator.batched import (
-    BatchedFaultTrainer,
-    UnsupportedModelError,
-    evaluate_chip_accuracies,
-    stacked_cross_entropy,
-)
-from repro.accelerator.timing import (
-    GemmWorkload,
-    LayerTiming,
-    ModelTiming,
-    gemm_cycles,
-    gemm_utilization,
-    model_gemm_workloads,
-    estimate_model_timing,
-)
-from repro.accelerator.energy import LayerEnergy, ModelEnergy, gemm_energy, estimate_model_energy
-from repro.accelerator.bypass import (
-    BypassPlan,
-    column_bypass_plan,
-    row_bypass_plan,
-    best_bypass_plan,
-    bypass_timing,
-    bypass_slowdown,
-)
-from repro.accelerator.simulation import (
-    simulate_gemm_on_array,
-    simulate_linear_layer,
-    model_masks_match_hardware,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "FaultMap",
-    "FaultModel",
-    "RandomFaultModel",
-    "ClusteredFaultModel",
-    "RowFaultModel",
-    "ColumnFaultModel",
-    "get_fault_model",
-    "available_fault_models",
-    "ArrayTechnology",
-    "SystolicArray",
-    "GemmShape",
-    "LayerMapping",
-    "is_mappable",
-    "mappable_layers",
-    "layer_gemm_shape",
-    "weight_matrix_view",
-    "gemm_fault_mask",
-    "layer_fault_mask",
-    "model_fault_masks",
-    "masked_weight_fraction",
-    "expected_masked_fraction",
-    "model_mapping",
-    "BatchedFaultTrainer",
-    "UnsupportedModelError",
-    "evaluate_chip_accuracies",
-    "stacked_cross_entropy",
-    "GemmWorkload",
-    "LayerTiming",
-    "ModelTiming",
-    "gemm_cycles",
-    "gemm_utilization",
-    "model_gemm_workloads",
-    "estimate_model_timing",
-    "GemmWorkload",
-    "LayerEnergy",
-    "ModelEnergy",
-    "gemm_energy",
-    "estimate_model_energy",
-    "BypassPlan",
-    "column_bypass_plan",
-    "row_bypass_plan",
-    "best_bypass_plan",
-    "bypass_timing",
-    "bypass_slowdown",
-    "simulate_gemm_on_array",
-    "simulate_linear_layer",
-    "model_masks_match_hardware",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".fault_map": ("FaultMap",),
+    ".fault_models": (
+        "FaultModel",
+        "RandomFaultModel",
+        "ClusteredFaultModel",
+        "RowFaultModel",
+        "ColumnFaultModel",
+        "get_fault_model",
+        "available_fault_models",
+    ),
+    ".systolic_array": ("ArrayTechnology", "SystolicArray"),
+    ".mapping": (
+        "GemmShape",
+        "LayerMapping",
+        "is_mappable",
+        "mappable_layers",
+        "layer_gemm_shape",
+        "weight_matrix_view",
+        "gemm_fault_mask",
+        "layer_fault_mask",
+        "model_fault_masks",
+        "masked_weight_fraction",
+        "expected_masked_fraction",
+        "model_mapping",
+    ),
+    ".batched": (
+        "BatchedFaultTrainer",
+        "UnsupportedModelError",
+        "evaluate_chip_accuracies",
+        "stacked_cross_entropy",
+    ),
+    ".timing": (
+        "GemmWorkload",
+        "LayerTiming",
+        "ModelTiming",
+        "gemm_cycles",
+        "gemm_utilization",
+        "model_gemm_workloads",
+        "estimate_model_timing",
+    ),
+    ".energy": ("LayerEnergy", "ModelEnergy", "gemm_energy", "estimate_model_energy"),
+    ".bypass": (
+        "BypassPlan",
+        "column_bypass_plan",
+        "row_bypass_plan",
+        "best_bypass_plan",
+        "bypass_timing",
+        "bypass_slowdown",
+    ),
+    ".simulation": (
+        "simulate_gemm_on_array",
+        "simulate_linear_layer",
+        "model_masks_match_hardware",
+    ),
+})

@@ -5,7 +5,7 @@ rows/columns that contain faulty PEs so that the remaining PEs form a smaller
 fault-free array.  Accuracy is preserved perfectly, but throughput drops with
 the effective array size — which is the motivation the paper gives for
 preferring FAP + retraining.  This module quantifies that performance cost so
-the trade-off can be reproduced (ablation A3 in DESIGN.md).
+the trade-off can be reproduced (``benchmarks/test_bench_ablation_bypass.py``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ comparisons only.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro import nn
 from repro.accelerator.systolic_array import ArrayTechnology, SystolicArray

@@ -10,7 +10,7 @@ mapped onto that PE to zero.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 

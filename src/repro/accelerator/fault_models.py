@@ -3,13 +3,13 @@
 A fault model captures *how* permanent faults are distributed over the PE
 array of a fabricated chip.  The paper uses a uniformly random model (as in
 Zhang et al., VTS 2018); clustered and row/column models are provided for the
-sensitivity ablation (experiment A2 in DESIGN.md).
+sensitivity ablation (``benchmarks/test_bench_ablation_faultmodel.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -13,7 +13,7 @@ equivalent to running the original model on the faulty hardware.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

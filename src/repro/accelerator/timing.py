@@ -17,10 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import nn
-from repro.accelerator.mapping import GemmShape, layer_gemm_shape, mappable_layers
+from repro.accelerator.mapping import layer_gemm_shape
 from repro.accelerator.systolic_array import SystolicArray
 
 

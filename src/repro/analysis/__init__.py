@@ -1,26 +1,15 @@
 """Result analysis: Pareto fronts, statistics and terminal plotting."""
 
-from repro.analysis.pareto import pareto_mask, pareto_front, dominates, hypervolume_2d
-from repro.analysis.statistics import (
-    SummaryStatistics,
-    summarize,
-    mean_confidence_interval,
-    bootstrap_mean_interval,
-    relative_change,
-)
-from repro.analysis.ascii_plot import line_plot, scatter_plot, histogram
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "pareto_mask",
-    "pareto_front",
-    "dominates",
-    "hypervolume_2d",
-    "SummaryStatistics",
-    "summarize",
-    "mean_confidence_interval",
-    "bootstrap_mean_interval",
-    "relative_change",
-    "line_plot",
-    "scatter_plot",
-    "histogram",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".pareto": ("pareto_mask", "pareto_front", "dominates", "hypervolume_2d"),
+    ".statistics": (
+        "SummaryStatistics",
+        "summarize",
+        "mean_confidence_interval",
+        "bootstrap_mean_interval",
+        "relative_change",
+    ),
+    ".ascii_plot": ("line_plot", "scatter_plot", "histogram"),
+})

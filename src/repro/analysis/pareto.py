@@ -9,7 +9,7 @@ front for arbitrary cost/quality trade-off points.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends.errors import BackendError, describe_operands
+from repro.backends.errors import BackendError
 from repro.backends.graph import (
     ConstRef,
     Graph,

@@ -16,70 +16,35 @@ chunks to local *and* remote socket workers via work-stealing claims, so a
 campaign scales past one host with the same recovery as on one.
 """
 
-from repro.campaign.chaos import ChaosError, ChaosSpec, resolve_chaos
-from repro.campaign.engine import CampaignEngine, CampaignReport
-from repro.campaign.jobs import (
-    ChipJob,
-    build_jobs,
-    execute_job_chunk,
-    plan_job_chunks,
-)
-from repro.campaign.store import (
-    CampaignStore,
-    CampaignStoreError,
-    StoreVerification,
-    campaign_fingerprint,
-    discover_stores,
-)
-from repro.campaign.scheduler import (
-    CampaignCoordinator,
-    SchedulerConfig,
-    SchedulerError,
-    WorkerRejected,
-    run_worker,
-)
-from repro.campaign.supervisor import ChunkFailure, ChunkLedger, SupervisorConfig
-from repro.campaign.sweep import StrategySweepResult, run_strategy_sweep
-from repro.campaign.transport import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    FrameError,
-    HandshakeError,
-    TransportError,
-    find_free_port,
-    parse_address,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ChaosError",
-    "ChaosSpec",
-    "resolve_chaos",
-    "CampaignEngine",
-    "CampaignReport",
-    "ChipJob",
-    "build_jobs",
-    "execute_job_chunk",
-    "plan_job_chunks",
-    "CampaignStore",
-    "CampaignStoreError",
-    "StoreVerification",
-    "campaign_fingerprint",
-    "discover_stores",
-    "ChunkFailure",
-    "ChunkLedger",
-    "SupervisorConfig",
-    "StrategySweepResult",
-    "run_strategy_sweep",
-    "CampaignCoordinator",
-    "SchedulerConfig",
-    "SchedulerError",
-    "WorkerRejected",
-    "run_worker",
-    "PROTOCOL_VERSION",
-    "FrameDecoder",
-    "FrameError",
-    "HandshakeError",
-    "TransportError",
-    "find_free_port",
-    "parse_address",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".chaos": ("ChaosError", "ChaosSpec", "resolve_chaos"),
+    ".engine": ("CampaignEngine", "CampaignReport"),
+    ".jobs": ("ChipJob", "build_jobs", "execute_job_chunk", "plan_job_chunks"),
+    ".store": (
+        "CampaignStore",
+        "CampaignStoreError",
+        "StoreVerification",
+        "campaign_fingerprint",
+        "discover_stores",
+    ),
+    ".supervisor": ("ChunkFailure", "ChunkLedger", "SupervisorConfig"),
+    ".sweep": ("StrategySweepResult", "run_strategy_sweep"),
+    ".scheduler": (
+        "CampaignCoordinator",
+        "SchedulerConfig",
+        "SchedulerError",
+        "WorkerRejected",
+        "run_worker",
+    ),
+    ".transport": (
+        "PROTOCOL_VERSION",
+        "FrameDecoder",
+        "FrameError",
+        "HandshakeError",
+        "TransportError",
+        "find_free_port",
+        "parse_address",
+    ),
+})

@@ -66,10 +66,9 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends import resolve_backend
-from repro.campaign.chaos import ChaosSchedule, ChaosSpec, resolve_chaos
 from repro.campaign.jobs import (
     DEFAULT_FAT_BATCH,
     ChipJob,
@@ -77,7 +76,6 @@ from repro.campaign.jobs import (
     execute_job_chunk,
     plan_job_chunks,
 )
-from repro.campaign.scheduler import CampaignCoordinator, SchedulerConfig
 from repro.campaign.store import CampaignStore, campaign_fingerprint
 from repro.campaign.supervisor import (
     ChunkCommitSequencer,
@@ -97,6 +95,10 @@ from repro.observability import (
 )
 from repro.utils.logging import get_logger
 from repro.utils.timing import Timer, format_duration
+
+if TYPE_CHECKING:  # chaos and the scheduler load only when a run uses them
+    from repro.campaign.chaos import ChaosSchedule, ChaosSpec
+    from repro.campaign.scheduler import CampaignCoordinator, SchedulerConfig
 
 logger = get_logger("campaign.engine")
 
@@ -292,7 +294,11 @@ class CampaignEngine:
         self.disk_cache_dir = str(disk_cache_dir) if disk_cache_dir is not None else None
         self.fat_batch = int(fat_batch) if fat_batch is not None else DEFAULT_FAT_BATCH
         self.heartbeat_seconds = heartbeat_seconds
-        self.chaos_spec = resolve_chaos(chaos)
+        self.chaos_spec: Optional[ChaosSpec] = None
+        if chaos is not None:
+            from repro.campaign.chaos import resolve_chaos
+
+            self.chaos_spec = resolve_chaos(chaos)
         self.backend = backend
         if supervisor_config is not None:
             self.supervisor_config = supervisor_config
@@ -780,6 +786,8 @@ class CampaignEngine:
         listen: Optional[Tuple[str, int]] = None,
         connect: Sequence[Tuple[str, int]] = (),
     ) -> CampaignCoordinator:
+        from repro.campaign.scheduler import CampaignCoordinator
+
         return CampaignCoordinator(
             preset=self.context.preset,
             listen=listen,

@@ -57,26 +57,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign import (
-    CampaignEngine,
-    ChaosSpec,
-    TransportError,
-    WorkerRejected,
-    discover_stores,
-    parse_address,
-    run_worker,
-)
-from repro.core.reporting import campaign_summary_table
-from repro.experiments import (
-    ExperimentContext,
-    available_presets,
-    build_population,
-    get_preset,
-    run_compare,
-    run_fig2a,
-    run_fig2b,
-    run_fig3,
-)
+from repro.experiments.common import ExperimentContext
+from repro.experiments.presets import available_presets, get_preset
 from repro.mitigation.strategy import available_strategies, parse_strategy, parse_strategy_list
 from repro.utils.logging import set_verbosity
 
@@ -272,15 +254,15 @@ def _result_payload(command: str, result: Any) -> Dict[str, Any]:
 
 
 def _run_command(command: str, context: ExperimentContext, args: argparse.Namespace) -> Any:
-    if command == "fig2a":
-        result = run_fig2a(context)
-        print(result.render())
-        return result
-    if command == "fig2b":
-        result = run_fig2b(context)
+    if command in ("fig2a", "fig2b"):
+        from repro.experiments import fig2
+
+        result = fig2.run_fig2a(context) if command == "fig2a" else fig2.run_fig2b(context)
         print(result.render())
         return result
     if command == "fig3":
+        from repro.experiments.fig3 import run_fig3
+
         result = run_fig3(
             context,
             num_chips=args.chips,
@@ -301,6 +283,10 @@ def _run_command(command: str, context: ExperimentContext, args: argparse.Namesp
 
 def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[str, Any]:
     """The 'campaign' command: one policy through the parallel engine."""
+    from repro.campaign.engine import CampaignEngine
+    from repro.core.reporting import campaign_summary_table
+    from repro.experiments.fig3 import build_population
+
     population = build_population(context, num_chips=args.chips)
     store_base = args.campaign_dir if args.campaign_dir is not None else Path("campaigns")
     print(f"[repro-reduce] compute backend: {BACKEND}")
@@ -363,6 +349,8 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
 
 def _run_compare(context: ExperimentContext, args: argparse.Namespace) -> Dict[str, Any]:
     """The 'compare' command: one population through K mitigation strategies."""
+    from repro.experiments.compare import run_compare
+
     store_base = args.campaign_dir if args.campaign_dir is not None else Path("campaigns")
     print(f"[repro-reduce] compute backend: {BACKEND}")
     result = run_compare(
@@ -439,6 +427,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker_addresses: Optional[List[Tuple[str, int]]] = None
     join_address: Optional[Tuple[str, int]] = None
     try:
+        if distributed or args.join is not None:
+            from repro.campaign.transport import parse_address
         if args.listen is not None:
             listen_address = parse_address(args.listen)
         if args.join is not None:
@@ -466,6 +456,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.chunk_timeout is not None and args.chunk_timeout <= 0:
         parser.error("--chunk-timeout must be positive")
     if args.chaos is not None:
+        from repro.campaign.chaos import ChaosSpec
+
         try:
             ChaosSpec.parse(args.chaos)
         except ValueError as error:
@@ -488,6 +480,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             else f"listening on {args.listen}"
         )
         print(f"[repro-reduce] socket worker {where} (pid {os.getpid()})")
+        from repro.campaign.scheduler import WorkerRejected, run_worker
+        from repro.campaign.transport import TransportError
+
         try:
             executed = run_worker(
                 join=join_address,
@@ -511,6 +506,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "verify-store":
         # Pure store auditing: no context build needed.
+        from repro.campaign.store import discover_stores
+
         base = args.path if args.path is not None else Path("campaigns")
         stores = discover_stores(base)
         if not stores:

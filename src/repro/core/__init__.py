@@ -6,67 +6,31 @@ Step 3 — :mod:`repro.core.reduce` (triage and the retraining of one stack of
 chips; :class:`repro.campaign.CampaignEngine` drives Step 3 over a population).
 """
 
-from repro.core.chips import Chip, ChipPopulation
-from repro.core.constraints import AccuracyConstraint
-from repro.core.profiles import ResilienceProfile, load_profile, save_profile
-from repro.core.resilience import ResilienceAnalyzer, ResilienceConfig, analyze_resilience
-from repro.core.adaptive import (
-    AdaptiveCampaignResult,
-    adaptive_retrain_chip,
-    run_adaptive_campaign,
-)
-from repro.core.overhead import (
-    CampaignOverhead,
-    RetrainingCostModel,
-    campaign_overhead,
-    overhead_saving,
-)
-from repro.core.selection import (
-    RetrainingPolicy,
-    FixedEpochPolicy,
-    ResilienceDrivenPolicy,
-    make_policy,
-)
-from repro.core.reduce import (
-    ChipRetrainingResult,
-    CampaignResult,
-    ReduceConfig,
-    ReduceFramework,
-)
-from repro.core.reporting import (
-    campaign_summary_table,
-    campaign_scatter_csv,
-    format_table,
-    constraint_satisfaction_report,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Chip",
-    "ChipPopulation",
-    "AccuracyConstraint",
-    "ResilienceProfile",
-    "save_profile",
-    "load_profile",
-    "ResilienceAnalyzer",
-    "ResilienceConfig",
-    "analyze_resilience",
-    "AdaptiveCampaignResult",
-    "adaptive_retrain_chip",
-    "run_adaptive_campaign",
-    "CampaignOverhead",
-    "RetrainingCostModel",
-    "campaign_overhead",
-    "overhead_saving",
-    "RetrainingPolicy",
-    "FixedEpochPolicy",
-    "ResilienceDrivenPolicy",
-    "make_policy",
-    "ChipRetrainingResult",
-    "CampaignResult",
-    "ReduceConfig",
-    "ReduceFramework",
-    "campaign_summary_table",
-    "campaign_scatter_csv",
-    "format_table",
-    "constraint_satisfaction_report",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".chips": ("Chip", "ChipPopulation"),
+    ".constraints": ("AccuracyConstraint",),
+    ".profiles": ("ResilienceProfile", "save_profile", "load_profile"),
+    ".resilience": ("ResilienceAnalyzer", "ResilienceConfig", "analyze_resilience"),
+    ".adaptive": ("AdaptiveCampaignResult", "adaptive_retrain_chip", "run_adaptive_campaign"),
+    ".overhead": (
+        "CampaignOverhead",
+        "RetrainingCostModel",
+        "campaign_overhead",
+        "overhead_saving",
+    ),
+    ".selection": (
+        "RetrainingPolicy",
+        "FixedEpochPolicy",
+        "ResilienceDrivenPolicy",
+        "make_policy",
+    ),
+    ".reduce": ("ChipRetrainingResult", "CampaignResult", "ReduceConfig", "ReduceFramework"),
+    ".reporting": (
+        "campaign_summary_table",
+        "campaign_scatter_csv",
+        "format_table",
+        "constraint_satisfaction_report",
+    ),
+})

@@ -8,16 +8,15 @@ increment of every chip — overhead that Reduce's one-off resilience analysis
 amortises across the whole chip population (and across future populations).
 
 This module implements that adaptive baseline so the trade-off can be
-quantified (ablation A4 in DESIGN.md): epochs spent, constraint satisfaction
-and the number of per-chip evaluations each approach performs.
+quantified (``benchmarks/test_bench_ablation_adaptive.py``): epochs spent,
+constraint satisfaction and the number of per-chip evaluations each approach
+performs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.reduce import CampaignResult, ChipRetrainingResult, ReduceFramework

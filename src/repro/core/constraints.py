@@ -3,7 +3,7 @@
 The Reduce framework takes an accuracy constraint as input (91 % in the
 paper's evaluation) and selects, per chip, the smallest retraining amount
 expected to satisfy it.  Because this reproduction runs on a synthetic
-dataset (DESIGN.md §2), constraints can also be expressed *relative to the
+CIFAR-10 stand-in, constraints can also be expressed *relative to the
 clean accuracy* of the pre-trained model, which keeps the experiment
 meaningful regardless of the absolute accuracy the substitute dataset allows.
 """

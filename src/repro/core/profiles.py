@@ -14,7 +14,7 @@ the accuracy the model reached.  From it one can read
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ paper plots.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.core.reduce import CampaignResult
 

@@ -14,7 +14,7 @@ fault-aware retraining epochs to spend on it.  The paper compares:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.constraints import AccuracyConstraint

@@ -1,48 +1,30 @@
 """Datasets, loaders and synthetic data generators."""
 
-from repro.data.dataset import (
-    Dataset,
-    TensorDataset,
-    Subset,
-    TransformedDataset,
-    random_split,
-    stratified_split,
-)
-from repro.data.dataloader import DataLoader, full_batch
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomHorizontalFlip,
-    RandomCrop,
-    GaussianNoise,
-    ToFloat32,
-    channel_statistics,
-)
-from repro.data.synthetic import (
-    DatasetBundle,
-    make_class_template_images,
-    make_cifar10_like,
-    make_blob_classification,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "TensorDataset",
-    "Subset",
-    "TransformedDataset",
-    "random_split",
-    "stratified_split",
-    "DataLoader",
-    "full_batch",
-    "Compose",
-    "Normalize",
-    "RandomHorizontalFlip",
-    "RandomCrop",
-    "GaussianNoise",
-    "ToFloat32",
-    "channel_statistics",
-    "DatasetBundle",
-    "make_class_template_images",
-    "make_cifar10_like",
-    "make_blob_classification",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".dataset": (
+        "Dataset",
+        "TensorDataset",
+        "Subset",
+        "TransformedDataset",
+        "random_split",
+        "stratified_split",
+    ),
+    ".dataloader": ("DataLoader", "full_batch"),
+    ".transforms": (
+        "Compose",
+        "Normalize",
+        "RandomHorizontalFlip",
+        "RandomCrop",
+        "GaussianNoise",
+        "ToFloat32",
+        "channel_statistics",
+    ),
+    ".synthetic": (
+        "DatasetBundle",
+        "make_class_template_images",
+        "make_cifar10_like",
+        "make_blob_classification",
+    ),
+})

@@ -7,7 +7,7 @@ Datasets return ``(input, target)`` pairs as numpy arrays; batching into
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 

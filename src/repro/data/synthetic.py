@@ -18,7 +18,7 @@ the CIFAR-10 stand-in) and Gaussian blob feature vectors (for fast MLP tests).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -6,7 +6,7 @@ Transforms operate on single samples shaped ``(C, H, W)`` (images) or ``(F,)``
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 

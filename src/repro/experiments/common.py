@@ -35,7 +35,6 @@ from repro.models.registry import build_model
 from repro.nn.serialization import clone_state_dict
 from repro.training import Trainer
 from repro.utils.logging import get_logger
-from repro.utils.rng import derive_seed
 
 logger = get_logger("experiments.common")
 

@@ -25,7 +25,7 @@ from repro.analysis.ascii_plot import scatter_plot
 from repro.analysis.pareto import pareto_mask
 from repro.campaign.engine import CampaignEngine
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import CampaignResult, ReduceFramework
+from repro.core.reduce import CampaignResult
 from repro.core.reporting import campaign_summary_table
 from repro.core.selection import FixedEpochPolicy
 from repro.experiments.common import ExperimentContext

@@ -15,7 +15,7 @@ resolution and chip count change.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.constraints import AccuracyConstraint
 from repro.core.resilience import ResilienceConfig
@@ -24,7 +24,7 @@ from repro.training import TrainingConfig
 
 @dataclasses.dataclass
 class DatasetSpec:
-    """Synthetic-dataset parameters (CIFAR-10 stand-in; see DESIGN.md §2)."""
+    """Synthetic-dataset parameters (CIFAR-10 stand-in)."""
 
     num_classes: int = 10
     train_per_class: int = 64

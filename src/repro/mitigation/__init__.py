@@ -13,55 +13,27 @@ These are the baselines / building blocks the Reduce framework orchestrates:
   campaign axis combining the techniques above with PE bypass.
 """
 
-from repro.mitigation.saliency import (
-    magnitude_saliency,
-    squared_saliency,
-    get_saliency_metric,
-    output_channel_saliency,
-    model_channel_saliency,
-)
-from repro.mitigation.fap import FapResult, build_fap_masks, apply_fap, verify_masks_enforced
-from repro.mitigation.fam import (
-    FamResult,
-    layer_column_permutation,
-    compute_column_permutations,
-    apply_fam,
-)
-from repro.mitigation.fat import FatResult, fault_aware_retrain
-from repro.mitigation.calibration import recalibrate_batchnorm, reset_batchnorm_stats
-from repro.mitigation.strategy import (
-    DEFAULT_STRATEGY_NAME,
-    MitigationStrategy,
-    available_strategies,
-    compose_masks,
-    parse_strategy,
-    parse_strategy_list,
-    resolve_strategy,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_STRATEGY_NAME",
-    "MitigationStrategy",
-    "available_strategies",
-    "compose_masks",
-    "parse_strategy",
-    "parse_strategy_list",
-    "resolve_strategy",
-    "recalibrate_batchnorm",
-    "reset_batchnorm_stats",
-    "magnitude_saliency",
-    "squared_saliency",
-    "get_saliency_metric",
-    "output_channel_saliency",
-    "model_channel_saliency",
-    "FapResult",
-    "build_fap_masks",
-    "apply_fap",
-    "verify_masks_enforced",
-    "FamResult",
-    "layer_column_permutation",
-    "compute_column_permutations",
-    "apply_fam",
-    "FatResult",
-    "fault_aware_retrain",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".strategy": (
+        "DEFAULT_STRATEGY_NAME",
+        "MitigationStrategy",
+        "available_strategies",
+        "compose_masks",
+        "parse_strategy",
+        "parse_strategy_list",
+        "resolve_strategy",
+    ),
+    ".calibration": ("recalibrate_batchnorm", "reset_batchnorm_stats"),
+    ".saliency": (
+        "magnitude_saliency",
+        "squared_saliency",
+        "get_saliency_metric",
+        "output_channel_saliency",
+        "model_channel_saliency",
+    ),
+    ".fap": ("FapResult", "build_fap_masks", "apply_fap", "verify_masks_enforced"),
+    ".fam": ("FamResult", "layer_column_permutation", "compute_column_permutations", "apply_fam"),
+    ".fat": ("FatResult", "fault_aware_retrain"),
+})

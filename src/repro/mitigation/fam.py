@@ -11,7 +11,7 @@ it only changes which weights the fault masks select.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -15,9 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import nn
-from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.mapping import masked_weight_fraction, model_fault_masks
-from repro.accelerator.systolic_array import SystolicArray
 from repro.training import enforce_weight_masks, resolve_masked_parameters
 
 MaskDict = Dict[str, np.ndarray]

@@ -18,7 +18,7 @@ from repro import nn
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.systolic_array import SystolicArray
 from repro.data.synthetic import DatasetBundle
-from repro.mitigation.fap import apply_fap, build_fap_masks
+from repro.mitigation.fap import build_fap_masks
 from repro.training import Trainer, TrainingConfig, TrainingHistory
 
 MaskDict = Dict[str, np.ndarray]

@@ -7,7 +7,7 @@ weights onto faulty PEs so that zeroing them costs the least accuracy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 

@@ -54,15 +54,16 @@ Semantics of the components
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import nn
-from repro.accelerator.bypass import BypassPlan, best_bypass_plan
 from repro.accelerator.fault_map import FaultMap
-from repro.mitigation.fam import compute_column_permutations
 from repro.mitigation.fap import build_fap_masks
+
+if TYPE_CHECKING:  # bypass and FAM load only when a strategy uses them
+    from repro.accelerator.bypass import BypassPlan
 
 MaskDict = Dict[str, np.ndarray]
 
@@ -155,6 +156,8 @@ class MitigationStrategy:
         """
         if not self.bypass:
             return None
+        from repro.accelerator.bypass import best_bypass_plan
+
         try:
             return best_bypass_plan(fault_map)
         except ValueError:
@@ -188,6 +191,8 @@ class MitigationStrategy:
         measured under and what the FAT fallback trains against.
         """
         if self.remap:
+            from repro.mitigation.fam import compute_column_permutations
+
             permutations = compute_column_permutations(
                 model, fault_map, metric=self.saliency_metric
             )

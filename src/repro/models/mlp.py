@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro import nn
 from repro.utils.rng import SeedLike, derive_seed

@@ -3,7 +3,7 @@
 The layer plan follows the original VGG configurations (Simonyan & Zisserman,
 2015) with the common CIFAR adaptation of a single-hidden-layer classifier.
 A ``width_multiplier`` scales every channel count so the same architecture
-can be exercised at laptop-scale cost (see DESIGN.md §2); at
+can be exercised at laptop-scale cost; at
 ``width_multiplier=1.0`` the convolutional plan matches standard VGG11/13/16.
 
 Max-pool stages that would shrink the feature map below 1x1 for small inputs
@@ -13,7 +13,6 @@ down-scaled synthetic images used in the fast experiment presets.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro import nn

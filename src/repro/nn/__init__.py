@@ -2,98 +2,59 @@
 
 This package replaces PyTorch (which the original paper used) as the training
 substrate: tensors with reverse-mode autograd, layers, losses, optimizers and
-checkpointing.  See DESIGN.md §2 for the substitution rationale.
+checkpointing.
 """
 
-from repro.nn.tensor import Tensor, no_grad, enable_grad, is_grad_enabled, concatenate, stack, as_tensor
-from repro.nn.module import Module, Parameter, Sequential, ModuleList
-from repro.nn.layers import (
-    Linear,
-    Conv2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    ReLU,
-    LeakyReLU,
-    Sigmoid,
-    Tanh,
-    MaxPool2d,
-    AvgPool2d,
-    GlobalAvgPool2d,
-    Flatten,
-    Dropout,
-    Identity,
-    Softmax,
-    LogSoftmax,
-)
-from repro.nn.losses import CrossEntropyLoss, NllLoss, MseLoss
-from repro.nn.optim import (
-    Optimizer,
-    SGD,
-    Adam,
-    AdamW,
-    LRScheduler,
-    StepLR,
-    MultiStepLR,
-    CosineAnnealingLR,
-    clip_grad_norm,
-    clip_grad_norm_per_chip,
-)
-from repro.nn.serialization import (
-    save_checkpoint,
-    load_checkpoint,
-    load_into,
-    clone_state_dict,
-    state_dicts_equal,
-)
-from repro.nn import functional
-from repro.nn import init
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "enable_grad",
-    "is_grad_enabled",
-    "concatenate",
-    "stack",
-    "as_tensor",
-    "Module",
-    "Parameter",
-    "Sequential",
-    "ModuleList",
-    "Linear",
-    "Conv2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
-    "Identity",
-    "Softmax",
-    "LogSoftmax",
-    "CrossEntropyLoss",
-    "NllLoss",
-    "MseLoss",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
-    "clip_grad_norm",
-    "clip_grad_norm_per_chip",
-    "save_checkpoint",
-    "load_checkpoint",
-    "load_into",
-    "clone_state_dict",
-    "state_dicts_equal",
-    "functional",
-    "init",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".tensor": (
+        "Tensor",
+        "no_grad",
+        "enable_grad",
+        "is_grad_enabled",
+        "concatenate",
+        "stack",
+        "as_tensor",
+    ),
+    ".module": ("Module", "Parameter", "Sequential", "ModuleList"),
+    ".layers": (
+        "Linear",
+        "Conv2d",
+        "BatchNorm1d",
+        "BatchNorm2d",
+        "ReLU",
+        "LeakyReLU",
+        "Sigmoid",
+        "Tanh",
+        "MaxPool2d",
+        "AvgPool2d",
+        "GlobalAvgPool2d",
+        "Flatten",
+        "Dropout",
+        "Identity",
+        "Softmax",
+        "LogSoftmax",
+    ),
+    ".losses": ("CrossEntropyLoss", "NllLoss", "MseLoss"),
+    ".optim": (
+        "Optimizer",
+        "SGD",
+        "Adam",
+        "AdamW",
+        "LRScheduler",
+        "StepLR",
+        "MultiStepLR",
+        "CosineAnnealingLR",
+        "clip_grad_norm",
+        "clip_grad_norm_per_chip",
+    ),
+    ".serialization": (
+        "save_checkpoint",
+        "load_checkpoint",
+        "load_into",
+        "clone_state_dict",
+        "state_dicts_equal",
+    ),
+    ".": ("functional", "init"),
+})

@@ -8,7 +8,7 @@ retraining depend on starting from exactly the same pre-trained weights.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -10,7 +10,6 @@ matrices in the exact layout used for fault-aware pruning masks
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple, Union
 
 import numpy as np

@@ -8,7 +8,7 @@ for fault-aware training of convolutional networks.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 

@@ -21,7 +21,7 @@ mini-framework.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

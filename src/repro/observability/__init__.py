@@ -12,53 +12,33 @@ Neither touches model numerics or RNG streams: campaign results are
 bit-identical with observability on or off.
 """
 
-from repro.observability.metrics import (
-    MERGED_METRICS_NAME,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_metric_shards,
-    metrics,
-    split_key,
-    write_merged_metrics,
-)
-from repro.observability.summary import (
-    load_trace,
-    render_trace_summary,
-    summarize_trace,
-    summarize_trace_path,
-)
-from repro.observability.tracer import (
-    CHROME_TRACE_NAME,
-    Span,
-    Tracer,
-    merge_shards,
-    read_shard,
-    to_chrome_trace,
-    trace,
-    write_chrome_trace,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CHROME_TRACE_NAME",
-    "MERGED_METRICS_NAME",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "load_trace",
-    "merge_metric_shards",
-    "merge_shards",
-    "metrics",
-    "read_shard",
-    "render_trace_summary",
-    "split_key",
-    "summarize_trace",
-    "summarize_trace_path",
-    "to_chrome_trace",
-    "trace",
-    "write_chrome_trace",
-]
+# The registry shares its submodule's name: bind it before anything imports
+# ``repro.observability.metrics`` and the import system binds the module here.
+from repro.observability.metrics import metrics  # noqa: F401
+
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "MERGED_METRICS_NAME",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "merge_metric_shards",
+        "metrics",
+        "split_key",
+        "write_merged_metrics",
+    ),
+    ".summary": ("load_trace", "render_trace_summary", "summarize_trace", "summarize_trace_path"),
+    ".tracer": (
+        "CHROME_TRACE_NAME",
+        "Span",
+        "Tracer",
+        "merge_shards",
+        "read_shard",
+        "to_chrome_trace",
+        "trace",
+        "write_chrome_trace",
+    ),
+})

@@ -10,13 +10,14 @@ the process, and cheap to call from hot paths (cached after the first call).
 from __future__ import annotations
 
 import re
-import socket
 from functools import lru_cache
 
 
 @lru_cache(maxsize=1)
 def host_tag() -> str:
     """This machine's hostname, sanitized for filenames and JSON keys."""
+    import socket  # only traced or distributed runs need it
+
     try:
         name = socket.gethostname()
     except OSError:  # pragma: no cover - gethostname practically never fails

@@ -24,7 +24,6 @@ from repro.observability import (
     render_trace_summary,
     split_key,
     summarize_trace,
-    to_chrome_trace,
     trace,
     write_chrome_trace,
 )

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW, CosineAnnealingLR, MultiStepLR, StepLR, clip_grad_norm
-from repro.nn.tensor import Tensor
 
 
 def quadratic_loss(param):

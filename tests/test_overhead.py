@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.overhead import (
-    CampaignOverhead,
     RetrainingCostModel,
     campaign_overhead,
     overhead_saving,

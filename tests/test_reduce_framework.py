@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.accelerator.batched import BatchedFaultTrainer
 from repro.campaign import CampaignEngine
 from repro.core import resilience as resilience_module
-from repro.accelerator import FaultMap, RandomFaultModel, SystolicArray
+from repro.accelerator import SystolicArray
 from repro.core import (
     AccuracyConstraint,
     CampaignResult,
@@ -24,7 +23,7 @@ from repro.core.reduce import ChipRetrainingResult
 from repro.core.reporting import campaign_summary_table
 from repro.models import MLP
 from repro.nn import clone_state_dict
-from repro.training import Trainer, TrainingConfig, evaluate_accuracy
+from repro.training import Trainer, TrainingConfig
 from tests.helpers import reference_retrain_chip, serial_resilience_accuracies
 
 

@@ -1,6 +1,5 @@
 """Tests for retraining-amount selection policies (Step 2)."""
 
-import numpy as np
 import pytest
 
 from repro.accelerator import FaultMap

@@ -27,7 +27,6 @@ from repro.core.chips import Chip, ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.experiments import run_compare
 from repro.mitigation import (
-    MitigationStrategy,
     available_strategies,
     compose_masks,
     parse_strategy,

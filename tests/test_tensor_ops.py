@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.nn.tensor import Tensor, as_tensor, concatenate, stack, no_grad, is_grad_enabled, enable_grad
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.accelerator import (
     FaultMap,
     GemmWorkload,
