@@ -275,13 +275,14 @@ def test_bench_fat_retraining_batched_mlp_8chips(benchmark, smoke_context):
     assert len(accuracies) == len(mask_sets)
 
 
-def _bn_fat_setup(context, num_chips=4):
-    """A vgg11_mini (training-mode BatchNorm) FAT workload at fast scale."""
-    from repro.models import vgg11_mini
+def _vgg11_fat_setup(context, num_chips=4):
+    """A width-scaled VGG11 (the paper's network) FAT workload at fast scale."""
+    from repro.models import vgg11
 
-    model = vgg11_mini(
+    model = vgg11(
         input_shape=context.bundle.input_shape,
         num_classes=context.bundle.num_classes,
+        width_multiplier=0.125,
         seed=0,
     )
     pretrained = model.state_dict()
@@ -295,15 +296,13 @@ def _bn_fat_setup(context, num_chips=4):
     return model, pretrained, mask_sets, config
 
 
-def test_bench_fat_retraining_serial_batchnorm_4chips(benchmark, fast_context):
-    """Serial FAT on the training-mode-BatchNorm workload (vgg11_mini).
-
-    Exercises the fused batch-norm autograd op (previously ~15 generic
-    autograd nodes per BN layer, profiled at ~20% of a vgg11_mini step) and
-    the comparator for the stacked run below.
+def test_bench_fat_retraining_serial_vgg11_4chips(benchmark, fast_context):
+    """Serial FAT on a width-scaled VGG11: eight convolutions, four of them
+    on a 1x1 feature map at the fast preset's 12x12 images.  The comparator
+    for the stacked run below.
     """
     context = fast_context
-    model, pretrained, mask_sets, config = _bn_fat_setup(context)
+    model, pretrained, mask_sets, config = _vgg11_fat_setup(context)
 
     def run():
         accuracies = []
@@ -319,17 +318,13 @@ def test_bench_fat_retraining_serial_batchnorm_4chips(benchmark, fast_context):
     assert len(accuracies) == len(mask_sets)
 
 
-def test_bench_fat_retraining_batched_batchnorm_4chips(benchmark, fast_context):
-    """Batched FAT on the BatchNorm workload: the stacked path, no fallback.
-
-    Training-mode BatchNorm previously forced this model onto the serial
-    per-chip trainer; the stacked per-chip-fold batch norm keeps the whole
-    VGG-style flagship on the batched substrate, bit-identical to serial.
-    """
+def test_bench_fat_retraining_batched_vgg11_4chips(benchmark, fast_context):
+    """Batched FAT on the same VGG11 chips in one stacked loop, bit-identical
+    to the serial run above."""
     from repro.accelerator.batched import BatchedFaultTrainer
 
     context = fast_context
-    model, pretrained, mask_sets, config = _bn_fat_setup(context)
+    model, pretrained, mask_sets, config = _vgg11_fat_setup(context)
 
     def run():
         model.load_state_dict(pretrained)

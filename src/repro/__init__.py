@@ -5,7 +5,7 @@ Sub-packages
 ------------
 ``repro.nn``           numpy autograd / DNN training substrate (PyTorch stand-in)
 ``repro.data``         datasets, loaders, synthetic CIFAR-10 stand-in
-``repro.models``       MLP, LeNet-5 and the VGG family (VGG11 is the paper's network)
+``repro.models``       MLP, LeNet-5 and VGG11 (the paper's network)
 ``repro.accelerator``  systolic array, fault maps, layer mapping, timing & energy models
 ``repro.mitigation``   FAP, FAM (SalvageDNN) and FAT baselines
 ``repro.core``         the Reduce framework (resilience analysis, selection, retraining)

@@ -52,9 +52,4 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "bypass_timing",
         "bypass_slowdown",
     ),
-    ".simulation": (
-        "simulate_gemm_on_array",
-        "simulate_linear_layer",
-        "model_masks_match_hardware",
-    ),
 })

@@ -28,11 +28,11 @@ stacked kernel.  Two regimes are exploited:
 Fault-aware retraining (FAT) of B chips that share their training data and
 hyper-parameters runs as one folded training loop with per-chip optimizer
 state and stacked float32 keep-multiplier mask enforcement.  Each chip's
-data stream (mini-batch order and dropout noise) follows its own seed: one
-shared stream when all seeds agree (Step 3), one stream per chip otherwise
-(Step-1 trials).  The eval forward (:meth:`BatchedFaultTrainer.evaluate`)
-serves the checkpoint evaluations and, through
-:func:`evaluate_chip_accuracies`, every forward-only population evaluation.
+mini-batch order follows its own seed: one shared stream when all seeds
+agree (Step 3), one stream per chip otherwise (Step-1 trials).  The eval
+forward (:meth:`BatchedFaultTrainer.evaluate`) serves the checkpoint
+evaluations and, through :func:`evaluate_chip_accuracies`, every
+forward-only population evaluation.
 Chip ``b``'s slice of every stacked GEMM presents the same operands to BLAS
 as a serial per-chip pass, so weights, losses and accuracies are
 bit-identical to B runs of the serial reference loop
@@ -52,16 +52,10 @@ import numpy as np
 from repro import nn
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import Dataset
-from repro.nn import functional as F
 from repro.nn.functional import (
-    _bn_axes,
     _pair,
-    _bn_eval_forward,
-    _bn_train_backward,
-    _bn_train_forward,
     _stacked_col2im_t,
     _stacked_im2col_t,
-    bn_running_update,
     col2im_t,
     im2col_t,
 )
@@ -136,9 +130,9 @@ class UnsupportedModelError(RuntimeError):
     """The model contains layers the batched fault-aware trainer cannot stack.
 
     Raised at :class:`BatchedFaultTrainer` construction (never mid-training).
-    Every parametric layer family in this repository (``Linear``, ``Conv2d``,
-    ``BatchNorm1d/2d``) stacks, so this only fires for user-defined layers
-    with trainable parameters the trainer does not know how to fold per chip.
+    Only ``Linear`` and ``Conv2d`` carry trainable parameters in this
+    repository, and both stack, so this fires for any other layer with
+    trainable parameters: the message names its path and class.
     """
 
 # Stacked per-chip weights cost ``chips x model-size`` floats; population
@@ -464,118 +458,6 @@ def stacked_cross_entropy(
     )
 
 
-class _StackedBatchNormFunction(Function):
-    """B per-chip training-mode batch norms with per-chip-fold statistics.
-
-    Chip ``b``'s fold of the folded ``(B * n, ...)`` activations is
-    normalised with its *own* batch statistics using the exact serial fused
-    arithmetic — :func:`repro.nn.functional._bn_train_forward` /
-    ``_bn_train_backward`` applied to the contiguous per-chip slice — so
-    outputs and gradients are bit-identical to B serial
-    :class:`~repro.nn.functional.BatchNormFunction` calls.  ``shared=True``
-    (a batch norm reached before any other stacked layer) reads the
-    un-replicated shared input once per chip and emits a folded output:
-    per-chip gamma/beta diverge after the first optimizer step, so a stacked
-    batch norm always ends the shared prefix.
-
-    ``stats_out`` collects ``(batch_mean, biased_batch_var)`` per chip for
-    the per-chip running-statistics update.
-    """
-
-    capture_name = "stacked_batch_norm"
-
-    def forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,  # (B, C) per-chip gamma
-        bias: np.ndarray,  # (B, C) per-chip beta
-        num_chips: int,
-        eps: float,
-        shared: bool,
-        stats_out: Optional[list] = None,
-    ) -> np.ndarray:
-        reduce_axes, param_shape = _bn_axes(x.ndim)
-        per_chip = x.shape[0] if shared else x.shape[0] // num_chips
-        out = np.empty((num_chips * per_chip,) + x.shape[1:], dtype=x.dtype)
-        normalised = np.empty_like(out)
-        inv_stds: List[np.ndarray] = []
-        for chip in range(num_chips):
-            fold = slice(chip * per_chip, (chip + 1) * per_chip)
-            x_b = x if shared else x[fold]
-            out_b, norm_b, inv_std, mean, var = _bn_train_forward(
-                x_b,
-                weight[chip].reshape(param_shape),
-                bias[chip].reshape(param_shape),
-                reduce_axes,
-                eps,
-            )
-            out[fold] = out_b
-            normalised[fold] = norm_b
-            inv_stds.append(inv_std)
-            if stats_out is not None:
-                stats_out.append((mean.reshape(-1), var.reshape(-1)))
-        if is_grad_enabled():
-            self.save_for_backward(
-                weight, normalised, inv_stds, reduce_axes, param_shape,
-                num_chips, per_chip, shared, x.shape,
-            )
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (weight, normalised, inv_stds, reduce_axes, param_shape,
-         num_chips, per_chip, shared, x_shape) = self.saved
-        grad_w = np.empty_like(weight)
-        grad_b = np.empty_like(weight)
-        # Skip the dx computation entirely for a first-layer batch norm
-        # whose input is the data batch (mirrors the conv/linear gating).
-        need_x = not self.needs_input_grad or self.needs_input_grad[0]
-        grad_x: Optional[np.ndarray] = None
-        if need_x:
-            if shared:
-                # The shared input feeds every chip's branch, so its gradient
-                # sums over chips (only reachable when the shared input itself
-                # requires grad — never the data batch).
-                grad_x = np.zeros(x_shape, dtype=grad_output.dtype)
-            else:
-                grad_x = np.empty(x_shape, dtype=grad_output.dtype)
-        for chip in range(num_chips):
-            fold = slice(chip * per_chip, (chip + 1) * per_chip)
-            dx_b, dgamma, dbeta = _bn_train_backward(
-                grad_output[fold],
-                weight[chip].reshape(param_shape),
-                normalised[fold],
-                inv_stds[chip],
-                reduce_axes,
-                need_input_grad=need_x,
-            )
-            grad_w[chip] = dgamma
-            grad_b[chip] = dbeta
-            if need_x:
-                if shared:
-                    grad_x += dx_b
-                else:
-                    grad_x[fold] = dx_b
-        return grad_x, grad_w, grad_b
-
-
-@dataclasses.dataclass
-class _StackedNormLayer:
-    """One batch-norm layer with B stacked per-chip parameters and statistics.
-
-    Unlike the GEMM layers, batch norm carries trainable per-chip gamma/beta
-    *and* non-trainable per-chip running statistics that diverge as soon as
-    per-chip activations do — both live here as ``(B, C)`` stacks; the
-    module's own buffers are never touched.
-    """
-
-    name: str
-    module: nn.Module
-    weight: "nn.Parameter"  # (B, C) gamma
-    bias: "nn.Parameter"  # (B, C) beta
-    running_mean: np.ndarray  # (B, C) float32
-    running_var: np.ndarray  # (B, C) float32
-
-
 def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Keep-multiplier mask enforcement, shared as an IR op kernel."""
     np.multiply(values, keep, out=values)
@@ -598,30 +480,6 @@ def _eval_lowering_kernel(module: nn.Module, name: str):
         return cols
 
     return lower_cols
-
-
-def _stacked_bn_eval_kernel(layer: "_StackedNormLayer", num_chips: int, shared: bool):
-    """Eval-mode stacked batch norm reading the per-chip stacks live."""
-    module = layer.module
-
-    def stacked_bn_eval(data: np.ndarray) -> np.ndarray:
-        _, param_shape = _bn_axes(data.ndim)
-        per_chip = data.shape[0] if shared else data.shape[0] // num_chips
-        out = np.empty((num_chips * per_chip,) + data.shape[1:], dtype=data.dtype)
-        for chip in range(num_chips):
-            fold = slice(chip * per_chip, (chip + 1) * per_chip)
-            x_b = data if shared else data[fold]
-            out[fold] = _bn_eval_forward(
-                x_b,
-                layer.weight.data[chip].reshape(param_shape),
-                layer.bias.data[chip].reshape(param_shape),
-                layer.running_mean[chip].reshape(param_shape),
-                layer.running_var[chip].reshape(param_shape),
-                module.eps,
-            )
-        return out
-
-    return stacked_bn_eval
 
 
 @dataclasses.dataclass
@@ -666,10 +524,10 @@ class BatchedFaultTrainer:
     ``seeds`` gives one training seed per chip (default: ``config.seed`` for
     every chip).  Chips with one common seed share one data stream, so each
     step feeds the un-replicated batch through the shared prefix.  Distinct
-    seeds give every chip its own train loader and dropout generators, each
-    seeded as a one-seed stack with that seed seeds its stream, and each step
-    feeds the chips' folded ``(B * n, ...)`` batches; evaluation input is
-    still shared, so eval passes keep the shared prefix.
+    seeds give every chip its own train loader, seeded as a one-seed stack
+    with that seed would seed it, and each step feeds the chips' folded
+    ``(B * n, ...)`` batches; evaluation input is still shared, so eval
+    passes keep the shared prefix.
 
     Exact serial equivalence: chip ``b``'s weights, losses and accuracies are
     bit-identical to a serial reference run
@@ -680,12 +538,8 @@ class BatchedFaultTrainer:
     with :meth:`chip_state_dict`.
 
     Supported models are compositions of ``Linear``/``Conv2d`` (stacked
-    GEMMs), ``BatchNorm1d/2d`` (stacked per-chip gamma/beta and running
-    statistics with per-chip-fold batch statistics — see
-    :class:`_StackedBatchNormFunction`), parameter-free per-sample layers
-    (activations, pooling, flatten) and ``Dropout`` (noise drawn from each
-    data stream's trainer-seeded generators, as in the serial runs).  Only
-    unknown user-defined parametric layers raise
+    GEMMs) and parameter-free per-sample layers (activations, pooling,
+    flatten).  Any other layer with trainable parameters raises
     :class:`UnsupportedModelError`.
 
     The trainer is also the forward-only population evaluator: constructing
@@ -707,7 +561,6 @@ class BatchedFaultTrainer:
             TrainingConfig,
             _as_loader,
             require_nonempty_train_loader,
-            seed_stochastic_layers,
         )
         from repro.utils.rng import derive_seed
 
@@ -725,9 +578,8 @@ class BatchedFaultTrainer:
         seeds = [self.config.seed] * self.num_chips if seeds is None else list(seeds)
         if len(seeds) != self.num_chips:
             raise ValueError(f"got {len(seeds)} seeds for {self.num_chips} chips")
-        # One data stream (train loader + dropout generators) per distinct
-        # seed: a single shared stream when every chip has the same seed,
-        # otherwise one stream per chip.
+        # One train loader per distinct seed: a single shared stream when
+        # every chip has the same seed, otherwise one stream per chip.
         self._per_chip_streams = len(set(seeds)) > 1
         stream_seeds = seeds if self._per_chip_streams else seeds[:1]
         if self._per_chip_streams and isinstance(train_data, DataLoader):
@@ -754,9 +606,8 @@ class BatchedFaultTrainer:
         pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
         # Captured-graph execution of the checkpoint-eval hot path (training
         # steps always run eagerly: they drive autograd).  Captured eval
-        # graphs read the stacked weights, biases and running statistics
-        # *live*, so replay tracks every optimizer step and mask enforcement
-        # between checkpoints.
+        # graphs read the stacked weights and biases *live*, so replay tracks
+        # every optimizer step and mask enforcement between checkpoints.
         self._backend = resolve_backend(pipeline.backend)
         self._eval_chain_cache = (
             ChainCache(self._backend, name="fat.eval")
@@ -765,49 +616,15 @@ class BatchedFaultTrainer:
         )
 
         self._layers: List[_StackedLayer] = []
-        self._norm_layers: List[_StackedNormLayer] = []
-        self._dropouts: List[nn.Module] = []
         parameters: List[nn.Parameter] = []
         for name, module in model.named_modules():
-            if isinstance(module, nn.Dropout):
-                self._dropouts.append(module)
-                continue
             direct = [p for p in module._parameters.values() if p is not None]
             if not direct:
-                continue
-            if isinstance(module, nn.BatchNorm2d):  # BatchNorm1d subclasses it
-                if name in key_set:
-                    raise ValueError(
-                        f"layer {name!r} is a batch norm and cannot carry a fault mask"
-                    )
-                weight_param = nn.Parameter(
-                    np.repeat(module.weight.data[None], self.num_chips, axis=0)
-                )
-                bias_param = nn.Parameter(
-                    np.repeat(module.bias.data[None], self.num_chips, axis=0)
-                )
-                self._norm_layers.append(
-                    _StackedNormLayer(
-                        name=name,
-                        module=module,
-                        weight=weight_param,
-                        bias=bias_param,
-                        running_mean=np.repeat(
-                            np.asarray(module.running_mean)[None], self.num_chips, axis=0
-                        ),
-                        running_var=np.repeat(
-                            np.asarray(module.running_var)[None], self.num_chips, axis=0
-                        ),
-                    )
-                )
-                # Same order as ``model.parameters()`` (weight before bias).
-                parameters.append(weight_param)
-                parameters.append(bias_param)
                 continue
             if not isinstance(module, (nn.Linear, nn.Conv2d)):
                 raise UnsupportedModelError(
                     f"layer {name!r} ({type(module).__name__}) has trainable "
-                    "parameters but is not a stackable Linear/Conv2d/BatchNorm; "
+                    "parameters but is not a stackable Linear/Conv2d; "
                     "batched fault-aware retraining cannot fold it per chip"
                 )
             weight = module.weight.data
@@ -853,15 +670,6 @@ class BatchedFaultTrainer:
                 raise KeyError(f"mask refers to unknown layer {name!r}")
         self._masked_layers = [layer for layer in self._layers if layer.keep is not None]
         self.optimizer = self.config.build_optimizer(parameters)
-        # Dropout draws from trainer-seeded per-layer generators, reseeded
-        # from each stream's seed as a one-stream trainer would reseed them:
-        # ``_dropout_rngs[stream][i]`` feeds ``_dropouts[i]``.
-        self._dropout_rngs: List[List[np.random.Generator]] = []
-        for seed in stream_seeds:
-            seed_stochastic_layers(self.model, seed)
-            self._dropout_rngs.append([module._rng for module in self._dropouts])
-        # Base state for chip_state_dict (stacked slices override trainables).
-        self._base_state = model.state_dict()
 
     # -- batched forward plumbing --------------------------------------------
 
@@ -904,79 +712,9 @@ class BatchedFaultTrainer:
 
         return forward
 
-    def _norm_forward(self, layer: _StackedNormLayer):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            module = layer.module
-            shared = self._shared_prefix
-            self._shared_prefix = False
-            if module.training:
-                stats: List[Tuple[np.ndarray, np.ndarray]] = []
-                out = _StackedBatchNormFunction.apply(
-                    x, layer.weight, layer.bias, self.num_chips, module.eps, shared, stats
-                )
-                # Per-chip running-statistics update: the same EMA arithmetic
-                # the serial layer applies, on chip b's own batch statistics.
-                reduce_axes, _ = _bn_axes(x.ndim)
-                per_chip = x.shape[0] if shared else x.shape[0] // self.num_chips
-                reduce_count = per_chip
-                for axis in reduce_axes[1:]:
-                    reduce_count *= x.shape[axis]
-                for chip, (batch_mean, batch_var) in enumerate(stats):
-                    new_mean, new_var = bn_running_update(
-                        layer.running_mean[chip],
-                        layer.running_var[chip],
-                        batch_mean,
-                        batch_var,
-                        reduce_count,
-                        module.momentum,
-                    )
-                    layer.running_mean[chip] = new_mean
-                    layer.running_var[chip] = new_var
-                return out
-            # Eval mode: per-chip running statistics as constants, through
-            # the same arithmetic helper as the serial eval path (slice for
-            # slice bit-identical).  Evaluation runs under no_grad, so no
-            # autograd node is needed.  Recorded as one composite IR node
-            # whose kernel reads the stacked parameters and running
-            # statistics live, so replayed checkpoints see post-step values.
-            out = recorded(
-                "eval.stacked_bn",
-                (x.data,),
-                _stacked_bn_eval_kernel(layer, self.num_chips, shared),
-            )
-            return nn.Tensor(out)
-
-        return forward
-
-    def _dropout_forward(self, index: int, module: nn.Module):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            if not module.training or module.p == 0.0:
-                return x
-            rngs = [stream[index] for stream in self._dropout_rngs]
-            if self._shared_prefix:
-                # Shared input (hence one shared stream): one draw, exactly
-                # the serial call.
-                return F.dropout(x, module.p, training=True, rng=rngs[0])
-            # Folded activations: each stream draws its per-sample mask at the
-            # same position as its serial run; one shared stream is tiled
-            # over chips.
-            per_chip = x.shape[0] // self.num_chips
-            shape = (per_chip,) + x.shape[1:]
-            masks = [
-                (rng.random(shape) >= module.p).astype(x.dtype) / (1.0 - module.p)
-                for rng in rngs
-            ]
-            if len(masks) == 1:
-                folded = np.tile(masks[0], (self.num_chips,) + (1,) * (x.ndim - 1))
-            else:
-                folded = np.concatenate(masks)
-            return x * folded
-
-        return forward
-
     @contextlib.contextmanager
     def _patched(self):
-        """Route stacked layers (and dropout) through their batched forwards."""
+        """Route stacked layers through their batched forwards."""
         patched: List[nn.Module] = []
         try:
             for layer in self._layers:
@@ -992,19 +730,6 @@ class BatchedFaultTrainer:
                 )
                 object.__setattr__(layer.module, "forward", make(layer))
                 patched.append(layer.module)
-            for norm in self._norm_layers:
-                if "forward" in norm.module.__dict__:
-                    raise RuntimeError(
-                        f"layer {norm.name!r} already has a patched forward "
-                        "(nested batched execution is not supported)"
-                    )
-                object.__setattr__(norm.module, "forward", self._norm_forward(norm))
-                patched.append(norm.module)
-            for index, module in enumerate(self._dropouts):
-                if "forward" in module.__dict__:
-                    raise RuntimeError("dropout layer already has a patched forward")
-                object.__setattr__(module, "forward", self._dropout_forward(index, module))
-                patched.append(module)
             yield
         finally:
             for module in reversed(patched):
@@ -1235,21 +960,19 @@ class BatchedFaultTrainer:
     # -- results -------------------------------------------------------------
 
     def chip_state_dict(self, chip: int) -> Dict[str, np.ndarray]:
-        """The model state dict chip ``chip``'s serial run would end with."""
+        """The model state dict chip ``chip``'s serial run would end with.
+
+        Every parameter of a supported model belongs to a stacked layer, so
+        the chip's slices are the whole state.
+        """
         if not 0 <= chip < self.num_chips:
             raise IndexError(f"chip {chip} out of range for {self.num_chips} chips")
-        state = {name: value.copy() for name, value in self._base_state.items()}
+        state: Dict[str, np.ndarray] = {}
         for layer in self._layers:
             prefix = f"{layer.name}." if layer.name else ""
             state[f"{prefix}weight"] = layer.weight.data[chip].copy()
             if layer.bias is not None:
                 state[f"{prefix}bias"] = layer.bias.data[chip].copy()
-        for norm in self._norm_layers:
-            prefix = f"{norm.name}." if norm.name else ""
-            state[f"{prefix}weight"] = norm.weight.data[chip].copy()
-            state[f"{prefix}bias"] = norm.bias.data[chip].copy()
-            state[f"{prefix}running_mean"] = norm.running_mean[chip].copy()
-            state[f"{prefix}running_var"] = norm.running_var[chip].copy()
         return state
 
 

@@ -178,13 +178,11 @@ def model_gemm_workloads(
                 )
             )
             height, width = out_h, out_w
-        elif isinstance(module, (nn.MaxPool2d, nn.AvgPool2d)):
+        elif isinstance(module, nn.MaxPool2d):
             kh, kw = module.kernel_size
             sh, sw = module.stride
             height = (height - kh) // sh + 1
             width = (width - kw) // sw + 1
-        elif isinstance(module, nn.GlobalAvgPool2d):
-            height = width = 1
         elif isinstance(module, nn.Linear):
             gemm = layer_gemm_shape(module)
             workloads.append(

@@ -380,7 +380,7 @@ class ReduceFramework:
 
         The seed is shared across the whole population (not derived per chip):
         chips differ in their fault masks, not in their data — and a shared
-        mini-batch/dropout stream lets a chunk run as one
+        mini-batch stream lets a chunk run as one
         :class:`BatchedFaultTrainer` that lowers each training batch once for
         all its chips (the shared prefix), bit-identical to retraining each
         chip alone.  Because every budget walks the same stream, a pass to

@@ -11,10 +11,9 @@ the paper).  The result is a :class:`~repro.core.profiles.ResilienceProfile`.
 Every trial is the pre-trained DNN under one fault map's masks, so the grid
 runs on the stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer`
 in stacks of :data:`TRIAL_STACK` cells.  Each trial keeps its own seed (its
-own mini-batch order and dropout noise) through the trainer's per-chip data
-streams, so the profile is bit-identical to retraining the cells one at a
-time through the serial reference loop (``tests/helpers.py``:
-``serial_resilience_accuracies``).
+own mini-batch order) through the trainer's per-chip data streams, so the
+profile is bit-identical to retraining the cells one at a time through the
+serial reference loop (``tests/helpers.py``: ``serial_resilience_accuracies``).
 """
 
 from __future__ import annotations

@@ -12,15 +12,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "stratified_split",
     ),
     ".dataloader": ("DataLoader", "full_batch"),
-    ".transforms": (
-        "Compose",
-        "Normalize",
-        "RandomHorizontalFlip",
-        "RandomCrop",
-        "GaussianNoise",
-        "ToFloat32",
-        "channel_statistics",
-    ),
     ".synthetic": (
         "DatasetBundle",
         "make_class_template_images",

@@ -6,7 +6,8 @@ chosen computational scale:
 * ``smoke``  — seconds; used by unit/integration tests of the runners.
 * ``fast``   — tens of seconds; the default for the benchmark harness.
 * ``paper``  — the faithful configuration (VGG11-style network, 256x256
-  array, 5 trials per fault rate, 100 chips); minutes to hours on a CPU.
+  array, 5 trials per fault rate, 100 chips); a cold ``fig3`` run takes
+  about 265 s on a 2-CPU machine.
 
 All presets run the *same code path*; only model width, dataset size, grid
 resolution and chip count change.
@@ -40,7 +41,7 @@ class DatasetSpec:
 class ModelSpec:
     """Model architecture parameters (see :mod:`repro.models.registry`)."""
 
-    name: str = "vgg11_mini"
+    name: str = "lenet5"
     kwargs: Dict[str, object] = dataclasses.field(default_factory=dict)
     seed: int = 11
 
@@ -163,9 +164,10 @@ def fast_preset() -> ExperimentPreset:
 def paper_preset() -> ExperimentPreset:
     """Faithful configuration: VGG11 plan, 256x256 array, 5 trials, 100 chips.
 
-    With the numpy training substrate this takes on the order of an hour on a
-    CPU; all figure runners accept any preset, so the shape of every result
-    can be verified with ``fast_preset`` first.
+    With the numpy training substrate a cold ``fig3`` run (pre-training,
+    Step 1 and 100 chips) takes about 265 s on a 2-CPU machine; all figure
+    runners accept any preset, so the shape of every result can be verified
+    with ``fast_preset`` first.
     """
     return ExperimentPreset(
         name="paper",
@@ -178,9 +180,7 @@ def paper_preset() -> ExperimentPreset:
             noise_std=0.50,
             shift_pixels=1,
         ),
-        model=ModelSpec(
-            name="vgg11", kwargs={"width_multiplier": 0.25, "batch_norm": False}
-        ),
+        model=ModelSpec(name="vgg11", kwargs={"width_multiplier": 0.25}),
         array_rows=256,
         array_cols=256,
         pretrain_epochs=15.0,

@@ -25,7 +25,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "parse_strategy_list",
         "resolve_strategy",
     ),
-    ".calibration": ("recalibrate_batchnorm", "reset_batchnorm_stats"),
     ".saliency": (
         "magnitude_saliency",
         "squared_saliency",

@@ -1,20 +1,10 @@
-"""Model zoo: MLP, LeNet-5 and the VGG family used in the paper."""
+"""Model zoo: MLP, LeNet-5 and the paper's VGG11."""
 
-from repro.models.mlp import MLP
-from repro.models.lenet import LeNet5
-from repro.models.vgg import VGG, VGG_CONFIGS, vgg11, vgg11_mini, vgg13, vgg16
-from repro.models.registry import available_models, build_model, register_model
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "MLP",
-    "LeNet5",
-    "VGG",
-    "VGG_CONFIGS",
-    "vgg11",
-    "vgg11_mini",
-    "vgg13",
-    "vgg16",
-    "available_models",
-    "build_model",
-    "register_model",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    ".mlp": ("MLP",),
+    ".lenet": ("LeNet5",),
+    ".vgg": ("VGG", "VGG11_CONFIG", "vgg11"),
+    ".registry": ("available_models", "build_model"),
+})

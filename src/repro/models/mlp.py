@@ -21,7 +21,6 @@ class MLP(nn.Module):
         input_features: int,
         num_classes: int,
         hidden_sizes: Sequence[int] = (128, 64),
-        dropout: float = 0.0,
         seed: SeedLike = 0,
     ) -> None:
         super().__init__()
@@ -41,8 +40,6 @@ class MLP(nn.Module):
                 raise ValueError("hidden sizes must be positive")
             layers.append(nn.Linear(previous, hidden, rng=derive_seed(base_seed, "linear", index)))
             layers.append(nn.ReLU())
-            if dropout > 0:
-                layers.append(nn.Dropout(dropout, rng=derive_seed(base_seed, "dropout", index)))
             previous = hidden
         layers.append(nn.Linear(previous, num_classes, rng=derive_seed(base_seed, "head")))
         self.body = nn.Sequential(*layers)

@@ -1,42 +1,55 @@
-"""Model registry: build models by name with uniform arguments.
+"""Model registry: build the preset models by name with uniform arguments.
 
-Experiment configs reference models by name (e.g. ``"vgg11_mini"``) so that
-the same experiment runner works for every architecture in the zoo.
+Experiment presets reference models by name (``"mlp"``, ``"lenet5"``,
+``"vgg11"``) so that the same experiment runner works for each of them.  A
+builder imports its model module only when called, so a process loads only
+the architecture it builds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro import nn
-from repro.models.lenet import LeNet5
-from repro.models.mlp import MLP
-from repro.models.vgg import vgg11, vgg11_mini, vgg13, vgg16
 from repro.utils.rng import SeedLike
 
-ModelBuilder = Callable[..., nn.Module]
 
-_REGISTRY: Dict[str, ModelBuilder] = {}
+def _build_mlp(input_shape, num_classes, seed=0, hidden_sizes=(128, 64)):
+    from repro.models.mlp import MLP
+
+    features = 1
+    for dim in input_shape:
+        features *= int(dim)
+    return MLP(features, num_classes, hidden_sizes=hidden_sizes, seed=seed)
 
 
-def register_model(name: str, builder: Optional[ModelBuilder] = None):
-    """Register a model builder under ``name`` (usable as a decorator)."""
+def _build_lenet(input_shape, num_classes, seed=0):
+    from repro.models.lenet import LeNet5
 
-    def _register(fn: ModelBuilder) -> ModelBuilder:
-        key = name.lower()
-        if key in _REGISTRY:
-            raise ValueError(f"model {name!r} is already registered")
-        _REGISTRY[key] = fn
-        return fn
+    return LeNet5(input_shape=input_shape, num_classes=num_classes, seed=seed)
 
-    if builder is not None:
-        return _register(builder)
-    return _register
+
+def _build_vgg11(input_shape, num_classes, seed=0, width_multiplier=1.0):
+    from repro.models.vgg import vgg11
+
+    return vgg11(
+        input_shape=input_shape,
+        num_classes=num_classes,
+        width_multiplier=width_multiplier,
+        seed=seed,
+    )
+
+
+_BUILDERS: Dict[str, Callable[..., nn.Module]] = {
+    "mlp": _build_mlp,
+    "lenet5": _build_lenet,
+    "vgg11": _build_vgg11,
+}
 
 
 def available_models() -> Tuple[str, ...]:
-    """Names of all registered models."""
-    return tuple(sorted(_REGISTRY))
+    """Names of all buildable models."""
+    return tuple(sorted(_BUILDERS))
 
 
 def build_model(
@@ -46,76 +59,12 @@ def build_model(
     seed: SeedLike = 0,
     **kwargs,
 ) -> nn.Module:
-    """Build a registered model.
+    """Build a model by name.
 
     ``input_shape`` is ``(C, H, W)`` for convolutional models or ``(F,)`` for
     MLPs; extra keyword arguments are forwarded to the underlying builder.
     """
     key = name.lower()
-    if key not in _REGISTRY:
+    if key not in _BUILDERS:
         raise KeyError(f"unknown model {name!r}; available: {', '.join(available_models())}")
-    return _REGISTRY[key](input_shape=tuple(input_shape), num_classes=num_classes, seed=seed, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Built-in registrations
-# ---------------------------------------------------------------------------
-
-
-@register_model("mlp")
-def _build_mlp(input_shape, num_classes, seed=0, hidden_sizes=(128, 64), dropout=0.0):
-    features = 1
-    for dim in input_shape:
-        features *= int(dim)
-    return MLP(features, num_classes, hidden_sizes=hidden_sizes, dropout=dropout, seed=seed)
-
-
-@register_model("lenet5")
-def _build_lenet(input_shape, num_classes, seed=0):
-    return LeNet5(input_shape=tuple(input_shape), num_classes=num_classes, seed=seed)
-
-
-@register_model("vgg11")
-def _build_vgg11(input_shape, num_classes, seed=0, width_multiplier=1.0, batch_norm=True, dropout=0.0):
-    return vgg11(
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        width_multiplier=width_multiplier,
-        batch_norm=batch_norm,
-        dropout=dropout,
-        seed=seed,
-    )
-
-
-@register_model("vgg11_mini")
-def _build_vgg11_mini(input_shape, num_classes, seed=0, width_multiplier=0.125):
-    return vgg11_mini(
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        width_multiplier=width_multiplier,
-        seed=seed,
-    )
-
-
-@register_model("vgg13")
-def _build_vgg13(input_shape, num_classes, seed=0, width_multiplier=1.0, batch_norm=True, dropout=0.0):
-    return vgg13(
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        width_multiplier=width_multiplier,
-        batch_norm=batch_norm,
-        dropout=dropout,
-        seed=seed,
-    )
-
-
-@register_model("vgg16")
-def _build_vgg16(input_shape, num_classes, seed=0, width_multiplier=1.0, batch_norm=True, dropout=0.0):
-    return vgg16(
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
-        width_multiplier=width_multiplier,
-        batch_norm=batch_norm,
-        dropout=dropout,
-        seed=seed,
-    )
+    return _BUILDERS[key](input_shape=tuple(input_shape), num_classes=num_classes, seed=seed, **kwargs)

@@ -1,8 +1,9 @@
 """A self-contained numpy-based neural-network framework.
 
 This package replaces PyTorch (which the original paper used) as the training
-substrate: tensors with reverse-mode autograd, layers, losses, optimizers and
-checkpointing.
+substrate: tensors with reverse-mode autograd, the layers the preset models
+use, optimizers and checkpointing.  Losses are functional
+(:func:`repro.nn.functional.cross_entropy`).
 """
 
 from repro.utils.lazy import lazy_exports
@@ -13,30 +14,16 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "no_grad",
         "enable_grad",
         "is_grad_enabled",
-        "concatenate",
-        "stack",
         "as_tensor",
     ),
     ".module": ("Module", "Parameter", "Sequential", "ModuleList"),
     ".layers": (
         "Linear",
         "Conv2d",
-        "BatchNorm1d",
-        "BatchNorm2d",
         "ReLU",
-        "LeakyReLU",
-        "Sigmoid",
-        "Tanh",
         "MaxPool2d",
-        "AvgPool2d",
-        "GlobalAvgPool2d",
         "Flatten",
-        "Dropout",
-        "Identity",
-        "Softmax",
-        "LogSoftmax",
     ),
-    ".losses": ("CrossEntropyLoss", "NllLoss", "MseLoss"),
     ".optim": (
         "Optimizer",
         "SGD",

@@ -15,7 +15,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.tensor import Function, Tensor, as_tensor, is_grad_enabled
+from repro.nn.tensor import Function, Tensor, is_grad_enabled
+from repro.nn.tensor import Linear as LinearFunction
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -350,295 +351,17 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     return MaxPool2dFunction.apply(x, kernel, stride_pair)
 
 
-class AvgPool2dFunction(Function):
-    capture_name = "avg_pool2d"
-
-    def forward(
-        self,
-        x: np.ndarray,
-        kernel_size: Tuple[int, int],
-        stride: Tuple[int, int],
-    ) -> np.ndarray:
-        kh, kw = kernel_size
-        sh, sw = stride
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        if sh != 1 or sw != 1:
-            windows = windows[:, :, ::sh, ::sw, :, :]
-        out = windows.mean(axis=(-2, -1))
-        self.save_for_backward(x.shape, kernel_size, stride, out.shape)
-        return np.ascontiguousarray(out)
-
-    def backward(self, grad_output: np.ndarray):
-        x_shape, (kh, kw), (sh, sw), out_shape = self.saved
-        n, c, out_h, out_w = out_shape
-        dx = np.zeros(x_shape, dtype=grad_output.dtype)
-        scaled = grad_output / (kh * kw)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += scaled
-        return (dx,)
-
-
-def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
-    """Average pooling over the spatial dimensions of an NCHW tensor."""
-    kernel = _pair(kernel_size)
-    stride_pair = _pair(stride) if stride is not None else kernel
-    return AvgPool2dFunction.apply(x, kernel, stride_pair)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over all spatial positions, returning an ``(N, C)`` tensor."""
-    return x.mean(axis=(2, 3))
-
-
 # ---------------------------------------------------------------------------
-# Normalisation, dropout and activations
+# Activations and affine layers
 # ---------------------------------------------------------------------------
-
-
-def _bn_axes(ndim: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """``(reduce_axes, param_shape)`` for a 2-D or 4-D batch-norm input."""
-    if ndim == 4:
-        return (0, 2, 3), (1, -1, 1, 1)
-    if ndim == 2:
-        return (0,), (1, -1)
-    raise ValueError(f"batch_norm expects a 2-D or 4-D input, got {ndim}-D")
-
-
-def _bn_train_forward(
-    x: np.ndarray,
-    gamma_b: np.ndarray,
-    beta_b: np.ndarray,
-    reduce_axes: Tuple[int, ...],
-    eps: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Training-mode batch-norm forward arithmetic on raw arrays.
-
-    Shared between the fused serial :class:`BatchNormFunction` and the
-    stacked multi-chip variant in :mod:`repro.accelerator.batched`, which
-    calls it on each chip's contiguous fold — bit-identical by construction.
-    Returns ``(out, normalised, inv_std, mean, var)`` (mean/var keep dims).
-    """
-    mean = x.mean(axis=reduce_axes, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=reduce_axes, keepdims=True)
-    inv_std = (var + eps) ** -0.5
-    normalised = centered * inv_std
-    out = normalised * gamma_b + beta_b
-    return out, normalised, inv_std, mean, var
-
-
-def _bn_train_backward(
-    grad_output: np.ndarray,
-    gamma_b: np.ndarray,
-    normalised: np.ndarray,
-    inv_std: np.ndarray,
-    reduce_axes: Tuple[int, ...],
-    need_input_grad: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Analytic batch-norm backward (gradients through the batch statistics).
-
-    With ``xhat`` the normalised activations and ``g`` the upstream gradient,
-
-        dx = inv_std * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma * xhat))
-
-    which is the standard fused form of the ~15 generic autograd nodes the
-    composed training-mode batch norm used to record per layer.  Shared with
-    the stacked multi-chip op (called per chip fold).  Returns
-    ``(grad_x, grad_gamma, grad_beta)`` with the parameter gradients reduced
-    to 1-D ``(C,)`` vectors; ``grad_x`` is None when ``need_input_grad`` is
-    False (a first-layer batch norm whose input is the data batch).
-    """
-    grad_x = None
-    if need_input_grad:
-        dxhat = grad_output * gamma_b
-        grad_x = inv_std * (
-            dxhat
-            - dxhat.mean(axis=reduce_axes, keepdims=True)
-            - normalised * (dxhat * normalised).mean(axis=reduce_axes, keepdims=True)
-        )
-    grad_gamma = (grad_output * normalised).sum(axis=reduce_axes)
-    grad_beta = grad_output.sum(axis=reduce_axes)
-    return grad_x, grad_gamma, grad_beta
-
-
-def _bn_eval_forward(x, gamma_b, beta_b, mean_const, var_const, eps):
-    """Eval-mode normalisation with running statistics as constants.
-
-    Generic over Tensor/ndarray operands; shared between the serial
-    :func:`batch_norm` eval path and the stacked multi-chip eval path so the
-    per-chip arithmetic stays expression-for-expression identical (the
-    bit-exact serial-equivalence guarantee covers eval checkpoints too).
-    """
-    scale = gamma_b * (1.0 / np.sqrt(var_const + eps))
-    return (x - mean_const) * scale + beta_b
-
-
-def bn_running_update(
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    batch_mean: np.ndarray,
-    batch_var: np.ndarray,
-    reduce_count: int,
-    momentum: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """EMA update of batch-norm running statistics (Bessel-corrected variance).
-
-    ``batch_var`` is the biased batch variance as computed by the forward;
-    the stored running variance uses the unbiased estimate, mirroring
-    PyTorch.  Shared by the serial layer and the stacked multi-chip trainer
-    (applied per chip) so updated statistics agree bit for bit.
-    """
-    bessel = reduce_count / max(reduce_count - 1, 1)
-    new_mean = (1 - momentum) * running_mean + momentum * batch_mean
-    new_var = (1 - momentum) * running_var + momentum * (batch_var * bessel)
-    return new_mean, new_var
-
-
-class BatchNormFunction(Function):
-    """Fused training-mode batch normalisation with an analytic backward.
-
-    The composed formulation recorded ~15 generic autograd nodes per layer
-    (profiled at ~20% of a ``vgg11_mini`` training step); this single node
-    computes the identical forward arithmetic (:func:`_bn_train_forward`, so
-    outputs are bit-identical to the composed path) and the standard closed-
-    form backward through the batch statistics.
-
-    ``stats_out`` is an optional list the forward appends the 1-D batch mean
-    and (biased) batch variance to, so callers can update running statistics
-    without a second pass over the input.
-    """
-
-    capture_name = "batch_norm"
-
-    def forward(
-        self,
-        x: np.ndarray,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        reduce_axes: Tuple[int, ...],
-        param_shape: Tuple[int, ...],
-        eps: float,
-        stats_out: Optional[list] = None,
-    ) -> np.ndarray:
-        gamma_b = gamma.reshape(param_shape)
-        beta_b = beta.reshape(param_shape)
-        out, normalised, inv_std, mean, var = _bn_train_forward(
-            x, gamma_b, beta_b, reduce_axes, eps
-        )
-        if stats_out is not None:
-            stats_out.append(mean.reshape(-1))
-            stats_out.append(var.reshape(-1))
-        if is_grad_enabled():
-            self.save_for_backward(gamma_b, normalised, inv_std, reduce_axes, gamma.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        gamma_b, normalised, inv_std, reduce_axes, param_vec_shape = self.saved
-        grad_x, grad_gamma, grad_beta = _bn_train_backward(
-            grad_output, gamma_b, normalised, inv_std, reduce_axes,
-            need_input_grad=not self.needs_input_grad or self.needs_input_grad[0],
-        )
-        return grad_x, grad_gamma.reshape(param_vec_shape), grad_beta.reshape(param_vec_shape)
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Optional[np.ndarray],
-    running_var: Optional[np.ndarray],
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tuple[Tensor, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Batch normalisation over an ``(N, C)`` or ``(N, C, H, W)`` tensor.
-
-    Returns ``(output, new_running_mean, new_running_var)``.  In training
-    mode the batch statistics participate in the autograd graph through the
-    fused :class:`BatchNormFunction` (one node with an analytic backward);
-    in eval mode the running statistics are used as constants.
-    """
-    reduce_axes, param_shape = _bn_axes(x.ndim)
-
-    if training:
-        stats: list = []
-        out = BatchNormFunction.apply(
-            x, gamma, beta, reduce_axes, param_shape, eps, stats
-        )
-        new_mean = running_mean
-        new_var = running_var
-        if running_mean is not None and running_var is not None:
-            batch_mean, batch_var = stats
-            reduce_count = int(np.prod([x.shape[a] for a in reduce_axes]))
-            new_mean, new_var = bn_running_update(
-                running_mean, running_var, batch_mean, batch_var, reduce_count, momentum
-            )
-        return out, new_mean, new_var
-
-    if running_mean is None or running_var is None:
-        raise ValueError("eval-mode batch_norm requires running statistics")
-    out = _bn_eval_forward(
-        x,
-        gamma.reshape(*param_shape),
-        beta.reshape(*param_shape),
-        running_mean.reshape(param_shape),
-        running_var.reshape(param_shape),
-        eps,
-    )
-    return out, running_mean, running_var
-
-
-# Fallback generator for ``dropout`` calls that pass no ``rng``.  A fresh
-# unseeded ``default_rng()`` per call would make otherwise fully-seeded
-# training runs nondeterministic; stateful callers (``nn.Dropout``) thread a
-# per-layer generator derived from the trainer seed instead (see
-# ``repro.training.seed_stochastic_layers``).
-_FALLBACK_DROPOUT_RNG = np.random.default_rng(0)
-
-
-def dropout(
-    x: Tensor,
-    p: float,
-    training: bool,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` during training."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    generator = rng if rng is not None else _FALLBACK_DROPOUT_RNG
-    mask = (generator.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * mask
 
 
 def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.log_softmax(axis=axis)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``x @ weight.T + bias`` for 2-D ``x``."""
-    from repro.nn.tensor import Linear as LinearFunction
-
-    if bias is None:
-        return LinearFunction.apply(x, weight, None)
     return LinearFunction.apply(x, weight, bias)
 
 
@@ -721,20 +444,6 @@ def cross_entropy(
     else:
         smooth = -log_probs.sum(axis=-1) * (1.0 / num_classes)
     return hard * (1.0 - label_smoothing) + smooth * label_smoothing
-
-
-def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray], reduction: str = "mean") -> Tensor:
-    """Mean squared error loss."""
-    target_t = as_tensor(target)
-    diff = prediction - target_t
-    squared = diff * diff
-    if reduction == "mean":
-        return squared.mean()
-    if reduction == "sum":
-        return squared.sum()
-    if reduction == "none":
-        return squared
-    raise ValueError(f"unknown reduction {reduction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ def _fan_in_fan_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-zero initialisation (used for biases and batch-norm shifts)."""
+    """All-zero initialisation (used for conv biases)."""
     return np.zeros(shape, dtype=DEFAULT_DTYPE)
 
 
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-one initialisation (used for batch-norm scales)."""
+    """All-one initialisation."""
     return np.ones(shape, dtype=DEFAULT_DTYPE)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, Union
 
-import numpy as np
-
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -105,84 +103,11 @@ class Conv2d(Module):
         )
 
 
-class BatchNorm2d(Module):
-    """Batch normalisation over the channel dimension of NCHW tensors.
-
-    Training mode runs through the fused
-    :class:`~repro.nn.functional.BatchNormFunction` (one autograd node with
-    an analytic backward); the batch statistics it computes are reused for
-    the running-statistics update, so each step touches the activations
-    exactly once beyond the normalisation itself.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        if num_features <= 0:
-            raise ValueError("num_features must be positive")
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(init.ones((num_features,)))
-        self.bias = Parameter(init.zeros((num_features,)))
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        out, new_mean, new_var = F.batch_norm(
-            x,
-            self.weight,
-            self.bias,
-            self.running_mean,
-            self.running_var,
-            training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
-        if self.training and new_mean is not None:
-            self.running_mean = np.asarray(new_mean, dtype=np.float32)
-            self.running_var = np.asarray(new_var, dtype=np.float32)
-        return out
-
-    def extra_repr(self) -> str:
-        return f"{self.num_features}, eps={self.eps}, momentum={self.momentum}"
-
-
-class BatchNorm1d(BatchNorm2d):
-    """Batch normalisation over the feature dimension of ``(N, C)`` tensors."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects a 2-D input, got {x.ndim}-D")
-        return super().forward(x)
-
-
 class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-    def extra_repr(self) -> str:
-        return f"negative_slope={self.negative_slope}"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class MaxPool2d(Module):
@@ -200,28 +125,6 @@ class MaxPool2d(Module):
         return f"kernel_size={self.kernel_size}, stride={self.stride}"
 
 
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: IntPair, stride: Optional[IntPair] = None) -> None:
-        super().__init__()
-        self.kernel_size = F._pair(kernel_size)
-        self.stride = F._pair(stride) if stride is not None else self.kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-    def extra_repr(self) -> str:
-        return f"kernel_size={self.kernel_size}, stride={self.stride}"
-
-
-class GlobalAvgPool2d(Module):
-    """Average over all spatial positions, producing an ``(N, C)`` tensor."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)
-
-
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
@@ -234,55 +137,3 @@ class Flatten(Module):
 
     def extra_repr(self) -> str:
         return f"start_dim={self.start_dim}"
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode.
-
-    The layer owns its generator so masks are reproducible; trainers reseed
-    it from their derived seed (via :meth:`reseed`) so that two training runs
-    with the same :class:`~repro.training.TrainingConfig` draw identical masks
-    even when the layer was constructed without an explicit ``rng``.
-    """
-
-    def __init__(self, p: float = 0.5, rng: SeedLike = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = new_rng(rng)
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the layer's generator (used to thread the trainer seed)."""
-        self._rng = new_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self._rng)
-
-    def extra_repr(self) -> str:
-        return f"p={self.p}"
-
-
-class Identity(Module):
-    """Pass-through layer, convenient for optional blocks."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softmax(axis=self.axis)
-
-
-class LogSoftmax(Module):
-    def __init__(self, axis: int = -1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.log_softmax(axis=self.axis)

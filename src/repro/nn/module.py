@@ -1,7 +1,6 @@
 """Module (layer container) abstraction mirroring ``torch.nn.Module``.
 
-Modules register parameters, buffers (non-trainable state such as batch-norm
-running statistics) and sub-modules automatically through attribute
+Modules register parameters and sub-modules automatically through attribute
 assignment, and expose ``state_dict`` / ``load_state_dict`` for check-pointing
 — which the Reduce framework relies on to reset a model to its pre-trained
 weights before retraining it for each faulty chip.
@@ -37,7 +36,6 @@ class Module:
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
 
@@ -46,21 +44,14 @@ class Module:
     def __setattr__(self, name: str, value: Any) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
-            self._buffers.pop(name, None)
             self._modules.pop(name, None)
         elif isinstance(value, Module):
             self._modules[name] = value
             self._parameters.pop(name, None)
-            self._buffers.pop(name, None)
         else:
             # Plain attribute; drop any stale registration under the same name.
             self._parameters.pop(name, None)
             self._modules.pop(name, None)
-        object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: Optional[np.ndarray]) -> None:
-        """Register non-trainable state included in ``state_dict``."""
-        self._buffers[name] = value
         object.__setattr__(self, name, value)
 
     def register_parameter(self, name: str, value: Optional[Parameter]) -> None:
@@ -84,12 +75,6 @@ class Module:
 
     def parameters(self) -> List[Parameter]:
         return [param for _, param in self.named_parameters()]
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, Optional[np.ndarray]]]:
-        for name in self._buffers:
-            yield (f"{prefix}{name}", getattr(self, name))
-        for module_name, module in self._modules.items():
-            yield from module.named_buffers(prefix=f"{prefix}{module_name}.")
 
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
         yield (prefix.rstrip("."), self)
@@ -126,23 +111,19 @@ class Module:
     # -- state dict -----------------------------------------------------------
 
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Return a flat name → array copy of all parameters and buffers."""
+        """Return a flat name → array copy of all parameters."""
         state: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for name, param in self.named_parameters():
             state[name] = param.data.copy()
-        for name, buffer in self.named_buffers():
-            if buffer is not None:
-                state[name] = np.array(buffer, copy=True)
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameters and buffers from a ``state_dict``.
+        """Load parameters from a ``state_dict``.
 
         With ``strict=True`` missing or unexpected keys raise ``KeyError``.
         """
         own_params = dict(self.named_parameters())
-        own_buffer_names = [name for name, _ in self.named_buffers()]
-        expected = set(own_params) | set(own_buffer_names)
+        expected = set(own_params)
         provided = set(state)
         if strict:
             missing = expected - provided
@@ -160,20 +141,6 @@ class Module:
                     f"shape mismatch for {name!r}: checkpoint {value.shape} vs model {param.data.shape}"
                 )
             param.data = value.astype(param.data.dtype, copy=True)
-        self._load_buffers(state, prefix="")
-
-    def _load_buffers(self, state: Dict[str, np.ndarray], prefix: str) -> None:
-        for name in self._buffers:
-            full_name = f"{prefix}{name}"
-            if full_name in state and state[full_name] is not None:
-                current = getattr(self, name)
-                value = np.asarray(state[full_name])
-                if current is not None:
-                    value = value.astype(np.asarray(current).dtype, copy=True).reshape(np.asarray(current).shape)
-                self._buffers[name] = value
-                object.__setattr__(self, name, value)
-        for module_name, module in self._modules.items():
-            module._load_buffers(state, prefix=f"{prefix}{module_name}.")
 
     # -- misc ------------------------------------------------------------------
 

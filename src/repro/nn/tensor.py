@@ -11,17 +11,17 @@ the same mental model as PyTorch (the framework used by the original paper):
   in reverse topological order and accumulates gradients into the leaf
   tensors (the model parameters).
 
-Only the operations required by the models and training procedures in this
-repository are implemented, but they are implemented completely (broadcasting,
-reductions over arbitrary axes, matrix products, element-wise math, shape
-manipulation and indexing), so the engine is usable as a general-purpose
-mini-framework.
+Only the operations the preset models (MLP, LeNet-5, VGG11), their
+cross-entropy loss and the serial reference paths in the tests reach are
+implemented: broadcasting add/sub/mul/neg, ReLU, sum and mean reductions,
+the fused affine transform, reshape, indexing and log-softmax.  Convolution
+and max pooling live in :mod:`repro.nn.functional`.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -199,94 +199,12 @@ class Mul(Function):
         return _unbroadcast(grad_output * b, a.shape), _unbroadcast(grad_output * a, b.shape)
 
 
-class Div(Function):
-    def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.save_for_backward(a, b)
-        return a / b
-
-    def backward(self, grad_output: np.ndarray):
-        a, b = self.saved
-        grad_a = grad_output / b
-        grad_b = -grad_output * a / (b * b)
-        return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
-
-
 class Neg(Function):
     def forward(self, a: np.ndarray) -> np.ndarray:
         return -a
 
     def backward(self, grad_output: np.ndarray):
         return (-grad_output,)
-
-
-class Pow(Function):
-    """Raise a tensor to a constant (non-tensor) power."""
-
-    def forward(self, a: np.ndarray, exponent: float) -> np.ndarray:
-        self.save_for_backward(a, exponent)
-        return a ** exponent
-
-    def backward(self, grad_output: np.ndarray):
-        a, exponent = self.saved
-        return (grad_output * exponent * (a ** (exponent - 1)),)
-
-
-class Exp(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        out = np.exp(a)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (out,) = self.saved
-        return (grad_output * out,)
-
-
-class Log(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        self.save_for_backward(a)
-        return np.log(a)
-
-    def backward(self, grad_output: np.ndarray):
-        (a,) = self.saved
-        return (grad_output / a,)
-
-
-class Sqrt(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        out = np.sqrt(a)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (out,) = self.saved
-        return (grad_output / (2.0 * out),)
-
-
-class Abs(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        self.save_for_backward(a)
-        return np.abs(a)
-
-    def backward(self, grad_output: np.ndarray):
-        (a,) = self.saved
-        return (grad_output * np.sign(a),)
-
-
-class Clip(Function):
-    def forward(self, a: np.ndarray, low: Optional[float], high: Optional[float]) -> np.ndarray:
-        out = np.clip(a, low, high)
-        mask = np.ones_like(a)
-        if low is not None:
-            mask = mask * (a >= low)
-        if high is not None:
-            mask = mask * (a <= high)
-        self.save_for_backward(mask)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (mask,) = self.saved
-        return (grad_output * mask,)
 
 
 # ---------------------------------------------------------------------------
@@ -303,38 +221,6 @@ class ReLU(Function):
     def backward(self, grad_output: np.ndarray):
         (mask,) = self.saved
         return (grad_output * mask,)
-
-
-class LeakyReLU(Function):
-    def forward(self, a: np.ndarray, negative_slope: float) -> np.ndarray:
-        self.save_for_backward(a > 0, negative_slope)
-        return np.where(a > 0, a, a * negative_slope)
-
-    def backward(self, grad_output: np.ndarray):
-        mask, negative_slope = self.saved
-        return (np.where(mask, grad_output, grad_output * negative_slope),)
-
-
-class Sigmoid(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-a))
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (out,) = self.saved
-        return (grad_output * out * (1.0 - out),)
-
-
-class Tanh(Function):
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        out = np.tanh(a)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        (out,) = self.saved
-        return (grad_output * (1.0 - out * out),)
 
 
 # ---------------------------------------------------------------------------
@@ -381,53 +267,9 @@ class Mean(Function):
         return (np.broadcast_to(grad, shape).astype(grad_output.dtype, copy=False).copy(),)
 
 
-class Max(Function):
-    """Maximum reduction; gradient is routed to (all) positions attaining the max."""
-
-    def forward(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        out = a.max(axis=axis, keepdims=True)
-        self.save_for_backward(a, out, _normalize_axis(axis, a.ndim), keepdims)
-        if keepdims or axis is None and keepdims:
-            return out if keepdims else out.reshape(())
-        return a.max(axis=axis, keepdims=keepdims)
-
-    def backward(self, grad_output: np.ndarray):
-        a, out_keepdims, axis, keepdims = self.saved
-        mask = (a == out_keepdims).astype(a.dtype)
-        mask /= mask.sum(axis=tuple(axis) if axis is not None else None, keepdims=True)
-        grad = grad_output
-        if axis is not None and not keepdims:
-            grad = np.expand_dims(grad, axis=tuple(sorted(axis)))
-        elif axis is None and not keepdims:
-            grad = np.asarray(grad).reshape((1,) * a.ndim)
-        return (mask * grad,)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
-
-
-class MatMul(Function):
-    def forward(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.save_for_backward(a, b)
-        return a @ b
-
-    def backward(self, grad_output: np.ndarray):
-        a, b = self.saved
-        if a.ndim == 1 and b.ndim == 1:
-            return grad_output * b, grad_output * a
-        if a.ndim == 1:
-            grad_a = grad_output @ np.swapaxes(b, -1, -2)
-            grad_b = np.outer(a, grad_output)
-            return grad_a, grad_b
-        if b.ndim == 1:
-            grad_a = np.outer(grad_output, b) if a.ndim == 2 else np.expand_dims(grad_output, -1) * b
-            grad_b = np.swapaxes(a, -1, -2) @ grad_output
-            return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
-        grad_a = grad_output @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad_output
-        return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
 
 
 class Linear(Function):
@@ -467,19 +309,6 @@ class Reshape(Function):
         return (grad_output.reshape(original_shape),)
 
 
-class Transpose(Function):
-    def forward(self, a: np.ndarray, axes: Optional[Tuple[int, ...]]) -> np.ndarray:
-        if axes is None:
-            axes = tuple(reversed(range(a.ndim)))
-        self.save_for_backward(axes)
-        return a.transpose(axes)
-
-    def backward(self, grad_output: np.ndarray):
-        (axes,) = self.saved
-        inverse = np.argsort(axes)
-        return (grad_output.transpose(inverse),)
-
-
 class GetItem(Function):
     def forward(self, a: np.ndarray, index: Any) -> np.ndarray:
         self.save_for_backward(a.shape, a.dtype, index)
@@ -490,17 +319,6 @@ class GetItem(Function):
         grad = np.zeros(shape, dtype=dtype)
         np.add.at(grad, index, grad_output)
         return (grad,)
-
-
-class Concatenate(Function):
-    def forward(self, *arrays: np.ndarray, axis: int = 0) -> np.ndarray:
-        self.save_for_backward(axis, [a.shape[axis] for a in arrays])
-        return np.concatenate(arrays, axis=axis)
-
-    def backward(self, grad_output: np.ndarray):
-        axis, sizes = self.saved
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(grad_output, splits, axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +338,6 @@ class LogSoftmax(Function):
         out, axis = self.saved
         softmax = np.exp(out)
         return (grad_output - softmax * grad_output.sum(axis=axis, keepdims=True),)
-
-
-class Softmax(Function):
-    def forward(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = a - a.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out = exp / exp.sum(axis=axis, keepdims=True)
-        self.save_for_backward(out, axis)
-        return out
-
-    def backward(self, grad_output: np.ndarray):
-        out, axis = self.saved
-        dot = (grad_output * out).sum(axis=axis, keepdims=True)
-        return (out * (grad_output - dot),)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +408,6 @@ class Tensor:
     @property
     def is_leaf(self) -> bool:
         return self._ctx is None
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def numpy(self) -> np.ndarray:
         """Return the underlying data as a numpy array (shared memory)."""
@@ -713,61 +513,22 @@ class Tensor:
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return Mul.apply(self._coerce(other), self)
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return Div.apply(self, self._coerce(other))
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Div.apply(self._coerce(other), self)
-
     def __neg__(self) -> "Tensor":
         return Neg.apply(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        return Pow.apply(self, float(exponent))
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        return MatMul.apply(self, self._coerce(other))
 
     def __getitem__(self, index: Any) -> "Tensor":
         return GetItem.apply(self, index)
 
     # -- math methods --------------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        return Exp.apply(self)
-
-    def log(self) -> "Tensor":
-        return Log.apply(self)
-
-    def sqrt(self) -> "Tensor":
-        return Sqrt.apply(self)
-
-    def abs(self) -> "Tensor":
-        return Abs.apply(self)
-
-    def clip(self, low: Optional[float] = None, high: Optional[float] = None) -> "Tensor":
-        return Clip.apply(self, low, high)
-
     def relu(self) -> "Tensor":
         return ReLU.apply(self)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        return LeakyReLU.apply(self, negative_slope)
-
-    def sigmoid(self) -> "Tensor":
-        return Sigmoid.apply(self)
-
-    def tanh(self) -> "Tensor":
-        return Tanh.apply(self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return Sum.apply(self, axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return Mean.apply(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return Max.apply(self, axis, keepdims)
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -778,23 +539,8 @@ class Tensor:
         lead = self.shape[:start_dim]
         return self.reshape(*lead, -1) if lead else self.reshape(-1)
 
-    def transpose(self, *axes: int) -> "Tensor":
-        if len(axes) == 0:
-            axes_arg = None
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes_arg = tuple(axes[0])
-        else:
-            axes_arg = tuple(axes)
-        return Transpose.apply(self, axes_arg)
-
     def log_softmax(self, axis: int = -1) -> "Tensor":
         return LogSoftmax.apply(self, axis)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        return Softmax.apply(self, axis)
-
-    def matmul(self, other: ArrayLike) -> "Tensor":
-        return self.__matmul__(other)
 
     def argmax(self, axis: Optional[int] = None) -> np.ndarray:
         """Return argmax indices as a plain numpy array (not differentiable)."""
@@ -808,19 +554,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{grad_flag})"
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` (differentiable)."""
-    if len(tensors) == 0:
-        raise ValueError("concatenate() requires at least one tensor")
-    return Concatenate.apply(*tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (differentiable)."""
-    expanded = [t.reshape(*t.shape[:axis], 1, *t.shape[axis:]) for t in tensors]
-    return concatenate(expanded, axis=axis)
 
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:

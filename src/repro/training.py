@@ -28,7 +28,7 @@ from repro.data.dataloader import DataLoader
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.rng import SeedLike
 
 logger = get_logger("training")
 
@@ -328,23 +328,6 @@ def enforce_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> List[Ma
     return resolved
 
 
-def seed_stochastic_layers(model: nn.Module, seed: SeedLike) -> int:
-    """Reseed every stochastic layer (dropout) from a derived per-layer seed.
-
-    Without this, dropout layers constructed without an explicit ``rng`` draw
-    from an unseeded generator and two otherwise-identical training runs
-    diverge.  Returns the number of layers reseeded.
-    """
-    base = int(seed) if isinstance(seed, (int, np.integer)) else 0
-    reseeded = 0
-    for name, module in model.named_modules():
-        reseed = getattr(module, "reseed", None)
-        if callable(reseed):
-            reseed(derive_seed(base, "dropout", name))
-            reseeded += 1
-    return reseeded
-
-
 def epochs_to_steps(epochs: float, batches_per_epoch: int) -> int:
     """Convert a (possibly fractional) epoch amount into optimizer steps."""
     if epochs < 0:
@@ -364,8 +347,8 @@ class Trainer:
     single chip (``masks``, or none for pre-training) and keeps ``model``
     holding that chip's weights: the masked starting weights after
     construction and the trained weights after every :meth:`train`.  The
-    stack, not the model, carries the training state (weights, optimizer and
-    batch-norm statistics) from one :meth:`train` call to the next.
+    stack, not the model, carries the training state (weights and optimizer)
+    from one :meth:`train` call to the next.
     """
 
     def __init__(

@@ -23,7 +23,6 @@ from repro.training import (
     evaluate_accuracy,
     require_nonempty_train_loader,
     resolve_masked_parameters,
-    seed_stochastic_layers,
 )
 from repro.utils.rng import derive_seed
 
@@ -95,7 +94,6 @@ class ReferenceTrainer:
         self.steps_taken = 0
         self.batches_per_epoch = len(self.train_loader)
         self._masked_params = resolve_masked_parameters(self.model, self.masks)
-        seed_stochastic_layers(self.model, self.config.seed)
         # Enforce the masks on the starting weights (FAP before FAT).
         for masked in self._masked_params:
             masked.weight.data[masked.mask] = 0.0

@@ -8,7 +8,8 @@ contributes zero to every partial sum it would have produced.
 ``simulate_gemm_on_array`` executes ``activations @ weights`` the way the
 faulty array would (weight-stationary mapping, bypassed MACs contribute 0),
 so tests can verify that running the FAP-masked model in software is exactly
-equivalent to running the original model on the faulty hardware.
+equivalent to running the original model on the faulty hardware.  It is the
+reference ``tests/test_simulation.py`` compares against; no command runs it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
-"""Tests for the adaptive-incremental baseline, BN recalibration and profile persistence."""
+"""Tests for the adaptive-incremental baseline and profile persistence."""
 
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.accelerator import FaultMap
 from repro.core import (
     ChipPopulation,
     load_profile,
@@ -12,8 +10,6 @@ from repro.core import (
     save_profile,
 )
 from repro.core.adaptive import adaptive_retrain_chip
-from repro.mitigation import apply_fap, recalibrate_batchnorm, reset_batchnorm_stats
-from repro.training import Trainer, TrainingConfig, evaluate_accuracy
 
 from tests.test_profiles import make_profile
 
@@ -77,55 +73,6 @@ class TestAdaptiveRetraining:
         population = ChipPopulation.generate(1, *smoke_context.array.shape, seed=0)
         with pytest.raises(ValueError):
             adaptive_retrain_chip(framework, population[0], [])
-
-
-class TestBatchNormCalibration:
-    def _bn_model(self, seed=0):
-        return nn.Sequential(
-            nn.Conv2d(2, 4, 3, padding=1, bias=False, rng=seed),
-            nn.BatchNorm2d(4),
-            nn.ReLU(),
-            nn.Flatten(),
-            nn.Linear(4 * 8 * 8, 4, rng=seed + 1),
-        )
-
-    def test_reset_batchnorm_stats(self):
-        model = self._bn_model()
-        bn = model[1]
-        bn.running_mean = np.full(4, 3.0, dtype=np.float32)
-        assert reset_batchnorm_stats(model) == 1
-        np.testing.assert_allclose(bn.running_mean, np.zeros(4))
-        np.testing.assert_allclose(bn.running_var, np.ones(4))
-
-    def test_recalibration_updates_stats_without_touching_weights(self, image_bundle):
-        model = self._bn_model()
-        weights_before = model[0].weight.data.copy()
-        used = recalibrate_batchnorm(model, image_bundle.train, num_batches=2, batch_size=16)
-        assert used == 2
-        assert not np.allclose(model[1].running_mean, 0.0)
-        np.testing.assert_allclose(model[0].weight.data, weights_before)
-
-    def test_recalibration_restores_mode_and_momentum(self, image_bundle):
-        model = self._bn_model()
-        model.eval()
-        original_momentum = model[1].momentum
-        recalibrate_batchnorm(model, image_bundle.train, num_batches=1, momentum=0.5)
-        assert not model.training
-        assert model[1].momentum == original_momentum
-
-    def test_no_batchnorm_is_noop(self, image_bundle, small_mlp):
-        assert recalibrate_batchnorm(small_mlp, image_bundle.train) == 0
-
-    def test_recalibration_helps_after_fap(self, image_bundle):
-        """After pruning, recalibrated BN statistics should not hurt accuracy."""
-        model = self._bn_model(seed=3)
-        config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=0)
-        Trainer(model, image_bundle.train, image_bundle.test, config).train(3.0)
-        apply_fap(model, FaultMap.random(16, 16, 0.4, seed=2))
-        stale = evaluate_accuracy(model, image_bundle.test)
-        recalibrate_batchnorm(model, image_bundle.train)
-        recalibrated = evaluate_accuracy(model, image_bundle.test)
-        assert recalibrated >= stale - 0.1
 
 
 class TestProfilePersistence:

@@ -3,7 +3,7 @@
 Three layers of guarantees are pinned down here:
 
 * **Per-op** — every op in the IR vocabulary (im2col, stacked GEMM, bias,
-  ReLU, max-pool, BatchNorm, keep-multiplier mask) captured once and
+  ReLU, max-pool, keep-multiplier mask) captured once and
   replayed on fresh inputs is *bit-identical* under the ``numpy`` backend.
 * **Substrate** — the stacked trainer's eval forward and training loop
   produce the same logits/accuracies/losses/weights through the backend as
@@ -138,20 +138,6 @@ class TestPerOpEquivalence:
         )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_batchnorm_eval(self, backend_name):
-        bn = nn.BatchNorm2d(3)
-        # Warm the running statistics so the eval-mode normalisation is not
-        # the identity transform.
-        with nn.no_grad():
-            bn(nn.Tensor(np.random.default_rng(5).standard_normal((4, 3, 6, 6)).astype(np.float32)))
-        bn.eval()
-        _roundtrip(
-            backend_name,
-            lambda rng: (rng.standard_normal((4, 3, 6, 6)).astype(np.float32),),
-            lambda x: bn(nn.Tensor(x)).data,
-        )
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_keep_multiplier_mask(self, backend_name):
         # The mask kernel is in-place: capture and replay must both mutate
         # their operand and the mutated values must match eager exactly.
@@ -200,12 +186,10 @@ def _make_cnn(bundle):
     channels = bundle.input_shape[0]
     return nn.Sequential(
         nn.Conv2d(channels, 4, 3, padding=1, bias=False, rng=0),
-        nn.BatchNorm2d(4),
         nn.ReLU(),
         nn.MaxPool2d(2),
         nn.Flatten(),
         nn.Linear(4 * 4 * 4, 8, rng=1),
-        nn.BatchNorm1d(8),
         nn.ReLU(),
         nn.Linear(8, bundle.num_classes, rng=2),
     )

@@ -6,7 +6,7 @@ serial reference runs (``tests/helpers.py``: ``ReferenceTrainer``) with the
 same config: same
 per-chip weights, same per-step losses, same checkpoint accuracies.  These
 tests pin that on the BLAS build in use, across optimizers, model families
-(MLP / CNN), dropout and label smoothing, and then up through the framework
+(MLP / CNN / VGG11) and label smoothing, and then up through the framework
 (``retrain_chips_batched``) and the campaign engine's coalescing phase, where
 the serial per-chip ``reference_retrain_chip`` is the reference.
 """
@@ -149,18 +149,6 @@ class TestTrainerEquivalence:
             checkpoints=[0.5],
         )
 
-    def test_dropout_stream_matches_serial(self, blob_bundle):
-        def make():
-            return MLP(8, blob_bundle.num_classes, hidden_sizes=(32,), dropout=0.5, seed=4)
-
-        _assert_batched_equals_serial(
-            make,
-            blob_bundle,
-            _mask_sets(make, num_chips=3),
-            TrainingConfig(learning_rate=0.05, batch_size=16, seed=7),
-            epochs=1.0,
-        )
-
     def test_label_smoothing_composition(self, blob_bundle):
         make = _mlp_factory(blob_bundle)
         _assert_batched_equals_serial(
@@ -200,73 +188,20 @@ class TestTrainerEquivalence:
             epochs=0.5,
         )
 
-    def test_batchnorm1d_model_matches_serial(self, blob_bundle):
-        def make():
-            return nn.Sequential(
-                nn.Linear(8, 16, rng=0),
-                nn.BatchNorm1d(16),
-                nn.ReLU(),
-                nn.Linear(16, blob_bundle.num_classes, rng=1),
-            )
+    def test_vgg11_trains_through_stacked_path(self, image_bundle):
+        """The paper's network, width-scaled: no serial fallback.
 
-        _assert_batched_equals_serial(
-            make,
-            blob_bundle,
-            _mask_sets(make, num_chips=3),
-            TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            epochs=1.0,
-            checkpoints=[0.5],
-        )
-
-    def test_batchnorm2d_cnn_matches_serial(self, image_bundle):
-        """Training-mode BatchNorm2d/1d through the stacked path.
-
-        The per-chip-fold batch statistics, the fused analytic backward, the
-        per-chip running-statistics updates and the eval-mode per-chip
-        normalisation must all be bit-identical to the serial trainer —
-        state_dict comparison covers running_mean/running_var too.
+        On 8x8 inputs VGG11's last four convolutions run on a 1x1 feature map
+        (two pooling stages are skipped), which exercises the degenerate
+        1x1-spatial K-major lowering that is layout-sensitive.
         """
-        channels = image_bundle.input_shape[0]
+        from repro.models import vgg11
 
         def make():
-            return nn.Sequential(
-                nn.Conv2d(channels, 4, 3, padding=1, bias=False, rng=0),
-                nn.BatchNorm2d(4),
-                nn.ReLU(),
-                nn.MaxPool2d(2),
-                nn.Conv2d(4, 6, 3, padding=1, bias=False, rng=1),
-                nn.BatchNorm2d(6),
-                nn.ReLU(),
-                nn.MaxPool2d(2),
-                nn.Flatten(),
-                nn.Linear(6 * 2 * 2, 8, rng=2),
-                nn.BatchNorm1d(8),
-                nn.ReLU(),
-                nn.Linear(8, image_bundle.num_classes, rng=3),
-            )
-
-        _assert_batched_equals_serial(
-            make,
-            image_bundle,
-            _mask_sets(make, num_chips=3),
-            TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            epochs=1.0,
-            checkpoints=[0.5],
-        )
-
-    def test_vgg11_mini_trains_through_stacked_path(self, image_bundle):
-        """The flagship training-mode-BatchNorm workload: no serial fallback.
-
-        ``vgg11_mini`` exercises the degenerate 1x1-spatial tail convolutions
-        (whose K-major lowering is layout-sensitive) on top of a BatchNorm
-        after every convolution.
-        """
-        from repro.models import vgg11_mini
-
-        def make():
-            return vgg11_mini(
+            return vgg11(
                 input_shape=image_bundle.input_shape,
                 num_classes=image_bundle.num_classes,
+                width_multiplier=0.125,
                 seed=0,
             )
 
@@ -278,7 +213,6 @@ class TestTrainerEquivalence:
             epochs=0.5,
             checkpoints=[0.25],
         )
-
 
     def test_masks_free_stack_of_one_equals_reference(self, lenet_bundle):
         """``Trainer``'s pre-training stack: ``[{}]`` on a LeNet-5 config."""
@@ -379,25 +313,6 @@ class TestInStreamReadouts:
                 np.testing.assert_array_equal(state[name], serial_state[name])
 
 
-def _bn_cnn_factory(bundle):
-    channels = bundle.input_shape[0]
-
-    def make():
-        return nn.Sequential(
-            nn.Conv2d(channels, 4, 3, padding=1, bias=False, rng=0),
-            nn.BatchNorm2d(4),
-            nn.ReLU(),
-            nn.MaxPool2d(2),
-            nn.Flatten(),
-            nn.Linear(4 * 4 * 4, 8, rng=1),
-            nn.BatchNorm1d(8),
-            nn.ReLU(),
-            nn.Linear(8, bundle.num_classes, rng=2),
-        )
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def lenet_bundle():
     """12x12 images: the smallest input LeNet-5 accepts."""
@@ -409,7 +324,7 @@ def lenet_bundle():
 
 class TestPerChipSeeds:
     """``seeds=``: one data stream per chip, bit-identical to serial runs
-    whose configs carry those seeds (mini-batch order and dropout noise)."""
+    whose configs carry those seeds (mini-batch order)."""
 
     SEEDS = [11, 12, 13]
 
@@ -425,21 +340,9 @@ class TestPerChipSeeds:
             seeds=self.SEEDS,
         )
 
-    def test_batchnorm_cnn_matches_serial_runs_with_those_seeds(self, image_bundle):
-        make = _bn_cnn_factory(image_bundle)
-        _assert_batched_equals_serial(
-            make,
-            image_bundle,
-            _mask_sets(make, num_chips=3),
-            TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            epochs=1.0,
-            checkpoints=[0.5],
-            seeds=self.SEEDS,
-        )
-
-    def test_dropout_mlp_matches_serial_runs_with_those_seeds(self, blob_bundle):
+    def test_mlp_matches_serial_runs_with_those_seeds(self, blob_bundle):
         def make():
-            return MLP(8, blob_bundle.num_classes, hidden_sizes=(32, 16), dropout=0.3, seed=4)
+            return MLP(8, blob_bundle.num_classes, hidden_sizes=(32, 16), seed=4)
 
         _assert_batched_equals_serial(
             make,
@@ -561,18 +464,7 @@ class TestTrainerValidation:
 
         model = nn.Sequential(Scale(), nn.Linear(8, blob_bundle.num_classes, rng=0))
         masks = {"1": np.zeros((blob_bundle.num_classes, 8), dtype=bool)}
-        with pytest.raises(UnsupportedModelError):
-            BatchedFaultTrainer(model, [masks], blob_bundle.train, blob_bundle.test)
-
-    def test_masked_batchnorm_layer_rejected(self, blob_bundle):
-        model = nn.Sequential(
-            nn.Linear(8, 16, rng=0),
-            nn.BatchNorm1d(16),
-            nn.ReLU(),
-            nn.Linear(16, blob_bundle.num_classes, rng=1),
-        )
-        masks = {"1": np.zeros((16,), dtype=bool)}
-        with pytest.raises(ValueError, match="batch norm"):
+        with pytest.raises(UnsupportedModelError, match=r"layer '0' \(Scale\)"):
             BatchedFaultTrainer(model, [masks], blob_bundle.train, blob_bundle.test)
 
     def test_empty_train_loader_rejected(self):

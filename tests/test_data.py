@@ -1,4 +1,4 @@
-"""Tests for datasets, loaders, transforms and synthetic data generation."""
+"""Tests for datasets, loaders and synthetic data generation."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    Compose,
     DataLoader,
     Dataset,
-    GaussianNoise,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
     Subset,
     TensorDataset,
-    ToFloat32,
     TransformedDataset,
-    channel_statistics,
     full_batch,
     make_blob_classification,
     make_class_template_images,
@@ -137,46 +130,6 @@ class TestDataLoader:
     def test_inputs_are_float32_tensors(self):
         x, _ = next(iter(DataLoader(self._dataset(), batch_size=3)))
         assert x.dtype == np.float32
-
-
-class TestTransforms:
-    def test_normalize(self):
-        image = np.ones((3, 4, 4), dtype=np.float32)
-        out = Normalize([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])(image)
-        np.testing.assert_allclose(out, np.zeros_like(image))
-        with pytest.raises(ValueError):
-            Normalize([0.0], [0.0])
-
-    def test_horizontal_flip(self):
-        image = np.arange(8, dtype=np.float32).reshape(1, 2, 4)
-        flipped = RandomHorizontalFlip(p=1.0, seed=0)(image)
-        np.testing.assert_array_equal(flipped[0, 0], [3, 2, 1, 0])
-        unflipped = RandomHorizontalFlip(p=0.0, seed=0)(image)
-        np.testing.assert_array_equal(unflipped, image)
-
-    def test_random_crop(self):
-        image = RNG.standard_normal((3, 8, 8)).astype(np.float32)
-        cropped = RandomCrop(6, seed=0)(image)
-        assert cropped.shape == (3, 6, 6)
-        padded_crop = RandomCrop(8, padding=2, seed=0)(image)
-        assert padded_crop.shape == (3, 8, 8)
-        with pytest.raises(ValueError):
-            RandomCrop(20)(image)
-
-    def test_gaussian_noise_and_compose(self):
-        image = np.zeros((1, 4, 4), dtype=np.float32)
-        pipeline = Compose([GaussianNoise(0.1, seed=0), ToFloat32()])
-        out = pipeline(image)
-        assert out.dtype == np.float32
-        assert out.std() > 0
-        assert "Compose" in repr(pipeline)
-
-    def test_channel_statistics(self):
-        images = RNG.standard_normal((10, 3, 4, 4))
-        mean, std = channel_statistics(images)
-        assert mean.shape == (3,) and std.shape == (3,)
-        with pytest.raises(ValueError):
-            channel_statistics(np.zeros((3, 4, 4)))
 
 
 class TestSyntheticData:

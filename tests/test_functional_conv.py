@@ -91,6 +91,10 @@ class TestConvForward:
             F.conv2d(x, w)
 
 
+def _squared_sum(out):
+    return (out * out).sum().item()
+
+
 class TestConvGradients:
     def test_input_gradient(self):
         x0 = RNG.standard_normal((2, 2, 5, 5))
@@ -100,9 +104,9 @@ class TestConvGradients:
         out = F.conv2d(x, Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
         (out * out).sum().backward()
         numeric = numeric_gradient(
-            lambda arr: (
-                F.conv2d(Tensor(arr, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1) ** 2
-            ).sum().item(),
+            lambda arr: _squared_sum(
+                F.conv2d(Tensor(arr, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
+            ),
             x0,
         )
         np.testing.assert_allclose(x.grad, numeric, rtol=1e-5, atol=1e-6)
@@ -116,15 +120,15 @@ class TestConvGradients:
         out = F.conv2d(Tensor(x0, dtype=np.float64), w, b, stride=1, padding=1)
         (out * out).sum().backward()
         numeric_w = numeric_gradient(
-            lambda arr: (
-                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=1, padding=1) ** 2
-            ).sum().item(),
+            lambda arr: _squared_sum(
+                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=1, padding=1)
+            ),
             w0,
         )
         numeric_b = numeric_gradient(
-            lambda arr: (
-                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(arr, dtype=np.float64), stride=1, padding=1) ** 2
-            ).sum().item(),
+            lambda arr: _squared_sum(
+                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(arr, dtype=np.float64), stride=1, padding=1)
+            ),
             b0,
         )
         np.testing.assert_allclose(w.grad, numeric_w, rtol=1e-5, atol=1e-6)

@@ -1,10 +1,9 @@
-"""Tests for losses and metrics (cross-entropy, NLL, MSE, accuracy, one-hot)."""
+"""Tests for losses and metrics (cross-entropy, NLL, accuracy, one-hot)."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.losses import CrossEntropyLoss, MseLoss, NllLoss
 from repro.nn.tensor import Tensor
 
 from tests.helpers import numeric_gradient
@@ -68,15 +67,6 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             F.cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 1]), label_smoothing=1.5)
 
-    def test_module_wrapper(self):
-        logits = RNG.standard_normal((4, 3))
-        targets = np.array([0, 1, 2, 0])
-        module = CrossEntropyLoss()
-        functional_value = F.cross_entropy(Tensor(logits, dtype=np.float64), targets).item()
-        assert module(Tensor(logits, dtype=np.float64), targets).item() == pytest.approx(functional_value)
-        with pytest.raises(ValueError):
-            CrossEntropyLoss(reduction="bogus")
-
 
 class TestNll:
     def test_matches_manual(self):
@@ -91,32 +81,6 @@ class TestNll:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             F.nll_loss(Tensor(np.zeros(3)), np.array([0, 1, 2]))
-
-    def test_module_wrapper(self):
-        log_probs = Tensor(np.log(np.full((2, 2), 0.5)))
-        assert NllLoss()(log_probs, np.array([0, 1])).item() == pytest.approx(np.log(2), rel=1e-6)
-
-
-class TestMse:
-    def test_value_and_gradient(self):
-        pred0 = RNG.standard_normal((4, 3))
-        target = RNG.standard_normal((4, 3))
-        pred = Tensor(pred0, requires_grad=True, dtype=np.float64)
-        loss = F.mse_loss(pred, target)
-        assert loss.item() == pytest.approx(((pred0 - target) ** 2).mean(), rel=1e-6)
-        loss.backward()
-        np.testing.assert_allclose(pred.grad, 2 * (pred0 - target) / pred0.size, rtol=1e-6)
-
-    def test_reductions(self):
-        pred = Tensor(np.ones((2, 2)))
-        target = np.zeros((2, 2))
-        assert F.mse_loss(pred, target, reduction="sum").item() == pytest.approx(4.0)
-        assert F.mse_loss(pred, target, reduction="none").shape == (2, 2)
-        with pytest.raises(ValueError):
-            F.mse_loss(pred, target, reduction="bogus")
-
-    def test_module_wrapper(self):
-        assert MseLoss()(Tensor(np.ones(3)), np.zeros(3)).item() == pytest.approx(1.0)
 
 
 class TestMetrics:

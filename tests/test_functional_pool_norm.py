@@ -1,4 +1,4 @@
-"""Tests for pooling, batch normalisation and dropout."""
+"""Tests for max pooling."""
 
 import numpy as np
 import pytest
@@ -27,10 +27,14 @@ class TestMaxPool:
     def test_gradient(self):
         x0 = RNG.standard_normal((2, 2, 6, 6))
         x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        (F.max_pool2d(x, 2) ** 2).sum().backward()
-        numeric = numeric_gradient(
-            lambda arr: (F.max_pool2d(Tensor(arr, dtype=np.float64), 2) ** 2).sum().item(), x0
-        )
+        out = F.max_pool2d(x, 2)
+        (out * out).sum().backward()
+
+        def loss(arr):
+            out = F.max_pool2d(Tensor(arr, dtype=np.float64), 2)
+            return (out * out).sum().item()
+
+        numeric = numeric_gradient(loss, x0)
         np.testing.assert_allclose(x.grad, numeric, rtol=1e-5, atol=1e-6)
 
     def test_gradient_routes_to_argmax_only(self):
@@ -41,180 +45,3 @@ class TestMaxPool:
         expected = np.zeros_like(x0)
         expected[0, 0, 1, 1] = 1.0
         np.testing.assert_allclose(x.grad, expected)
-
-
-class TestAvgPool:
-    def test_forward(self):
-        x = RNG.standard_normal((2, 3, 4, 4))
-        out = F.avg_pool2d(Tensor(x, dtype=np.float64), 2)
-        expected = x.reshape(2, 3, 2, 2, 2, 2).mean(axis=(3, 5))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-6)
-
-    def test_gradient(self):
-        x0 = RNG.standard_normal((1, 2, 4, 4))
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        (F.avg_pool2d(x, 2) ** 2).sum().backward()
-        numeric = numeric_gradient(
-            lambda arr: (F.avg_pool2d(Tensor(arr, dtype=np.float64), 2) ** 2).sum().item(), x0
-        )
-        np.testing.assert_allclose(x.grad, numeric, rtol=1e-5, atol=1e-6)
-
-    def test_global_avg_pool(self):
-        x = RNG.standard_normal((2, 3, 4, 5))
-        out = F.global_avg_pool2d(Tensor(x, dtype=np.float64))
-        np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)), rtol=1e-6)
-
-
-class TestBatchNorm:
-    def test_training_normalises_batch(self):
-        x = RNG.standard_normal((8, 4, 5, 5)) * 3 + 2
-        gamma = Tensor(np.ones(4, dtype=np.float64))
-        beta = Tensor(np.zeros(4, dtype=np.float64))
-        out, _, _ = F.batch_norm(Tensor(x, dtype=np.float64), gamma, beta, None, None, training=True)
-        np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), np.zeros(4), atol=1e-6)
-        np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), np.ones(4), atol=1e-3)
-
-    def test_running_stats_update(self):
-        x = RNG.standard_normal((16, 3, 4, 4)) + 5.0
-        gamma = Tensor(np.ones(3))
-        beta = Tensor(np.zeros(3))
-        running_mean = np.zeros(3)
-        running_var = np.ones(3)
-        _, new_mean, new_var = F.batch_norm(
-            Tensor(x), gamma, beta, running_mean, running_var, training=True, momentum=0.5
-        )
-        assert np.all(new_mean > 1.0)
-        assert not np.allclose(new_var, 1.0)
-
-    def test_eval_uses_running_stats(self):
-        x = RNG.standard_normal((4, 2, 3, 3))
-        gamma = Tensor(np.full(2, 2.0))
-        beta = Tensor(np.full(2, 1.0))
-        mean = np.array([0.5, -0.5])
-        var = np.array([4.0, 1.0])
-        out, _, _ = F.batch_norm(Tensor(x), gamma, beta, mean, var, training=False)
-        expected = (x - mean.reshape(1, 2, 1, 1)) / np.sqrt(var.reshape(1, 2, 1, 1) + 1e-5) * 2.0 + 1.0
-        np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
-
-    def test_eval_without_stats_raises(self):
-        with pytest.raises(ValueError):
-            F.batch_norm(Tensor(np.zeros((2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), None, None, training=False)
-
-    def test_2d_input_supported(self):
-        x = RNG.standard_normal((10, 6))
-        out, _, _ = F.batch_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), None, None, training=True)
-        np.testing.assert_allclose(out.data.mean(axis=0), np.zeros(6), atol=1e-5)
-
-    def test_gradient_through_batch_statistics(self):
-        x0 = RNG.standard_normal((6, 3))
-        gamma0 = RNG.standard_normal(3) + 1.0
-
-        def loss_fn(arr):
-            out, _, _ = F.batch_norm(
-                Tensor(arr, dtype=np.float64),
-                Tensor(gamma0, dtype=np.float64),
-                Tensor(np.zeros(3), dtype=np.float64),
-                None,
-                None,
-                training=True,
-            )
-            return (out * np.arange(3)).sum()
-
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        out, _, _ = F.batch_norm(
-            x, Tensor(gamma0, dtype=np.float64), Tensor(np.zeros(3), dtype=np.float64), None, None, training=True
-        )
-        (out * np.arange(3)).sum().backward()
-        numeric = numeric_gradient(lambda arr: loss_fn(arr).item(), x0)
-        np.testing.assert_allclose(x.grad, numeric, rtol=1e-4, atol=1e-5)
-
-    def test_training_mode_is_one_fused_node(self):
-        x = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
-        out, _, _ = F.batch_norm(
-            x, Tensor(np.ones(3)), Tensor(np.zeros(3)), None, None, training=True
-        )
-        assert isinstance(out._ctx, F.BatchNormFunction)
-
-    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 5)])
-    def test_fused_parameter_gradients_match_numeric(self, shape):
-        x0 = RNG.standard_normal(shape)
-        gamma0 = RNG.standard_normal(shape[1]) + 1.0
-        beta0 = RNG.standard_normal(shape[1])
-        weights = RNG.standard_normal(shape)
-
-        def loss_fn(gamma_arr, beta_arr):
-            out, _, _ = F.batch_norm(
-                Tensor(x0, dtype=np.float64),
-                Tensor(gamma_arr, dtype=np.float64),
-                Tensor(beta_arr, dtype=np.float64),
-                None,
-                None,
-                training=True,
-            )
-            return (out * weights).sum()
-
-        gamma = Tensor(gamma0, requires_grad=True, dtype=np.float64)
-        beta = Tensor(beta0, requires_grad=True, dtype=np.float64)
-        loss_fn_t = F.batch_norm(
-            Tensor(x0, dtype=np.float64), gamma, beta, None, None, training=True
-        )[0]
-        (loss_fn_t * weights).sum().backward()
-        numeric_gamma = numeric_gradient(
-            lambda arr: loss_fn(arr, beta0).item(), gamma0
-        )
-        numeric_beta = numeric_gradient(
-            lambda arr: loss_fn(gamma0, arr).item(), beta0
-        )
-        np.testing.assert_allclose(gamma.grad, numeric_gamma, rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(beta.grad, numeric_beta, rtol=1e-4, atol=1e-5)
-
-    def test_4d_input_gradient_matches_numeric(self):
-        x0 = RNG.standard_normal((3, 2, 4, 4))
-        gamma0 = RNG.standard_normal(2) + 1.0
-        weights = RNG.standard_normal(x0.shape)
-
-        def loss_fn(arr):
-            out, _, _ = F.batch_norm(
-                Tensor(arr, dtype=np.float64),
-                Tensor(gamma0, dtype=np.float64),
-                Tensor(np.zeros(2), dtype=np.float64),
-                None,
-                None,
-                training=True,
-            )
-            return (out * weights).sum()
-
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        out, _, _ = F.batch_norm(
-            x,
-            Tensor(gamma0, dtype=np.float64),
-            Tensor(np.zeros(2), dtype=np.float64),
-            None,
-            None,
-            training=True,
-        )
-        (out * weights).sum().backward()
-        numeric = numeric_gradient(lambda arr: loss_fn(arr).item(), x0)
-        np.testing.assert_allclose(x.grad, numeric, rtol=1e-4, atol=1e-5)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = Tensor(RNG.standard_normal((4, 4)))
-        out = F.dropout(x, 0.5, training=False)
-        assert out is x
-
-    def test_zero_probability_is_identity(self):
-        x = Tensor(RNG.standard_normal((4, 4)))
-        assert F.dropout(x, 0.0, training=True) is x
-
-    def test_training_scales_surviving_activations(self):
-        x = Tensor(np.ones((2000,)))
-        out = F.dropout(x, 0.25, training=True, rng=np.random.default_rng(0))
-        surviving = out.data[out.data != 0]
-        np.testing.assert_allclose(surviving, np.full_like(surviving, 1.0 / 0.75))
-        assert 0.65 < (out.data != 0).mean() < 0.85
-
-    def test_invalid_probability_raises(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, training=True)

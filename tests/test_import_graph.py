@@ -35,17 +35,15 @@ DEFERRED = {
     "repro.accelerator.timing",
     "repro.accelerator.energy",
     "repro.accelerator.bypass",
-    "repro.accelerator.simulation",
     "repro.mitigation.fam",
     "repro.mitigation.fat",
     "repro.mitigation.saliency",
-    "repro.mitigation.calibration",
     "repro.core.adaptive",
     "repro.core.overhead",
-    "repro.data.transforms",
     "repro.analysis.statistics",
-    "repro.nn.losses",
     "repro.observability.summary",
+    "repro.models.vgg",
+    "repro.models.lenet",
 }
 
 _PROBE = """

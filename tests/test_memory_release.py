@@ -61,7 +61,6 @@ def _make_cnn(bundle):
     channels = bundle.input_shape[0]
     return nn.Sequential(
         nn.Conv2d(channels, 8, 3, padding=1, bias=False, rng=0),
-        nn.BatchNorm2d(8),
         nn.ReLU(),
         nn.MaxPool2d(2),
         nn.Flatten(),

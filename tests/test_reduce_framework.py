@@ -45,10 +45,10 @@ def pretrained_setup():
 
 @pytest.fixture(scope="module")
 def unsaturated_setup():
-    """A briefly pre-trained dropout MLP on noisy images, with a 6-cell grid.
+    """A briefly pre-trained MLP on noisy images, with a 6-cell grid.
 
     Accuracies stay well below 1.0 on 80 test images, so they move with
-    every trial's mini-batch order and dropout noise.  Two non-zero rates x
+    every trial's mini-batch order.  Two non-zero rates x
     three trials make stacks of four and two cells.
     """
     from repro.data import make_class_template_images
@@ -58,7 +58,7 @@ def unsaturated_setup():
         image_size=8, channels=2, noise_std=1.0, shift_pixels=1, seed=1,
     )
     features = int(np.prod(bundle.input_shape))
-    model = MLP(features, bundle.num_classes, hidden_sizes=(32,), dropout=0.2, seed=3)
+    model = MLP(features, bundle.num_classes, hidden_sizes=(32,), seed=3)
     training = TrainingConfig(learning_rate=0.05, batch_size=16, seed=0)
     Trainer(model, bundle.train, bundle.test, training).train(1.0)
     config = dataclasses.replace(resilience_config(training), trials_per_rate=3)

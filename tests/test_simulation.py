@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.accelerator import FaultMap, SystolicArray, layer_fault_mask
-from repro.accelerator.simulation import (
+from repro.mitigation import apply_fap
+from repro.models import MLP
+
+from tests.simulation import (
     model_masks_match_hardware,
     simulate_gemm_on_array,
     simulate_linear_layer,
 )
-from repro.mitigation import apply_fap
-from repro.models import MLP
 
 RNG = np.random.default_rng(0)
 

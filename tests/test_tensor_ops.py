@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, as_tensor, concatenate, stack, no_grad, is_grad_enabled, enable_grad
+from repro.nn.tensor import Tensor, as_tensor, no_grad, is_grad_enabled, enable_grad
 
 
 class TestConstruction:
@@ -41,13 +41,12 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    def test_add_sub_mul_div(self):
+    def test_add_sub_mul(self):
         a = Tensor([1.0, 2.0, 3.0])
         b = Tensor([4.0, 5.0, 6.0])
         assert np.allclose((a + b).data, [5, 7, 9])
         assert np.allclose((a - b).data, [-3, -3, -3])
         assert np.allclose((a * b).data, [4, 10, 18])
-        assert np.allclose((b / a).data, [4, 2.5, 2])
 
     def test_scalar_and_reflected_operators(self):
         a = Tensor([1.0, 2.0])
@@ -55,9 +54,7 @@ class TestArithmetic:
         assert np.allclose((1 + a).data, [2, 3])
         assert np.allclose((2 - a).data, [1, 0])
         assert np.allclose((2 * a).data, [2, 4])
-        assert np.allclose((2 / a).data, [2, 1])
         assert np.allclose((-a).data, [-1, -2])
-        assert np.allclose((a ** 2).data, [1, 4])
 
     def test_broadcasting(self):
         a = Tensor(np.ones((2, 3)))
@@ -65,43 +62,26 @@ class TestArithmetic:
         assert (a + b).shape == (2, 3)
         assert (a * b).shape == (2, 3)
 
-    def test_matmul(self):
-        a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        b = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
-        assert np.allclose((a @ b).data, a.data @ b.data)
-        assert np.allclose(a.matmul(b).data, a.data @ b.data)
-
-    def test_elementwise_math(self):
-        a = Tensor([0.5, 1.0, 2.0])
-        assert np.allclose(a.exp().data, np.exp(a.data))
-        assert np.allclose(a.log().data, np.log(a.data))
-        assert np.allclose(a.sqrt().data, np.sqrt(a.data))
-        assert np.allclose(Tensor([-1.0, 2.0]).abs().data, [1, 2])
-        assert np.allclose(Tensor([-2.0, 0.5, 3.0]).clip(-1, 1).data, [-1, 0.5, 1])
-
     def test_activations(self):
         a = Tensor([-1.0, 0.0, 2.0])
         assert np.allclose(a.relu().data, [0, 0, 2])
-        assert np.allclose(a.sigmoid().data, 1 / (1 + np.exp(-a.data)))
-        assert np.allclose(a.tanh().data, np.tanh(a.data))
-        assert np.allclose(a.leaky_relu(0.1).data, [-0.1, 0, 2])
 
 
 class TestReductions:
-    def test_sum_mean_max(self):
+    def test_sum_mean(self):
         a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         assert a.sum().item() == pytest.approx(15)
         assert a.mean().item() == pytest.approx(2.5)
-        assert a.max().item() == pytest.approx(5)
         assert np.allclose(a.sum(axis=0).data, [3, 5, 7])
         assert np.allclose(a.mean(axis=1).data, [1, 4])
         assert a.sum(axis=1, keepdims=True).shape == (2, 1)
 
-    def test_softmax_and_log_softmax(self):
-        logits = Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], dtype=np.float32))
-        probabilities = logits.softmax(axis=-1)
-        assert np.allclose(probabilities.data.sum(axis=-1), 1.0)
-        assert np.allclose(np.exp(logits.log_softmax(axis=-1).data), probabilities.data, atol=1e-6)
+    def test_log_softmax(self):
+        logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], dtype=np.float32)
+        probabilities = np.exp(Tensor(logits).log_softmax(axis=-1).data)
+        assert np.allclose(probabilities.sum(axis=-1), 1.0)
+        expected = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        assert np.allclose(probabilities, expected, atol=1e-6)
 
     def test_argmax_returns_numpy(self):
         a = Tensor(np.array([[0.1, 0.9], [0.8, 0.2]], dtype=np.float32))
@@ -109,29 +89,17 @@ class TestReductions:
 
 
 class TestShapeOps:
-    def test_reshape_flatten_transpose(self):
+    def test_reshape_flatten(self):
         a = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
         assert a.reshape(6, 4).shape == (6, 4)
         assert a.reshape((4, 6)).shape == (4, 6)
         assert a.flatten().shape == (2, 12)
         assert a.flatten(start_dim=2).shape == (2, 3, 4)
-        assert a.transpose().shape == (4, 3, 2)
-        assert a.transpose(0, 2, 1).shape == (2, 4, 3)
-        assert Tensor(np.ones((2, 3))).T.shape == (3, 2)
 
     def test_getitem(self):
         a = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
         assert np.allclose(a[0].data, [0, 1, 2, 3])
         assert np.allclose(a[:, 1].data, [1, 5, 9])
-
-    def test_concatenate_and_stack(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.zeros((2, 3)))
-        assert concatenate([a, b], axis=0).shape == (4, 3)
-        assert concatenate([a, b], axis=1).shape == (2, 6)
-        assert stack([a, b], axis=0).shape == (2, 2, 3)
-        with pytest.raises(ValueError):
-            concatenate([])
 
     def test_detach_and_clone(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
