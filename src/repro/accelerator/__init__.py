@@ -8,10 +8,7 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "FaultModel",
         "RandomFaultModel",
         "ClusteredFaultModel",
-        "RowFaultModel",
         "ColumnFaultModel",
-        "get_fault_model",
-        "available_fault_models",
     ),
     ".systolic_array": ("ArrayTechnology", "SystolicArray"),
     ".mapping": (
@@ -25,7 +22,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "layer_fault_mask",
         "model_fault_masks",
         "masked_weight_fraction",
-        "expected_masked_fraction",
         "model_mapping",
     ),
     ".batched": (

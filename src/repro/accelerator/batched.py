@@ -51,7 +51,7 @@ import numpy as np
 
 from repro import nn
 from repro.data.dataloader import DataLoader
-from repro.data.dataset import Dataset
+from repro.data.dataset import TensorDataset
 from repro.nn.functional import (
     _pair,
     _stacked_col2im_t,
@@ -134,10 +134,6 @@ class UnsupportedModelError(RuntimeError):
     repository, and both stack, so this fires for any other layer with
     trainable parameters: the message names its path and class.
     """
-
-# Stacked per-chip weights cost ``chips x model-size`` floats; population
-# helpers evaluate in chunks of this many chips to bound peak memory.
-DEFAULT_CHIP_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +540,15 @@ class BatchedFaultTrainer:
 
     The trainer is also the forward-only population evaluator: constructing
     it and calling :meth:`evaluate` without training is what
-    :func:`evaluate_chip_accuracies` does per chip chunk.
+    :func:`evaluate_chip_accuracies` does.
     """
 
     def __init__(
         self,
         model: nn.Module,
         mask_sets: Sequence[MaskDict],
-        train_data: Union[Dataset, DataLoader],
-        eval_data: Union[Dataset, DataLoader],
+        train_data: Union[TensorDataset, DataLoader],
+        eval_data: Union[TensorDataset, DataLoader],
         config=None,
         eval_pipeline: Optional[EvalPipeline] = None,
         seeds: Optional[Sequence[int]] = None,
@@ -584,7 +580,7 @@ class BatchedFaultTrainer:
         stream_seeds = seeds if self._per_chip_streams else seeds[:1]
         if self._per_chip_streams and isinstance(train_data, DataLoader):
             raise ValueError(
-                "per-chip seeds need a Dataset to build one train loader per chip, "
+                "per-chip seeds need a TensorDataset to build one train loader per chip, "
                 "not a DataLoader"
             )
         self._train_loaders = [
@@ -978,22 +974,21 @@ class BatchedFaultTrainer:
 
 def evaluate_chip_accuracies(
     model: nn.Module,
-    data: Union[Dataset, DataLoader],
+    data: Union[TensorDataset, DataLoader],
     mask_sets: Sequence[MaskDict],
     config=None,
-    chip_chunk: int = DEFAULT_CHIP_CHUNK,
     eval_pipeline: Optional[EvalPipeline] = None,
 ) -> List[float]:
-    """Accuracy of ``model`` under each chip's masks, in stacked chip chunks.
+    """Accuracy of ``model`` under each chip's masks, as one stack.
 
-    The forward-only population evaluation behind Step-2.5 triage, the one
-    place Step 3's initial accuracies come from: each chunk of up to
-    ``chip_chunk`` mask sets is one :meth:`BatchedFaultTrainer.evaluate` pass
-    (the trainer only reads ``data``, so it doubles as the never-iterated
-    train set).  Peak memory is bounded by one chunk's stacks
-    (``chip_chunk`` stacked model copies: each chunk's trainer is freed by
-    reference counting before the next one is built) plus one eval batch's
-    working set, regardless of population size; nothing outlives the call.
+    The forward-only evaluation behind Step-2.5 triage, the one place Step
+    3's initial accuracies come from: the mask sets are one
+    :meth:`BatchedFaultTrainer.evaluate` pass (the trainer only reads
+    ``data``, so it doubles as the never-iterated train set).  Peak memory is
+    one stacked model copy per mask set plus one eval batch's working set;
+    the caller sizes the stack
+    (:meth:`~repro.core.reduce.ReduceFramework.triage_population` passes at
+    most ``TRIAGE_CHIP_CHUNK``), and nothing outlives the call.
 
     The eval batch is ``config.batch_size``, exactly as in Step-3
     checkpoint evaluation, and every pass replays through ``eval_pipeline``'s
@@ -1001,19 +996,7 @@ def evaluate_chip_accuracies(
     """
     if not mask_sets:
         raise ValueError("mask_sets must contain at least one chip")
-    if chip_chunk < 1:
-        raise ValueError(f"chip_chunk must be >= 1, got {chip_chunk}")
     pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
-    accuracies: List[float] = []
-    for start in range(0, len(mask_sets), chip_chunk):
-        accuracies.extend(
-            BatchedFaultTrainer(
-                model,
-                mask_sets[start:start + chip_chunk],
-                data,
-                data,
-                config=config,
-                eval_pipeline=pipeline,
-            ).evaluate()
-        )
-    return accuracies
+    return BatchedFaultTrainer(
+        model, mask_sets, data, data, config=config, eval_pipeline=pipeline
+    ).evaluate()

@@ -42,10 +42,6 @@ class ModelEnergy:
     def total_nj(self) -> float:
         return sum(layer.total_nj for layer in self.layers)
 
-    @property
-    def total_mj(self) -> float:
-        return self.total_nj * 1e-6
-
     def per_layer(self) -> Dict[str, float]:
         return {layer.name: layer.total_nj for layer in self.layers}
 

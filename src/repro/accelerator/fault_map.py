@@ -69,10 +69,6 @@ class FaultMap:
         return cls(np.zeros((rows, cols), dtype=bool))
 
     @classmethod
-    def from_array(cls, faulty: Sequence[Sequence[bool]]) -> "FaultMap":
-        return cls(np.asarray(faulty, dtype=bool))
-
-    @classmethod
     def from_indices(cls, rows: int, cols: int, indices: Iterable[Tuple[int, int]]) -> "FaultMap":
         """Build a map from explicit ``(row, col)`` faulty-PE coordinates."""
         faulty = np.zeros((rows, cols), dtype=bool)
@@ -150,14 +146,6 @@ class FaultMap:
         return cls(faulty)
 
     @classmethod
-    def faulty_rows(cls, rows: int, cols: int, row_indices: Iterable[int]) -> "FaultMap":
-        """Whole rows dead (e.g. broken accumulation chains)."""
-        faulty = np.zeros((rows, cols), dtype=bool)
-        for index in row_indices:
-            faulty[index, :] = True
-        return cls(faulty)
-
-    @classmethod
     def faulty_columns(cls, rows: int, cols: int, col_indices: Iterable[int]) -> "FaultMap":
         """Whole columns dead (e.g. broken weight-load buses)."""
         faulty = np.zeros((rows, cols), dtype=bool)
@@ -228,12 +216,6 @@ class FaultMap:
         if perm.shape != (self.cols,) or sorted(perm.tolist()) != list(range(self.cols)):
             raise ValueError("permutation must be a permutation of range(cols)")
         return FaultMap(self._faulty[:, perm])
-
-    def union(self, other: "FaultMap") -> "FaultMap":
-        """PEs faulty in either map (e.g. faults appearing over a device's lifetime)."""
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FaultMap(self._faulty | other.array)
 
     # -- serialization ----------------------------------------------------------
 

@@ -9,12 +9,10 @@ sensitivity ablation (``benchmarks/test_bench_ablation_faultmodel.py``).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
 
 import numpy as np
 
 from repro.accelerator.fault_map import FaultMap
-from repro.utils.rng import SeedLike, new_rng
 
 
 class FaultModel:
@@ -24,20 +22,6 @@ class FaultModel:
 
     def sample(self, rows: int, cols: int, fault_rate: float, rng: np.random.Generator) -> FaultMap:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def sample_many(
-        self,
-        rows: int,
-        cols: int,
-        fault_rate: float,
-        count: int,
-        seed: SeedLike = None,
-    ) -> List[FaultMap]:
-        """Sample ``count`` independent fault maps at the same fault rate."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        rng = new_rng(seed)
-        return [self.sample(rows, cols, fault_rate, rng) for _ in range(count)]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -69,18 +53,6 @@ class ClusteredFaultModel(FaultModel):
 
 
 @dataclasses.dataclass
-class RowFaultModel(FaultModel):
-    """Entire rows fail (e.g. broken horizontal interconnect)."""
-
-    name: str = "row"
-
-    def sample(self, rows: int, cols: int, fault_rate: float, rng: np.random.Generator) -> FaultMap:
-        num_rows = int(round(fault_rate * rows))
-        chosen = rng.choice(rows, size=num_rows, replace=False) if num_rows else []
-        return FaultMap.faulty_rows(rows, cols, chosen)
-
-
-@dataclasses.dataclass
 class ColumnFaultModel(FaultModel):
     """Entire columns fail (e.g. broken weight-load buses)."""
 
@@ -91,22 +63,3 @@ class ColumnFaultModel(FaultModel):
         chosen = rng.choice(cols, size=num_cols, replace=False) if num_cols else []
         return FaultMap.faulty_columns(rows, cols, chosen)
 
-
-_FAULT_MODELS = {
-    "random": RandomFaultModel,
-    "clustered": ClusteredFaultModel,
-    "row": RowFaultModel,
-    "column": ColumnFaultModel,
-}
-
-
-def get_fault_model(name: str, **kwargs) -> FaultModel:
-    """Build a fault model by name (``random``, ``clustered``, ``row``, ``column``)."""
-    key = name.lower()
-    if key not in _FAULT_MODELS:
-        raise KeyError(f"unknown fault model {name!r}; available: {', '.join(sorted(_FAULT_MODELS))}")
-    return _FAULT_MODELS[key](**kwargs)
-
-
-def available_fault_models() -> Sequence[str]:
-    return tuple(sorted(_FAULT_MODELS))

@@ -43,10 +43,6 @@ class GemmShape:
     reduce_dim: int
     output_dim: int
 
-    @property
-    def num_weights(self) -> int:
-        return self.reduce_dim * self.output_dim
-
     def __post_init__(self) -> None:
         if self.reduce_dim <= 0 or self.output_dim <= 0:
             raise ValueError("GEMM dimensions must be positive")
@@ -162,18 +158,6 @@ def masked_weight_fraction(masks: Dict[str, np.ndarray]) -> float:
     return zeroed / total
 
 
-def expected_masked_fraction(fault_rate: float) -> float:
-    """Expected fraction of zeroed weights at a given PE fault rate.
-
-    Under the periodic weight-stationary tiling, the expected fraction of
-    weights landing on faulty PEs equals the PE fault rate (each weight is
-    mapped to exactly one PE position).
-    """
-    if not 0.0 <= fault_rate <= 1.0:
-        raise ValueError("fault_rate must be in [0, 1]")
-    return fault_rate
-
-
 @dataclasses.dataclass(frozen=True)
 class LayerMapping:
     """Summary of how one layer tiles onto a physical array."""
@@ -194,16 +178,6 @@ class LayerMapping:
     @property
     def num_tiles(self) -> int:
         return self.row_tiles * self.col_tiles
-
-    @property
-    def last_tile_rows(self) -> int:
-        remainder = self.gemm.reduce_dim % self.array_rows
-        return remainder if remainder else self.array_rows
-
-    @property
-    def last_tile_cols(self) -> int:
-        remainder = self.gemm.output_dim % self.array_cols
-        return remainder if remainder else self.array_cols
 
 
 def model_mapping(model: nn.Module, array: SystolicArray) -> List[LayerMapping]:

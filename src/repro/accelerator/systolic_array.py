@@ -79,20 +79,6 @@ class SystolicArray:
     def fault_rate(self) -> float:
         return self.fault_map.fault_rate
 
-    @property
-    def is_fault_free(self) -> bool:
-        return self.num_faulty_pes == 0
-
-    # -- derived views ----------------------------------------------------------
-
-    def with_fault_map(self, fault_map: FaultMap) -> "SystolicArray":
-        """Return a copy of this array with a different fault map."""
-        return SystolicArray(self.rows, self.cols, fault_map=fault_map, technology=self.technology)
-
-    def fault_free(self) -> "SystolicArray":
-        """Return a fault-free copy (the golden reference array)."""
-        return SystolicArray(self.rows, self.cols, technology=self.technology)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "rows": self.rows,

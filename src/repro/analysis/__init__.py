@@ -3,7 +3,7 @@
 from repro.utils.lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    ".pareto": ("pareto_mask", "pareto_front", "dominates", "hypervolume_2d"),
+    ".pareto": ("pareto_mask",),
     ".statistics": (
         "SummaryStatistics",
         "summarize",

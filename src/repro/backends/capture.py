@@ -11,7 +11,7 @@ dispatch per op.
 Two capture entry points exist:
 
 * :func:`recorded` — wraps a raw-numpy block (the stacked trainer's eval
-  lowering, batch-norm and logit reshapes, mask enforcement) as a single
+  lowering, logit broadcasts and reshapes, mask enforcement) as a single
   named node.
 * :func:`record_function` — called from ``Function.apply`` in
   ``nn/tensor.py`` so every autograd op that executes while a capture is

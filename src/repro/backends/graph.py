@@ -119,10 +119,6 @@ class Graph:
     nodes: List[Node]
     output: Any
 
-    def ops(self) -> Tuple[str, ...]:
-        """The op vocabulary of this graph, in execution order."""
-        return tuple(node.op for node in self.nodes)
-
 
 def signature_of(inputs: Sequence[np.ndarray]) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
     """The cache key for a set of graph inputs: shape + dtype of each."""

@@ -272,11 +272,6 @@ class ChunkCommitSequencer:
         self._held: Dict[int, Sequence[Any]] = {}
         self._skipped: set = set()
 
-    @property
-    def held(self) -> int:
-        """Completed chunks waiting on an earlier chunk (uncommitted)."""
-        return len(self._held)
-
     def commit(self, chunk_index: int, payload: Sequence[Any]) -> None:
         """Queue one completed chunk; flush every now-in-order commit."""
         if chunk_index < self._next or chunk_index in self._skipped:

@@ -11,8 +11,8 @@ from repro.utils.lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     ".chips": ("Chip", "ChipPopulation"),
     ".constraints": ("AccuracyConstraint",),
-    ".profiles": ("ResilienceProfile", "save_profile", "load_profile"),
-    ".resilience": ("ResilienceAnalyzer", "ResilienceConfig", "analyze_resilience"),
+    ".profiles": ("ResilienceProfile",),
+    ".resilience": ("ResilienceAnalyzer", "ResilienceConfig"),
     ".adaptive": ("AdaptiveCampaignResult", "adaptive_retrain_chip", "run_adaptive_campaign"),
     ".overhead": (
         "CampaignOverhead",
@@ -24,13 +24,11 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "RetrainingPolicy",
         "FixedEpochPolicy",
         "ResilienceDrivenPolicy",
-        "make_policy",
     ),
     ".reduce": ("ChipRetrainingResult", "CampaignResult", "ReduceConfig", "ReduceFramework"),
     ".reporting": (
         "campaign_summary_table",
         "campaign_scatter_csv",
         "format_table",
-        "constraint_satisfaction_report",
     ),
 })

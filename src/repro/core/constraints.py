@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from repro.training import meets_target
-
 
 @dataclasses.dataclass(frozen=True)
 class AccuracyConstraint:
@@ -34,11 +32,6 @@ class AccuracyConstraint:
             )
 
     @classmethod
-    def at_least(cls, accuracy: float) -> "AccuracyConstraint":
-        """Absolute constraint, e.g. ``AccuracyConstraint.at_least(0.91)``."""
-        return cls(absolute=accuracy)
-
-    @classmethod
     def within_drop_of_clean(cls, drop: float) -> "AccuracyConstraint":
         """Relative constraint: accuracy >= clean_accuracy - ``drop``."""
         return cls(relative_drop=drop)
@@ -50,9 +43,6 @@ class AccuracyConstraint:
         if clean_accuracy is None:
             raise ValueError("a relative constraint requires the clean accuracy to resolve")
         return max(0.0, clean_accuracy - float(self.relative_drop))
-
-    def is_met(self, accuracy: float, clean_accuracy: Optional[float] = None) -> bool:
-        return meets_target(accuracy, self.resolve(clean_accuracy))
 
     def describe(self, clean_accuracy: Optional[float] = None) -> str:
         if self.absolute is not None:

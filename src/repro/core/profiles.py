@@ -77,11 +77,6 @@ class ResilienceProfile:
         values = self.accuracies[:, :, column]
         return getattr(np, statistic)(values, axis=1)
 
-    def accuracy_surface(self, statistic: str = "mean") -> np.ndarray:
-        """``(rates, checkpoints)`` accuracy grid aggregated over trials."""
-        _require_statistic(statistic)
-        return getattr(np, statistic)(self.accuracies, axis=1)
-
     # -- epochs required -----------------------------------------------------------
 
     def _trial_epochs_required(self, rate_index: int, trial_index: int, target: float) -> Optional[float]:
@@ -210,18 +205,3 @@ class ResilienceProfile:
             f"ResilienceProfile(rates={len(self.fault_rates)}, trials={self.num_trials}, "
             f"checkpoints={len(self.epoch_checkpoints)}, clean={self.clean_accuracy:.3f})"
         )
-
-
-def save_profile(profile: ResilienceProfile, path) -> None:
-    """Persist a resilience profile as JSON (Step 1 is the expensive step —
-    saving it lets Step 2/3 be re-run for new chip batches without repeating it)."""
-    from repro.utils.config import save_json
-
-    save_json(profile.to_dict(), path)
-
-
-def load_profile(path) -> ResilienceProfile:
-    """Load a resilience profile previously written by :func:`save_profile`."""
-    from repro.utils.config import load_json
-
-    return ResilienceProfile.from_dict(load_json(path))

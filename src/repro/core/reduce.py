@@ -28,7 +28,6 @@ import numpy as np
 
 from repro import nn
 from repro.accelerator.batched import (
-    DEFAULT_CHIP_CHUNK,
     BatchedFaultTrainer,
     EvalPipeline,
     evaluate_chip_accuracies,
@@ -48,6 +47,10 @@ from repro.mitigation.strategy import (
 from repro.nn.serialization import clone_state_dict
 from repro.training import CheckpointRecord, TrainingConfig, evaluate_accuracy, meets_target
 from repro.utils.rng import derive_seed
+
+#: Triage evaluates at most this many chips per stack: stacked weights cost
+#: ``chips x model-size`` floats, so the chunk bounds triage's peak memory.
+TRIAGE_CHIP_CHUNK = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -355,12 +358,12 @@ class ReduceFramework:
         self._restore_pretrained()
         accuracies: List[float] = []
         pipeline = self.eval_pipeline
-        # Masks are built (and released) chunk by chunk so peak memory is
-        # bounded by ``DEFAULT_CHIP_CHUNK`` mask sets, not the population size.
-        for start in range(0, len(chip_list), DEFAULT_CHIP_CHUNK):
+        # Masks and stacks are built (and released) chunk by chunk, so peak
+        # memory is bounded by ``TRIAGE_CHIP_CHUNK`` chips, not the population.
+        for start in range(0, len(chip_list), TRIAGE_CHIP_CHUNK):
             mask_sets = [
                 strategy.chip_masks(self.model, chip.fault_map)
-                for chip in chip_list[start:start + DEFAULT_CHIP_CHUNK]
+                for chip in chip_list[start:start + TRIAGE_CHIP_CHUNK]
             ]
             accuracies.extend(
                 evaluate_chip_accuracies(
@@ -420,9 +423,9 @@ class ReduceFramework:
         is an in-stream readout of that pass
         (``train(..., in_stream=True)``): all chips share one seeded data
         stream, so the readout is exactly the end state of a separate run to
-        that budget.  Every parametric layer family stacks (including
-        training-mode batch norm), so there is no serial fallback: a
-        genuinely unstackable custom layer raises
+        that budget.  Every parametric layer family (``Linear`` and
+        ``Conv2d``) stacks, so there is no serial fallback: a genuinely
+        unstackable custom layer raises
         :class:`~repro.accelerator.batched.UnsupportedModelError` at trainer
         construction.
 

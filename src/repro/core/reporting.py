@@ -8,7 +8,7 @@ paper plots.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.reduce import CampaignResult
 
@@ -69,15 +69,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     for row in rows:
         lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def constraint_satisfaction_report(campaign: CampaignResult) -> Dict[str, float]:
-    """Compact dictionary summarising one campaign (used in EXPERIMENTS.md)."""
-    return {
-        "policy": campaign.policy_name,
-        "chips": campaign.num_chips,
-        "avg_epochs": round(campaign.average_epochs, 4),
-        "pct_meeting": round(campaign.percent_meeting_constraint, 2),
-        "mean_acc": round(campaign.mean_accuracy, 4),
-        "target_acc": round(campaign.target_accuracy, 4),
-    }

@@ -198,14 +198,3 @@ class ResilienceAnalyzer:
                 "seed": config.seed,
             },
         )
-
-
-def analyze_resilience(
-    model: nn.Module,
-    pretrained_state: Dict[str, np.ndarray],
-    bundle: DatasetBundle,
-    array: SystolicArray,
-    config: Optional[ResilienceConfig] = None,
-) -> ResilienceProfile:
-    """Convenience wrapper building a :class:`ResilienceAnalyzer` and running it."""
-    return ResilienceAnalyzer(model, pretrained_state, bundle, array, config).run()

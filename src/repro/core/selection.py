@@ -14,7 +14,7 @@ fault-aware retraining epochs to spend on it.  The paper compares:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.constraints import AccuracyConstraint
@@ -111,27 +111,3 @@ class ResilienceDrivenPolicy(RetrainingPolicy):
             f"resilience-driven policy (statistic={self.statistic}, "
             f"target={self._target_accuracy:.2%}, margin={self.margin_epochs:g})"
         )
-
-
-def make_policy(
-    kind: str,
-    profile: Optional[ResilienceProfile] = None,
-    constraint: Optional[AccuracyConstraint] = None,
-    epochs: Optional[float] = None,
-    **kwargs,
-) -> RetrainingPolicy:
-    """Factory used by experiment configs (``"reduce-max"``, ``"reduce-mean"``,
-    ``"fixed"``)."""
-    key = kind.lower()
-    if key in ("fixed", "fixed-epochs"):
-        if epochs is None:
-            raise ValueError("fixed policy requires 'epochs'")
-        return FixedEpochPolicy(epochs=epochs)
-    if key.startswith("reduce"):
-        if profile is None or constraint is None:
-            raise ValueError("reduce policy requires 'profile' and 'constraint'")
-        statistic = key.split("-", 1)[1] if "-" in key else kwargs.pop("statistic", "max")
-        return ResilienceDrivenPolicy(
-            profile=profile, constraint=constraint, statistic=statistic, **kwargs
-        )
-    raise ValueError(f"unknown policy kind {kind!r}")

@@ -2,16 +2,18 @@
 
 The loader is deliberately simple (single process, in-memory) but matches the
 PyTorch ``DataLoader`` semantics the paper's training loops rely on:
-shuffling per epoch, optional last-batch dropping and deterministic seeding.
+shuffling per epoch and deterministic seeding.  Every dataset the commands
+build is a :class:`~repro.data.dataset.TensorDataset`, so a batch is one
+fancy-index into its arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, TensorDataset
+from repro.data.dataset import TensorDataset
 from repro.nn.tensor import DEFAULT_DTYPE, Tensor
 from repro.utils.rng import SeedLike, new_rng
 
@@ -21,10 +23,9 @@ class DataLoader:
 
     def __init__(
         self,
-        dataset: Dataset,
+        dataset: TensorDataset,
         batch_size: int = 32,
         shuffle: bool = False,
-        drop_last: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if batch_size <= 0:
@@ -32,55 +33,22 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = new_rng(seed)
-        self._fast_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if isinstance(dataset, TensorDataset):
-            self._fast_arrays = dataset.arrays()
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     @property
     def num_samples(self) -> int:
         return len(self.dataset)
 
-    def _gather(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self._fast_arrays is not None:
-            inputs, targets = self._fast_arrays
-            return inputs[indices], targets[indices]
-        samples = [self.dataset[int(i)] for i in indices]
-        inputs = np.stack([np.asarray(x) for x, _ in samples])
-        targets = np.asarray([y for _, y in samples])
-        return inputs, targets
-
     def __iter__(self) -> Iterator[Tuple[Tensor, np.ndarray]]:
-        n = len(self.dataset)
+        inputs, targets = self.dataset.arrays()
+        n = len(inputs)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)
-        end = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, end, self.batch_size):
+        for start in range(0, n, self.batch_size):
             batch_indices = order[start:start + self.batch_size]
-            if len(batch_indices) == 0:
-                continue
-            inputs, targets = self._gather(batch_indices)
-            yield Tensor(np.ascontiguousarray(inputs, dtype=DEFAULT_DTYPE)), np.asarray(targets)
-
-    def take(self, num_batches: int) -> Iterator[Tuple[Tensor, np.ndarray]]:
-        """Yield at most ``num_batches`` batches (used for fractional epochs)."""
-        if num_batches < 0:
-            raise ValueError("num_batches must be non-negative")
-        for batch_index, batch in enumerate(self):
-            if batch_index >= num_batches:
-                return
-            yield batch
-
-
-def full_batch(dataset: Dataset) -> Tuple[Tensor, np.ndarray]:
-    """Materialise an entire dataset as a single ``(Tensor, targets)`` batch."""
-    loader = DataLoader(dataset, batch_size=max(1, len(dataset)), shuffle=False)
-    for batch in loader:
-        return batch
-    raise ValueError("dataset is empty")
+            yield (
+                Tensor(np.ascontiguousarray(inputs[batch_indices], dtype=DEFAULT_DTYPE)),
+                np.asarray(targets[batch_indices]),
+            )

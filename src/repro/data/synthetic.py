@@ -41,12 +41,6 @@ class DatasetBundle:
             raise ValueError("num_classes must be at least 2")
 
     @property
-    def image_channels(self) -> int:
-        if len(self.input_shape) != 3:
-            raise ValueError("image_channels is only defined for image datasets")
-        return self.input_shape[0]
-
-    @property
     def image_size(self) -> int:
         if len(self.input_shape) != 3:
             raise ValueError("image_size is only defined for image datasets")
@@ -154,69 +148,4 @@ def make_class_template_images(
         test=TensorDataset(test_x, test_y),
         num_classes=num_classes,
         input_shape=(channels, image_size, image_size),
-    )
-
-
-def make_cifar10_like(
-    train_per_class: int = 64,
-    test_per_class: int = 32,
-    image_size: int = 32,
-    noise_std: float = 0.35,
-    seed: SeedLike = 0,
-) -> DatasetBundle:
-    """A 10-class, 3-channel dataset shaped like CIFAR-10 (32x32 by default)."""
-    return make_class_template_images(
-        num_classes=10,
-        train_per_class=train_per_class,
-        test_per_class=test_per_class,
-        image_size=image_size,
-        channels=3,
-        noise_std=noise_std,
-        shift_pixels=2,
-        template_grid=4,
-        seed=seed,
-        name="cifar10-like-synthetic",
-    )
-
-
-def make_blob_classification(
-    num_classes: int = 4,
-    features: int = 16,
-    train_per_class: int = 64,
-    test_per_class: int = 32,
-    cluster_std: float = 1.0,
-    center_scale: float = 3.0,
-    seed: SeedLike = 0,
-) -> DatasetBundle:
-    """Gaussian-blob feature-vector classification (fast MLP workloads)."""
-    if num_classes < 2:
-        raise ValueError("num_classes must be at least 2")
-    if features <= 0:
-        raise ValueError("features must be positive")
-    if cluster_std < 0:
-        raise ValueError("cluster_std must be non-negative")
-    rng = new_rng(seed)
-    centers = rng.standard_normal((num_classes, features)).astype(np.float32) * center_scale
-
-    def _split(samples_per_class: int, split_rng: np.random.Generator):
-        total = num_classes * samples_per_class
-        inputs = np.empty((total, features), dtype=np.float32)
-        targets = np.empty(total, dtype=np.int64)
-        cursor = 0
-        for label in range(num_classes):
-            noise = split_rng.standard_normal((samples_per_class, features)).astype(np.float32)
-            inputs[cursor:cursor + samples_per_class] = centers[label] + cluster_std * noise
-            targets[cursor:cursor + samples_per_class] = label
-            cursor += samples_per_class
-        order = split_rng.permutation(total)
-        return inputs[order], targets[order]
-
-    train_x, train_y = _split(train_per_class, rng)
-    test_x, test_y = _split(test_per_class, rng)
-    return DatasetBundle(
-        name="gaussian-blobs",
-        train=TensorDataset(train_x, train_y),
-        test=TensorDataset(test_x, test_y),
-        num_classes=num_classes,
-        input_shape=(features,),
     )

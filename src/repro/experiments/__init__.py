@@ -16,7 +16,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".common": (
         "ExperimentContext",
         "build_dataset",
-        "clear_context_cache",
         "preset_fingerprint",
         "resolve_disk_cache_dir",
     ),

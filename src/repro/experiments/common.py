@@ -291,8 +291,3 @@ class ExperimentContext:
     def restore_pretrained(self) -> None:
         """Reset the shared model to the pre-trained weights."""
         self.model.load_state_dict(self.pretrained_state)
-
-
-def clear_context_cache() -> None:
-    """Drop every cached experiment context (mainly for tests)."""
-    _CONTEXT_CACHE.clear()

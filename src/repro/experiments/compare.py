@@ -45,12 +45,6 @@ class CompareResult:
     def strategy_names(self) -> List[str]:
         return [str(row["strategy"]) for row in self.rows]
 
-    def row(self, strategy: str) -> Dict[str, object]:
-        for row in self.rows:
-            if row["strategy"] == strategy:
-                return row
-        raise KeyError(f"unknown strategy {strategy!r}; available: {self.strategy_names}")
-
     def pareto_strategies(self) -> List[str]:
         """Strategies on the Pareto front of (avg epochs ↓, % meeting ↑)."""
         mask = pareto_mask(

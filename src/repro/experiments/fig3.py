@@ -59,10 +59,6 @@ class Fig3Result:
     def reduce_max(self) -> CampaignResult:
         return self.campaign("reduce-max")
 
-    @property
-    def reduce_mean(self) -> CampaignResult:
-        return self.campaign("reduce-mean")
-
     def fixed_campaigns(self) -> Dict[str, CampaignResult]:
         return {name: c for name, c in self.campaigns.items() if name.startswith("fixed")}
 

@@ -20,7 +20,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "DEFAULT_STRATEGY_NAME",
         "MitigationStrategy",
         "available_strategies",
-        "compose_masks",
         "parse_strategy",
         "parse_strategy_list",
         "resolve_strategy",
@@ -30,9 +29,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "squared_saliency",
         "get_saliency_metric",
         "output_channel_saliency",
-        "model_channel_saliency",
     ),
-    ".fap": ("FapResult", "build_fap_masks", "apply_fap", "verify_masks_enforced"),
+    ".fap": ("FapResult", "build_fap_masks", "apply_fap"),
     ".fam": ("FamResult", "layer_column_permutation", "compute_column_permutations", "apply_fam"),
     ".fat": ("FatResult", "fault_aware_retrain"),
 })

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import nn
 from repro.accelerator.mapping import masked_weight_fraction, model_fault_masks
-from repro.training import enforce_weight_masks, resolve_masked_parameters
+from repro.training import enforce_weight_masks
 
 MaskDict = Dict[str, np.ndarray]
 
@@ -28,14 +28,6 @@ class FapResult:
     masks: MaskDict
     masked_fraction: float
     per_layer_fraction: Dict[str, float]
-
-    @property
-    def num_masked_weights(self) -> int:
-        return sum(int(mask.sum()) for mask in self.masks.values())
-
-    @property
-    def num_total_weights(self) -> int:
-        return sum(mask.size for mask in self.masks.values())
 
 
 def build_fap_masks(
@@ -71,23 +63,3 @@ def apply_fap(
         masked_fraction=masked_weight_fraction(masks),
         per_layer_fraction=per_layer,
     )
-
-
-def verify_masks_enforced(model: nn.Module, masks: MaskDict, atol: float = 0.0) -> bool:
-    """Check that every masked weight of ``model`` is (still) zero.
-
-    Masks resolve to live weight tensors through the trainers'
-    :func:`~repro.training.resolve_masked_parameters` path, so the check
-    validates exactly what the keep-multiplier enforcement operates on; a
-    mask naming an unknown layer or mismatching the weight's shape yields
-    ``False`` (it cannot be enforced by any path).
-    """
-    try:
-        resolved = resolve_masked_parameters(model, masks)
-    except (KeyError, ValueError):
-        return False
-    for masked in resolved:
-        values = masked.weight.data[masked.mask]
-        if values.size and not np.all(np.abs(values) <= atol):
-            return False
-    return True

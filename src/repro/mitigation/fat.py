@@ -37,11 +37,6 @@ class FatResult:
     def final_accuracy(self) -> float:
         return self.history.final_accuracy
 
-    @property
-    def initial_accuracy(self) -> float:
-        """Accuracy after pruning but before any retraining (the FAP accuracy)."""
-        return self.history.records[0].eval_accuracy
-
 
 def fault_aware_retrain(
     model: nn.Module,

@@ -12,7 +12,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro import nn
-from repro.accelerator.mapping import mappable_layers, weight_matrix_view
+from repro.accelerator.mapping import weight_matrix_view
 
 SaliencyFn = Callable[[np.ndarray], np.ndarray]
 
@@ -57,11 +57,3 @@ def output_channel_saliency(
     saliency_fn = get_saliency_metric(metric)
     matrix = weight_matrix_view(module)  # (N_out, K)
     return saliency_fn(matrix).sum(axis=1)
-
-
-def model_channel_saliency(model: nn.Module, metric: str = "magnitude") -> Dict[str, np.ndarray]:
-    """Per-layer output-channel saliency for every mappable layer."""
-    return {
-        name: output_channel_saliency(module, metric=metric)
-        for name, module in mappable_layers(model)
-    }

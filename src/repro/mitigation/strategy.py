@@ -84,33 +84,6 @@ _METRIC_CANONICAL = {
 DEFAULT_STRATEGY_NAME = "fat"
 
 
-def compose_masks(*mask_dicts: Optional[MaskDict]) -> MaskDict:
-    """Union of several per-layer boolean mask sets (keep-multiplier product).
-
-    Utility for callers layering additional prune masks on top of a
-    strategy's fault masks (e.g. conventional sparsity pruning before FAT): a
-    weight is clamped when *any* source masks it, and since masks are
-    enforced as multiplicative float keep-factors (1.0 keep / 0.0 clamp) the
-    union of boolean masks equals the product of their keep-multipliers, so
-    the composed dict feeds the serial and stacked trainers unchanged.
-    """
-    composed: MaskDict = {}
-    for masks in mask_dicts:
-        if not masks:
-            continue
-        for name, mask in masks.items():
-            if name in composed:
-                if composed[name].shape != mask.shape:
-                    raise ValueError(
-                        f"cannot compose masks of shapes {composed[name].shape} and "
-                        f"{mask.shape} for layer {name!r}"
-                    )
-                composed[name] = composed[name] | np.asarray(mask, dtype=bool)
-            else:
-                composed[name] = np.asarray(mask, dtype=bool)
-    return composed
-
-
 @dataclasses.dataclass(frozen=True)
 class MitigationStrategy:
     """One mitigation recipe: masks to enforce, bypass plan, retraining or not."""

@@ -12,11 +12,9 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".tensor": (
         "Tensor",
         "no_grad",
-        "enable_grad",
         "is_grad_enabled",
-        "as_tensor",
     ),
-    ".module": ("Module", "Parameter", "Sequential", "ModuleList"),
+    ".module": ("Module", "Parameter", "Sequential"),
     ".layers": (
         "Linear",
         "Conv2d",
@@ -29,19 +27,13 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "SGD",
         "Adam",
         "AdamW",
-        "LRScheduler",
-        "StepLR",
-        "MultiStepLR",
-        "CosineAnnealingLR",
         "clip_grad_norm",
         "clip_grad_norm_per_chip",
     ),
     ".serialization": (
         "save_checkpoint",
         "load_checkpoint",
-        "load_into",
         "clone_state_dict",
-        "state_dicts_equal",
     ),
     ".": ("functional", "init"),
 })

@@ -356,17 +356,9 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
 # ---------------------------------------------------------------------------
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``x @ weight.T + bias`` for 2-D ``x``."""
     return LinearFunction.apply(x, weight, bias)
-
-
-def flatten(x: Tensor, start_dim: int = 1) -> Tensor:
-    return x.flatten(start_dim=start_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +436,3 @@ def cross_entropy(
     else:
         smooth = -log_probs.sum(axis=-1) * (1.0 / num_classes)
     return hard * (1.0 - label_smoothing) + smooth * label_smoothing
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-
-def one_hot(targets: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode an integer label vector."""
-    targets = np.asarray(targets).astype(np.int64).reshape(-1)
-    if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
-        raise ValueError("targets out of range for one_hot encoding")
-    encoded = np.zeros((targets.shape[0], num_classes), dtype=np.float32)
-    encoded[np.arange(targets.shape[0]), targets] = 1.0
-    return encoded
-
-
-def accuracy(logits: Union[Tensor, np.ndarray], targets: np.ndarray) -> float:
-    """Top-1 classification accuracy in [0, 1]."""
-    scores = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    predictions = scores.argmax(axis=-1)
-    targets = np.asarray(targets).reshape(-1)
-    if predictions.shape[0] == 0:
-        return 0.0
-    return float((predictions == targets).mean())

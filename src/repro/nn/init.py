@@ -35,11 +35,6 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=DEFAULT_DTYPE)
 
 
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    """All-one initialisation."""
-    return np.ones(shape, dtype=DEFAULT_DTYPE)
-
-
 def uniform(shape: Tuple[int, ...], low: float, high: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform initialisation in ``[low, high)``."""
     if high < low:
@@ -52,20 +47,6 @@ def normal(shape: Tuple[int, ...], mean: float, std: float, rng: np.random.Gener
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
     return (rng.standard_normal(shape) * std + mean).astype(DEFAULT_DTYPE)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform(shape, -bound, bound, rng)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal(shape, 0.0, std, rng)
 
 
 def kaiming_uniform(

@@ -88,14 +88,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def output_spatial_size(self, input_size: Tuple[int, int]) -> Tuple[int, int]:
-        """Spatial output size for a given ``(H, W)`` input size."""
-        h, w = input_size
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        ph, pw = self.padding
-        return ((h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1)
-
     def extra_repr(self) -> str:
         return (
             f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "

@@ -9,7 +9,7 @@ weights before retraining it for each faulty chip.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -54,13 +54,6 @@ class Module:
             self._modules.pop(name, None)
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, value: Optional[Parameter]) -> None:
-        if value is None:
-            self._parameters.pop(name, None)
-            object.__setattr__(self, name, None)
-        else:
-            setattr(self, name, value)
-
     def add_module(self, name: str, module: "Module") -> None:
         setattr(self, name, module)
 
@@ -68,8 +61,7 @@ class Module:
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():
-            if param is not None:
-                yield (f"{prefix}{name}", param)
+            yield (f"{prefix}{name}", param)
         for module_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{module_name}.")
 
@@ -80,18 +72,6 @@ class Module:
         yield (prefix.rstrip("."), self)
         for module_name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{module_name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
-            yield module
-
-    def children(self) -> Iterator["Module"]:
-        return iter(self._modules.values())
-
-    def apply(self, fn: Callable[["Module"], None]) -> "Module":
-        for module in self.modules():
-            fn(module)
-        return self
 
     # -- training state -------------------------------------------------------
 
@@ -144,12 +124,6 @@ class Module:
 
     # -- misc ------------------------------------------------------------------
 
-    def num_parameters(self, trainable_only: bool = True) -> int:
-        """Total number of scalar parameters in the module."""
-        return sum(
-            p.size for p in self.parameters() if (p.requires_grad or not trainable_only)
-        )
-
     def forward(self, *args: Any, **kwargs: Any) -> Tensor:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -188,37 +162,7 @@ class Sequential(Module):
     def __getitem__(self, index: int) -> Module:
         return list(self._modules.values())[index]
 
-    def append(self, module: Module) -> "Sequential":
-        self.add_module(str(len(self._modules)), module)
-        return self
-
     def forward(self, x: Tensor) -> Tensor:
         for module in self._modules.values():
             x = module(x)
         return x
-
-
-class ModuleList(Module):
-    """Holds sub-modules in a list; useful for programmatically built models."""
-
-    def __init__(self, modules: Optional[Iterable[Module]] = None) -> None:
-        super().__init__()
-        if modules is not None:
-            for module in modules:
-                self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        self.add_module(str(len(self._modules)), module)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def forward(self, *args: Any, **kwargs: Any) -> Tensor:  # pragma: no cover
-        raise RuntimeError("ModuleList is a container and cannot be called directly")

@@ -1,8 +1,10 @@
-"""Optimizers and learning-rate schedulers.
+"""Optimizers and gradient clipping.
 
-The fault-aware retraining loop (:mod:`repro.mitigation.fat`) uses these
-optimizers; SGD with momentum matches the fine-tuning setup typically used
-for fault-aware training of convolutional networks.
+The stacked trainer (:class:`~repro.accelerator.batched.BatchedFaultTrainer`)
+builds these optimizers over its ``(B, ...)`` parameter stacks through
+:meth:`~repro.training.TrainingConfig.build_optimizer`; SGD with momentum
+matches the fine-tuning setup typically used for fault-aware training of
+convolutional networks.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ class Optimizer:
             raise ValueError(f"learning rate must be non-negative, got {lr}")
         self.lr = float(lr)
         self.state: Dict[int, Dict[str, np.ndarray]] = {}
-        self._step_count = 0
 
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.grad = None
 
     def step(self) -> None:
-        self._step_count += 1
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
@@ -58,13 +58,9 @@ class Optimizer:
             state[name] = buf
         return buf
 
-    @property
-    def step_count(self) -> int:
-        return self._step_count
-
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum, weight decay and Nesterov."""
+    """Stochastic gradient descent with momentum and weight decay."""
 
     def __init__(
         self,
@@ -72,18 +68,14 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         super().__init__(parameters, lr)
         if momentum < 0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
 
     def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
         # All arithmetic below matches the textbook formulation value-for-value
@@ -105,13 +97,7 @@ class SGD(Optimizer):
             else:
                 buf *= self.momentum
                 buf += grad
-            if self.nesterov:
-                nesterov = self._scratch(state, "nesterov", data)
-                np.multiply(buf, self.momentum, out=nesterov)
-                np.add(grad, nesterov, out=nesterov)
-                grad = nesterov
-            else:
-                grad = buf
+            grad = buf
         step_buf = self._scratch(state, "step", data)
         np.multiply(grad, self.lr, out=step_buf)
         np.subtract(data, step_buf, out=data)
@@ -189,66 +175,6 @@ class AdamW(Adam):
             super()._update(index, param, grad)
         finally:
             self.weight_decay = weight_decay
-
-
-class LRScheduler:
-    """Base class for learning-rate schedulers."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.last_epoch = 0
-
-    def get_lr(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.last_epoch += 1
-        new_lr = self.get_lr()
-        self.optimizer.lr = new_lr
-        return new_lr
-
-
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * (self.gamma ** (self.last_epoch // self.step_size))
-
-
-class MultiStepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` at each milestone epoch."""
-
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        passed = sum(1 for m in self.milestones if self.last_epoch >= m)
-        return self.base_lr * (self.gamma ** passed)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine annealing from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.last_epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * progress))
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:

@@ -53,28 +53,6 @@ def load_checkpoint(path: PathLike) -> Dict[str, np.ndarray]:
         return {name: archive[name].copy() for name in archive.files}
 
 
-def load_into(module: Module, path: PathLike, strict: bool = True) -> Module:
-    """Load a checkpoint file directly into ``module`` and return it."""
-    module.load_state_dict(load_checkpoint(path), strict=strict)
-    return module
-
-
 def clone_state_dict(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Deep-copy a state dict (used to snapshot pre-trained weights in memory)."""
     return OrderedDict((name, np.array(value, copy=True)) for name, value in state.items())
-
-
-def state_dicts_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray], atol: float = 0.0) -> bool:
-    """Return True when two state dicts contain identical keys and values."""
-    if set(a) != set(b):
-        return False
-    for name in a:
-        left, right = np.asarray(a[name]), np.asarray(b[name])
-        if left.shape != right.shape:
-            return False
-        if atol == 0.0:
-            if not np.array_equal(left, right):
-                return False
-        elif not np.allclose(left, right, atol=atol):
-            return False
-    return True

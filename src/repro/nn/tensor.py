@@ -56,18 +56,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager re-enabling gradient recording inside ``no_grad``."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = True
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
-
-
 # ---------------------------------------------------------------------------
 # Function base class
 # ---------------------------------------------------------------------------
@@ -372,21 +360,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._ctx: Optional[Function] = None
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        generator = rng if rng is not None else np.random.default_rng()
-        return Tensor(generator.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad=requires_grad)
-
     # -- basic properties ---------------------------------------------------
 
     @property
@@ -405,10 +378,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._ctx is None
-
     def numpy(self) -> np.ndarray:
         """Return the underlying data as a numpy array (shared memory)."""
         return self.data
@@ -418,13 +387,6 @@ class Tensor:
 
     def _item_error(self) -> float:
         raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -554,10 +516,3 @@ class Tensor:
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{grad_flag})"
-
-
-def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Coerce ``value`` into a :class:`Tensor` (no copy when already a Tensor)."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, requires_grad=requires_grad)

@@ -27,10 +27,9 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "MetricsRegistry",
         "merge_metric_shards",
         "metrics",
-        "split_key",
         "write_merged_metrics",
     ),
-    ".summary": ("load_trace", "render_trace_summary", "summarize_trace", "summarize_trace_path"),
+    ".summary": ("load_trace", "render_trace_summary", "summarize_trace"),
     ".tracer": (
         "CHROME_TRACE_NAME",
         "Span",

@@ -180,19 +180,6 @@ def _key(name: str, labels: Dict[str, Any]) -> str:
     return f"{name}{{{rendered}}}"
 
 
-def split_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Invert :func:`_key`: ``"a{b=c}"`` -> ``("a", {"b": "c"})``."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, label_part = key.partition("{")
-    labels: Dict[str, str] = {}
-    for pair in label_part[:-1].split(","):
-        if "=" in pair:
-            k, _, v = pair.partition("=")
-            labels[k] = v
-    return name, labels
-
-
 class MetricsRegistry:
     """Named counters/gauges/histograms with JSON snapshots."""
 

@@ -287,8 +287,3 @@ def render_trace_summary(summary: Dict[str, Any], width: int = 40) -> str:
             )
         )
     return "\n".join(lines)
-
-
-def summarize_trace_path(path: PathLike, width: int = 40) -> str:
-    """One-call helper: load, summarize and render a trace path."""
-    return render_trace_summary(summarize_trace(load_trace(path)), width=width)

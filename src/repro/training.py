@@ -25,12 +25,8 @@ import numpy as np
 from repro import nn
 from repro.accelerator.batched import BatchedFaultTrainer
 from repro.data.dataloader import DataLoader
-from repro.data.dataset import Dataset
-from repro.nn import functional as F
-from repro.utils.logging import get_logger
+from repro.data.dataset import TensorDataset
 from repro.utils.rng import SeedLike
-
-logger = get_logger("training")
 
 MaskDict = Dict[str, np.ndarray]
 
@@ -119,48 +115,9 @@ class TrainingHistory:
             return 0.0
         return self.records[-1].epochs
 
-    def accuracy_at(self, epochs: float, tolerance: float = 1e-9, strict: bool = False) -> float:
-        """Accuracy recorded at the checkpoint closest to ``epochs``.
-
-        The closest checkpoint is accepted when it lies within
-        ``max(tolerance, 25% of the requested amount)``; a match farther away
-        than that is almost certainly a caller error (asking a history for an
-        epoch amount it never evaluated), so it raises with ``strict=True``
-        and is logged at WARNING level otherwise instead of being silently
-        returned as if it were the requested checkpoint.
-        """
-        if not self.records:
-            raise ValueError("history is empty")
-        best = min(self.records, key=lambda record: abs(record.epochs - epochs))
-        window = max(tolerance, 0.25 * max(epochs, 1e-9))
-        if abs(best.epochs - epochs) > window:
-            message = (
-                f"accuracy_at({epochs}): nearest recorded checkpoint is {best.epochs} "
-                f"epochs (off by {abs(best.epochs - epochs):.6g}, tolerance {window:.6g}); "
-                f"recorded checkpoints: {self.epochs}"
-            )
-            if strict:
-                raise ValueError(message)
-            logger.warning(message)
-        return best.eval_accuracy
-
-    def epochs_to_reach(self, target_accuracy: float) -> Optional[float]:
-        """Smallest checkpoint epoch amount whose accuracy meets the target."""
-        for record in self.records:
-            if meets_target(record.eval_accuracy, target_accuracy):
-                return record.epochs
-        return None
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        return {
-            "epochs": self.epochs,
-            "accuracy": self.accuracies,
-            "train_loss": [record.train_loss for record in self.records],
-        }
-
 
 def _as_loader(
-    data: Union[Dataset, DataLoader],
+    data: Union[TensorDataset, DataLoader],
     batch_size: int,
     shuffle: bool,
     seed: SeedLike,
@@ -173,21 +130,20 @@ def _as_loader(
 def require_nonempty_train_loader(loader: DataLoader) -> DataLoader:
     """Reject loaders that yield no batches (they would hang training loops).
 
-    An empty loader (empty dataset, or ``drop_last`` with fewer samples than
-    a batch) makes a ``while remaining > 0`` step loop spin forever around a
-    zero-batch iterator; both trainers fail loudly at construction instead.
+    An empty loader (an empty dataset) makes a ``while remaining > 0`` step
+    loop spin forever around a zero-batch iterator; both trainers fail loudly
+    at construction instead.
     """
     if len(loader) == 0:
         raise ValueError(
             "train loader yields no batches "
-            f"({loader.num_samples} samples, batch_size={loader.batch_size}, "
-            f"drop_last={loader.drop_last}); "
+            f"({loader.num_samples} samples, batch_size={loader.batch_size}); "
             "training requires at least one batch per epoch"
         )
     return loader
 
 
-def _as_eval_loader(data: Union[Dataset, DataLoader], batch_size: int) -> DataLoader:
+def _as_eval_loader(data: Union[TensorDataset, DataLoader], batch_size: int) -> DataLoader:
     """A deterministic, unshuffled view of ``data`` for evaluation.
 
     A caller-supplied *shuffled* loader is never iterated directly: every
@@ -200,18 +156,13 @@ def _as_eval_loader(data: Union[Dataset, DataLoader], batch_size: int) -> DataLo
     if isinstance(data, DataLoader):
         if not data.shuffle:
             return data
-        return DataLoader(
-            data.dataset,
-            batch_size=data.batch_size,
-            shuffle=False,
-            drop_last=data.drop_last,
-        )
+        return DataLoader(data.dataset, batch_size=data.batch_size, shuffle=False)
     return DataLoader(data, batch_size=batch_size, shuffle=False, seed=0)
 
 
 def evaluate_accuracy(
     model: nn.Module,
-    data: Union[Dataset, DataLoader],
+    data: Union[TensorDataset, DataLoader],
     batch_size: int = 128,
 ) -> float:
     """Top-1 accuracy of ``model`` on ``data`` (model mode is restored)."""
@@ -229,27 +180,6 @@ def evaluate_accuracy(
     if was_training:
         model.train()
     return correct / total if total else 0.0
-
-
-def evaluate_loss(
-    model: nn.Module,
-    data: Union[Dataset, DataLoader],
-    batch_size: int = 128,
-) -> float:
-    """Mean cross-entropy loss of ``model`` on ``data``."""
-    loader = _as_eval_loader(data, batch_size=batch_size)
-    was_training = model.training
-    model.eval()
-    total_loss = 0.0
-    total = 0
-    with nn.no_grad():
-        for inputs, targets in loader:
-            loss = F.cross_entropy(model(inputs), targets, reduction="sum")
-            total_loss += loss.item()
-            total += len(targets)
-    if was_training:
-        model.train()
-    return total_loss / total if total else 0.0
 
 
 @dataclasses.dataclass
@@ -354,8 +284,8 @@ class Trainer:
     def __init__(
         self,
         model: nn.Module,
-        train_data: Union[Dataset, DataLoader],
-        eval_data: Union[Dataset, DataLoader],
+        train_data: Union[TensorDataset, DataLoader],
+        eval_data: Union[TensorDataset, DataLoader],
         config: Optional[TrainingConfig] = None,
         masks: Optional[MaskDict] = None,
     ) -> None:

@@ -4,15 +4,13 @@ The utilities are deliberately small and dependency free: deterministic RNG
 management, lightweight logging, wall-clock timers and config serialization.
 """
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs, derive_seed
+from repro.utils.rng import new_rng, derive_seed
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.timing import Timer, format_duration
 from repro.utils.config import ConfigError, config_to_dict, config_from_dict, save_json, load_json
 
 __all__ = [
-    "RngMixin",
     "new_rng",
-    "spawn_rngs",
     "derive_seed",
     "get_logger",
     "set_verbosity",

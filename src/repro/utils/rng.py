@@ -3,14 +3,14 @@
 Every stochastic component in the library (fault-map generation, dataset
 synthesis, weight initialisation, data shuffling, fault-injection trials)
 accepts either an integer seed or a :class:`numpy.random.Generator`.  The
-helpers here normalise both forms and provide a reproducible way to derive
-independent child generators from a parent seed.
+helpers here normalise both forms and derive stable child seeds from a parent
+seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,79 +42,3 @@ def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
         hasher.update(str(component).encode("utf-8"))
     digest = hasher.digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` independent generators from a seed-like value."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = new_rng(seed)
-    return [np.random.default_rng(s) for s in parent.bit_generator._seed_seq.spawn(count)] \
-        if hasattr(parent.bit_generator, "_seed_seq") and parent.bit_generator._seed_seq is not None \
-        else [np.random.default_rng(parent.integers(0, 2**63 - 1)) for _ in range(count)]
-
-
-class RngMixin:
-    """Mixin providing a lazily created, seedable ``self.rng`` attribute."""
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        self._seed = seed
-        self._rng: Optional[np.random.Generator] = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Reset the internal generator to a new seed."""
-        self._seed = seed
-        self._rng = None
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: Sequence[int], size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct elements from ``population``.
-
-    Raises ``ValueError`` when ``size`` exceeds the population size, mirroring
-    :func:`numpy.random.Generator.choice` but with a clearer message.
-    """
-    if size > len(population):
-        raise ValueError(
-            f"cannot sample {size} elements from population of {len(population)}"
-        )
-    return rng.choice(np.asarray(population), size=size, replace=False)
-
-
-def shuffled_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)``."""
-    return rng.permutation(n)
-
-
-def split_indices(
-    rng: np.random.Generator, n: int, fractions: Iterable[float]
-) -> List[np.ndarray]:
-    """Split ``range(n)`` into shuffled groups with the given fractions.
-
-    The fractions must sum to at most 1.0; any remainder is appended to the
-    final group so no index is ever dropped.
-    """
-    fractions = list(fractions)
-    if any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative")
-    if sum(fractions) > 1.0 + 1e-9:
-        raise ValueError(f"fractions sum to {sum(fractions)} > 1")
-    order = rng.permutation(n)
-    sizes = [int(round(f * n)) for f in fractions]
-    total = sum(sizes)
-    if total > n:
-        sizes[-1] -= total - n
-    groups: List[np.ndarray] = []
-    start = 0
-    for size in sizes[:-1]:
-        groups.append(order[start:start + size])
-        start += size
-    groups.append(order[start:])
-    return groups

@@ -48,14 +48,6 @@ class Timer:
         self._start = None
         return self.elapsed
 
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @property
-    def running(self) -> bool:
-        return self._start is not None
-
     def __enter__(self) -> "Timer":
         return self.start()
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import make_blob_classification, make_class_template_images
+from repro.data import make_class_template_images
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.models import MLP
+from tests.helpers import make_blob_classification
 from tests.helpers import numeric_gradient  # noqa: F401  (re-exported for fixtures/tests)
 
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+from typing import Dict, Set
 
 import numpy as np
 
 from repro import nn
 from repro.core.reduce import _build_chip_result
+from repro.data.dataset import TensorDataset
+from repro.data.synthetic import DatasetBundle
 from repro.mitigation.fap import build_fap_masks
 from repro.mitigation.strategy import resolve_strategy
 from repro.nn import functional as F
 from repro.nn.serialization import clone_state_dict
 from repro.training import (
     CheckpointRecord,
+    MaskDict,
     TrainingConfig,
     TrainingHistory,
     _as_loader,
@@ -24,7 +29,7 @@ from repro.training import (
     require_nonempty_train_loader,
     resolve_masked_parameters,
 )
-from repro.utils.rng import derive_seed
+from repro.utils.rng import SeedLike, derive_seed, new_rng
 
 
 def numeric_gradient(func, x, eps=1e-4):
@@ -425,3 +430,138 @@ def reference_max_pool2d_backward(grad_output, argmax, x_shape, kernel_size, str
             view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
             view += grad_output * selected
     return dx
+
+
+# -- source scans ---------------------------------------------------------------
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def loaded_names(tree: ast.AST, attributes: bool = False) -> Set[str]:
+    """Every name ``tree`` loads, names in quoted annotations included.
+
+    With ``attributes=True`` the attribute of every ``obj.attr`` load counts
+    too.  The walker behind ``tests/test_unused_imports.py`` and
+    ``tests/test_src_reachability.py``.
+    """
+
+    def walk(root: ast.AST) -> Set[str]:
+        names = set()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (attributes and isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+        return names
+
+    names = walk(tree)
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    names |= walk(ast.parse(node.value, mode="eval"))
+                except SyntaxError:
+                    names.add(node.value)
+    return names
+
+
+# -- test utilities ---------------------------------------------------------------
+
+
+def state_dicts_equal(a: Dict[str, np.ndarray], b: Dict[str, np.ndarray], atol: float = 0.0) -> bool:
+    """Return True when two state dicts contain identical keys and values."""
+    if set(a) != set(b):
+        return False
+    for name in a:
+        left, right = np.asarray(a[name]), np.asarray(b[name])
+        if left.shape != right.shape:
+            return False
+        if atol == 0.0:
+            if not np.array_equal(left, right):
+                return False
+        elif not np.allclose(left, right, atol=atol):
+            return False
+    return True
+
+
+def make_blob_classification(
+    num_classes: int = 4,
+    features: int = 16,
+    train_per_class: int = 64,
+    test_per_class: int = 32,
+    cluster_std: float = 1.0,
+    center_scale: float = 3.0,
+    seed: SeedLike = 0,
+) -> DatasetBundle:
+    """Gaussian-blob feature-vector classification (fast MLP workloads)."""
+    if num_classes < 2:
+        raise ValueError("num_classes must be at least 2")
+    if features <= 0:
+        raise ValueError("features must be positive")
+    if cluster_std < 0:
+        raise ValueError("cluster_std must be non-negative")
+    rng = new_rng(seed)
+    centers = rng.standard_normal((num_classes, features)).astype(np.float32) * center_scale
+
+    def _split(samples_per_class: int, split_rng: np.random.Generator):
+        total = num_classes * samples_per_class
+        inputs = np.empty((total, features), dtype=np.float32)
+        targets = np.empty(total, dtype=np.int64)
+        cursor = 0
+        for label in range(num_classes):
+            noise = split_rng.standard_normal((samples_per_class, features)).astype(np.float32)
+            inputs[cursor:cursor + samples_per_class] = centers[label] + cluster_std * noise
+            targets[cursor:cursor + samples_per_class] = label
+            cursor += samples_per_class
+        order = split_rng.permutation(total)
+        return inputs[order], targets[order]
+
+    train_x, train_y = _split(train_per_class, rng)
+    test_x, test_y = _split(test_per_class, rng)
+    return DatasetBundle(
+        name="gaussian-blobs",
+        train=TensorDataset(train_x, train_y),
+        test=TensorDataset(test_x, test_y),
+        num_classes=num_classes,
+        input_shape=(features,),
+    )
+
+
+def verify_masks_enforced(model: nn.Module, masks: MaskDict, atol: float = 0.0) -> bool:
+    """Check that every masked weight of ``model`` is (still) zero.
+
+    Masks resolve to live weight tensors through the trainers'
+    :func:`~repro.training.resolve_masked_parameters` path, so the check
+    validates exactly what the keep-multiplier enforcement operates on; a
+    mask naming an unknown layer or mismatching the weight's shape yields
+    ``False`` (it cannot be enforced by any path).
+    """
+    try:
+        resolved = resolve_masked_parameters(model, masks)
+    except (KeyError, ValueError):
+        return False
+    for masked in resolved:
+        values = masked.weight.data[masked.mask]
+        if values.size and not np.all(np.abs(values) <= atol):
+            return False
+    return True
+
+
+def dominates(
+    cost_a: float, quality_a: float, cost_b: float, quality_b: float
+) -> bool:
+    """True when point A dominates point B (cheaper-or-equal and better-or-equal, one strict)."""
+    return (
+        cost_a <= cost_b
+        and quality_a >= quality_b
+        and (cost_a < cost_b or quality_a > quality_b)
+    )

@@ -1,17 +1,9 @@
-"""Tests for the adaptive-incremental baseline and profile persistence."""
+"""Tests for the adaptive-incremental baseline."""
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    ChipPopulation,
-    load_profile,
-    run_adaptive_campaign,
-    save_profile,
-)
+from repro.core import ChipPopulation, run_adaptive_campaign
 from repro.core.adaptive import adaptive_retrain_chip
-
-from tests.test_profiles import make_profile
 
 
 class TestAdaptiveRetraining:
@@ -74,17 +66,3 @@ class TestAdaptiveRetraining:
         with pytest.raises(ValueError):
             adaptive_retrain_chip(framework, population[0], [])
 
-
-class TestProfilePersistence:
-    def test_save_and_load_round_trip(self, tmp_path):
-        profile = make_profile()
-        path = tmp_path / "profiles" / "resilience.json"
-        save_profile(profile, path)
-        restored = load_profile(path)
-        np.testing.assert_allclose(restored.accuracies, profile.accuracies)
-        np.testing.assert_allclose(restored.epoch_checkpoints, profile.epoch_checkpoints)
-        assert restored.clean_accuracy == profile.clean_accuracy
-        # Lookups behave identically after the round trip.
-        assert restored.epochs_required(0.15, 0.93, statistic="max") == profile.epochs_required(
-            0.15, 0.93, statistic="max"
-        )

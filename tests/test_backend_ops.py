@@ -81,7 +81,7 @@ class TestPerOpEquivalence:
         _roundtrip(
             backend_name,
             lambda rng: (rng.standard_normal((5, 7)).astype(np.float32),),
-            lambda x: F.relu(nn.Tensor(x)).data,
+            lambda x: nn.Tensor(x).relu().data,
         )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -309,7 +309,7 @@ class TestTypedErrors:
     def test_signature_mismatch_raises_backend_error(self):
         x = np.ones((2, 3), dtype=np.float32)
         compiled = get_backend("numpy").compile(
-            _capture((x,), lambda a: F.relu(nn.Tensor(a)).data)
+            _capture((x,), lambda a: nn.Tensor(a).relu().data)
         )
         with pytest.raises(BackendError, match="captured for"):
             compiled((np.ones((2, 3), dtype=np.float64),))

@@ -2,7 +2,7 @@
 
 The contract of :func:`~repro.accelerator.batched.evaluate_chip_accuracies`
 — the :class:`~repro.accelerator.batched.BatchedFaultTrainer` eval forward
-over chip chunks — is that evaluating B chips in one stacked sweep returns
+over one stack of chips — is that evaluating B chips in one stacked sweep returns
 exactly what B serial ``apply masks -> evaluate_accuracy`` passes return.
 Logits are compared to float32 ``atol=1e-6`` (the shared-prefix wide GEMM may
 differ from the serial 2-D GEMM within float32 rounding on BLAS builds with
@@ -19,11 +19,14 @@ from repro import nn
 from repro.accelerator import (
     BatchedFaultTrainer,
     FaultMap,
+    SystolicArray,
     evaluate_chip_accuracies,
     model_fault_masks,
 )
 from repro.accelerator.batched import EvalPipeline, LoweringCache
 from repro.backends.numpy_backend import CompiledGraph
+from repro.core.chips import ChipPopulation
+from repro.core.reduce import TRIAGE_CHIP_CHUNK, ReduceFramework
 from repro.data.dataloader import DataLoader
 from repro.experiments import build_dataset, fast_preset
 from repro.models import MLP, build_model
@@ -106,15 +109,17 @@ class TestBatchedEquivalence:
             np.testing.assert_allclose(batched[index], serial, rtol=0.0, atol=1e-6)
 
     def test_chip_chunking_is_transparent(self, conv_setup, image_bundle):
-        model, _, _, mask_sets = conv_setup
-        full = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, chip_chunk=len(mask_sets)
-        )
-        for chunk in (1, 2, 4, len(mask_sets) + 3):
-            chunked = evaluate_chip_accuracies(
-                model, image_bundle.test, mask_sets, chip_chunk=chunk
-            )
-            assert chunked == full
+        """Triage splits ``TRIAGE_CHIP_CHUNK + 1`` chips into two stacks;
+        every chip reads what its own stack of one reads."""
+        model, pretrained, _, _ = conv_setup
+        framework = ReduceFramework(model, pretrained, image_bundle, SystolicArray(16, 16))
+        chips = list(ChipPopulation.generate(
+            TRIAGE_CHIP_CHUNK + 1, 16, 16, fault_rates=(0.05, 0.3), seed=5
+        ))
+        chunked = framework.triage_population(chips)
+        assert list(chunked) == [chip.chip_id for chip in chips]
+        for chip in chips:
+            assert framework.triage_population([chip]) == {chip.chip_id: chunked[chip.chip_id]}
 
     def test_mlp_first_linear_shared_prefix(self, blob_bundle):
         model = MLP(8, blob_bundle.num_classes, hidden_sizes=(16, 12), seed=1)
@@ -128,7 +133,7 @@ class TestBatchedEquivalence:
     def test_model_state_is_untouched(self, conv_setup, image_bundle):
         model, pretrained, _, mask_sets = conv_setup
         was_training = model.training
-        evaluate_chip_accuracies(model, image_bundle.test, mask_sets, chip_chunk=4)
+        evaluate_chip_accuracies(model, image_bundle.test, mask_sets)
         assert model.training == was_training
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, pretrained[name])
@@ -159,14 +164,18 @@ class TestLoweringCache:
         model, _, _, mask_sets = conv_setup
         keys = _count_eval_lowerings(monkeypatch)
         num_batches = -(-len(image_bundle.test) // SMALL_BATCHES.batch_size)
-        chunked = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
-        )
+        chunked = [
+            accuracy
+            for chunk in (mask_sets[:2], mask_sets[2:4], mask_sets[4:])
+            for accuracy in evaluate_chip_accuracies(
+                model, image_bundle.test, chunk, SMALL_BATCHES
+            )
+        ]
         # 3 chunks x num_batches forwards, each lowering its own batch.
         assert keys == ["0"] * (3 * num_batches)
         assert LoweringCache.nbytes == 0
         one_chunk = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=6
+            model, image_bundle.test, mask_sets, SMALL_BATCHES
         )
         assert chunked == one_chunk
 
@@ -174,12 +183,9 @@ class TestLoweringCache:
         """The pass-through cache's budget is zero bytes: it stores nothing,
         and results equal a fresh pipeline's."""
         model, _, _, mask_sets = conv_setup
-        fresh = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2
-        )
+        fresh = evaluate_chip_accuracies(model, image_bundle.test, mask_sets, SMALL_BATCHES)
         shared = evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, SMALL_BATCHES, chip_chunk=2,
-            eval_pipeline=EvalPipeline(),
+            model, image_bundle.test, mask_sets, SMALL_BATCHES, eval_pipeline=EvalPipeline(),
         )
         assert shared == fresh
         assert LoweringCache().nbytes == 0

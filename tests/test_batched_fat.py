@@ -24,10 +24,15 @@ from repro.accelerator.batched import BatchedFaultTrainer, UnsupportedModelError
 from repro.campaign import CampaignEngine, execute_job_chunk, plan_job_chunks
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
-from repro.data import make_blob_classification, make_class_template_images
+from repro.data import make_class_template_images
 from repro.models import MLP, LeNet5
 from repro.training import TrainingConfig, epochs_to_steps
-from tests.helpers import ReferenceTrainer, reference_retrain_chip, triaged_jobs
+from tests.helpers import (
+    ReferenceTrainer,
+    make_blob_classification,
+    reference_retrain_chip,
+    triaged_jobs,
+)
 
 
 def _mlp_factory(bundle):
@@ -471,9 +476,10 @@ class TestTrainerValidation:
         bundle = make_blob_classification(
             num_classes=2, features=4, train_per_class=1, test_per_class=1, seed=0
         )
-        from repro.data import DataLoader
+        from repro.data import DataLoader, TensorDataset
 
-        empty_loader = DataLoader(bundle.train, batch_size=64, drop_last=True)
+        empty = TensorDataset(np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=np.int64))
+        empty_loader = DataLoader(empty, batch_size=64)
         model = MLP(4, 2, hidden_sizes=(8,), seed=0)
         masks = [{"body.0": np.zeros((8, 4), dtype=bool)}]
         with pytest.raises(ValueError, match="no batches"):

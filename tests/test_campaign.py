@@ -27,8 +27,7 @@ from repro.core.chips import Chip, ChipPopulation
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.experiments import ExperimentContext, fast_preset, smoke_preset
 from repro.experiments.compare import run_compare
-from repro.nn.serialization import state_dicts_equal
-from tests.helpers import reference_retrain_chip, triaged_jobs
+from tests.helpers import reference_retrain_chip, state_dicts_equal, triaged_jobs
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.accelerator import ColumnFaultModel, FaultMap
 from repro.core import AccuracyConstraint, Chip, ChipPopulation
+from repro.training import meets_target
 
 
 class TestChip:
@@ -90,17 +91,17 @@ class TestChipPopulation:
 
 class TestAccuracyConstraint:
     def test_absolute(self):
-        constraint = AccuracyConstraint.at_least(0.91)
+        constraint = AccuracyConstraint(absolute=0.91)
         assert constraint.resolve() == pytest.approx(0.91)
-        assert constraint.is_met(0.915)
-        assert not constraint.is_met(0.90)
+        assert meets_target(0.915, constraint.resolve())
+        assert not meets_target(0.90, constraint.resolve())
         assert "91" in constraint.describe()
 
     def test_relative(self):
         constraint = AccuracyConstraint.within_drop_of_clean(0.02)
         assert constraint.resolve(clean_accuracy=0.95) == pytest.approx(0.93)
-        assert constraint.is_met(0.935, clean_accuracy=0.95)
-        assert not constraint.is_met(0.92, clean_accuracy=0.95)
+        assert meets_target(0.935, constraint.resolve(clean_accuracy=0.95))
+        assert not meets_target(0.92, constraint.resolve(clean_accuracy=0.95))
         with pytest.raises(ValueError):
             constraint.resolve()
 
@@ -124,6 +125,6 @@ class TestAccuracyConstraint:
             AccuracyConstraint(relative_drop=-0.1)
 
     def test_serialization(self):
-        constraint = AccuracyConstraint.at_least(0.9)
+        constraint = AccuracyConstraint(absolute=0.9)
         restored = AccuracyConstraint.from_dict(constraint.to_dict())
         assert restored == constraint

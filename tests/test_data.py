@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import (
-    DataLoader,
-    Dataset,
-    Subset,
-    TensorDataset,
-    TransformedDataset,
-    full_batch,
-    make_blob_classification,
-    make_class_template_images,
-    make_cifar10_like,
-    random_split,
-    stratified_split,
-)
+from repro.data import DataLoader, TensorDataset, make_class_template_images
 
-RNG = np.random.default_rng(0)
+from tests.helpers import make_blob_classification
 
 
 class TestTensorDataset:
@@ -37,50 +25,6 @@ class TestTensorDataset:
         ds = TensorDataset(np.zeros((6, 2)), np.array([0, 1, 2, 2, 1, 0]))
         assert ds.num_classes == 3
 
-    def test_base_dataset_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            len(Dataset())
-
-
-class TestSubsetAndSplits:
-    def test_subset_indexing(self):
-        ds = TensorDataset(np.arange(10).reshape(10, 1), np.arange(10))
-        subset = Subset(ds, [2, 4, 6])
-        assert len(subset) == 3
-        assert subset[1][1] == 4
-        assert subset.num_classes == 10
-
-    def test_subset_out_of_range(self):
-        ds = TensorDataset(np.zeros((3, 1)), np.zeros(3, dtype=np.int64))
-        with pytest.raises(IndexError):
-            Subset(ds, [5])
-
-    def test_random_split_uses_every_sample(self):
-        ds = TensorDataset(np.zeros((17, 1)), np.zeros(17, dtype=np.int64))
-        parts = random_split(ds, [0.5, 0.3, 0.2], seed=0)
-        assert sum(len(p) for p in parts) == 17
-        all_indices = np.concatenate([p.indices for p in parts])
-        assert len(np.unique(all_indices)) == 17
-
-    def test_random_split_invalid_fractions(self):
-        ds = TensorDataset(np.zeros((4, 1)), np.zeros(4, dtype=np.int64))
-        with pytest.raises(ValueError):
-            random_split(ds, [0.5, 0.2], seed=0)
-
-    def test_stratified_split_preserves_classes(self):
-        targets = np.repeat(np.arange(4), 10)
-        ds = TensorDataset(np.zeros((40, 1)), targets)
-        train, test = stratified_split(ds, test_fraction=0.25, seed=0)
-        test_labels = [int(ds[i][1]) for i in test.indices]
-        assert sorted(set(test_labels)) == [0, 1, 2, 3]
-        assert len(train) + len(test) == 40
-
-    def test_transformed_dataset(self):
-        ds = TensorDataset(np.ones((4, 2)), np.zeros(4, dtype=np.int64))
-        doubled = TransformedDataset(ds, lambda x: x * 2)
-        assert np.all(doubled[0][0] == 2)
-        assert doubled.num_classes == 1
-
 
 class TestDataLoader:
     def _dataset(self, n=23):
@@ -93,11 +37,6 @@ class TestDataLoader:
         assert len(batches) == 5
         assert batches[0][0].shape == (5, 2)
         assert batches[-1][0].shape == (3, 2)
-
-    def test_drop_last(self):
-        loader = DataLoader(self._dataset(), batch_size=5, drop_last=True)
-        assert len(loader) == 4
-        assert all(x.shape[0] == 5 for x, _ in loader)
 
     def test_shuffle_changes_order_but_not_content(self):
         loader = DataLoader(self._dataset(), batch_size=23, shuffle=True, seed=0)
@@ -112,20 +51,9 @@ class TestDataLoader:
         second = np.concatenate([y for _, y in loader])
         np.testing.assert_array_equal(first, second)
 
-    def test_take_limits_batches(self):
-        loader = DataLoader(self._dataset(), batch_size=4)
-        assert len(list(loader.take(2))) == 2
-        assert len(list(loader.take(0))) == 0
-        with pytest.raises(ValueError):
-            list(loader.take(-1))
-
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             DataLoader(self._dataset(), batch_size=0)
-
-    def test_full_batch(self):
-        x, y = full_batch(self._dataset(8))
-        assert x.shape == (8, 2) and y.shape == (8,)
 
     def test_inputs_are_float32_tensors(self):
         x, _ = next(iter(DataLoader(self._dataset(), batch_size=3)))
@@ -142,7 +70,7 @@ class TestSyntheticData:
         assert bundle.num_classes == 5
         x, y = bundle.train[0]
         assert x.shape == (3, 10, 10) and 0 <= y < 5
-        assert bundle.image_channels == 3 and bundle.image_size == 10
+        assert bundle.image_size == 10
         assert "train" in bundle.summary()
 
     def test_deterministic_given_seed(self):
@@ -168,11 +96,6 @@ class TestSyntheticData:
         with pytest.raises(ValueError):
             make_class_template_images(image_size=2, template_grid=4)
 
-    def test_cifar10_like_shape(self):
-        bundle = make_cifar10_like(train_per_class=2, test_per_class=1, image_size=16, seed=0)
-        assert bundle.num_classes == 10
-        assert bundle.input_shape == (3, 16, 16)
-
     def test_blob_classification(self):
         bundle = make_blob_classification(num_classes=3, features=5, train_per_class=10, test_per_class=4, seed=0)
         assert bundle.input_shape == (5,)
@@ -187,7 +110,7 @@ class TestSyntheticData:
     n=st.integers(min_value=1, max_value=40),
 )
 def test_dataloader_covers_every_sample_property(batch_size, n):
-    """Property: iterating a non-dropping loader yields every sample exactly once."""
+    """Property: iterating a loader yields every sample exactly once."""
     ds = TensorDataset(np.arange(n, dtype=np.float32).reshape(n, 1), np.arange(n))
     loader = DataLoader(ds, batch_size=batch_size, shuffle=True, seed=0)
     seen = np.concatenate([y for _, y in loader])

@@ -20,7 +20,7 @@ from repro.experiments import (
     run_fig3,
     smoke_preset,
 )
-from repro.experiments.common import clear_context_cache
+from repro.experiments import common
 from repro.training import evaluate_accuracy
 
 
@@ -57,7 +57,7 @@ class TestPresets:
 
 class TestContext:
     def test_context_caching(self):
-        clear_context_cache()
+        common._CONTEXT_CACHE.clear()
         first = ExperimentContext.from_preset(smoke_preset())
         second = ExperimentContext.from_preset(smoke_preset())
         assert first is second

@@ -18,7 +18,7 @@ class TestConstruction:
         assert fm.fault_rate == 0.0
 
     def test_from_array_and_indices(self):
-        fm_array = FaultMap.from_array([[True, False], [False, True]])
+        fm_array = FaultMap(np.array([[True, False], [False, True]]))
         fm_indices = FaultMap.from_indices(2, 2, [(0, 0), (1, 1)])
         assert fm_array == fm_indices
         assert fm_array.num_faulty == 2
@@ -64,7 +64,7 @@ class TestConstruction:
         assert fm.num_faulty == round(0.1 * 1024)
 
     def test_faulty_rows_and_columns(self):
-        rows = FaultMap.faulty_rows(4, 6, [1, 3])
+        rows = FaultMap.from_indices(4, 6, [(row, col) for row in (1, 3) for col in range(6)])
         assert rows.num_faulty == 12
         assert set(rows.rows_with_faults().tolist()) == {1, 3}
         cols = FaultMap.faulty_columns(4, 6, [0])
@@ -92,13 +92,6 @@ class TestStatisticsAndViews:
         assert not permuted.array[0, 0]
         with pytest.raises(ValueError):
             fm.permuted_columns([0, 0, 1])
-
-    def test_union(self):
-        a = FaultMap.from_indices(2, 2, [(0, 0)])
-        b = FaultMap.from_indices(2, 2, [(1, 1)])
-        assert a.union(b).num_faulty == 2
-        with pytest.raises(ValueError):
-            a.union(FaultMap.none(3, 3))
 
     def test_equality_and_hash(self):
         a = FaultMap.from_indices(2, 2, [(0, 1)])

@@ -9,10 +9,7 @@ from repro.accelerator import (
     ColumnFaultModel,
     FaultMap,
     RandomFaultModel,
-    RowFaultModel,
     SystolicArray,
-    available_fault_models,
-    get_fault_model,
 )
 
 
@@ -22,32 +19,13 @@ class TestFaultModels:
         fm = model.sample(32, 32, 0.2, np.random.default_rng(0))
         assert fm.num_faulty == round(0.2 * 1024)
 
-    def test_sample_many_independent(self):
-        maps = RandomFaultModel().sample_many(16, 16, 0.3, count=4, seed=0)
-        assert len(maps) == 4
-        assert len({fm for fm in maps}) > 1  # extremely unlikely to collide
-        assert all(fm.num_faulty == round(0.3 * 256) for fm in maps)
-
-    def test_sample_many_validation(self):
-        with pytest.raises(ValueError):
-            RandomFaultModel().sample_many(8, 8, 0.1, count=-1)
-
     def test_clustered_model(self):
         fm = ClusteredFaultModel(cluster_size=4).sample(32, 32, 0.15, np.random.default_rng(1))
         assert fm.num_faulty == round(0.15 * 1024)
 
-    def test_row_and_column_models(self):
-        row_map = RowFaultModel().sample(10, 6, 0.3, np.random.default_rng(0))
-        assert row_map.num_faulty == 3 * 6
+    def test_column_model(self):
         col_map = ColumnFaultModel().sample(10, 6, 0.5, np.random.default_rng(0))
         assert col_map.num_faulty == 3 * 10
-
-    def test_registry(self):
-        assert set(available_fault_models()) == {"random", "clustered", "row", "column"}
-        assert isinstance(get_fault_model("random"), RandomFaultModel)
-        assert get_fault_model("clustered", cluster_size=2).cluster_size == 2
-        with pytest.raises(KeyError):
-            get_fault_model("cosmic-rays")
 
 
 class TestArrayTechnology:
@@ -66,7 +44,7 @@ class TestSystolicArray:
     def test_defaults_to_fault_free_256(self):
         array = SystolicArray()
         assert array.shape == (256, 256)
-        assert array.is_fault_free
+        assert array.num_faulty_pes == 0
         assert array.num_pes == 256 * 256
 
     def test_with_fault_map(self):
@@ -74,21 +52,12 @@ class TestSystolicArray:
         array = SystolicArray(8, 8, fault_map=fm)
         assert array.num_faulty_pes == fm.num_faulty
         assert array.fault_rate == pytest.approx(fm.fault_rate)
-        assert not array.is_fault_free
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             SystolicArray(8, 8, fault_map=FaultMap.none(4, 4))
         with pytest.raises(ValueError):
             SystolicArray(0, 8)
-
-    def test_with_fault_map_and_fault_free_copies(self):
-        array = SystolicArray(8, 8)
-        fm = FaultMap.random(8, 8, 0.5, seed=1)
-        faulty = array.with_fault_map(fm)
-        assert faulty.num_faulty_pes == fm.num_faulty
-        assert array.is_fault_free  # original untouched
-        assert faulty.fault_free().is_fault_free
 
     def test_serialization_round_trip(self):
         fm = FaultMap.random(4, 6, 0.3, seed=2)

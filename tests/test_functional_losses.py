@@ -1,4 +1,4 @@
-"""Tests for losses and metrics (cross-entropy, NLL, accuracy, one-hot)."""
+"""Tests for the losses (cross-entropy and NLL)."""
 
 import numpy as np
 import pytest
@@ -81,22 +81,3 @@ class TestNll:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             F.nll_loss(Tensor(np.zeros(3)), np.array([0, 1, 2]))
-
-
-class TestMetrics:
-    def test_one_hot(self):
-        encoded = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_allclose(encoded, np.eye(3)[[0, 2, 1]])
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([0, 3]), 3)
-
-    def test_accuracy(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
-        targets = np.array([0, 1, 1, 1])
-        assert F.accuracy(logits, targets) == pytest.approx(0.75)
-        assert F.accuracy(Tensor(logits), targets) == pytest.approx(0.75)
-
-    def test_accuracy_empty(self):
-        assert F.accuracy(np.zeros((0, 3)), np.zeros(0)) == 0.0

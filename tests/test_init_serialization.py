@@ -5,21 +5,17 @@ import pytest
 
 from repro import nn
 from repro.nn import init
-from repro.nn.serialization import (
-    clone_state_dict,
-    load_checkpoint,
-    load_into,
-    save_checkpoint,
-    state_dicts_equal,
-)
+from repro.nn.serialization import clone_state_dict, load_checkpoint, save_checkpoint
+
+from tests.helpers import state_dicts_equal
 
 RNG = np.random.default_rng(0)
 
 
 class TestInitializers:
-    def test_zeros_ones(self):
-        assert np.all(init.zeros((3, 4)) == 0)
-        assert np.all(init.ones((5,)) == 1)
+    def test_zeros(self):
+        values = init.zeros((3, 4))
+        assert values.dtype == np.float32 and np.all(values == 0)
 
     def test_uniform_range(self):
         values = init.uniform((1000,), -2.0, 3.0, RNG)
@@ -32,17 +28,6 @@ class TestInitializers:
         assert abs(values.std() - 2.0) < 0.1
         with pytest.raises(ValueError):
             init.normal((2,), 0.0, -1.0, RNG)
-
-    def test_xavier_uniform_bound(self):
-        shape = (64, 32)
-        values = init.xavier_uniform(shape, np.random.default_rng(2))
-        bound = np.sqrt(6.0 / (32 + 64))
-        assert np.abs(values).max() <= bound + 1e-6
-
-    def test_xavier_normal_std(self):
-        values = init.xavier_normal((200, 200), np.random.default_rng(3))
-        expected = np.sqrt(2.0 / 400)
-        assert abs(values.std() - expected) / expected < 0.1
 
     def test_kaiming_fan_modes(self):
         conv_shape = (16, 8, 3, 3)
@@ -59,7 +44,7 @@ class TestInitializers:
 
     def test_fan_for_scalar_raises(self):
         with pytest.raises(ValueError):
-            init.xavier_uniform((), RNG)
+            init.kaiming_uniform((), RNG)
 
 
 class TestSerialization:
@@ -68,7 +53,7 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         restored = nn.Sequential(nn.Linear(4, 8, rng=7), nn.ReLU(), nn.Linear(8, 2, rng=8))
-        load_into(restored, path)
+        restored.load_state_dict(load_checkpoint(path))
         assert state_dicts_equal(model.state_dict(), restored.state_dict())
 
     def test_load_missing_file_raises(self, tmp_path):

@@ -17,10 +17,9 @@ import pytest
 
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
-from repro.mitigation.fap import verify_masks_enforced
 from repro.models import MLP
 from repro.training import TrainingConfig, resolve_masked_parameters
-from tests.helpers import ReferenceTrainer
+from tests.helpers import ReferenceTrainer, verify_masks_enforced
 
 
 def _small_cnn(image_bundle):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.accelerator import FaultMap, model_fault_masks
+from repro.accelerator import FaultMap, SystolicArray, model_fault_masks
 from repro.accelerator import batched
 from repro.accelerator.batched import (
     BatchedFaultTrainer,
@@ -35,6 +35,7 @@ from repro.backends import capture_graph, get_backend, recorded
 from repro.backends.numpy_backend import CompiledGraph
 from repro.campaign import ChipJob, build_jobs, campaign_fingerprint
 from repro.core.chips import ChipPopulation
+from repro.core.reduce import TRIAGE_CHIP_CHUNK, ReduceConfig, ReduceFramework
 from repro.core.selection import FixedEpochPolicy
 from repro.experiments import fast_preset
 from repro.training import TrainingConfig
@@ -120,10 +121,17 @@ def test_trainer_freed_after_in_stream_train(image_bundle, backend, monkeypatch)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
+def test_triage_frees_every_chunk(image_bundle, backend, monkeypatch):
+    """Triage of ``TRIAGE_CHIP_CHUNK + 1`` chips runs two stacks, and each
+    stack's trainer is freed before the call returns."""
     model = _make_cnn(image_bundle)
-    chip_chunk = 4
-    mask_sets = _mask_sets(model, 3 * chip_chunk + 1)  # four chunks
+    framework = ReduceFramework(
+        model, model.state_dict(), image_bundle, SystolicArray(16, 16),
+        config=ReduceConfig(retraining=CONFIG), eval_pipeline=EvalPipeline(backend=backend),
+    )
+    chips = list(ChipPopulation.generate(
+        TRIAGE_CHIP_CHUNK + 1, 16, 16, fault_rates=(0.05, 0.25), seed=0
+    ))
     trainers = []
 
     class TrackedTrainer(BatchedFaultTrainer):
@@ -133,19 +141,15 @@ def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
 
     monkeypatch.setattr(batched, "BatchedFaultTrainer", TrackedTrainer)
 
-    def run():
-        return evaluate_chip_accuracies(
-            model, image_bundle.test, mask_sets, config=CONFIG,
-            chip_chunk=chip_chunk, eval_pipeline=EvalPipeline(backend=backend),
-        )
-
-    expected = run()  # warm up lazily created process state
+    expected = framework.triage_population(chips)  # warm up lazily created process state
+    first_chunk = [model_fault_masks(model, chip.fault_map)
+                   for chip in chips[:TRIAGE_CHIP_CHUNK]]
     tracemalloc.start()
     try:
         # One chunk's working set: its trainer's stacks, alive while it runs.
         before = tracemalloc.get_traced_memory()[0]
         chunk = TrackedTrainer(
-            model, mask_sets[:chip_chunk], image_bundle.test, image_bundle.test,
+            model, first_chunk, image_bundle.test, image_bundle.test,
             config=CONFIG, eval_pipeline=EvalPipeline(backend=backend),
         )
         chunk.evaluate()
@@ -154,12 +158,12 @@ def test_population_eval_frees_every_chunk(image_bundle, backend, monkeypatch):
         trainers.clear()
 
         before = tracemalloc.get_traced_memory()[0]
-        accuracies = run()
+        accuracies = framework.triage_population(chips)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert accuracies == expected
-    assert len(trainers) == 4
+    assert len(trainers) == 2
     assert [ref for ref in trainers if ref() is not None] == []
     assert after - before <= one_chunk
 
@@ -215,7 +219,7 @@ def test_capture_frees_dropped_intermediates(backend):
         dropped.append(weakref.ref(doubled))
         shifted = recorded("shift", (doubled,), lambda v: v + np.float32(1.0))
         del doubled
-        return nn.functional.relu(nn.Tensor(shifted)).data
+        return nn.Tensor(shifted).relu().data
 
     rng = np.random.default_rng(0)
     captured_on = rng.standard_normal((4, 8)).astype(np.float32)
@@ -224,7 +228,7 @@ def test_capture_frees_dropped_intermediates(backend):
         assert dropped[0]() is None, "capture pinned an intermediate"
     graph = session.finish(output)
     assert graph is not None
-    assert graph.ops() == ("double", "shift", "relu")
+    assert tuple(node.op for node in graph.nodes) == ("double", "shift", "relu")
 
     compiled = get_backend(backend).compile(graph)
     fresh = rng.standard_normal((4, 8)).astype(np.float32)

@@ -14,13 +14,12 @@ from repro.mitigation import (
     get_saliency_metric,
     layer_column_permutation,
     magnitude_saliency,
-    model_channel_saliency,
     output_channel_saliency,
     squared_saliency,
-    verify_masks_enforced,
 )
 from repro.models import MLP
 from repro.training import TrainingConfig, evaluate_accuracy
+from tests.helpers import verify_masks_enforced
 
 
 @pytest.fixture
@@ -53,11 +52,6 @@ class TestSaliency:
         layer = nn.Conv2d(3, 5, 3, rng=0)
         assert output_channel_saliency(layer).shape == (5,)
 
-    def test_model_channel_saliency(self, mlp_and_map):
-        model, _ = mlp_and_map
-        saliency = model_channel_saliency(model)
-        assert set(saliency) == {"body.0", "body.2"}
-
 
 class TestFAP:
     def test_apply_zeroes_masked_weights(self, mlp_and_map):
@@ -65,8 +59,7 @@ class TestFAP:
         result = apply_fap(model, fault_map)
         assert verify_masks_enforced(model, result.masks)
         assert result.masked_fraction == pytest.approx(0.25, abs=0.05)
-        assert result.num_masked_weights > 0
-        assert result.num_total_weights == sum(m.size for m in result.masks.values())
+        assert sum(int(mask.sum()) for mask in result.masks.values()) > 0
         assert set(result.per_layer_fraction) == set(result.masks)
 
     def test_accepts_systolic_array(self, mlp_and_map):
@@ -156,7 +149,7 @@ class TestFAT:
             model, fault_map, image_bundle, epochs=2.0, config=config,
             eval_checkpoints=[0.5, 1.0],
         )
-        assert result.final_accuracy >= result.initial_accuracy
+        assert result.final_accuracy >= result.history.records[0].eval_accuracy
         assert result.epochs_trained == pytest.approx(2.0)
         assert verify_masks_enforced(model, result.masks)
         assert 0.0 < result.masked_fraction < 1.0

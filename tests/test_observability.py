@@ -22,7 +22,6 @@ from repro.observability import (
     metrics,
     read_shard,
     render_trace_summary,
-    split_key,
     summarize_trace,
     trace,
     write_chrome_trace,
@@ -182,8 +181,6 @@ class TestMetrics:
         registry.counter("chips", strategy="fat", policy="fixed").inc()
         (key,) = registry.snapshot().keys()
         assert key == "chips{policy=fixed,strategy=fat}"
-        assert split_key(key) == ("chips", {"policy": "fixed", "strategy": "fat"})
-        assert split_key("plain") == ("plain", {})
 
     def test_timer_noop_when_disabled(self):
         registry = MetricsRegistry()

@@ -1,10 +1,10 @@
-"""Tests for optimizers, LR schedulers and gradient clipping."""
+"""Tests for optimizers and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, AdamW, CosineAnnealingLR, MultiStepLR, StepLR, clip_grad_norm
+from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
 
 
 def quadratic_loss(param):
@@ -33,10 +33,6 @@ class TestSGD:
         final = run_optimizer(lambda params: SGD(params, lr=0.05, momentum=0.9))
         np.testing.assert_allclose(final, np.full(4, 3.0), atol=1e-3)
 
-    def test_nesterov(self):
-        final = run_optimizer(lambda params: SGD(params, lr=0.05, momentum=0.9, nesterov=True))
-        np.testing.assert_allclose(final, np.full(4, 3.0), atol=1e-3)
-
     def test_weight_decay_shrinks_solution(self):
         no_decay = run_optimizer(lambda params: SGD(params, lr=0.1))
         decay = run_optimizer(lambda params: SGD(params, lr=0.1, weight_decay=0.5))
@@ -56,8 +52,6 @@ class TestSGD:
             SGD([param], lr=-1.0)
         with pytest.raises(ValueError):
             SGD([param], lr=0.1, momentum=-0.5)
-        with pytest.raises(ValueError):
-            SGD([param], lr=0.1, nesterov=True)
 
 
 class TestAdam:
@@ -83,39 +77,7 @@ class TestAdam:
         loss.backward()
         optimizer.step()
         optimizer.step()
-        assert optimizer.step_count == 2
-
-
-class TestSchedulers:
-    def _optimizer(self):
-        return SGD([Parameter(np.ones(1, dtype=np.float32))], lr=1.0)
-
-    def test_step_lr(self):
-        optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_multistep_lr(self):
-        optimizer = self._optimizer()
-        scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.5)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.5, 0.5, 0.25])
-
-    def test_cosine_lr_endpoints(self):
-        optimizer = self._optimizer()
-        scheduler = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.0)
-        values = [scheduler.step() for _ in range(10)]
-        assert values[0] < 1.0
-        assert values[-1] == pytest.approx(0.0, abs=1e-9)
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_invalid_configs(self):
-        optimizer = self._optimizer()
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(optimizer, t_max=0)
+        assert optimizer.state[0]["step"] == 2  # the bias-correction step
 
 
 class TestClipGradNorm:

@@ -1,8 +1,8 @@
-"""Property tests for the Pareto-front helpers against brute-force references.
+"""Property tests for the Pareto mask against a brute-force reference.
 
-``pareto_mask`` and ``hypervolume_2d`` back the Fig. 3f analysis; these tests
-check them on randomized point clouds (including duplicate points and axis
-ties) against direct O(n^2) / rectangle-sweep reference implementations.
+``pareto_mask`` backs the Fig. 3f analysis; these tests check it on
+randomized point clouds (including duplicate points and axis ties) against a
+direct O(n^2) reference.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.pareto import dominates, hypervolume_2d, pareto_front, pareto_mask
+from repro.analysis.pareto import pareto_mask
+from tests.helpers import dominates
 
 
 def _brute_force_mask(costs, qualities):
@@ -24,25 +25,6 @@ def _brute_force_mask(costs, qualities):
                 mask[i] = False
                 break
     return mask
-
-
-def _brute_force_hypervolume(costs, qualities, ref_cost, ref_quality, resolution=400):
-    """Monte-Carlo-free reference: rasterise the dominated region on a grid."""
-    points = [
-        (c, q)
-        for c, q in zip(costs, qualities)
-        if c <= ref_cost and q >= ref_quality
-    ]
-    if not points:
-        return 0.0
-    start = min(c for c, _ in points)
-    width = (ref_cost - start) / resolution
-    area = 0.0
-    for index in range(resolution):
-        x_mid = start + (index + 0.5) * width
-        best = max((q for c, q in points if c <= x_mid), default=ref_quality)
-        area += width * max(0.0, best - ref_quality)
-    return area
 
 
 class TestParetoMaskProperties:
@@ -71,7 +53,6 @@ class TestParetoMaskProperties:
     def test_empty_input(self):
         mask = pareto_mask([], [])
         assert mask.shape == (0,)
-        assert pareto_front([], "cost", "quality") == []
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -87,38 +68,3 @@ class TestParetoMaskProperties:
             for j, (cj, qj) in enumerate(front):
                 if i != j:
                     assert not dominates(cj, qj, ci, qi)
-
-
-class TestHypervolumeProperties:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_rasterised_reference(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(1, 20))
-        costs = rng.uniform(0, 4, size=n)
-        qualities = rng.uniform(0, 1, size=n)
-        ref_cost = 4.0
-        exact = hypervolume_2d(costs, qualities, reference_cost=ref_cost)
-        approx = _brute_force_hypervolume(costs, qualities, ref_cost, 0.0, resolution=2000)
-        assert exact == pytest.approx(approx, abs=2e-2 * ref_cost)
-
-    def test_empty_and_out_of_range_fronts_have_zero_volume(self):
-        assert hypervolume_2d([], [], reference_cost=1.0) == 0.0
-        # Every point beyond the reference cost or below reference quality.
-        assert hypervolume_2d([5.0], [0.9], reference_cost=1.0) == 0.0
-        assert hypervolume_2d([0.5], [0.1], reference_cost=1.0, reference_quality=0.5) == 0.0
-
-    def test_single_point_rectangle(self):
-        assert hypervolume_2d([1.0], [0.75], reference_cost=3.0) == pytest.approx(2.0 * 0.75)
-
-    def test_duplicate_points_do_not_double_count(self):
-        single = hypervolume_2d([1.0], [0.75], reference_cost=3.0)
-        doubled = hypervolume_2d([1.0, 1.0], [0.75, 0.75], reference_cost=3.0)
-        assert doubled == pytest.approx(single)
-
-    def test_monotone_in_added_points(self):
-        rng = np.random.default_rng(7)
-        costs = list(rng.uniform(0, 3, size=10))
-        qualities = list(rng.uniform(0, 1, size=10))
-        base = hypervolume_2d(costs, qualities, reference_cost=3.0)
-        grown = hypervolume_2d(costs + [0.1], qualities + [0.99], reference_cost=3.0)
-        assert grown >= base

@@ -71,10 +71,6 @@ class TestAccuracyViews:
         full = profile.accuracy_vs_fault_rate(2.0, "min")
         np.testing.assert_allclose(full, [0.95, 0.95, 0.93])
 
-    def test_accuracy_surface_shape(self):
-        profile = make_profile()
-        assert profile.accuracy_surface("max").shape == (3, 4)
-
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             make_profile().accuracy_vs_fault_rate(0.0, statistic="mode")

@@ -104,7 +104,7 @@ class TestResilienceAnalyzer:
         # Zero fault rate rows are the clean accuracy.
         np.testing.assert_allclose(profile.accuracies[0], profile.clean_accuracy)
         # Accuracy at a given rate should not decrease (on average) with retraining.
-        surface = profile.accuracy_surface("mean")
+        surface = profile.accuracies.mean(axis=1)
         assert surface[1, -1] >= surface[1, 0] - 0.05
         assert profile.metadata["fault_model"] == "random"
 

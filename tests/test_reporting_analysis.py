@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     bootstrap_mean_interval,
-    dominates,
     histogram,
-    hypervolume_2d,
     line_plot,
     mean_confidence_interval,
-    pareto_front,
     pareto_mask,
     relative_change,
     scatter_plot,
@@ -22,9 +19,9 @@ from repro.core.reduce import CampaignResult, ChipRetrainingResult
 from repro.core.reporting import (
     campaign_scatter_csv,
     campaign_summary_table,
-    constraint_satisfaction_report,
     format_table,
 )
+from tests.helpers import dominates
 
 
 def make_campaign(name="policy-a", epochs=(0.1, 0.2), accuracies=(0.9, 0.95), target=0.92):
@@ -66,12 +63,6 @@ class TestReporting:
         assert lines[0].startswith("chip_id,")
         assert len(lines) == 3
 
-    def test_constraint_report(self):
-        report = constraint_satisfaction_report(make_campaign())
-        assert report["policy"] == "policy-a"
-        assert report["chips"] == 2
-        assert report["pct_meeting"] == pytest.approx(50.0)
-
     def test_chip_result_recovery(self):
         result = make_campaign().results[0]
         assert result.accuracy_recovered == pytest.approx(0.1)
@@ -88,16 +79,6 @@ class TestPareto:
         mask = pareto_mask([1.0, 1.0], [5.0, 5.0])
         assert mask.sum() >= 1
 
-    def test_front_sorted_by_cost(self):
-        points = [
-            {"name": "a", "cost": 3.0, "quality": 90.0},
-            {"name": "b", "cost": 1.0, "quality": 60.0},
-            {"name": "c", "cost": 2.0, "quality": 50.0},
-        ]
-        front = pareto_front(points, "cost", "quality")
-        assert [p["name"] for p in front] == ["b", "a"]
-        assert pareto_front([], "cost", "quality") == []
-
     def test_dominates(self):
         assert dominates(1.0, 90.0, 2.0, 80.0)
         assert not dominates(2.0, 80.0, 1.0, 90.0)
@@ -106,11 +87,6 @@ class TestPareto:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             pareto_mask([1.0, 2.0], [1.0])
-
-    def test_hypervolume(self):
-        volume = hypervolume_2d([0.5, 1.0], [80.0, 100.0], reference_cost=2.0)
-        assert volume > 0
-        assert hypervolume_2d([3.0], [50.0], reference_cost=2.0) == 0.0
 
 
 class TestStatistics:

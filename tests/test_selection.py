@@ -9,7 +9,6 @@ from repro.core import (
     ChipPopulation,
     FixedEpochPolicy,
     ResilienceDrivenPolicy,
-    make_policy,
 )
 
 from tests.test_profiles import make_profile
@@ -42,7 +41,7 @@ class TestResilienceDrivenPolicy:
     def test_amount_grows_with_fault_rate(self):
         policy = ResilienceDrivenPolicy(
             profile=make_profile(),
-            constraint=AccuracyConstraint.at_least(0.93),
+            constraint=AccuracyConstraint(absolute=0.93),
             statistic="max",
         )
         low = policy.epochs_for_chip(chip_with_rate(0.0, chip_id="low"))
@@ -54,7 +53,7 @@ class TestResilienceDrivenPolicy:
 
     def test_max_statistic_is_more_conservative_than_mean(self):
         profile = make_profile()
-        constraint = AccuracyConstraint.at_least(0.93)
+        constraint = AccuracyConstraint(absolute=0.93)
         chip = chip_with_rate(0.2)
         max_policy = ResilienceDrivenPolicy(profile=profile, constraint=constraint, statistic="max")
         mean_policy = ResilienceDrivenPolicy(profile=profile, constraint=constraint, statistic="mean")
@@ -73,11 +72,11 @@ class TestResilienceDrivenPolicy:
     def test_margin_added(self):
         profile = make_profile()
         base = ResilienceDrivenPolicy(
-            profile=profile, constraint=AccuracyConstraint.at_least(0.93), statistic="max"
+            profile=profile, constraint=AccuracyConstraint(absolute=0.93), statistic="max"
         )
         padded = ResilienceDrivenPolicy(
             profile=profile,
-            constraint=AccuracyConstraint.at_least(0.93),
+            constraint=AccuracyConstraint(absolute=0.93),
             statistic="max",
             margin_epochs=0.5,
         )
@@ -86,32 +85,12 @@ class TestResilienceDrivenPolicy:
         with pytest.raises(ValueError):
             ResilienceDrivenPolicy(
                 profile=profile,
-                constraint=AccuracyConstraint.at_least(0.9),
+                constraint=AccuracyConstraint(absolute=0.9),
                 margin_epochs=-1.0,
             )
 
     def test_describe(self):
         policy = ResilienceDrivenPolicy(
-            profile=make_profile(), constraint=AccuracyConstraint.at_least(0.93)
+            profile=make_profile(), constraint=AccuracyConstraint(absolute=0.93)
         )
         assert "statistic=max" in policy.describe()
-
-
-class TestPolicyFactory:
-    def test_fixed(self):
-        policy = make_policy("fixed", epochs=0.1)
-        assert isinstance(policy, FixedEpochPolicy)
-        with pytest.raises(ValueError):
-            make_policy("fixed")
-
-    def test_reduce_variants(self):
-        profile = make_profile()
-        constraint = AccuracyConstraint.at_least(0.93)
-        assert make_policy("reduce-max", profile=profile, constraint=constraint).statistic == "max"
-        assert make_policy("reduce-mean", profile=profile, constraint=constraint).statistic == "mean"
-        with pytest.raises(ValueError):
-            make_policy("reduce-max")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_policy("oracle")

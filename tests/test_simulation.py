@@ -29,7 +29,7 @@ class TestGemmSimulation:
     def test_fully_faulty_array_outputs_zero(self):
         activations = RNG.standard_normal((3, 8))
         weights = RNG.standard_normal((6, 8))
-        all_faulty = FaultMap.from_array(np.ones((4, 4), dtype=bool))
+        all_faulty = FaultMap(np.ones((4, 4), dtype=bool))
         result = simulate_gemm_on_array(activations, weights, all_faulty)
         np.testing.assert_allclose(result, np.zeros((3, 6)))
 

@@ -28,19 +28,23 @@ from repro.core.selection import FixedEpochPolicy
 from repro.experiments import run_compare
 from repro.mitigation import (
     available_strategies,
-    compose_masks,
     parse_strategy,
     parse_strategy_list,
     resolve_strategy,
 )
 from repro.mitigation.fam import compute_column_permutations
 from repro.training import evaluate_accuracy, resolve_masked_parameters
-from tests.helpers import reference_retrain_chip
+from tests.helpers import reference_retrain_chip, verify_masks_enforced
 
 
 def _infeasible_map(rows=16, cols=16):
     """Every row and column contains a fault: bypass cannot apply."""
     return FaultMap.from_indices(rows, cols, [(i, i) for i in range(min(rows, cols))])
+
+
+def _row(result, strategy):
+    """The ``run_compare`` summary row of one strategy."""
+    return next(row for row in result.rows if row["strategy"] == strategy)
 
 
 def _feasible_map(rows=16, cols=16, seed=3):
@@ -131,30 +135,6 @@ class TestParsing:
         assert parse_strategy("fat").triage_key != parse_strategy("fam+fat").triage_key
 
 
-class TestComposeMasks:
-    def test_union_semantics(self):
-        a = {"l": np.array([[True, False], [False, False]])}
-        b = {"l": np.array([[False, True], [False, False]]), "m": np.ones((1, 1), bool)}
-        composed = compose_masks(a, b, None)
-        np.testing.assert_array_equal(
-            composed["l"], np.array([[True, True], [False, False]])
-        )
-        assert composed["m"].all()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose_masks({"l": np.zeros((2, 2), bool)}, {"l": np.zeros((3, 2), bool)})
-
-    def test_non_bool_masks_coerced_on_merge(self):
-        a = {"l": np.array([[True, False], [False, False]])}
-        b = {"l": np.array([[0, 1], [0, 0]], dtype=np.int8)}
-        composed = compose_masks(a, b)
-        assert composed["l"].dtype == bool
-        np.testing.assert_array_equal(
-            composed["l"], np.array([[True, True], [False, False]])
-        )
-
-
 class TestMasksAndBypass:
     def test_fat_masks_match_plain_fault_masks(self, small_mlp):
         fault_map = FaultMap.random(16, 16, 0.2, seed=0)
@@ -218,15 +198,13 @@ class TestFapEnforcementPath:
             np.testing.assert_array_equal(value, once[name])
 
     def test_verify_rejects_shape_mismatch(self, small_mlp):
-        from repro.mitigation import verify_masks_enforced
-
         assert not verify_masks_enforced(
             small_mlp, {"body.0": np.zeros((1, 1), dtype=bool)}
         )
 
     def test_masks_stay_enforced_through_retraining(self, image_bundle, small_mlp):
         """No drift between apply_fap's pruning and the Trainer's enforcement."""
-        from repro.mitigation import apply_fap, verify_masks_enforced
+        from repro.mitigation import apply_fap
         from repro.training import Trainer, TrainingConfig
 
         fault_map = FaultMap.random(16, 16, 0.25, seed=7)
@@ -447,14 +425,14 @@ class TestCompareExperiment:
             ):
                 assert key in row
         # FAP gates the pruned MACs; 'none' does not.
-        assert result.row("fap")["energy_ratio"] <= result.row("none")["energy_ratio"]
-        assert result.row("none")["energy_ratio"] == 1.0
+        assert _row(result, "fap")["energy_ratio"] <= _row(result, "none")["energy_ratio"]
+        assert _row(result, "none")["energy_ratio"] == 1.0
         # Bypass pays a throughput cost where it applies, never a speedup.
-        assert result.row("bypass")["mean_slowdown"] >= 1.0
-        assert result.row("fat")["mean_slowdown"] == 1.0
+        assert _row(result, "bypass")["mean_slowdown"] >= 1.0
+        assert _row(result, "fat")["mean_slowdown"] == 1.0
         # Non-retraining strategies spend nothing.
-        assert result.row("fap")["average_epochs"] == 0.0
-        assert result.row("fat")["average_epochs"] == pytest.approx(0.25)
+        assert _row(result, "fap")["average_epochs"] == 0.0
+        assert _row(result, "fat")["average_epochs"] == pytest.approx(0.25)
         assert result.pareto_strategies()
         table = result.table()
         for name in result.strategy_names:
@@ -481,12 +459,12 @@ class TestCompareExperiment:
             fixed_epochs=0.25,
             fat_batch=2,
         )
-        assert result.row("bypass")["energy_ratio"] == 1.0
+        assert _row(result, "bypass")["energy_ratio"] == 1.0
         # The dense chip executes the identical FAP+FAT mitigation under both
         # fap+fat and bypass+fat, so both must account some MAC gating.
-        assert result.row("bypass+fat")["energy_ratio"] < 1.0
-        assert result.row("fap+fat")["energy_ratio"] < 1.0
-        assert result.row("bypass+fat")["bypassed_chips"] == 1
+        assert _row(result, "bypass+fat")["energy_ratio"] < 1.0
+        assert _row(result, "fap+fat")["energy_ratio"] < 1.0
+        assert _row(result, "bypass+fat")["bypassed_chips"] == 1
 
     def test_unknown_policy_rejected(self, smoke_context, strategy_population):
         with pytest.raises(ValueError):

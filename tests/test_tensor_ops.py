@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, as_tensor, no_grad, is_grad_enabled, enable_grad
+from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
 
 
 class TestConstruction:
@@ -16,22 +16,11 @@ class TestConstruction:
         t = Tensor(np.zeros((3,), dtype=np.float64))
         assert t.dtype == np.float64
 
-    def test_constructors(self):
-        assert Tensor.zeros(2, 3).shape == (2, 3)
-        assert np.all(Tensor.ones(4).data == 1)
-        assert Tensor.randn(2, 2, rng=np.random.default_rng(0)).shape == (2, 2)
-
-    def test_as_tensor_passthrough(self):
-        t = Tensor([1.0])
-        assert as_tensor(t) is t
-        assert isinstance(as_tensor([1.0, 2.0]), Tensor)
-
     def test_properties(self):
         t = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
         assert t.ndim == 2
         assert t.size == 12
         assert len(t) == 3
-        assert t.is_leaf
         assert "Tensor" in repr(t)
 
     def test_item_requires_scalar(self):
@@ -101,15 +90,6 @@ class TestShapeOps:
         assert np.allclose(a[0].data, [0, 1, 2, 3])
         assert np.allclose(a[:, 1].data, [1, 5, 9])
 
-    def test_detach_and_clone(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        detached = a.detach()
-        assert not detached.requires_grad
-        assert detached.data is a.data
-        cloned = a.clone()
-        cloned.data[0] = 99.0
-        assert a.data[0] == 1.0
-
 
 class TestGradMode:
     def test_no_grad_disables_graph(self):
@@ -119,10 +99,3 @@ class TestGradMode:
             out = a * 2
         assert out._ctx is None
         assert not out.requires_grad
-
-    def test_enable_grad_nested(self):
-        with no_grad():
-            with enable_grad():
-                assert is_grad_enabled()
-            assert not is_grad_enabled()
-        assert is_grad_enabled()

@@ -116,7 +116,6 @@ class TestEnergy:
         model = MLP(64, 10, hidden_sizes=(32,), seed=0)
         energy = estimate_model_energy(model, SystolicArray(32, 32), (64,), batch_size=2)
         assert energy.total_nj > 0
-        assert energy.total_mj == pytest.approx(energy.total_nj * 1e-6)
         assert len(energy.per_layer()) == 2
 
 
@@ -130,7 +129,7 @@ class TestBypass:
         assert best_bypass_plan(fault_map).surviving_pe_fraction == pytest.approx(0.75)
 
     def test_infeasible_when_everything_hit(self):
-        fault_map = FaultMap.from_array(np.eye(4, dtype=bool))
+        fault_map = FaultMap(np.eye(4, dtype=bool))
         with pytest.raises(ValueError):
             column_bypass_plan(fault_map)
         with pytest.raises(ValueError):

@@ -7,14 +7,12 @@ from repro import nn
 from repro.data import DataLoader
 from repro.models import MLP
 from repro.training import (
-    CheckpointRecord,
     Trainer,
     TrainingConfig,
     TrainingHistory,
     apply_weight_masks,
     epochs_to_steps,
     evaluate_accuracy,
-    evaluate_loss,
     meets_target,
 )
 from tests.helpers import ReferenceTrainer
@@ -53,12 +51,9 @@ class TestEpochAccounting:
 
 
 class TestEvaluation:
-    def test_accuracy_and_loss(self, blob_bundle):
+    def test_accuracy_in_unit_range(self, blob_bundle):
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(16,), seed=0)
-        accuracy = evaluate_accuracy(model, blob_bundle.test)
-        loss = evaluate_loss(model, blob_bundle.test)
-        assert 0.0 <= accuracy <= 1.0
-        assert loss > 0
+        assert 0.0 <= evaluate_accuracy(model, blob_bundle.test) <= 1.0
 
     def test_accepts_dataloader(self, blob_bundle):
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(16,), seed=0)
@@ -201,16 +196,6 @@ class TestEmptyLoaderGuard:
         with pytest.raises(ValueError, match="no batches"):
             Trainer(model, empty, blob_bundle.test, config=TrainingConfig(batch_size=16))
 
-    def test_drop_last_smaller_than_batch_rejected(self, blob_bundle):
-        # drop_last with fewer samples than one batch yields a zero-batch
-        # loader; before the guard this spun _train_steps forever.
-        loader = DataLoader(
-            blob_bundle.train, batch_size=10_000, shuffle=True, drop_last=True, seed=0
-        )
-        model = MLP(8, blob_bundle.num_classes, hidden_sizes=(8,), seed=0)
-        with pytest.raises(ValueError, match="no batches"):
-            Trainer(model, loader, blob_bundle.test)
-
     def test_one_batch_loader_still_trains(self, blob_bundle):
         model = MLP(8, blob_bundle.num_classes, hidden_sizes=(8,), seed=0)
         loader = DataLoader(blob_bundle.train, batch_size=10_000, shuffle=False)
@@ -221,8 +206,6 @@ class TestEmptyLoaderGuard:
 
 class TestEvaluationRngIsolation:
     def _train_history(self, blob_bundle, interleave):
-        from repro.training import evaluate_accuracy, evaluate_loss
-
         model = MLP(8, blob_bundle.num_classes, hidden_sizes=(16,), seed=2)
         config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=9)
         trainer = Trainer(model, blob_bundle.train, blob_bundle.test, config=config)
@@ -233,7 +216,6 @@ class TestEvaluationRngIsolation:
                 # Evaluating through the *shuffled training loader* must not
                 # advance its RNG (it used to, changing every later batch).
                 evaluate_accuracy(model, trainer.train_loader)
-                evaluate_loss(model, trainer.train_loader)
         return [h.final_accuracy for h in histories], model.state_dict()
 
     def test_interleaved_evaluation_does_not_change_training(self, blob_bundle):
@@ -261,27 +243,19 @@ class TestTrainingHistory:
             model, blob_bundle.train, blob_bundle.test,
             config=TrainingConfig(learning_rate=0.1, batch_size=16, seed=0),
         ).train(2.0, eval_checkpoints=[0.5, 1.0])
-        assert history.accuracy_at(1.0) == history.records[2].eval_accuracy
-        target = history.final_accuracy
-        assert history.epochs_to_reach(target) is not None
-        assert history.epochs_to_reach(1.1) is None
-        payload = history.as_dict()
-        assert set(payload) == {"epochs", "accuracy", "train_loss"}
+        assert history.epochs == [0.0, 0.5, 1.0, 2.0]
+        assert history.accuracies == [record.eval_accuracy for record in history.records]
+        assert history.final_accuracy == history.records[-1].eval_accuracy
+        assert history.total_epochs == 2.0
 
-    def test_epochs_to_reach_follows_the_constraint_rule(self):
-        """Clean 0.2 minus a 0.02 drop resolves to 0.18000000000000002: the
-        constraint counts 0.18 as met, and so must ``epochs_to_reach``."""
+    def test_meets_target_follows_the_constraint_rule(self):
+        """Clean 0.2 minus a 0.02 drop resolves to 0.18000000000000002, and
+        ``meets_target`` still counts 0.18 as meeting it."""
         from repro.core import AccuracyConstraint
 
-        constraint = AccuracyConstraint.within_drop_of_clean(0.02)
-        target = constraint.resolve(0.2)
+        target = AccuracyConstraint.within_drop_of_clean(0.02).resolve(0.2)
         assert target > 0.18
-        assert constraint.is_met(0.18, 0.2)
-        history = TrainingHistory([
-            CheckpointRecord(epochs=0.5, steps=1, train_loss=0.0, eval_accuracy=0.1),
-            CheckpointRecord(epochs=1.0, steps=2, train_loss=0.0, eval_accuracy=0.18),
-        ])
-        assert history.epochs_to_reach(target) == 1.0
+        assert meets_target(0.18, target)
         np.testing.assert_array_equal(
             meets_target(np.array([0.17, 0.18, 0.19]), target), [False, True, True]
         )
@@ -292,31 +266,7 @@ class TestTrainingHistory:
         history = TrainingHistory()
         with pytest.raises(ValueError):
             _ = history.final_accuracy
-        with pytest.raises(ValueError):
-            history.accuracy_at(1.0)
         assert history.total_epochs == 0.0
-
-    def test_accuracy_at_far_checkpoint_warns_and_strict_raises(self, caplog, monkeypatch):
-        import logging
-
-        from repro.training import CheckpointRecord, TrainingHistory
-
-        # The library's logger hierarchy does not propagate to the root
-        # logger; let it through so caplog can observe the warning.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        history = TrainingHistory()
-        history.add(CheckpointRecord(epochs=0.05, steps=1, train_loss=1.0, eval_accuracy=0.5))
-        # Within tolerance: exact checkpoint, no warning.
-        with caplog.at_level(logging.WARNING, logger="repro.training"):
-            assert history.accuracy_at(0.05) == 0.5
-        assert not caplog.records
-        # The nearest checkpoint is 100x away from the request: previously
-        # this silently returned 0.5 as if it were the 5.0-epoch accuracy.
-        with caplog.at_level(logging.WARNING, logger="repro.training"):
-            assert history.accuracy_at(5.0) == 0.5
-        assert any("accuracy_at" in record.message for record in caplog.records)
-        with pytest.raises(ValueError, match="nearest recorded checkpoint"):
-            history.accuracy_at(5.0, strict=True)
 
 
 class TestSeedDeterminism:

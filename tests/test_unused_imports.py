@@ -13,44 +13,23 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from tests.helpers import loaded_names
+
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks", "examples")
 
 
-def _annotations(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg) and node.annotation is not None:
-            yield node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
-
-
 def _referenced(tree: ast.AST):
-    """Every name ``tree`` loads, names in quoted annotations and ``__all__``."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    quoted = [
-        node.value
-        for annotation in _annotations(tree)
-        for node in ast.walk(annotation)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    ]
+    """Every name ``tree`` loads (quoted annotations included) or lists in ``__all__``."""
+    names = loaded_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            quoted.extend(
+            names.update(
                 sub.value for sub in ast.walk(node.value)
                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
             )
-    for text in quoted:
-        try:
-            expression = ast.parse(text, mode="eval")
-        except SyntaxError:
-            names.add(text)
-            continue
-        names.update(node.id for node in ast.walk(expression) if isinstance(node, ast.Name))
     return names
 
 

@@ -19,9 +19,7 @@ from repro.utils import (
     new_rng,
     save_json,
     set_verbosity,
-    spawn_rngs,
 )
-from repro.utils.rng import RngMixin, choice_without_replacement, shuffled_indices, split_indices
 
 
 class TestRng:
@@ -37,41 +35,6 @@ class TestRng:
         assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
         assert derive_seed(1, "a") != derive_seed(2, "a")
         assert 0 <= derive_seed(7, "x") < 2 ** 63
-
-    def test_spawn_rngs(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-        values = [r.integers(0, 10**9) for r in rngs]
-        assert len(set(values)) == 3
-        assert spawn_rngs(0, 0) == []
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_rng_mixin(self):
-        class Thing(RngMixin):
-            pass
-
-        thing = Thing(5)
-        first = thing.rng.integers(0, 1000)
-        thing.reseed(5)
-        assert thing.rng.integers(0, 1000) == first
-
-    def test_choice_without_replacement(self):
-        rng = np.random.default_rng(0)
-        picked = choice_without_replacement(rng, list(range(10)), 5)
-        assert len(set(picked.tolist())) == 5
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, [1, 2], 5)
-
-    def test_shuffled_and_split_indices(self):
-        rng = np.random.default_rng(0)
-        assert sorted(shuffled_indices(rng, 10).tolist()) == list(range(10))
-        groups = split_indices(rng, 10, [0.5, 0.5])
-        assert sum(len(g) for g in groups) == 10
-        with pytest.raises(ValueError):
-            split_indices(rng, 10, [0.8, 0.5])
-        with pytest.raises(ValueError):
-            split_indices(rng, 10, [-0.1, 0.5])
 
 
 @dataclasses.dataclass
@@ -161,18 +124,17 @@ class TestTiming:
         with Timer("test") as timer:
             time.sleep(0.01)
         assert timer.elapsed >= 0.005
-        assert not timer.running
+        with pytest.raises(RuntimeError):
+            timer.stop()  # the context stopped it
         assert "test" in repr(timer)
 
     def test_timer_manual_and_errors(self):
         timer = Timer()
         with pytest.raises(RuntimeError):
             timer.stop()
-        timer.start()
-        assert timer.running
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
+        first = timer.start().stop()
+        assert first >= 0.0
+        assert timer.start().stop() >= first  # elapsed accumulates
 
 
 class TestLogging:
