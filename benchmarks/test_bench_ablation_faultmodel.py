@@ -19,7 +19,6 @@ from repro.accelerator import (
     model_fault_masks,
     masked_weight_fraction,
 )
-from repro.mitigation import build_fap_masks
 from repro.training import apply_weight_masks, evaluate_accuracy
 from repro.utils.rng import derive_seed
 
@@ -34,7 +33,7 @@ def _mean_fap_accuracy(context, fault_model, rows, cols):
         rng = np.random.default_rng(seed)
         fault_map = fault_model.sample(rows, cols, FAULT_RATE, rng)
         context.restore_pretrained()
-        apply_weight_masks(context.model, build_fap_masks(context.model, fault_map))
+        apply_weight_masks(context.model, model_fault_masks(context.model, fault_map))
         accuracies.append(evaluate_accuracy(context.model, context.bundle.test))
     context.restore_pretrained()
     return float(np.mean(accuracies))

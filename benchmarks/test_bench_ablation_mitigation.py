@@ -11,9 +11,8 @@ import dataclasses
 import numpy as np
 
 from bench_utils import run_once
-from repro.accelerator import FaultMap
-from repro.mitigation import apply_fam, apply_fap, fault_aware_retrain
-from repro.training import evaluate_accuracy
+from repro.accelerator import BatchedFaultTrainer, FaultMap, evaluate_chip_accuracies
+from repro.mitigation import parse_strategy
 from repro.utils.rng import derive_seed
 
 FAULT_RATES = (0.1, 0.2, 0.3)
@@ -24,27 +23,19 @@ def _evaluate_mitigations(context, fault_rate, seed):
     """Accuracy of clean / FAP / FAM / FAT models for one random fault map."""
     rows, cols = context.array.shape
     fault_map = FaultMap.random(rows, cols, fault_rate, seed=seed)
-    results = {}
-
     context.restore_pretrained()
-    results["clean"] = context.clean_accuracy
-
-    context.restore_pretrained()
-    apply_fap(context.model, fault_map)
-    results["fap"] = evaluate_accuracy(context.model, context.bundle.test)
-
-    context.restore_pretrained()
-    apply_fam(context.model, fault_map)
-    results["fam"] = evaluate_accuracy(context.model, context.bundle.test)
-
-    context.restore_pretrained()
-    config = dataclasses.replace(context.preset.retraining, seed=seed)
-    fat = fault_aware_retrain(
-        context.model, fault_map, context.bundle, epochs=RETRAIN_EPOCHS, config=config
+    fap_masks = parse_strategy("fap").chip_masks(context.model, fault_map)
+    fam_masks = parse_strategy("fam").chip_masks(context.model, fault_map)
+    results = {"clean": context.clean_accuracy}
+    results["fap"], results["fam"] = evaluate_chip_accuracies(
+        context.model, context.bundle.test, [fap_masks, fam_masks]
     )
-    results["fat"] = fat.final_accuracy
 
-    context.restore_pretrained()
+    config = dataclasses.replace(context.preset.retraining, seed=seed)
+    fat = BatchedFaultTrainer(
+        context.model, [fap_masks], context.bundle.train, context.bundle.test, config
+    ).train(RETRAIN_EPOCHS)[0]
+    results["fat"] = fat.final_accuracy
     return results
 
 

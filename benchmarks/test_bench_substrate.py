@@ -16,7 +16,7 @@ from repro.core.chips import Chip
 from repro.data import DataLoader
 from repro.models import build_model
 from repro.nn import functional as F
-from repro.training import Trainer, TrainingConfig
+from repro.training import TrainingConfig
 
 RNG = np.random.default_rng(0)
 
@@ -153,26 +153,28 @@ def _fat_mask_sets(context, num_chips=8):
 def test_bench_fat_retraining_serial_8chips(benchmark, fast_context):
     """Baseline Step 3: 8 chips retrained one at a time (0.5 epochs each).
 
-    This is the pre-batching campaign inner loop — restore the pre-trained
-    weights, train under the chip's masks, evaluate — and the comparator for
-    the batched benchmark below.
+    This is the pre-batching campaign inner loop — train one stack of one
+    chip under its masks, evaluate — and the comparator for the batched
+    benchmark below.
     """
+    from repro.accelerator.batched import BatchedFaultTrainer
+
     context = fast_context
     mask_sets = _fat_mask_sets(context)
     config = TrainingConfig(learning_rate=0.04, batch_size=40, seed=0)
 
     def run():
+        context.restore_pretrained()
         accuracies = []
         for masks in mask_sets:
-            context.restore_pretrained()
-            trainer = Trainer(
+            trainer = BatchedFaultTrainer(
                 context.model,
+                [masks],
                 context.bundle.train,
                 context.bundle.test,
                 config=config,
-                masks=masks,
             )
-            history = trainer.train(0.5, include_initial=False)
+            history = trainer.train(0.5, include_initial=False)[0]
             accuracies.append(history.final_accuracy)
         return accuracies
 
@@ -225,21 +227,23 @@ def _mlp_fat_setup(context, num_chips=8):
 
 def test_bench_fat_retraining_serial_mlp_8chips(benchmark, smoke_context):
     """Serial FAT baseline on the MLP (smoke) workload: 8 chips, 1 epoch each."""
+    from repro.accelerator.batched import BatchedFaultTrainer
+
     context = smoke_context
     mask_sets, config = _mlp_fat_setup(context)
 
     def run():
+        context.restore_pretrained()
         accuracies = []
         for masks in mask_sets:
-            context.restore_pretrained()
-            trainer = Trainer(
+            trainer = BatchedFaultTrainer(
                 context.model,
+                [masks],
                 context.bundle.train,
                 context.bundle.test,
                 config=config,
-                masks=masks,
             )
-            accuracies.append(trainer.train(1.0, include_initial=False).final_accuracy)
+            accuracies.append(trainer.train(1.0, include_initial=False)[0].final_accuracy)
         return accuracies
 
     accuracies = benchmark(run)
@@ -301,17 +305,18 @@ def test_bench_fat_retraining_serial_vgg11_4chips(benchmark, fast_context):
     on a 1x1 feature map at the fast preset's 12x12 images.  The comparator
     for the stacked run below.
     """
+    from repro.accelerator.batched import BatchedFaultTrainer
+
     context = fast_context
-    model, pretrained, mask_sets, config = _vgg11_fat_setup(context)
+    model, _, mask_sets, config = _vgg11_fat_setup(context)
 
     def run():
         accuracies = []
         for masks in mask_sets:
-            model.load_state_dict(pretrained)
-            trainer = Trainer(
-                model, context.bundle.train, context.bundle.test, config=config, masks=masks
+            trainer = BatchedFaultTrainer(
+                model, [masks], context.bundle.train, context.bundle.test, config=config
             )
-            accuracies.append(trainer.train(0.25, include_initial=False).final_accuracy)
+            accuracies.append(trainer.train(0.25, include_initial=False)[0].final_accuracy)
         return accuracies
 
     accuracies = benchmark(run)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerator import (
+    BatchedFaultTrainer,
     ClusteredFaultModel,
     FaultMap,
     RandomFaultModel,
@@ -28,14 +29,14 @@ from repro.accelerator import (
     bypass_slowdown,
     estimate_model_energy,
     estimate_model_timing,
+    evaluate_chip_accuracies,
     masked_weight_fraction,
     model_fault_masks,
     model_mapping,
 )
 from repro.data import make_class_template_images
-from repro.mitigation import apply_fam, apply_fap, fault_aware_retrain
+from repro.mitigation import parse_strategy
 from repro.models import LeNet5
-from repro.nn import clone_state_dict
 from repro.training import Trainer, TrainingConfig, evaluate_accuracy
 
 
@@ -53,7 +54,6 @@ def main() -> None:
     print(f"pre-training LeNet-5 on {bundle.name} ...")
     Trainer(model, bundle.train, bundle.test, config).train(10.0)
     clean_accuracy = evaluate_accuracy(model, bundle.test)
-    pretrained = clone_state_dict(model.state_dict())
     print(f"clean accuracy: {clean_accuracy:.3f}")
 
     # ------------------------------------------------------------------ fault maps
@@ -75,20 +75,18 @@ def main() -> None:
           f"(PE fault rate {random_map.fault_rate:.3f})")
 
     # ------------------------------------------------------------------ mitigation comparison
+    # Each mitigation is a mask set for the chip; the model keeps its
+    # pre-trained weights, and one stack evaluates or retrains under masks.
     print("\nmitigation comparison at 20% faulty PEs:")
-    model.load_state_dict(pretrained)
-    apply_fap(model, random_map)
-    fap_accuracy = evaluate_accuracy(model, bundle.test)
+    fap_masks = parse_strategy("fap").chip_masks(model, random_map)
+    fam_masks = parse_strategy("fam").chip_masks(model, random_map)
+    fap_accuracy, fam_accuracy = evaluate_chip_accuracies(
+        model, bundle.test, [fap_masks, fam_masks], config
+    )
     print(f"  FAP  (prune only)          : {fap_accuracy:.3f}")
+    print(f"  FAM  (saliency mapping)    : {fam_accuracy:.3f}")
 
-    model.load_state_dict(pretrained)
-    fam = apply_fam(model, random_map)
-    fam_accuracy = evaluate_accuracy(model, bundle.test)
-    print(f"  FAM  (saliency mapping)    : {fam_accuracy:.3f} "
-          f"(masked saliency reduced by {fam.saliency_saving:.0%})")
-
-    model.load_state_dict(pretrained)
-    fat = fault_aware_retrain(model, random_map, bundle, epochs=1.0, config=config)
+    fat = BatchedFaultTrainer(model, [fap_masks], bundle.train, bundle.test, config).train(1.0)[0]
     print(f"  FAT  (1 epoch retraining)  : {fat.final_accuracy:.3f}")
     print(f"  clean reference            : {clean_accuracy:.3f}")
 
@@ -102,7 +100,6 @@ def main() -> None:
           f"latency {slowdown:.2f}x vs FAP's 1.00x")
 
     # ------------------------------------------------------------------ timing & energy
-    model.load_state_dict(pretrained)
     timing = estimate_model_timing(model, array, bundle.input_shape, batch_size=1)
     energy = estimate_model_energy(model, array, bundle.input_shape, batch_size=1)
     print("\nper-inference cost model (full array):")

@@ -94,7 +94,7 @@ from repro.observability import (
     write_merged_metrics,
 )
 from repro.utils.logging import get_logger
-from repro.utils.timing import Timer, format_duration
+from repro.utils.timing import format_duration
 
 if TYPE_CHECKING:  # chaos and the scheduler load only when a run uses them
     from repro.campaign.chaos import ChaosSchedule, ChaosSpec
@@ -448,7 +448,7 @@ class CampaignEngine:
         # once, however many policies ask for it.
         pending = [job for run in runs for job in run.pending]
 
-        timer = Timer().start()
+        run_started = time.perf_counter()
         done = total - len(pending)
 
         if pending:
@@ -612,7 +612,7 @@ class CampaignEngine:
                     failures = self._execute_inline(
                         framework, plan, record_chunk, chaos_schedule
                     )
-        elapsed = timer.stop()
+        elapsed = time.perf_counter() - run_started
         metrics.gauge("campaign.phase").set("finalize")
 
         # Graceful degradation: quarantined chunks become per-chip failure

@@ -77,7 +77,6 @@ def run_strategy_sweep(
     progress: bool = False,
     fat_batch: Optional[int] = None,
     disk_cache_dir: Optional[PathLike] = None,
-    heartbeat_seconds: Optional[float] = CampaignEngine.DEFAULT_HEARTBEAT_SECONDS,
     max_chunk_retries: Optional[int] = None,
     chunk_timeout: Optional[float] = None,
     chaos: Optional[str] = None,
@@ -109,7 +108,6 @@ def run_strategy_sweep(
         progress=progress,
         disk_cache_dir=disk_cache_dir,
         fat_batch=fat_batch,
-        heartbeat_seconds=heartbeat_seconds,
         max_chunk_retries=max_chunk_retries,
         chunk_timeout=chunk_timeout,
         chaos=chaos,

@@ -18,10 +18,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
+from repro.accelerator.batched import BatchedFaultTrainer
+from repro.accelerator.mapping import model_fault_masks
 from repro.core.chips import Chip, ChipPopulation
-from repro.core.reduce import CampaignResult, ChipRetrainingResult, ReduceFramework
-from repro.mitigation.fap import build_fap_masks
-from repro.training import Trainer, meets_target
+from repro.core.reduce import (
+    CampaignResult,
+    ChipRetrainingResult,
+    ReduceFramework,
+    _build_chip_result,
+)
+from repro.training import meets_target
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
@@ -61,21 +67,23 @@ def adaptive_retrain_chip(
         raise ValueError("increments must contain at least one positive epoch amount")
 
     framework._restore_pretrained()
-    masks = build_fap_masks(framework.model, chip.fault_map)
+    masks = model_fault_masks(framework.model, chip.fault_map)
     training_config = dataclasses.replace(
         framework.config.effective_retraining_config(),
         seed=derive_seed(framework.config.resilience.seed, "adaptive", chip.chip_id),
     )
-    trainer = Trainer(
+    # A stack of one: each ``train(delta)`` call continues the same chip's
+    # weights and optimizer state.
+    trainer = BatchedFaultTrainer(
         framework.model,
+        [masks],
         framework.bundle.train,
         framework.bundle.test,
         config=training_config,
-        masks=masks,
     )
     target = framework.target_accuracy
 
-    accuracy = trainer.evaluate()
+    accuracy = trainer.evaluate()[0]
     accuracy_before = accuracy
     evaluations = 1
     previous = 0.0
@@ -84,22 +92,13 @@ def adaptive_retrain_chip(
             break
         delta = checkpoint - previous
         if delta > 0:
-            history = trainer.train(delta, include_initial=False)
+            history = trainer.train(delta, include_initial=False)[0]
             accuracy = history.final_accuracy
             evaluations += 1
         previous = checkpoint
 
-    masked = sum(int(mask.sum()) for mask in masks.values())
-    total = sum(mask.size for mask in masks.values())
-    result = ChipRetrainingResult(
-        chip_id=chip.chip_id,
-        fault_rate=chip.fault_rate,
-        epochs_allocated=float(increments[-1]),
-        epochs_trained=float(trainer.epochs_taken),
-        accuracy_before=accuracy_before,
-        accuracy_after=accuracy,
-        meets_constraint=meets_target(accuracy, target),
-        masked_weight_fraction=masked / total if total else 0.0,
+    result = _build_chip_result(
+        chip, masks, increments[-1], trainer.epochs_taken, accuracy_before, accuracy, target
     )
     return result, evaluations
 

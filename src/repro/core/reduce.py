@@ -32,6 +32,7 @@ from repro.accelerator.batched import (
     EvalPipeline,
     evaluate_chip_accuracies,
 )
+from repro.accelerator.mapping import masked_weight_fraction
 from repro.accelerator.systolic_array import SystolicArray
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.constraints import AccuracyConstraint
@@ -213,8 +214,6 @@ def _build_chip_result(
     strategy: str = DEFAULT_STRATEGY_NAME,
 ) -> ChipRetrainingResult:
     """Assemble one chip's result row."""
-    masked = sum(int(mask.sum()) for mask in masks.values())
-    total = sum(mask.size for mask in masks.values())
     return ChipRetrainingResult(
         chip_id=chip.chip_id,
         fault_rate=chip.fault_rate,
@@ -223,7 +222,7 @@ def _build_chip_result(
         accuracy_before=accuracy_before,
         accuracy_after=accuracy_after,
         meets_constraint=meets_target(accuracy_after, target),
-        masked_weight_fraction=masked / total if total else 0.0,
+        masked_weight_fraction=masked_weight_fraction(masks),
         strategy=strategy,
     )
 

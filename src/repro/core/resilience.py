@@ -27,10 +27,10 @@ from repro import nn
 from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.fault_models import FaultModel, RandomFaultModel
+from repro.accelerator.mapping import model_fault_masks
 from repro.accelerator.systolic_array import SystolicArray
 from repro.core.profiles import ResilienceProfile
 from repro.data.synthetic import DatasetBundle
-from repro.mitigation.fap import build_fap_masks
 from repro.nn.serialization import clone_state_dict
 from repro.training import TrainingConfig, evaluate_accuracy
 from repro.utils.logging import get_logger
@@ -135,7 +135,7 @@ class ResilienceAnalyzer:
         for fault_rate, trial_index in cells:
             trial_seed, fault_map = self._trial_fault_map(fault_rate, trial_index)
             seeds.append(trial_seed)
-            mask_sets.append(build_fap_masks(self.model, fault_map))
+            mask_sets.append(model_fault_masks(self.model, fault_map))
         trainer = BatchedFaultTrainer(
             self.model,
             mask_sets,

@@ -28,9 +28,6 @@ class TensorDataset:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def __getitem__(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.inputs[index], self.targets[index]
-
     @property
     def num_classes(self) -> int:
         if self.targets.dtype.kind in "iu":

@@ -5,29 +5,25 @@ sacrificed: the mapping of logical output channels onto physical array
 columns is permuted so that the columns containing the most faulty PEs
 receive the least salient output channels.  The permutation is transparent to
 the network's function (the hardware re-orders the columns), so in simulation
-it only changes which weights the fault masks select.
+it only changes which weights the fault masks select: a chip's FAM masks are
+``model_fault_masks(model, fault_map, compute_column_permutations(model,
+fault_map))``, which :meth:`MitigationStrategy.chip_masks
+<repro.mitigation.strategy.MitigationStrategy.chip_masks>` builds for every
+``fam`` strategy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict
 
 import numpy as np
 
 from repro import nn
 from repro.accelerator.fault_map import FaultMap
-from repro.accelerator.mapping import (
-    layer_gemm_shape,
-    mappable_layers,
-    masked_weight_fraction,
-    model_fault_masks,
-)
+from repro.accelerator.mapping import layer_gemm_shape, mappable_layers
 from repro.accelerator.systolic_array import SystolicArray
 from repro.mitigation.saliency import output_channel_saliency
-from repro.training import enforce_weight_masks
 
-MaskDict = Dict[str, np.ndarray]
 PermutationDict = Dict[str, np.ndarray]
 
 
@@ -73,24 +69,6 @@ def layer_column_permutation(
     return permutation
 
 
-@dataclasses.dataclass(frozen=True)
-class FamResult:
-    """Outcome of applying fault-aware mapping + pruning to a model."""
-
-    masks: MaskDict
-    permutations: PermutationDict
-    masked_fraction: float
-    masked_saliency: float
-    baseline_masked_saliency: float
-
-    @property
-    def saliency_saving(self) -> float:
-        """Relative reduction in total masked saliency vs. naive mapping."""
-        if self.baseline_masked_saliency == 0:
-            return 0.0
-        return 1.0 - self.masked_saliency / self.baseline_masked_saliency
-
-
 def compute_column_permutations(
     model: nn.Module,
     fault_map_or_array,
@@ -106,52 +84,3 @@ def compute_column_permutations(
         name: layer_column_permutation(module, fault_map, metric=metric)
         for name, module in mappable_layers(model)
     }
-
-
-def _total_masked_saliency(model: nn.Module, masks: MaskDict, metric: str) -> float:
-    from repro.mitigation.saliency import get_saliency_metric
-    from repro.accelerator.mapping import weight_matrix_view
-
-    saliency_fn = get_saliency_metric(metric)
-    modules = dict(model.named_modules())
-    total = 0.0
-    for name, mask in masks.items():
-        module = modules[name]
-        matrix = weight_matrix_view(module)
-        matrix_mask = mask.reshape(matrix.shape)
-        total += float(saliency_fn(matrix)[matrix_mask].sum())
-    return total
-
-
-def apply_fam(
-    model: nn.Module,
-    fault_map_or_array,
-    metric: str = "magnitude",
-    prune: bool = True,
-) -> FamResult:
-    """Apply fault-aware mapping (and, by default, the resulting pruning).
-
-    With ``prune=False`` only the permutations and masks are computed, which
-    is useful for analysing the mapping without modifying the model.
-    """
-    fault_map = (
-        fault_map_or_array.fault_map
-        if isinstance(fault_map_or_array, SystolicArray)
-        else fault_map_or_array
-    )
-    permutations = compute_column_permutations(model, fault_map, metric=metric)
-    baseline_masks = model_fault_masks(model, fault_map)
-    masks = model_fault_masks(model, fault_map, permutations)
-    masked_saliency = _total_masked_saliency(model, masks, metric)
-    baseline_saliency = _total_masked_saliency(model, baseline_masks, metric)
-    if prune:
-        # Same construction-time keep-multiplier path as the trainers (and
-        # apply_fap), so FAM pruning cannot drift from FAT enforcement.
-        enforce_weight_masks(model, masks)
-    return FamResult(
-        masks=masks,
-        permutations=permutations,
-        masked_fraction=masked_weight_fraction(masks),
-        masked_saliency=masked_saliency,
-        baseline_masked_saliency=baseline_saliency,
-    )

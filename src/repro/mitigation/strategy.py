@@ -60,7 +60,7 @@ import numpy as np
 
 from repro import nn
 from repro.accelerator.fault_map import FaultMap
-from repro.mitigation.fap import build_fap_masks
+from repro.accelerator.mapping import model_fault_masks
 
 if TYPE_CHECKING:  # bypass and FAM load only when a strategy uses them
     from repro.accelerator.bypass import BypassPlan
@@ -169,8 +169,8 @@ class MitigationStrategy:
             permutations = compute_column_permutations(
                 model, fault_map, metric=self.saliency_metric
             )
-            return build_fap_masks(model, fault_map, permutations)
-        return build_fap_masks(model, fault_map)
+            return model_fault_masks(model, fault_map, permutations)
+        return model_fault_masks(model, fault_map)
 
 
 def _parse_spec(spec: str) -> Tuple[Tuple[str, ...], str]:

@@ -1,7 +1,8 @@
 """Training configuration, histories, evaluation and fault-mask helpers.
 
-The training loop itself is :class:`~repro.accelerator.batched.BatchedFaultTrainer`;
-:class:`Trainer` runs it on one model in place.  Together they serve
+The training loop itself is :class:`~repro.accelerator.batched.BatchedFaultTrainer`,
+which trains a stack of chips, each under its own fault masks;
+:class:`Trainer` runs it on one unmasked model in place.  Together they serve
 
 * pre-training the clean reference model (the "pre-trained DNN" input of the
   Reduce framework),
@@ -182,24 +183,6 @@ def evaluate_accuracy(
     return correct / total if total else 0.0
 
 
-@dataclasses.dataclass
-class MaskedParameter:
-    """One weight tensor with its fault mask, resolved to the live parameter.
-
-    ``keep`` is the float32 multiplicative complement of the boolean mask
-    (1.0 = trainable, 0.0 = clamped); multiplying by it in place enforces the
-    mask without boolean fancy-indexing or temporary allocations.
-    """
-
-    name: str
-    weight: nn.Tensor
-    mask: np.ndarray
-    keep: np.ndarray
-
-    def enforce_weight(self) -> None:
-        np.multiply(self.weight.data, self.keep, out=self.weight.data)
-
-
 def _resolve_masked_weight(model_modules: Dict[str, nn.Module], name: str, mask: np.ndarray):
     """Look up and validate the weight tensor a mask applies to."""
     if name not in model_modules:
@@ -214,25 +197,6 @@ def _resolve_masked_weight(model_modules: Dict[str, nn.Module], name: str, mask:
     return weight
 
 
-def resolve_masked_parameters(
-    model: nn.Module, masks: Optional[MaskDict]
-) -> List[MaskedParameter]:
-    """Resolve mask names to live weight tensors once (hot loops reuse this).
-
-    Validates exactly like the per-call path: unknown layer names and shape
-    mismatches raise immediately rather than mid-training.
-    """
-    if not masks:
-        return []
-    modules = dict(model.named_modules())
-    resolved: List[MaskedParameter] = []
-    for name, mask in masks.items():
-        weight = _resolve_masked_weight(modules, name, mask)
-        keep = np.where(mask, np.float32(0.0), np.float32(1.0))
-        resolved.append(MaskedParameter(name=name, weight=weight, mask=mask, keep=keep))
-    return resolved
-
-
 def apply_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> None:
     """Zero out the weights selected by ``masks`` (True = forced to zero)."""
     if not masks:
@@ -241,21 +205,6 @@ def apply_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> None:
     for name, mask in masks.items():
         weight = _resolve_masked_weight(modules, name, mask)
         weight.data[mask] = 0.0
-
-
-def enforce_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> List[MaskedParameter]:
-    """Clamp masked weights through the keep-multiplier enforcement path.
-
-    The one shared pruning primitive: resolves the masks exactly like the
-    trainers (:func:`resolve_masked_parameters`) and enforces them with the
-    same in-place float32 keep-multiplies the per-step hot loops use, so
-    pruning applied here can never drift from mask enforcement during FAT.
-    Returns the resolved parameters for callers that keep enforcing.
-    """
-    resolved = resolve_masked_parameters(model, masks)
-    for masked in resolved:
-        masked.enforce_weight()
-    return resolved
 
 
 def epochs_to_steps(epochs: float, batches_per_epoch: int) -> int:
@@ -271,14 +220,13 @@ def epochs_to_steps(epochs: float, batches_per_epoch: int) -> int:
 
 
 class Trainer:
-    """Trainer of one model in place: a :class:`BatchedFaultTrainer` stack of one.
+    """Trainer of one unmasked model in place: a :class:`BatchedFaultTrainer` stack of one.
 
-    The stacked trainer is the one training loop; this wrapper trains a
-    single chip (``masks``, or none for pre-training) and keeps ``model``
-    holding that chip's weights: the masked starting weights after
-    construction and the trained weights after every :meth:`train`.  The
-    stack, not the model, carries the training state (weights and optimizer)
-    from one :meth:`train` call to the next.
+    The stacked trainer is the one training loop; this wrapper pre-trains a
+    single model and keeps ``model`` holding the trained weights after every
+    :meth:`train`.  The stack, not the model, carries the training state
+    (weights and optimizer) from one :meth:`train` call to the next.  Chips
+    with fault masks train as a :class:`BatchedFaultTrainer` stack directly.
     """
 
     def __init__(
@@ -287,14 +235,10 @@ class Trainer:
         train_data: Union[TensorDataset, DataLoader],
         eval_data: Union[TensorDataset, DataLoader],
         config: Optional[TrainingConfig] = None,
-        masks: Optional[MaskDict] = None,
     ) -> None:
         self.model = model
-        self._stack = BatchedFaultTrainer(model, [masks or {}], train_data, eval_data, config)
-        self.config = self._stack.config
+        self._stack = BatchedFaultTrainer(model, [{}], train_data, eval_data, config)
         self.train_loader = self._stack._train_loaders[0]
-        self.batches_per_epoch = self._stack.batches_per_epoch
-        self._write_back()
 
     @property
     def steps_taken(self) -> int:
@@ -304,12 +248,6 @@ class Trainer:
     def epochs_taken(self) -> float:
         return self._stack.epochs_taken
 
-    def _write_back(self) -> None:
-        self.model.load_state_dict(self._stack.chip_state_dict(0))
-
-    def evaluate(self) -> float:
-        return self._stack.evaluate()[0]
-
     def train(
         self,
         epochs: float,
@@ -318,5 +256,5 @@ class Trainer:
     ) -> TrainingHistory:
         """Train for ``epochs``; the history of :meth:`BatchedFaultTrainer.train`."""
         history = self._stack.train(epochs, eval_checkpoints, include_initial)[0]
-        self._write_back()
+        self.model.load_state_dict(self._stack.chip_state_dict(0))
         return history

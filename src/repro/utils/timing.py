@@ -1,9 +1,6 @@
-"""Wall-clock timing helpers used by trainers and experiment runners."""
+"""Human-readable durations for campaign logs and reports."""
 
 from __future__ import annotations
-
-import time
-from typing import Optional
 
 
 def format_duration(seconds: float) -> str:
@@ -27,33 +24,3 @@ def format_duration(seconds: float) -> str:
     total_minutes = round(seconds / 60.0)
     hours, minutes = divmod(total_minutes, 60)
     return f"{hours}h{minutes:02d}m"
-
-
-class Timer:
-    """Context-manager / manual timer measuring elapsed wall-clock time."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def start(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def __repr__(self) -> str:
-        label = self.name or "Timer"
-        return f"{label}({format_duration(self.elapsed)})"

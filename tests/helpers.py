@@ -5,15 +5,16 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
-from typing import Dict, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro import nn
+from repro.accelerator.mapping import model_fault_masks, weight_matrix_view
 from repro.core.reduce import _build_chip_result
 from repro.data.dataset import TensorDataset
 from repro.data.synthetic import DatasetBundle
-from repro.mitigation.fap import build_fap_masks
+from repro.mitigation.saliency import get_saliency_metric
 from repro.mitigation.strategy import resolve_strategy
 from repro.nn import functional as F
 from repro.nn.serialization import clone_state_dict
@@ -23,11 +24,10 @@ from repro.training import (
     TrainingConfig,
     TrainingHistory,
     _as_loader,
-    enforce_weight_masks,
+    _resolve_masked_weight,
     epochs_to_steps,
     evaluate_accuracy,
     require_nonempty_train_loader,
-    resolve_masked_parameters,
 )
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 
@@ -72,15 +72,81 @@ def recorded_evaluate(trainer):
             del cache.run
 
 
+@dataclasses.dataclass
+class MaskedParameter:
+    """One weight tensor with its fault mask, resolved to the live parameter.
+
+    ``keep`` is the float32 multiplicative complement of the boolean mask
+    (1.0 = trainable, 0.0 = clamped); multiplying by it in place enforces the
+    mask without boolean fancy-indexing or temporary allocations.
+    """
+
+    name: str
+    weight: nn.Tensor
+    mask: np.ndarray
+    keep: np.ndarray
+
+    def enforce_weight(self) -> None:
+        np.multiply(self.weight.data, self.keep, out=self.weight.data)
+
+
+def resolve_masked_parameters(
+    model: nn.Module, masks: Optional[MaskDict]
+) -> List[MaskedParameter]:
+    """Resolve mask names to live weight tensors once (hot loops reuse this).
+
+    Validates exactly like the per-call path: unknown layer names and shape
+    mismatches raise immediately rather than mid-training.
+    """
+    if not masks:
+        return []
+    modules = dict(model.named_modules())
+    resolved: List[MaskedParameter] = []
+    for name, mask in masks.items():
+        weight = _resolve_masked_weight(modules, name, mask)
+        keep = np.where(mask, np.float32(0.0), np.float32(1.0))
+        resolved.append(MaskedParameter(name=name, weight=weight, mask=mask, keep=keep))
+    return resolved
+
+
+def enforce_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> List[MaskedParameter]:
+    """Clamp masked weights of ``model`` in place with the keep-multipliers.
+
+    The in-place pruning of the serial reference: it resolves the masks like
+    :class:`ReferenceTrainer` and enforces them with the same float32
+    keep-multiplies its step loop uses.  Returns the resolved parameters.
+    """
+    resolved = resolve_masked_parameters(model, masks)
+    for masked in resolved:
+        masked.enforce_weight()
+    return resolved
+
+
+def masked_saliency(model: nn.Module, masks: MaskDict, metric: str = "magnitude") -> float:
+    """Total per-weight saliency of the weights ``masks`` clamp to zero.
+
+    The FAM oracle: saliency-driven column permutations should sacrifice no
+    more saliency than the plain periodic masks do.
+    """
+    saliency_fn = get_saliency_metric(metric)
+    modules = dict(model.named_modules())
+    total = 0.0
+    for name, mask in masks.items():
+        matrix = weight_matrix_view(modules[name])
+        total += float(saliency_fn(matrix)[mask.reshape(matrix.shape)].sum())
+    return total
+
+
 class ReferenceTrainer:
     """The serial training loop the stacked trainer must equal bit for bit.
 
     One model trained in place, one optimizer step per mini-batch: forward,
     cross-entropy, backward, keep-multiplier gradient masking, global
     gradient-norm clipping, the optimizer step and keep-multiplier weight
-    masking.  ``BatchedFaultTrainer`` (and so ``repro.training.Trainer``,
-    its stack of one) reproduces chip ``b``'s run of this loop with
-    ``masks=mask_sets[b]`` and chip ``b``'s seed.
+    masking.  ``BatchedFaultTrainer`` reproduces chip ``b``'s run of this
+    loop with ``masks=mask_sets[b]`` and chip ``b``'s seed, and so
+    ``repro.training.Trainer``, its unmasked stack of one, reproduces it
+    without masks.
     """
 
     def __init__(self, model, train_data, eval_data, config=None, masks=None):
@@ -283,7 +349,7 @@ def serial_resilience_accuracies(analyzer):
                 analyzer.bundle.train,
                 analyzer.bundle.test,
                 config=dataclasses.replace(config.training, seed=trial_seed),
-                masks=build_fap_masks(model, fault_map),
+                masks=model_fault_masks(model, fault_map),
             )
             history = trainer.train(
                 config.max_epochs,
@@ -539,8 +605,8 @@ def make_blob_classification(
 def verify_masks_enforced(model: nn.Module, masks: MaskDict, atol: float = 0.0) -> bool:
     """Check that every masked weight of ``model`` is (still) zero.
 
-    Masks resolve to live weight tensors through the trainers'
-    :func:`~repro.training.resolve_masked_parameters` path, so the check
+    Masks resolve to live weight tensors through the reference trainer's
+    :func:`resolve_masked_parameters` path, so the check
     validates exactly what the keep-multiplier enforcement operates on; a
     mask naming an unknown layer or mismatching the weight's shape yields
     ``False`` (it cannot be enforced by any path).

@@ -1,5 +1,7 @@
 """Tests for the adaptive-incremental baseline."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import ChipPopulation, run_adaptive_campaign
@@ -41,12 +43,13 @@ class TestAdaptiveRetraining:
         assert result.total_evaluations >= 3  # at least the initial evaluation per chip
         assert result.average_evaluations >= 1.0
 
-    def test_same_result_under_the_reference_trainer(
-        self, framework, smoke_context, monkeypatch
-    ):
-        """The stacked ``Trainer`` and the serial reference give the same
-        chip result and evaluation count over the same increments."""
-        from repro.core import adaptive
+    def test_same_result_under_the_reference_trainer(self, framework, smoke_context):
+        """The stacked increment loop and the same loop through the serial
+        reference give the same chip result and evaluation count."""
+        from repro.accelerator import model_fault_masks
+        from repro.core.reduce import _build_chip_result
+        from repro.training import meets_target
+        from repro.utils.rng import derive_seed
 
         from tests.helpers import ReferenceTrainer
 
@@ -55,9 +58,32 @@ class TestAdaptiveRetraining:
         )[0]
         increments = [0.05, 0.1, 0.25, 0.5, 1.0]
         stacked = adaptive_retrain_chip(framework, chip, increments)
-        monkeypatch.setattr(adaptive, "Trainer", ReferenceTrainer)
-        reference = adaptive_retrain_chip(framework, chip, increments)
-        assert stacked == reference
+
+        framework._restore_pretrained()
+        masks = model_fault_masks(framework.model, chip.fault_map)
+        config = dataclasses.replace(
+            framework.config.effective_retraining_config(),
+            seed=derive_seed(framework.config.resilience.seed, "adaptive", chip.chip_id),
+        )
+        trainer = ReferenceTrainer(
+            framework.model, framework.bundle.train, framework.bundle.test,
+            config=config, masks=masks,
+        )
+        target = framework.target_accuracy
+        accuracy = before = trainer.evaluate()
+        evaluations = 1
+        previous = 0.0
+        for checkpoint in increments:
+            if meets_target(accuracy, target):
+                break
+            accuracy = trainer.train(checkpoint - previous, include_initial=False).final_accuracy
+            evaluations += 1
+            previous = checkpoint
+        framework._restore_pretrained()
+        reference = _build_chip_result(
+            chip, masks, increments[-1], trainer.epochs_taken, before, accuracy, target
+        )
+        assert stacked == (reference, evaluations)
         # The chip misses the target: every increment trained and evaluated.
         assert stacked[1] == 1 + len(increments)
 

@@ -14,7 +14,8 @@ class TestTensorDataset:
     def test_length_and_indexing(self):
         ds = TensorDataset(np.arange(20).reshape(10, 2), np.arange(10))
         assert len(ds) == 10
-        x, y = ds[3]
+        inputs, targets = ds.arrays()
+        x, y = inputs[3], targets[3]
         assert np.array_equal(x, [6, 7]) and y == 3
 
     def test_length_mismatch(self):
@@ -68,7 +69,7 @@ class TestSyntheticData:
         assert len(bundle.train) == 30 and len(bundle.test) == 15
         assert bundle.input_shape == (3, 10, 10)
         assert bundle.num_classes == 5
-        x, y = bundle.train[0]
+        x, y = bundle.train.inputs[0], bundle.train.targets[0]
         assert x.shape == (3, 10, 10) and 0 <= y < 5
         assert bundle.image_size == 10
         assert "train" in bundle.summary()

@@ -36,7 +36,6 @@ DEFERRED = {
     "repro.accelerator.energy",
     "repro.accelerator.bypass",
     "repro.mitigation.fam",
-    "repro.mitigation.fat",
     "repro.mitigation.saliency",
     "repro.core.adaptive",
     "repro.core.overhead",

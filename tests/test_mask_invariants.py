@@ -18,8 +18,8 @@ import pytest
 from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
 from repro.models import MLP
-from repro.training import TrainingConfig, resolve_masked_parameters
-from tests.helpers import ReferenceTrainer, verify_masks_enforced
+from repro.training import TrainingConfig
+from tests.helpers import ReferenceTrainer, resolve_masked_parameters, verify_masks_enforced
 
 
 def _small_cnn(image_bundle):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.accelerator import FaultMap, SystolicArray, layer_fault_mask
-from repro.mitigation import apply_fap
+from repro.accelerator import FaultMap, SystolicArray, layer_fault_mask, model_fault_masks
 from repro.models import MLP
+from repro.training import apply_weight_masks
 
 from tests.simulation import (
     model_masks_match_hardware,
@@ -61,7 +61,8 @@ class TestLayerEquivalence:
         np.testing.assert_allclose(hardware, expected, rtol=1e-5, atol=1e-6)
 
     def test_fap_masked_model_equals_hardware_execution(self):
-        """Applying FAP in software is exactly running the model on the faulty chip."""
+        """Zeroing the chip's FAP masks in software is exactly running the
+        model on the faulty chip."""
         model = MLP(16, 4, hidden_sizes=(12,), seed=0)
         fault_map = FaultMap.random(8, 8, 0.25, seed=2)
         inputs = RNG.standard_normal((5, 16)).astype(np.float32)
@@ -72,7 +73,7 @@ class TestLayerEquivalence:
         logits_hw = simulate_linear_layer(model.body[2], hidden_hw, fault_map)
 
         # Software view: zero the masked weights and run the model normally.
-        apply_fap(model, fault_map)
+        apply_weight_masks(model, model_fault_masks(model, fault_map))
         logits_sw = model(nn.Tensor(inputs)).data
 
         np.testing.assert_allclose(logits_hw, logits_sw, rtol=1e-4, atol=1e-5)

@@ -33,8 +33,12 @@ from repro.mitigation import (
     resolve_strategy,
 )
 from repro.mitigation.fam import compute_column_permutations
-from repro.training import evaluate_accuracy, resolve_masked_parameters
-from tests.helpers import reference_retrain_chip, verify_masks_enforced
+from repro.training import evaluate_accuracy
+from tests.helpers import (
+    reference_retrain_chip,
+    resolve_masked_parameters,
+    verify_masks_enforced,
+)
 
 
 def _infeasible_map(rows=16, cols=16):
@@ -170,32 +174,7 @@ class TestMasksAndBypass:
 
 
 class TestFapEnforcementPath:
-    """Satellite bugfix: FAP resolves masks through the trainers' path."""
-
-    def test_apply_fap_matches_keep_multiplier_enforcement(self, small_mlp):
-        from repro.mitigation import apply_fap, build_fap_masks
-
-        fault_map = FaultMap.random(16, 16, 0.3, seed=5)
-        reference = {
-            name: value.copy() for name, value in small_mlp.state_dict().items()
-        }
-        masks = build_fap_masks(small_mlp, fault_map)
-        result = apply_fap(small_mlp, fault_map)
-        # Bit-identical to enforcing the resolved keep-multipliers directly.
-        for masked in resolve_masked_parameters(small_mlp, masks):
-            expected = reference[f"{masked.name}.weight"] * masked.keep
-            np.testing.assert_array_equal(masked.weight.data, expected)
-        assert set(result.masks) == set(masks)
-
-    def test_apply_fap_is_idempotent_bitwise(self, small_mlp):
-        from repro.mitigation import apply_fap
-
-        fault_map = FaultMap.random(16, 16, 0.3, seed=6)
-        apply_fap(small_mlp, fault_map)
-        once = {name: value.copy() for name, value in small_mlp.state_dict().items()}
-        apply_fap(small_mlp, fault_map)
-        for name, value in small_mlp.state_dict().items():
-            np.testing.assert_array_equal(value, once[name])
+    """A chip's FAP masks stay enforced through the stacked trainer."""
 
     def test_verify_rejects_shape_mismatch(self, small_mlp):
         assert not verify_masks_enforced(
@@ -203,21 +182,24 @@ class TestFapEnforcementPath:
         )
 
     def test_masks_stay_enforced_through_retraining(self, image_bundle, small_mlp):
-        """No drift between apply_fap's pruning and the Trainer's enforcement."""
-        from repro.mitigation import apply_fap
-        from repro.training import Trainer, TrainingConfig
+        """No drift between the stack's construction-time pruning and its
+        enforcement during FAT."""
+        from repro.accelerator import BatchedFaultTrainer
+        from repro.training import TrainingConfig
 
-        fault_map = FaultMap.random(16, 16, 0.25, seed=7)
-        result = apply_fap(small_mlp, fault_map)
-        trainer = Trainer(
+        masks = parse_strategy("fap").chip_masks(
+            small_mlp, FaultMap.random(16, 16, 0.25, seed=7)
+        )
+        trainer = BatchedFaultTrainer(
             small_mlp,
+            [masks],
             image_bundle.train,
             image_bundle.test,
             config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=0),
-            masks=result.masks,
         )
         trainer.train(0.5, include_initial=False)
-        assert verify_masks_enforced(small_mlp, result.masks)
+        small_mlp.load_state_dict(trainer.chip_state_dict(0))
+        assert verify_masks_enforced(small_mlp, masks)
 
 
 class TestFrameworkStrategies:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.accelerator import BatchedFaultTrainer
 from repro.data import DataLoader
 from repro.models import MLP
 from repro.training import (
@@ -97,10 +98,10 @@ class TestMaskHelpers:
 
 
 class TestTrainer:
-    def _make(self, bundle, masks=None, lr=0.1):
+    def _make(self, bundle, lr=0.1):
         model = MLP(bundle.input_shape[0], bundle.num_classes, hidden_sizes=(24,), seed=0)
         config = TrainingConfig(learning_rate=lr, batch_size=16, seed=0)
-        return model, Trainer(model, bundle.train, bundle.test, config=config, masks=masks)
+        return model, Trainer(model, bundle.train, bundle.test, config=config)
 
     def test_training_improves_accuracy(self, blob_bundle):
         model, trainer = self._make(blob_bundle)
@@ -134,17 +135,17 @@ class TestTrainer:
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(24,), seed=0)
         mask = np.zeros((24, blob_bundle.input_shape[0]), dtype=bool)
         mask[::2, :] = True
-        masks = {"body.0": mask}
-        trainer = Trainer(
-            model, blob_bundle.train, blob_bundle.test,
-            config=TrainingConfig(learning_rate=0.1, batch_size=16, seed=0), masks=masks,
+        trainer = BatchedFaultTrainer(
+            model, [{"body.0": mask}], blob_bundle.train, blob_bundle.test,
+            config=TrainingConfig(learning_rate=0.1, batch_size=16, seed=0),
         )
         # Masked at construction (FAP applied).
-        np.testing.assert_allclose(model.body[0].weight.data[mask], 0.0)
+        np.testing.assert_allclose(trainer.chip_state_dict(0)["body.0.weight"][mask], 0.0)
         trainer.train(1.0)
-        np.testing.assert_allclose(model.body[0].weight.data[mask], 0.0)
+        weight = trainer.chip_state_dict(0)["body.0.weight"]
+        np.testing.assert_allclose(weight[mask], 0.0)
         # Unmasked weights must have been updated.
-        assert not np.allclose(model.body[0].weight.data[~mask], 0.0)
+        assert not np.allclose(weight[~mask], 0.0)
 
     def test_epochs_taken_property(self, blob_bundle):
         model, trainer = self._make(blob_bundle)
@@ -157,27 +158,39 @@ class TestTrainer:
             trainer.train(-1.0)
 
     def test_repeated_increments_equal_the_reference(self, blob_bundle):
-        """``train(delta)`` calls continue the same stack: each one restarts
-        the loader, keeps the optimizer state, and leaves the model holding
-        exactly the weights the serial reference leaves in it."""
+        """``train(delta)`` calls continue the same stack of one (the
+        adaptive baseline's loop): each one restarts the loader, keeps the
+        optimizer state, and ends on exactly the weights the serial
+        reference leaves in its model."""
         mask = np.zeros((24, blob_bundle.input_shape[0]), dtype=bool)
         mask[::3, ::2] = True
-        runs = []
-        for trainer_class in (Trainer, ReferenceTrainer):
-            model = MLP(
+        config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=4)
+        deltas = (0.05, 0.2, 0.5, 1.0)
+
+        def model():
+            return MLP(
                 blob_bundle.input_shape[0], blob_bundle.num_classes,
                 hidden_sizes=(24,), seed=0,
             )
-            trainer = trainer_class(
-                model, blob_bundle.train, blob_bundle.test,
-                config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=4),
-                masks={"body.0": mask},
-            )
-            records = [trainer.evaluate()]
-            for delta in (0.05, 0.2, 0.5, 1.0):
-                records.extend(trainer.train(delta, include_initial=False).records)
-            runs.append((records, trainer.steps_taken, trainer.epochs_taken, model.state_dict()))
-        (records, steps, epochs, state), (ref_records, ref_steps, ref_epochs, ref_state) = runs
+
+        stack = BatchedFaultTrainer(
+            model(), [{"body.0": mask}], blob_bundle.train, blob_bundle.test, config=config
+        )
+        records = [stack.evaluate()[0]]
+        for delta in deltas:
+            records.extend(stack.train(delta, include_initial=False)[0].records)
+        steps, epochs, state = stack.steps_taken, stack.epochs_taken, stack.chip_state_dict(0)
+
+        reference_model = model()
+        reference = ReferenceTrainer(
+            reference_model, blob_bundle.train, blob_bundle.test,
+            config=config, masks={"body.0": mask},
+        )
+        ref_records = [reference.evaluate()]
+        for delta in deltas:
+            ref_records.extend(reference.train(delta, include_initial=False).records)
+        ref_steps, ref_epochs = reference.steps_taken, reference.epochs_taken
+        ref_state = reference_model.state_dict()
         assert records == ref_records
         assert (steps, epochs) == (ref_steps, ref_epochs)
         assert set(state) == set(ref_state)

@@ -2,14 +2,12 @@
 
 import dataclasses
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
     ConfigError,
-    Timer,
     config_from_dict,
     config_to_dict,
     derive_seed,
@@ -119,22 +117,6 @@ class TestTiming:
         assert format_duration(3599.94) == "59m59.9s"
         assert format_duration(3600.0) == "1h00m"
         assert format_duration(5400.0) == "1h30m"
-
-    def test_timer_context(self):
-        with Timer("test") as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-        with pytest.raises(RuntimeError):
-            timer.stop()  # the context stopped it
-        assert "test" in repr(timer)
-
-    def test_timer_manual_and_errors(self):
-        timer = Timer()
-        with pytest.raises(RuntimeError):
-            timer.stop()
-        first = timer.start().stop()
-        assert first >= 0.0
-        assert timer.start().stop() >= first  # elapsed accumulates
 
 
 class TestLogging:
