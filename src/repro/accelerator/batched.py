@@ -764,37 +764,47 @@ class BatchedFaultTrainer:
                         if batch is None:
                             batches = zip(*self._train_loaders)
                             continue
-                        if self._per_chip_streams:
-                            # Each chip's own batch, folded: no shared prefix.
-                            inputs = nn.Tensor(np.concatenate([x.data for x, _ in batch]))
-                            targets = np.concatenate([y for _, y in batch])
-                            self._shared_prefix = False
-                        else:
-                            inputs, targets = batch[0]
-                            self._shared_prefix = True
-                        logits = self.model(inputs)
-                        step_losses = stacked_cross_entropy(
-                            logits, targets, self.num_chips,
-                            label_smoothing=self.config.label_smoothing,
-                        )
-                        self.optimizer.zero_grad()
-                        step_losses.sum().backward()
-                        for layer in self._masked_layers:
-                            layer.enforce_grad()
-                        if self.config.grad_clip is not None:
-                            nn.clip_grad_norm_per_chip(
-                                self.optimizer.parameters,
-                                self.config.grad_clip,
-                                self.num_chips,
-                            )
-                        self.optimizer.step()
-                        for layer in self._masked_layers:
-                            layer.enforce_weight()
-                        losses.append(step_losses.data.astype(np.float64))
+                        losses.append(self._train_step(batch))
                         self.steps_taken += 1
                 if stop < num_steps:
                     at_readout(index, self._mean_losses(losses))
         return self._mean_losses(losses)
+
+    def _train_step(self, batch) -> np.ndarray:
+        """One optimizer step on ``batch``; returns each chip's ``(B,)`` float64 loss.
+
+        The step's autograd graph (activations, saved lowerings) is local to
+        this call, so reference counting frees it on return: before the next
+        step's forward, a readout or a checkpoint evaluation.  A stack never
+        holds two steps' graphs.
+        """
+        if self._per_chip_streams:
+            # Each chip's own batch, folded: no shared prefix.
+            inputs = nn.Tensor(np.concatenate([x.data for x, _ in batch]))
+            targets = np.concatenate([y for _, y in batch])
+            self._shared_prefix = False
+        else:
+            inputs, targets = batch[0]
+            self._shared_prefix = True
+        logits = self.model(inputs)
+        step_losses = stacked_cross_entropy(
+            logits, targets, self.num_chips,
+            label_smoothing=self.config.label_smoothing,
+        )
+        self.optimizer.zero_grad()
+        step_losses.sum().backward()
+        for layer in self._masked_layers:
+            layer.enforce_grad()
+        if self.config.grad_clip is not None:
+            nn.clip_grad_norm_per_chip(
+                self.optimizer.parameters,
+                self.config.grad_clip,
+                self.num_chips,
+            )
+        self.optimizer.step()
+        for layer in self._masked_layers:
+            layer.enforce_weight()
+        return step_losses.data.astype(np.float64)
 
     def _mean_losses(self, losses: List[np.ndarray]) -> np.ndarray:
         """Each chip's mean over per-step ``(B,)`` loss vectors."""

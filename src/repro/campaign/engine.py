@@ -84,7 +84,8 @@ from repro.campaign.supervisor import (
     SupervisorConfig,
 )
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import CampaignResult, ChipRetrainingResult
+from repro.core.reduce import CampaignResult
+from repro.core.results import ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.mitigation.strategy import StrategyLike, resolve_strategy
 from repro.observability import (

@@ -46,7 +46,8 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chips import Chip, ChipPopulation
-from repro.core.reduce import ChipRetrainingResult, ReduceFramework
+from repro.core.reduce import ReduceFramework
+from repro.core.results import ChipRetrainingResult
 from repro.core.selection import RetrainingPolicy
 from repro.mitigation.strategy import (
     DEFAULT_STRATEGY_NAME,

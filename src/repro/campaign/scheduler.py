@@ -96,7 +96,7 @@ from repro.campaign.transport import (
     validate_hello,
     worker_hello,
 )
-from repro.core.reduce import ChipRetrainingResult
+from repro.core.results import ChipRetrainingResult
 from repro.observability import metrics, trace
 from repro.observability.tracer import read_shard
 from repro.utils.config import config_from_dict, config_to_dict

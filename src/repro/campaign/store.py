@@ -34,7 +34,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.reduce import ChipRetrainingResult
+from repro.core.results import ChipRetrainingResult
 from repro.observability import metrics
 from repro.utils.config import config_to_dict, fsync_directory, save_json
 from repro.utils.logging import get_logger

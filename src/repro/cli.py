@@ -55,16 +55,25 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import ExperimentContext
-from repro.experiments.presets import available_presets, get_preset
-from repro.mitigation.strategy import available_strategies, parse_strategy, parse_strategy_list
 from repro.utils.logging import set_verbosity
+
+if TYPE_CHECKING:
+    from repro.experiments.common import ExperimentContext
 
 #: Compute backend of ``campaign``/``compare``: the stacked trainers replay
 #: their captured eval graphs through ``numpy`` (bit-identical to eager).
 BACKEND = "numpy"
+
+#: ``--preset`` choices, the keys of :func:`repro.experiments.presets.get_preset`.
+#: The parser is built from names alone, so ``verify-store`` and ``trace``
+#: import no experiment, training or model code.
+PRESET_NAMES = ("fast", "paper", "smoke")
+
+#: Common, known-good ``--strategy`` specs named in the help text (any spec
+#: :func:`repro.mitigation.strategy.parse_strategy` accepts is valid).
+STRATEGY_NAMES = ("none", "fap", "fam", "fat", "fap+fat", "fam+fat", "bypass", "bypass+fat")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--preset",
         default="fast",
-        choices=list(available_presets()),
+        choices=list(PRESET_NAMES),
         help="experiment scale (default: fast)",
     )
     parser.add_argument(
@@ -165,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy",
         default="fat",
         help="mitigation strategy for the 'campaign' command: a '+'-separated "
-        f"spec such as {', '.join(available_strategies())} (default: fat)",
+        f"spec such as {', '.join(STRATEGY_NAMES)} (default: fat)",
     )
     parser.add_argument(
         "--strategies",
@@ -286,6 +295,7 @@ def _run_campaign(context: ExperimentContext, args: argparse.Namespace) -> Dict[
     from repro.campaign.engine import CampaignEngine
     from repro.core.reporting import campaign_summary_table
     from repro.experiments.fig3 import build_population
+    from repro.mitigation.strategy import parse_strategy
 
     population = build_population(context, num_chips=args.chips)
     store_base = args.campaign_dir if args.campaign_dir is not None else Path("campaigns")
@@ -462,11 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ChaosSpec.parse(args.chaos)
         except ValueError as error:
             parser.error(f"invalid --chaos spec: {error}")
-    try:
-        parse_strategy(args.strategy)
-        parse_strategy_list(args.strategies)
-    except ValueError as error:
-        parser.error(str(error))
     if args.path is not None and args.command not in ("trace", "verify-store"):
         parser.error(f"positional path is only valid with the 'trace' and "
                      f"'verify-store' commands, not {args.command!r}")
@@ -555,6 +560,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         metrics.enabled = True
 
+    from repro.experiments.presets import get_preset
+    from repro.mitigation.strategy import parse_strategy, parse_strategy_list
+
+    try:
+        parse_strategy(args.strategy)
+        parse_strategy_list(args.strategies)
+    except ValueError as error:
+        parser.error(str(error))
     preset = get_preset(args.preset)
     if args.command == "info":
         print(f"preset: {preset.name}")
@@ -569,6 +582,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"[repro-reduce] building context for preset {preset.name!r} "
           f"(pre-training {preset.model.name}; this runs once per session)...")
+    from repro.experiments.common import ExperimentContext
+
     context = ExperimentContext.from_preset(preset, disk_cache_dir=args.cache_dir)
     print(f"[repro-reduce] clean accuracy: {context.clean_accuracy:.3f}, "
           f"accuracy constraint: {context.target_accuracy():.3f}")

@@ -25,7 +25,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "FixedEpochPolicy",
         "ResilienceDrivenPolicy",
     ),
-    ".reduce": ("ChipRetrainingResult", "CampaignResult", "ReduceConfig", "ReduceFramework"),
+    ".results": ("ChipRetrainingResult",),
+    ".reduce": ("CampaignResult", "ReduceConfig", "ReduceFramework"),
     ".reporting": (
         "campaign_summary_table",
         "campaign_scatter_csv",

@@ -38,6 +38,7 @@ from repro.core.chips import Chip, ChipPopulation
 from repro.core.constraints import AccuracyConstraint
 from repro.core.profiles import ResilienceProfile
 from repro.core.resilience import ResilienceAnalyzer, ResilienceConfig
+from repro.core.results import ChipRetrainingResult
 from repro.core.selection import ResilienceDrivenPolicy
 from repro.data.synthetic import DatasetBundle
 from repro.mitigation.strategy import (
@@ -52,44 +53,6 @@ from repro.utils.rng import derive_seed
 #: Triage evaluates at most this many chips per stack: stacked weights cost
 #: ``chips x model-size`` floats, so the chunk bounds triage's peak memory.
 TRIAGE_CHIP_CHUNK = 16
-
-
-@dataclasses.dataclass(frozen=True)
-class ChipRetrainingResult:
-    """Per-chip outcome of a retraining campaign (one point of Fig. 3a-e)."""
-
-    chip_id: str
-    fault_rate: float
-    epochs_allocated: float
-    epochs_trained: float
-    accuracy_before: float
-    accuracy_after: float
-    meets_constraint: bool
-    masked_weight_fraction: float
-    # The mitigation strategy the chip was prepared with ("fat" = the
-    # classic FAP-masks-plus-retraining flow of the original campaigns).
-    strategy: str = DEFAULT_STRATEGY_NAME
-
-    @property
-    def accuracy_recovered(self) -> float:
-        return self.accuracy_after - self.accuracy_before
-
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChipRetrainingResult":
-        return cls(
-            chip_id=str(data["chip_id"]),
-            fault_rate=float(data["fault_rate"]),
-            epochs_allocated=float(data["epochs_allocated"]),
-            epochs_trained=float(data["epochs_trained"]),
-            accuracy_before=float(data["accuracy_before"]),
-            accuracy_after=float(data["accuracy_after"]),
-            meets_constraint=bool(data["meets_constraint"]),
-            masked_weight_fraction=float(data["masked_weight_fraction"]),
-            strategy=str(data.get("strategy", DEFAULT_STRATEGY_NAME)),
-        )
 
 
 @dataclasses.dataclass

@@ -40,12 +40,13 @@ logger = get_logger("core.resilience")
 
 # Grid cells retrained together in one stacked trainer.  Per-chip data
 # streams fold every cell's own batch from the input on, so the shared
-# first-layer lowering is lost and memory grows by about 5 MB per stacked
-# cell on the fast preset.  Measured there (seed 1, one BLAS thread), the
-# tracemalloc peak of Step 1 is 20.7 MB at 4 cells per stack, 30.6 MB at 6
-# and 40.5 MB at 8, against 5.6 MB for serial per-cell retraining.  No
-# test-set lowering outlives its eval batch, so Step 1 leaves nothing
-# resident for triage and Step 3.
+# first-layer lowering is lost and memory grows by about 3 MB per stacked
+# cell on the fast preset.  Measured there (one BLAS thread), the
+# tracemalloc peak of Step 1 is 12.4 MB at 4 cells per stack, 18.5 MB at 6
+# and 24.5 MB at 8, against 6.5 MB at one cell per stack.  Each training
+# step frees its graph before the next one starts, and no test-set lowering
+# outlives its eval batch, so Step 1 leaves nothing resident for triage and
+# Step 3.
 TRIAL_STACK = 4
 
 

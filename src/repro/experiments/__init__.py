@@ -11,7 +11,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "fast_preset",
         "paper_preset",
         "get_preset",
-        "available_presets",
     ),
     ".common": (
         "ExperimentContext",

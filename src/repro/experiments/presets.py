@@ -213,7 +213,3 @@ def get_preset(name: str) -> ExperimentPreset:
     if key not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}")
     return _PRESETS[key]()
-
-
-def available_presets() -> Tuple[str, ...]:
-    return tuple(sorted(_PRESETS))

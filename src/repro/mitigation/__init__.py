@@ -24,7 +24,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     ".strategy": (
         "DEFAULT_STRATEGY_NAME",
         "MitigationStrategy",
-        "available_strategies",
         "parse_strategy",
         "parse_strategy_list",
         "resolve_strategy",

@@ -58,11 +58,10 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import nn
 from repro.accelerator.fault_map import FaultMap
-from repro.accelerator.mapping import model_fault_masks
 
-if TYPE_CHECKING:  # bypass and FAM load only when a strategy uses them
+if TYPE_CHECKING:  # annotations only: reading a strategy name loads no model code
+    from repro import nn
     from repro.accelerator.bypass import BypassPlan
 
 MaskDict = Dict[str, np.ndarray]
@@ -163,6 +162,8 @@ class MitigationStrategy:
         the chip's physical faults, which is what ``accuracy_before`` is
         measured under and what the FAT fallback trains against.
         """
+        from repro.accelerator.mapping import model_fault_masks
+
         if self.remap:
             from repro.mitigation.fam import compute_column_permutations
 
@@ -295,8 +296,3 @@ def parse_strategy_list(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategies in {list(names)}")
     return strategies
-
-
-def available_strategies() -> Tuple[str, ...]:
-    """Canonical names of the common, known-good strategy specs."""
-    return ("none", "fap", "fam", "fat", "fap+fat", "fam+fat", "bypass", "bypass+fat")

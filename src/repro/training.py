@@ -238,15 +238,6 @@ class Trainer:
     ) -> None:
         self.model = model
         self._stack = BatchedFaultTrainer(model, [{}], train_data, eval_data, config)
-        self.train_loader = self._stack._train_loaders[0]
-
-    @property
-    def steps_taken(self) -> int:
-        return self._stack.steps_taken
-
-    @property
-    def epochs_taken(self) -> float:
-        return self._stack.epochs_taken
 
     def train(
         self,

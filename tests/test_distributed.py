@@ -55,7 +55,7 @@ from repro.campaign.transport import (
     worker_hello,
 )
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import ChipRetrainingResult
+from repro.core.results import ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy
 from repro.utils.config import config_to_dict
 

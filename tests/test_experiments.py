@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.campaign.jobs import DEFAULT_FAT_BATCH
+from repro.cli import PRESET_NAMES
 from repro.experiments import (
     ExperimentContext,
-    available_presets,
     build_dataset,
     build_population,
     fast_preset,
@@ -20,13 +20,14 @@ from repro.experiments import (
     run_fig3,
     smoke_preset,
 )
-from repro.experiments import common
+from repro.experiments import common, presets
 from repro.training import evaluate_accuracy
 
 
 class TestPresets:
     def test_available(self):
-        assert set(available_presets()) == {"smoke", "fast", "paper"}
+        # The CLI's --preset choices are exactly the presets get_preset knows.
+        assert set(PRESET_NAMES) == set(presets._PRESETS) == {"smoke", "fast", "paper"}
         assert get_preset("fast").name == "fast"
         with pytest.raises(KeyError):
             get_preset("galactic")

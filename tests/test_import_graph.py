@@ -79,6 +79,33 @@ def test_command_imports_only_what_it_runs(argv, tmp_path):
     assert not loaded & DEFERRED, sorted(loaded & DEFERRED)
 
 
+#: Modules a command that trains nothing must not load.
+TRAINING = {
+    "repro.accelerator.batched",
+    "repro.nn",
+    "repro.training",
+    "repro.core.resilience",
+}
+
+
+def test_verify_store_imports_no_training_code(tmp_path):
+    """``verify-store`` audits a real store (one checksummed row) without
+    loading the trainer, the ``nn`` package or the experiment layer."""
+    from repro.campaign.store import CampaignStore
+    from repro.core.results import ChipRetrainingResult
+
+    store = CampaignStore.open(tmp_path / "campaigns", "0" * 64, {"policy": "fixed"})
+    store.append(ChipRetrainingResult(
+        chip_id="chip-0", fault_rate=0.1, epochs_allocated=0.5, epochs_trained=0.5,
+        accuracy_before=0.5, accuracy_after=0.9, meets_constraint=True,
+        masked_weight_fraction=0.1,
+    ))
+    loaded = _modules_loaded_by(["verify-store", "campaigns"], tmp_path)
+    assert "repro.campaign.store" in loaded
+    assert not loaded & TRAINING, sorted(loaded & TRAINING)
+    assert not any(name.startswith("repro.experiments") for name in loaded)
+
+
 def _packages():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, "repro."):

@@ -19,7 +19,7 @@ from repro.core import (
     ResilienceAnalyzer,
     ResilienceConfig,
 )
-from repro.core.reduce import ChipRetrainingResult
+from repro.core.results import ChipRetrainingResult
 from repro.core.reporting import campaign_summary_table
 from repro.models import MLP
 from repro.nn import clone_state_dict

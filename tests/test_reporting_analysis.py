@@ -15,7 +15,8 @@ from repro.analysis import (
     scatter_plot,
     summarize,
 )
-from repro.core.reduce import CampaignResult, ChipRetrainingResult
+from repro.core.reduce import CampaignResult
+from repro.core.results import ChipRetrainingResult
 from repro.core.reporting import (
     campaign_scatter_csv,
     campaign_summary_table,

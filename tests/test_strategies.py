@@ -22,12 +22,11 @@ from repro.campaign import (
     plan_job_chunks,
     run_strategy_sweep,
 )
-from repro.cli import main
+from repro.cli import STRATEGY_NAMES, main
 from repro.core.chips import Chip, ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.experiments import run_compare
 from repro.mitigation import (
-    available_strategies,
     parse_strategy,
     parse_strategy_list,
     resolve_strategy,
@@ -130,7 +129,7 @@ class TestParsing:
                 parse_strategy(bad)
 
     def test_all_advertised_strategies_parse(self):
-        for name in available_strategies():
+        for name in STRATEGY_NAMES:
             assert parse_strategy(name).name == name
 
     def test_triage_keys_shared_across_same_mask_strategies(self):

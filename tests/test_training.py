@@ -113,7 +113,7 @@ class TestTrainer:
     def test_fractional_epoch_runs_at_least_one_step(self, blob_bundle):
         model, trainer = self._make(blob_bundle)
         history = trainer.train(0.05)
-        assert trainer.steps_taken >= 1
+        assert history.records[-1].steps >= 1
         assert history.total_epochs == pytest.approx(0.05)
 
     def test_checkpoints_recorded_in_order(self, blob_bundle):
@@ -128,8 +128,8 @@ class TestTrainer:
     def test_zero_epochs_only_evaluates(self, blob_bundle):
         model, trainer = self._make(blob_bundle)
         history = trainer.train(0.0)
-        assert trainer.steps_taken == 0
         assert len(history.records) == 1
+        assert history.records[0].steps == 0
 
     def test_masks_enforced_throughout_training(self, blob_bundle):
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(24,), seed=0)
@@ -146,11 +146,6 @@ class TestTrainer:
         np.testing.assert_allclose(weight[mask], 0.0)
         # Unmasked weights must have been updated.
         assert not np.allclose(weight[~mask], 0.0)
-
-    def test_epochs_taken_property(self, blob_bundle):
-        model, trainer = self._make(blob_bundle)
-        trainer.train(0.5)
-        assert trainer.epochs_taken == pytest.approx(0.5, abs=0.1)
 
     def test_negative_epochs_rejected(self, blob_bundle):
         _, trainer = self._make(blob_bundle)
@@ -213,22 +208,23 @@ class TestEmptyLoaderGuard:
         model = MLP(8, blob_bundle.num_classes, hidden_sizes=(8,), seed=0)
         loader = DataLoader(blob_bundle.train, batch_size=10_000, shuffle=False)
         trainer = Trainer(model, loader, blob_bundle.test)
-        trainer.train(1.0, include_initial=False)
-        assert trainer.steps_taken == 1
+        history = trainer.train(1.0, include_initial=False)
+        assert history.records[-1].steps == 1
 
 
 class TestEvaluationRngIsolation:
     def _train_history(self, blob_bundle, interleave):
         model = MLP(8, blob_bundle.num_classes, hidden_sizes=(16,), seed=2)
         config = TrainingConfig(learning_rate=0.05, batch_size=16, seed=9)
-        trainer = Trainer(model, blob_bundle.train, blob_bundle.test, config=config)
+        train_loader = DataLoader(blob_bundle.train, batch_size=16, shuffle=True, seed=9)
+        trainer = Trainer(model, train_loader, blob_bundle.test, config=config)
         histories = []
         for _ in range(3):
             histories.append(trainer.train(0.5, include_initial=False))
             if interleave:
                 # Evaluating through the *shuffled training loader* must not
                 # advance its RNG (it used to, changing every later batch).
-                evaluate_accuracy(model, trainer.train_loader)
+                evaluate_accuracy(model, train_loader)
         return [h.final_accuracy for h in histories], model.state_dict()
 
     def test_interleaved_evaluation_does_not_change_training(self, blob_bundle):
