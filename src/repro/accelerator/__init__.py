@@ -28,7 +28,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "BatchedFaultTrainer",
         "UnsupportedModelError",
         "evaluate_chip_accuracies",
-        "stacked_cross_entropy",
     ),
     ".timing": (
         "GemmWorkload",

@@ -10,8 +10,10 @@ the same GEMMs — which batch trivially.
 
 :class:`BatchedFaultTrainer` is the one stacked substrate for all of it.  It
 stacks the B per-chip weights into ``(B, ...)`` parameters and runs the
-*unmodified* model with every parametric layer temporarily routed through a
-stacked kernel.  Two regimes are exploited:
+model as a *layer program* built once from its leaf layers: a list of
+forward/backward pairs around kernels, whose order is the tape (see "The
+layer program" below).  The model's own ``forward`` never runs.  Two regimes
+are exploited:
 
 * **Shared prefix.** Until the first stacked layer, activations are
   identical for every chip, so the input batch is *not* replicated: the
@@ -22,8 +24,9 @@ stacked kernel.  Two regimes are exploited:
   diverge per chip; they are carried with a folded ``(B * batch, ...)``
   leading axis and each layer applies stacked per-chip GEMMs.
   Parameter-free per-sample layers (activations, pooling, flatten) run
-  unmodified on folded tensors.  Chips with distinct seeds each draw their
-  own mini-batches, so their training steps are folded from the input on.
+  their serial kernels on folded arrays.  Chips with distinct seeds each
+  draw their own mini-batches, so their training steps are folded from the
+  input on.
 
 Fault-aware retraining (FAT) of B chips that share their training data and
 hyper-parameters runs as one folded training loop with per-chip optimizer
@@ -43,9 +46,9 @@ the one training loop: :class:`repro.training.Trainer` is a stack of one.
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,13 +56,13 @@ from repro import nn
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import TensorDataset
 from repro.nn.functional import (
-    _pair,
+    MaxPool2dFunction,
     _stacked_col2im_t,
     _stacked_im2col_t,
-    col2im_t,
     im2col_t,
+    max_pool2d_inference,
 )
-from repro.nn.tensor import Function, is_grad_enabled
+from repro.nn.tensor import Function, LogSoftmax, ReLU, Reshape
 from repro.backends import ChainCache, recorded, resolve_backend
 from repro.observability import metrics, trace
 
@@ -112,40 +115,22 @@ class EvalPipeline:
         resolve_backend(self.backend)
 
 
-def _conv_output_hw(shape: Tuple[int, ...], module: nn.Module) -> Tuple[int, int]:
-    """Spatial output dims of ``module`` on an NCHW input of ``shape``.
-
-    Mirrors :func:`im2col_t`'s arithmetic so fold geometry can be derived
-    beside the recorded eval-lowering op, which returns only the columns.
-    """
-    kh, kw = _pair(module.kernel_size)
-    sh, sw = _pair(module.stride)
-    ph, pw = _pair(module.padding)
-    out_h = (shape[2] + 2 * ph - kh) // sh + 1
-    out_w = (shape[3] + 2 * pw - kw) // sw + 1
-    return out_h, out_w
-
-
 class UnsupportedModelError(RuntimeError):
-    """The model contains layers the batched fault-aware trainer cannot stack.
+    """The model contains a layer the stacked trainer's layer program cannot run.
 
-    Raised at :class:`BatchedFaultTrainer` construction (never mid-training).
-    Only ``Linear`` and ``Conv2d`` carry trainable parameters in this
-    repository, and both stack, so this fires for any other layer with
-    trainable parameters: the message names its path and class.
+    Raised at :class:`BatchedFaultTrainer` construction (never mid-training)
+    for any leaf layer that is not a ``Linear``, ``Conv2d``, ``ReLU``,
+    ``MaxPool2d`` or ``Flatten``, and for any container that holds
+    parameters of its own: the message names its path and class.
     """
 
 
 # ---------------------------------------------------------------------------
-# Batched multi-chip fault-aware retraining (backward pass)
+# Stacked kernels
 # ---------------------------------------------------------------------------
 #
-# Retraining B chips on *shared* mini-batches: every chip sees the same input
-# batch, so the first stacked layer consumes one shared GEMM operand (one
-# lowering) and everything downstream is carried with a folded
-# ``(B * batch, ...)`` leading axis and stacked per-chip GEMMs.  *Every*
-# parametric layer is stacked — per-chip gradients diverge all weights after
-# the first optimizer step — and the backward pass mirrors the serial autograd
+# *Every* parametric layer is stacked — per-chip gradients diverge all weights
+# after the first optimizer step — and the kernels mirror the serial autograd
 # Functions slice-for-slice:
 #
 # * each stacked ``np.matmul`` presents chip ``b``'s 2-D slice to BLAS with
@@ -153,21 +138,10 @@ class UnsupportedModelError(RuntimeError):
 #   serial ``Linear``/``Conv2dFunction`` GEMM, so slices are bit-identical on
 #   a given BLAS build (pinned by tests/test_batched_fat.py);
 # * all surrounding ops (activations, pooling, flatten, loss log-softmax) are
-#   strictly per-sample and run unmodified on folded tensors;
-# * the loss is a per-chip mean, so one backward from the summed per-chip
-#   losses delivers exactly the gradient each serial run computes.
-
-
-def _fat_timer(name: str):
-    """Timer attributed to the FAT phase the caller is running in.
-
-    The stacked Functions serve both the training step (grad enabled) and the
-    trainer's checkpoint-eval forward (under ``nn.no_grad()``); splitting the
-    timers by grad mode keeps eval-side GEMM/lowering cost out of the training
-    attribution (``fat.train.*`` vs ``fat.eval.*``).
-    """
-    phase = "train" if is_grad_enabled() else "eval"
-    return metrics.timer(f"fat.{phase}.{name}")
+#   strictly per-sample and run their serial kernels on folded arrays;
+# * the loss is a per-chip mean, so a backward from an upstream gradient of
+#   ones (that of the summed per-chip losses) delivers exactly the gradient
+#   each serial run computes.
 
 
 class _StackedLinearFunction(Function):
@@ -183,8 +157,6 @@ class _StackedLinearFunction(Function):
     ``shared=False``: ``x`` is folded ``(B * n, K)`` and forward/backward are
     stacked batched matmuls whose slices mirror the serial GEMMs exactly.
     """
-
-    capture_name = "stacked_linear"
 
     def forward(
         self,
@@ -222,15 +194,9 @@ class _StackedLinearFunction(Function):
         # view against the same activation operand).
         grad_w = np.matmul(g.transpose(0, 2, 1), x_op)
         grad_x = None
-        if not self.needs_input_grad or self.needs_input_grad[0]:
-            grad_x_folded = np.matmul(g, weight)  # (B, n, K)
-            if shared:
-                # The shared operand feeds every chip's branch, so its
-                # gradient sums over chips (only reachable when the shared
-                # input itself requires grad — never the data batch).
-                grad_x = grad_x_folded.sum(axis=0)
-            else:
-                grad_x = grad_x_folded.reshape(x.shape)
+        # A shared input is the data batch, which needs no gradient.
+        if not shared and (not self.needs_input_grad or self.needs_input_grad[0]):
+            grad_x = np.matmul(g, weight).reshape(x.shape)  # (B, n, K) folded
         if has_bias:
             grad_b = g.sum(axis=1)
             return grad_x, grad_w, grad_b
@@ -246,9 +212,10 @@ class _StackedConv2dFunction(Function):
     ``(B, K, P)`` stack and run stacked GEMMs.  Every GEMM presents chip
     ``b``'s slice (or row block) to BLAS exactly like the serial
     :class:`~repro.nn.functional.Conv2dFunction` does.
-    """
 
-    capture_name = "stacked_conv2d"
+    ``phase`` (``"train"`` or ``"eval"``) names the timers the forward's
+    lowering and GEMM are attributed to (``fat.train.*`` or ``fat.eval.*``).
+    """
 
     def forward(
         self,
@@ -260,6 +227,7 @@ class _StackedConv2dFunction(Function):
         num_chips: int,
         shared: bool,
         lowering: Optional[Tuple[np.ndarray, int, int]] = None,
+        phase: str = "train",
     ) -> np.ndarray:
         chips, out_channels, in_channels, kh, kw = weight.shape
         if x.shape[1] != in_channels:
@@ -270,39 +238,36 @@ class _StackedConv2dFunction(Function):
         if shared:
             per_chip = x.shape[0]
             if lowering is not None:
-                # Pre-lowered shared input (the eval pass's recorded
-                # lowering op); eval runs under no_grad, so it is only read
-                # here and never saved for backward.
+                # Pre-lowered shared input (the eval pass's lowering).
                 cols_op, out_h, out_w = lowering
             else:
-                with _fat_timer("im2col_seconds"):
+                with metrics.timer(f"fat.{phase}.im2col_seconds"):
                     cols_op, out_h, out_w = im2col_t(x, (kh, kw), stride, padding)  # (K, P)
             # Wide GEMM: all chips' weight rows in one (B * O, K) @ (K, P)
             # call.  Per-chip row blocks are bit-identical to the serial
             # (O, K) @ (K, P) GEMM on this BLAS build (pinned by tests), and
             # one M-wide call is far faster than B narrow ones.
-            with _fat_timer("gemm_seconds"):
+            with metrics.timer(f"fat.{phase}.gemm_seconds"):
                 out_t = (w2.reshape(chips * out_channels, -1) @ cols_op).reshape(
                     chips, out_channels, -1
                 )
         else:
             per_chip = x.shape[0] // num_chips
-            with _fat_timer("im2col_seconds"):
+            with metrics.timer(f"fat.{phase}.im2col_seconds"):
                 cols_op, out_h, out_w = _stacked_im2col_t(
                     x, num_chips, (kh, kw), stride, padding
                 )
-            with _fat_timer("gemm_seconds"):
+            with metrics.timer(f"fat.{phase}.gemm_seconds"):
                 out_t = np.matmul(w2, cols_op)  # (B, O, P)
         if bias is not None:
             out_t += bias[:, :, None]
         out = out_t.reshape(chips, out_channels, per_chip, out_h, out_w).transpose(
             0, 2, 1, 3, 4
         )
-        if is_grad_enabled():
-            self.save_for_backward(
-                cols_op, weight, x.shape, (kh, kw), stride, padding,
-                out_h, out_w, bias is not None, num_chips, shared,
-            )
+        self.save_for_backward(
+            cols_op, weight, x.shape, (kh, kw), stride, padding,
+            out_h, out_w, bias is not None, num_chips, shared,
+        )
         out = np.ascontiguousarray(out)
         return out.reshape(chips * per_chip, out_channels, out_h, out_w)
 
@@ -332,20 +297,13 @@ class _StackedConv2dFunction(Function):
                 grad_w = np.matmul(cols_op, g_t.transpose(0, 2, 1)).transpose(0, 2, 1)
         grad_w = grad_w.reshape(weight.shape)  # the transpose-back copy
         grad_x = None
-        if not self.needs_input_grad or self.needs_input_grad[0]:
+        # A shared input is the data batch, which needs no gradient.
+        if not shared and (not self.needs_input_grad or self.needs_input_grad[0]):
             grad_colsT = np.matmul(w2.transpose(0, 2, 1), g_t)  # (B, K, P)
-            if shared:
-                grad_x = np.zeros(x_shape, dtype=grad_output.dtype)
-                for chip in range(num_chips):
-                    grad_x += col2im_t(
-                        grad_colsT[chip], x_shape, kernel, stride, padding, out_h, out_w
-                    )
-            else:
-                with _fat_timer("col2im_seconds"):
-                    grad_x = _stacked_col2im_t(
-                        grad_colsT, x_shape, num_chips, kernel, stride, padding,
-                        out_h, out_w,
-                    )
+            with metrics.timer("fat.train.col2im_seconds"):
+                grad_x = _stacked_col2im_t(
+                    grad_colsT, x_shape, num_chips, kernel, stride, padding, out_h, out_w
+                )
         if has_bias:
             grad_bias = g_t.sum(axis=2)
             return grad_x, grad_w, grad_bias
@@ -360,8 +318,6 @@ class _StackedNllLossFunction(Function):
     operation (including the optional label-smoothing composition), so one
     backward from the summed losses is bit-identical to B serial backwards.
     """
-
-    capture_name = "stacked_nll_loss"
 
     def forward(
         self,
@@ -437,72 +393,165 @@ class _StackedNllLossFunction(Function):
         return (grad,)
 
 
-def stacked_cross_entropy(
-    logits: nn.Tensor,
-    targets: np.ndarray,
-    num_chips: int,
-    label_smoothing: float = 0.0,
-) -> nn.Tensor:
-    """Per-chip cross-entropy of folded ``(B * n, C)`` logits: a ``(B,)`` tensor.
-
-    ``targets`` holds either the ``n`` labels every chip shares or the
-    folded ``B * n`` labels of per-chip batches.
-    """
-    log_probs = logits.log_softmax(axis=-1)
-    return _StackedNllLossFunction.apply(
-        log_probs, np.asarray(targets), num_chips, float(label_smoothing)
-    )
-
-
 def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Keep-multiplier mask enforcement, shared as an IR op kernel."""
     np.multiply(values, keep, out=values)
     return values
 
 
-def _eval_lowering_kernel(module: nn.Module, name: str):
-    """Shared-prefix lowering of the first stacked conv in an eval pass.
+def _demoted(out: np.ndarray, *inputs: Optional[np.ndarray]) -> np.ndarray:
+    """The serial tape's float32 discipline: an op whose array inputs are all
+    narrower than float64 hands on no float64 output (a numpy scalar operand
+    can promote one, and it would cascade through every later layer)."""
+    if out.dtype == np.float64 and all(a.dtype != np.float64 for a in inputs if a is not None):
+        return out.astype(np.float32)
+    return out
 
-    The kernel closes over the conv module only, never the trainer (whose
-    chain cache keeps the compiled graph, and so this kernel, alive).
-    """
 
-    def lower_cols(data: np.ndarray) -> np.ndarray:
-        with metrics.timer("fat.eval.im2col_seconds"):
-            cols, _, _ = _LOWERING.get_or_compute(
-                name,
-                lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
-            )
-        return cols
+# ---------------------------------------------------------------------------
+# The layer program
+# ---------------------------------------------------------------------------
+#
+# One entry per leaf layer, in model order.  In a training step,
+# ``forward(x, cache)`` runs a fresh kernel instance and pushes it onto the
+# step's cache with its input's shape and dtype; ``backward(grad, cache)``
+# pops it, writes the layer's parameter gradients and returns the input's
+# gradient, cast to the input's dtype as the serial tape casts it (``None``
+# for the first stacked layer, whose input is data).  With ``cache=None`` (an
+# eval pass) the forward is one :func:`recorded` node running
+# :meth:`_Layer.evaluate`, so a compute backend captures and replays it; the
+# node reads the stacked weights when it runs and closes over no trainer.
 
-    return lower_cols
+StepCache = Deque[Tuple[Function, Tuple[int, ...], np.dtype]]
+
+
+class _Layer:
+    """A parameter-free per-sample layer: its serial kernel on folded arrays."""
+
+    def __init__(self, op: str, kernel: type, *args) -> None:
+        self.op, self.kernel, self.args = op, kernel, args
+        self.first = False  # only a stacked layer is ever the first
+
+    def _run(self, ctx: Function, x: np.ndarray, phase: str) -> np.ndarray:
+        return ctx.forward(x, *self.args)
+
+    def params(self) -> List[nn.Parameter]:
+        return []
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        arrays = [p.data for p in self.params()]
+        return _demoted(self._run(self.kernel(), x, "eval"), x, *arrays)
+
+    def forward(self, x: np.ndarray, cache: Optional[StepCache]) -> np.ndarray:
+        if cache is None:
+            return recorded(self.op, (x,), self.evaluate)
+        ctx = self.kernel()
+        ctx.needs_input_grad = (not self.first,)
+        out = _demoted(self._run(ctx, x, "train"), x, *[p.data for p in self.params()])
+        cache.append((ctx, x.shape, x.dtype))
+        return out
+
+    def backward(self, grad: np.ndarray, cache: StepCache) -> Optional[np.ndarray]:
+        ctx, shape, dtype = cache.pop()
+        grad_x, *param_grads = ctx.backward(grad)
+        for param, param_grad in zip(self.params(), param_grads):
+            param.grad = np.asarray(param_grad, dtype=param.data.dtype)
+        return None if grad_x is None else np.asarray(grad_x, dtype=dtype).reshape(shape)
+
+
+class _MaxPool2dLayer(_Layer):
+    def _run(self, ctx: Function, x: np.ndarray, phase: str) -> np.ndarray:
+        if phase == "eval":  # no argmax bookkeeping: no backward follows
+            return max_pool2d_inference(x, *self.args)
+        return ctx.forward(x, *self.args)
+
+
+class _FlattenLayer(_Layer):
+    def _run(self, ctx: Function, x: np.ndarray, phase: str) -> np.ndarray:
+        (start_dim,) = self.args
+        return ctx.forward(x, x.shape[:start_dim] + (-1,))
 
 
 @dataclasses.dataclass
-class _StackedLayer:
-    """One parametric layer with its B stacked per-chip weights (and masks)."""
+class _StackedLayer(_Layer):
+    """A ``Linear``/``Conv2d`` layer with its B stacked per-chip weights (and masks).
+
+    ``first`` marks the first stacked layer: its input is the data batch, so
+    it computes no input gradient, and an eval pass feeds it the shared
+    (un-replicated) batch.  ``shared`` says whether training steps feed it
+    the shared batch too (one data stream) or the chips' folded batches.
+    """
 
     name: str
     module: nn.Module
-    weight: "nn.Parameter"  # (B,) + weight shape
-    bias: Optional["nn.Parameter"]  # (B, out) or None
+    weight: nn.Parameter  # (B,) + weight shape
+    bias: Optional[nn.Parameter]  # (B, out) or None
     keep: Optional[np.ndarray]  # (B,) + weight shape float32; masked layers only
+    num_chips: int
+    first: bool
+    shared: bool
+
+    def params(self) -> List[nn.Parameter]:
+        return [self.weight] if self.bias is None else [self.weight, self.bias]
+
+    def _operands(self, phase: str):
+        """Weights, bias, chip count and shared flag of one kernel call."""
+        bias = None if self.bias is None else self.bias.data
+        shared = self.first if phase == "eval" else self.shared
+        return self.weight.data, bias, self.num_chips, shared
 
     def enforce_weight(self) -> None:
         if self.keep is not None:
-            recorded(
-                "mask.keep_multiplier",
-                (self.weight.data, self.keep),
-                _keep_multiplier_kernel,
-            )
+            recorded("mask.keep_multiplier", (self.weight.data, self.keep),
+                     _keep_multiplier_kernel)
 
     def enforce_grad(self) -> None:
         if self.keep is not None and self.weight.grad is not None:
-            recorded(
-                "mask.keep_multiplier",
-                (self.weight.grad, self.keep),
-                _keep_multiplier_kernel,
-            )
+            recorded("mask.keep_multiplier", (self.weight.grad, self.keep),
+                     _keep_multiplier_kernel)
+
+
+class _StackedLinear(_StackedLayer):
+    op, kernel = "stacked_linear", _StackedLinearFunction
+
+    def _run(self, ctx: Function, x: np.ndarray, phase: str) -> np.ndarray:
+        if x.ndim != 2:  # ``Linear`` flattens image inputs (an MLP on images)
+            x = x.reshape(x.shape[0], -1)
+        return ctx.forward(x, *self._operands(phase))
+
+
+class _StackedConv2d(_StackedLayer):
+    op, kernel = "stacked_conv2d", _StackedConv2dFunction
+
+    def _run(self, ctx: Function, x: np.ndarray, phase: str) -> np.ndarray:
+        weight, bias, chips, shared = self._operands(phase)
+        module, lowering = self.module, None
+        if phase == "eval" and shared:
+            # The shared eval input is lowered once for all chips; the
+            # columns die with the batch.
+            with metrics.timer("fat.eval.im2col_seconds"):
+                lowering = _LOWERING.get_or_compute(
+                    self.name,
+                    lambda: im2col_t(x, module.kernel_size, module.stride, module.padding),
+                )
+        return ctx.forward(
+            x, weight, bias, module.stride, module.padding, chips, shared, lowering, phase
+        )
+
+
+def _program_layer(name: str, module: nn.Module) -> _Layer:
+    """The parameter-free program entry of leaf ``module``."""
+    if isinstance(module, nn.ReLU):
+        return _Layer("relu", ReLU)
+    if isinstance(module, nn.MaxPool2d):
+        return _MaxPool2dLayer("max_pool2d", MaxPool2dFunction, module.kernel_size, module.stride)
+    if isinstance(module, nn.Flatten):
+        return _FlattenLayer("flatten", Reshape, module.start_dim)
+    raise UnsupportedModelError(
+        f"layer {name!r} ({type(module).__name__}) is not a Linear, Conv2d, ReLU, "
+        "MaxPool2d or Flatten layer, so the stacked trainer's layer program "
+        "cannot run it"
+    )
 
 
 class BatchedFaultTrainer:
@@ -530,12 +579,14 @@ class BatchedFaultTrainer:
     (``tests/helpers.py``: ``ReferenceTrainer(model, ..., masks=mask_sets[b])``)
     whose config carries chip ``b``'s seed, on this BLAS build
     (tests/test_batched_fat.py pins this).  The model itself is never
-    modified: stacked copies are trained, and per-chip results are read back
-    with :meth:`chip_state_dict`.
+    modified, and its ``forward`` never runs: stacked copies are trained
+    through the layer program, and per-chip results are read back with
+    :meth:`chip_state_dict`.
 
-    Supported models are compositions of ``Linear``/``Conv2d`` (stacked
-    GEMMs) and parameter-free per-sample layers (activations, pooling,
-    flatten).  Any other layer with trainable parameters raises
+    Supported models are chains of ``Linear``/``Conv2d`` (stacked GEMMs),
+    ``ReLU``, ``MaxPool2d`` and ``Flatten`` layers run in registration
+    order, as every preset model's forward runs them.  Any other leaf layer,
+    or a container with parameters of its own, raises
     :class:`UnsupportedModelError`.
 
     The trainer is also the forward-only population evaluator: constructing
@@ -596,14 +647,11 @@ class BatchedFaultTrainer:
         self.eval_data = eval_data
         self.batches_per_epoch = len(self._train_loaders[0])
         self.steps_taken = 0
-        # True while the current forward pass is still on the shared
-        # (un-replicated) input; flipped by the first stacked layer.
-        self._shared_prefix = True
         pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
         # Captured-graph execution of the checkpoint-eval hot path (training
-        # steps always run eagerly: they drive autograd).  Captured eval
-        # graphs read the stacked weights and biases *live*, so replay tracks
-        # every optimizer step and mask enforcement between checkpoints.
+        # steps always run eagerly).  Captured eval graphs read the stacked
+        # weights and biases *live*, so replay tracks every optimizer step and
+        # mask enforcement between checkpoints.
         self._backend = resolve_backend(pipeline.backend)
         self._eval_chain_cache = (
             ChainCache(self._backend, name="fat.eval")
@@ -611,18 +659,21 @@ class BatchedFaultTrainer:
             else None
         )
 
+        # The layer program: one entry per leaf layer, in model order.
+        self._program: List[_Layer] = []
         self._layers: List[_StackedLayer] = []
-        parameters: List[nn.Parameter] = []
         for name, module in model.named_modules():
-            direct = [p for p in module._parameters.values() if p is not None]
-            if not direct:
+            if module._modules:
+                if any(p is not None for p in module._parameters.values()):
+                    raise UnsupportedModelError(
+                        f"layer {name!r} ({type(module).__name__}) holds parameters "
+                        "of its own beside its sub-layers; the stacked trainer's "
+                        "layer program runs only leaf layers"
+                    )
                 continue
             if not isinstance(module, (nn.Linear, nn.Conv2d)):
-                raise UnsupportedModelError(
-                    f"layer {name!r} ({type(module).__name__}) has trainable "
-                    "parameters but is not a stackable Linear/Conv2d; "
-                    "batched fault-aware retraining cannot fold it per chip"
-                )
+                self._program.append(_program_layer(name, module))
+                continue
             weight = module.weight.data
             stack = np.empty((self.num_chips,) + weight.shape, dtype=weight.dtype)
             keep: Optional[np.ndarray] = None
@@ -648,88 +699,34 @@ class BatchedFaultTrainer:
                 bias_param = nn.Parameter(
                     np.repeat(module.bias.data[None], self.num_chips, axis=0)
                 )
-            self._layers.append(
-                _StackedLayer(
-                    name=name, module=module, weight=weight_param,
-                    bias=bias_param, keep=keep,
-                )
+            first = not self._layers
+            stacked = (_StackedLinear if isinstance(module, nn.Linear) else _StackedConv2d)(
+                name, module, weight_param, bias_param, keep, self.num_chips,
+                first=first, shared=first and not self._per_chip_streams,
             )
-            # Same order as ``model.parameters()`` (weight before bias per
-            # module) so per-chip gradient clipping accumulates norms in the
-            # serial order.
-            parameters.append(weight_param)
-            if bias_param is not None:
-                parameters.append(bias_param)
+            self._layers.append(stacked)
+            self._program.append(stacked)
         known = {layer.name for layer in self._layers}
         for name in key_set:
             if name not in known:
                 raise KeyError(f"mask refers to unknown layer {name!r}")
         self._masked_layers = [layer for layer in self._layers if layer.keep is not None]
-        self.optimizer = self.config.build_optimizer(parameters)
-
-    # -- batched forward plumbing --------------------------------------------
+        # Weight before bias per layer, as in ``model.parameters()``, so
+        # per-chip gradient clipping accumulates norms in the serial order.
+        self.optimizer = self.config.build_optimizer(
+            [param for layer in self._layers for param in layer.params()]
+        )
 
     @property
     def epochs_taken(self) -> float:
         return self.steps_taken / self.batches_per_epoch
 
-    def _linear_forward(self, layer: _StackedLayer):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            if x.ndim != 2:
-                x = x.flatten(start_dim=1)
-            shared = self._shared_prefix
-            self._shared_prefix = False
-            return _StackedLinearFunction.apply(
-                x, layer.weight, layer.bias, self.num_chips, shared
-            )
-
-        return forward
-
-    def _conv_forward(self, layer: _StackedLayer):
-        def forward(x: nn.Tensor) -> nn.Tensor:
-            module = layer.module
-            shared = self._shared_prefix
-            self._shared_prefix = False
-            lowering = None
-            if shared and not is_grad_enabled():
-                # Eval pass: the shared input is lowered by its own recorded
-                # op, and the columns die with the batch.
-                out_h, out_w = _conv_output_hw(x.shape, module)
-                cols = recorded(
-                    "fat.eval_lowering",
-                    (x.data,),
-                    _eval_lowering_kernel(module, layer.name),
-                )
-                lowering = (cols, out_h, out_w)
-            return _StackedConv2dFunction.apply(
-                x, layer.weight, layer.bias,
-                module.stride, module.padding, self.num_chips, shared, lowering,
-            )
-
-        return forward
-
-    @contextlib.contextmanager
-    def _patched(self):
-        """Route stacked layers through their batched forwards."""
-        patched: List[nn.Module] = []
-        try:
-            for layer in self._layers:
-                if "forward" in layer.module.__dict__:
-                    raise RuntimeError(
-                        f"layer {layer.name!r} already has a patched forward "
-                        "(nested batched execution is not supported)"
-                    )
-                make = (
-                    self._linear_forward
-                    if isinstance(layer.module, nn.Linear)
-                    else self._conv_forward
-                )
-                object.__setattr__(layer.module, "forward", make(layer))
-                patched.append(layer.module)
-            yield
-        finally:
-            for module in reversed(patched):
-                object.__delattr__(module, "forward")
+    def _forward(self, x: np.ndarray, cache: Optional[StepCache]) -> np.ndarray:
+        """Run the layer program on ``x``: a training step's when ``cache``
+        collects its kernel contexts, an eval pass's when it is ``None``."""
+        for layer in self._program:
+            x = layer.forward(x, cache)
+        return x
 
     # -- training ------------------------------------------------------------
 
@@ -744,8 +741,8 @@ class BatchedFaultTrainer:
         The steps draw from one live iterator over the train data: a new pass
         starts only when the previous one is exhausted.  ``readout_steps``
         are ascending step counts below ``num_steps`` (relative to this
-        call).  At the ``index``-th one the loop pauses — outside the batched
-        forwards, so the callback may evaluate — and ``at_readout(index,
+        call).  At the ``index``-th one the loop pauses — between steps, so
+        the callback may evaluate — and ``at_readout(index,
         losses)`` sees the stacks at that step, with ``losses`` each chip's
         mean train loss so far: exactly what a separate call stopping there
         would return.  The iterator survives the pause, so a readout never
@@ -757,15 +754,13 @@ class BatchedFaultTrainer:
         batches = iter(())
         with trace.span("fat.train_steps", steps=num_steps, chips=self.num_chips):
             for index, stop in enumerate([*readout_steps, num_steps]):
-                self.model.train()
-                with self._patched():
-                    while len(losses) < stop:
-                        batch = next(batches, None)
-                        if batch is None:
-                            batches = zip(*self._train_loaders)
-                            continue
-                        losses.append(self._train_step(batch))
-                        self.steps_taken += 1
+                while len(losses) < stop:
+                    batch = next(batches, None)
+                    if batch is None:
+                        batches = zip(*self._train_loaders)
+                        continue
+                    losses.append(self._train_step(batch))
+                    self.steps_taken += 1
                 if stop < num_steps:
                     at_readout(index, self._mean_losses(losses))
         return self._mean_losses(losses)
@@ -773,26 +768,40 @@ class BatchedFaultTrainer:
     def _train_step(self, batch) -> np.ndarray:
         """One optimizer step on ``batch``; returns each chip's ``(B,)`` float64 loss.
 
-        The step's autograd graph (activations, saved lowerings) is local to
-        this call, so reference counting frees it on return: before the next
-        step's forward, a readout or a checkpoint evaluation.  A stack never
-        holds two steps' graphs.
+        The program's forward loop, the stacked loss (log-softmax and
+        per-chip mean NLL), the reversed backward loop that writes every
+        stacked parameter's gradient, then gradient masks, per-chip clipping,
+        the optimizer step and weight masks.  The step's cache (its kernels'
+        saved activations and lowerings) is local to this call, so the next
+        step's forward, a readout and a checkpoint evaluation never see it.
         """
         if self._per_chip_streams:
             # Each chip's own batch, folded: no shared prefix.
-            inputs = nn.Tensor(np.concatenate([x.data for x, _ in batch]))
+            inputs = np.concatenate([x.data for x, _ in batch])
             targets = np.concatenate([y for _, y in batch])
-            self._shared_prefix = False
         else:
             inputs, targets = batch[0]
-            self._shared_prefix = True
-        logits = self.model(inputs)
-        step_losses = stacked_cross_entropy(
-            logits, targets, self.num_chips,
-            label_smoothing=self.config.label_smoothing,
+            inputs = inputs.data
+        cache: StepCache = collections.deque()
+        logits = self._forward(inputs, cache)
+        log_softmax, nll = LogSoftmax(), _StackedNllLossFunction()
+        log_probs = _demoted(log_softmax.forward(logits, -1), logits)
+        step_losses = _demoted(
+            nll.forward(
+                log_probs, np.asarray(targets), self.num_chips,
+                float(self.config.label_smoothing),
+            ),
+            log_probs,
         )
         self.optimizer.zero_grad()
-        step_losses.sum().backward()
+        # The gradient of the summed per-chip losses: ones.
+        (grad,) = nll.backward(np.ones(self.num_chips, dtype=step_losses.dtype))
+        (grad,) = log_softmax.backward(np.asarray(grad, dtype=log_probs.dtype))
+        grad = np.asarray(grad, dtype=logits.dtype)
+        for layer in reversed(self._program):
+            grad = layer.backward(grad, cache)
+            if grad is None:  # the first stacked layer: its input is data
+                break
         for layer in self._masked_layers:
             layer.enforce_grad()
         if self.config.grad_clip is not None:
@@ -804,7 +813,7 @@ class BatchedFaultTrainer:
         self.optimizer.step()
         for layer in self._masked_layers:
             layer.enforce_weight()
-        return step_losses.data.astype(np.float64)
+        return step_losses.astype(np.float64)
 
     def _mean_losses(self, losses: List[np.ndarray]) -> np.ndarray:
         """Each chip's mean over per-step ``(B,)`` loss vectors."""
@@ -815,19 +824,10 @@ class BatchedFaultTrainer:
             [np.mean(np.ascontiguousarray(stacked[:, chip])) for chip in range(self.num_chips)]
         )
 
-    def _eval_forward_all_chips(self, inputs: np.ndarray) -> np.ndarray:
+    def _eval_logits(self, data: np.ndarray) -> np.ndarray:
         """Per-chip logits for one eval batch: ``(B, n, classes)``."""
-        self._shared_prefix = True
-        logits = self.model(nn.Tensor(inputs)).data
-        chips = self.num_chips
-        if self._shared_prefix:
-            # No stacked layer executed: all chips share logits.
-            return recorded(
-                "eval.broadcast_logits",
-                (logits,),
-                lambda l: np.broadcast_to(l[None], (chips,) + l.shape),
-            )
-        n = inputs.shape[0]
+        logits = self._forward(data, None)
+        chips, n = self.num_chips, data.shape[0]
         return recorded(
             "eval.unfold_logits", (logits,), lambda l: l.reshape(chips, n, -1)
         )
@@ -842,29 +842,18 @@ class BatchedFaultTrainer:
         from repro.training import _as_eval_loader
 
         loader = _as_eval_loader(self.eval_data, batch_size=self.config.batch_size)
-        was_training = self.model.training
-        self.model.eval()
         correct = np.zeros(self.num_chips, dtype=np.int64)
         total = 0
-        try:
-            with trace.span(
-                "fat.eval_checkpoint", chips=self.num_chips
-            ), nn.no_grad(), self._patched():
-                for inputs, targets in loader:
-                    data = inputs.data
-                    n = data.shape[0]
-                    if self._eval_chain_cache is None:
-                        logits = self._eval_forward_all_chips(data)
-                    else:
-                        logits = self._eval_chain_cache.run(
-                            (data,), self._eval_forward_all_chips
-                        )
-                    predictions = logits.argmax(axis=-1)
-                    correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
-                    total += n
-        finally:
-            if was_training:
-                self.model.train()
+        with trace.span("fat.eval_checkpoint", chips=self.num_chips):
+            for inputs, targets in loader:
+                data = inputs.data
+                if self._eval_chain_cache is None:
+                    logits = self._eval_logits(data)
+                else:
+                    logits = self._eval_chain_cache.run((data,), self._eval_logits)
+                predictions = logits.argmax(axis=-1)
+                correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
+                total += data.shape[0]
         if total == 0:
             return [0.0] * self.num_chips
         return [int(c) / total for c in correct]
@@ -895,8 +884,8 @@ class BatchedFaultTrainer:
 
         Every checkpoint is evaluated live, when training reaches it: in
         segment mode after its segment, with ``in_stream`` at a pause of the
-        pass (outside the batched forwards).  Evaluation never mutates
-        training state — it runs under ``no_grad`` on the current stacks over
+        pass (between steps).  Evaluation never mutates training state — it
+        runs the layer program without a cache on the current stacks over
         the unshuffled eval loader — so the training step sequence and RNG
         streams are those of an unevaluated run.  Checkpoints that quantize
         to the same optimizer step carry identical stacks, so they share one
@@ -1004,9 +993,6 @@ def evaluate_chip_accuracies(
     checkpoint evaluation, and every pass replays through ``eval_pipeline``'s
     compute backend (a fresh eager :class:`EvalPipeline` when not supplied).
     """
-    if not mask_sets:
-        raise ValueError("mask_sets must contain at least one chip")
-    pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
     return BatchedFaultTrainer(
-        model, mask_sets, data, data, config=config, eval_pipeline=pipeline
+        model, mask_sets, data, data, config=config, eval_pipeline=eval_pipeline
     ).evaluate()

@@ -27,7 +27,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "SGD",
         "Adam",
         "AdamW",
-        "clip_grad_norm",
         "clip_grad_norm_per_chip",
     ),
     ".serialization": (

@@ -261,6 +261,27 @@ def conv2d(
 # ---------------------------------------------------------------------------
 
 
+def max_pool2d_inference(
+    x: np.ndarray, kernel_size: Tuple[int, int], stride: Tuple[int, int]
+) -> np.ndarray:
+    """Max pooling for passes no backward follows: elementwise maxima over
+    strided phase views, with no argmax bookkeeping and no copy beyond the
+    running maximum.  Its output equals the training forward's."""
+    kh, kw = kernel_size
+    sh, sw = stride
+    out_h = (x.shape[2] - kh) // sh + 1
+    out_w = (x.shape[3] - kw) // sw + 1
+    out = None
+    for i in range(kh):
+        for j in range(kw):
+            phase = x[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+            if out is None:
+                out = phase.copy()
+            else:
+                np.maximum(out, phase, out=out)
+    return out
+
+
 class MaxPool2dFunction(Function):
     capture_name = "max_pool2d"
 
@@ -270,25 +291,13 @@ class MaxPool2dFunction(Function):
         kernel_size: Tuple[int, int],
         stride: Tuple[int, int],
     ) -> np.ndarray:
+        if not is_grad_enabled():
+            return max_pool2d_inference(x, kernel_size, stride)
         kh, kw = kernel_size
         sh, sw = stride
         n, c, h, w = x.shape
         out_h = (h - kh) // sh + 1
         out_w = (w - kw) // sw + 1
-        if not is_grad_enabled():
-            # Inference fast path: reduce the kh*kw window positions with
-            # elementwise maxima over strided phase views — no window
-            # materialisation, no argmax bookkeeping, zero temporary copies
-            # beyond the running maximum itself.
-            out = None
-            for i in range(kh):
-                for j in range(kw):
-                    phase = x[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
-                    if out is None:
-                        out = phase.copy()
-                    else:
-                        np.maximum(out, phase, out=out)
-            return out
         # Training path: the same phase sweep also tracks the winning
         # within-window flat index.  Only a strictly greater value replaces
         # the running maximum, so ties resolve to the first (row-major)

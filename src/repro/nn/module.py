@@ -37,7 +37,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     # -- attribute registration ---------------------------------------------
 
@@ -72,17 +71,6 @@ class Module:
         yield (prefix.rstrip("."), self)
         for module_name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{module_name}.")
-
-    # -- training state -------------------------------------------------------
-
-    def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -9,7 +9,6 @@ convolutional networks.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -177,24 +176,6 @@ class AdamW(Adam):
             self.weight_decay = weight_decay
 
 
-def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Clip gradients in-place so their global L2 norm is at most ``max_norm``.
-
-    Returns the norm before clipping (useful for logging and tests).
-    """
-    params = [p for p in parameters if p.grad is not None]
-    if not params:
-        return 0.0
-    total = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params))
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for p in params:
-            np.multiply(p.grad, scale, out=p.grad)
-    return total
-
-
 def clip_grad_norm_per_chip(
     parameters: Iterable[Parameter], max_norm: float, num_chips: int
 ) -> np.ndarray:
@@ -202,13 +183,13 @@ def clip_grad_norm_per_chip(
 
     Each parameter (and its gradient) carries a leading chip axis of length
     ``num_chips``; chip ``b``'s norm is accumulated over every parameter's
-    ``[b]`` slice and only that slice is rescaled — exactly what
-    :func:`clip_grad_norm` computes for chip ``b``'s standalone parameter
-    list, value for value: each parameter's squares are reduced per chip
-    (one row-wise float64 sum, the same pairwise sum as the slice's own) and
-    added to the running norms in parameter order; the scale is cast to the
-    gradient dtype before the in-place multiply, as a Python-float scale is,
-    and unclipped chips are multiplied by exactly 1.0.
+    ``[b]`` slice and only that slice is rescaled — exactly what the serial
+    ``clip_grad_norm`` of ``tests/helpers.py`` computes for chip ``b``'s
+    standalone parameter list, value for value: each parameter's squares are
+    reduced per chip (one row-wise float64 sum, the same pairwise sum as the
+    slice's own) and added to the running norms in parameter order; the
+    scale is cast to the gradient dtype before the in-place multiply, as a
+    Python-float scale is, and unclipped chips are multiplied by exactly 1.0.
 
     Returns the per-chip norms before clipping, shape ``(num_chips,)``.
     """

@@ -166,21 +166,13 @@ def evaluate_accuracy(
     data: Union[TensorDataset, DataLoader],
     batch_size: int = 128,
 ) -> float:
-    """Top-1 accuracy of ``model`` on ``data`` (model mode is restored)."""
-    loader = _as_eval_loader(data, batch_size=batch_size)
-    was_training = model.training
-    model.eval()
-    correct = 0
-    total = 0
-    with nn.no_grad():
-        for inputs, targets in loader:
-            logits = model(inputs)
-            predictions = logits.data.argmax(axis=-1)
-            correct += int((predictions == np.asarray(targets)).sum())
-            total += len(targets)
-    if was_training:
-        model.train()
-    return correct / total if total else 0.0
+    """Top-1 accuracy of ``model`` on ``data``: a one-chip stacked eval pass.
+
+    The unmasked stack of one runs the same layer program as every chip
+    evaluation, in ``batch_size`` batches; the model is not modified.
+    """
+    config = TrainingConfig(batch_size=batch_size)
+    return BatchedFaultTrainer(model, [{}], data, data, config=config).evaluate()[0]
 
 
 def _resolve_masked_weight(model_modules: Dict[str, nn.Module], name: str, mask: np.ndarray):

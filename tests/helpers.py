@@ -23,10 +23,10 @@ from repro.training import (
     MaskDict,
     TrainingConfig,
     TrainingHistory,
+    _as_eval_loader,
     _as_loader,
     _resolve_masked_weight,
     epochs_to_steps,
-    evaluate_accuracy,
     require_nonempty_train_loader,
 )
 from repro.utils.rng import SeedLike, derive_seed, new_rng
@@ -59,15 +59,15 @@ def recorded_evaluate(trainer):
 
     cache = trainer._eval_chain_cache
     if cache is None:
-        forward = trainer._eval_forward_all_chips
-        trainer._eval_forward_all_chips = lambda data: keep(forward(data))
+        forward = trainer._eval_logits
+        trainer._eval_logits = lambda data: keep(forward(data))
     else:
         run = cache.run
         cache.run = lambda inputs, eager_fn: keep(run(inputs, eager_fn))
     try:
         return trainer.evaluate(), logits
     finally:
-        trainer.__dict__.pop("_eval_forward_all_chips", None)
+        trainer.__dict__.pop("_eval_logits", None)
         if cache is not None:
             del cache.run
 
@@ -137,6 +137,44 @@ def masked_saliency(model: nn.Module, masks: MaskDict, metric: str = "magnitude"
     return total
 
 
+def serial_evaluate_accuracy(model, data, batch_size=128):
+    """Top-1 accuracy of ``model`` through its own serial forward (``model(x)``).
+
+    The evaluation oracle of the stacked eval that
+    ``repro.training.evaluate_accuracy`` runs.
+    """
+    loader = _as_eval_loader(data, batch_size=batch_size)
+    correct = 0
+    total = 0
+    with nn.no_grad():
+        for inputs, targets in loader:
+            logits = model(inputs)
+            predictions = logits.data.argmax(axis=-1)
+            correct += int((predictions == np.asarray(targets)).sum())
+            total += len(targets)
+    return correct / total if total else 0.0
+
+
+def clip_grad_norm(parameters, max_norm):
+    """Clip gradients in place so their global L2 norm is at most ``max_norm``.
+
+    The serial clip of :class:`ReferenceTrainer`, which
+    ``nn.clip_grad_norm_per_chip`` equals chip by chip.  Returns the norm
+    before clipping.
+    """
+    params = [p for p in parameters if p.grad is not None]
+    if not params:
+        return 0.0
+    total = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params))
+    if max_norm <= 0:
+        raise ValueError("max_norm must be positive")
+    if total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        for p in params:
+            np.multiply(p.grad, scale, out=p.grad)
+    return total
+
+
 class ReferenceTrainer:
     """The serial training loop the stacked trainer must equal bit for bit.
 
@@ -177,7 +215,6 @@ class ReferenceTrainer:
         """Run ``num_steps`` optimizer steps; returns the mean training loss."""
         if num_steps <= 0:
             return float("nan")
-        self.model.train()
         losses = []
         remaining = num_steps
         while remaining > 0:
@@ -193,7 +230,7 @@ class ReferenceTrainer:
                     if grad is not None:
                         np.multiply(grad, masked.keep, out=grad)
                 if self.config.grad_clip is not None:
-                    nn.clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
+                    clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
                 self.optimizer.step()
                 for masked in self._masked_params:
                     masked.enforce_weight()
@@ -205,7 +242,7 @@ class ReferenceTrainer:
         return float(np.mean(losses)) if losses else float("nan")
 
     def evaluate(self):
-        return evaluate_accuracy(
+        return serial_evaluate_accuracy(
             self.model, self.eval_data, batch_size=self.config.batch_size
         )
 
@@ -274,7 +311,7 @@ def reference_retrain_chip(
     if strategy.bypass and strategy.bypass_plan(chip.fault_map) is not None:
         if accuracy_before is None:
             enforce_weight_masks(model, strategy.chip_masks(model, chip.fault_map))
-            accuracy_before = evaluate_accuracy(
+            accuracy_before = serial_evaluate_accuracy(
                 model,
                 framework.bundle.test,
                 batch_size=framework.config.effective_retraining_config().batch_size,
@@ -333,7 +370,7 @@ def serial_resilience_accuracies(analyzer):
     config = analyzer.config
     model = analyzer.model
     model.load_state_dict(analyzer.pretrained_state)
-    clean = evaluate_accuracy(model, analyzer.bundle.test)
+    clean = serial_evaluate_accuracy(model, analyzer.bundle.test)
     grid = np.zeros(
         (len(config.fault_rates), config.trials_per_rate, 1 + len(config.epoch_checkpoints))
     )

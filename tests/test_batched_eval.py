@@ -3,7 +3,8 @@
 The contract of :func:`~repro.accelerator.batched.evaluate_chip_accuracies`
 — the :class:`~repro.accelerator.batched.BatchedFaultTrainer` eval forward
 over one stack of chips — is that evaluating B chips in one stacked sweep returns
-exactly what B serial ``apply masks -> evaluate_accuracy`` passes return.
+exactly what B serial ``apply masks -> model(x)`` passes return
+(``tests/helpers.py``: ``serial_evaluate_accuracy``).
 Logits are compared to float32 ``atol=1e-6`` (the shared-prefix wide GEMM may
 differ from the serial 2-D GEMM within float32 rounding on BLAS builds with
 width-dependent kernel selection; on the build used in development they are
@@ -30,8 +31,12 @@ from repro.core.reduce import TRIAGE_CHIP_CHUNK, ReduceFramework
 from repro.data.dataloader import DataLoader
 from repro.experiments import build_dataset, fast_preset
 from repro.models import MLP, build_model
-from repro.training import TrainingConfig, apply_weight_masks, evaluate_accuracy
-from tests.helpers import recorded_evaluate, reference_retrain_chip
+from repro.training import TrainingConfig, apply_weight_masks
+from tests.helpers import (
+    recorded_evaluate,
+    reference_retrain_chip,
+    serial_evaluate_accuracy,
+)
 
 # Eval batches are ``batch_size`` rows: 4 here, so the 32-image test set walks
 # eight batches.
@@ -43,7 +48,7 @@ def _serial_accuracies(model, pretrained, mask_sets, dataset):
     for masks in mask_sets:
         model.load_state_dict(pretrained)
         apply_weight_masks(model, masks)
-        accuracies.append(evaluate_accuracy(model, dataset))
+        accuracies.append(serial_evaluate_accuracy(model, dataset))
     model.load_state_dict(pretrained)
     return accuracies
 
@@ -51,7 +56,6 @@ def _serial_accuracies(model, pretrained, mask_sets, dataset):
 def _serial_logits(model, pretrained, masks, inputs):
     model.load_state_dict(pretrained)
     apply_weight_masks(model, masks)
-    model.eval()
     with nn.no_grad():
         logits = model(inputs).data.copy()
     model.load_state_dict(pretrained)
@@ -61,12 +65,7 @@ def _serial_logits(model, pretrained, masks, inputs):
 def _stacked_logits(model, mask_sets, dataset, inputs):
     """``(B, n, classes)`` logits of the trainer's stacked eval forward."""
     trainer = BatchedFaultTrainer(model, mask_sets, dataset, dataset)
-    model.eval()
-    try:
-        with nn.no_grad(), trainer._patched():
-            return trainer._eval_forward_all_chips(inputs.data).copy()
-    finally:
-        model.train()
+    return trainer._eval_logits(inputs.data).copy()
 
 
 def _small_cnn(image_bundle):
@@ -132,12 +131,10 @@ class TestBatchedEquivalence:
 
     def test_model_state_is_untouched(self, conv_setup, image_bundle):
         model, pretrained, _, mask_sets = conv_setup
-        was_training = model.training
         evaluate_chip_accuracies(model, image_bundle.test, mask_sets)
-        assert model.training == was_training
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, pretrained[name])
-        # The patched forwards must have been removed again.
+        # No layer's forward is replaced, not even for the pass.
         for _, module in model.named_modules():
             assert "forward" not in module.__dict__
 

@@ -12,9 +12,10 @@ every trainer that has a chain cache.
 An eval pass lowers its own test batches and frees them: nothing it lowered
 is still allocated when it returns.
 
-A training step's autograd graph dies with the step: the next forward, an
-in-stream readout and a checkpoint evaluation never see it, so a stack's peak
-holds one step's graph however many steps it runs.
+A training step's cache (its kernels' saved activations and lowerings) dies
+with the step: the next forward, an in-stream readout and a checkpoint
+evaluation never see it, so a stack's peak holds one step's however many
+steps it runs.
 
 Campaign jobs hold the population's own chips, and the store fingerprint
 serializes one job's fault map at a time.
@@ -313,30 +314,29 @@ STACKS = {
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
-def test_step_graph_dies_before_the_next_forward(stack, monkeypatch):
+def test_step_graph_dies_before_the_next_forward(stack):
     seeds, in_stream = STACKS[stack]
     trainer = _fast_lenet_stack(seeds)
-    step_functions = []
+    # Per training step: weak references to its cache and to every kernel
+    # context (saved activations and lowerings) its forward pushed there.
+    step_caches = []
     forwards = []
     readouts = []
 
     def live_steps():
-        return [step for step, ref in enumerate(step_functions) if ref() is not None]
+        return [step for step, refs in enumerate(step_caches)
+                if any(ref() is not None for ref in refs)]
 
-    stacked_loss = batched.stacked_cross_entropy
+    program_forward = trainer._forward
 
-    def recording_loss(*args, **kwargs):
-        loss = stacked_loss(*args, **kwargs)
-        step_functions.append(weakref.ref(loss._ctx))
-        return loss
-
-    monkeypatch.setattr(batched, "stacked_cross_entropy", recording_loss)
-
-    model_forward = trainer.model.forward
-
-    def checked_forward(x):
+    def checked_forward(x, cache):
         forwards.append(live_steps())
-        return model_forward(x)
+        out = program_forward(x, cache)
+        if cache is not None:
+            step_caches.append(
+                [weakref.ref(cache)] + [weakref.ref(ctx) for ctx, _, _ in cache]
+            )
+        return out
 
     evaluate = trainer.evaluate
 
@@ -344,15 +344,16 @@ def test_step_graph_dies_before_the_next_forward(stack, monkeypatch):
         readouts.append(live_steps())
         return evaluate()
 
-    object.__setattr__(trainer.model, "forward", checked_forward)
+    trainer._forward = checked_forward
     trainer.evaluate = checked_evaluate
     # Ten batches per epoch: checkpoints at steps 1, 2, 3 and 6.
     trainer.train(0.6, eval_checkpoints=[0.1, 0.2, 0.3], in_stream=in_stream)
 
-    assert len(step_functions) == 6
+    assert len(step_caches) == 6
     assert len(readouts) == 5  # the initial accuracy and four checkpoints
-    # Steps whose graph was still alive: at each forward (training steps and
-    # eval batches alike) and at each readout's evaluation.
+    # Steps whose cache or saved contexts were still alive: at each forward
+    # (training steps and eval batches alike) and at each readout's
+    # evaluation.
     assert [live for live in forwards if live] == []
     assert [live for live in readouts if live] == []
 

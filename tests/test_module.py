@@ -37,14 +37,6 @@ class TestRegistration:
 
 
 class TestTrainEval:
-    def test_mode_propagates(self):
-        model = Sequential(TinyBlock(), nn.ReLU())
-        model.eval()
-        assert not model.training
-        assert all(not module.training for _, module in model.named_modules())
-        model.train()
-        assert all(module.training for _, module in model.named_modules())
-
     def test_zero_grad(self):
         model = TinyBlock()
         out = model(nn.Tensor(np.ones((2, 4), dtype=np.float32)))

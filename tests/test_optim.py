@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
+from repro.nn.optim import SGD, Adam, AdamW
+from tests.helpers import clip_grad_norm
 
 
 def quadratic_loss(param):

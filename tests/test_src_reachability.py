@@ -46,9 +46,6 @@ ALLOWED: Dict[str, str] = {
         "serial reference loss of tests/helpers.py ReferenceTrainer, which "
         "tests/test_batched_fat.py::TestTrainerEquivalence (label smoothing in "
         "test_label_smoothing_composition) compares the stacked loss against",
-    "nn/optim.py:clip_grad_norm":
-        "serial reference of clip_grad_norm_per_chip in "
-        "tests/test_batched_fat.py::TestPerChipGradClip::test_matches_serial_clip_per_slice",
 }
 
 

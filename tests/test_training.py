@@ -61,15 +61,6 @@ class TestEvaluation:
         loader = DataLoader(blob_bundle.test, batch_size=8)
         assert 0.0 <= evaluate_accuracy(model, loader) <= 1.0
 
-    def test_restores_training_mode(self, blob_bundle):
-        model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(16,), seed=0)
-        model.train()
-        evaluate_accuracy(model, blob_bundle.test)
-        assert model.training
-        model.eval()
-        evaluate_accuracy(model, blob_bundle.test)
-        assert not model.training
-
 
 class TestMaskHelpers:
     def test_apply_weight_masks(self):
