@@ -46,9 +46,8 @@ the one training loop: :class:`repro.training.Trainer` is a stack of one.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -413,16 +412,20 @@ def _demoted(out: np.ndarray, *inputs: Optional[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # One entry per leaf layer, in model order.  In a training step,
-# ``forward(x, cache)`` runs a fresh kernel instance and pushes it onto the
-# step's cache with its input's shape and dtype; ``backward(grad, cache)``
-# pops it, writes the layer's parameter gradients and returns the input's
-# gradient, cast to the input's dtype as the serial tape casts it (``None``
-# for the first stacked layer, whose input is data).  With ``cache=None`` (an
-# eval pass) the forward is one :func:`recorded` node running
-# :meth:`_Layer.evaluate`, so a compute backend captures and replays it; the
-# node reads the stacked weights when it runs and closes over no trainer.
+# ``forward(x, cache)`` runs a fresh kernel instance and appends it, with its
+# input, to the step's cache; ``backward(grad, saved)`` takes that pair,
+# writes the layer's parameter gradients and returns the input's gradient,
+# cast to the input's dtype as the serial tape casts it (``None`` for the
+# first stacked layer, whose input is data).  As the tape's graph did, the
+# cache keeps every saved array until the step returns and then frees them
+# together: freeing each during the backward pass fragmented the heap, and
+# ``paper-fig3``'s peak RSS rose about 3 MB on most seeds.  With
+# ``cache=None`` (an eval pass) the forward is one :func:`recorded` node
+# running :meth:`_Layer.evaluate`, so a compute backend captures and replays
+# it; the node reads the stacked weights when it runs and closes over no
+# trainer.
 
-StepCache = Deque[Tuple[Function, Tuple[int, ...], np.dtype]]
+StepCache = List[Tuple[Function, np.ndarray]]
 
 
 class _Layer:
@@ -448,15 +451,17 @@ class _Layer:
         ctx = self.kernel()
         ctx.needs_input_grad = (not self.first,)
         out = _demoted(self._run(ctx, x, "train"), x, *[p.data for p in self.params()])
-        cache.append((ctx, x.shape, x.dtype))
+        cache.append((ctx, x))
         return out
 
-    def backward(self, grad: np.ndarray, cache: StepCache) -> Optional[np.ndarray]:
-        ctx, shape, dtype = cache.pop()
+    def backward(
+        self, grad: np.ndarray, saved: Tuple[Function, np.ndarray]
+    ) -> Optional[np.ndarray]:
+        ctx, x = saved
         grad_x, *param_grads = ctx.backward(grad)
         for param, param_grad in zip(self.params(), param_grads):
             param.grad = np.asarray(param_grad, dtype=param.data.dtype)
-        return None if grad_x is None else np.asarray(grad_x, dtype=dtype).reshape(shape)
+        return None if grad_x is None else np.asarray(grad_x, dtype=x.dtype).reshape(x.shape)
 
 
 class _MaxPool2dLayer(_Layer):
@@ -771,8 +776,8 @@ class BatchedFaultTrainer:
         The program's forward loop, the stacked loss (log-softmax and
         per-chip mean NLL), the reversed backward loop that writes every
         stacked parameter's gradient, then gradient masks, per-chip clipping,
-        the optimizer step and weight masks.  The step's cache (its kernels'
-        saved activations and lowerings) is local to this call, so the next
+        the optimizer step and weight masks.  The step's cache (its kernels,
+        their inputs and saved lowerings) is local to this call, so the next
         step's forward, a readout and a checkpoint evaluation never see it.
         """
         if self._per_chip_streams:
@@ -782,7 +787,7 @@ class BatchedFaultTrainer:
         else:
             inputs, targets = batch[0]
             inputs = inputs.data
-        cache: StepCache = collections.deque()
+        cache: StepCache = []
         logits = self._forward(inputs, cache)
         log_softmax, nll = LogSoftmax(), _StackedNllLossFunction()
         log_probs = _demoted(log_softmax.forward(logits, -1), logits)
@@ -798,8 +803,8 @@ class BatchedFaultTrainer:
         (grad,) = nll.backward(np.ones(self.num_chips, dtype=step_losses.dtype))
         (grad,) = log_softmax.backward(np.asarray(grad, dtype=log_probs.dtype))
         grad = np.asarray(grad, dtype=logits.dtype)
-        for layer in reversed(self._program):
-            grad = layer.backward(grad, cache)
+        for layer, saved in zip(reversed(self._program), reversed(cache)):
+            grad = layer.backward(grad, saved)
             if grad is None:  # the first stacked layer: its input is data
                 break
         for layer in self._masked_layers:

@@ -1,7 +1,7 @@
-"""Captured-graph replay behind the Function layer.
+"""Captured-graph replay of the stacked trainer's eval chain.
 
-The stacked trainer's checkpoint-eval chain (stacked/folded GEMM evaluation,
-the autograd ops it composes with) can be captured into a small op-graph IR
+The stacked trainer's checkpoint-eval chain (one recorded node per layer of
+its layer program) can be captured into a small op-graph IR
 and replayed by the ``numpy`` backend, which runs the exact eager kernels in
 recorded order and is bit-identical to eager execution.  Library entry
 points take ``backend=``: ``None`` runs eagerly, ``"numpy"`` replays.

@@ -10,12 +10,13 @@ dispatch per op.
 
 Two capture entry points exist:
 
-* :func:`recorded` — wraps a raw-numpy block (the stacked trainer's eval
-  lowering, logit broadcasts and reshapes, mask enforcement) as a single
-  named node.
+* :func:`recorded` — wraps a raw-numpy block (each layer of the stacked
+  trainer's layer program in an eval pass, the logits' unfold, mask
+  enforcement) as a single named node.
 * :func:`record_function` — called from ``Function.apply`` in
   ``nn/tensor.py`` so every autograd op that executes while a capture is
-  active is recorded automatically, without changing any call site.
+  active is recorded automatically, without changing any call site (the
+  stacked trainer applies no ``Function``).
 
 Encoding rules (see :mod:`repro.backends.graph`) make replay safe across
 batches and optimizer steps: fresh per-batch arrays become placeholders,

@@ -1,8 +1,11 @@
 """A small reverse-mode automatic-differentiation engine on top of numpy.
 
-This module provides the :class:`Tensor` class used throughout the library
-as the substrate for training deep neural networks.  It deliberately follows
-the same mental model as PyTorch (the framework used by the original paper):
+This module provides the :class:`Tensor` class and the :class:`Function`
+ops of the layers' serial forward and backward.  The stacked trainer's layer
+program (:mod:`repro.accelerator.batched`) calls a few of these Functions'
+``forward``/``backward`` directly as kernels and builds no graph; the tape
+serves the serial reference paths.  It follows the same mental model as
+PyTorch (the framework used by the original paper):
 
 * a :class:`Tensor` wraps a ``numpy.ndarray`` plus an optional gradient;
 * differentiable operations are implemented as :class:`Function` subclasses

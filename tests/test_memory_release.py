@@ -317,8 +317,8 @@ STACKS = {
 def test_step_graph_dies_before_the_next_forward(stack):
     seeds, in_stream = STACKS[stack]
     trainer = _fast_lenet_stack(seeds)
-    # Per training step: weak references to its cache and to every kernel
-    # context (saved activations and lowerings) its forward pushed there.
+    # Per training step: weak references to every kernel context (its saved
+    # activations and lowerings) that its forward put in the step's cache.
     step_caches = []
     forwards = []
     readouts = []
@@ -333,9 +333,7 @@ def test_step_graph_dies_before_the_next_forward(stack):
         forwards.append(live_steps())
         out = program_forward(x, cache)
         if cache is not None:
-            step_caches.append(
-                [weakref.ref(cache)] + [weakref.ref(ctx) for ctx, _, _ in cache]
-            )
+            step_caches.append([weakref.ref(ctx) for ctx, _ in cache])
         return out
 
     evaluate = trainer.evaluate
