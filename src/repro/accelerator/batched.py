@@ -450,7 +450,8 @@ class _Layer:
             return recorded(self.op, (x,), self.evaluate)
         ctx = self.kernel()
         ctx.needs_input_grad = (not self.first,)
-        out = _demoted(self._run(ctx, x, "train"), x, *[p.data for p in self.params()])
+        arrays = [p.data for p in self.params()]
+        out = _demoted(self._run(ctx, x, "train"), x, *arrays)
         cache.append((ctx, x))
         return out
 

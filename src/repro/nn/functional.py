@@ -291,17 +291,16 @@ class MaxPool2dFunction(Function):
         kernel_size: Tuple[int, int],
         stride: Tuple[int, int],
     ) -> np.ndarray:
-        if not is_grad_enabled():
-            return max_pool2d_inference(x, kernel_size, stride)
         kh, kw = kernel_size
         sh, sw = stride
         n, c, h, w = x.shape
         out_h = (h - kh) // sh + 1
         out_w = (w - kw) // sw + 1
-        # Training path: the same phase sweep also tracks the winning
-        # within-window flat index.  Only a strictly greater value replaces
-        # the running maximum, so ties resolve to the first (row-major)
-        # window position — identical to ``argmax`` over the window axis.
+        # The phase sweep of :func:`max_pool2d_inference`, also tracking the
+        # winning within-window flat index for the backward.  Only a strictly
+        # greater value replaces the running maximum, so ties resolve to the
+        # first (row-major) window position — identical to ``argmax`` over
+        # the window axis.
         # Each phase is compared as a contiguous copy, and the argmax update
         # is an arithmetic select rather than a boolean-mask scatter, so
         # every sweep runs over long contiguous runs.

@@ -473,6 +473,33 @@ class TestTrainerValidation:
         with pytest.raises(UnsupportedModelError, match=r"layer '0' \(Scale\)"):
             BatchedFaultTrainer(model, [masks], blob_bundle.train, blob_bundle.test)
 
+    def test_parameter_free_custom_layer_raises_unsupported(self, blob_bundle):
+        """The layer program runs only the leaf types it knows: a custom
+        layer without parameters is rejected, not skipped."""
+
+        class Double(nn.Module):
+            def forward(self, x):
+                return x * 2.0
+
+        model = nn.Sequential(
+            nn.Linear(8, 8, rng=0), Double(), nn.Linear(8, blob_bundle.num_classes, rng=1)
+        )
+        with pytest.raises(UnsupportedModelError, match=r"layer '1' \(Double\)"):
+            BatchedFaultTrainer(model, [{}], blob_bundle.train, blob_bundle.test)
+
+    def test_container_with_own_parameters_raises_unsupported(self, blob_bundle):
+        class Gated(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.gate = nn.Parameter(np.ones(8, dtype=np.float32))
+                self.head = nn.Linear(8, blob_bundle.num_classes, rng=0)
+
+            def forward(self, x):
+                return self.head(x * self.gate)
+
+        with pytest.raises(UnsupportedModelError, match=r"layer '' \(Gated\)"):
+            BatchedFaultTrainer(Gated(), [{}], blob_bundle.train, blob_bundle.test)
+
     def test_empty_train_loader_rejected(self):
         bundle = make_blob_classification(
             num_classes=2, features=4, train_per_class=1, test_per_class=1, seed=0

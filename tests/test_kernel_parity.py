@@ -189,6 +189,8 @@ def test_max_pool_forward_matches_boolean_scatter(shape, kernel, stride):
     argmax = fn.saved[3]
     ref_out, ref_argmax = reference_max_pool2d(x, (kernel, kernel), (stride, stride))
     np.testing.assert_array_equal(_bits(out), _bits(ref_out))
+    inference = F.max_pool2d_inference(x, (kernel, kernel), (stride, stride))
+    np.testing.assert_array_equal(_bits(inference), _bits(ref_out))
     assert argmax.dtype == np.int16
     np.testing.assert_array_equal(argmax, ref_argmax)
     assert (argmax[0, 0] == 0).all()  # ties go to the first window position
