@@ -16,26 +16,31 @@ from repro.accelerator import (
     ColumnFaultModel,
     FaultMap,
     RandomFaultModel,
+    evaluate_chip_accuracies,
     model_fault_masks,
     masked_weight_fraction,
 )
-from repro.training import apply_weight_masks, evaluate_accuracy
+from repro.training import TrainingConfig
 from repro.utils.rng import derive_seed
 
 FAULT_RATE = 0.2
 TRIALS = 3
+# ``evaluate_accuracy``'s batch size.
+EVAL_CONFIG = TrainingConfig(batch_size=128)
 
 
 def _mean_fap_accuracy(context, fault_model, rows, cols):
-    accuracies = []
+    """Mean FAP-only accuracy over the trials' fault maps, evaluated as one stack."""
+    context.restore_pretrained()
+    mask_sets = []
     for trial in range(TRIALS):
         seed = derive_seed(context.preset.seed, "ablation-a2", fault_model.name, rows, trial)
         rng = np.random.default_rng(seed)
         fault_map = fault_model.sample(rows, cols, FAULT_RATE, rng)
-        context.restore_pretrained()
-        apply_weight_masks(context.model, model_fault_masks(context.model, fault_map))
-        accuracies.append(evaluate_accuracy(context.model, context.bundle.test))
-    context.restore_pretrained()
+        mask_sets.append(model_fault_masks(context.model, fault_map))
+    accuracies = evaluate_chip_accuracies(
+        context.model, context.bundle.test, mask_sets, config=EVAL_CONFIG
+    )
     return float(np.mean(accuracies))
 
 

@@ -9,13 +9,12 @@ visible in the pytest-benchmark statistics.
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.accelerator import FaultMap, model_fault_masks
+from repro.accelerator.batched import _StackedConv2dFunction
 from repro.core import AccuracyConstraint, ResilienceDrivenPolicy
 from repro.core.chips import Chip
 from repro.data import DataLoader
 from repro.models import build_model
-from repro.nn import functional as F
 from repro.training import TrainingConfig
 
 RNG = np.random.default_rng(0)
@@ -23,28 +22,32 @@ RNG = np.random.default_rng(0)
 
 @pytest.fixture(scope="module")
 def conv_inputs():
-    x = nn.Tensor(RNG.standard_normal((8, 16, 16, 16)).astype(np.float32), requires_grad=True)
-    weight = nn.Tensor(RNG.standard_normal((32, 16, 3, 3)).astype(np.float32), requires_grad=True)
-    bias = nn.Tensor(RNG.standard_normal(32).astype(np.float32), requires_grad=True)
+    """A batch and one chip's stacked ``(1, ...)`` conv weight and bias."""
+    x = RNG.standard_normal((8, 16, 16, 16)).astype(np.float32)
+    weight = RNG.standard_normal((1, 32, 16, 3, 3)).astype(np.float32)
+    bias = RNG.standard_normal((1, 32)).astype(np.float32)
     return x, weight, bias
 
 
 def test_bench_conv2d_forward(benchmark, conv_inputs):
+    """The stacked conv forward of a one-chip stack's first layer (shared input)."""
     x, weight, bias = conv_inputs
-    with nn.no_grad():
-        result = benchmark(lambda: F.conv2d(x, weight, bias, stride=1, padding=1))
+    result = benchmark(
+        lambda: _StackedConv2dFunction().forward(x, weight, bias, (1, 1), (1, 1), 1, True)
+    )
     assert result.shape == (8, 32, 16, 16)
 
 
 def test_bench_conv2d_forward_backward(benchmark, conv_inputs):
+    """Forward and backward of a later (folded) stacked conv layer of a
+    one-chip stack, input gradient included, under the loss ``mean(out**2)``."""
     x, weight, bias = conv_inputs
 
     def step():
-        out = F.conv2d(x, weight, bias, stride=1, padding=1)
-        loss = (out * out).mean()
-        x.grad = weight.grad = bias.grad = None
-        loss.backward()
-        return loss.item()
+        conv = _StackedConv2dFunction()
+        out = conv.forward(x, weight, bias, (1, 1), (1, 1), 1, False)
+        conv.backward(out * np.float32(2.0 / out.size))
+        return float(np.mean(out * out))
 
     loss_value = benchmark(step)
     assert np.isfinite(loss_value)
@@ -94,27 +97,25 @@ def _population_mask_sets(context, num_chips=16):
 
 
 def test_bench_population_evaluation_serial(benchmark, fast_context):
-    """Population-evaluation baseline: B chips evaluated one at a time.
+    """Population-evaluation baseline: 16 chips evaluated one at a time.
 
-    This is the pre-batching code path (restore pre-trained weights, apply
-    the chip's masks, run a full test-set pass) — the comparator for the
-    batched benchmark below.
+    Each chip is its own one-chip ``evaluate_chip_accuracies`` stack — the
+    comparator for the batched benchmark below, which evaluates the same 16
+    chips as one stack.
     """
-    from repro.training import apply_weight_masks, evaluate_accuracy
+    from repro.accelerator import evaluate_chip_accuracies
 
     context = fast_context
+    context.restore_pretrained()
     mask_sets = _population_mask_sets(context)
 
     def run():
-        accuracies = []
-        for masks in mask_sets:
-            context.restore_pretrained()
-            apply_weight_masks(context.model, masks)
-            accuracies.append(evaluate_accuracy(context.model, context.bundle.test))
-        return accuracies
+        return [
+            evaluate_chip_accuracies(context.model, context.bundle.test, [masks])[0]
+            for masks in mask_sets
+        ]
 
     accuracies = benchmark(run)
-    context.restore_pretrained()
     assert len(accuracies) == len(mask_sets)
 
 

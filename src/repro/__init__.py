@@ -3,7 +3,7 @@ Fault-Aware Retraining" (Hanif & Shafique, DATE 2023).
 
 Sub-packages
 ------------
-``repro.nn``           numpy autograd / DNN training substrate (PyTorch stand-in)
+``repro.nn``           numpy tensors, layers and kernels (PyTorch stand-in)
 ``repro.data``         datasets, loaders, synthetic CIFAR-10 stand-in
 ``repro.models``       MLP, LeNet-5 and VGG11 (the paper's network)
 ``repro.accelerator``  systolic array, fault maps, layer mapping, timing & energy models

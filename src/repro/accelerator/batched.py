@@ -11,9 +11,9 @@ the same GEMMs — which batch trivially.
 :class:`BatchedFaultTrainer` is the one stacked substrate for all of it.  It
 stacks the B per-chip weights into ``(B, ...)`` parameters and runs the
 model as a *layer program* built once from its leaf layers: a list of
-forward/backward pairs around kernels, whose order is the tape (see "The
-layer program" below).  The model's own ``forward`` never runs.  Two regimes
-are exploited:
+forward/backward pairs around kernels, run in the layers' registration order
+(see "The layer program" below).  Models have no ``forward`` of their own:
+this program is the only one in the package.  Two regimes are exploited:
 
 * **Shared prefix.** Until the first stacked layer, activations are
   identical for every chip, so the input batch is *not* replicated: the
@@ -39,9 +39,10 @@ forward-only population evaluation.
 Chip ``b``'s slice of every stacked GEMM presents the same operands to BLAS
 as a serial per-chip pass, so weights, losses and accuracies are
 bit-identical to B runs of the serial reference loop
-(``tests/helpers.py``: ``ReferenceTrainer``) on a given BLAS build
-(tests/test_batched_fat.py and tests/test_batched_eval.py pin this).  It is
-the one training loop: :class:`repro.training.Trainer` is a stack of one.
+(``tests/helpers.py``: ``ReferenceTrainer``, on the serial autograd tape of
+``tests/serial.py``) on a given BLAS build (tests/test_batched_fat.py and
+tests/test_batched_eval.py pin this).  It is the one training loop:
+:class:`repro.training.Trainer` is a stack of one.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class UnsupportedModelError(RuntimeError):
 # ---------------------------------------------------------------------------
 #
 # *Every* parametric layer is stacked — per-chip gradients diverge all weights
-# after the first optimizer step — and the kernels mirror the serial autograd
-# Functions slice-for-slice:
+# after the first optimizer step — and the kernels mirror the serial oracle's
+# ops (tests/serial.py) slice-for-slice:
 #
 # * each stacked ``np.matmul`` presents chip ``b``'s 2-D slice to BLAS with
 #   the same memory characteristics (contiguity / transposition) as the
@@ -144,7 +145,7 @@ class UnsupportedModelError(RuntimeError):
 
 
 class _StackedLinearFunction(Function):
-    """B per-chip affine transforms sharing one autograd node.
+    """B per-chip affine transforms in one kernel context.
 
     ``shared=True`` (the first stacked layer of a step): ``x`` is the shared
     ``(n, K)`` batch and the forward runs one wide GEMM
@@ -209,8 +210,8 @@ class _StackedConv2dFunction(Function):
     multiplies it against all B weight matrices in one wide ``(B * O, K) @
     (K, P)`` GEMM; folded layers lower the folded activations straight into a
     ``(B, K, P)`` stack and run stacked GEMMs.  Every GEMM presents chip
-    ``b``'s slice (or row block) to BLAS exactly like the serial
-    :class:`~repro.nn.functional.Conv2dFunction` does.
+    ``b``'s slice (or row block) to BLAS exactly like the serial oracle's
+    ``Conv2dFunction`` (``tests/serial.py``) does.
 
     ``phase`` (``"train"`` or ``"eval"``) names the timers the forward's
     lowering and GEMM are attributed to (``fat.train.*`` or ``fat.eval.*``).
@@ -312,10 +313,11 @@ class _StackedConv2dFunction(Function):
 class _StackedNllLossFunction(Function):
     """Per-chip mean NLL of folded log-probabilities: returns ``(B,)`` losses.
 
-    Chip ``b``'s value and gradient replicate the serial
-    ``F.cross_entropy(..., reduction="mean")`` arithmetic operation-for-
-    operation (including the optional label-smoothing composition), so one
-    backward from the summed losses is bit-identical to B serial backwards.
+    Chip ``b``'s value and gradient replicate the serial oracle's
+    ``cross_entropy(..., reduction="mean")`` (``tests/serial.py``) operation
+    for operation (including the optional label-smoothing composition), so
+    one backward from the summed losses is bit-identical to B serial
+    backwards.
     """
 
     def forward(
@@ -399,9 +401,10 @@ def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _demoted(out: np.ndarray, *inputs: Optional[np.ndarray]) -> np.ndarray:
-    """The serial tape's float32 discipline: an op whose array inputs are all
-    narrower than float64 hands on no float64 output (a numpy scalar operand
-    can promote one, and it would cascade through every later layer)."""
+    """The float32 discipline: an op whose array inputs are all narrower than
+    float64 hands on no float64 output (a numpy scalar operand can promote
+    one, and it would cascade through every later layer).  The serial
+    oracle's tape applies the same rule to every op."""
     if out.dtype == np.float64 and all(a.dtype != np.float64 for a in inputs if a is not None):
         return out.astype(np.float32)
     return out
@@ -411,15 +414,15 @@ def _demoted(out: np.ndarray, *inputs: Optional[np.ndarray]) -> np.ndarray:
 # The layer program
 # ---------------------------------------------------------------------------
 #
-# One entry per leaf layer, in model order.  In a training step,
+# One entry per leaf layer, in registration order.  In a training step,
 # ``forward(x, cache)`` runs a fresh kernel instance and appends it, with its
 # input, to the step's cache; ``backward(grad, saved)`` takes that pair,
 # writes the layer's parameter gradients and returns the input's gradient,
-# cast to the input's dtype as the serial tape casts it (``None`` for the
-# first stacked layer, whose input is data).  As the tape's graph did, the
-# cache keeps every saved array until the step returns and then frees them
-# together: freeing each during the backward pass fragmented the heap, and
-# ``paper-fig3``'s peak RSS rose about 3 MB on most seeds.  With
+# cast to the input's dtype as the serial oracle's tape casts it (``None``
+# for the first stacked layer, whose input is data).  The cache keeps every
+# saved array until the step returns and then frees them together: freeing
+# each during the backward pass fragmented the heap, and ``paper-fig3``'s
+# peak RSS rose about 3 MB on most seeds.  With
 # ``cache=None`` (an eval pass) the forward is one :func:`recorded` node
 # running :meth:`_Layer.evaluate`, so a compute backend captures and replays
 # it; the node reads the stacked weights when it runs and closes over no
@@ -492,7 +495,7 @@ class _StackedLayer(_Layer):
     module: nn.Module
     weight: nn.Parameter  # (B,) + weight shape
     bias: Optional[nn.Parameter]  # (B, out) or None
-    keep: Optional[np.ndarray]  # (B,) + weight shape float32; masked layers only
+    keep: Optional[np.ndarray]  # (B,) + weight shape float32; masked layers of a training stack
     num_chips: int
     first: bool
     shared: bool
@@ -585,37 +588,32 @@ class BatchedFaultTrainer:
     (``tests/helpers.py``: ``ReferenceTrainer(model, ..., masks=mask_sets[b])``)
     whose config carries chip ``b``'s seed, on this BLAS build
     (tests/test_batched_fat.py pins this).  The model itself is never
-    modified, and its ``forward`` never runs: stacked copies are trained
-    through the layer program, and per-chip results are read back with
-    :meth:`chip_state_dict`.
+    modified: stacked copies are trained through the layer program, and
+    per-chip results are read back with :meth:`chip_state_dict`.
 
     Supported models are chains of ``Linear``/``Conv2d`` (stacked GEMMs),
     ``ReLU``, ``MaxPool2d`` and ``Flatten`` layers run in registration
-    order, as every preset model's forward runs them.  Any other leaf layer,
-    or a container with parameters of its own, raises
+    order; a ``Linear`` flattens an input of more than two dimensions.  Any
+    other leaf layer, or a container with parameters of its own, raises
     :class:`UnsupportedModelError`.
 
-    The trainer is also the forward-only population evaluator: constructing
-    it and calling :meth:`evaluate` without training is what
-    :func:`evaluate_chip_accuracies` does.
+    ``train_data=None`` builds an eval-only stack: the layer program without
+    train loaders, optimizer or mask keep-multipliers, which can
+    :meth:`evaluate` but not :meth:`train`.  :func:`evaluate_chip_accuracies`
+    is one.
     """
 
     def __init__(
         self,
         model: nn.Module,
         mask_sets: Sequence[MaskDict],
-        train_data: Union[TensorDataset, DataLoader],
+        train_data: Optional[Union[TensorDataset, DataLoader]],
         eval_data: Union[TensorDataset, DataLoader],
         config=None,
         eval_pipeline: Optional[EvalPipeline] = None,
         seeds: Optional[Sequence[int]] = None,
     ) -> None:
-        from repro.training import (
-            TrainingConfig,
-            _as_loader,
-            require_nonempty_train_loader,
-        )
-        from repro.utils.rng import derive_seed
+        from repro.training import TrainingConfig
 
         if not mask_sets:
             raise ValueError("mask_sets must contain at least one chip")
@@ -634,24 +632,7 @@ class BatchedFaultTrainer:
         # One train loader per distinct seed: a single shared stream when
         # every chip has the same seed, otherwise one stream per chip.
         self._per_chip_streams = len(set(seeds)) > 1
-        stream_seeds = seeds if self._per_chip_streams else seeds[:1]
-        if self._per_chip_streams and isinstance(train_data, DataLoader):
-            raise ValueError(
-                "per-chip seeds need a TensorDataset to build one train loader per chip, "
-                "not a DataLoader"
-            )
-        self._train_loaders = [
-            _as_loader(
-                train_data,
-                batch_size=self.config.batch_size,
-                shuffle=self.config.shuffle,
-                seed=derive_seed(seed, "train-loader"),
-            )
-            for seed in stream_seeds
-        ]
-        require_nonempty_train_loader(self._train_loaders[0])
         self.eval_data = eval_data
-        self.batches_per_epoch = len(self._train_loaders[0])
         self.steps_taken = 0
         pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
         # Captured-graph execution of the checkpoint-eval hot path (training
@@ -682,8 +663,9 @@ class BatchedFaultTrainer:
                 continue
             weight = module.weight.data
             stack = np.empty((self.num_chips,) + weight.shape, dtype=weight.dtype)
+            # Keep-multipliers enforce the masks during training only.
             keep: Optional[np.ndarray] = None
-            if name in key_set:
+            if name in key_set and train_data is not None:
                 keep = np.empty((self.num_chips,) + weight.shape, dtype=np.float32)
             for chip, masks in enumerate(mask_sets):
                 if name in masks:
@@ -696,7 +678,8 @@ class BatchedFaultTrainer:
                     # np.where keeps masked entries exact +0.0, bit-identical
                     # to the serial ``weight.data[mask] = 0.0`` enforcement.
                     stack[chip] = np.where(mask, weight.dtype.type(0), weight)
-                    keep[chip] = np.where(mask, np.float32(0.0), np.float32(1.0))
+                    if keep is not None:
+                        keep[chip] = np.where(mask, np.float32(0.0), np.float32(1.0))
                 else:
                     stack[chip] = weight
             weight_param = nn.Parameter(stack)
@@ -717,6 +700,33 @@ class BatchedFaultTrainer:
             if name not in known:
                 raise KeyError(f"mask refers to unknown layer {name!r}")
         self._masked_layers = [layer for layer in self._layers if layer.keep is not None]
+        if train_data is not None:
+            self._build_training_state(train_data, seeds)
+
+    def _build_training_state(
+        self, train_data: Union[TensorDataset, DataLoader], seeds: List[int]
+    ) -> None:
+        """The train loaders (one per data stream) and the optimizer."""
+        from repro.training import _as_loader, require_nonempty_train_loader
+        from repro.utils.rng import derive_seed
+
+        if self._per_chip_streams and isinstance(train_data, DataLoader):
+            raise ValueError(
+                "per-chip seeds need a TensorDataset to build one train loader per chip, "
+                "not a DataLoader"
+            )
+        stream_seeds = seeds if self._per_chip_streams else seeds[:1]
+        self._train_loaders = [
+            _as_loader(
+                train_data,
+                batch_size=self.config.batch_size,
+                shuffle=self.config.shuffle,
+                seed=derive_seed(seed, "train-loader"),
+            )
+            for seed in stream_seeds
+        ]
+        require_nonempty_train_loader(self._train_loaders[0])
+        self.batches_per_epoch = len(self._train_loaders[0])
         # Weight before bias per layer, as in ``model.parameters()``, so
         # per-chip gradient clipping accumulates norms in the serial order.
         self.optimizer = self.config.build_optimizer(
@@ -988,9 +998,10 @@ def evaluate_chip_accuracies(
 
     The forward-only evaluation behind Step-2.5 triage, the one place Step
     3's initial accuracies come from: the mask sets are one
-    :meth:`BatchedFaultTrainer.evaluate` pass (the trainer only reads
-    ``data``, so it doubles as the never-iterated train set).  Peak memory is
-    one stacked model copy per mask set plus one eval batch's working set;
+    :meth:`BatchedFaultTrainer.evaluate` pass of an eval-only stack, which
+    builds no train loader, optimizer or keep-multipliers.  An empty ``data`` gives every chip
+    accuracy 0.0.  Peak memory is one stacked model copy per mask set plus
+    one eval batch's working set;
     the caller sizes the stack
     (:meth:`~repro.core.reduce.ReduceFramework.triage_population` passes at
     most ``TRIAGE_CHIP_CHUNK``), and nothing outlives the call.
@@ -1000,5 +1011,5 @@ def evaluate_chip_accuracies(
     compute backend (a fresh eager :class:`EvalPipeline` when not supplied).
     """
     return BatchedFaultTrainer(
-        model, mask_sets, data, data, config=config, eval_pipeline=eval_pipeline
+        model, mask_sets, None, data, config=config, eval_pipeline=eval_pipeline
     ).evaluate()

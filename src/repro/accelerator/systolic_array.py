@@ -68,10 +68,6 @@ class SystolicArray:
         return (self.rows, self.cols)
 
     @property
-    def num_pes(self) -> int:
-        return self.rows * self.cols
-
-    @property
     def num_faulty_pes(self) -> int:
         return self.fault_map.num_faulty
 

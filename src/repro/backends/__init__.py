@@ -13,11 +13,9 @@ from repro.backends.capture import (
     ChainCache,
     GraphCapture,
     capture_graph,
-    is_capturing,
-    record_function,
     recorded,
 )
-from repro.backends.errors import BackendError, describe_operands
+from repro.backends.errors import BackendError
 from repro.backends.graph import Graph, Node, signature_of
 from repro.backends.numpy_backend import NumpyBackend, get_backend, resolve_backend
 
@@ -29,10 +27,7 @@ __all__ = [
     "Node",
     "NumpyBackend",
     "capture_graph",
-    "describe_operands",
     "get_backend",
-    "is_capturing",
-    "record_function",
     "recorded",
     "resolve_backend",
     "signature_of",

@@ -8,21 +8,15 @@ implementation.  Subsequent executions with the same signature replay the
 compiled graph through the numpy backend instead of re-entering Python
 dispatch per op.
 
-Two capture entry points exist:
-
-* :func:`recorded` — wraps a raw-numpy block (each layer of the stacked
-  trainer's layer program in an eval pass, the logits' unfold, mask
-  enforcement) as a single named node.
-* :func:`record_function` — called from ``Function.apply`` in
-  ``nn/tensor.py`` so every autograd op that executes while a capture is
-  active is recorded automatically, without changing any call site (the
-  stacked trainer applies no ``Function``).
+The one capture entry point is :func:`recorded`: it wraps a raw-numpy block
+(each layer of the stacked trainer's layer program in an eval pass, the
+logits' unfold, mask enforcement) as a single named node.
 
 Encoding rules (see :mod:`repro.backends.graph`) make replay safe across
-batches and optimizer steps: fresh per-batch arrays become placeholders,
-intermediate activations become node-output references, and model parameters
-become *live* tensor references whose ``.data`` is read at execution time
-(the optimizer and mask enforcement update those arrays in place).
+batches and optimizer steps: fresh per-batch arrays become placeholders and
+intermediate activations become node-output references.  Model parameters
+are never node inputs: a layer's kernel reads its stacked weights when it
+runs, so replay sees every optimizer step and mask enforcement.
 """
 
 from __future__ import annotations
@@ -34,24 +28,10 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.errors import BackendError
-from repro.backends.graph import (
-    ConstRef,
-    Graph,
-    Node,
-    NodeOutput,
-    Placeholder,
-    TensorRef,
-    TupleRef,
-    signature_of,
-)
+from repro.backends.graph import ConstRef, Graph, Node, NodeOutput, Placeholder, signature_of
 from repro.observability import metrics
 
 _ACTIVE: Optional["GraphCapture"] = None
-
-
-def is_capturing() -> bool:
-    """Whether a capture session is currently recording."""
-    return _ACTIVE is not None
 
 
 class GraphCapture:
@@ -82,26 +62,15 @@ class GraphCapture:
         return entry[1]
 
     def _encode(self, value: Any) -> Any:
-        from repro.nn.tensor import Tensor  # deferred: nn imports this module
-
-        if isinstance(value, Tensor):
-            # An intermediate activation's backing array was registered when
-            # its producing op was recorded — reuse that dynamic reference.
-            # Unregistered tensors (parameters, buffers) become live refs.
-            ref = self._lookup(value.data)
-            return ref if ref is not None else TensorRef(value)
         if isinstance(value, np.ndarray):
             ref = self._lookup(value)
             return ref if ref is not None else ConstRef(value)
-        if isinstance(value, tuple):
-            return TupleRef(tuple(self._encode(element) for element in value))
         return value
 
     def record(
         self,
         op: str,
         args: Sequence[Any],
-        kwargs: Dict[str, Any],
         output: np.ndarray,
         kernel: Callable[..., np.ndarray],
     ) -> Node:
@@ -109,7 +78,6 @@ class GraphCapture:
             id=len(self.nodes),
             op=op,
             inputs=tuple(self._encode(arg) for arg in args),
-            kwargs={key: self._encode(value) for key, value in kwargs.items()},
             kernel=kernel,
             out_shape=tuple(output.shape),
             out_dtype=output.dtype,
@@ -165,60 +133,8 @@ def recorded(
                 f"captured op returned {type(output).__name__}, expected ndarray",
                 op=op,
             )
-        session.record(op, inputs, {}, output, fn)
+        session.record(op, inputs, output, fn)
     return output
-
-
-def _function_kernel(cls: type, tensor_positions: Tuple[int, ...]) -> Callable[..., np.ndarray]:
-    """Replay kernel for an autograd ``Function``: forward + dtype demotion."""
-
-    def kernel(*raw: Any, **kwargs: Any) -> np.ndarray:
-        from repro.nn.tensor import Tensor  # deferred: nn imports this module
-
-        ctx = cls()
-        ctx.needs_input_grad = tuple(False for _ in tensor_positions)
-        output = ctx.forward(*raw, **kwargs)
-        if (
-            getattr(output, "dtype", None) == np.float64
-            and tensor_positions
-            and all(raw[index].dtype != np.float64 for index in tensor_positions)
-        ):
-            output = output.astype(np.float32)
-        # Mirror Tensor.__init__'s coercion (numpy scalars, integer dtypes)
-        # so replay produces exactly the array the eager path handed on.
-        return Tensor(output).data
-
-    return kernel
-
-
-def record_function(
-    cls: type,
-    args: Sequence[Any],
-    kwargs: Dict[str, Any],
-    output_data: np.ndarray,
-) -> None:
-    """Record one ``Function.apply`` execution into the active capture.
-
-    Called from ``nn/tensor.py`` after the eager forward has produced
-    ``output_data``; a no-op unless a capture session is active.
-    """
-
-    session = _ACTIVE
-    if session is None:
-        return
-    from repro.nn.tensor import Tensor  # deferred: nn imports this module
-
-    op = getattr(cls, "capture_name", cls.__name__.lower())
-    tensor_positions = tuple(
-        index for index, arg in enumerate(args) if isinstance(arg, Tensor)
-    )
-    session.record(
-        op,
-        args,
-        kwargs,
-        output_data,
-        _function_kernel(cls, tensor_positions),
-    )
 
 
 _UNCACHABLE = object()

@@ -1,15 +1,14 @@
 """Typed errors raised by the compute-backend layer.
 
-The capture/lower/execute pipeline surfaces its invariant violations as
-:class:`BackendError` so that a lowering bug fails with the op name and the
-offending shapes/dtypes in the message instead of a bare ``AssertionError``
-deep inside a kernel.  The module is import-free on purpose: it must be
-importable from ``nn/tensor.py`` without creating a cycle.
+The capture/replay pipeline surfaces its invariant violations as
+:class:`BackendError` so that a bug fails with the op name and the offending
+shapes/dtypes in the message instead of a bare ``AssertionError`` deep
+inside a kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional
 
 
 class BackendError(RuntimeError):
@@ -27,29 +26,3 @@ class BackendError(RuntimeError):
             message = f"[op={op}] {message}"
         super().__init__(message)
         self.op = op
-
-
-def describe_operands(values: Sequence[Any]) -> str:
-    """Render operand shapes/dtypes for error messages.
-
-    Arrays and tensors show as ``shape/dtype``; everything else shows as its
-    ``repr`` truncated to keep messages one-line readable.
-    """
-
-    parts = []
-    for value in values:
-        # The value's own shape/dtype first: an ndarray's ``.data`` is a
-        # memoryview (no dtype), so only tensor-like wrappers fall through
-        # to their backing array.
-        shape = getattr(value, "shape", None)
-        dtype = getattr(value, "dtype", None)
-        if shape is None or dtype is None:
-            data = getattr(value, "data", None)
-            shape = getattr(data, "shape", shape)
-            dtype = getattr(data, "dtype", dtype)
-        if shape is not None and dtype is not None:
-            parts.append(f"{tuple(shape)}/{dtype}")
-        else:
-            text = repr(value)
-            parts.append(text if len(text) <= 32 else text[:29] + "...")
-    return "(" + ", ".join(parts) + ")"

@@ -12,19 +12,9 @@ Value references
     The ``i``-th graph input — a fresh array supplied at every execution.
 ``NodeOutput(node_id)``
     The output of an earlier node in the same graph.
-``TensorRef(tensor)``
-    A *live* read of ``tensor.data`` at execution time.  Used for model
-    parameters and buffers: the optimizer and the mask-enforcement paths
-    update those arrays in place between executions, so freezing them at
-    capture time would replay stale weights.
 ``ConstRef(value)``
-    An array captured by reference and assumed immutable between executions
-    (e.g. keep-multiplier masks that are rebuilt — not mutated — on change
-    would be unsafe; hence constants are only used for arrays the capture
-    site does not track as live tensors).
-``TupleRef(elements)``
-    A tuple whose elements are themselves encoded references (used e.g. for
-    the trainer's ``lowering=(cols, out_h, out_w)`` argument).
+    An array captured by reference: any other array a node reads, which
+    replay passes as it stands when the graph runs.
 
 Anything else is stored verbatim as a literal.  Shape-derived scalars frozen
 this way are safe because compiled graphs are cached per input *signature*
@@ -56,19 +46,6 @@ class NodeOutput:
     node_id: int
 
 
-class TensorRef:
-    """Live reference to a Tensor's backing array (read at execution time)."""
-
-    __slots__ = ("tensor",)
-
-    def __init__(self, tensor: Any) -> None:
-        self.tensor = tensor
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        data = self.tensor.data
-        return f"TensorRef(shape={tuple(data.shape)}, dtype={data.dtype})"
-
-
 class ConstRef:
     """An ndarray captured by reference."""
 
@@ -79,18 +56,6 @@ class ConstRef:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConstRef(shape={tuple(self.value.shape)}, dtype={self.value.dtype})"
-
-
-class TupleRef:
-    """A tuple whose elements are encoded references."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Tuple[Any, ...]) -> None:
-        self.elements = elements
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TupleRef({self.elements!r})"
 
 
 @dataclasses.dataclass
@@ -105,7 +70,6 @@ class Node:
     id: int
     op: str
     inputs: Tuple[Any, ...]
-    kwargs: Dict[str, Any]
     kernel: Callable[..., np.ndarray]
     out_shape: Tuple[int, ...]
     out_dtype: np.dtype
@@ -136,11 +100,7 @@ def resolve(ref: Any, inputs: Sequence[np.ndarray], values: Dict[int, np.ndarray
                 f"node {ref.node_id} consumed before it was executed"
             )
         return value
-    if isinstance(ref, TensorRef):
-        return ref.tensor.data
     if isinstance(ref, ConstRef):
         return ref.value
-    if isinstance(ref, TupleRef):
-        return tuple(resolve(element, inputs, values) for element in ref.elements)
     return ref
 

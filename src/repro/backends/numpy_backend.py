@@ -34,8 +34,7 @@ class CompiledGraph:
         values: Dict[int, np.ndarray] = {}
         for node in graph.nodes:
             args = [resolve(ref, inputs, values) for ref in node.inputs]
-            kwargs = {key: resolve(ref, inputs, values) for key, ref in node.kwargs.items()}
-            output = node.kernel(*args, **kwargs)
+            output = node.kernel(*args)
             if not isinstance(output, np.ndarray):
                 raise BackendError(
                     f"kernel returned {type(output).__name__}, expected ndarray",

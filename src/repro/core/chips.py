@@ -30,10 +30,6 @@ class Chip:
         """Fraction of faulty PEs — the statistic Reduce keys its policy on."""
         return self.fault_map.fault_rate
 
-    @property
-    def num_faulty_pes(self) -> int:
-        return self.fault_map.num_faulty
-
     def array(self, technology=None) -> SystolicArray:
         """The chip viewed as a :class:`SystolicArray` with its fault map."""
         rows, cols = self.fault_map.shape

@@ -19,12 +19,11 @@ serial reference loop (``tests/helpers.py``: ``serial_resilience_accuracies``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import nn
-from repro.accelerator.batched import BatchedFaultTrainer, EvalPipeline
 from repro.accelerator.fault_map import FaultMap
 from repro.accelerator.fault_models import FaultModel, RandomFaultModel
 from repro.accelerator.mapping import model_fault_masks
@@ -35,6 +34,9 @@ from repro.nn.serialization import clone_state_dict
 from repro.training import TrainingConfig, evaluate_accuracy
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:  # annotations only: reading a ResilienceConfig loads no trainer
+    from repro.accelerator.batched import EvalPipeline
 
 logger = get_logger("core.resilience")
 
@@ -93,7 +95,7 @@ class ResilienceAnalyzer:
     """Runs the fault-injection + progressive-retraining grid of Step 1.
 
     ``eval_pipeline`` supplies the compute backend of the checkpoint
-    evaluations.
+    evaluations (eager when ``None``).
     """
 
     def __init__(
@@ -110,7 +112,7 @@ class ResilienceAnalyzer:
         self.bundle = bundle
         self.array = array
         self.config = config if config is not None else ResilienceConfig()
-        self.eval_pipeline = eval_pipeline if eval_pipeline is not None else EvalPipeline()
+        self.eval_pipeline = eval_pipeline
 
     def _restore_pretrained(self) -> None:
         self.model.load_state_dict(self.pretrained_state)
@@ -129,6 +131,8 @@ class ResilienceAnalyzer:
         The cells retrain as one stacked run, each under its own trial seed
         and fault map, starting from the pre-trained weights.
         """
+        from repro.accelerator.batched import BatchedFaultTrainer
+
         config = self.config
         seeds: List[int] = []
         mask_sets = []

@@ -52,8 +52,5 @@ class LeNet5(nn.Module):
             nn.Linear(84, num_classes, rng=derive_seed(base_seed, "fc3")),
         )
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        return self.classifier(self.features(x))
-
     def extra_repr(self) -> str:
         return f"input_shape={self.input_shape}, num_classes={self.num_classes}"

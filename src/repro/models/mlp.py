@@ -13,7 +13,8 @@ class MLP(nn.Module):
 
     The MLP is the fastest workload on which the full Reduce pipeline runs;
     its linear layers map directly onto the systolic array (one GEMM each),
-    making it the default model for unit and integration tests.
+    making it the default model for unit and integration tests.  Image
+    inputs are flattened by the first layer.
     """
 
     def __init__(
@@ -43,11 +44,6 @@ class MLP(nn.Module):
             previous = hidden
         layers.append(nn.Linear(previous, num_classes, rng=derive_seed(base_seed, "head")))
         self.body = nn.Sequential(*layers)
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        if x.ndim > 2:
-            x = x.flatten(start_dim=1)
-        return self.body(x)
 
     def extra_repr(self) -> str:
         return (

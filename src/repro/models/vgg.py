@@ -92,9 +92,6 @@ class VGG(nn.Module):
             nn.Linear(hidden, num_classes, rng=derive_seed(base_seed, "fc2")),
         )
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        return self.classifier(self.features(x))
-
     def extra_repr(self) -> str:
         return (
             f"name={self.name}, input_shape={self.input_shape}, num_classes={self.num_classes}, "

@@ -1,19 +1,16 @@
 """A self-contained numpy-based neural-network framework.
 
 This package replaces PyTorch (which the original paper used) as the training
-substrate: tensors with reverse-mode autograd, the layers the preset models
-use, optimizers and checkpointing.  Losses are functional
-(:func:`repro.nn.functional.cross_entropy`).
+substrate: tensors, the layers the preset models use, the kernels the
+stacked trainer's layer program runs (:mod:`repro.nn.functional`,
+:mod:`repro.nn.tensor`), optimizers and checkpointing.  The training loop
+and its loss are :class:`repro.accelerator.batched.BatchedFaultTrainer`'s.
 """
 
 from repro.utils.lazy import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    ".tensor": (
-        "Tensor",
-        "no_grad",
-        "is_grad_enabled",
-    ),
+    ".tensor": ("Tensor",),
     ".module": ("Module", "Parameter", "Sequential"),
     ".layers": (
         "Linear",

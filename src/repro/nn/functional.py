@@ -1,22 +1,23 @@
-"""Functional (stateless) neural-network operations.
+"""Convolution lowering and max-pooling kernels.
 
-The convolution and pooling operators are implemented as fused autograd
-:class:`~repro.nn.tensor.Function` subclasses using an im2col formulation.
-This mirrors how a systolic-array accelerator executes a convolution: the
-layer is lowered to a GEMM whose weight matrix has shape
-``(out_channels, in_channels * kh * kw)``, which is exactly the matrix the
-fault-aware pruning masks in :mod:`repro.accelerator.mapping` are generated
-for.
+The stacked trainer's convolutions use an im2col formulation: the lowering
+(:func:`im2col_t`, :func:`_stacked_im2col_t`) and its inverse scatter
+(:func:`_stacked_col2im_t`) are here.  This mirrors how a systolic-array
+accelerator executes a convolution: the layer is lowered to a GEMM whose
+weight matrix has shape ``(out_channels, in_channels * kh * kw)``, which is
+exactly the matrix the fault-aware pruning masks in
+:mod:`repro.accelerator.mapping` are generated for.  Max pooling has a
+training kernel context (:class:`MaxPool2dFunction`) and an inference
+kernel (:func:`max_pool2d_inference`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.nn.tensor import Function, Tensor, is_grad_enabled
-from repro.nn.tensor import Linear as LinearFunction
+from repro.nn.tensor import Function
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -114,24 +115,6 @@ def _stacked_im2col_t(
     return stack, out_h, out_w
 
 
-def col2im_t(
-    colsT: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Scatter-add the inverse of :func:`im2col_t` (K-major column gradients).
-
-    Accepts the ``(C * kh * kw, N * out_h * out_w)`` layout produced directly
-    by the backward GEMM ``weight_matrix.T @ grad_t``.  This is the one-chip
-    case of :func:`_stacked_col2im_t`, the only scatter implementation.
-    """
-    return _stacked_col2im_t(colsT, x_shape, 1, kernel_size, stride, padding, out_h, out_w)
-
-
 def _stacked_col2im_t(
     cols_stack: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -144,7 +127,7 @@ def _stacked_col2im_t(
 ) -> np.ndarray:
     """Scatter-add a ``(B, C * kh * kw, n * out_h * out_w)`` column-gradient
     stack (the inverse of the stacked multi-chip lowering) back to folded
-    ``(B * n, C, H, W)`` NCHW; ``B = 1`` is :func:`col2im_t`.
+    ``(B * n, C, H, W)`` NCHW.
 
     One transposing copy moves the columns to ``(kh, kw, oh, ow, B, C, n)``,
     so every ``(i, j)`` phase add into the spatial-major ``(H + 2p, W + 2p,
@@ -169,91 +152,6 @@ def _stacked_col2im_t(
     # Crop the padding; (H, W, B, C, n) -> (B, n, C, H, W) is the one copy back.
     cropped = dx[ph:ph + h, pw:pw + w].transpose(2, 4, 3, 0, 1)
     return np.ascontiguousarray(cropped).reshape(total, c, h, w)
-
-
-# ---------------------------------------------------------------------------
-# Convolution
-# ---------------------------------------------------------------------------
-
-
-class Conv2dFunction(Function):
-    """2-D convolution via im2col, with full backward support."""
-
-    capture_name = "conv2d"
-
-    def forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: Tuple[int, int],
-        padding: Tuple[int, int],
-    ) -> np.ndarray:
-        out_channels, in_channels, kh, kw = weight.shape
-        if x.shape[1] != in_channels:
-            raise ValueError(
-                f"input has {x.shape[1]} channels but weight expects {in_channels}"
-            )
-        colsT, out_h, out_w = im2col_t(x, (kh, kw), stride, padding)
-        weight_matrix = weight.reshape(out_channels, -1)
-        # (O, K) @ (K, P): same dot products as ``cols @ weight_matrix.T``
-        # with the faster K-major lowering; the transpose back to NCHW is the
-        # one output copy either way.
-        out_t = weight_matrix @ colsT
-        if bias is not None:
-            out_t += bias[:, None]
-        n = x.shape[0]
-        out = out_t.reshape(out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
-        if is_grad_enabled():
-            # ``colsT`` is the dominant memory cost of a conv layer; only
-            # keep it alive when a backward pass can actually consume it.
-            self.save_for_backward(
-                colsT, weight, x.shape, (kh, kw), stride, padding, out_h, out_w, bias is not None
-            )
-        return np.ascontiguousarray(out)
-
-    def backward(self, grad_output: np.ndarray):
-        colsT, weight, x_shape, kernel, stride, padding, out_h, out_w, has_bias = self.saved
-        out_channels = weight.shape[0]
-        n = x_shape[0]
-        # (n, O, oh, ow) -> (O, n * oh * ow): this channel-major copy moves
-        # contiguous spatial blocks (several times faster than gathering the
-        # (P, O) layout) and feeds every GEMM below directly.  At 1x1 outputs
-        # the reshape alone is a strided view, whose bias sum would round
-        # differently from the stacked conv's contiguous one.
-        grad_t = np.ascontiguousarray(
-            grad_output.transpose(1, 0, 2, 3).reshape(out_channels, n * out_h * out_w)
-        )
-        grad_weight = (grad_t @ colsT.T).reshape(weight.shape)
-        grad_x = None
-        if not self.needs_input_grad or self.needs_input_grad[0]:
-            # The col2im scatter is the most expensive part of the conv
-            # backward; skip it when the input needs no gradient (the first
-            # layer of every model — its input is the data batch).  The
-            # column gradient is produced straight in the K-major layout the
-            # scatter consumes, avoiding a reshape copy.
-            weight_matrix = weight.reshape(out_channels, -1)
-            grad_colsT = weight_matrix.T @ grad_t
-            grad_x = col2im_t(grad_colsT, x_shape, kernel, stride, padding, out_h, out_w)
-        if has_bias:
-            grad_bias = grad_t.sum(axis=1)
-            return grad_x, grad_weight, grad_bias
-        return grad_x, grad_weight
-
-
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-) -> Tensor:
-    """Differentiable 2-D convolution over an NCHW tensor."""
-    stride = _pair(stride)
-    padding = _pair(padding)
-    if bias is None:
-        return Conv2dFunction.apply(x, weight, None, stride, padding)
-    return Conv2dFunction.apply(x, weight, bias, stride, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +181,6 @@ def max_pool2d_inference(
 
 
 class MaxPool2dFunction(Function):
-    capture_name = "max_pool2d"
-
     def forward(
         self,
         x: np.ndarray,
@@ -350,97 +246,3 @@ class MaxPool2dFunction(Function):
                 view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
                 view += grad_output * selected
         return (dx,)
-
-
-def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
-    """Max pooling over the spatial dimensions of an NCHW tensor."""
-    kernel = _pair(kernel_size)
-    stride_pair = _pair(stride) if stride is not None else kernel
-    return MaxPool2dFunction.apply(x, kernel, stride_pair)
-
-
-# ---------------------------------------------------------------------------
-# Activations and affine layers
-# ---------------------------------------------------------------------------
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine transform ``x @ weight.T + bias`` for 2-D ``x``."""
-    return LinearFunction.apply(x, weight, bias)
-
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-
-class NllLossFunction(Function):
-    """Negative log-likelihood of integer targets given log-probabilities."""
-
-    capture_name = "nll_loss"
-
-    def forward(self, log_probs: np.ndarray, targets: np.ndarray, reduction: str) -> np.ndarray:
-        if log_probs.ndim != 2:
-            raise ValueError(f"nll_loss expects (N, C) log-probabilities, got {log_probs.shape}")
-        targets = np.asarray(targets).astype(np.int64).reshape(-1)
-        if targets.shape[0] != log_probs.shape[0]:
-            raise ValueError(
-                f"targets length {targets.shape[0]} does not match batch size {log_probs.shape[0]}"
-            )
-        picked = log_probs[np.arange(log_probs.shape[0]), targets]
-        self.save_for_backward(log_probs.shape, targets, reduction, log_probs.dtype)
-        if reduction == "mean":
-            return np.asarray(-picked.mean(), dtype=log_probs.dtype)
-        if reduction == "sum":
-            return np.asarray(-picked.sum(), dtype=log_probs.dtype)
-        if reduction == "none":
-            return -picked
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    def backward(self, grad_output: np.ndarray):
-        shape, targets, reduction, dtype = self.saved
-        n = shape[0]
-        grad = np.zeros(shape, dtype=dtype)
-        rows = np.arange(n)
-        if reduction == "mean":
-            grad[rows, targets] = -1.0 / n
-            grad = grad * grad_output
-        elif reduction == "sum":
-            grad[rows, targets] = -1.0
-            grad = grad * grad_output
-        else:
-            grad[rows, targets] = -1.0
-            grad = grad * grad_output.reshape(n, 1)
-        return (grad,)
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood loss for integer class targets."""
-    return NllLossFunction.apply(log_probs, np.asarray(targets), reduction)
-
-
-def cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    reduction: str = "mean",
-    label_smoothing: float = 0.0,
-) -> Tensor:
-    """Cross-entropy between raw logits and integer class targets.
-
-    ``label_smoothing`` mixes the one-hot target with a uniform distribution,
-    matching the semantics of ``torch.nn.functional.cross_entropy``.
-    """
-    log_probs = logits.log_softmax(axis=-1)
-    if label_smoothing <= 0.0:
-        return nll_loss(log_probs, targets, reduction=reduction)
-    if not 0.0 <= label_smoothing < 1.0:
-        raise ValueError(f"label_smoothing must be in [0, 1), got {label_smoothing}")
-    num_classes = logits.shape[-1]
-    hard = nll_loss(log_probs, targets, reduction=reduction)
-    if reduction == "mean":
-        smooth = -log_probs.sum(axis=-1).mean() * (1.0 / num_classes)
-    elif reduction == "sum":
-        smooth = -log_probs.sum() * (1.0 / num_classes)
-    else:
-        smooth = -log_probs.sum(axis=-1) * (1.0 / num_classes)
-    return hard * (1.0 - label_smoothing) + smooth * label_smoothing

@@ -1,4 +1,9 @@
-"""Neural-network layers built on the autograd engine.
+"""Neural-network layers: parameters and hyper-parameters, no forward.
+
+A layer says what to compute; the stacked trainer's layer program
+(:mod:`repro.accelerator.batched`) runs the leaf layers of a model in
+registration order.  A :class:`Linear` flattens an input of more than two
+dimensions first.
 
 The convolution and linear layers are the ones mapped onto the systolic
 array by :mod:`repro.accelerator.mapping`; they therefore expose their weight
@@ -15,7 +20,6 @@ from typing import Optional, Tuple, Union
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, new_rng
 
 IntPair = Union[int, Tuple[int, int]]
@@ -45,11 +49,6 @@ class Linear(Module):
             )
         else:
             self.bias = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            x = x.flatten(start_dim=1)
-        return F.linear(x, self.weight, self.bias)
 
     def extra_repr(self) -> str:
         return f"in_features={self.in_features}, out_features={self.out_features}, bias={self.bias is not None}"
@@ -85,9 +84,6 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
     def extra_repr(self) -> str:
         return (
             f"{self.in_channels}, {self.out_channels}, kernel_size={self.kernel_size}, "
@@ -98,9 +94,6 @@ class Conv2d(Module):
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
 
 class MaxPool2d(Module):
     """Max pooling layer."""
@@ -109,9 +102,6 @@ class MaxPool2d(Module):
         super().__init__()
         self.kernel_size = F._pair(kernel_size)
         self.stride = F._pair(stride) if stride is not None else self.kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
 
     def extra_repr(self) -> str:
         return f"kernel_size={self.kernel_size}, stride={self.stride}"
@@ -123,9 +113,6 @@ class Flatten(Module):
     def __init__(self, start_dim: int = 1) -> None:
         super().__init__()
         self.start_dim = start_dim
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(start_dim=self.start_dim)
 
     def extra_repr(self) -> str:
         return f"start_dim={self.start_dim}"

@@ -9,7 +9,7 @@ weights before retraining it for each faulty chip.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -19,16 +19,9 @@ from repro.nn.tensor import Tensor
 class Parameter(Tensor):
     """A trainable tensor.
 
-    Parameters are ordinary tensors flagged with ``requires_grad=True`` that
-    modules register automatically so that optimizers and the fault-aware
-    masking machinery can discover them by name.
+    Modules register parameters automatically so that optimizers and the
+    fault-aware masking machinery can discover them by name.
     """
-
-    def __init__(self, data: Union[np.ndarray, Tensor], requires_grad: bool = True) -> None:
-        super().__init__(data, requires_grad=requires_grad)
-
-    def __repr__(self) -> str:
-        return f"Parameter(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Module:
@@ -112,12 +105,6 @@ class Module:
 
     # -- misc ------------------------------------------------------------------
 
-    def forward(self, *args: Any, **kwargs: Any) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Tensor:
-        return self.forward(*args, **kwargs)
-
     def extra_repr(self) -> str:
         return ""
 
@@ -134,7 +121,7 @@ class Module:
 
 
 class Sequential(Module):
-    """A module chaining sub-modules in order."""
+    """A module holding sub-modules in order."""
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
@@ -149,8 +136,3 @@ class Sequential(Module):
 
     def __getitem__(self, index: int) -> Module:
         return list(self._modules.values())[index]
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._modules.values():
-            x = module(x)
-        return x

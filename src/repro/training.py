@@ -1,4 +1,4 @@
-"""Training configuration, histories, evaluation and fault-mask helpers.
+"""Training configuration, histories and evaluation.
 
 The training loop itself is :class:`~repro.accelerator.batched.BatchedFaultTrainer`,
 which trains a stack of chips, each under its own fault masks;
@@ -19,17 +19,12 @@ amount ``e`` corresponds to ``round(e * batches_per_epoch)`` optimizer steps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import List, Optional, Sequence, Union
 
 from repro import nn
-from repro.accelerator.batched import BatchedFaultTrainer
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import TensorDataset
 from repro.utils.rng import SeedLike
-
-MaskDict = Dict[str, np.ndarray]
 
 
 def meets_target(accuracy, target_accuracy):
@@ -169,34 +164,13 @@ def evaluate_accuracy(
     """Top-1 accuracy of ``model`` on ``data``: a one-chip stacked eval pass.
 
     The unmasked stack of one runs the same layer program as every chip
-    evaluation, in ``batch_size`` batches; the model is not modified.
+    evaluation, in ``batch_size`` batches; the model is not modified.  An
+    empty ``data`` has accuracy 0.0.
     """
+    from repro.accelerator.batched import evaluate_chip_accuracies
+
     config = TrainingConfig(batch_size=batch_size)
-    return BatchedFaultTrainer(model, [{}], data, data, config=config).evaluate()[0]
-
-
-def _resolve_masked_weight(model_modules: Dict[str, nn.Module], name: str, mask: np.ndarray):
-    """Look up and validate the weight tensor a mask applies to."""
-    if name not in model_modules:
-        raise KeyError(f"mask refers to unknown layer {name!r}")
-    weight = getattr(model_modules[name], "weight", None)
-    if weight is None:
-        raise ValueError(f"layer {name!r} has no weight to mask")
-    if mask.shape != weight.data.shape:
-        raise ValueError(
-            f"mask shape {mask.shape} does not match weight shape {weight.data.shape} for layer {name!r}"
-        )
-    return weight
-
-
-def apply_weight_masks(model: nn.Module, masks: Optional[MaskDict]) -> None:
-    """Zero out the weights selected by ``masks`` (True = forced to zero)."""
-    if not masks:
-        return
-    modules = dict(model.named_modules())
-    for name, mask in masks.items():
-        weight = _resolve_masked_weight(modules, name, mask)
-        weight.data[mask] = 0.0
+    return evaluate_chip_accuracies(model, data, [{}], config=config)[0]
 
 
 def epochs_to_steps(epochs: float, batches_per_epoch: int) -> int:
@@ -228,6 +202,8 @@ class Trainer:
         eval_data: Union[TensorDataset, DataLoader],
         config: Optional[TrainingConfig] = None,
     ) -> None:
+        from repro.accelerator.batched import BatchedFaultTrainer
+
         self.model = model
         self._stack = BatchedFaultTrainer(model, [{}], train_data, eval_data, config)
 

@@ -16,20 +16,24 @@ from repro.data.dataset import TensorDataset
 from repro.data.synthetic import DatasetBundle
 from repro.mitigation.saliency import get_saliency_metric
 from repro.mitigation.strategy import resolve_strategy
-from repro.nn import functional as F
 from repro.nn.serialization import clone_state_dict
 from repro.training import (
     CheckpointRecord,
-    MaskDict,
     TrainingConfig,
     TrainingHistory,
     _as_eval_loader,
     _as_loader,
-    _resolve_masked_weight,
     epochs_to_steps,
     require_nonempty_train_loader,
 )
 from repro.utils.rng import SeedLike, derive_seed, new_rng
+from tests.serial import (
+    MaskDict,
+    _resolve_masked_weight,
+    cross_entropy,
+    no_grad,
+    serial_forward,
+)
 
 
 def numeric_gradient(func, x, eps=1e-4):
@@ -138,7 +142,7 @@ def masked_saliency(model: nn.Module, masks: MaskDict, metric: str = "magnitude"
 
 
 def serial_evaluate_accuracy(model, data, batch_size=128):
-    """Top-1 accuracy of ``model`` through its own serial forward (``model(x)``).
+    """Top-1 accuracy of ``model`` through the serial oracle's forward.
 
     The evaluation oracle of the stacked eval that
     ``repro.training.evaluate_accuracy`` runs.
@@ -146,9 +150,9 @@ def serial_evaluate_accuracy(model, data, batch_size=128):
     loader = _as_eval_loader(data, batch_size=batch_size)
     correct = 0
     total = 0
-    with nn.no_grad():
+    with no_grad():
         for inputs, targets in loader:
-            logits = model(inputs)
+            logits = serial_forward(model, inputs)
             predictions = logits.data.argmax(axis=-1)
             correct += int((predictions == np.asarray(targets)).sum())
             total += len(targets)
@@ -219,8 +223,8 @@ class ReferenceTrainer:
         remaining = num_steps
         while remaining > 0:
             for inputs, targets in self.train_loader:
-                logits = self.model(inputs)
-                loss = F.cross_entropy(
+                logits = serial_forward(self.model, inputs)
+                loss = cross_entropy(
                     logits, targets, label_smoothing=self.config.label_smoothing
                 )
                 self.optimizer.zero_grad()
@@ -454,7 +458,7 @@ def reference_stacked_im2col_t(x, num_chips, kernel_size, stride, padding):
 
 
 def reference_col2im_t(colsT, x_shape, kernel_size, stride, padding, out_h, out_w):
-    """The NCHW phase sweep that ``F.col2im_t`` must equal bit for bit.
+    """The NCHW phase sweep that ``tests.serial.col2im_t`` must equal bit for bit.
 
     Every input element starts at ``+0.0`` and receives its window
     contributions one ``(i, j)`` phase at a time, in row-major order.
@@ -548,23 +552,16 @@ def _annotations(tree: ast.AST):
             yield node.annotation
 
 
-def loaded_names(tree: ast.AST, attributes: bool = False) -> Set[str]:
-    """Every name ``tree`` loads, names in quoted annotations included.
+def loaded_names(tree: ast.AST) -> Set[str]:
+    """Every bare name ``tree`` loads, names in quoted annotations included.
 
-    With ``attributes=True`` the attribute of every ``obj.attr`` load counts
-    too.  The walker behind ``tests/test_unused_imports.py`` and
+    The walker behind ``tests/test_unused_imports.py`` and
     ``tests/test_src_reachability.py``.
     """
 
     def walk(root: ast.AST) -> Set[str]:
-        names = set()
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif (attributes and isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
-        return names
+        return {node.id for node in ast.walk(root)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
     names = walk(tree)
     for annotation in _annotations(tree):

@@ -3,8 +3,9 @@
 Three layers of guarantees are pinned down here:
 
 * **Per-op** — every op in the IR vocabulary (im2col, stacked GEMM, bias,
-  ReLU, max-pool, keep-multiplier mask) captured once and
-  replayed on fresh inputs is *bit-identical* under the ``numpy`` backend.
+  the layer program's ReLU, max-pool and linear entries, keep-multiplier
+  mask) captured once and replayed on fresh inputs is *bit-identical* under
+  the ``numpy`` backend.
 * **Substrate** — the stacked trainer's eval forward and training loop
   produce the same logits/accuracies/losses/weights through the backend as
   eagerly, bit for bit.
@@ -22,6 +23,7 @@ from repro.accelerator.batched import (
     BatchedFaultTrainer,
     EvalPipeline,
     _keep_multiplier_kernel,
+    _program_layer,
 )
 from repro.backends import (
     BackendError,
@@ -33,7 +35,6 @@ from repro.backends import (
 )
 from repro.data import make_class_template_images
 from repro.nn import functional as F
-from repro.nn.tensor import Function
 from repro.observability import metrics
 from repro.training import TrainingConfig
 from tests.helpers import recorded_evaluate
@@ -81,7 +82,7 @@ class TestPerOpEquivalence:
         _roundtrip(
             backend_name,
             lambda rng: (rng.standard_normal((5, 7)).astype(np.float32),),
-            lambda x: nn.Tensor(x).relu().data,
+            lambda x: _program_layer("relu", nn.ReLU()).forward(x, None),
         )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -89,7 +90,7 @@ class TestPerOpEquivalence:
         _roundtrip(
             backend_name,
             lambda rng: (rng.standard_normal((2, 3, 8, 8)).astype(np.float32),),
-            lambda x: F.max_pool2d(nn.Tensor(x), (2, 2)).data,
+            lambda x: _program_layer("pool", nn.MaxPool2d(2)).forward(x, None),
         )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -130,11 +131,11 @@ class TestPerOpEquivalence:
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_linear_layer(self, backend_name):
-        layer = nn.Linear(10, 4, rng=0)
+        stack = BatchedFaultTrainer(nn.Sequential(nn.Linear(10, 4, rng=0)), [{}], None, None)
         _roundtrip(
             backend_name,
             lambda rng: (rng.standard_normal((6, 10)).astype(np.float32),),
-            lambda x: layer(nn.Tensor(x)).data,
+            lambda x: stack._forward(x, None),
         )
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -288,28 +289,11 @@ class TestRegistry:
         assert resolve_backend(backend) is backend
 
 
-class _PickyFunction(Function):
-    capture_name = "picky"
-
-    def forward(self, x):
-        assert x.ndim == 2, "expected a 2-D operand"
-        return x * 2
-
-    def backward(self, grad_output):
-        return (grad_output,)
-
-
 class TestTypedErrors:
-    def test_function_apply_raises_backend_error(self):
-        with pytest.raises(BackendError) as excinfo:
-            _PickyFunction.apply(nn.Tensor(np.ones(3, dtype=np.float32)))
-        assert excinfo.value.op == "picky"
-        assert "(3,)/float32" in str(excinfo.value)
-
     def test_signature_mismatch_raises_backend_error(self):
         x = np.ones((2, 3), dtype=np.float32)
         compiled = get_backend("numpy").compile(
-            _capture((x,), lambda a: nn.Tensor(a).relu().data)
+            _capture((x,), lambda a: _program_layer("relu", nn.ReLU()).forward(a, None))
         )
         with pytest.raises(BackendError, match="captured for"):
             compiled((np.ones((2, 3), dtype=np.float64),))

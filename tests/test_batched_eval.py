@@ -3,7 +3,7 @@
 The contract of :func:`~repro.accelerator.batched.evaluate_chip_accuracies`
 — the :class:`~repro.accelerator.batched.BatchedFaultTrainer` eval forward
 over one stack of chips — is that evaluating B chips in one stacked sweep returns
-exactly what B serial ``apply masks -> model(x)`` passes return
+exactly what B serial ``apply masks -> serial_forward(model, x)`` passes return
 (``tests/helpers.py``: ``serial_evaluate_accuracy``).
 Logits are compared to float32 ``atol=1e-6`` (the shared-prefix wide GEMM may
 differ from the serial 2-D GEMM within float32 rounding on BLAS builds with
@@ -31,12 +31,13 @@ from repro.core.reduce import TRIAGE_CHIP_CHUNK, ReduceFramework
 from repro.data.dataloader import DataLoader
 from repro.experiments import build_dataset, fast_preset
 from repro.models import MLP, build_model
-from repro.training import TrainingConfig, apply_weight_masks
+from repro.training import TrainingConfig
 from tests.helpers import (
     recorded_evaluate,
     reference_retrain_chip,
     serial_evaluate_accuracy,
 )
+from tests.serial import apply_weight_masks, no_grad, serial_forward
 
 # Eval batches are ``batch_size`` rows: 4 here, so the 32-image test set walks
 # eight batches.
@@ -56,8 +57,8 @@ def _serial_accuracies(model, pretrained, mask_sets, dataset):
 def _serial_logits(model, pretrained, masks, inputs):
     model.load_state_dict(pretrained)
     apply_weight_masks(model, masks)
-    with nn.no_grad():
-        logits = model(inputs).data.copy()
+    with no_grad():
+        logits = serial_forward(model, inputs).data.copy()
     model.load_state_dict(pretrained)
     return logits
 

@@ -13,7 +13,6 @@ class TestChip:
         fault_map = FaultMap.random(16, 16, 0.2, seed=0)
         chip = Chip("chip-001", fault_map)
         assert chip.fault_rate == pytest.approx(fault_map.fault_rate)
-        assert chip.num_faulty_pes == fault_map.num_faulty
         array = chip.array()
         assert array.shape == (16, 16)
         assert array.fault_map == fault_map

@@ -45,7 +45,7 @@ class TestSystolicArray:
         array = SystolicArray()
         assert array.shape == (256, 256)
         assert array.num_faulty_pes == 0
-        assert array.num_pes == 256 * 256
+        assert array.fault_map.num_pes == 256 * 256
 
     def test_with_fault_map(self):
         fm = FaultMap.random(8, 8, 0.25, seed=0)

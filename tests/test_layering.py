@@ -56,6 +56,17 @@ def test_lower_layers_do_not_import_upper_layers():
     assert not offenders, f"lower layers import upper layers: {offenders}"
 
 
+def test_nn_imports_no_backend():
+    """``repro.nn`` holds tensors, layers and kernels; no compute backend."""
+    offenders = {}
+    for path in sorted((SRC / "repro/nn").rglob("*.py")):
+        names = sorted({name for name in _imported_modules(path)
+                        if name.startswith("repro.backends")})
+        if names:
+            offenders[_module_name(path)] = names
+    assert not offenders, f"repro.nn imports a backend: {offenders}"
+
+
 def test_guard_sees_the_lower_layers():
     names = {_module_name(path) for path in _lower_layer_files()}
     assert {"repro.core.reduce", "repro.accelerator.batched", "repro.nn.tensor",

@@ -34,6 +34,7 @@ from repro.accelerator import batched
 from repro.accelerator.batched import (
     BatchedFaultTrainer,
     EvalPipeline,
+    _program_layer,
     evaluate_chip_accuracies,
 )
 from repro.backends import capture_graph, get_backend, recorded
@@ -225,7 +226,7 @@ def test_capture_frees_dropped_intermediates(backend):
         dropped.append(weakref.ref(doubled))
         shifted = recorded("shift", (doubled,), lambda v: v + np.float32(1.0))
         del doubled
-        return nn.Tensor(shifted).relu().data
+        return _program_layer("relu", nn.ReLU()).forward(shifted, None)
 
     rng = np.random.default_rng(0)
     captured_on = rng.standard_normal((4, 8)).astype(np.float32)

@@ -13,6 +13,7 @@ from repro.models import (
     build_model,
     vgg11,
 )
+from tests.serial import serial_forward
 
 RNG = np.random.default_rng(0)
 
@@ -24,11 +25,11 @@ def _batch(shape, n=2):
 class TestMLP:
     def test_forward_shape(self):
         model = MLP(20, 5, hidden_sizes=(16, 8), seed=0)
-        assert model(_batch((20,), n=3)).shape == (3, 5)
+        assert serial_forward(model, _batch((20,), n=3)).shape == (3, 5)
 
     def test_flattens_images(self):
         model = MLP(2 * 4 * 4, 3, hidden_sizes=(8,), seed=0)
-        assert model(_batch((2, 4, 4))).shape == (2, 3)
+        assert serial_forward(model, _batch((2, 4, 4))).shape == (2, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,11 +49,11 @@ class TestMLP:
 class TestLeNet5:
     def test_forward_shape(self):
         model = LeNet5(input_shape=(3, 16, 16), num_classes=7, seed=0)
-        assert model(_batch((3, 16, 16))).shape == (2, 7)
+        assert serial_forward(model, _batch((3, 16, 16))).shape == (2, 7)
 
     def test_works_on_minimum_size(self):
         model = LeNet5(input_shape=(1, 12, 12), num_classes=4, seed=0)
-        assert model(_batch((1, 12, 12))).shape == (2, 4)
+        assert serial_forward(model, _batch((1, 12, 12))).shape == (2, 4)
 
     def test_too_small_input_raises(self):
         with pytest.raises(ValueError):
@@ -68,17 +69,17 @@ class TestVGG:
         pool_layers = [m for _, m in model.named_modules() if isinstance(m, nn.MaxPool2d)]
         assert len(conv_layers) == 8  # VGG11 has 8 conv layers
         assert len(pool_layers) == 5
-        assert model(_batch((3, 32, 32))).shape == (2, 10)
+        assert serial_forward(model, _batch((3, 32, 32))).shape == (2, 10)
 
     def test_width_multiplier_scales_channels(self):
         narrow = vgg11(input_shape=(3, 32, 32), width_multiplier=0.125, seed=0)
         wide = vgg11(input_shape=(3, 32, 32), width_multiplier=0.25, seed=0)
-        assert sum(p.size for p in wide.parameters()) > sum(p.size for p in narrow.parameters())
+        assert sum(p.data.size for p in wide.parameters()) > sum(p.data.size for p in narrow.parameters())
 
     def test_small_input_skips_pools(self):
         model = vgg11(input_shape=(3, 8, 8), num_classes=10, width_multiplier=0.125, seed=0)
         assert model.skipped_pools >= 2
-        assert model(_batch((3, 8, 8))).shape == (2, 10)
+        assert serial_forward(model, _batch((3, 8, 8))).shape == (2, 10)
         assert model.final_spatial >= 1
 
     def test_invalid_configuration(self):
@@ -94,12 +95,12 @@ class TestRegistry:
 
     def test_build_by_name(self):
         model = build_model("mlp", (3, 8, 8), 5, seed=0, hidden_sizes=(16,))
-        assert model(_batch((3, 8, 8))).shape == (2, 5)
+        assert serial_forward(model, _batch((3, 8, 8))).shape == (2, 5)
 
     def test_build_paper_vgg11_by_name(self):
         model = build_model("vgg11", (3, 16, 16), 10, seed=0, width_multiplier=0.25)
         assert sum(1 for _, m in model.named_modules() if isinstance(m, nn.Conv2d)) == 8
-        assert model(_batch((3, 16, 16))).shape == (2, 10)
+        assert serial_forward(model, _batch((3, 16, 16))).shape == (2, 10)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):

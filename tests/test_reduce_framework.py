@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.accelerator import batched as batched_module
 from repro.accelerator.batched import BatchedFaultTrainer
 from repro.campaign import CampaignEngine
 from repro.core import resilience as resilience_module
@@ -122,10 +123,13 @@ class TestResilienceAnalyzer:
         model, state, bundle, config = unsaturated_setup
         analyzer = ResilienceAnalyzer(model, state, bundle, SystolicArray(16, 16), config)
 
-        def shared_seed_trainer(*args, seeds, **kwargs):
-            return BatchedFaultTrainer(*args, seeds=[seeds[0]] * len(seeds), **kwargs)
+        def shared_seed_trainer(*args, seeds=None, **kwargs):
+            # Step-1 stacks pass their cells' seeds; the clean eval passes none.
+            if seeds is not None:
+                seeds = [seeds[0]] * len(seeds)
+            return BatchedFaultTrainer(*args, seeds=seeds, **kwargs)
 
-        monkeypatch.setattr(resilience_module, "BatchedFaultTrainer", shared_seed_trainer)
+        monkeypatch.setattr(batched_module, "BatchedFaultTrainer", shared_seed_trainer)
         profile = analyzer.run()
         assert not np.array_equal(profile.accuracies, serial_resilience_accuracies(analyzer))
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.accelerator import FaultMap, SystolicArray, layer_fault_mask, model_fault_masks
 from repro.models import MLP
-from repro.training import apply_weight_masks
 
+from tests.serial import apply_weight_masks, serial_forward
 from tests.simulation import (
     model_masks_match_hardware,
     simulate_gemm_on_array,
@@ -74,7 +74,7 @@ class TestLayerEquivalence:
 
         # Software view: zero the masked weights and run the model normally.
         apply_weight_masks(model, model_fault_masks(model, fault_map))
-        logits_sw = model(nn.Tensor(inputs)).data
+        logits_sw = serial_forward(model, nn.Tensor(inputs)).data
 
         np.testing.assert_allclose(logits_hw, logits_sw, rtol=1e-4, atol=1e-5)
 

@@ -9,11 +9,14 @@ anywhere in ``src``, ``examples``, ``benchmarks`` or ``perfbench`` loads its
 name, or when perfbench's ``spans.TARGETS`` names it (the benchmark wraps
 those by attribute path).  Tests never count as callers.
 
-The match is by name alone, and that is its blind spot: a dead definition
-whose name a live one shares counts as reached.  A method ``apply`` beside
-``Function.apply``, a function ``relu`` beside ``Tensor.relu``, a class whose
-name is also a local variable elsewhere: the scan cannot tell them apart, so
-such code has to be found by grep.
+A ``self.x`` or ``cls.x`` load inside a class body is resolved to that
+class: it reaches a method ``x`` of the class, of its bases and of its
+subclasses (classes are matched by name), and nothing else.  Every other
+attribute load still matches by name alone, and that is the blind spot: a
+dead method whose name a live one shares counts as reached once any
+``obj.name`` loads it (``trainer.evaluate()`` reaches every ``evaluate``),
+as does a class whose name is also a variable elsewhere.  Such code has to
+be found by tracing the commands.
 
 :data:`ALLOWED` keeps the unreached definitions that stay, one reason each.
 A key is a module path under ``src/repro`` (every unreached definition in
@@ -24,8 +27,9 @@ gained a caller, fails the test too, so the map cannot go stale.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from tests.helpers import loaded_names
 
@@ -42,28 +46,26 @@ ALLOWED: Dict[str, str] = {
     "campaign/transport.py:find_free_port":
         "the distributed-campaign job of .github/workflows/ci.yml picks its "
         "coordinator port with it from a shell step",
-    "nn/functional.py:cross_entropy":
-        "serial reference loss of tests/helpers.py ReferenceTrainer, which "
-        "tests/test_batched_fat.py::TestTrainerEquivalence (label smoothing in "
-        "test_label_smoothing_composition) compares the stacked loss against",
 }
 
 
-def definitions(source: str) -> List[Tuple[str, str]]:
-    """``(qualified name, name)`` of every non-dunder def/class in ``source``."""
-    found: List[Tuple[str, str]] = []
+def definitions(source: str) -> List[Tuple[str, str, Optional[str]]]:
+    """``(qualified name, name, owner)`` of every non-dunder def/class in
+    ``source``; ``owner`` names the class whose body holds it, else ``None``."""
+    found: List[Tuple[str, str, Optional[str]]] = []
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, owner: Optional[str]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    found.append((prefix + name, name))
-                visit(child, f"{prefix}{name}.")
+                    found.append((prefix + name, name, owner))
+                visit(child, f"{prefix}{name}.",
+                      name if isinstance(child, ast.ClassDef) else None)
             else:
-                visit(child, prefix)
+                visit(child, prefix, owner)
 
-    visit(ast.parse(source), "")
+    visit(ast.parse(source), "", None)
     return found
 
 
@@ -78,21 +80,82 @@ def span_target_names(source: str) -> Set[str]:
     raise AssertionError("no TARGETS list found")
 
 
-def reached_names(callers: Iterable[str]) -> Set[str]:
-    """Every name (attributes included) the ``callers`` sources load."""
-    reached: Set[str] = set()
+@dataclasses.dataclass
+class Reached:
+    """What the callers load: bare names, and ``self.x``/``cls.x`` per class."""
+
+    names: Set[str] = dataclasses.field(default_factory=set)
+    members: Set[Tuple[str, str]] = dataclasses.field(default_factory=set)
+    bases: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
+
+    def _related(self, owner: str) -> Set[str]:
+        """``owner``, its bases and its subclasses, transitively."""
+        subclasses: Dict[str, Set[str]] = {}
+        for cls, bases in self.bases.items():
+            for base in bases:
+                subclasses.setdefault(base, set()).add(cls)
+        related = {owner}
+        for links in (self.bases, subclasses):
+            frontier = [owner]
+            while frontier:
+                for other in links.get(frontier.pop(), ()):
+                    if other not in related:
+                        related.add(other)
+                        frontier.append(other)
+        return related
+
+    def reaches(self, name: str, owner: Optional[str]) -> bool:
+        if name in self.names:
+            return True
+        return owner is not None and any(
+            (cls, name) in self.members for cls in self._related(owner))
+
+
+class _Loads(ast.NodeVisitor):
+    """Adds one source's loads and class bases to a :class:`Reached`."""
+
+    def __init__(self, reached: Reached) -> None:
+        self.reached = reached
+        self.classes: List[str] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.reached.bases.setdefault(node.name, set()).update(
+            base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+            for base in node.bases)
+        for child in [*node.decorator_list, *node.bases, *node.keywords]:
+            self.visit(child)
+        self.classes.append(node.name)
+        for child in node.body:
+            self.visit(child)
+        self.classes.pop()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            value = node.value
+            if self.classes and isinstance(value, ast.Name) and value.id in ("self", "cls"):
+                self.reached.members.add((self.classes[-1], node.attr))
+            else:
+                self.reached.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def reached_names(callers: Iterable[str]) -> Reached:
+    """Everything the ``callers`` sources load (names in quoted annotations too)."""
+    reached = Reached()
     for source in callers:
-        reached |= loaded_names(ast.parse(source), attributes=True)
+        tree = ast.parse(source)
+        reached.names |= loaded_names(tree)
+        _Loads(reached).visit(tree)
     return reached
 
 
-def unreached(modules: Dict[str, str], reached: Set[str]) -> List[str]:
-    """``path:QualName`` of each definition in ``modules`` whose name is not reached."""
+def unreached(modules: Dict[str, str], reached: Reached) -> List[str]:
+    """``path:QualName`` of each definition in ``modules`` that ``reached`` misses."""
     return [
         f"{path}:{qualname}"
         for path, source in sorted(modules.items())
-        for qualname, name in definitions(source)
-        if name not in reached
+        for qualname, name, owner in definitions(source)
+        if not reached.reaches(name, owner)
     ]
 
 
@@ -104,7 +167,8 @@ def _package_modules() -> Dict[str, str]:
 def _repository_unreached() -> List[str]:
     reached = reached_names(path.read_text() for directory in CALLERS
                             for path in sorted((ROOT / directory).rglob("*.py")))
-    return unreached(_package_modules(), reached | span_target_names(SPANS.read_text()))
+    reached.names |= span_target_names(SPANS.read_text())
+    return unreached(_package_modules(), reached)
 
 
 def _allowed(entry: str) -> bool:
@@ -125,8 +189,8 @@ def test_allowed_entries_are_current():
     stale = []
     for key in ALLOWED:
         path, _, qualname = key.partition(":")
-        if path not in modules or (
-            qualname and qualname not in dict(definitions(modules[path]))):
+        if path not in modules or (qualname and qualname not in {
+                entry[0] for entry in definitions(modules[path])}):
             stale.append(f"{key}: no such definition")
         elif not any(entry == key or (not qualname and entry.startswith(path + ":"))
                      for entry in left):
@@ -142,19 +206,29 @@ class Box:
     def opened(self): pass
     def sealed(self): pass
     def __len__(self): return 0
+    def lid(self): pass
+    def hinge(self): return self.latch()
     class Inner:
         def wrapped(self): pass
+class Chest(Box):
+    def latch(self): pass
+class Crate:
+    def pack(self): return self.lid()
 class Quoted: pass
 '''
     caller = '''
-from pkg import used, Box
+from pkg import used, Box, Chest, Crate
 used()
 Box().opened()
+Chest().hinge()
+Crate().pack()
 print(Box.Inner)
 def f(x: "Quoted") -> None: pass
 '''
-    assert unreached({"pkg.py": module}, reached_names([caller])) == [
-        "pkg.py:unused", "pkg.py:Box.sealed", "pkg.py:Box.Inner.wrapped"]
+    # ``self.latch`` in Box reaches its subclass's method; ``self.lid`` in
+    # the unrelated Crate does not reach Box's.
+    assert unreached({"pkg.py": module}, reached_names([module, caller])) == [
+        "pkg.py:unused", "pkg.py:Box.sealed", "pkg.py:Box.lid", "pkg.py:Box.Inner.wrapped"]
     assert span_target_names(
         'TARGETS: list = [("a.b", "pkg", "Box.Inner.wrapped")]\n'
     ) == {"Box", "Inner", "wrapped"}
@@ -162,7 +236,7 @@ def f(x: "Quoted") -> None: pass
 
 def test_guard_sees_the_repository():
     names = {f"{path}:{qualname}" for path, source in _package_modules().items()
-             for qualname, _ in definitions(source)}
+             for qualname, _, _ in definitions(source)}
     assert {"training.py:Trainer.train", "cli.py:main",
             "accelerator/batched.py:evaluate_chip_accuracies"} <= names
     assert "evaluate_chip_accuracies" in span_target_names(SPANS.read_text())

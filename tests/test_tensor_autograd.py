@@ -1,4 +1,4 @@
-"""Gradient correctness tests for the autograd engine.
+"""Gradient correctness tests for the serial oracle's autograd tape.
 
 Every differentiable operation is checked against a central-difference
 numerical gradient on small random inputs (float64 to keep the comparison
@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import functional as F
-from repro.nn.tensor import Tensor
-
+from tests import serial
 from tests.helpers import numeric_gradient
+from tests.serial import Tensor
 
 RNG = np.random.default_rng(42)
 TOL = dict(rtol=1e-5, atol=1e-6)
@@ -36,7 +35,7 @@ class TestElementwiseGradients:
 
     def test_sub(self):
         x0 = RNG.standard_normal((3, 4)) + 3.0
-        check_gradient(lambda x: ((x - 1.5) * (2.0 - x)).sum(), x0)
+        check_gradient(lambda x: ((x - 1.5) * (Tensor(2.0, dtype=np.float64) - x)).sum(), x0)
 
     def test_relu_gradient_masks_negatives(self):
         x = Tensor(np.array([-2.0, 3.0], dtype=np.float64), requires_grad=True)
@@ -74,11 +73,11 @@ class TestLinearAlgebraGradients:
         x = Tensor(x0, requires_grad=True, dtype=np.float64)
         w = Tensor(w0, requires_grad=True, dtype=np.float64)
         b = Tensor(b0, requires_grad=True, dtype=np.float64)
-        out = F.linear(x, w, b)
+        out = serial.linear(x, w, b)
         (out * out).sum().backward()
 
         def loss(arr):
-            out = F.linear(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64))
+            out = serial.linear(Tensor(x0, dtype=np.float64), Tensor(arr, dtype=np.float64), Tensor(b0, dtype=np.float64))
             return (out * out).sum().item()
 
         numeric_w = numeric_gradient(loss, w0)
@@ -91,10 +90,6 @@ class TestShapeOpGradients:
     def test_reshape(self):
         x0 = RNG.standard_normal((2, 6))
         check_gradient(lambda x: (x.reshape(3, 4) * np.arange(4.0)).sum(), x0)
-
-    def test_getitem(self):
-        x0 = RNG.standard_normal((4, 5))
-        check_gradient(lambda x: (x[1:3, ::2] * x[1:3, ::2]).sum(), x0)
 
     def test_log_softmax_gradients(self):
         x0 = RNG.standard_normal((3, 4))
@@ -117,12 +112,6 @@ class TestBackwardMechanics:
         (x * 2).sum().backward()
         (x * 2).sum().backward()
         np.testing.assert_allclose(x.grad, np.full(3, 4.0))
-
-    def test_zero_grad(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        (x * 2).sum().backward()
-        x.zero_grad()
-        assert x.grad is None
 
     def test_diamond_graph_accumulation(self):
         x = Tensor(np.array([2.0], dtype=np.float64), requires_grad=True)

@@ -11,12 +11,12 @@ from repro.training import (
     Trainer,
     TrainingConfig,
     TrainingHistory,
-    apply_weight_masks,
     epochs_to_steps,
     evaluate_accuracy,
     meets_target,
 )
 from tests.helpers import ReferenceTrainer
+from tests.serial import apply_weight_masks
 
 
 class TestTrainingConfig:
@@ -60,6 +60,13 @@ class TestEvaluation:
         model = MLP(blob_bundle.input_shape[0], blob_bundle.num_classes, hidden_sizes=(16,), seed=0)
         loader = DataLoader(blob_bundle.test, batch_size=8)
         assert 0.0 <= evaluate_accuracy(model, loader) <= 1.0
+
+    def test_empty_eval_set_gives_zero(self):
+        from repro.data.dataset import TensorDataset
+
+        empty = TensorDataset(np.zeros((0, 8), dtype=np.float32), np.zeros((0,), dtype=np.int64))
+        model = MLP(8, 3, hidden_sizes=(8,), seed=0)
+        assert evaluate_accuracy(model, empty) == 0.0
 
 
 class TestMaskHelpers:
